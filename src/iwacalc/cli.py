@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .control import (
-    CentralPrimeSpec, completely_prime_probe, control_witnesses, dagger_approx,
-    ideal_span, induced_filtration, is_controlled_by, zalesskii_check,
+    CentralPrimeSpec, _random_series, completely_prime_probe, control_witnesses,
+    dagger_approx, ideal_span, induced_filtration, is_controlled_by,
+    zalesskii_check,
 )
 from .groups import (
     Automorphism, GroupModel, ModelError, load_model, parse_fraction,
@@ -198,15 +199,6 @@ def _val_str(v) -> str:
 
 def _random_basis_key(trunc: TruncationSpec, rng: Pcg32):
     return trunc.basis[rng.below(trunc.size)]
-
-
-def _random_series(trunc: TruncationSpec, rng: Pcg32, terms: int = 3):
-    p = trunc.model.p
-    out = trunc.zero()
-    for _ in range(terms):
-        out = out + trunc.monomial(_random_basis_key(trunc, rng),
-                                   1 + rng.below(p - 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, intersect_coordinate_subspace, reduce_against
-from .operators import divided_power_matrix, operator_matrix
+from .operators import divided_power_matrix
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_weight, val_add, val_min,
 )
@@ -58,38 +58,17 @@ class IdealSpan:
         return [self.trunc.from_vector(r) for r in self.rows]
 
 
-def _unit_exponent(rank: int, j: int, step: int = 1) -> tuple[int, ...]:
-    return tuple(step if i == j else 0 for i in range(rank))
+def _unit_exponent(rank: int, j: int) -> tuple[int, ...]:
+    return tuple(1 if i == j else 0 for i in range(rank))
 
 
-def _generator_mult_matrices(trunc: TruncationSpec, sided: str) -> list[np.ndarray]:
-    """Matrices of x -> x*b_j (and b_j*x for two-sided spans), cached."""
-    key = ("ideal-mult", sided)
-    hit = trunc._op_cache.get(key)
-    if hit is not None:
-        return hit
-    d = trunc.model.rank
-    mats = []
-    for j in range(d):
-        bj = trunc.monomial(_unit_exponent(d, j))
-        mats.append(operator_matrix(trunc, lambda a, bj=bj: trunc.monomial(a) * bj).mat)
-    if sided == "two-sided":
-        for j in range(d):
-            bj = trunc.monomial(_unit_exponent(d, j))
-            mats.append(operator_matrix(trunc, lambda a, bj=bj: bj * trunc.monomial(a)).mat)
-    trunc._op_cache[key] = mats
-    return mats
-
-
-def _close_span(trunc: TruncationSpec, seeds, mats) -> RowSpace:
-    p = trunc.model.p
-    space = RowSpace(p, trunc.size)
+def _close_span(trunc: TruncationSpec, seeds, maps) -> RowSpace:
+    space = RowSpace(trunc.model.p, trunc.size)
     queue = list(seeds)
     while queue:
         v = queue.pop()
         if space.add(v):
-            for m in mats:
-                queue.append((m @ (v % p)) % p)
+            queue.extend(m(v) for m in maps)
     return space
 
 
@@ -106,8 +85,10 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     for g in generators:
         if g.trunc is not trunc:
             raise ValueError("generators from a different truncation")
-    mats = _generator_mult_matrices(trunc, sided)
-    space = _close_span(trunc, [g.vector() for g in generators], mats)
+    sides = ("right",) if sided == "right" else ("right", "left")
+    maps = [trunc.generator_map(j, side).apply
+            for side in sides for j in range(trunc.model.rank)]
+    space = _close_span(trunc, [g.vector() for g in generators], maps)
     return IdealSpan(trunc, space.matrix(), tuple(space.pivots), sided)
 
 
@@ -228,18 +209,19 @@ def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
         stray = [a for a in g.coeffs if a not in allowed]
         if stray:
             raise ValueError(f"generator term {stray[0]} lies outside the subalgebra")
-    key = ("subalgebra-mult", H.exponents)
-    mats = trunc._op_cache.get(key)
-    if mats is None:
-        mats = []
-        for j, n in enumerate(H.exponents):
-            if n < trunc.model.precision:
-                cj = trunc.monomial(
-                    _unit_exponent(trunc.model.rank, j, trunc.model.p ** n))
-                mats.append(operator_matrix(
-                    trunc, lambda a, cj=cj: trunc.monomial(a) * cj).mat)
-        trunc._op_cache[key] = mats
-    space = _close_span(trunc, [g.vector() for g in generators], mats)
+    # the subalgebra generators are b_j^{p^n_j}: apply x -> x*b_j p^n_j times
+    def power_map(j: int, k: int):
+        step = trunc.generator_map(j).apply
+
+        def apply(v):
+            for _ in range(k):
+                v = step(v)
+            return v
+        return apply
+
+    maps = [power_map(j, trunc.model.p ** n) for j, n in enumerate(H.exponents)
+            if n < trunc.model.precision]
+    space = _close_span(trunc, [g.vector() for g in generators], maps)
     return space.matrix()
 
 

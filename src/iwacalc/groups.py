@@ -32,9 +32,19 @@ from .rng import Pcg32
 
 _VALIDATION_SEED = 0x1A2B3C
 
+# Coordinates mod p^M are drawn by Pcg32 and stored in int64 arrays, and
+# F_p sums are accumulated in int64: both need their range below 2^63.
+INT64_LIMIT = 1 << 63
+
 
 class ModelError(ValueError):
     """Model data fails validation at load time."""
+
+
+def _check_coordinate_range(p: int, precision: int) -> None:
+    # p >= 2, so precision > 63 is past the limit without computing p^M
+    if precision > 63 or p ** precision > INT64_LIMIT:
+        raise ModelError(f"p^M = {p}^{precision} exceeds the coordinate limit 2^63")
 
 
 @dataclass(frozen=True)
@@ -283,6 +293,7 @@ class AbelianModel(GroupModel):
 
     def __init__(self, p: int, rank: int, precision: int, omega: PValuation,
                  centre_exponents: Optional[Sequence[int]] = None):
+        _check_coordinate_range(p, precision)
         self.p = p
         self.rank = rank
         self.precision = precision
@@ -323,6 +334,7 @@ class UnitriangularModel(GroupModel):
                  generators: Sequence[Sequence[Sequence[int]]],
                  omega: PValuation,
                  centre_exponents: Optional[Sequence[int]] = None):
+        _check_coordinate_range(p, precision)
         if p % 2 == 0:
             raise ModelError("unitriangular models need an odd prime")
         if p <= size:

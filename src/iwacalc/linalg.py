@@ -17,14 +17,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def mat_mod(rows, p: int) -> np.ndarray:
-    return np.asarray(rows, dtype=np.int64) % p
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
     if k < 0:
         raise ValueError("negative matrix power")
@@ -74,10 +66,6 @@ def reduce_against(rows: np.ndarray, pivots: list[int], vec, p: int) -> np.ndarr
         if v[c]:
             v = (v - v[c] * row) % p
     return v
-
-
-def in_row_space(rows: np.ndarray, pivots: list[int], vec, p: int) -> bool:
-    return not reduce_against(rows, pivots, vec, p).any()
 
 
 class RowSpace:

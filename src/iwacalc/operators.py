@@ -32,7 +32,9 @@ from .padic import (
     AtLeast, MultiIndex, Val, comb_mod, mi_range, mi_weight,
     val_min, val_sub_exact,
 )
-from .series import TruncatedSeries, TruncationSpec, aut_images_table, group_embed
+from .series import (
+    TruncatedSeries, TruncationSpec, _combine_rows, aut_images_table, group_embed,
+)
 
 
 @dataclass(frozen=True)
@@ -263,13 +265,14 @@ def rho_apply(trunc: TruncationSpec, f: LocallyConstantFunction,
     if f.rank != trunc.model.rank or f.p != trunc.model.p:
         raise ValueError("function does not match the model")
     p = trunc.model.p
-    acc = np.zeros(trunc.size, dtype=np.int64)
+    coeffs, rows = [], []
     for a, ca in x.coeffs.items():
         for c, s in trunc._expand(a):
             v = ca * s * f(c) % p
             if v:
-                acc += v * trunc._embed_row(trunc._group_el(c))
-    return trunc.from_vector(acc % p)
+                coeffs.append(v)
+                rows.append(trunc._embed_row(trunc._group_el(c)))
+    return trunc.from_vector(_combine_rows(coeffs, rows, trunc.size, p))
 
 
 def rho_apply_mahler(trunc: TruncationSpec, f: LocallyConstantFunction,

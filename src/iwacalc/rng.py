@@ -56,11 +56,3 @@ class Pcg32:
             r = self.u64()
             if r >= threshold:
                 return r % n
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
-    def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.below(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]

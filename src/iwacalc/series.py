@@ -6,13 +6,22 @@ the cutoff W/e form a k-basis of k[[G]] modulo the tail ideal
 F_W = {x : w(x) >= W/e}; a TruncatedSeries is a coefficient map on that
 basis.  All ring operations are exact mod F_W.
 
-Multiplication routes every product through the group: each monomial is
-expanded into group elements, b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c,
-the group elements are multiplied in the model, and each product is
-re-expanded by the Mahler formula g^m = sum_b C(m, b) b^b.  For abelian
-models the same answer is reached by adding exponents, and that shortcut is
-taken by `*` (the two routes are compared in the test-suite corpus; use
-`mul_reference` to force the group route).
+Multiplication needs the group law only for monomial x generator products
+b^a * b_j (and b_j * b^a) that are not already in normal order.  Such a
+product is computed through the group: b^a is expanded into group elements,
+b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c, each g^c is multiplied by g_j
+in the model, and the products are re-expanded by the Mahler formula
+g^m = sum_b C(m, b) b^b.  A truncation keeps these products as sparse maps
+x -> x*b_j and x -> b_j*x (`TruncationSpec.generator_map`), built on first
+use.  On non-abelian models x*y = sum_beta y_beta (x*b^beta), and each
+x*b^beta is one sparse apply to x*b^beta', where b^beta = b^beta' * b_j
+drops the last letter of the normal-order word.  On abelian models every
+map is a shift, and `*` adds exponents directly.  `mul_reference` multiplies
+every pair of group elements and is kept as the test oracle.
+
+Every accumulation sums at most `size` products of residues, so
+`TruncationSpec` rejects primes with size * (p - 1)^2 >= 2^63 and int64
+arithmetic stays exact.
 
 The empty series has valuation marker AtLeast(W/e), consistent with the
 rest of the package.
@@ -25,10 +34,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .groups import Automorphism, GroupElement, GroupModel, ModelError
+from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
 from .padic import (
-    AtLeast, MultiIndex, PrecisionError, Val, comb_mod, mi_range,
-    mi_weight, multi_binom_mod_p,
+    AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, comb_mod, mi_range,
+    mi_weight,
 )
 
 
@@ -63,14 +72,19 @@ class TruncationSpec:
             raise PrecisionError(
                 f"cutoff W={W} uses exponents up to {max_exp}; coordinate precision "
                 f"M={model.precision} is too small (need M >= {need})")
+        if self.size * (model.p - 1) ** 2 >= INT64_LIMIT:
+            raise ModelError(
+                f"p = {model.p} is too large for {self.size} monomials: exact int64 "
+                f"sums need size * (p - 1)^2 < 2^63")
         self._weights = {a: mi_weight(a, self.omega) for a in basis}
         self.max_exponents = tuple(
             max((a[i] for a in basis), default=0) for i in range(model.rank))
+        self._exponents = np.array(basis, dtype=np.int64).reshape(self.size, model.rank)
         self._op_cache: dict = {}
         self._expand_cache: dict = {}
         self._embed_rows: dict = {}
         self._gel_cache: dict = {}
-        self._gprod_keys: dict = {}
+        self._gen_maps: dict = {}
         self._aut_tables: dict = {}
 
     # -- basic structure ----------------------------------------------------
@@ -128,27 +142,113 @@ class TruncationSpec:
         return tuple(x.digits for x in el.coords)
 
     def _embed_row(self, el: GroupElement) -> np.ndarray:
+        """C(lam, b) mod p for every basis monomial b, where lam = coords of el:
+        one table of C(lam_i, k) per coordinate, gathered at the exponents."""
         key = self._embed_key(el)
         hit = self._embed_rows.get(key)
         if hit is None:
-            hit = np.array(
-                [multi_binom_mod_p(el.coords, b) for b in self.basis], dtype=np.int64)
+            p = self.model.p
+            hit = np.ones(self.size, dtype=np.int64)
+            for lam, top, col in zip(el.coords, self.max_exponents, self._exponents.T):
+                table = np.array([binom_mod_p(lam, k) for k in range(top + 1)],
+                                 dtype=np.int64)
+                hit = hit * table[col] % p
             self._embed_rows[key] = hit
         return hit
 
-    def _gprod_key(self, c1: MultiIndex, c2: MultiIndex):
-        key = (c1, c2)
-        hit = self._gprod_keys.get(key)
+    # -- generator maps -----------------------------------------------------
+
+    def generator_map(self, j: int, side: str = "right") -> "GeneratorMap":
+        """Sparse map x -> x*b_j (side "right") or x -> b_j*x ("left")."""
+        key = (side, j)
+        hit = self._gen_maps.get(key)
         if hit is None:
-            prod = self.model.mul(self._group_el(c1), self._group_el(c2))
-            self._embed_row(prod)
-            hit = self._embed_key(prod)
-            self._gprod_keys[key] = hit
+            hit = self._build_generator_map(j, side)
+            # published only once complete, so threads sharing this
+            # truncation never see a half-built map
+            self._gen_maps[key] = hit
         return hit
 
+    def _build_generator_map(self, j: int, side: str) -> "GeneratorMap":
+        if side not in ("right", "left"):
+            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+        model = self.model
+        p = model.p
+        gj = model.basis()[j]
+        # b^a*b_j is in normal order iff a has no letter after j, b_j*b^a iff
+        # it has none before j; in abelian models every product is
+        if model.kind == "abelian":
+            outside = ()
+        else:
+            outside = range(j + 1, model.rank) if side == "right" else range(j)
+        rows: dict = {}  # c -> embed(g^c * g_j), or embed(g_j * g^c)
 
-def truncation_make(model: GroupModel, W: int) -> TruncationSpec:
-    return TruncationSpec(model, W)
+        def bump(a: MultiIndex) -> MultiIndex:
+            return a[:j] + (a[j] + 1,) + a[j + 1:]
+
+        def moved_row(c: MultiIndex) -> np.ndarray:
+            hit = rows.get(c)
+            if hit is None:
+                if any(c[k] for k in outside):
+                    g = self._group_el(c)
+                    el = model.mul(g, gj) if side == "right" else model.mul(gj, g)
+                else:
+                    el = self._group_el(bump(c))
+                hit = rows[c] = self._embed_row(el)
+            return hit
+
+        entries = []  # (target, source, coefficient)
+        for i, a in enumerate(self.basis):
+            if not any(a[k] for k in outside):
+                k = self.index.get(bump(a))
+                if k is not None:
+                    entries.append((k, i, 1))
+                continue
+            # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a
+            terms = self._expand(a)
+            col = _combine_rows([s for _, s in terms],
+                                [moved_row(c) for c, _ in terms], self.size, p)
+            col[i] = (col[i] - 1) % p
+            entries.extend((int(k), i, int(col[k])) for k in np.flatnonzero(col))
+        return GeneratorMap(p, entries)
+
+
+class GeneratorMap:
+    """A sparse F_p-linear map on the monomial basis, as int64 arrays.
+
+    Entry n adds coef[n] times source coordinate src[n] to one target
+    coordinate.  Entries are sorted by target: targets[k] collects the
+    entries from starts[k] up to the next start.  An apply is one gather,
+    one product and one reduceat, and each target sums at most `size`
+    products of residues."""
+
+    __slots__ = ("p", "src", "coef", "targets", "starts")
+
+    def __init__(self, p: int, entries: list):
+        self.p = p
+        arr = np.array(sorted(entries), dtype=np.int64).reshape(-1, 3)
+        self.src = arr[:, 1].copy()
+        self.coef = arr[:, 2].copy()
+        self.targets, self.starts = np.unique(arr[:, 0], return_index=True)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """Image of a coefficient vector with entries in [0, p)."""
+        out = np.zeros(vec.shape, dtype=np.int64)
+        if self.src.size:
+            out[self.targets] = np.add.reduceat(vec[self.src] * self.coef,
+                                                self.starts) % self.p
+        return out
+
+
+def _combine_rows(coeffs: Sequence[int], rows: Sequence[np.ndarray], size: int,
+                  p: int) -> np.ndarray:
+    """sum_k coeffs[k] * rows[k] mod p over residues, reduced every `size`
+    rows so that no partial sum reaches size * (p - 1)^2."""
+    acc = np.zeros(size, dtype=np.int64)
+    for lo in range(0, len(rows), size):
+        part = np.array(coeffs[lo:lo + size], dtype=np.int64) @ np.array(rows[lo:lo + size])
+        acc = (acc + part % p) % p
+    return acc
 
 
 class TruncatedSeries:
@@ -196,9 +296,10 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        if self.trunc.model.kind == "abelian":
-            t = self.trunc
-            p = t.model.p
+        t = self.trunc
+        p = t.model.p
+        if t.model.kind == "abelian":
+            # every generator map is a shift here; this is its closed form
             out: dict = {}
             for a, ca in self.coeffs.items():
                 for b, cb in other.coeffs.items():
@@ -206,7 +307,21 @@ class TruncatedSeries:
                     if key in t.index:
                         out[key] = (out.get(key, 0) + ca * cb) % p
             return TruncatedSeries(t, out)
-        return mul_reference(self, other)
+        # x*b^beta = (x*b^beta')*b_j for the normal-order prefix beta'
+        prefix: dict = {}
+        for beta in other.coeffs:
+            while any(beta) and beta not in prefix:
+                j = max(i for i, v in enumerate(beta) if v)
+                prev = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+                prefix[beta] = (prev, j)
+                beta = prev
+        multiples = {(0,) * t.model.rank: self.vector()}
+        for beta in sorted(prefix, key=t.index.__getitem__):
+            prev, j = prefix[beta]
+            multiples[beta] = t.generator_map(j).apply(multiples[prev])
+        terms = list(other.coeffs.items())
+        return t.from_vector(_combine_rows(
+            [c for _, c in terms], [multiples[b] for b, _ in terms], t.size, p))
 
     def pow(self, k: int) -> "TruncatedSeries":
         if k < 0:
@@ -254,15 +369,12 @@ class TruncatedSeries:
         return f"TruncatedSeries({format_series(self)})"
 
 
-def w_val(x: TruncatedSeries) -> Val:
-    return x.valuation()
-
-
 def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     """Product via the group: expand, multiply elements, re-expand.
 
-    This is the reference algorithm for every model kind; the abelian
-    shortcut in `__mul__` must match it on the corpus.
+    This is the reference algorithm for every model kind, kept as the oracle
+    that the tests compare `*` with; it multiplies every pair of group
+    elements of the two expansions.
     """
     t = x.trunc
     if t is not y.trunc:
@@ -284,16 +396,16 @@ def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
                 yg[c] = v
             else:
                 yg.pop(c, None)
-    prod: dict = {}
+    prod: dict = {}  # embed key -> [group element, coefficient]
     for c1, v1 in xg.items():
+        g1 = t._group_el(c1)
         for c2, v2 in yg.items():
-            key = t._gprod_key(c1, c2)
-            prod[key] = (prod.get(key, 0) + v1 * v2) % p
-    acc = np.zeros(t.size, dtype=np.int64)
-    for key, v in prod.items():
-        if v:
-            acc += v * t._embed_rows[key]
-    return t.from_vector(acc % p)
+            el = t.model.mul(g1, t._group_el(c2))
+            slot = prod.setdefault(t._embed_key(el), [el, 0])
+            slot[1] = (slot[1] + v1 * v2) % p
+    terms = [(el, v) for el, v in prod.values() if v]
+    return t.from_vector(_combine_rows(
+        [v for _, v in terms], [t._embed_row(el) for el, _ in terms], t.size, p))
 
 
 # ---------------------------------------------------------------------------

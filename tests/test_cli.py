@@ -227,6 +227,15 @@ def test_main_exit_two_on_config_errors(tmp_path, capsys):
     assert "unknown task 'nope'" in capsys.readouterr().err
 
 
+def test_main_exit_two_when_coordinates_exceed_int64(tmp_path, capsys):
+    doc = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
+           "truncation": {"W": 4, "M": 40},
+           "tasks": [{"name": "verify-valuation"}]}
+    assert main(["run", write_doc(tmp_path, "wide.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^63" in err
+
+
 def test_main_table_format(tmp_path, capsys):
     path = write_doc(tmp_path, "table.json",
                      abelian_doc([{"name": "moore-det",

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, CentralPrimeSpec, ModelError, completely_prime_probe,
@@ -11,7 +13,9 @@ from iwacalc import (
     subalgebra_ideal_span, subalgebra_monomials, subgroup_from_exponents,
     zalesskii_check,
 )
+from iwacalc.linalg import RowSpace
 from iwacalc.rng import Pcg32
+from iwacalc.series import mul_reference
 
 
 def test_principal_span_dimension(trunc2):
@@ -211,3 +215,42 @@ def test_zalesskii_validation(trunc_heis, tzeta):
         # a subgroup containing g1 is not central
         zalesskii_check(trunc_heis, [trunc_heis.monomial((0, 0, 1))],
                         Z=subgroup_from_exponents(trunc_heis.model, (0, 3, 3)))
+
+
+@pytest.fixture(scope="session")
+def heis_dense_generator_mults(trunc_heis_wide):
+    """Dense matrices of x -> x*b_j and x -> b_j*x, column by column from
+    the group-route product."""
+    t = trunc_heis_wide
+    d = t.model.rank
+    gens = [t.monomial(tuple(1 if i == j else 0 for i in range(d))) for j in range(d)]
+    mats = []
+    for side in ("right", "left"):
+        for bj in gens:
+            mat = np.zeros((t.size, t.size), dtype=np.int64)
+            for k, a in enumerate(t.basis):
+                x = t.monomial(a)
+                mat[:, k] = (mul_reference(x, bj) if side == "right"
+                             else mul_reference(bj, x)).vector()
+            mats.append(mat)
+    return mats
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_two_sided_span_matches_dense_group_route(trunc_heis_wide,
+                                                  heis_dense_generator_mults, data):
+    t = trunc_heis_wide
+    p = t.model.p
+    gens = [t.from_dict(data.draw(st.dictionaries(
+        st.sampled_from(t.basis[1:]), st.integers(1, p - 1), min_size=1, max_size=3)))
+        for _ in range(data.draw(st.integers(1, 2)))]
+    space = RowSpace(p, t.size)
+    queue = [g.vector() for g in gens]
+    while queue:
+        v = queue.pop()
+        if space.add(v):
+            queue.extend(m @ v % p for m in heis_dense_generator_mults)
+    I = ideal_span(t, gens, "two-sided")
+    assert np.array_equal(I.rows, space.matrix())
+    assert I.pivots == tuple(space.pivots)

@@ -42,6 +42,15 @@ def test_omega_validation():
         load_abelian(3, 2, 4, ["1"])  # wrong length
 
 
+def test_coordinate_range_validation():
+    # 3^40 > 2^63: rejected before any coordinate is sampled
+    with pytest.raises(ModelError, match="2\\^63"):
+        load_abelian(3, 1, 40, ["1"])
+    with pytest.raises(ModelError, match="2\\^63"):
+        load_unitriangular(5, 3, 28, heisenberg_generators(5), ["1", "1", "2"])
+    assert load_abelian(2, 1, 63, ["2"]).precision == 63  # 2^63 itself is in range
+
+
 def test_heisenberg_native_matrices(heis):
     g1, g2, g3 = heis.basis()
     assert heis.native(g1) == ((1, 5, 0), (0, 1, 0), (0, 0, 1))

@@ -1,13 +1,16 @@
 """Truncated series: basis layout, ring structure, embeddings, text forms."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
-    AtLeast, PrecisionError, TruncationSpec, aut_extend, Automorphism,
-    format_series, group_embed, load_abelian, parse_series,
-    relative_normal_form, series_frobenius,
+    AtLeast, ModelError, PrecisionError, TruncationSpec, aut_extend,
+    Automorphism, format_series, group_embed, lmul_matrix, load_abelian,
+    parse_series, relative_normal_form, series_frobenius,
 )
 from iwacalc.rng import Pcg32
 from iwacalc.series import mul_reference
@@ -189,3 +192,79 @@ def test_parse_rejects_malformed(trunc2):
 def test_series_rejects_cross_truncation(trunc2, trunc3):
     with pytest.raises(ValueError):
         trunc2.one() + trunc3.one()
+
+
+# -- the sparse generator-multiplication kernel -------------------------------
+
+@pytest.fixture(scope="session")
+def kernel_truncs(trunc2, trunc3, trunc_heis, trunc_heis_wide):
+    return {"abelian2": trunc2, "abelian3": trunc3,
+            "heis": trunc_heis, "heis_wide": trunc_heis_wide}
+
+
+def draw_series(data, t, max_terms):
+    coeffs = data.draw(st.dictionaries(
+        st.sampled_from(t.basis), st.integers(1, t.model.p - 1), max_size=max_terms))
+    return t.from_dict(coeffs)
+
+
+@pytest.mark.parametrize("name", ["heis", "heis_wide"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_matches_group_route(kernel_truncs, name, data):
+    t = kernel_truncs[name]
+    x = draw_series(data, t, 5)
+    y = draw_series(data, t, 5)
+    assert x * y == mul_reference(x, y)
+
+
+@pytest.mark.parametrize("name", ["abelian3", "heis", "heis_wide"])
+def test_generator_maps_match_group_route(kernel_truncs, name):
+    t = kernel_truncs[name]
+    d = t.model.rank
+    for j in range(d):
+        bj = t.monomial(tuple(1 if i == j else 0 for i in range(d)))
+        right = t.generator_map(j, "right")
+        left = t.generator_map(j, "left")
+        for a in t.basis:
+            x = t.monomial(a)
+            assert t.from_vector(right.apply(x.vector())) == mul_reference(x, bj)
+            assert t.from_vector(left.apply(x.vector())) == mul_reference(bj, x)
+
+
+def test_generator_map_rejects_unknown_side(trunc_heis):
+    with pytest.raises(ValueError):
+        trunc_heis.generator_map(0, "middle")
+
+
+def test_truncation_rejects_primes_past_int64_sums():
+    # (p - 1)^2 alone exceeds 2^63 here; dense and sparse sums would wrap
+    model = load_abelian(4294967311, 1, 1, ["1"])
+    with pytest.raises(ModelError, match="2\\^63"):
+        TruncationSpec(model, 4)
+
+
+def test_prime_just_under_the_bound_stays_exact():
+    p = 1518500213  # the largest prime with 4 * (p - 1)^2 < 2^63
+    t = TruncationSpec(load_abelian(p, 1, 1, ["1"]), 4)
+    assert t.size == 4 and t.size * (p - 1) ** 2 < 2 ** 63
+    x = t.from_dict({(0,): p - 1, (1,): p - 2, (2,): p - 3, (3,): p - 1})
+    assert lmul_matrix(t, x).apply(x) == x * x
+    assert t.from_vector(t.generator_map(0).apply(x.vector())) == x * t.monomial((1,))
+
+
+def test_threads_share_lazily_built_maps(heis):
+    # a fresh truncation, so the threads race to build the same maps
+    t = TruncationSpec(heis, 9)
+    rng = Pcg32(38)
+    pairs = [(random_series(t, rng), random_series(t, rng)) for _ in range(8)]
+    want = [mul_reference(x, y) for x, y in pairs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda xy: xy[0] * xy[1], xy) for xy in pairs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
