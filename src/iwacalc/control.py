@@ -21,10 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import RowSpace, intersect_coordinate_subspace, reduce_against
-from .operators import divided_power_matrix
+from .linalg import (
+    RowSpace, intersect_coordinate_subspace, reduce_against, reduce_block,
+)
+from .operators import divided_power_map
 from .padic import (
-    AtLeast, Val, ge_refuted, gt_provable, mi_weight, val_add, val_min,
+    AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
 )
 from .rng import Pcg32
 from .series import TruncatedSeries, TruncationSpec, format_series, relative_normal_form
@@ -46,8 +48,7 @@ class IdealSpan:
         return self.rows.shape[0]
 
     def contains_vector(self, vec) -> bool:
-        return not reduce_against(self.rows, list(self.pivots), vec,
-                                  self.trunc.model.p).any()
+        return not reduce_against(self.rows, self.pivots, vec, self.trunc.model.p).any()
 
     def contains(self, x: TruncatedSeries) -> bool:
         if x.trunc is not self.trunc:
@@ -115,18 +116,23 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
         raise ModelError("subgroup belongs to a different model")
     out = []
     for i in _stability_mask(H):
-        d_i = divided_power_matrix(t, _unit_exponent(t.model.rank, i)).mat
-        for row in I.rows:
-            image = (d_i @ row) % t.model.p
-            res = reduce_against(I.rows, list(I.pivots), image, t.model.p)
-            if res.any():
-                out.append({
-                    "direction": i + 1,
-                    "row": format_series(t.from_vector(row)),
-                    "escapes_as": format_series(t.from_vector(res)),
-                })
-                break
+        res = _escapes(I, i)
+        bad = np.flatnonzero(res.any(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            out.append({
+                "direction": i + 1,
+                "row": format_series(t.from_vector(I.rows[k])),
+                "escapes_as": format_series(t.from_vector(res[k])),
+            })
     return out
+
+
+def _escapes(I: IdealSpan, i: int) -> np.ndarray:
+    """Residuals of del_i(row) against the span, one per row of I."""
+    t = I.trunc
+    d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
+    return reduce_block(I.rows, I.pivots, d_i.apply(I.rows), t.model.p)
 
 
 def is_controlled_by(I: IdealSpan, H: SubgroupSpec) -> bool:
@@ -141,14 +147,8 @@ def controller_approx(I: IdealSpan) -> SubgroupSpec:
     The answer is an upper bound for the true controller relative to the
     chosen basis; non-aligned subgroups are not searched.
     """
-    t = I.trunc
-    model = t.model
-    exps = []
-    for i in range(model.rank):
-        d_i = divided_power_matrix(t, _unit_exponent(model.rank, i)).mat
-        stable = all(
-            I.contains_vector((d_i @ row) % model.p) for row in I.rows)
-        exps.append(1 if stable else 0)
+    model = I.trunc.model
+    exps = [0 if _escapes(I, i).any() else 1 for i in range(model.rank)]
     return subgroup_from_exponents(model, exps)
 
 
@@ -165,18 +165,15 @@ def dagger_approx(I: IdealSpan, depth: int, budget: int = 4096) -> list[tuple[in
                          f"membership tests, over the budget {budget}")
     box = model.p ** depth
     one_at = t.index[(0,) * model.rank]
+    lams = list(mi_range((box - 1,) * model.rank))  # in sorted order
     out = []
-    lam = [0] * model.rank
-    for n in range(count):
-        k = n
-        for i in range(model.rank):
-            lam[i] = k % box
-            k //= box
-        vec = t._embed_row(model.element(lam)).copy()
-        vec[one_at] -= 1
-        if I.contains_vector(vec % model.p):
-            out.append(tuple(lam))
-    out.sort()
+    # one block of candidates g^lam - 1 per `size` lambdas
+    for lo in range(0, count, t.size):
+        chunk = lams[lo:lo + t.size]
+        block = np.array([t._embed_row(model.element(lam)) for lam in chunk])
+        block[:, one_at] -= 1
+        res = reduce_block(I.rows, I.pivots, block, model.p)
+        out.extend(chunk[k] for k in np.flatnonzero(~res.any(axis=1)))
     return out
 
 

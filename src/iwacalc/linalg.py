@@ -4,11 +4,15 @@ Everything here is exact integer arithmetic on numpy int64 arrays reduced
 mod p after each operation.  Row reduction always scans columns left to
 right and picks the first usable pivot row, so the reduced form of a row
 space is canonical and span comparisons are plain array comparisons.
+
+`rref` reduces a whole matrix.  Every other elimination goes through one
+residual kernel, `reduce_block`: against a fully reduced basis the residual
+of v is v - sum_k v[c_k] R_k, computed for a block of vectors at once.
+`reduce_against` is its one-row case, and `RowSpace` keeps a growing span
+fully reduced with it.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -59,35 +63,56 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:r].copy(), pivots
 
 
-def reduce_against(rows: np.ndarray, pivots: list[int], vec, p: int) -> np.ndarray:
-    """Residual of vec after elimination against an rref basis."""
-    v = np.array(vec, dtype=np.int64) % p
-    for row, c in zip(rows, pivots):
-        if v[c]:
-            v = (v - v[c] * row) % p
-    return v
+def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
+    """Residual of each row of block after elimination against a fully
+    reduced rref basis (rows[k] is 1 at pivots[k] and 0 at every other pivot).
+
+    The residual of v is v - sum_k v[pivots[k]] * rows[k].  It is zero at the
+    pivots, so the product is formed only for the basis rows some v needs and
+    on the columns where one of them is nonzero off its pivot; a monomial
+    basis has no such columns.  Each entry sums at most `ncols` products of
+    residues.
+    """
+    out = np.array(block, dtype=np.int64) % p
+    if not len(pivots):
+        return out
+    pivots = np.asarray(pivots, dtype=np.intp)
+    coeffs = out[:, pivots]
+    used = np.flatnonzero(coeffs.any(axis=0))
+    if not used.size:
+        return out
+    coeffs, basis = coeffs[:, used], rows[used]
+    out[:, pivots[used]] = 0
+    off = basis.any(axis=0)
+    off[pivots] = False
+    cols = np.flatnonzero(off)
+    if cols.size:
+        out[:, cols] = (out[:, cols] - coeffs @ basis[:, cols]) % p
+    return out
+
+
+def reduce_against(rows: np.ndarray, pivots, vec, p: int) -> np.ndarray:
+    """Residual of one vector: the one-row case of `reduce_block`."""
+    return reduce_block(rows, pivots, np.reshape(vec, (1, -1)), p)[0]
 
 
 class RowSpace:
     """Incrementally maintained rref basis of a growing span.
 
-    Rows are kept fully reduced with pivots in increasing column order, so
-    `matrix()` is the canonical representative of the span regardless of the
-    insertion order.
+    Rows are kept fully reduced in one preallocated array, in insertion
+    order; `matrix()` and `pivots` sort them by pivot, so they are the
+    canonical representative of the span regardless of the insertion order.
     """
 
     def __init__(self, p: int, ncols: int):
         self.p = p
-        self.ncols = ncols
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
+        self._pivots = np.zeros(ncols, dtype=np.intp)
+        self.dim = 0
 
     def residual(self, vec) -> np.ndarray:
-        v = np.array(vec, dtype=np.int64) % self.p
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % self.p
-        return v
+        k = self.dim
+        return reduce_against(self._rows[:k], self._pivots[:k], vec, self.p)
 
     def contains(self, vec) -> bool:
         return not self.residual(vec).any()
@@ -100,22 +125,23 @@ class RowSpace:
             return False
         c = int(nz[0])
         v = v * inv_mod(int(v[c]), self.p) % self.p
-        for i, row in enumerate(self.rows):
-            if row[c]:
-                self.rows[i] = (row - row[c] * v) % self.p
-        k = bisect.bisect_left(self.pivots, c)
-        self.rows.insert(k, v)
-        self.pivots.insert(k, c)
+        k = self.dim
+        stored = self._rows[:k]
+        hit = np.flatnonzero(stored[:, c])
+        if hit.size:
+            stored[hit] = (stored[hit] - stored[hit, c][:, None] * v) % self.p
+        self._rows[k] = v
+        self._pivots[k] = c
+        self.dim = k + 1
         return True
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def pivots(self) -> list[int]:
+        return sorted(int(c) for c in self._pivots[:self.dim])
 
     def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.ncols), dtype=np.int64)
-        return np.array(self.rows, dtype=np.int64)
+        order = np.argsort(self._pivots[:self.dim])
+        return self._rows[order]
 
 
 def intersect_coordinate_subspace(rows, p: int, keep: list[int]) -> np.ndarray:

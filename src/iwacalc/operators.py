@@ -1,8 +1,11 @@
 """Divided-power operators, Mahler calculus and coset idempotents.
 
-The operators act on a TruncationSpec's monomial space and are realised as
-dense matrices over F_p (columns = images of basis monomials), so composing,
-comparing and row-reducing them is plain linear algebra.
+The operators act on a TruncationSpec's monomial space.  An OperatorMatrix
+is a dense matrix over F_p (columns = images of basis monomials), so
+composing and comparing operators is plain linear algebra; it is built on
+request and never cached.  The divided powers are cached instead as sparse
+maps (`divided_power_map`), one per truncation and index, built with numpy
+from the closed formula below; their dense form is scattered from the map.
 
 The divided power del^(a) acts by the closed formula
 
@@ -10,6 +13,8 @@ The divided power del^(a) acts by the closed formula
 
 (zero unless a <= B componentwise), acts on embedded group elements as
 multiplication by the binomial C(m, a), and has degree exactly -<a, omega>.
+`divided_power` applies the formula term by term to a series; it and
+`operator_matrix` are kept as the oracle the sparse maps are tested against.
 
 Mahler coefficients of an automorphism phi are the series <phi, del^(a)>
 in the expansion  phi = sum_a  (left mult by <phi, del^(a)>) o del^(a).
@@ -33,7 +38,8 @@ from .padic import (
     val_min, val_sub_exact,
 )
 from .series import (
-    TruncatedSeries, TruncationSpec, _combine_rows, aut_images_table, group_embed,
+    SparseMap, TruncatedSeries, TruncationSpec, _combine_rows, aut_images_table,
+    group_embed,
 )
 
 
@@ -113,12 +119,17 @@ def aut_matrix(trunc: TruncationSpec, phi: Automorphism) -> OperatorMatrix:
 # Divided powers
 # ---------------------------------------------------------------------------
 
-def divided_power(trunc: TruncationSpec, alpha: Sequence[int],
-                  x: TruncatedSeries) -> TruncatedSeries:
-    """Apply del^(alpha) by the closed formula; exact mod F_W."""
+def _operator_index(trunc: TruncationSpec, alpha: Sequence[int]) -> MultiIndex:
     alpha = tuple(int(v) for v in alpha)
     if len(alpha) != trunc.model.rank or any(v < 0 for v in alpha):
         raise ValueError(f"bad operator index {alpha}")
+    return alpha
+
+
+def divided_power(trunc: TruncationSpec, alpha: Sequence[int],
+                  x: TruncatedSeries) -> TruncatedSeries:
+    """Apply del^(alpha) by the closed formula; exact mod F_W."""
+    alpha = _operator_index(trunc, alpha)
     p = trunc.model.p
     out: dict = {}
     for beta, c in x.coeffs.items():
@@ -142,14 +153,50 @@ def divided_power(trunc: TruncationSpec, alpha: Sequence[int],
     return TruncatedSeries(trunc, out)
 
 
-def divided_power_matrix(trunc: TruncationSpec, alpha: Sequence[int]) -> OperatorMatrix:
-    alpha = tuple(int(v) for v in alpha)
+def divided_power_map(trunc: TruncationSpec, alpha: Sequence[int]) -> SparseMap:
+    """del^(alpha) as a sparse map, built from the closed formula on first
+    use and cached on the truncation."""
+    alpha = _operator_index(trunc, alpha)
     key = ("dp", alpha)
     hit = trunc._op_cache.get(key)
     if hit is None:
-        hit = operator_matrix(trunc, lambda a: divided_power(trunc, alpha, trunc.monomial(a)))
+        hit = _build_divided_power_map(trunc, alpha)
+        # published only once complete, so threads sharing this
+        # truncation never see a half-built map
         trunc._op_cache[key] = hit
     return hit
+
+
+def _build_divided_power_map(trunc: TruncationSpec, alpha: MultiIndex) -> SparseMap:
+    p = trunc.model.p
+    exps = trunc._exponents
+    # C(B, alpha) = prod_i C(B_i, alpha_i), one binomial table per coordinate
+    lead = np.ones(trunc.size, dtype=np.int64)
+    for a, top, col in zip(alpha, trunc.max_exponents, exps.T):
+        table = np.array([comb_mod(m, a, p) for m in range(top + 1)], dtype=np.int64)
+        lead = lead * table[col] % p
+    src = np.flatnonzero(lead)
+    if not src.size:
+        # also keeps a large alpha from enumerating the box below it
+        return SparseMap(p, trunc.size, [], [], [])
+    # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k, one offset k per term
+    offsets = np.array(list(mi_range(alpha)), dtype=np.int64).reshape(-1, len(alpha))
+    scale = np.ones(len(offsets), dtype=np.int64)
+    for a, col in zip(alpha, offsets.T):
+        table = np.array([comb_mod(a, k, p) for k in range(a + 1)], dtype=np.int64)
+        scale = scale * table[col] % p
+    offsets, scale = offsets[scale != 0], scale[scale != 0]
+    # B - alpha + k <= B componentwise, and the basis is closed under
+    # lowering exponents, so every target is a basis monomial
+    targets = exps[src, None, :] - np.array(alpha) + offsets[None, :, :]
+    tgt = trunc._indices_of(targets.reshape(-1, len(alpha)))
+    coef = (lead[src, None] * scale[None, :] % p).ravel()
+    return SparseMap(p, trunc.size, tgt, np.repeat(src, len(offsets)), coef)
+
+
+def divided_power_matrix(trunc: TruncationSpec, alpha: Sequence[int]) -> OperatorMatrix:
+    """Dense form of the cached sparse map; the matrix itself is not cached."""
+    return OperatorMatrix(trunc, divided_power_map(trunc, alpha).dense())
 
 
 @dataclass(frozen=True)
@@ -171,19 +218,17 @@ class DegreeReport:
 
 def operator_degree(op: OperatorMatrix) -> DegreeReport:
     t = op.trunc
-    resolved = None
-    tail = None
-    for j, a in enumerate(t.basis):
-        col = op.mat[:, j]
-        hit = np.flatnonzero(col)
-        wa = t.weight(a)
-        if hit.size:
-            w = min(t.weight(t.basis[i]) for i in hit)
-            d = w - wa
-            resolved = d if resolved is None else min(resolved, d)
-        else:
-            d = t.cutoff - wa
-            tail = d if tail is None else min(tail, d)
+    w = t._int_weights
+    nz = op.mat != 0
+    hit = nz.any(axis=0)
+    resolved = tail = None
+    if hit.any():
+        # the basis is sorted by weight: a column's first nonzero row is its
+        # least-weight target
+        first = nz.argmax(axis=0)
+        resolved = Fraction(int((w[first[hit]] - w[hit]).min()), t.e)
+    if not hit.all():
+        tail = Fraction(int(t.W - w[~hit].max()), t.e)
     return DegreeReport(resolved, tail)
 
 

@@ -15,6 +15,7 @@ weight pairing used by the truncation modules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,9 @@ class PrecisionError(ValueError):
     """A result is not determined at the working precision."""
 
 
+@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
+    """Trial division, memoised: padic_make checks p on every element."""
     if n < 2:
         return False
     if n % 2 == 0:

@@ -80,6 +80,15 @@ class TruncationSpec:
         self.max_exponents = tuple(
             max((a[i] for a in basis), default=0) for i in range(model.rank))
         self._exponents = np.array(basis, dtype=np.int64).reshape(self.size, model.rank)
+        # e * weight of each basis monomial, an integer, ascending
+        self._int_weights = self._exponents @ np.array(
+            [int(w * self.e) for w in self.omega], dtype=np.int64)
+        # mixed-radix codes of the exponents, for vectorised index lookup
+        self._radix = np.cumprod([1] + [m + 1 for m in self.max_exponents[:-1]],
+                                 dtype=np.int64)
+        codes = self._exponents @ self._radix
+        self._code_order = np.argsort(codes)
+        self._sorted_codes = codes[self._code_order]
         self._op_cache: dict = {}
         self._expand_cache: dict = {}
         self._embed_rows: dict = {}
@@ -92,6 +101,12 @@ class TruncationSpec:
     def weight(self, a: MultiIndex) -> Fraction:
         w = self._weights.get(a)
         return w if w is not None else mi_weight(a, self.omega)
+
+    def _indices_of(self, exponents: np.ndarray) -> np.ndarray:
+        """Basis indices of exponent rows, each of which must be a basis
+        monomial."""
+        codes = exponents @ self._radix
+        return self._code_order[np.searchsorted(self._sorted_codes, codes)]
 
     def zero(self) -> "TruncatedSeries":
         return TruncatedSeries(self, {})
@@ -158,7 +173,7 @@ class TruncationSpec:
 
     # -- generator maps -----------------------------------------------------
 
-    def generator_map(self, j: int, side: str = "right") -> "GeneratorMap":
+    def generator_map(self, j: int, side: str = "right") -> "SparseMap":
         """Sparse map x -> x*b_j (side "right") or x -> b_j*x ("left")."""
         key = (side, j)
         hit = self._gen_maps.get(key)
@@ -169,7 +184,7 @@ class TruncationSpec:
             self._gen_maps[key] = hit
         return hit
 
-    def _build_generator_map(self, j: int, side: str) -> "GeneratorMap":
+    def _build_generator_map(self, j: int, side: str) -> "SparseMap":
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         model = self.model
@@ -210,10 +225,11 @@ class TruncationSpec:
                                 [moved_row(c) for c, _ in terms], self.size, p)
             col[i] = (col[i] - 1) % p
             entries.extend((int(k), i, int(col[k])) for k in np.flatnonzero(col))
-        return GeneratorMap(p, entries)
+        tgt, src, coef = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        return SparseMap(p, self.size, tgt, src, coef)
 
 
-class GeneratorMap:
+class SparseMap:
     """A sparse F_p-linear map on the monomial basis, as int64 arrays.
 
     Entry n adds coef[n] times source coordinate src[n] to one target
@@ -222,22 +238,32 @@ class GeneratorMap:
     one product and one reduceat, and each target sums at most `size`
     products of residues."""
 
-    __slots__ = ("p", "src", "coef", "targets", "starts")
+    __slots__ = ("p", "size", "src", "coef", "targets", "starts")
 
-    def __init__(self, p: int, entries: list):
+    def __init__(self, p: int, size: int, tgt, src, coef):
         self.p = p
-        arr = np.array(sorted(entries), dtype=np.int64).reshape(-1, 3)
-        self.src = arr[:, 1].copy()
-        self.coef = arr[:, 2].copy()
-        self.targets, self.starts = np.unique(arr[:, 0], return_index=True)
+        self.size = size
+        tgt, src, coef = (np.asarray(a, dtype=np.int64) for a in (tgt, src, coef))
+        order = np.lexsort((src, tgt))
+        self.src = src[order]
+        self.coef = coef[order]
+        self.targets, self.starts = np.unique(tgt[order], return_index=True)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Image of a coefficient vector with entries in [0, p)."""
+        """Image of a coefficient vector with entries in [0, p), or of each
+        row of a 2-D block of them."""
         out = np.zeros(vec.shape, dtype=np.int64)
         if self.src.size:
-            out[self.targets] = np.add.reduceat(vec[self.src] * self.coef,
-                                                self.starts) % self.p
+            out[..., self.targets] = np.add.reduceat(
+                vec[..., self.src] * self.coef, self.starts, axis=-1) % self.p
         return out
+
+    def dense(self) -> np.ndarray:
+        """The size x size matrix of the map (column j = image of b^j)."""
+        mat = np.zeros((self.size, self.size), dtype=np.int64)
+        counts = np.diff(np.append(self.starts, self.src.size))
+        mat[np.repeat(self.targets, counts), self.src] = self.coef
+        return mat
 
 
 def _combine_rows(coeffs: Sequence[int], rows: Sequence[np.ndarray], size: int,

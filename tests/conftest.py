@@ -56,3 +56,9 @@ def zmodel():
 @pytest.fixture(scope="session")
 def tzeta(zmodel):
     return TruncationSpec(zmodel, 60)
+
+
+@pytest.fixture(scope="session")
+def trunc_e4():
+    # e > 1: weights in (1/4)Z, cutoff W/e = 5
+    return TruncationSpec(load_abelian(5, 2, 3, ["1/2", "3/4"], 4), 20)

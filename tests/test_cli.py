@@ -5,9 +5,10 @@ import json
 import pytest
 
 from iwacalc.cli import (
-    ConfigError, load_config_file, main, parse_config, render_jsonl,
-    render_table, run_config,
+    ConfigError, _task_verify_operators, build_context, load_config_file, main,
+    parse_config, render_jsonl, render_table, run_config,
 )
+from iwacalc.series import SparseMap
 
 
 def abelian_doc(tasks):
@@ -86,6 +87,21 @@ def test_run_config_deterministic_and_parallel():
     assert [r["status"] for r in first] == ["pass"] * 3
     assert first == run_config(cfg)
     assert render_jsonl(run_config(cfg, jobs=4)) == render_jsonl(first)
+
+
+def test_verify_operators_leaves_no_dense_matrix_cached():
+    doc = abelian_doc([{"name": "verify-operators", "samples": 4}])
+    doc["model"] = {"kind": "abelian", "rank": 3}
+    doc["omega"] = ["1", "1", "1"]
+    cfg = parse_config(doc)
+    ctx = build_context(cfg)
+    status, metrics, _ = _task_verify_operators(ctx, {"samples": 4}, 0)
+    t = ctx.trunc
+    assert status == "pass" and metrics["degrees"] == t.size - 1
+    assert t._op_cache
+    for op in t._op_cache.values():
+        assert isinstance(op, SparseMap)
+        assert max(a.size for a in (op.src, op.coef, op.targets)) < t.size ** 2
 
 
 def test_run_config_task_filter_keeps_streams():

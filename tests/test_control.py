@@ -14,8 +14,9 @@ from iwacalc import (
     zalesskii_check,
 )
 from iwacalc.linalg import RowSpace
+from iwacalc.operators import divided_power, operator_matrix
 from iwacalc.rng import Pcg32
-from iwacalc.series import mul_reference
+from iwacalc.series import format_series, mul_reference
 
 
 def test_principal_span_dimension(trunc2):
@@ -66,6 +67,9 @@ def test_dagger_of_cube_span(trunc2):
     I = ideal_span(trunc2, [trunc2.monomial((3, 0))])
     assert dagger_approx(I, 1) == [(0, 0)]
     assert dagger_approx(I, 2) == [(0, 0), (3, 0), (6, 0)]
+    # every g - 1 lies in the augmentation ideal; 81 cosets, 3 blocks of <= 36
+    M = ideal_span(trunc2, [trunc2.monomial((1, 0)), trunc2.monomial((0, 1))])
+    assert dagger_approx(M, 2) == [(a, b) for a in range(9) for b in range(9)]
     with pytest.raises(ValueError):
         dagger_approx(I, 2, budget=10)
     with pytest.raises(ValueError):
@@ -254,3 +258,46 @@ def test_two_sided_span_matches_dense_group_route(trunc_heis_wide,
     I = ideal_span(t, gens, "two-sided")
     assert np.array_equal(I.rows, space.matrix())
     assert I.pivots == tuple(space.pivots)
+
+
+def dense_witnesses(I, mask):
+    """control_witnesses by dense del_i matrices and one membership test per
+    row: the first escaping row in each tested direction."""
+    t = I.trunc
+    p = t.model.p
+    d = t.model.rank
+    out = []
+    for i in mask:
+        e_i = tuple(1 if k == i else 0 for k in range(d))
+        mat = operator_matrix(t, lambda a: divided_power(t, e_i, t.monomial(a))).mat
+        for row in I.rows:
+            res = np.array((mat @ row) % p)
+            for basis_row, c in zip(I.rows, I.pivots):
+                if res[c]:
+                    res = (res - res[c] * basis_row) % p
+            if res.any():
+                out.append({"direction": i + 1,
+                            "row": format_series(t.from_vector(row)),
+                            "escapes_as": format_series(t.from_vector(res))})
+                break
+    return out
+
+
+@pytest.mark.parametrize("fixture,gens,sided", [
+    ("trunc3", ["b1 + 2*b2^2 + b1*b3", "b2*b3 + b3^3"], "right"),
+    ("trunc_heis", ["b1 + 2*b2^2 + b3", "b2*b3 + 4*b1^2"], "two-sided"),
+    ("trunc_heis_wide", ["b2 + 3*b1*b2 + b3^2"], "right"),
+    # a unit times a monomial: a monomial ideal, stable in directions 1 and 3
+    ("trunc3", ["b1^3*b2 + 2*b1^3*b2*b3", "b2^4"], "right"),
+])
+def test_control_witnesses_match_dense_route(request, fixture, gens, sided):
+    t = request.getfixturevalue(fixture)
+    d = t.model.rank
+    I = ideal_span(t, [parse_series(t, g) for g in gens], sided)
+    H = subgroup_from_exponents(t.model, (1,) * d)
+    want = dense_witnesses(I, range(d))
+    assert want, "the span should not be controlled by H"
+    assert control_witnesses(I, H) == want
+    stable = {i + 1 for i in range(d)} - {w["direction"] for w in want}
+    assert controller_approx(I).exponents == tuple(
+        1 if i + 1 in stable else 0 for i in range(d))

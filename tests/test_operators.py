@@ -8,7 +8,9 @@ drops the tail of the element and the operators lower weight.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, LocallyConstantFunction, ModelError, OperatorMatrix,
@@ -20,6 +22,7 @@ from iwacalc import (
     reconstruct_aut, rho_apply, rho_apply_mahler, subgroup_from_exponents,
 )
 from iwacalc.control import ideal_span
+from iwacalc.operators import divided_power_map
 from iwacalc.rng import Pcg32
 
 
@@ -125,6 +128,59 @@ def test_eigen_shift_is_sharp(trunc2):
     lam = multi_binom_mod_p(g.coords, (1, 0))
     diff = divided_power(t, (1, 0), emb) - emb.scale(lam)
     assert diff.valuation() == Fraction(7)  # cutoff 8 shifted by omega_1 = 1
+
+
+@pytest.fixture(scope="session")
+def map_truncs(trunc2, trunc3, trunc_heis, tzeta, trunc_e4):
+    return {"abelian2": trunc2, "abelian3": trunc3, "heis": trunc_heis,
+            "zeta": tzeta, "e4": trunc_e4}
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_divided_power_map_matches_closed_formula(map_truncs, name, data):
+    t = map_truncs[name]
+    # one past the largest exponent, so empty maps are drawn too
+    alpha = tuple(data.draw(st.integers(0, m + 1)) for m in t.max_exponents)
+    want = operator_matrix(t, lambda a: divided_power(t, alpha, t.monomial(a)))
+    assert divided_power_matrix(t, alpha) == want
+    coeffs = data.draw(st.dictionaries(
+        st.sampled_from(t.basis), st.integers(1, t.model.p - 1), max_size=8))
+    x = t.from_dict(coeffs)
+    got = divided_power_map(t, alpha).apply(x.vector())
+    assert t.from_vector(got) == divided_power(t, alpha, x)
+
+
+def degree_by_columns(op):
+    """Per-column reference for operator_degree, in Fraction weights."""
+    t = op.trunc
+    resolved = tail = None
+    for j, a in enumerate(t.basis):
+        hit = np.flatnonzero(op.mat[:, j])
+        if hit.size:
+            d = min(t.weight(t.basis[i]) for i in hit) - t.weight(a)
+            resolved = d if resolved is None else min(resolved, d)
+        else:
+            d = t.cutoff - t.weight(a)
+            tail = d if tail is None else min(tail, d)
+    return resolved, tail
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
+def test_operator_degree_matches_column_reference(map_truncs, name):
+    t = map_truncs[name]
+    rng = Pcg32(17)
+    ops = [OperatorMatrix.identity(t), OperatorMatrix.zero(t)]
+    ops += [divided_power_matrix(t, a) for a in t.basis[::3]]
+    ops += [lmul_matrix(t, t.monomial(t.basis[rng.below(t.size)])) for _ in range(3)]
+    for op in ops:
+        report = operator_degree(op)
+        assert (report.resolved, report.tail_bound) == degree_by_columns(op)
+    zero = operator_degree(OperatorMatrix.zero(t))
+    # every column vanishes: only the tail bound, set by the heaviest column
+    assert zero.resolved is None
+    assert zero.tail_bound == t.cutoff - t.weight(t.basis[-1])
 
 
 def test_operator_degree_of_divided_powers(trunc2):
