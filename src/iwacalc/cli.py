@@ -1,8 +1,8 @@
 """Command line runner: a JSON config in, one JSON record per task out.
 
-Records are emitted in config order regardless of --jobs, and each task
-draws randomness from a stream fixed by its position in the config, so
-parallel or filtered runs reproduce the same bytes for the tasks they
+Tasks run one after another and records are emitted in config order.
+Each task draws randomness from a stream fixed by its position in the
+config, so filtered runs reproduce the same bytes for the tasks they
 include.  Record shape: {"task", "status", "metrics", "witnesses"} with
 status one of pass / fail / skipped; the exit code is 0 iff nothing
 failed."""
@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .control import (
     CentralPrimeSpec, _random_series, completely_prime_probe, control_witnesses,
@@ -28,12 +29,11 @@ from .groups import (
 )
 from .moore import ZetaExperiment, moore_det_check, zeta_convergence
 from .operators import (
-    OperatorMatrix, coset_idempotent, divided_power, divided_power_matrix,
-    operator_degree, reconstruct_aut,
+    OperatorMatrix, coset_idempotent, divided_power, divided_power_map,
+    divided_power_matrix, operator_degree, reconstruct_aut,
 )
 from .padic import (
-    AtLeast, PrecisionError, comb_mod, ge_provable, mi_range, mi_weight,
-    multi_binom_mod_p,
+    AtLeast, PrecisionError, comb_mod, ge_provable, mi_range, multi_binom_mod_p,
 )
 from .rng import Pcg32
 from .series import (
@@ -119,10 +119,9 @@ def parse_config(doc) -> dict:
         params = {k: v for k, v in item.items() if k != "name"}
         tasks.append((name, params))
     seed = _expect_int(doc.get("seed", 0), "seed", 0)
-    jobs = _expect_int(doc.get("jobs", 1), "jobs", 1)
     budgets = _expect_dict(doc.get("budgets", {}), "budgets")
     model_cfg.update({"p": p, "precision": M, "omega": omega, "e": e})
-    return {"p": p, "model": model_cfg, "W": W, "seed": seed, "jobs": jobs,
+    return {"p": p, "model": model_cfg, "W": W, "seed": seed,
             "budgets": dict(budgets), "tasks": tasks}
 
 
@@ -212,11 +211,13 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
     rng = Pcg32(ctx.seed, stream=stream)
     witnesses = []
     pairs = eigen = degrees = 0
+    # operators are compared by their images of every basis monomial
+    eye = np.eye(t.size, dtype=np.int64)
     for _ in range(samples):
         a = _random_basis_key(t, rng)
         b = _random_basis_key(t, rng)
-        lhs = divided_power_matrix(t, a) @ divided_power_matrix(t, b)
-        rhs = OperatorMatrix.zero(t)
+        lhs = divided_power_map(t, a).apply(divided_power_map(t, b).apply(eye))
+        rhs = np.zeros_like(eye)
         for c in mi_range(tuple(x + y for x, y in zip(a, b))):
             if any(v < max(x, y) for v, x, y in zip(c, a, b)):
                 continue
@@ -226,9 +227,9 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
             for v, x, y in zip(c, a, b):
                 coeff = coeff * comb_mod(v, x, p) * comb_mod(x, x + y - v, p) % p
             if coeff:
-                rhs = rhs + divided_power_matrix(t, c).scale(coeff)
+                rhs = (rhs + coeff * divided_power_map(t, c).apply(eye)) % p
         pairs += 1
-        if lhs != rhs:
+        if not np.array_equal(lhs, rhs):
             witnesses.append({"kind": "product-rule", "alpha": list(a),
                               "beta": list(b)})
     for _ in range(samples):
@@ -240,7 +241,7 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
         diff = divided_power(t, alpha, emb) - emb.scale(lam)
         # the dropped tail of embed(g) re-enters below the cutoff under
         # del^(alpha); equality holds mod F at the alpha-shifted cutoff
-        if not ge_provable(diff.valuation(), t.cutoff - mi_weight(alpha, t.omega)):
+        if not ge_provable(diff.valuation(), t.cutoff - t.weight(alpha)):
             witnesses.append({"kind": "eigen", "alpha": list(alpha),
                               "element": [c.value() for c in g.coords]})
     for a in t.basis:
@@ -248,7 +249,7 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
             continue
         degrees += 1
         report = operator_degree(divided_power_matrix(t, a))
-        if not ge_provable(report.value(), -mi_weight(a, t.omega)):
+        if not ge_provable(report.value(), -t.weight(a)):
             witnesses.append({"kind": "degree", "alpha": list(a),
                               "value": _val_str(report.value())})
     status = "pass" if not witnesses else "fail"
@@ -298,7 +299,7 @@ def _task_mahler_reconstruct(ctx: RunContext, params: dict, stream: int):
     compared = 0
     witnesses = []
     for a in t.basis:
-        if mi_weight(a, t.omega) > budget:
+        if t.weight(a) > budget:
             continue
         compared += 1
         want = aut_extend(t, phi, t.monomial(a))
@@ -500,7 +501,6 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 
 def run_config(cfg: dict, only: Optional[Sequence[str]] = None,
-               jobs: Optional[int] = None,
                seed: Optional[int] = None) -> list[dict]:
     """Run the config's tasks and return their records in config order.
 
@@ -512,12 +512,10 @@ def run_config(cfg: dict, only: Optional[Sequence[str]] = None,
         unknown = set(only) - set(TASK_NAMES)
         if unknown:
             raise ConfigError(f"--task: unknown task {sorted(unknown)[0]!r}")
-    selected = [(pos, name, params)
-                for pos, (name, params) in enumerate(cfg["tasks"])
-                if not only or name in only]
-
-    def run_one(item):
-        pos, name, params = item
+    records = []
+    for pos, (name, params) in enumerate(cfg["tasks"]):
+        if only and name not in only:
+            continue
         try:
             status, metrics, witnesses = HANDLERS[name](ctx, params, pos)
         except (ConfigError, ModelError, PrecisionError, ValueError,
@@ -526,14 +524,9 @@ def run_config(cfg: dict, only: Optional[Sequence[str]] = None,
             metrics = {}
             witnesses = [{"kind": "error", "error": type(exc).__name__,
                           "message": str(exc)}]
-        return {"task": name, "status": status,
-                "metrics": metrics, "witnesses": witnesses}
-
-    nworkers = jobs if jobs is not None else cfg["jobs"]
-    if nworkers <= 1 or len(selected) <= 1:
-        return [run_one(item) for item in selected]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(run_one, selected))
+        records.append({"task": name, "status": status,
+                        "metrics": metrics, "witnesses": witnesses})
+    return records
 
 
 def render_jsonl(records: Sequence[dict]) -> str:
@@ -564,8 +557,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run.add_argument("config", help="path to the JSON config")
     run.add_argument("--task", action="append", default=None,
                      help="run only tasks with this name (repeatable)")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="worker threads (default: config, then 1)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     run.add_argument("--out", default=None, help="write output here instead "
@@ -575,8 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         cfg = load_config_file(args.config)
-        records = run_config(cfg, only=args.task, jobs=args.jobs,
-                             seed=args.seed)
+        records = run_config(cfg, only=args.task, seed=args.seed)
     except (ConfigError, ModelError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
+from .linalg import mat_pow, rref
 from .padic import (
     AtLeast, PadicInt, PrecisionError, Val, eq_compatible, ge_refuted,
     gt_provable, is_prime, padic_make, val_min, val_add, val_sub_exact,
@@ -376,9 +379,6 @@ class UnitriangularModel(GroupModel):
     def _setup_solver(self) -> None:
         """Express logs in first-kind coordinates: pick d pivot positions whose
         d x d submatrix of (log g_k)/p is invertible mod p."""
-        import numpy as np
-        from .linalg import rref
-
         pm = self.p ** self.precision
         v = [[(self._logs[k][i][j] // self.p) % pm for k in range(self.rank)]
              for (i, j) in self._positions]
@@ -631,17 +631,9 @@ class Automorphism:
             raise ValueError("negative automorphism powers are not needed here")
         if self.kind == "inner":
             return Automorphism.inner(self.model, self.model.pow(self.conjugator, k))
-        from .linalg import mat_pow
-        import numpy as np
+        # Python ints: entries mod p^M overflow int64 products
         pm = self.model.p ** self.model.precision
-        a = np.array(self.matrix, dtype=object)
-        out = np.eye(self.model.rank, dtype=object)
-        kk = k
-        while kk:
-            if kk & 1:
-                out = (out @ a) % pm
-            a = (a @ a) % pm
-            kk >>= 1
+        out = mat_pow(np.array(self.matrix, dtype=object), k, pm)
         return Automorphism.linear_on_log(self.model, out.tolist())
 
 

@@ -22,9 +22,11 @@ def inv_mod(a: int, p: int) -> int:
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k mod p in a's dtype; object arrays of Python ints stay exact for
+    any modulus."""
     if k < 0:
         raise ValueError("negative matrix power")
-    out = np.eye(a.shape[0], dtype=np.int64)
+    out = np.eye(a.shape[0], dtype=a.dtype)
     base = a % p
     while k:
         if k & 1:

@@ -53,18 +53,22 @@ class TruncationSpec:
         self.precision = model.precision
         self.cutoff = Fraction(W, self.e)
         self.omega = model.omega.values
-        bounds = []
-        for w in self.omega:
-            # a_i * w < cutoff, so a_i <= ceil(cutoff / w) - 1
-            q = self.cutoff / w
-            bound = int(q) if q.denominator > 1 else int(q) - 1
-            bounds.append(bound)
-        basis = [a for a in mi_range(bounds) if mi_weight(a, self.omega) < self.cutoff]
-        basis.sort(key=lambda a: (mi_weight(a, self.omega), a))
-        self.basis: list[MultiIndex] = basis
-        self.index = {a: i for i, a in enumerate(basis)}
-        self.size = len(basis)
-        max_exp = max((x for a in basis for x in a), default=0)
+        # omega lies in (1/e)Z, so e * weight is an integer and the cutoff
+        # is W: grow exponent prefixes one coordinate at a time below it
+        pairs = [(0, ())]
+        for w in (int(w * self.e) for w in self.omega):
+            pairs = [(s + k * w, a + (k,)) for s, a in pairs
+                     for k in range((W - 1 - s) // w + 1)]
+        pairs.sort()
+        self.basis: list[MultiIndex] = [a for _, a in pairs]
+        self.index = {a: i for i, a in enumerate(self.basis)}
+        self.size = len(pairs)
+        # e * weight of each basis monomial, ascending
+        self._int_weights = np.array([s for s, _ in pairs], dtype=np.int64)
+        self._exponents = np.array(self.basis, dtype=np.int64).reshape(
+            self.size, model.rank)
+        self.max_exponents = tuple(int(m) for m in self._exponents.max(axis=0))
+        max_exp = max(self.max_exponents, default=0)
         if model.p ** model.precision <= max_exp:
             need = 1
             while model.p ** need <= max_exp:
@@ -76,13 +80,6 @@ class TruncationSpec:
             raise ModelError(
                 f"p = {model.p} is too large for {self.size} monomials: exact int64 "
                 f"sums need size * (p - 1)^2 < 2^63")
-        self._weights = {a: mi_weight(a, self.omega) for a in basis}
-        self.max_exponents = tuple(
-            max((a[i] for a in basis), default=0) for i in range(model.rank))
-        self._exponents = np.array(basis, dtype=np.int64).reshape(self.size, model.rank)
-        # e * weight of each basis monomial, an integer, ascending
-        self._int_weights = self._exponents @ np.array(
-            [int(w * self.e) for w in self.omega], dtype=np.int64)
         # mixed-radix codes of the exponents, for vectorised index lookup
         self._radix = np.cumprod([1] + [m + 1 for m in self.max_exponents[:-1]],
                                  dtype=np.int64)
@@ -99,8 +96,10 @@ class TruncationSpec:
     # -- basic structure ----------------------------------------------------
 
     def weight(self, a: MultiIndex) -> Fraction:
-        w = self._weights.get(a)
-        return w if w is not None else mi_weight(a, self.omega)
+        i = self.index.get(a)
+        if i is None:
+            return mi_weight(a, self.omega)
+        return Fraction(int(self._int_weights[i]), self.e)
 
     def _indices_of(self, exponents: np.ndarray) -> np.ndarray:
         """Basis indices of exponent rows, each of which must be a basis
@@ -374,7 +373,9 @@ class TruncatedSeries:
         return not self.coeffs
 
     def support(self) -> list[MultiIndex]:
-        return sorted(self.coeffs, key=lambda a: (self.trunc.weight(a), a))
+        """Monomials with nonzero coefficient in (weight, exponent) order,
+        which is basis order."""
+        return sorted(self.coeffs, key=self.trunc.index.__getitem__)
 
     def coeff(self, a: Sequence[int]) -> int:
         return self.coeffs.get(tuple(a), 0)
@@ -383,7 +384,7 @@ class TruncatedSeries:
         """w(x): least monomial weight, or AtLeast(W/e) for the empty series."""
         if not self.coeffs:
             return AtLeast(self.trunc.cutoff)
-        return min(self.trunc.weight(a) for a in self.coeffs)
+        return self.trunc.weight(min(self.coeffs, key=self.trunc.index.__getitem__))
 
     def vector(self) -> np.ndarray:
         out = np.zeros(self.trunc.size, dtype=np.int64)

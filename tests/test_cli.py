@@ -31,11 +31,10 @@ def write_doc(tmp_path, name, doc):
 def test_parse_config_shape():
     doc = abelian_doc([{"name": "moore-det"},
                        {"name": "verify-valuation", "samples": 7}])
-    doc["jobs"] = 2
     doc["budgets"] = {"dagger": 128}
     cfg = parse_config(doc)
     assert cfg["p"] == 3 and cfg["W"] == 8
-    assert cfg["seed"] == 11 and cfg["jobs"] == 2
+    assert cfg["seed"] == 11
     assert cfg["budgets"] == {"dagger": 128}
     assert cfg["model"]["precision"] == 4 and cfg["model"]["e"] == 1
     assert cfg["tasks"] == [("moore-det", {}),
@@ -47,7 +46,6 @@ def test_parse_config_shape():
     (lambda d: d["truncation"].pop("W"), "missing required field 'truncation.W'"),
     (lambda d: d["model"].pop("kind"), "missing required field 'model.kind'"),
     (lambda d: d.update(p=1), "p: must be >= 2, got 1"),
-    (lambda d: d.update(jobs=0), "jobs: must be >= 1, got 0"),
     (lambda d: d.update(tasks=[]), "tasks: must not be empty"),
     (lambda d: d.update(tasks=[42]), "tasks[0]: expected an object"),
     (lambda d: d.update(omega="1"), "omega: expected a list"),
@@ -77,7 +75,7 @@ def test_load_config_file_rejects_bad_json(tmp_path):
     assert "invalid JSON" in str(err.value)
 
 
-def test_run_config_deterministic_and_parallel():
+def test_run_config_deterministic():
     cfg = parse_config(abelian_doc([
         {"name": "verify-operators", "samples": 6},
         {"name": "verify-valuation", "samples": 40},
@@ -85,8 +83,45 @@ def test_run_config_deterministic_and_parallel():
     ]))
     first = run_config(cfg)
     assert [r["status"] for r in first] == ["pass"] * 3
-    assert first == run_config(cfg)
-    assert render_jsonl(run_config(cfg, jobs=4)) == render_jsonl(first)
+    assert render_jsonl(run_config(cfg)) == render_jsonl(first)
+
+
+def test_jobs_option_is_gone(tmp_path, capsys):
+    path = write_doc(tmp_path, "c.json", abelian_doc([{"name": "moore-det"}]))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_stale_jobs_field_is_ignored(tmp_path):
+    tasks = [{"name": "verify-valuation", "samples": 30},
+             {"name": "moore-det", "cases": [[2, 2, 0]]}]
+    stale = abelian_doc(tasks)
+    stale["jobs"] = 4
+    outs = []
+    for name, doc in (("plain", abelian_doc(tasks)), ("stale", stale)):
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["run", write_doc(tmp_path, f"{name}.json", doc),
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_verify_operators_reports_broken_product_rule(monkeypatch):
+    from iwacalc import cli
+    from iwacalc.padic import comb_mod
+    # a wrong coefficient on the right-hand side of the product rule
+    monkeypatch.setattr(cli, "comb_mod",
+                        lambda n, k, p: (comb_mod(n, k, p) + 1) % p)
+    ctx = build_context(parse_config(abelian_doc([{"name": "verify-operators"}])))
+    status, metrics, witnesses = _task_verify_operators(ctx, {"samples": 6}, 0)
+    rule = [w for w in witnesses if w["kind"] == "product-rule"]
+    assert status == "fail" and rule
+    for w in rule:
+        assert set(w) == {"kind", "alpha", "beta"}
+        assert tuple(w["alpha"]) in ctx.trunc.index
+        assert tuple(w["beta"]) in ctx.trunc.index
 
 
 def test_verify_operators_leaves_no_dense_matrix_cached():

@@ -182,6 +182,23 @@ def test_automorphism_power(abelian2, zmodel):
         phi.power(-1)
 
 
+def test_automorphism_power_is_exact_past_word_size():
+    # entries mod 3^39 > 2^32, so products of two entries overflow int64
+    model = load_abelian(3, 3, 39, ["1", "1", "1"])
+    pm = 3 ** 39
+    rng = Pcg32(8)
+    for _ in range(5):
+        rows = [[(i == j) + 3 * rng.below(3 ** 38) for j in range(3)]
+                for i in range(3)]
+        phi = Automorphism.linear_on_log(model, rows)
+        k = 1 + rng.below(40)
+        want = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(k):
+            want = [[sum(want[i][m] * rows[m][j] for m in range(3)) % pm
+                     for j in range(3)] for i in range(3)]
+        assert [list(r) for r in phi.power(k).matrix] == want
+
+
 def test_deg_omega(abelian2):
     phi = Automorphism.linear_on_log(abelian2, [[10, 0], [0, 10]])
     # every basis element moves by its 9th power, a displacement of degree 2

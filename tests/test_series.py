@@ -12,6 +12,7 @@ from iwacalc import (
     Automorphism, format_series, group_embed, lmul_matrix, load_abelian,
     parse_series, relative_normal_form, series_frobenius,
 )
+from iwacalc.padic import mi_range, mi_weight
 from iwacalc.rng import Pcg32
 from iwacalc.series import mul_reference
 
@@ -44,6 +45,48 @@ def test_basis_order_weight_then_lex(trunc2):
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     weights = [trunc2.weight(a) for a in trunc2.basis]
     assert weights == sorted(weights)
+
+
+def reference_basis(t):
+    """Every monomial of the exponent box below the cutoff, sorted by its
+    Fraction weight and then by exponent."""
+    bounds = [int(t.cutoff / w) for w in t.omega]
+    below = [a for a in mi_range(bounds) if mi_weight(a, t.omega) < t.cutoff]
+    return sorted(below, key=lambda a: (mi_weight(a, t.omega), a))
+
+
+def check_weight_layout(t, rng):
+    assert t.basis == reference_basis(t)
+    assert [t.weight(a) for a in t.basis] == [mi_weight(a, t.omega) for a in t.basis]
+    assert all(isinstance(t.weight(a), Fraction) for a in t.basis)
+    assert list(t._int_weights) == [mi_weight(a, t.omega) * t.e for a in t.basis]
+    outside = tuple(m + 1 for m in t.max_exponents)
+    assert t.weight(outside) == mi_weight(outside, t.omega)
+    for _ in range(8):
+        x = random_series(t, rng, terms=4)
+        assert x.support() == sorted(
+            x.coeffs, key=lambda a: (mi_weight(a, t.omega), a))
+        assert x.valuation() == min(
+            (mi_weight(a, t.omega) for a in x.coeffs), default=AtLeast(t.cutoff))
+
+
+@pytest.mark.parametrize("name", ["trunc2", "trunc3", "trunc_heis", "tzeta",
+                                  "trunc_e4"])
+def test_weight_layout_matches_fraction_reference(request, name):
+    check_weight_layout(request.getfixturevalue(name), Pcg32(5, stream=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_weight_layout_for_drawn_valuations(data):
+    e = data.draw(st.integers(1, 4))
+    rank = data.draw(st.integers(1, 3))
+    # p = 5 needs omega > 1/4
+    nums = data.draw(st.lists(st.integers(e // 4 + 1, 3 * e),
+                              min_size=rank, max_size=rank))
+    W = data.draw(st.integers(1, 5 * e))
+    model = load_abelian(5, rank, 8, [f"{n}/{e}" for n in nums], e)
+    check_weight_layout(TruncationSpec(model, W), Pcg32(data.draw(st.integers(0, 99))))
 
 
 def test_cutoff_needs_enough_precision():
