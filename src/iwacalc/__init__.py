@@ -26,11 +26,10 @@ from .series import (
     parse_series, relative_normal_form, series_frobenius,
 )
 from .operators import (
-    DegreeReport, LocallyConstantFunction, OperatorMatrix, aut_matrix,
-    coset_idempotent, divided_power, divided_power_matrix,
-    function_from_mahler, lmul_matrix, mahler_coeff_aut,
-    mahler_coeff_aut_central, mahler_coeffs_function, operator_degree,
-    operator_matrix, reconstruct_aut, rho_apply, rho_apply_mahler,
+    DegreeReport, LocallyConstantFunction, coset_idempotent, divided_power,
+    function_from_mahler, mahler_coeff_aut, mahler_coeff_aut_central,
+    mahler_coeffs_function, operator_degree, reconstruct_aut, rho_apply,
+    rho_apply_mahler,
 )
 from .control import (
     CentralPrimeSpec, IdealSpan, completely_prime_probe, control_witnesses,

@@ -266,10 +266,16 @@ class GroupModel:
             for j in range(i + 1, self.rank):
                 comm = self.commutator(basis[i], basis[j])
                 bound = self.omega.values[i] + self.omega.values[j]
-                if not gt_provable(self.omega_of(comm), bound):
+                value = self.omega_of(comm)
+                if not gt_provable(value, bound):
+                    why = ""
+                    if isinstance(value, AtLeast):
+                        why = (f": at precision M={self.precision} it is only "
+                               f"known to be {value}, and a larger M would "
+                               f"decide it")
                     raise ModelError(
                         f"omega([g_{i + 1}, g_{j + 1}]) is not provably above "
-                        f"omega(g_{i + 1}) + omega(g_{j + 1}) = {bound}")
+                        f"omega(g_{i + 1}) + omega(g_{j + 1}) = {bound}{why}")
         rng = Pcg32(_VALIDATION_SEED, stream=17)
         for _ in range(samples):
             x = self.sample_element(rng)

@@ -1,11 +1,12 @@
 """Divided-power operators, Mahler calculus and coset idempotents.
 
-The operators act on a TruncationSpec's monomial space.  An OperatorMatrix
-is a dense matrix over F_p (columns = images of basis monomials), so
-composing and comparing operators is plain linear algebra; it is built on
-request and never cached.  The divided powers are cached instead as sparse
-maps (`divided_power_map`), one per truncation and index, built with numpy
-from the closed formula below; their dense form is scattered from the map.
+Every operator here is a `SparseMap` on a TruncationSpec's monomial space:
+(target, source, coefficient) arrays over F_p, applied to a coefficient
+vector or to each row of a block of them.  Two operators are compared by
+their images of the basis monomials, that is, by applying them to the
+identity block.  The divided powers are cached as such maps
+(`divided_power_map`), one per truncation and index, built with numpy from
+the closed formula below; the coset idempotents are polynomials in them.
 
 The divided power del^(a) acts by the closed formula
 
@@ -13,8 +14,8 @@ The divided power del^(a) acts by the closed formula
 
 (zero unless a <= B componentwise), acts on embedded group elements as
 multiplication by the binomial C(m, a), and has degree exactly -<a, omega>.
-`divided_power` applies the formula term by term to a series; it and
-`operator_matrix` are kept as the oracle the sparse maps are tested against.
+`divided_power` applies the formula term by term to a series; it is kept
+as the oracle the sparse maps are tested against.
 
 Mahler coefficients of an automorphism phi are the series <phi, del^(a)>
 in the expansion  phi = sum_a  (left mult by <phi, del^(a)>) o del^(a).
@@ -25,94 +26,20 @@ element by a central factor, is kept separate as a cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .groups import Automorphism, ModelError, SubgroupSpec, is_trivial_mod_centre
-from .linalg import mat_pow
 from .padic import (
-    AtLeast, MultiIndex, Val, comb_mod, mi_range, mi_weight,
-    val_min, val_sub_exact,
+    AtLeast, MultiIndex, Val, comb_mod, mi_range, val_min, val_sub_exact,
 )
 from .series import (
-    SparseMap, TruncatedSeries, TruncationSpec, _combine_rows, aut_images_table,
-    group_embed,
+    SparseMap, TruncatedSeries, TruncationSpec, _combine_rows, group_embed,
 )
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    trunc: TruncationSpec
-    mat: np.ndarray
-
-    @staticmethod
-    def identity(trunc: TruncationSpec) -> "OperatorMatrix":
-        return OperatorMatrix(trunc, np.eye(trunc.size, dtype=np.int64))
-
-    @staticmethod
-    def zero(trunc: TruncationSpec) -> "OperatorMatrix":
-        return OperatorMatrix(trunc, np.zeros((trunc.size, trunc.size), dtype=np.int64))
-
-    def _check(self, other: "OperatorMatrix") -> None:
-        if self.trunc is not other.trunc:
-            raise ValueError("operators on different truncations")
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        p = self.trunc.model.p
-        return OperatorMatrix(self.trunc, (self.mat @ other.mat) % p)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        p = self.trunc.model.p
-        return OperatorMatrix(self.trunc, (self.mat + other.mat) % p)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check(other)
-        p = self.trunc.model.p
-        return OperatorMatrix(self.trunc, (self.mat - other.mat) % p)
-
-    def scale(self, c: int) -> "OperatorMatrix":
-        p = self.trunc.model.p
-        return OperatorMatrix(self.trunc, self.mat * (c % p) % p)
-
-    def power(self, k: int) -> "OperatorMatrix":
-        return OperatorMatrix(self.trunc, mat_pow(self.mat, k, self.trunc.model.p))
-
-    def apply(self, x: TruncatedSeries) -> TruncatedSeries:
-        if x.trunc is not self.trunc:
-            raise ValueError("series from a different truncation")
-        p = self.trunc.model.p
-        return self.trunc.from_vector((self.mat @ x.vector()) % p)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OperatorMatrix) and self.trunc is other.trunc
-                and np.array_equal(self.mat % self.trunc.model.p,
-                                   other.mat % self.trunc.model.p))
-
-
-def operator_matrix(trunc: TruncationSpec,
-                    image: Callable[[MultiIndex], TruncatedSeries]) -> OperatorMatrix:
-    """Assemble the matrix of a linear operator from its monomial images."""
-    mat = np.zeros((trunc.size, trunc.size), dtype=np.int64)
-    for j, a in enumerate(trunc.basis):
-        mat[:, j] = image(a).vector()
-    return OperatorMatrix(trunc, mat)
-
-
-def lmul_matrix(trunc: TruncationSpec, s: TruncatedSeries) -> OperatorMatrix:
-    return operator_matrix(trunc, lambda a: s * trunc.monomial(a))
-
-
-def aut_matrix(trunc: TruncationSpec, phi: Automorphism) -> OperatorMatrix:
-    rows = aut_images_table(trunc, phi)
-    mat = np.zeros((trunc.size, trunc.size), dtype=np.int64)
-    for j in range(trunc.size):
-        mat[:, j] = rows[j]
-    return OperatorMatrix(trunc, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +121,6 @@ def _build_divided_power_map(trunc: TruncationSpec, alpha: MultiIndex) -> Sparse
     return SparseMap(p, trunc.size, tgt, np.repeat(src, len(offsets)), coef)
 
 
-def divided_power_matrix(trunc: TruncationSpec, alpha: Sequence[int]) -> OperatorMatrix:
-    """Dense form of the cached sparse map; the matrix itself is not cached."""
-    return OperatorMatrix(trunc, divided_power_map(trunc, alpha).dense())
-
-
 @dataclass(frozen=True)
 class DegreeReport:
     """Degree of an operator: exact minimum over columns whose image resolves,
@@ -216,19 +138,28 @@ class DegreeReport:
         return val_min(vals)
 
 
-def operator_degree(op: OperatorMatrix) -> DegreeReport:
-    t = op.trunc
-    w = t._int_weights
-    nz = op.mat != 0
-    hit = nz.any(axis=0)
+def operator_degree(trunc: TruncationSpec, op: SparseMap) -> DegreeReport:
+    """Degree of a sparse map on the truncation, read from its entries: each
+    source's least-weight target with a nonzero coefficient."""
+    if op.size != trunc.size:
+        raise ValueError(f"map on {op.size} monomials, truncation has {trunc.size}")
+    w = trunc._int_weights
+    none = np.iinfo(np.int64).max
+    least = np.full(trunc.size, none)
+    if op.src.size:
+        tgt = np.repeat(op.targets, np.diff(np.append(op.starts, op.src.size)))
+        # entries are sorted by (target, source) and a pair may repeat, so
+        # each pair's coefficients are summed before the test for zero
+        pair = tgt * op.size + op.src
+        first = np.flatnonzero(np.diff(pair, prepend=-1))
+        live = first[np.add.reduceat(op.coef, first) % op.p != 0]
+        np.minimum.at(least, op.src[live], w[tgt[live]])
+    hit = least != none
     resolved = tail = None
     if hit.any():
-        # the basis is sorted by weight: a column's first nonzero row is its
-        # least-weight target
-        first = nz.argmax(axis=0)
-        resolved = Fraction(int((w[first[hit]] - w[hit]).min()), t.e)
+        resolved = Fraction(int((least[hit] - w[hit]).min()), trunc.e)
     if not hit.all():
-        tail = Fraction(int(t.W - w[~hit].max()), t.e)
+        tail = Fraction(int(trunc.W - w[~hit].max()), trunc.e)
     return DegreeReport(resolved, tail)
 
 
@@ -381,14 +312,15 @@ def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
 
 
 def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
-                    degree_budget) -> OperatorMatrix:
-    """Partial sum of  (left mult by <phi, del^(a)>) o del^(a).
+                    degree_budget) -> dict:
+    """Images of the basis monomials b^B with <B, omega> <= D under the
+    partial sum of  (left mult by <phi, del^(a)>) o del^(a),  as
+    {B: image of b^B} in basis order.
 
-    Includes every a with <a, omega> <= D whose term can touch the columns
-    of weight <= D mod F_W; each omitted term has operator degree at least
+    Includes every a with <a, omega> <= D whose term can touch these
+    columns mod F_W; each omitted term has operator degree at least
     delta * |a| > W/e - D, where delta is the basis displacement degree of
-    phi.  On columns b^B with <B, omega> <= D the result then agrees with
-    aut_extend exactly."""
+    phi.  Each image then agrees with aut_extend exactly."""
     D = Fraction(degree_budget)
     model = trunc.model
     displacements = []
@@ -400,18 +332,24 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     delta = delta_val.bound if isinstance(delta_val, AtLeast) else delta_val
     if delta <= 0:
         raise ModelError(f"reconstruction needs positive degree, got {delta_val}")
-    out = OperatorMatrix.zero(trunc)
-    for a in mi_range(trunc.max_exponents):
-        wa = mi_weight(a, trunc.omega)
-        if wa > D:
-            continue
-        if sum(a) and delta * sum(a) + wa >= trunc.cutoff:
+    w, e = trunc._int_weights, trunc.e
+    # the basis is sorted by weight, so the columns of weight <= D are a
+    # prefix; del^(a) kills b^B unless a <= B, so the a that matter lie in
+    # the same prefix
+    cols = trunc.basis[:int(np.searchsorted(w, math.floor(D * e), side="right"))]
+    images = {B: trunc.zero() for B in cols}
+    block = np.eye(len(cols), trunc.size, dtype=np.int64)
+    for k, a in enumerate(cols):
+        if sum(a) and delta * sum(a) * e + int(w[k]) >= trunc.W:
             continue
         coeff = mahler_coeff_aut(trunc, phi, a)
         if coeff.is_zero():
             continue
-        out = out + lmul_matrix(trunc, coeff) @ divided_power_matrix(trunc, a)
-    return out
+        moved = divided_power_map(trunc, a).apply(block)
+        for B, row in zip(cols, moved):
+            if row.any():
+                images[B] = images[B] + coeff * trunc.from_vector(row)
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +357,12 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
 # ---------------------------------------------------------------------------
 
 def coset_idempotent(trunc: TruncationSpec, H: SubgroupSpec,
-                     nu: Sequence[int]) -> OperatorMatrix:
+                     nu: Sequence[int]) -> SparseMap:
     """e_nu = prod_{i in mask} (1 - (del_i - nu_i)^{p-1}) for a subgroup whose
     exponent pattern is 0/1; acts on an embedded group element as the
-    indicator of the coordinate coset  lam_i = nu_i mod p  over the mask."""
+    indicator of the coordinate coset  lam_i = nu_i mod p  over the mask.
+    Built as a sparse map from p - 1 applies of each cached del_i to the
+    identity block."""
     if H.model is not trunc.model:
         raise ModelError("subgroup belongs to a different model")
     if any(n not in (0, 1) for n in H.exponents):
@@ -435,10 +375,14 @@ def coset_idempotent(trunc: TruncationSpec, H: SubgroupSpec,
     p = trunc.model.p
     if any(not 0 <= v < p for v in nu):
         raise ValueError("residues must lie in [0, p)")
-    out = OperatorMatrix.identity(trunc)
-    ident = OperatorMatrix.identity(trunc)
+    # row k of the block is the image of b^k under the factors so far
+    block = np.eye(trunc.size, dtype=np.int64)
     for i, v in zip(mask, nu):
-        e_i = tuple(1 if j == i else 0 for j in range(trunc.model.rank))
-        shifted = divided_power_matrix(trunc, e_i) - ident.scale(v)
-        out = out @ (ident - shifted.power(p - 1))
-    return out
+        d_i = divided_power_map(
+            trunc, tuple(1 if j == i else 0 for j in range(trunc.model.rank)))
+        shifted = block
+        for _ in range(p - 1):
+            shifted = (d_i.apply(shifted) - v * shifted) % p
+        block = (block - shifted) % p
+    src, tgt = np.nonzero(block)
+    return SparseMap(p, trunc.size, tgt, src, block[src, tgt])

@@ -16,8 +16,10 @@ x -> x*b_j and x -> b_j*x (`TruncationSpec.generator_map`), built on first
 use.  On non-abelian models x*y = sum_beta y_beta (x*b^beta), and each
 x*b^beta is one sparse apply to x*b^beta', where b^beta = b^beta' * b_j
 drops the last letter of the normal-order word.  On abelian models every
-map is a shift, and `*` adds exponents directly.  `mul_reference` multiplies
-every pair of group elements and is kept as the test oracle.
+map is a shift, and `*` adds exponents directly.  The tests keep the older
+route, which multiplies every pair of group elements of the two expansions
+(`mul_reference` in tests/oracles.py), as the oracle that `*` is compared
+with.
 
 Every accumulation sums at most `size` products of residues, so
 `TruncationSpec` rejects primes with size * (p - 1)^2 >= 2^63 and int64
@@ -257,13 +259,6 @@ class SparseMap:
                 vec[..., self.src] * self.coef, self.starts, axis=-1) % self.p
         return out
 
-    def dense(self) -> np.ndarray:
-        """The size x size matrix of the map (column j = image of b^j)."""
-        mat = np.zeros((self.size, self.size), dtype=np.int64)
-        counts = np.diff(np.append(self.starts, self.src.size))
-        mat[np.repeat(self.targets, counts), self.src] = self.coef
-        return mat
-
 
 def _combine_rows(coeffs: Sequence[int], rows: Sequence[np.ndarray], size: int,
                   p: int) -> np.ndarray:
@@ -394,45 +389,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({format_series(self)})"
-
-
-def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    """Product via the group: expand, multiply elements, re-expand.
-
-    This is the reference algorithm for every model kind, kept as the oracle
-    that the tests compare `*` with; it multiplies every pair of group
-    elements of the two expansions.
-    """
-    t = x.trunc
-    if t is not y.trunc:
-        raise ValueError("series from different truncations")
-    p = t.model.p
-    xg: dict = {}
-    for a, ca in x.coeffs.items():
-        for c, s in t._expand(a):
-            v = (xg.get(c, 0) + ca * s) % p
-            if v:
-                xg[c] = v
-            else:
-                xg.pop(c, None)
-    yg: dict = {}
-    for a, ca in y.coeffs.items():
-        for c, s in t._expand(a):
-            v = (yg.get(c, 0) + ca * s) % p
-            if v:
-                yg[c] = v
-            else:
-                yg.pop(c, None)
-    prod: dict = {}  # embed key -> [group element, coefficient]
-    for c1, v1 in xg.items():
-        g1 = t._group_el(c1)
-        for c2, v2 in yg.items():
-            el = t.model.mul(g1, t._group_el(c2))
-            slot = prod.setdefault(t._embed_key(el), [el, 0])
-            slot[1] = (slot[1] + v1 * v2) % p
-    terms = [(el, v) for el, v in prod.values() if v]
-    return t.from_vector(_combine_rows(
-        [v for _, v in terms], [t._embed_row(el) for el, _ in terms], t.size, p))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from iwacalc.cli import (
@@ -124,6 +125,27 @@ def test_verify_operators_reports_broken_product_rule(monkeypatch):
         assert tuple(w["beta"]) in ctx.trunc.index
 
 
+def test_idempotents_reports_broken_idempotents(monkeypatch):
+    from iwacalc import cli
+    real = cli.coset_idempotent
+
+    def doubled(t, H, nu):
+        # 2*e_nu: neither idempotent nor summing to the identity mod 3,
+        # and still zero on the other cosets
+        e = real(t, H, nu)
+        return SparseMap(e.p, e.size, np.repeat(e.targets, np.diff(
+            np.append(e.starts, e.src.size))), e.src, 2 * e.coef % e.p)
+
+    monkeypatch.setattr(cli, "coset_idempotent", doubled)
+    ctx = build_context(parse_config(abelian_doc([{"name": "idempotents"}])))
+    status, metrics, witnesses = cli._task_idempotents(
+        ctx, {"directions": [1, 0], "samples": 2}, 0)
+    kinds = [w["kind"] for w in witnesses]
+    assert status == "fail" and metrics["cosets"] == 3
+    assert kinds[:4] == ["idempotent"] * 3 + ["partition-of-unity"]
+    assert [w["nu"] for w in witnesses[:3]] == [[0], [1], [2]]
+
+
 def test_verify_operators_leaves_no_dense_matrix_cached():
     doc = abelian_doc([{"name": "verify-operators", "samples": 4}])
     doc["model"] = {"kind": "abelian", "rank": 3}
@@ -166,6 +188,39 @@ def test_run_config_turns_task_errors_into_fail_records():
     assert w["kind"] == "error" and w["error"] == "ModelError"
     assert "trivial at this precision" in w["message"]
     assert records[1]["status"] == "pass"  # later tasks still run
+
+
+RANK3_PRIME = {"kind": "zero", "central_block": 2}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, -3, "x"],
+                         ids=["float", "bool", "negative", "string"])
+@pytest.mark.parametrize("field,tasks", [
+    ("samples", [{"name": "verify-operators"}, {"name": "verify-valuation"},
+                 {"name": "idempotents", "directions": [1, 0, 0]},
+                 {"name": "completely-prime-probe", "prime": RANK3_PRIME}]),
+    ("depth", [{"name": "dagger", "ideal": {"generators": ["b1"]}},
+               {"name": "zalesskii", "ideal": {"generators": ["b3"]}}]),
+    ("budgets.dagger", [{"name": "dagger", "ideal": {"generators": ["b1"]}},
+                        {"name": "zalesskii", "ideal": {"generators": ["b3"]}}]),
+    ("budgets.samples", [{"name": "completely-prime-probe", "prime": RANK3_PRIME}]),
+])
+def test_task_integers_are_typed(field, tasks, bad):
+    doc = abelian_doc([dict(task) for task in tasks])
+    doc["model"] = {"kind": "abelian", "rank": 3, "centre": [0, 0, 4]}
+    doc["omega"] = ["1", "1", "1"]
+    if field.startswith("budgets."):
+        doc["budgets"] = {field.split(".")[1]: bad}
+    else:
+        for task in doc["tasks"]:
+            task[field] = bad
+    records = run_config(parse_config(doc))
+    assert len(records) == len(tasks)
+    for rec in records:
+        assert rec["status"] == "fail"
+        [w] = rec["witnesses"]
+        assert w["kind"] == "error" and w["error"] == "ConfigError"
+        assert w["message"].startswith(f"{field}: ")
 
 
 def test_run_config_zeta_report():

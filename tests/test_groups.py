@@ -42,6 +42,28 @@ def test_omega_validation():
         load_abelian(3, 2, 4, ["1"])  # wrong length
 
 
+def test_omega_validation_names_precision_when_undecided():
+    # in U_4 the generators p*E_02 and p*E_03 commute, so their commutator
+    # is the identity, whose valuation min(omega) + M = 5 at M = 4 is only a
+    # lower bound equal to omega(g_4) + omega(g_6)
+    def elementary(i, j):
+        rows = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
+        rows[i][j] = 5
+        return rows
+    gens = [elementary(i, j) for i, j in
+            [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]]
+    omega = ["1", "1", "1", "2", "2", "3"]
+    with pytest.raises(ModelError) as err:
+        load_unitriangular(5, 4, 4, gens, omega)
+    message = str(err.value)
+    assert message.startswith("omega([g_4, g_6]) is not provably above "
+                              "omega(g_4) + omega(g_6) = 5")
+    assert "only known to be >=5" in message
+    assert "precision M=4" in message and "a larger M would decide it" in message
+    model = load_unitriangular(5, 4, 8, gens, omega)
+    assert model.rank == 6
+
+
 def test_coordinate_range_validation():
     # 3^40 > 2^63: rejected before any coordinate is sampled
     with pytest.raises(ModelError, match="2\\^63"):

@@ -1,9 +1,10 @@
 """Divided powers, Mahler calculus, multipliers and coset idempotents.
 
-The recurring theme: identities between operators hold exactly as matrices
-on the truncated monomial space, while identities about their action on
-embedded group elements hold below a shifted cutoff, because the embedding
-drops the tail of the element and the operators lower weight.
+The recurring theme: identities between operators hold exactly on the
+truncated monomial space (compared here as dense matrices from
+`oracles`), while identities about their action on embedded group elements
+hold below a shifted cutoff, because the embedding drops the tail of the
+element and the operators lower weight.
 """
 
 from fractions import Fraction
@@ -13,17 +14,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
-    AtLeast, Automorphism, LocallyConstantFunction, ModelError, OperatorMatrix,
-    aut_extend, aut_matrix, comb_mod, coset_idempotent, divided_power,
-    divided_power_matrix, format_series, function_from_mahler, ge_provable,
-    group_embed, gt_provable, lmul_matrix, mahler_coeff_aut,
-    mahler_coeff_aut_central, mahler_coeffs_function, mi_range, mi_weight,
-    multi_binom_mod_p, operator_degree, operator_matrix, parse_series,
+    AtLeast, Automorphism, LocallyConstantFunction, ModelError, aut_extend,
+    comb_mod, coset_idempotent, divided_power, format_series,
+    function_from_mahler, ge_provable, group_embed, gt_provable,
+    mahler_coeff_aut, mahler_coeff_aut_central, mahler_coeffs_function,
+    mi_range, mi_weight, multi_binom_mod_p, operator_degree, parse_series,
     reconstruct_aut, rho_apply, rho_apply_mahler, subgroup_from_exponents,
 )
 from iwacalc.control import ideal_span
 from iwacalc.operators import divided_power_map
 from iwacalc.rng import Pcg32
+from iwacalc.series import SparseMap
+
+from oracles import (
+    OperatorMatrix, aut_matrix, dense, divided_power_matrix, lmul_matrix,
+    map_matrix, operator_matrix, sparse_of,
+)
+
+
+def act(m, x):
+    """A sparse map applied to a series."""
+    return x.trunc.from_vector(m.apply(x.vector()))
 
 
 def product_rule_rhs(trunc, a, b):
@@ -175,26 +186,78 @@ def test_operator_degree_matches_column_reference(map_truncs, name):
     ops += [divided_power_matrix(t, a) for a in t.basis[::3]]
     ops += [lmul_matrix(t, t.monomial(t.basis[rng.below(t.size)])) for _ in range(3)]
     for op in ops:
-        report = operator_degree(op)
+        report = operator_degree(t, sparse_of(op))
         assert (report.resolved, report.tail_bound) == degree_by_columns(op)
-    zero = operator_degree(OperatorMatrix.zero(t))
+    for a in t.basis[::3]:
+        report = operator_degree(t, divided_power_map(t, a))
+        want = degree_by_columns(divided_power_matrix(t, a))
+        assert (report.resolved, report.tail_bound) == want
+    zero = operator_degree(t, SparseMap(t.model.p, t.size, [], [], []))
     # every column vanishes: only the tail bound, set by the heaviest column
     assert zero.resolved is None
     assert zero.tail_bound == t.cutoff - t.weight(t.basis[-1])
+
+
+def summed_matrix(t, tgt, src, coef):
+    """Dense matrix of (target, source, coefficient) entries, repeated pairs
+    summed."""
+    mat = np.zeros((t.size, t.size), dtype=np.int64)
+    np.add.at(mat, (np.asarray(tgt, dtype=np.int64), np.asarray(src, dtype=np.int64)),
+              np.asarray(coef, dtype=np.int64))
+    return OperatorMatrix(t, mat % t.model.p)
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_operator_degree_of_drawn_maps(map_truncs, name, data):
+    t = map_truncs[name]
+    p = t.model.p
+    index = st.integers(0, t.size - 1)
+    entries = data.draw(st.lists(st.tuples(index, index, st.integers(0, p - 1)),
+                                 max_size=2 * t.size))
+    # the same (target, source) twice with coefficients c and p - c: the
+    # map keeps both entries, and their sum vanishes mod p
+    for tg, sc, c in data.draw(st.lists(st.tuples(index, index, st.integers(1, p - 1)),
+                                        max_size=6)):
+        entries += [(tg, sc, c), (tg, sc, p - c)]
+    tgt, src, coef = ([e[k] for e in entries] for k in range(3))
+    report = operator_degree(t, SparseMap(p, t.size, tgt, src, coef))
+    want = degree_by_columns(summed_matrix(t, tgt, src, coef))
+    assert (report.resolved, report.tail_bound) == want
+
+
+def test_operator_degree_sums_repeated_entries(trunc2):
+    t = trunc2
+    p = t.model.p
+    # source 5 reaches target 0 twice with cancelling coefficients, and
+    # target 3 once: its least-weight target is 3, not 0
+    tgt, src, coef = [0, 0, 3], [5, 5, 5], [1, p - 1, 2]
+    report = operator_degree(t, SparseMap(p, t.size, tgt, src, coef))
+    assert report.resolved == t.weight(t.basis[3]) - t.weight(t.basis[5])
+    assert (report.resolved, report.tail_bound) == \
+        degree_by_columns(summed_matrix(t, tgt, src, coef))
+    # with only the cancelling pair, no column resolves
+    report = operator_degree(t, SparseMap(p, t.size, [0, 0], [5, 5], [1, p - 1]))
+    assert report.resolved is None
+    with pytest.raises(ValueError):
+        operator_degree(t, SparseMap(p, t.size + 1, [], [], []))
 
 
 def test_operator_degree_of_divided_powers(trunc2):
     for a in trunc2.basis:
         if not any(a):
             continue
-        report = operator_degree(divided_power_matrix(trunc2, a))
+        report = operator_degree(trunc2, divided_power_map(trunc2, a))
         assert report.value() == -mi_weight(a, trunc2.omega)
 
 
 def test_operator_degree_of_multiplication(trunc2):
-    report = operator_degree(lmul_matrix(trunc2, trunc2.monomial((1, 0))))
+    report = operator_degree(
+        trunc2, sparse_of(lmul_matrix(trunc2, trunc2.monomial((1, 0)))))
     assert report.value() == 1
-    report = operator_degree(lmul_matrix(trunc2, trunc2.monomial((1, 2))))
+    report = operator_degree(
+        trunc2, sparse_of(lmul_matrix(trunc2, trunc2.monomial((1, 2)))))
     # high-weight columns land past the cutoff and vanish, so the overall
     # value degrades to the tail bound even though resolved columns show 3
     assert report.resolved == 3
@@ -293,8 +356,9 @@ def test_central_closed_form_matches_differences(trunc_heis):
 
 def test_reconstruct_identity_exactly(trunc2):
     ident = Automorphism.identity(trunc2.model)
-    assert reconstruct_aut(trunc2, ident, trunc2.cutoff - 1) == \
-        aut_matrix(trunc2, ident)
+    images = reconstruct_aut(trunc2, ident, trunc2.cutoff - 1)
+    assert list(images) == trunc2.basis
+    assert operator_matrix(trunc2, images.__getitem__) == aut_matrix(trunc2, ident)
 
 
 def test_reconstruct_guaranteed_columns(trunc2, trunc_heis):
@@ -306,12 +370,40 @@ def test_reconstruct_guaranteed_columns(trunc2, trunc_heis):
          Fraction(2)),
     ]
     for t, phi, budget in cases:
-        approx = reconstruct_aut(t, phi, budget)
-        for a in t.basis:
-            if mi_weight(a, t.omega) > budget:
-                continue
-            assert approx.apply(t.monomial(a)) == \
-                aut_extend(t, phi, t.monomial(a))
+        images = reconstruct_aut(t, phi, budget)
+        assert list(images) == [a for a in t.basis
+                                if mi_weight(a, t.omega) <= budget]
+        for a, got in images.items():
+            assert got == aut_extend(t, phi, t.monomial(a))
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_reconstruct_images_match_aut_extend(map_truncs, name, data):
+    t = map_truncs[name]
+    model = t.model
+    # scales the first log coordinate; on the Heisenberg model a factor
+    # p + 1 fails the bracket check at this precision, and p^2 + 1 passes
+    scale = model.p + 1 if model.kind == "abelian" else model.p ** 2 + 1
+    phi = data.draw(st.sampled_from([
+        Automorphism.identity(model),
+        Automorphism.inner(model, model.basis()[0]),
+        Automorphism.linear_on_log(
+            model, [[(scale if i == 0 else 1) if i == j else 0
+                     for j in range(model.rank)] for i in range(model.rank)]),
+    ]))
+    # from below 0 (no columns) to past the cutoff (every column)
+    top = int(t.cutoff) + 2
+    budget = Fraction(data.draw(st.integers(-2 * t.e, top * t.e)), t.e)
+    images = reconstruct_aut(t, phi, budget)
+    assert list(images) == [a for a in t.basis if t.weight(a) <= budget]
+    if budget < 0:
+        assert images == {}
+    if budget >= t.cutoff:
+        assert len(images) == t.size
+    for a, got in images.items():
+        assert got == aut_extend(t, phi, t.monomial(a))
 
 
 def test_idempotent_algebra(trunc2, trunc_heis):
@@ -324,7 +416,7 @@ def test_idempotent_algebra(trunc2, trunc_heis):
         p = t.model.p
         H = subgroup_from_exponents(t.model, exps)
         mask = [i for i, n in enumerate(exps) if n == 1]
-        idems = [coset_idempotent(t, H, nu)
+        idems = [map_matrix(t, coset_idempotent(t, H, nu))
                  for nu in mi_range((p - 1,) * len(mask))]
         total = OperatorMatrix.zero(t)
         for e in idems:
@@ -337,7 +429,8 @@ def test_idempotents_resolve_the_derivations(trunc2):
     # del_i = sum over cosets of nu_i e_nu, an exact matrix identity
     t = trunc2
     H2 = subgroup_from_exponents(t.model, (1, 1))
-    by_nu = {nu: coset_idempotent(t, H2, nu) for nu in mi_range((2, 2))}
+    by_nu = {nu: map_matrix(t, coset_idempotent(t, H2, nu))
+             for nu in mi_range((2, 2))}
     for i in range(2):
         acc = OperatorMatrix.zero(t)
         for nu, e in by_nu.items():
@@ -359,7 +452,7 @@ def test_idempotent_action_below_shifted_cutoff(trunc2):
         resid = g.coords[0].value() % p
         for nu, e in idems.items():
             expect = emb if nu == resid else t.zero()
-            diff = e.apply(emb) - expect
+            diff = act(e, emb) - expect
             assert ge_provable(diff.valuation(), bound)
 
 
@@ -372,7 +465,7 @@ def test_idempotent_shift_is_sharp(trunc2):
     for nu in mi_range((2,)):
         e = coset_idempotent(t, H, nu)
         expect = emb if nu[0] == 62 % 3 else t.zero()
-        vals.append((e.apply(emb) - expect).valuation())
+        vals.append((act(e, emb) - expect).valuation())
     assert min(Fraction(v) for v in vals) == t.cutoff - 2 * t.omega[0]
 
 
@@ -391,7 +484,7 @@ def test_stability_under_derivations_equals_stability_under_idempotents(trunc2):
         span = ideal_span(t, gens, "right")
         stable_d = all(span.contains_vector((d1.mat @ row) % p)
                        for row in span.rows)
-        stable_e = all(span.contains_vector((e.mat @ row) % p)
+        stable_e = all(span.contains_vector(e.apply(row))
                        for e in idems for row in span.rows)
         assert stable_d == stable_e
         seen.add(stable_d)
@@ -406,7 +499,28 @@ def test_coset_idempotent_matches_multiplier(trunc2):
     for nu in [(0, 0), (2, 1)]:
         f = LocallyConstantFunction.coset_indicator(3, 2, 1, nu)
         rho_mat = operator_matrix(t, lambda a: rho_apply(t, f, t.monomial(a)))
-        assert coset_idempotent(t, H, nu) == rho_mat
+        assert map_matrix(t, coset_idempotent(t, H, nu)) == rho_mat
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_coset_idempotent_matches_multiplier_on_drawn_cosets(map_truncs, name, data):
+    t = map_truncs[name]
+    p, d = t.model.p, t.model.rank
+    if name == "heis":
+        exps = (0, 0, 1)  # the central direction
+    else:
+        exps = data.draw(st.tuples(*[st.integers(0, 1)] * d).filter(any))
+    mask = [i for i, n in enumerate(exps) if n]
+    nu = tuple(data.draw(st.integers(0, p - 1)) for _ in mask)
+    f = LocallyConstantFunction.from_callable(
+        p, d, 1, lambda lam: int(all(lam[i] == v for i, v in zip(mask, nu))))
+    rho_mat = operator_matrix(t, lambda a: rho_apply(t, f, t.monomial(a)))
+    e = coset_idempotent(t, subgroup_from_exponents(t.model, exps), nu)
+    assert map_matrix(t, e) == rho_mat
+    # the map holds one entry per nonzero matrix entry
+    assert e.src.size == np.count_nonzero(dense(e))
 
 
 def test_coset_idempotent_validation(trunc2):
