@@ -33,7 +33,8 @@ from .operators import (
     reconstruct_aut,
 )
 from .padic import (
-    AtLeast, PrecisionError, comb_mod, ge_provable, mi_range, multi_binom_mod_p,
+    AtLeast, PrecisionError, comb_mod, ge_provable, is_prime, mi_range,
+    multi_binom_mod_p,
 )
 from .rng import Pcg32
 from .series import (
@@ -82,6 +83,29 @@ def _expect_int(v, path, minimum=None):
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {v}")
     return v
+
+
+def _expect_str(v, path):
+    if not isinstance(v, str):
+        raise ConfigError(f"{path}: expected a string, got {v!r}")
+    return v
+
+
+def _expect_int_list(v, path):
+    return [_expect_int(x, f"{path}[{i}]")
+            for i, x in enumerate(_expect_list(v, path))]
+
+
+def _expect_fraction(v, path):
+    """An integer, a "num/den" text or an integer pair [num, den]."""
+    if isinstance(v, list):
+        v = _expect_int_list(v, path)
+    elif not isinstance(v, str):
+        v = _expect_int(v, path)
+    try:
+        return parse_fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _require(doc, key, path=""):
@@ -159,11 +183,12 @@ def _build_automorphism(model: GroupModel, spec, path: str) -> Automorphism:
     if kind == "identity":
         return Automorphism.identity(model)
     if kind == "inner":
-        coords = _expect_list(_require(spec, "element", path), f"{path}.element")
+        coords = _expect_int_list(_require(spec, "element", path), f"{path}.element")
         return Automorphism.inner(model, model.element(coords))
     if kind == "linear":
         rows = _expect_list(_require(spec, "matrix", path), f"{path}.matrix")
-        return Automorphism.linear_on_log(model, rows)
+        return Automorphism.linear_on_log(model, [
+            _expect_int_list(r, f"{path}.matrix[{i}]") for i, r in enumerate(rows)])
     raise ConfigError(f"{path}.kind: expected identity, inner or linear, "
                       f"got {kind!r}")
 
@@ -177,17 +202,20 @@ def _build_prime(ctx: RunContext, spec, path: str) -> CentralPrimeSpec:
         return CentralPrimeSpec(ctx.trunc, "zero", block)
     if kind == "graph":
         target = _expect_int(_require(spec, "target", path), f"{path}.target", 1)
-        u_text = spec.get("u", "0")
-        u = parse_series(ctx.trunc, u_text)
+        u = parse_series(ctx.trunc, _expect_str(spec.get("u", "0"), f"{path}.u"))
         return CentralPrimeSpec(ctx.trunc, "graph", block, target - 1, u)
     raise ConfigError(f"{path}.kind: expected zero or graph, got {kind!r}")
 
 
+def _parse_texts(ctx: RunContext, texts, path: str) -> list[TruncatedSeries]:
+    return [parse_series(ctx.trunc, _expect_str(t, f"{path}[{i}]"))
+            for i, t in enumerate(_expect_list(texts, path))]
+
+
 def _build_ideal(ctx: RunContext, spec, path: str):
     _expect_dict(spec, path)
-    texts = _expect_list(_require(spec, "generators", path),
-                         f"{path}.generators")
-    gens = [parse_series(ctx.trunc, t) for t in texts]
+    gens = _parse_texts(ctx, _require(spec, "generators", path),
+                        f"{path}.generators")
     sided = spec.get("sided", "right")
     return ideal_span(ctx.trunc, gens, sided)
 
@@ -298,7 +326,7 @@ def _task_mahler_reconstruct(ctx: RunContext, params: dict, stream: int):
     t = ctx.trunc
     phi = _build_automorphism(ctx.model, _require(params, "automorphism"),
                               "automorphism")
-    budget = parse_fraction(params.get("degree_budget", 2))
+    budget = _expect_fraction(params.get("degree_budget", 2), "degree_budget")
     images = reconstruct_aut(t, phi, budget)
     witnesses = []
     for a, got in images.items():
@@ -314,7 +342,7 @@ def _task_mahler_reconstruct(ctx: RunContext, params: dict, stream: int):
 def _task_idempotents(ctx: RunContext, params: dict, stream: int):
     t, model = ctx.trunc, ctx.model
     p = model.p
-    directions = _expect_list(_require(params, "directions"), "directions")
+    directions = _expect_int_list(_require(params, "directions"), "directions")
     H = subgroup_from_exponents(model, directions)
     mask = [i for i, n in enumerate(directions) if n == 1]
     if not mask:
@@ -355,7 +383,7 @@ def _task_idempotents(ctx: RunContext, params: dict, stream: int):
 
 def _task_control_check(ctx: RunContext, params: dict, stream: int):
     I = _build_ideal(ctx, _require(params, "ideal"), "ideal")
-    exps = _expect_list(_require(params, "subgroup"), "subgroup")
+    exps = _expect_int_list(_require(params, "subgroup"), "subgroup")
     H = subgroup_from_exponents(ctx.model, exps)
     found = control_witnesses(I, H)
     observed = "controlled" if not found else "not-controlled"
@@ -376,15 +404,16 @@ def _task_dagger(ctx: RunContext, params: dict, stream: int):
     expect = params.get("expect_cosets")
     if expect is None:
         return "pass", metrics, witnesses
-    want = sorted(tuple(int(v) for v in row) for row in
-                  _expect_list(expect, "expect_cosets"))
+    want = sorted(tuple(_expect_int_list(row, f"expect_cosets[{k}]"))
+                  for k, row in enumerate(_expect_list(expect, "expect_cosets")))
     status = "pass" if want == cosets else "fail"
     return status, metrics, witnesses
 
 
 def _task_induced_filtration(ctx: RunContext, params: dict, stream: int):
     P = _build_prime(ctx, _require(params, "prime"), "prime")
-    texts = _expect_list(_require(params, "elements"), "elements")
+    texts = [_expect_str(t, f"elements[{i}]") for i, t in
+             enumerate(_expect_list(_require(params, "elements"), "elements"))]
     expect = params.get("expect")
     if expect is not None:
         expect = _expect_list(expect, "expect")
@@ -416,9 +445,8 @@ def _task_completely_prime_probe(ctx: RunContext, params: dict, stream: int):
 
 def _task_zalesskii(ctx: RunContext, params: dict, stream: int):
     spec = _expect_dict(_require(params, "ideal"), "ideal")
-    texts = _expect_list(_require(spec, "generators", "ideal"),
-                         "ideal.generators")
-    gens = [parse_series(ctx.trunc, t) for t in texts]
+    gens = _parse_texts(ctx, _require(spec, "generators", "ideal"),
+                        "ideal.generators")
     depth, budget = _depth_and_budget(ctx, params)
     report = zalesskii_check(ctx.trunc, gens, depth=depth, budget=budget)
     observed = report["status"]
@@ -448,7 +476,11 @@ def _task_moore_det(ctx: RunContext, params: dict, stream: int):
         row = _expect_list(case, f"cases[{k}]")
         if len(row) != 3:
             raise ConfigError(f"cases[{k}]: expected [p, m, r]")
-        report = moore_det_check(int(row[0]), int(row[1]), int(row[2]))
+        p, m, r = (_expect_int(v, f"cases[{k}].{name}", low)
+                   for v, name, low in zip(row, "pmr", (2, 1, 0)))
+        if not is_prime(p):
+            raise ConfigError(f"cases[{k}].p: must be prime, got {p}")
+        report = moore_det_check(p, m, r)
         scalars.append(report["scalar"])
         if report["status"] != "pass":
             witnesses.append({k: report[k] for k in
@@ -460,12 +492,11 @@ def _task_moore_det(ctx: RunContext, params: dict, stream: int):
 def _task_zeta(ctx: RunContext, params: dict, stream: int):
     phi = _build_automorphism(ctx.model, _require(params, "automorphism"),
                               "automorphism")
-    r_range = params.get("r_range", [0, 1])
+    r_range = _expect_int_list(params.get("r_range", [0, 1]), "r_range")
     monomials = params.get("monomials")
     tests = None
     if monomials is not None:
-        tests = [parse_series(ctx.trunc, t)
-                 for t in _expect_list(monomials, "monomials")]
+        tests = _parse_texts(ctx, monomials, "monomials")
     exp = ZetaExperiment(ctx.trunc, phi, r_range, tests)
     report = zeta_convergence(exp)
     metrics = {

@@ -86,7 +86,9 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     for g in generators:
         if g.trunc is not trunc:
             raise ValueError("generators from a different truncation")
-    sides = ("right",) if sided == "right" else ("right", "left")
+    # in an abelian model the left maps equal the right ones
+    abelian = trunc.model.kind == "abelian"
+    sides = ("right",) if sided == "right" or abelian else ("right", "left")
     maps = [trunc.generator_map(j, side).apply
             for side in sides for j in range(trunc.model.rank)]
     space = _close_span(trunc, [g.vector() for g in generators], maps)

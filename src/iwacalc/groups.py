@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .linalg import mat_pow, rref
+from .linalg import rref
 from .padic import (
     AtLeast, PadicInt, PrecisionError, Val, eq_compatible, ge_refuted,
     gt_provable, is_prime, padic_make, val_min, val_add, val_sub_exact,
@@ -637,10 +637,15 @@ class Automorphism:
             raise ValueError("negative automorphism powers are not needed here")
         if self.kind == "inner":
             return Automorphism.inner(self.model, self.model.pow(self.conjugator, k))
-        # Python ints: entries mod p^M overflow int64 products
+        # square and multiply on Python ints: entries mod p^M overflow int64
         pm = self.model.p ** self.model.precision
-        out = mat_pow(np.array(self.matrix, dtype=object), k, pm)
-        return Automorphism.linear_on_log(self.model, out.tolist())
+        out, base = _mat_id(self.model.rank), self.matrix
+        while k:
+            if k & 1:
+                out = _mat_mul(out, base, pm)
+            base = _mat_mul(base, base, pm)
+            k >>= 1
+        return Automorphism.linear_on_log(self.model, out)
 
 
 def deg_omega(phi: Automorphism, samples: int = 24, seed: int = _VALIDATION_SEED) -> Val:

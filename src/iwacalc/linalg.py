@@ -1,15 +1,14 @@
 """Dense linear algebra over F_p.
 
 Everything here is exact integer arithmetic on numpy int64 arrays reduced
-mod p after each operation.  Row reduction always scans columns left to
-right and picks the first usable pivot row, so the reduced form of a row
-space is canonical and span comparisons are plain array comparisons.
+mod p after each operation.  A span is held as its reduced row echelon
+basis, which is unique, so span comparisons are plain array comparisons.
 
-`rref` reduces a whole matrix.  Every other elimination goes through one
-residual kernel, `reduce_block`: against a fully reduced basis the residual
-of v is v - sum_k v[c_k] R_k, computed for a block of vectors at once.
-`reduce_against` is its one-row case, and `RowSpace` keeps a growing span
-fully reduced with it.
+Every elimination goes through one residual kernel, `reduce_block`: against
+a fully reduced basis the residual of v is v - sum_k v[c_k] R_k, computed
+for a block of vectors at once.  `reduce_against` is its one-row case,
+`RowSpace` keeps a growing span fully reduced with it, and `rref` is a
+`RowSpace` fed the rows of a matrix.
 """
 
 from __future__ import annotations
@@ -21,48 +20,16 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """a^k mod p in a's dtype; object arrays of Python ints stay exact for
-    any modulus."""
-    if k < 0:
-        raise ValueError("negative matrix power")
-    out = np.eye(a.shape[0], dtype=a.dtype)
-    base = a % p
-    while k:
-        if k & 1:
-            out = (out @ base) % p
-        base = (base @ base) % p
-        k >>= 1
-    return out
-
-
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+    A 1-D input is one row."""
     a = np.array(mat, dtype=np.int64) % p
     if a.ndim != 2:
         a = a.reshape(1, -1)
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * inv_mod(a[r, c], p) % p
-        for i in range(nrows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a[:r].copy(), pivots
+    space = RowSpace(p, a.shape[1])
+    for row in a:
+        space.add(row)
+    return space.matrix(), space.pivots
 
 
 def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
@@ -72,8 +39,9 @@ def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
     The residual of v is v - sum_k v[pivots[k]] * rows[k].  It is zero at the
     pivots, so the product is formed only for the basis rows some v needs and
     on the columns where one of them is nonzero off its pivot; a monomial
-    basis has no such columns.  Each entry sums at most `ncols` products of
-    residues.
+    basis has no such columns.  The basis rows are taken in chunks small
+    enough that no int64 sum of products of residues reaches 2^63, so the
+    result is exact whenever (p - 1)^2 + p < 2^63.
     """
     out = np.array(block, dtype=np.int64) % p
     if not len(pivots):
@@ -88,8 +56,10 @@ def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
     off = basis.any(axis=0)
     off[pivots] = False
     cols = np.flatnonzero(off)
-    if cols.size:
-        out[:, cols] = (out[:, cols] - coeffs @ basis[:, cols]) % p
+    step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
+    for lo in range(0, used.size if cols.size else 0, step):
+        part = coeffs[:, lo:lo + step] @ basis[lo:lo + step][:, cols]
+        out[:, cols] = (out[:, cols] - part) % p
     return out
 
 
@@ -163,9 +133,5 @@ def intersect_coordinate_subspace(rows, p: int, keep: list[int]) -> np.ndarray:
     reduced, pivots = rref(a[:, order], p)
     cut = len(drop)
     hits = [i for i, c in enumerate(pivots) if c >= cut]
-    out = np.zeros((len(hits), ncols), dtype=np.int64)
-    inverse = np.argsort(order)
-    for k, i in enumerate(hits):
-        out[k] = reduced[i][inverse]
-    final, _ = rref(out, p)
+    final, _ = rref(reduced[hits][:, np.argsort(order)], p)
     return final

@@ -14,8 +14,8 @@ The divided power del^(a) acts by the closed formula
 
 (zero unless a <= B componentwise), acts on embedded group elements as
 multiplication by the binomial C(m, a), and has degree exactly -<a, omega>.
-`divided_power` applies the formula term by term to a series; it is kept
-as the oracle the sparse maps are tested against.
+`divided_power` applies the cached map to a series; the tests check the
+maps against the formula applied term by term.
 
 Mahler coefficients of an automorphism phi are the series <phi, del^(a)>
 in the expansion  phi = sum_a  (left mult by <phi, del^(a)>) o del^(a).
@@ -55,29 +55,10 @@ def _operator_index(trunc: TruncationSpec, alpha: Sequence[int]) -> MultiIndex:
 
 def divided_power(trunc: TruncationSpec, alpha: Sequence[int],
                   x: TruncatedSeries) -> TruncatedSeries:
-    """Apply del^(alpha) by the closed formula; exact mod F_W."""
-    alpha = _operator_index(trunc, alpha)
-    p = trunc.model.p
-    out: dict = {}
-    for beta, c in x.coeffs.items():
-        if not all(a <= b for a, b in zip(alpha, beta)):
-            continue
-        lead = c
-        for a, b in zip(alpha, beta):
-            lead = lead * comb_mod(b, a, p) % p
-        if not lead:
-            continue
-        base = tuple(b - a for a, b in zip(alpha, beta))
-        for k in mi_range(alpha):
-            coeff = lead
-            for ai, ki in zip(alpha, k):
-                coeff = coeff * comb_mod(ai, ki, p) % p
-            if not coeff:
-                continue
-            key = tuple(x0 + k0 for x0, k0 in zip(base, k))
-            if key in trunc.index:
-                out[key] = (out.get(key, 0) + coeff) % p
-    return TruncatedSeries(trunc, out)
+    """Apply del^(alpha) to a series through its cached sparse map."""
+    if x.trunc is not trunc:
+        raise ValueError("series from a different truncation")
+    return trunc.from_vector(divided_power_map(trunc, alpha).apply(x.vector()))
 
 
 def divided_power_map(trunc: TruncationSpec, alpha: Sequence[int]) -> SparseMap:

@@ -6,7 +6,9 @@ basis monomials), so composing and comparing operators is plain linear
 algebra; it is built on request and never cached.  `mul_reference`
 multiplies series through the group, every pair of group elements of the
 two expansions.  `dense` scatters a `SparseMap` into its matrix.
-"""
+`divided_power_reference` applies the closed formula for del^(alpha) term
+by term, `rref_reference` row-reduces by scanning columns for pivots, and
+`mat_pow` raises a matrix to a power by square and multiply."""
 
 from __future__ import annotations
 
@@ -16,12 +18,83 @@ from typing import Callable, Sequence
 import numpy as np
 
 from iwacalc.groups import Automorphism
-from iwacalc.linalg import mat_pow
-from iwacalc.operators import divided_power_map
-from iwacalc.padic import MultiIndex
+from iwacalc.linalg import inv_mod
+from iwacalc.operators import _operator_index, divided_power_map
+from iwacalc.padic import MultiIndex, comb_mod, mi_range
 from iwacalc.series import (
     SparseMap, TruncatedSeries, TruncationSpec, _combine_rows, aut_images_table,
 )
+
+
+def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k mod p in a's dtype; object arrays of Python ints stay exact for
+    any modulus."""
+    if k < 0:
+        raise ValueError("negative matrix power")
+    out = np.eye(a.shape[0], dtype=a.dtype)
+    base = a % p
+    while k:
+        if k & 1:
+            out = (out @ base) % p
+        base = (base @ base) % p
+        k >>= 1
+    return out
+
+
+def rref_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    a = np.array(mat, dtype=np.int64) % p
+    if a.ndim != 2:
+        a = a.reshape(1, -1)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if a[i, c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+        a[r] = a[r] * inv_mod(a[r, c], p) % p
+        for i in range(nrows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a[:r].copy(), pivots
+
+
+def divided_power_reference(trunc: TruncationSpec, alpha: Sequence[int],
+                            x: TruncatedSeries) -> TruncatedSeries:
+    """Apply del^(alpha) by the closed formula; exact mod F_W."""
+    alpha = _operator_index(trunc, alpha)
+    p = trunc.model.p
+    out: dict = {}
+    for beta, c in x.coeffs.items():
+        if not all(a <= b for a, b in zip(alpha, beta)):
+            continue
+        lead = c
+        for a, b in zip(alpha, beta):
+            lead = lead * comb_mod(b, a, p) % p
+        if not lead:
+            continue
+        base = tuple(b - a for a, b in zip(alpha, beta))
+        for k in mi_range(alpha):
+            coeff = lead
+            for ai, ki in zip(alpha, k):
+                coeff = coeff * comb_mod(ai, ki, p) % p
+            if not coeff:
+                continue
+            key = tuple(x0 + k0 for x0, k0 in zip(base, k))
+            if key in trunc.index:
+                out[key] = (out.get(key, 0) + coeff) % p
+    return TruncatedSeries(trunc, out)
 
 
 @dataclass(frozen=True)

@@ -373,3 +373,211 @@ def test_render_table_alignment():
     lines = text.splitlines()
     assert len(lines) == 3
     assert lines[2].split() == ["zeta", "fail", "1"]
+
+
+@pytest.mark.parametrize("case,message", [
+    ([2.5, 2, 0], "cases[0].p: expected an integer, got 2.5"),
+    ([True, 2, 0], "cases[0].p: expected an integer, got True"),
+    (["x", 2, 0], "cases[0].p: expected an integer, got 'x'"),
+    ([4, 2, 0], "cases[0].p: must be prime, got 4"),
+    ([1, 2, 0], "cases[0].p: must be >= 2, got 1"),
+    ([2, 0, 0], "cases[0].m: must be >= 1, got 0"),
+    ([2, 2.0, 0], "cases[0].m: expected an integer, got 2.0"),
+    ([2, 2, -1], "cases[0].r: must be >= 0, got -1"),
+    ([2, 2, None], "cases[0].r: expected an integer, got None"),
+])
+def test_moore_det_cases_are_typed(case, message):
+    cfg = parse_config(abelian_doc([{"name": "moore-det", "cases": [case]}]))
+    [rec] = run_config(cfg)
+    assert rec["status"] == "fail"
+    [w] = rec["witnesses"]
+    assert w["kind"] == "error" and w["error"] == "ConfigError"
+    assert w["message"] == message
+
+
+@pytest.mark.parametrize("budget,message", [
+    (True, "degree_budget: expected an integer, got True"),
+    (2.5, "degree_budget: expected an integer, got 2.5"),
+    (None, "degree_budget: expected an integer, got None"),
+    ([2.5, 1], "degree_budget[0]: expected an integer, got 2.5"),
+    ([5, True], "degree_budget[1]: expected an integer, got True"),
+    ([1, 2, 3], "degree_budget: cannot read [1, 2, 3] as a rational number"),
+    ([1, 0], "degree_budget: "),
+    ("x", "degree_budget: "),
+])
+def test_degree_budget_is_typed(budget, message):
+    cfg = parse_config(abelian_doc([
+        {"name": "mahler-reconstruct", "degree_budget": budget,
+         "automorphism": {"kind": "linear", "matrix": [[10, 0], [0, 1]]}}]))
+    [rec] = run_config(cfg)
+    assert rec["status"] == "fail"
+    [w] = rec["witnesses"]
+    assert w["kind"] == "error" and w["error"] == "ConfigError"
+    assert w["message"].startswith(message)
+
+
+@pytest.mark.parametrize("budget,columns", [(3, 10), ("5/2", 6), ([5, 2], 6)])
+def test_degree_budget_forms(budget, columns):
+    cfg = parse_config(abelian_doc([
+        {"name": "mahler-reconstruct", "degree_budget": budget,
+         "automorphism": {"kind": "linear", "matrix": [[10, 0], [0, 1]]}}]))
+    [rec] = run_config(cfg)
+    assert rec["status"] == "pass" and rec["metrics"]["columns"] == columns
+
+
+@pytest.mark.parametrize("task,message", [
+    ({"name": "control-check", "ideal": {"generators": [5]}, "subgroup": [0, 1]},
+     "ideal.generators[0]: expected a string, got 5"),
+    ({"name": "dagger", "ideal": {"generators": ["b1", None]}},
+     "ideal.generators[1]: expected a string, got None"),
+    ({"name": "zalesskii", "ideal": {"generators": [5]}},
+     "ideal.generators[0]: expected a string, got 5"),
+    ({"name": "induced-filtration", "elements": [5],
+      "prime": {"kind": "zero", "central_block": 1}},
+     "elements[0]: expected a string, got 5"),
+    ({"name": "induced-filtration", "elements": ["b1"],
+      "prime": {"kind": "graph", "central_block": 1, "target": 1, "u": 2}},
+     "prime.u: expected a string, got 2"),
+    ({"name": "mahler-reconstruct",
+      "automorphism": {"kind": "linear", "matrix": [[1.5, 0], [0, 1]]}},
+     "automorphism.matrix[0][0]: expected an integer, got 1.5"),
+    ({"name": "mahler-reconstruct",
+      "automorphism": {"kind": "linear", "matrix": [[10, 0], 1]}},
+     "automorphism.matrix[1]: expected a list, got int"),
+    ({"name": "mahler-reconstruct",
+      "automorphism": {"kind": "inner", "element": [1, "2"]}},
+     "automorphism.element[1]: expected an integer, got '2'"),
+    ({"name": "idempotents", "directions": [True, 0]},
+     "directions[0]: expected an integer, got True"),
+    ({"name": "control-check", "ideal": {"generators": ["b1"]},
+      "subgroup": [0, 1.0]},
+     "subgroup[1]: expected an integer, got 1.0"),
+    ({"name": "dagger", "ideal": {"generators": ["b1"]},
+      "expect_cosets": [[0, 0.5]]},
+     "expect_cosets[0][1]: expected an integer, got 0.5"),
+])
+def test_config_texts_and_entries_are_typed(task, message):
+    [rec] = run_config(parse_config(abelian_doc([task])))
+    assert rec["status"] == "fail"
+    [w] = rec["witnesses"]
+    assert w["kind"] == "error" and w["error"] == "ConfigError"
+    assert w["message"] == message
+
+
+def test_zeta_texts_and_entries_are_typed():
+    doc = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
+           "truncation": {"W": 30, "M": 6}, "tasks": [
+               {"name": "zeta", "monomials": [3],
+                "automorphism": {"kind": "linear", "matrix": [[10]]}},
+               {"name": "zeta", "r_range": [0, "1"],
+                "automorphism": {"kind": "linear", "matrix": [[10]]}}]}
+    records = run_config(parse_config(doc))
+    assert [r["witnesses"][0]["message"] for r in records] == [
+        "monomials[0]: expected a string, got 3",
+        "r_range[1]: expected an integer, got '1'"]
+
+
+# Every field each task reads, with a task that passes as given.  A path
+# names a field of the task, or of the config's budgets as "budgets.<key>".
+RANK3 = {"p": 3, "model": {"kind": "abelian", "rank": 3, "centre": [0, 0, 4]},
+         "omega": ["1", "1", "1"], "truncation": {"W": 5, "M": 4}, "seed": 3}
+RANK1 = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
+         "truncation": {"W": 30, "M": 6}, "seed": 3}
+PRIME = {"kind": "graph", "central_block": 2, "target": 1, "u": "b2^2"}
+SWEEP = [
+    (RANK3, {"name": "verify-operators", "samples": 2}, ["samples"]),
+    (RANK3, {"name": "verify-valuation", "samples": 5}, ["samples"]),
+    (RANK3, {"name": "mahler-reconstruct", "degree_budget": 2,
+             "automorphism": {"kind": "linear",
+                              "matrix": [[10, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+     ["automorphism", "automorphism.kind", "automorphism.matrix",
+      "automorphism.matrix[0]", "automorphism.matrix[0][0]", "degree_budget"]),
+    (RANK3, {"name": "mahler-reconstruct",
+             "automorphism": {"kind": "inner", "element": [1, 0, 0]}},
+     ["automorphism.element", "automorphism.element[0]"]),
+    (RANK3, {"name": "idempotents", "directions": [1, 0, 0], "samples": 2},
+     ["directions", "directions[0]", "samples"]),
+    (RANK3, {"name": "control-check", "subgroup": [0, 1, 1],
+             "ideal": {"generators": ["b1"], "sided": "right"},
+             "expect": "controlled"},
+     ["ideal", "ideal.generators", "ideal.generators[0]", "ideal.sided",
+      "subgroup", "subgroup[0]", "expect"]),
+    (RANK3, {"name": "dagger", "ideal": {"generators": ["b1"]}, "depth": 1,
+             "expect_cosets": [[0, 0, 0], [1, 0, 0], [2, 0, 0]]},
+     ["ideal", "ideal.generators", "ideal.generators[0]", "depth",
+      "expect_cosets", "expect_cosets[0]", "expect_cosets[0][0]",
+      "budgets.dagger"]),
+    (RANK3, {"name": "induced-filtration", "prime": dict(PRIME),
+             "elements": ["b1", "b3"], "expect": ["2", "1"]},
+     ["prime", "prime.kind", "prime.central_block", "prime.target", "prime.u",
+      "elements", "elements[0]", "expect"]),
+    (RANK3, {"name": "completely-prime-probe", "prime": dict(PRIME),
+             "samples": 5},
+     ["prime", "prime.kind", "prime.central_block", "samples"]),
+    (RANK3, {"name": "completely-prime-probe", "prime": dict(PRIME)},
+     ["budgets.samples"]),
+    (RANK3, {"name": "zalesskii", "ideal": {"generators": ["b3"]}, "depth": 1,
+             "expect": "skipped"},
+     ["ideal", "ideal.generators", "ideal.generators[0]", "depth", "expect",
+      "budgets.dagger"]),
+    (RANK3, {"name": "moore-det", "cases": [[2, 2, 0]]},
+     ["cases", "cases[0]", "cases[0][0]", "cases[0][1]", "cases[0][2]"]),
+    (RANK1, {"name": "zeta", "r_range": [0, 1], "monomials": ["b1"],
+             "automorphism": {"kind": "linear", "matrix": [[10]]}},
+     ["automorphism", "automorphism.kind", "automorphism.matrix",
+      "automorphism.matrix[0]", "automorphism.matrix[0][0]", "r_range",
+      "r_range[0]", "monomials", "monomials[0]"]),
+]
+WRONG = {"bool": True, "float": 2.5, "str": "x", "list": [], "null": None}
+# values that are right for a field: a string where a series text or a
+# fraction is read, a list where a list is read and may be empty, and null
+# where null means the field is absent
+ALLOWED = {
+    "ideal.generators": {"list"}, "elements": {"list"}, "cases": {"list"},
+    "expect_cosets": {"list", "null"}, "expect_cosets[0]": {"list"},
+    "r_range": {"list"}, "monomials": {"null"}, "expect": {"null"},
+}
+
+
+def _sweep_cases():
+    for base, task, fields in SWEEP:
+        for field in fields:
+            for kind in WRONG:
+                if kind in ALLOWED.get(field, ()):
+                    continue
+                yield pytest.param(base, task, field, kind,
+                                   id=f"{task['name']}-{field}-{kind}")
+
+
+def _set(doc, field, value):
+    keys = [int(k) if k.isdigit() else k
+            for k in field.replace("[", ".").replace("]", "").split(".")]
+    target = doc if keys[0] == "budgets" else doc["tasks"][0]
+    if keys[0] == "budgets":
+        target = target.setdefault("budgets", {})
+        keys = keys[1:]
+    for k in keys[:-1]:
+        target = target[k]
+    target[keys[-1]] = value
+
+
+@pytest.mark.parametrize("base,task", [(b, t) for b, t, _ in SWEEP],
+                         ids=[t["name"] for _, t, _ in SWEEP])
+def test_sweep_bases_pass(base, task):
+    doc = json.loads(json.dumps(dict(base, tasks=[task])))
+    [rec] = run_config(parse_config(doc))
+    assert rec["status"] == "pass", rec
+
+
+@pytest.mark.parametrize("base,task,field,kind", list(_sweep_cases()))
+def test_malformed_field_is_rejected(base, task, field, kind):
+    doc = json.loads(json.dumps(dict(base, tasks=[task])))
+    _set(doc, field, WRONG[kind])
+    try:
+        records = run_config(parse_config(doc))
+    except ConfigError:
+        return
+    [rec] = records
+    assert rec["status"] == "fail", rec
+    [w] = rec["witnesses"]
+    assert w["kind"] == "error", rec

@@ -14,11 +14,10 @@ from iwacalc import (
     zalesskii_check,
 )
 from iwacalc.linalg import RowSpace
-from iwacalc.operators import divided_power
 from iwacalc.rng import Pcg32
-from iwacalc.series import format_series
+from iwacalc.series import TruncationSpec, format_series
 
-from oracles import mul_reference, operator_matrix
+from oracles import divided_power_reference, mul_reference, operator_matrix
 
 
 def test_principal_span_dimension(trunc2):
@@ -271,7 +270,8 @@ def dense_witnesses(I, mask):
     out = []
     for i in mask:
         e_i = tuple(1 if k == i else 0 for k in range(d))
-        mat = operator_matrix(t, lambda a: divided_power(t, e_i, t.monomial(a))).mat
+        mat = operator_matrix(
+            t, lambda a: divided_power_reference(t, e_i, t.monomial(a))).mat
         for row in I.rows:
             res = np.array((mat @ row) % p)
             for basis_row, c in zip(I.rows, I.pivots):
@@ -303,3 +303,32 @@ def test_control_witnesses_match_dense_route(request, fixture, gens, sided):
     stable = {i + 1 for i in range(d)} - {w["direction"] for w in want}
     assert controller_approx(I).exponents == tuple(
         1 if i + 1 in stable else 0 for i in range(d))
+
+
+@pytest.mark.parametrize("fixture", ["trunc2", "trunc3"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_abelian_two_sided_span_is_the_right_span(request, fixture, data):
+    t = request.getfixturevalue(fixture)
+    p = t.model.p
+    gens = [t.from_dict(data.draw(st.dictionaries(
+        st.sampled_from(t.basis), st.integers(1, p - 1), min_size=1, max_size=3)))
+        for _ in range(data.draw(st.integers(1, 2)))]
+    right = ideal_span(t, gens, "right")
+    two = ideal_span(t, gens, "two-sided")
+    assert two.sided == "two-sided"
+    assert np.array_equal(two.rows, right.rows) and two.pivots == right.pivots
+    # the closure under the maps of both sides
+    space = RowSpace(p, t.size)
+    maps = [t.generator_map(j, side) for side in ("right", "left")
+            for j in range(t.model.rank)]
+    queue = [g.vector() for g in gens]
+    while queue:
+        v = queue.pop()
+        if space.add(v):
+            queue.extend(m.apply(v) for m in maps)
+    assert np.array_equal(two.rows, space.matrix())
+    # a fresh truncation of the same model builds no left map
+    fresh = TruncationSpec(t.model, t.W)
+    ideal_span(fresh, [fresh.from_dict(g.coeffs) for g in gens], "two-sided")
+    assert fresh._gen_maps and all(side == "right" for side, _ in fresh._gen_maps)

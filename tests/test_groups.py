@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, ModelError, PrecisionError, deg_omega,
@@ -13,6 +15,7 @@ from iwacalc import (
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators
+from oracles import mat_pow
 
 
 def test_abelian_arithmetic(abelian2):
@@ -219,6 +222,21 @@ def test_automorphism_power_is_exact_past_word_size():
             want = [[sum(want[i][m] * rows[m][j] for m in range(3)) % pm
                      for j in range(3)] for i in range(3)]
         assert [list(r) for r in phi.power(k).matrix] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), rank=st.integers(1, 3),
+       precision=st.integers(3, 22), k=st.integers(0, 70), data=st.data())
+def test_automorphism_power_matches_mat_pow(p, rank, precision, k, data):
+    # up to 7^22 < 2^63, where products of two entries overflow int64
+    model = load_abelian(p, rank, precision, ["1"] * rank)
+    pm = p ** precision
+    # 1 + p*(anything) on the diagonal and p*(anything) off it: degree >= 1
+    rows = [[(i == j) + p * data.draw(st.integers(0, pm)) for j in range(rank)]
+            for i in range(rank)]
+    phi = Automorphism.linear_on_log(model, rows)
+    want = mat_pow(np.array(rows, dtype=object), k, pm).tolist()
+    assert [list(r) for r in phi.power(k).matrix] == want
 
 
 def test_deg_omega(abelian2):

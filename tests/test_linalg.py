@@ -1,9 +1,14 @@
-"""Elimination over F_p: the block residual kernel and the incremental span."""
+"""Elimination over F_p: the block residual kernel, the incremental span
+and `rref`, each checked against the column scan of `oracles`."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from iwacalc.linalg import RowSpace, reduce_against, reduce_block, rref
+from iwacalc.linalg import (
+    RowSpace, intersect_coordinate_subspace, reduce_against, reduce_block, rref,
+)
+
+from oracles import rref_reference
 
 
 def residual_by_rows(rows, pivots, vec, p):
@@ -35,7 +40,7 @@ def bases(draw):
 @given(bases())
 def test_reduce_block_matches_row_loop(case):
     p, mat, block = case
-    rows, pivots = rref(mat, p)
+    rows, pivots = rref_reference(mat, p)
     got = reduce_block(rows, pivots, block, p)
     for v, res in zip(block, got):
         want = residual_by_rows(rows, pivots, v, p)
@@ -51,8 +56,77 @@ def test_row_space_is_canonical_rref(case):
     space = RowSpace(p, mat.shape[1])
     for v in vectors:
         space.add(v)
-    rows, pivots = rref(np.array(vectors), p)
+    rows, pivots = rref_reference(np.array(vectors), p)
     assert np.array_equal(space.matrix(), rows)
     assert space.pivots == pivots
     assert space.dim == len(pivots)
     assert all(space.contains(v) for v in vectors)
+
+
+# 1518500213 is the largest prime with 4 * (p - 1)^2 < 2^63: past 4 rows,
+# one int64 sum of products of residues would overflow
+PRIMES = [2, 3, 5, 7, 101, 65521, 1518500213]
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from(PRIMES))
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 12))  # tall, square and wide shapes
+    density = draw(st.sampled_from([0.0, 0.2, 1.0]))  # 0.0: all zero
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # entries outside [0, p) too, which both routes reduce first
+    mat = rng.integers(-p, 2 * p, (nrows, ncols)) * (rng.random((nrows, ncols)) < density)
+    if nrows > 1:
+        # a dependent row, combined with Python ints so large p cannot wrap
+        mix = rng.integers(0, p, nrows - 1).astype(object)
+        mat[-1] = (mix @ mat[:-1].astype(object)) % p
+    if draw(st.booleans()) and nrows:
+        mat = mat[0]  # 1-D input is one row
+    return p, mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_matches_column_scan(case):
+    p, mat = case
+    rows, pivots = rref(mat, p)
+    want_rows, want_pivots = rref_reference(mat, p)
+    assert rows.dtype == np.int64
+    assert rows.shape == want_rows.shape
+    assert np.array_equal(rows, want_rows)
+    assert pivots == want_pivots
+
+
+def test_rref_edge_shapes():
+    for mat, shape in [([], (0, 0)), ([0, 0, 0], (0, 3)),
+                       (np.zeros((0, 4), dtype=np.int64), (0, 4)),
+                       (np.zeros((3, 2), dtype=np.int64), (0, 2))]:
+        rows, pivots = rref(mat, 5)
+        assert rows.shape == shape and pivots == []
+    rows, pivots = rref([3, 6, 9], 7)
+    assert rows.tolist() == [[1, 2, 3]] and pivots == [0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_intersect_coordinate_subspace(case, data):
+    p, mat = case
+    mat = np.atleast_2d(mat)
+    ncols = mat.shape[1]
+    keep = sorted(data.draw(st.sets(st.integers(0, max(ncols - 1, 0)),
+                                    max_size=ncols)))
+    got = intersect_coordinate_subspace(mat, p, keep)
+    rows, _ = rref_reference(got, p)
+    assert np.array_equal(got, rows)
+    drop = [c for c in range(ncols) if c not in keep]
+    assert not got[:, drop].any()
+    if not mat.size:
+        return
+    # the meet has the dimension rank(A) - rank(A restricted to the dropped
+    # columns), and each of its rows lies in the row space of A
+    span, _ = rref_reference(mat, p)
+    outside, _ = rref_reference(mat[:, drop], p)
+    assert got.shape[0] == span.shape[0] - outside.shape[0]
+    both, _ = rref_reference(np.vstack([span, got]), p)
+    assert both.shape[0] == span.shape[0]

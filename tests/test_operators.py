@@ -24,11 +24,12 @@ from iwacalc import (
 from iwacalc.control import ideal_span
 from iwacalc.operators import divided_power_map
 from iwacalc.rng import Pcg32
-from iwacalc.series import SparseMap
+from iwacalc.series import SparseMap, TruncationSpec
 
 from oracles import (
-    OperatorMatrix, aut_matrix, dense, divided_power_matrix, lmul_matrix,
-    map_matrix, operator_matrix, sparse_of,
+    OperatorMatrix, aut_matrix, dense, divided_power_matrix,
+    divided_power_reference, lmul_matrix, map_matrix, operator_matrix,
+    sparse_of,
 )
 
 
@@ -154,13 +155,30 @@ def test_divided_power_map_matches_closed_formula(map_truncs, name, data):
     t = map_truncs[name]
     # one past the largest exponent, so empty maps are drawn too
     alpha = tuple(data.draw(st.integers(0, m + 1)) for m in t.max_exponents)
-    want = operator_matrix(t, lambda a: divided_power(t, alpha, t.monomial(a)))
+    want = operator_matrix(
+        t, lambda a: divided_power_reference(t, alpha, t.monomial(a)))
     assert divided_power_matrix(t, alpha) == want
     coeffs = data.draw(st.dictionaries(
         st.sampled_from(t.basis), st.integers(1, t.model.p - 1), max_size=8))
     x = t.from_dict(coeffs)
     got = divided_power_map(t, alpha).apply(x.vector())
-    assert t.from_vector(got) == divided_power(t, alpha, x)
+    assert t.from_vector(got) == divided_power_reference(t, alpha, x)
+    assert divided_power(t, alpha, x) == t.from_vector(got)
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_divided_power_rejects_series_from_another_truncation(map_truncs, name, data):
+    t = map_truncs[name]
+    # the same model and cutoff, or a narrower cutoff: still another truncation
+    other = TruncationSpec(t.model, data.draw(st.integers(1, t.W)))
+    x = other.from_dict(data.draw(st.dictionaries(
+        st.sampled_from(other.basis), st.integers(1, t.model.p - 1), max_size=4)))
+    alpha = tuple(data.draw(st.integers(0, m)) for m in t.max_exponents)
+    with pytest.raises(ValueError, match="different truncation"):
+        divided_power(t, alpha, x)
+    assert divided_power(other, alpha, x) == divided_power_reference(other, alpha, x)
 
 
 def degree_by_columns(op):
