@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control import (
-    CentralPrimeSpec, _random_series, completely_prime_probe, control_witnesses,
-    dagger_approx, ideal_span, induced_filtration, is_controlled_by,
-    zalesskii_check,
+    _SIDES, CentralPrimeSpec, _random_series, completely_prime_probe,
+    control_witnesses, dagger_approx, ideal_span, induced_filtration,
+    is_controlled_by, zalesskii_check,
 )
 from .groups import (
     Automorphism, GroupModel, ModelError, load_model, parse_fraction,
@@ -115,14 +115,36 @@ def _require(doc, key, path=""):
     return doc[key]
 
 
+def _parse_model(doc: dict) -> dict:
+    """The model block, with the fields its kind reads type-checked."""
+    out = dict(doc)
+    kind = _expect_str(_require(doc, "kind", "model"), "model.kind")
+    if kind == "abelian":
+        out["rank"] = _expect_int(_require(doc, "rank", "model"), "model.rank", 1)
+    elif kind == "unitriangular":
+        out["size"] = _expect_int(_require(doc, "size", "model"), "model.size", 1)
+        gens = _expect_list(_require(doc, "generators", "model"), "model.generators")
+        if not gens:
+            raise ConfigError("model.generators: must not be empty")
+        out["generators"] = [
+            [_expect_int_list(row, f"model.generators[{i}][{r}]")
+             for r, row in enumerate(_expect_list(g, f"model.generators[{i}]"))]
+            for i, g in enumerate(gens)]
+    else:
+        raise ConfigError(f"model.kind: expected abelian or unitriangular, "
+                          f"got {kind!r}")
+    if doc.get("centre") is not None:
+        out["centre"] = _expect_int_list(doc["centre"], "model.centre")
+    return out
+
+
 def parse_config(doc) -> dict:
     """Validate a raw config mapping; errors name the offending field."""
     _expect_dict(doc, "top level")
     p = _expect_int(_require(doc, "p"), "p", 2)
-    model_cfg = dict(_expect_dict(_require(doc, "model"), "model"))
-    if "kind" not in model_cfg:
-        raise ConfigError("missing required field 'model.kind'")
-    omega = _expect_list(_require(doc, "omega"), "omega")
+    model_cfg = _parse_model(_expect_dict(_require(doc, "model"), "model"))
+    omega = [_expect_fraction(w, f"omega[{i}]") for i, w in
+             enumerate(_expect_list(_require(doc, "omega"), "omega"))]
     trunc_cfg = _expect_dict(_require(doc, "truncation"), "truncation")
     W = _expect_int(_require(trunc_cfg, "W", "truncation"), "truncation.W", 1)
     M = _expect_int(_require(trunc_cfg, "M", "truncation"), "truncation.M", 1)
@@ -216,7 +238,10 @@ def _build_ideal(ctx: RunContext, spec, path: str):
     _expect_dict(spec, path)
     gens = _parse_texts(ctx, _require(spec, "generators", path),
                         f"{path}.generators")
-    sided = spec.get("sided", "right")
+    sided = _expect_str(spec.get("sided", "right"), f"{path}.sided")
+    if sided not in _SIDES:
+        raise ConfigError(f"{path}.sided: expected one of {', '.join(_SIDES)}, "
+                          f"got {sided!r}")
     return ideal_span(ctx.trunc, gens, sided)
 
 
@@ -416,7 +441,8 @@ def _task_induced_filtration(ctx: RunContext, params: dict, stream: int):
              enumerate(_expect_list(_require(params, "elements"), "elements"))]
     expect = params.get("expect")
     if expect is not None:
-        expect = _expect_list(expect, "expect")
+        expect = [_expect_str(x, f"expect[{i}]")
+                  for i, x in enumerate(_expect_list(expect, "expect"))]
         if len(expect) != len(texts):
             raise ConfigError("expect: length must match elements")
     values = []
@@ -424,9 +450,9 @@ def _task_induced_filtration(ctx: RunContext, params: dict, stream: int):
     for k, text in enumerate(texts):
         f = induced_filtration(parse_series(ctx.trunc, text), P)
         values.append(_val_str(f))
-        if expect is not None and _val_str(f) != str(expect[k]):
+        if expect is not None and _val_str(f) != expect[k]:
             witnesses.append({"kind": "filtration", "element": text,
-                              "got": _val_str(f), "expected": str(expect[k])})
+                              "got": _val_str(f), "expected": expect[k]})
     status = "pass" if not witnesses else "fail"
     return status, {"values": values, "kind": P.kind}, witnesses
 

@@ -7,12 +7,31 @@ l_i a residue mod p^M.  Two kinds are implemented:
 
 * abelian: the free Z_p-module of rank d, multiplication adds coordinates;
 * unitriangular: subgroups of upper unitriangular n x n matrices over Z_p
-  (n < p, p odd) whose generators are congruent to 1 mod p.  Matrices are
-  kept mod p^{M+1}: the guard digit is spent when logs are divided by p, so
-  coordinate extraction is exact mod p^M.
+  (n < p, p odd) whose generators are congruent to 1 mod p.
 
-Matrix log and exp are finite sums here because the strictly upper part is
-nilpotent, and the denominators 1..(n-1)! are units mod p since p > n.
+A unitriangular group law is compiled once, at load, to polynomials: the
+coordinates of x*y are d polynomials mod p^M in x_1..x_d, y_1..y_d (Hall's
+collection polynomials).  They come from the matrix route run over
+matrices whose entries are polynomials mod p^{M+1}: the product of
+exp(x_k log g_k) and exp(y_k log g_k), then a peel that reads one
+coordinate from the first-kind coordinates of a matrix log and divides
+off that basis power, d times.  First-kind coordinates (log x = sum
+mu_k log g_k) and their inverse are compiled the same way, d polynomials
+in d symbols each.  After load, `mul` evaluates polynomials, `pow` scales
+first-kind coordinates (x^s = exp(s log x)) and `inv` is the power -1; no
+matrix is built.  The generator logs are the constant case of the same
+polynomial log.
+
+Evaluation is exact mod p^M.  log and exp are finite sums because the
+strictly upper part is nilpotent, and their denominators 1..(n-1)! are
+units mod p since p > n, so each step is a ring operation mod p^{M+1} and
+the polynomial identities hold for every value of the symbols.  The guard
+digit is spent when logs are divided by p, which is why matrices are kept
+mod p^{M+1} and coordinates mod p^M.  The checks the peel makes -- each
+log entry divisible by p, each log in the span of the basis logs, the
+basis powers exhausting the matrix -- run on the polynomials at load,
+where a failure raises ModelError; once they pass they hold for every
+element.
 
 Valuations follow the marker convention of `padic`: a quantity pushed past
 the precision is reported as AtLeast(bound), never silently as a number.
@@ -22,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
+from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -129,42 +150,6 @@ def _mat_mul(a, b, m: int):
         for i in range(n))
 
 
-def _mat_add(a, b, m: int):
-    n = len(a)
-    return tuple(tuple((a[i][j] + b[i][j]) % m for j in range(n)) for i in range(n))
-
-
-def _mat_scale(a, c: int, m: int):
-    n = len(a)
-    return tuple(tuple(a[i][j] * c % m for j in range(n)) for i in range(n))
-
-
-def _mat_log_unitriangular(a, m: int, p: int):
-    """log(1 + N) = N - N^2/2 + ...; finite because N is nilpotent."""
-    n = len(a)
-    nil = tuple(tuple((a[i][j] - (1 if i == j else 0)) % m for j in range(n))
-                for i in range(n))
-    out = nil
-    power = nil
-    for k in range(2, n):
-        power = _mat_mul(power, nil, m)
-        coeff = pow(k, -1, m) * (1 if k % 2 else m - 1) % m
-        out = _mat_add(out, _mat_scale(power, coeff, m), m)
-    return out
-
-
-def _mat_exp_nilpotent(x, m: int):
-    n = len(x)
-    out = _mat_id(n)
-    term = _mat_id(n)
-    fact = 1
-    for k in range(1, n):
-        term = _mat_mul(term, x, m)
-        fact *= k
-        out = _mat_add(out, _mat_scale(term, pow(fact, -1, m), m), m)
-    return out
-
-
 def _mat_inv_mod(rows, m: int, p: int):
     """Inverse of a square matrix whose reduction mod p is invertible."""
     n = len(rows)
@@ -189,6 +174,103 @@ def _mat_inv_mod(rows, m: int, p: int):
                 a[r] = [(x - f * y) % m for x, y in zip(a[r], a[col])]
                 inv[r] = [(x - f * y) % m for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(r) for r in inv)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials mod m: dicts {exponent tuple: coefficient}, no zero terms.
+# Matrices of them are tuples of rows; the empty dict is the zero entry.
+# ---------------------------------------------------------------------------
+
+def _poly_combine(coeffs, polys, m: int) -> dict:
+    """sum of c * f over the pairs, mod m."""
+    out: dict = {}
+    for c, f in zip(coeffs, polys):
+        if c % m:
+            for k, v in f.items():
+                out[k] = out.get(k, 0) + c * v
+    return {k: v % m for k, v in out.items() if v % m}
+
+
+def _poly_product_sum(pairs, m: int) -> dict:
+    """sum of f * g over the pairs, mod m."""
+    out: dict = {}
+    for f, g in pairs:
+        for a, c in f.items():
+            for b, d in g.items():
+                k = tuple(map(add, a, b))
+                out[k] = out.get(k, 0) + c * d
+    return {k: v % m for k, v in out.items() if v % m}
+
+
+def _pmat_mul(a, b, m: int):
+    n = len(a)
+    return tuple(
+        tuple(_poly_product_sum([(a[i][k], b[k][j]) for k in range(n)
+                                 if a[i][k] and b[k][j]], m) for j in range(n))
+        for i in range(n))
+
+
+def _pmat_combine(coeffs, mats, m: int):
+    """sum of c * A over the pairs, mod m."""
+    n = len(mats[0])
+    return tuple(tuple(_poly_combine(coeffs, [a[i][j] for a in mats], m)
+                       for j in range(n)) for i in range(n))
+
+
+def _pmat_id(n: int, one: tuple):
+    """The identity matrix; `one` is the constant monomial."""
+    return tuple(tuple({one: 1} if i == j else {} for j in range(n))
+                 for i in range(n))
+
+
+def _pmat_log(a, m: int):
+    """log(1 + N) = N - N^2/2 + ... for unitriangular a; the sum is finite
+    because N is nilpotent, and 1/k is a unit mod m for k < n < p."""
+    n = len(a)
+    nil = tuple(tuple({} if i == j else a[i][j] for j in range(n))
+                for i in range(n))
+    powers = [nil]
+    for _ in range(2, n):
+        powers.append(_pmat_mul(powers[-1], nil, m))
+    coeffs = [pow(k, -1, m) * (1 if k % 2 else -1) for k in range(1, n)]
+    return _pmat_combine(coeffs, powers, m)
+
+
+def _pmat_exp(x, m: int, one: tuple):
+    """exp(x) = 1 + x + x^2/2! + ... for strictly upper triangular x."""
+    n = len(x)
+    powers = [_pmat_id(n, one), x]
+    for _ in range(2, n):
+        powers.append(_pmat_mul(powers[-1], x, m))
+    coeffs = [pow(factorial(k), -1, m) for k in range(len(powers))]
+    return _pmat_combine(coeffs, powers, m)
+
+
+def _symbols(nvars: int):
+    """The polynomials x_1..x_nvars and the constant monomial."""
+    one = (0,) * nvars
+    return [{one[:v] + (1,) + one[v + 1:]: 1} for v in range(nvars)], one
+
+
+def _compiled(polys) -> tuple:
+    """Polynomials as evaluation tables: per polynomial, (coefficient,
+    variable indices with repetition) for each term."""
+    return tuple(
+        tuple((c, tuple(v for v, e in enumerate(k) for _ in range(e)))
+              for k, c in sorted(f.items()))
+        for f in polys)
+
+
+def _evaluate(law, values, m: int) -> list[int]:
+    out = []
+    for terms in law:
+        acc = 0
+        for c, variables in terms:
+            for v in variables:
+                c *= values[v]
+            acc += c
+        out.append(acc % m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +417,10 @@ class AbelianModel(GroupModel):
 
 
 class UnitriangularModel(GroupModel):
-    """Group generated by unitriangular matrices 1 + N, N = 0 mod p."""
+    """Group generated by unitriangular matrices 1 + N, N = 0 mod p.
+
+    The group law, first-kind coordinates and their inverse are compiled
+    to polynomials at load (see the module docstring)."""
 
     kind = "unitriangular"
 
@@ -354,14 +439,27 @@ class UnitriangularModel(GroupModel):
         self.precision = precision
         self.omega = omega
         self.centre = None
-        self._mod = p ** (precision + 1)
+        self._pm = p ** precision
+        self._mod = p * self._pm
         self._gens = tuple(self._check_matrix(g) for g in generators)
-        self._logs = tuple(_mat_log_unitriangular(g, self._mod, p) for g in self._gens)
+        # the generator logs are the constant case of the polynomial log
+        self._logs = tuple(
+            tuple(tuple(entry.get((), 0) for entry in row) for row in _pmat_log(
+                tuple(tuple({(): x} if x else {} for x in row) for row in g),
+                self._mod))
+            for g in self._gens)
         self._positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
         self._setup_solver()
-        self._native_cache: dict = {}
-        self._theta_cache: dict = {}
-        self._mul_cache: dict = {}
+        d = self.rank
+        xy, one2 = _symbols(2 * d)
+        self._mul_law = self._peel(_pmat_mul(self._normal_form(xy[:d], one2),
+                                             self._normal_form(xy[d:], one2),
+                                             self._mod), one2)
+        x, one = _symbols(d)
+        self._first_kind_law = _compiled(self._first_kind_of_log(
+            _pmat_log(self._normal_form(x, one), self._mod)))
+        self._from_first_kind_law = self._peel(
+            _pmat_exp(self._log_matrix(x), self._mod, one), one)
         self._validate_common()
         if centre_exponents is not None:
             self.centre = subgroup_from_exponents(self, centre_exponents)
@@ -385,7 +483,7 @@ class UnitriangularModel(GroupModel):
     def _setup_solver(self) -> None:
         """Express logs in first-kind coordinates: pick d pivot positions whose
         d x d submatrix of (log g_k)/p is invertible mod p."""
-        pm = self.p ** self.precision
+        pm = self._pm
         v = [[(self._logs[k][i][j] // self.p) % pm for k in range(self.rank)]
              for (i, j) in self._positions]
         self._vmatrix = v
@@ -397,87 +495,84 @@ class UnitriangularModel(GroupModel):
         sub = [[v[r][k] for k in range(self.rank)] for r in pivots]
         self._solver = _mat_inv_mod(sub, pm, self.p)
 
-    def _first_kind_of_log(self, logmat) -> list[int]:
-        pm = self.p ** self.precision
+    # -- compilation: the matrix route over polynomial entries --------------
+
+    def _log_matrix(self, polys):
+        """sum_k f_k log g_k for polynomials f_k."""
+        n = self.size
+        return tuple(
+            tuple(_poly_combine([log[i][j] for log in self._logs], polys, self._mod)
+                  for j in range(n)) for i in range(n))
+
+    def _normal_form(self, symbols, one):
+        """g_1^{s_1} ... g_d^{s_d} for polynomials s_k."""
+        out = _pmat_id(self.size, one)
+        for k, s in enumerate(symbols):
+            out = _pmat_mul(out, _pmat_exp(self._log_matrix(
+                [s if j == k else {} for j in range(self.rank)]), self._mod, one),
+                self._mod)
+        return out
+
+    def _first_kind_of_log(self, logmat) -> list[dict]:
+        """First-kind coordinates mod p^M of a log matrix kept mod p^{M+1}."""
         target = []
         for (i, j) in self._positions:
             entry = logmat[i][j]
-            if entry % self.p:
+            if any(c % self.p for c in entry.values()):
                 raise ModelError("log entry not divisible by p; element outside the group")
-            target.append((entry // self.p) % pm)
-        mu = [sum(self._solver[k][t] * target[r] for t, r in enumerate(self._pivot_rows)) % pm
-              for k in range(self.rank)]
+            target.append({k: c // self.p for k, c in entry.items()})
+        sources = [target[r] for r in self._pivot_rows]
+        mu = [_poly_combine(row, sources, self._pm) for row in self._solver]
         for r, row in enumerate(self._vmatrix):
-            if sum(row[k] * mu[k] for k in range(self.rank)) % pm != target[r]:
+            if _poly_combine(row, mu, self._pm) != target[r]:
                 raise ModelError("matrix is not in the span of the basis logs")
         return mu
 
-    def native(self, a: GroupElement):
-        """The matrix g_1^{l_1} ... g_d^{l_d} mod p^{M+1}."""
-        key = tuple(c.digits for c in a.coords)
-        hit = self._native_cache.get(key)
-        if hit is not None:
-            return hit
-        out = _mat_id(self.size)
-        for lam, ell in zip(a.coords, self._logs):
-            out = _mat_mul(out, _mat_exp_nilpotent(
-                _mat_scale(ell, lam.value(), self._mod), self._mod), self._mod)
-        self._native_cache[key] = out
-        return out
-
-    def theta_coords(self, mat) -> GroupElement:
-        """Coordinates of the second kind, by peeling one basis power at a time."""
-        mat = tuple(tuple(int(x) % self._mod for x in r) for r in mat)
-        hit = self._theta_cache.get(mat)
-        if hit is not None:
-            return GroupElement(self, hit)
-        current = mat
+    def _peel(self, mat, one) -> tuple:
+        """Second-kind coordinates of mat, peeling one basis power at a time."""
         coords = []
         for i in range(self.rank):
-            mu = self._first_kind_of_log(_mat_log_unitriangular(current, self._mod, self.p))
-            lam = padic_make(mu[i], self.p, self.precision)
+            lam = self._first_kind_of_log(_pmat_log(mat, self._mod))[i]
             coords.append(lam)
-            undo = _mat_exp_nilpotent(
-                _mat_scale(self._logs[i], -lam.value() % self._mod, self._mod), self._mod)
-            current = _mat_mul(undo, current, self._mod)
-        if current != _mat_id(self.size):
+            undo = _pmat_exp(self._log_matrix(
+                [_poly_combine([-1], [lam], self._mod) if k == i else {}
+                 for k in range(self.rank)]), self._mod, one)
+            mat = _pmat_mul(undo, mat, self._mod)
+        if mat != _pmat_id(self.size, one):
             raise ModelError("basis powers do not exhaust the matrix; "
                              "ordering is not compatible with the descending series")
-        out = tuple(coords)
-        self._theta_cache[mat] = out
-        return GroupElement(self, out)
+        return _compiled(coords)
+
+    # -- arithmetic: evaluation of the compiled polynomials -----------------
+
+    def _values(self, a: GroupElement) -> list[int]:
+        return [c.value() for c in a.coords]
+
+    def _element(self, values) -> GroupElement:
+        return GroupElement(self, tuple(padic_make(v, self.p, self.precision)
+                                        for v in values))
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        key = (tuple(c.digits for c in a.coords), tuple(c.digits for c in b.coords))
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            hit = self.theta_coords(
-                _mat_mul(self.native(a), self.native(b), self._mod)).coords
-            self._mul_cache[key] = hit
-        return GroupElement(self, hit)
+        return self._element(_evaluate(
+            self._mul_law, self._values(a) + self._values(b), self._pm))
 
     def inv(self, a: GroupElement) -> GroupElement:
-        logm = _mat_log_unitriangular(self.native(a), self._mod, self.p)
-        return self.theta_coords(
-            _mat_exp_nilpotent(_mat_scale(logm, self._mod - 1, self._mod), self._mod))
+        return self.pow(a, -1)
 
     def pow(self, a: GroupElement, lam) -> GroupElement:
-        s = self._lam(lam) % (self.p ** self.precision)
-        logm = _mat_log_unitriangular(self.native(a), self._mod, self.p)
-        return self.theta_coords(
-            _mat_exp_nilpotent(_mat_scale(logm, s, self._mod), self._mod))
+        """a^s = exp(s log a): scale the first-kind coordinates by s."""
+        s = self._lam(lam)
+        mu = _evaluate(self._first_kind_law, self._values(a), self._pm)
+        return self._element(_evaluate(
+            self._from_first_kind_law, [s * x % self._pm for x in mu], self._pm))
 
     def first_kind_coords(self, a: GroupElement) -> tuple[PadicInt, ...]:
-        mu = self._first_kind_of_log(
-            _mat_log_unitriangular(self.native(a), self._mod, self.p))
-        return tuple(padic_make(x, self.p, self.precision) for x in mu)
+        return self._element(_evaluate(
+            self._first_kind_law, self._values(a), self._pm)).coords
 
     def from_first_kind(self, mu: Sequence[PadicInt]) -> GroupElement:
-        acc = None
-        for lam, ell in zip(mu, self._logs):
-            term = _mat_scale(ell, self._lam(lam), self._mod)
-            acc = term if acc is None else _mat_add(acc, term, self._mod)
-        return self.theta_coords(_mat_exp_nilpotent(acc, self._mod))
+        return self._element(_evaluate(
+            self._from_first_kind_law, [self._lam(x) for x in mu], self._pm))
 
     def with_precision(self, precision: int) -> "UnitriangularModel":
         centre = self.centre.exponents if self.centre else None

@@ -11,6 +11,17 @@ def heisenberg_generators(p):
     return [elementary(0, 1, p), elementary(1, 2, p), elementary(0, 2, p)]
 
 
+def u4_generators(p):
+    """1 + p E_ij for (i, j) = 01, 12, 23, 02, 13, 03: the 4 x 4
+    unitriangular group, ordered along its lower central series."""
+    def elementary(i, j):
+        rows = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
+        rows[i][j] = p
+        return rows
+    return [elementary(i, j) for i, j in
+            [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]]
+
+
 @pytest.fixture(scope="session")
 def abelian2():
     return load_abelian(3, 2, 4, ["1", "1"], centre_exponents=[0, 4])
@@ -36,6 +47,13 @@ def trunc_heis(heis):
 def trunc_heis_wide(heis):
     # wide enough for the commutator correction 4*b3^5 (weight 10) to show
     return TruncationSpec(heis, 11)
+
+
+@pytest.fixture(scope="session")
+def u4():
+    # rank 6, nilpotency class 3
+    return load_unitriangular(5, 4, 6, u4_generators(5),
+                              ["1", "1", "1", "3/2", "3/2", "2"], e=2)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,10 @@ multiplies series through the group, every pair of group elements of the
 two expansions.  `dense` scatters a `SparseMap` into its matrix.
 `divided_power_reference` applies the closed formula for del^(alpha) term
 by term, `rref_reference` row-reduces by scanning columns for pivots, and
-`mat_pow` raises a matrix to a power by square and multiply."""
+`mat_pow` raises a matrix to a power by square and multiply.  `MatrixRoute`
+computes a unitriangular group law with numeric matrix logs and exps,
+element by element, where the model evaluates polynomials compiled at
+load."""
 
 from __future__ import annotations
 
@@ -17,8 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from iwacalc.groups import Automorphism
-from iwacalc.linalg import inv_mod
+from iwacalc.groups import (
+    Automorphism, UnitriangularModel, _mat_id, _mat_inv_mod, _mat_mul,
+)
+from iwacalc.linalg import inv_mod, rref
 from iwacalc.operators import _operator_index, divided_power_map
 from iwacalc.padic import MultiIndex, comb_mod, mi_range
 from iwacalc.series import (
@@ -233,3 +238,116 @@ def sparse_of(op: OperatorMatrix) -> SparseMap:
     tgt, src = np.nonzero(op.mat % op.trunc.model.p)
     return SparseMap(op.trunc.model.p, op.trunc.size, tgt, src,
                      op.mat[tgt, src] % op.trunc.model.p)
+
+
+def _mat_add(a, b, m: int):
+    n = len(a)
+    return tuple(tuple((a[i][j] + b[i][j]) % m for j in range(n)) for i in range(n))
+
+
+def _mat_scale(a, c: int, m: int):
+    n = len(a)
+    return tuple(tuple(a[i][j] * c % m for j in range(n)) for i in range(n))
+
+
+def _mat_log_unitriangular(a, m: int):
+    """log(1 + N) = N - N^2/2 + ...; finite because N is nilpotent."""
+    n = len(a)
+    nil = tuple(tuple((a[i][j] - (1 if i == j else 0)) % m for j in range(n))
+                for i in range(n))
+    out = nil
+    power = nil
+    for k in range(2, n):
+        power = _mat_mul(power, nil, m)
+        coeff = pow(k, -1, m) * (1 if k % 2 else m - 1) % m
+        out = _mat_add(out, _mat_scale(power, coeff, m), m)
+    return out
+
+
+def _mat_exp_nilpotent(x, m: int):
+    n = len(x)
+    out = _mat_id(n)
+    term = _mat_id(n)
+    fact = 1
+    for k in range(1, n):
+        term = _mat_mul(term, x, m)
+        fact *= k
+        out = _mat_add(out, _mat_scale(term, pow(fact, -1, m), m), m)
+    return out
+
+
+class MatrixRoute:
+    """A unitriangular model's group law by matrix log and exp mod p^{M+1}.
+
+    An element is the matrix g_1^{l_1} ... g_d^{l_d} (`native`); its
+    coordinates are read back by peeling one basis power at a time, each
+    from the first-kind coordinates of a matrix log (`theta_coords`).  The
+    route builds its own generator logs and first-kind solver from the
+    model's generator matrices.  Coordinates go in and come out as ints."""
+
+    def __init__(self, model: UnitriangularModel):
+        p, n, d = model.p, model.size, model.rank
+        self.p, self.size, self.rank = p, n, d
+        self.pm = p ** model.precision
+        self.mod = p * self.pm
+        self.logs = [_mat_log_unitriangular(g, self.mod) for g in model._gens]
+        self.positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.vmatrix = [[self.logs[k][i][j] // p % self.pm for k in range(d)]
+                        for (i, j) in self.positions]
+        _, self.pivots = rref(np.array(self.vmatrix, dtype=np.int64).T % p, p)
+        self.solver = _mat_inv_mod(
+            [self.vmatrix[r] for r in self.pivots], self.pm, p)
+
+    def first_kind_of_log(self, logmat) -> list[int]:
+        target = []
+        for (i, j) in self.positions:
+            if logmat[i][j] % self.p:
+                raise ValueError("log entry not divisible by p")
+            target.append(logmat[i][j] // self.p % self.pm)
+        mu = [sum(self.solver[k][t] * target[r] for t, r in enumerate(self.pivots))
+              % self.pm for k in range(self.rank)]
+        for r, row in enumerate(self.vmatrix):
+            if sum(row[k] * mu[k] for k in range(self.rank)) % self.pm != target[r]:
+                raise ValueError("matrix is not in the span of the basis logs")
+        return mu
+
+    def native(self, coords):
+        out = _mat_id(self.size)
+        for lam, ell in zip(coords, self.logs):
+            out = _mat_mul(out, _mat_exp_nilpotent(
+                _mat_scale(ell, lam, self.mod), self.mod), self.mod)
+        return out
+
+    def theta_coords(self, mat) -> tuple[int, ...]:
+        coords = []
+        for i in range(self.rank):
+            lam = self.first_kind_of_log(_mat_log_unitriangular(mat, self.mod))[i]
+            coords.append(lam)
+            undo = _mat_exp_nilpotent(
+                _mat_scale(self.logs[i], -lam % self.mod, self.mod), self.mod)
+            mat = _mat_mul(undo, mat, self.mod)
+        if mat != _mat_id(self.size):
+            raise ValueError("basis powers do not exhaust the matrix")
+        return tuple(coords)
+
+    def mul(self, x, y) -> tuple[int, ...]:
+        return self.theta_coords(
+            _mat_mul(self.native(x), self.native(y), self.mod))
+
+    def pow(self, x, s: int) -> tuple[int, ...]:
+        logm = _mat_log_unitriangular(self.native(x), self.mod)
+        return self.theta_coords(_mat_exp_nilpotent(
+            _mat_scale(logm, s % self.pm, self.mod), self.mod))
+
+    def inv(self, x) -> tuple[int, ...]:
+        return self.pow(x, -1)
+
+    def first_kind_coords(self, x) -> tuple[int, ...]:
+        return tuple(self.first_kind_of_log(
+            _mat_log_unitriangular(self.native(x), self.mod)))
+
+    def from_first_kind(self, mu) -> tuple[int, ...]:
+        acc = _mat_scale(self.logs[0], 0, self.mod)
+        for lam, ell in zip(mu, self.logs):
+            acc = _mat_add(acc, _mat_scale(ell, lam, self.mod), self.mod)
+        return self.theta_coords(_mat_exp_nilpotent(acc, self.mod))

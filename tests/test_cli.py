@@ -332,6 +332,15 @@ def test_main_exit_two_on_config_errors(tmp_path, capsys):
     assert main(["run", good, "--task", "nope"]) == 2
     assert "unknown task 'nope'" in capsys.readouterr().err
 
+    for field, value, message in [
+            ("omega", [True, "1"], "omega[0]: expected an integer, got True"),
+            ("centre", [2.5, 4], "model.centre[0]: expected an integer, got 2.5"),
+            ("centre", "x", "model.centre: expected a list, got str")]:
+        doc = abelian_doc([{"name": "moore-det"}])
+        (doc["model"] if field == "centre" else doc)[field] = value
+        assert main(["run", write_doc(tmp_path, "typed.json", doc)]) == 2
+        assert message in capsys.readouterr().err
+
 
 def test_main_exit_two_when_coordinates_exceed_int64(tmp_path, capsys):
     doc = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
@@ -483,10 +492,21 @@ RANK3 = {"p": 3, "model": {"kind": "abelian", "rank": 3, "centre": [0, 0, 4]},
          "omega": ["1", "1", "1"], "truncation": {"W": 5, "M": 4}, "seed": 3}
 RANK1 = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
          "truncation": {"W": 30, "M": 6}, "seed": 3}
+HEIS = {"p": 5, "model": {"kind": "unitriangular", "size": 3,
+                          "generators": [[[1, 5, 0], [0, 1, 0], [0, 0, 1]],
+                                         [[1, 0, 0], [0, 1, 5], [0, 0, 1]],
+                                         [[1, 0, 5], [0, 1, 0], [0, 0, 1]]],
+                          "centre": [3, 3, 0]},
+        "omega": ["1", "1", "2"], "truncation": {"W": 4, "M": 3}, "seed": 3}
 PRIME = {"kind": "graph", "central_block": 2, "target": 1, "u": "b2^2"}
 SWEEP = [
     (RANK3, {"name": "verify-operators", "samples": 2}, ["samples"]),
-    (RANK3, {"name": "verify-valuation", "samples": 5}, ["samples"]),
+    (RANK3, {"name": "verify-valuation", "samples": 5},
+     ["samples", "model.kind", "model.rank", "model.centre",
+      "model.centre[0]", "omega", "omega[0]"]),
+    (HEIS, {"name": "verify-valuation", "samples": 2},
+     ["model.size", "model.generators", "model.generators[0]",
+      "model.generators[0][0]", "model.generators[0][0][0]", "omega[2]"]),
     (RANK3, {"name": "mahler-reconstruct", "degree_budget": 2,
              "automorphism": {"kind": "linear",
                               "matrix": [[10, 0, 0], [0, 1, 0], [0, 0, 1]]}},
@@ -510,7 +530,7 @@ SWEEP = [
     (RANK3, {"name": "induced-filtration", "prime": dict(PRIME),
              "elements": ["b1", "b3"], "expect": ["2", "1"]},
      ["prime", "prime.kind", "prime.central_block", "prime.target", "prime.u",
-      "elements", "elements[0]", "expect"]),
+      "elements", "elements[0]", "expect", "expect[0]"]),
     (RANK3, {"name": "completely-prime-probe", "prime": dict(PRIME),
              "samples": 5},
      ["prime", "prime.kind", "prime.central_block", "samples"]),
@@ -530,13 +550,20 @@ SWEEP = [
 ]
 WRONG = {"bool": True, "float": 2.5, "str": "x", "list": [], "null": None}
 # values that are right for a field: a string where a series text or a
-# fraction is read, a list where a list is read and may be empty, and null
-# where null means the field is absent
+# filtration value is read, a list where a list is read and may be empty
+# (a model list of the wrong length is a model error, also exit 2), and
+# null where null means the field is absent
 ALLOWED = {
     "ideal.generators": {"list"}, "elements": {"list"}, "cases": {"list"},
     "expect_cosets": {"list", "null"}, "expect_cosets[0]": {"list"},
     "r_range": {"list"}, "monomials": {"null"}, "expect": {"null"},
+    "expect[0]": {"str"}, "model.centre": {"list", "null"},
+    "model.generators[0]": {"list"},
+    "model.generators[0][0]": {"list"}, "omega": {"list"},
 }
+# fields whose wrong values the task would reject on its own, or take for a
+# mismatch; the config check must name them instead
+NAMED = {"ideal.sided", "expect[0]"}
 
 
 def _sweep_cases():
@@ -550,9 +577,11 @@ def _sweep_cases():
 
 
 def _set(doc, field, value):
+    """Set a field of the task, or of the config itself for the model,
+    omega and "budgets.<key>"."""
     keys = [int(k) if k.isdigit() else k
             for k in field.replace("[", ".").replace("]", "").split(".")]
-    target = doc if keys[0] == "budgets" else doc["tasks"][0]
+    target = doc if keys[0] in ("budgets", "model", "omega") else doc["tasks"][0]
     if keys[0] == "budgets":
         target = target.setdefault("budgets", {})
         keys = keys[1:]
@@ -562,7 +591,9 @@ def _set(doc, field, value):
 
 
 @pytest.mark.parametrize("base,task", [(b, t) for b, t, _ in SWEEP],
-                         ids=[t["name"] for _, t, _ in SWEEP])
+                         ids=[t["name"] if b["model"]["kind"] == "abelian"
+                              else f"{t['name']}-{b['model']['kind']}"
+                              for b, t, _ in SWEEP])
 def test_sweep_bases_pass(base, task):
     doc = json.loads(json.dumps(dict(base, tasks=[task])))
     [rec] = run_config(parse_config(doc))
@@ -575,9 +606,12 @@ def test_malformed_field_is_rejected(base, task, field, kind):
     _set(doc, field, WRONG[kind])
     try:
         records = run_config(parse_config(doc))
-    except ConfigError:
+    except ConfigError as exc:
+        assert field in str(exc)
         return
     [rec] = records
     assert rec["status"] == "fail", rec
     [w] = rec["witnesses"]
     assert w["kind"] == "error", rec
+    if field in NAMED:
+        assert w["error"] == "ConfigError" and w["message"].startswith(field), rec

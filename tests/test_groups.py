@@ -14,8 +14,8 @@ from iwacalc import (
 )
 from iwacalc.rng import Pcg32
 
-from conftest import heisenberg_generators
-from oracles import mat_pow
+from conftest import heisenberg_generators, u4_generators
+from oracles import MatrixRoute, mat_pow
 
 
 def test_abelian_arithmetic(abelian2):
@@ -49,12 +49,7 @@ def test_omega_validation_names_precision_when_undecided():
     # in U_4 the generators p*E_02 and p*E_03 commute, so their commutator
     # is the identity, whose valuation min(omega) + M = 5 at M = 4 is only a
     # lower bound equal to omega(g_4) + omega(g_6)
-    def elementary(i, j):
-        rows = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
-        rows[i][j] = 5
-        return rows
-    gens = [elementary(i, j) for i, j in
-            [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]]
+    gens = u4_generators(5)
     omega = ["1", "1", "1", "2", "2", "3"]
     with pytest.raises(ModelError) as err:
         load_unitriangular(5, 4, 4, gens, omega)
@@ -77,21 +72,21 @@ def test_coordinate_range_validation():
 
 
 def test_heisenberg_native_matrices(heis):
+    route = MatrixRoute(heis)
     g1, g2, g3 = heis.basis()
-    assert heis.native(g1) == ((1, 5, 0), (0, 1, 0), (0, 0, 1))
-    assert heis.native(g3) == ((1, 0, 5), (0, 1, 0), (0, 0, 1))
+    assert route.native(g1.coord_values()) == ((1, 5, 0), (0, 1, 0), (0, 0, 1))
+    assert route.native(g3.coord_values()) == ((1, 0, 5), (0, 1, 0), (0, 0, 1))
     sq = heis.pow(g1, 2)
-    assert heis.native(sq) == ((1, 10, 0), (0, 1, 0), (0, 0, 1))
+    assert route.native(sq.coord_values()) == ((1, 10, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_heisenberg_theta_round_trip(heis):
+    route = MatrixRoute(heis)
     rng = Pcg32(21)
     box = 5 ** 3
     for _ in range(10):
-        coords = [rng.below(box) for _ in range(3)]
-        el = heis.element(coords)
-        assert heis.theta_coords(heis.native(el)).coord_values() == \
-            el.coord_values()
+        coords = tuple(rng.below(box) for _ in range(3))
+        assert route.theta_coords(route.native(coords)) == coords
 
 
 def test_heisenberg_commutator(heis):
@@ -101,6 +96,7 @@ def test_heisenberg_commutator(heis):
 
 
 def test_heisenberg_mul_against_matrices(heis):
+    route = MatrixRoute(heis)
     rng = Pcg32(22)
     box = 5 ** 3
     mod = 5 ** 4
@@ -108,11 +104,63 @@ def test_heisenberg_mul_against_matrices(heis):
         x = heis.element([rng.below(box) for _ in range(3)])
         y = heis.element([rng.below(box) for _ in range(3)])
         prod = heis.mul(x, y)
+        nx, ny = route.native(x.coord_values()), route.native(y.coord_values())
         want = tuple(
-            tuple(sum(heis.native(x)[i][k] * heis.native(y)[k][j]
-                      for k in range(3)) % mod for j in range(3))
+            tuple(sum(nx[i][k] * ny[k][j] for k in range(3)) % mod
+                  for j in range(3))
             for i in range(3))
-        assert heis.native(prod) == want
+        assert route.native(prod.coord_values()) == want
+
+
+@pytest.fixture(scope="module", params=["heis", "u4"])
+def law(request):
+    model = request.getfixturevalue(request.param)
+    return model, MatrixRoute(model)
+
+
+def _coords(model):
+    box = st.integers(0, model.p ** model.precision - 1)
+    return st.lists(box, min_size=model.rank, max_size=model.rank).map(tuple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_compiled_law_matches_matrix_route(law, data):
+    model, route = law
+    pm = model.p ** model.precision
+    x, y = data.draw(_coords(model)), data.draw(_coords(model))
+    s = data.draw(st.integers(-2 * pm, 2 * pm))
+    ex, ey = model.element(x), model.element(y)
+    assert model.mul(ex, ey).coord_values() == route.mul(x, y)
+    assert model.inv(ex).coord_values() == route.inv(x)
+    assert model.pow(ex, s).coord_values() == route.pow(x, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_compiled_first_kind_matches_matrix_route(law, data):
+    model, route = law
+    x, mu = data.draw(_coords(model)), data.draw(_coords(model))
+    first = model.first_kind_coords(model.element(x))
+    assert tuple(c.value() for c in first) == route.first_kind_coords(x)
+    assert model.from_first_kind(first).coord_values() == x
+    assert model.from_first_kind(model.element(mu).coords).coord_values() == \
+        route.from_first_kind(mu)
+
+
+def test_compiled_law_checks_run_at_load():
+    def elementary(i, j):
+        rows = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
+        rows[i][j] = 5
+        return rows
+    # the central g3 first: g3^c g1^a g2^b is not reached by peeling g3 off
+    # the log of a product, since log(g1^a g2^b) has a g3 part
+    with pytest.raises(ModelError, match="do not exhaust the matrix"):
+        load_unitriangular(5, 3, 3, [elementary(0, 2), elementary(0, 1),
+                                     elementary(1, 2)], ["2", "1", "1"])
+    # without g3, the commutator of g1 and g2 leaves the span of the logs
+    with pytest.raises(ModelError, match="not in the span of the basis logs"):
+        load_unitriangular(5, 3, 3, heisenberg_generators(5)[:2], ["1", "1"])
 
 
 def test_p_valuation_axioms(heis):
