@@ -131,10 +131,32 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
 
 
 def _escapes(I: IdealSpan, i: int) -> np.ndarray:
-    """Residuals of del_i(row) against the span, one per row of I."""
+    """Residuals of del_i(row) against the span, one per row of I.
+
+    Against the rref span (R, P) the residual of X = del_i(R) is zero at the
+    pivots P; at the free columns F it is X[:, F] - X[:, P] @ R[:, F].  A row
+    of R that is a unit vector adds nothing there, so the residual needs X
+    only at the columns F and the pivots of the other rows.  Those columns
+    are formed by the restriction of the cached map and reduced against the
+    other rows alone; a monomial span needs F only.  The residuals come back
+    full width, zero off F.
+    """
     t = I.trunc
+    rows, pivots = I.rows, np.asarray(I.pivots, dtype=np.intp)
+    free = np.ones(t.size, dtype=bool)
+    free[pivots] = False
+    mixed = np.flatnonzero(rows[:, free].any(axis=1))
+    need = free.copy()
+    need[pivots[mixed]] = True
+    need = np.flatnonzero(need)
     d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
-    return reduce_block(I.rows, I.pivots, d_i.apply(I.rows), t.model.p)
+    image = d_i.restrict(need).apply(rows)
+    res = reduce_block(rows[mixed][:, need], np.searchsorted(need, pivots[mixed]),
+                       image, t.model.p)
+    # built transposed, so that each column of `need` is written in one piece
+    out = np.zeros(rows.shape[::-1], dtype=np.int64)
+    out[need] = res.T
+    return out.T
 
 
 def is_controlled_by(I: IdealSpan, H: SubgroupSpec) -> bool:

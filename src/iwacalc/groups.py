@@ -65,7 +65,9 @@ class ModelError(ValueError):
     """Model data fails validation at load time."""
 
 
-def _check_coordinate_range(p: int, precision: int) -> None:
+def _check_shape(p: int, precision: int, rank: int) -> None:
+    if rank < 1:
+        raise ModelError("the basis is empty: a model needs rank >= 1")
     # p >= 2, so precision > 63 is past the limit without computing p^M
     if precision > 63 or p ** precision > INT64_LIMIT:
         raise ModelError(f"p^M = {p}^{precision} exceeds the coordinate limit 2^63")
@@ -384,7 +386,7 @@ class AbelianModel(GroupModel):
 
     def __init__(self, p: int, rank: int, precision: int, omega: PValuation,
                  centre_exponents: Optional[Sequence[int]] = None):
-        _check_coordinate_range(p, precision)
+        _check_shape(p, precision, rank)
         self.p = p
         self.rank = rank
         self.precision = precision
@@ -428,7 +430,7 @@ class UnitriangularModel(GroupModel):
                  generators: Sequence[Sequence[Sequence[int]]],
                  omega: PValuation,
                  centre_exponents: Optional[Sequence[int]] = None):
-        _check_coordinate_range(p, precision)
+        _check_shape(p, precision, len(generators))
         if p % 2 == 0:
             raise ModelError("unitriangular models need an odd prime")
         if p <= size:

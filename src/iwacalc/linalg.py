@@ -6,9 +6,12 @@ basis, which is unique, so span comparisons are plain array comparisons.
 
 Every elimination goes through one residual kernel, `reduce_block`: against
 a fully reduced basis the residual of v is v - sum_k v[c_k] R_k, computed
-for a block of vectors at once.  `reduce_against` is its one-row case,
-`RowSpace` keeps a growing span fully reduced with it, and `rref` is a
-`RowSpace` fed the rows of a matrix.
+for a block of vectors at once.  A block is reduced only on the columns
+where the basis rows it uses are nonzero off their pivots; one row, the
+case `reduce_against` and every `RowSpace.add` take, is reduced on all
+columns, which is cheaper than finding those.  `RowSpace` keeps a growing
+span fully reduced with it, and `rref` is a `RowSpace` fed the rows of a
+matrix.
 """
 
 from __future__ import annotations
@@ -37,16 +40,26 @@ def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
     reduced rref basis (rows[k] is 1 at pivots[k] and 0 at every other pivot).
 
     The residual of v is v - sum_k v[pivots[k]] * rows[k].  It is zero at the
-    pivots, so the product is formed only for the basis rows some v needs and
-    on the columns where one of them is nonzero off its pivot; a monomial
-    basis has no such columns.  The basis rows are taken in chunks small
-    enough that no int64 sum of products of residues reaches 2^63, so the
-    result is exact whenever (p - 1)^2 + p < 2^63.
+    pivots, so the product is formed only for the basis rows some v needs.
+    For a block of rows it is also formed only on the columns where one of
+    those rows is nonzero off its pivot; a monomial basis has no such
+    columns.  For one row that search would cost as much as the product it
+    saves, so the product covers every column.  The basis rows are taken in
+    chunks small enough that no int64 sum of products of residues reaches
+    2^63, so the result is exact whenever (p - 1)^2 + p < 2^63.
     """
-    out = np.array(block, dtype=np.int64) % p
+    out = np.asarray(block, dtype=np.int64) % p
     if not len(pivots):
         return out
     pivots = np.asarray(pivots, dtype=np.intp)
+    step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
+    if out.shape[0] == 1:
+        coeffs = out[0, pivots]
+        used = coeffs.nonzero()[0]
+        for lo in range(0, used.size, step):
+            part = used[lo:lo + step]
+            out = (out - coeffs[part] @ rows[part]) % p
+        return out
     coeffs = out[:, pivots]
     used = np.flatnonzero(coeffs.any(axis=0))
     if not used.size:
@@ -56,7 +69,6 @@ def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
     off = basis.any(axis=0)
     off[pivots] = False
     cols = np.flatnonzero(off)
-    step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
     for lo in range(0, used.size if cols.size else 0, step):
         part = coeffs[:, lo:lo + step] @ basis[lo:lo + step][:, cols]
         out[:, cols] = (out[:, cols] - part) % p
@@ -92,11 +104,12 @@ class RowSpace:
     def add(self, vec) -> bool:
         """Insert vec into the span; True iff the dimension grew."""
         v = self.residual(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+        nz = v.nonzero()[0]
+        if not nz.size:
             return False
         c = int(nz[0])
-        v = v * inv_mod(int(v[c]), self.p) % self.p
+        if v[c] != 1:
+            v = v * inv_mod(int(v[c]), self.p) % self.p
         k = self.dim
         stored = self._rows[:k]
         hit = np.flatnonzero(stored[:, c])

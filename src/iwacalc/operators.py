@@ -128,13 +128,12 @@ def operator_degree(trunc: TruncationSpec, op: SparseMap) -> DegreeReport:
     none = np.iinfo(np.int64).max
     least = np.full(trunc.size, none)
     if op.src.size:
-        tgt = np.repeat(op.targets, np.diff(np.append(op.starts, op.src.size)))
         # entries are sorted by (target, source) and a pair may repeat, so
         # each pair's coefficients are summed before the test for zero
-        pair = tgt * op.size + op.src
+        pair = op.tgt * op.size + op.src
         first = np.flatnonzero(np.diff(pair, prepend=-1))
         live = first[np.add.reduceat(op.coef, first) % op.p != 0]
-        np.minimum.at(least, op.src[live], w[tgt[live]])
+        np.minimum.at(least, op.src[live], w[op.tgt[live]])
     hit = least != none
     resolved = tail = None
     if hit.any():

@@ -31,16 +31,14 @@ rest of the package.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
-from .padic import (
-    AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, comb_mod, mi_range,
-    mi_weight,
-)
+from .padic import AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, mi_weight
 
 
 class TruncationSpec:
@@ -90,6 +88,7 @@ class TruncationSpec:
         self._sorted_codes = codes[self._code_order]
         self._op_cache: dict = {}
         self._expand_cache: dict = {}
+        self._signed_binomials: Optional[list] = None
         self._embed_rows: dict = {}
         self._gel_cache: dict = {}
         self._gen_maps: dict = {}
@@ -128,21 +127,21 @@ class TruncationSpec:
     # -- expansion caches ---------------------------------------------------
 
     def _expand(self, a: MultiIndex):
-        """b^a as a combination of group elements g^c, c <= a componentwise."""
+        """b^a as a combination of group elements g^c, c <= a componentwise:
+        the coefficient of g^c is prod_i (-1)^{a_i - c_i} C(a_i, c_i) mod p."""
         hit = self._expand_cache.get(a)
         if hit is not None:
             return hit
+        if self._signed_binomials is None:
+            self._signed_binomials = _signed_binomials(
+                max(self.max_exponents, default=0), self.model.p)
         p = self.model.p
-        n = sum(a)
         out = []
-        for c in mi_range(a):
+        for terms in itertools.product(*(self._signed_binomials[x] for x in a)):
             coeff = 1
-            for ai, ci in zip(a, c):
-                coeff = coeff * comb_mod(ai, ci, p) % p
-            if coeff and (n - sum(c)) % 2:
-                coeff = (p - coeff) % p
-            if coeff:
-                out.append((c, coeff))
+            for _, s in terms:
+                coeff = coeff * s % p
+            out.append((tuple(c for c, _ in terms), coeff))
         out = tuple(out)
         self._expand_cache[a] = out
         return out
@@ -231,33 +230,88 @@ class TruncationSpec:
 
 
 class SparseMap:
-    """A sparse F_p-linear map on the monomial basis, as int64 arrays.
+    """A sparse F_p-linear map into `size` coordinates, as int64 arrays.
 
-    Entry n adds coef[n] times source coordinate src[n] to one target
-    coordinate.  Entries are sorted by target: targets[k] collects the
-    entries from starts[k] up to the next start.  An apply is one gather,
-    one product and one reduceat, and each target sums at most `size`
-    products of residues."""
+    Entry n adds coef[n] times source coordinate src[n] to target coordinate
+    tgt[n]; the entries are sorted by (target, source).  An apply splits them
+    into layers, layer l holding the l-th entry of each target, so that no
+    target occurs twice in a layer.  It is then one gather, product and
+    scatter-add per layer and one reduction mod p; a 2-D block is applied
+    on its transpose, whose rows are the coordinates.  del_i has at most 2
+    entries per target and the generator maps few, so an apply takes a few
+    layers.  The layers are built on the first apply, since most cached
+    divided powers are never applied.  The partial sums are reduced often
+    enough that no int64 sum of products of residues reaches 2^63.
 
-    __slots__ = ("p", "size", "src", "coef", "targets", "starts")
+    `restrict` keeps the entries of some targets only: the image at those
+    coordinates, formed without the others."""
+
+    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers")
 
     def __init__(self, p: int, size: int, tgt, src, coef):
         self.p = p
         self.size = size
         tgt, src, coef = (np.asarray(a, dtype=np.int64) for a in (tgt, src, coef))
         order = np.lexsort((src, tgt))
+        self.tgt = tgt[order]
         self.src = src[order]
         self.coef = coef[order]
-        self.targets, self.starts = np.unique(tgt[order], return_index=True)
+        self._layers = None
+
+    def _split(self) -> list:
+        """(targets, sources, coefficients) of each layer."""
+        n = self.tgt.size
+        at = np.arange(n)
+        first = np.ones(n, dtype=bool)
+        first[1:] = self.tgt[1:] != self.tgt[:-1]
+        # position of each entry within the run of its target
+        depth = at - np.maximum.accumulate(np.where(first, at, 0))
+        order = np.argsort(depth, kind="stable")
+        cuts = np.cumsum(np.bincount(depth, minlength=1))[:-1]
+        return [(self.tgt[k], self.src[k], self.coef[k])
+                for k in np.split(order, cuts) if k.size]
+
+    def restrict(self, keep) -> "SparseMap":
+        """The map followed by the projection onto the sorted coordinates
+        `keep`: its image has len(keep) coordinates, in that order."""
+        keep = np.asarray(keep, dtype=np.int64)
+        at = np.full(self.size, -1, dtype=np.int64)
+        at[keep] = np.arange(keep.size)
+        hit = at[self.tgt] >= 0
+        return SparseMap(self.p, keep.size, at[self.tgt[hit]], self.src[hit],
+                         self.coef[hit])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Image of a coefficient vector with entries in [0, p), or of each
         row of a 2-D block of them."""
-        out = np.zeros(vec.shape, dtype=np.int64)
-        if self.src.size:
-            out[..., self.targets] = np.add.reduceat(
-                vec[..., self.src] * self.coef, self.starts, axis=-1) % self.p
-        return out
+        if self._layers is None:
+            self._layers = self._split()
+        p = self.p
+        cols = vec.T
+        out = np.zeros((self.size,) + cols.shape[1:], dtype=np.int64)
+        step = max(1, (INT64_LIMIT - p) // (p - 1) ** 2)
+        for k, (tgt, src, coef) in enumerate(self._layers):
+            part = cols[src] * (coef if vec.ndim == 1 else coef[:, None])
+            if not k:
+                out[tgt] = part
+                continue
+            if k % step == 0:
+                out %= p
+            out[tgt] += part
+        out %= p
+        return out if vec.ndim == 1 else out.T
+
+
+def _signed_binomials(top: int, p: int) -> list:
+    """Row a lists the (c, (-1)^{a-c} C(a, c) mod p) with a nonzero
+    coefficient, for a = 0..top, from Pascal's rule mod p."""
+    rows, line = [], [1]
+    for a in range(top + 1):
+        if a:
+            line = [(x + y) % p for x, y in zip([0] + line, line + [0])]
+        rows.append(tuple((c, x if (a - c) % 2 == 0 else p - x)
+                          for c, x in enumerate(line) if x))
+    return rows
 
 
 def _combine_rows(coeffs: Sequence[int], rows: Sequence[np.ndarray], size: int,

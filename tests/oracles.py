@@ -7,11 +7,12 @@ algebra; it is built on request and never cached.  `mul_reference`
 multiplies series through the group, every pair of group elements of the
 two expansions.  `dense` scatters a `SparseMap` into its matrix.
 `divided_power_reference` applies the closed formula for del^(alpha) term
-by term, `rref_reference` row-reduces by scanning columns for pivots, and
-`mat_pow` raises a matrix to a power by square and multiply.  `MatrixRoute`
-computes a unitriangular group law with numeric matrix logs and exps,
-element by element, where the model evaluates polynomials compiled at
-load."""
+by term, `rref_reference` row-reduces by scanning columns for pivots,
+`mat_pow` raises a matrix to a power by square and multiply, and
+`escapes_reference` tests a span for del_i-stability on every column.
+`MatrixRoute` computes a unitriangular group law with numeric matrix logs
+and exps, element by element, where the model evaluates polynomials
+compiled at load."""
 
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ import numpy as np
 from iwacalc.groups import (
     Automorphism, UnitriangularModel, _mat_id, _mat_inv_mod, _mat_mul,
 )
-from iwacalc.linalg import inv_mod, rref
+from iwacalc.control import IdealSpan
+from iwacalc.linalg import inv_mod, reduce_block, rref
 from iwacalc.operators import _operator_index, divided_power_map
 from iwacalc.padic import MultiIndex, comb_mod, mi_range
 from iwacalc.series import (
@@ -175,13 +177,11 @@ def aut_matrix(trunc: TruncationSpec, phi: Automorphism) -> OperatorMatrix:
 
 
 def dense(m: SparseMap) -> np.ndarray:
-    """The size x size matrix of the map (column j = image of b^j).  Each
-    (target, source) pair is written once, so a map with repeated pairs
-    needs `apply` instead."""
+    """The size x size matrix of the map (column j = image of b^j), the
+    coefficients of a repeated (target, source) pair summed mod p."""
     mat = np.zeros((m.size, m.size), dtype=np.int64)
-    counts = np.diff(np.append(m.starts, m.src.size))
-    mat[np.repeat(m.targets, counts), m.src] = m.coef
-    return mat
+    np.add.at(mat, (m.tgt, m.src), m.coef)
+    return mat % m.p
 
 
 def divided_power_matrix(trunc: TruncationSpec, alpha: Sequence[int]) -> OperatorMatrix:
@@ -226,6 +226,15 @@ def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     terms = [(el, v) for el, v in prod.values() if v]
     return t.from_vector(_combine_rows(
         [v for _, v in terms], [t._embed_row(el) for el, _ in terms], t.size, p))
+
+
+def escapes_reference(I: IdealSpan, i: int) -> np.ndarray:
+    """Residuals of del_i(row) against the span, one per row of I: the dense
+    del_i applied to every row, and the whole block reduced at full width."""
+    t = I.trunc
+    p = t.model.p
+    d_i = dense(divided_power_map(t, tuple(int(j == i) for j in range(t.model.rank))))
+    return reduce_block(I.rows, I.pivots, I.rows @ d_i.T % p, p)
 
 
 def map_matrix(trunc: TruncationSpec, m: SparseMap) -> OperatorMatrix:

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from iwacalc.cli import (
@@ -133,8 +132,7 @@ def test_idempotents_reports_broken_idempotents(monkeypatch):
         # 2*e_nu: neither idempotent nor summing to the identity mod 3,
         # and still zero on the other cosets
         e = real(t, H, nu)
-        return SparseMap(e.p, e.size, np.repeat(e.targets, np.diff(
-            np.append(e.starts, e.src.size))), e.src, 2 * e.coef % e.p)
+        return SparseMap(e.p, e.size, e.tgt, e.src, 2 * e.coef % e.p)
 
     monkeypatch.setattr(cli, "coset_idempotent", doubled)
     ctx = build_context(parse_config(abelian_doc([{"name": "idempotents"}])))
@@ -158,7 +156,7 @@ def test_verify_operators_leaves_no_dense_matrix_cached():
     assert t._op_cache
     for op in t._op_cache.values():
         assert isinstance(op, SparseMap)
-        assert max(a.size for a in (op.src, op.coef, op.targets)) < t.size ** 2
+        assert max(a.size for a in (op.src, op.coef, op.tgt)) < t.size ** 2
 
 
 def test_run_config_task_filter_keeps_streams():

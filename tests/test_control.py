@@ -13,11 +13,14 @@ from iwacalc import (
     subalgebra_ideal_span, subalgebra_monomials, subgroup_from_exponents,
     zalesskii_check,
 )
-from iwacalc.linalg import RowSpace
+from iwacalc.control import IdealSpan, _escapes
+from iwacalc.linalg import RowSpace, rref
 from iwacalc.rng import Pcg32
 from iwacalc.series import TruncationSpec, format_series
 
-from oracles import divided_power_reference, mul_reference, operator_matrix
+from oracles import (
+    divided_power_reference, escapes_reference, mul_reference, operator_matrix,
+)
 
 
 def test_principal_span_dimension(trunc2):
@@ -332,3 +335,41 @@ def test_abelian_two_sided_span_is_the_right_span(request, fixture, data):
     fresh = TruncationSpec(t.model, t.W)
     ideal_span(fresh, [fresh.from_dict(g.coeffs) for g in gens], "two-sided")
     assert fresh._gen_maps and all(side == "right" for side, _ in fresh._gen_maps)
+
+
+@pytest.fixture(scope="session")
+def escape_truncs(trunc2, trunc3, trunc_heis_wide, u4):
+    return {"abelian2": trunc2, "abelian3": trunc3, "heis": trunc_heis_wide,
+            "u4": TruncationSpec(u4, 10)}
+
+
+@pytest.mark.parametrize("sided", ["right", "two-sided"])
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "u4"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_escapes_match_full_width_reference(escape_truncs, name, sided, data):
+    t = escape_truncs[name]
+    p = t.model.p
+    # one-term generators give monomial spans in the abelian models, longer
+    # ones spans with rows that are not unit vectors
+    terms = data.draw(st.integers(1, 3))
+    gens = [t.from_dict(data.draw(st.dictionaries(
+        st.sampled_from(t.basis[1:]), st.integers(1, p - 1),
+        min_size=1, max_size=terms)))
+        for _ in range(data.draw(st.integers(1, 2)))]
+    spans = [ideal_span(t, gens, sided)]
+    # the residuals are defined for any rref span: a drawn monomial span
+    # (possibly the whole space), and the span of drawn rows, sparse or dense
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    units = np.flatnonzero(rng.random(t.size) < data.draw(st.sampled_from([0.4, 1.0])))
+    spans.append(IdealSpan(t, np.eye(t.size, dtype=np.int64)[units],
+                           tuple(int(c) for c in units), sided))
+    density = data.draw(st.sampled_from([0.05, 0.3, 1.0]))
+    shape = (data.draw(st.integers(0, 12)), t.size)
+    rows, pivots = rref(rng.integers(0, p, shape) * (rng.random(shape) < density), p)
+    spans.append(IdealSpan(t, rows, tuple(pivots), sided))
+    for I in spans:
+        for i in range(t.model.rank):
+            got = _escapes(I, i)
+            assert got.shape == I.rows.shape
+            assert np.array_equal(got, escapes_reference(I, i))

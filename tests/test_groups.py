@@ -62,6 +62,19 @@ def test_omega_validation_names_precision_when_undecided():
     assert model.rank == 6
 
 
+def test_abelian_model_with_empty_basis_is_rejected():
+    with pytest.raises(ModelError, match="basis is empty"):
+        load_abelian(3, 0, 4, [])
+
+
+def test_unitriangular_model_with_empty_basis_is_rejected():
+    with pytest.raises(ModelError, match="basis is empty"):
+        load_unitriangular(5, 3, 3, [], [])
+    # a 1 x 1 model has no generators either, and fails the same way
+    with pytest.raises(ModelError, match="basis is empty"):
+        load_unitriangular(3, 1, 3, [], [])
+
+
 def test_coordinate_range_validation():
     # 3^40 > 2^63: rejected before any coordinate is sampled
     with pytest.raises(ModelError, match="2\\^63"):

@@ -130,3 +130,26 @@ def test_intersect_coordinate_subspace(case, data):
     assert got.shape[0] == span.shape[0] - outside.shape[0]
     both, _ = rref_reference(np.vstack([span, got]), p)
     assert both.shape[0] == span.shape[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reduce_block_one_row_matches_block_at_large_p(data):
+    # past 4 basis rows the product is taken in chunks at this prime
+    p = PRIMES[-1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    nrows = data.draw(st.integers(0, 12))
+    ncols = data.draw(st.integers(1, 24))
+    density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+    mat = rng.integers(0, p, (nrows, ncols)) * (rng.random((nrows, ncols)) < density)
+    rows, pivots = rref_reference(mat, p)
+    block = rng.integers(0, p, (data.draw(st.integers(2, 6)), ncols))
+    # members of the span, combined with Python ints so they cannot wrap
+    mix = rng.integers(0, p, (block[::2].shape[0], rows.shape[0])).astype(object)
+    block[::2] = np.array(mix @ rows.astype(object) % p, dtype=np.int64).reshape(
+        block[::2].shape)
+    whole = reduce_block(rows, pivots, block, p)
+    assert not whole[::2].any()
+    for v, res in zip(block, whole):
+        assert np.array_equal(reduce_block(rows, pivots, v[None, :], p)[0], res)
+        assert np.array_equal(res, residual_by_rows(rows, pivots, v, p))

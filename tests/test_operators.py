@@ -7,6 +7,8 @@ hold below a shifted cutoff, because the embedding drops the tail of the
 element and the operators lower weight.
 """
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from iwacalc import (
     comb_mod, coset_idempotent, divided_power, format_series,
     function_from_mahler, ge_provable, group_embed, gt_provable,
     mahler_coeff_aut, mahler_coeff_aut_central, mahler_coeffs_function,
-    mi_range, mi_weight, multi_binom_mod_p, operator_degree, parse_series,
+    is_prime, mi_range, mi_weight, multi_binom_mod_p, operator_degree, parse_series,
     reconstruct_aut, rho_apply, rho_apply_mahler, subgroup_from_exponents,
 )
 from iwacalc.control import ideal_span
@@ -148,6 +150,61 @@ def map_truncs(trunc2, trunc3, trunc_heis, tzeta, trunc_e4):
             "zeta": tzeta, "e4": trunc_e4}
 
 
+def check_apply(m, data):
+    """m.apply against the dense matrix of m, in Python integers, on a
+    drawn vector and a drawn block of rows."""
+    mat = dense(m).astype(object)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for shape in [(m.size,), (data.draw(st.integers(0, 4)), m.size)]:
+        x = rng.integers(0, m.p, shape)
+        want = np.array(x.astype(object) @ mat.T % m.p, dtype=np.int64)
+        got = m.apply(x)
+        assert got.shape == shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_sparse_apply_matches_dense_matrix(map_truncs, name, data):
+    t = map_truncs[name]
+    p, d = t.model.p, t.model.rank
+    j = data.draw(st.integers(0, d - 1))
+    alpha = tuple(data.draw(st.integers(0, m)) for m in t.max_exponents)
+    # the coset idempotents of the Heisenberg model are for its centre
+    exps = (0, 0, 1) if name == "heis" else tuple(int(i == j) for i in range(d))
+    nu = (data.draw(st.integers(0, p - 1)),)
+    for m in [t.generator_map(j, "right"), t.generator_map(j, "left"),
+              divided_power_map(t, alpha),
+              coset_idempotent(t, subgroup_from_exponents(t.model, exps), nu)]:
+        check_apply(m, data)
+
+
+@functools.lru_cache(maxsize=None)
+def largest_prime(size):
+    """The largest prime p with size * (p - 1)^2 < 2^63."""
+    p = math.isqrt(((1 << 63) - 1) // size) + 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_apply_matches_dense_matrix_on_drawn_maps(data):
+    size = data.draw(st.integers(1, 12))
+    p = data.draw(st.sampled_from([2, 3, 7, largest_prime(size)]))
+    # targets drawn from a prefix, so each collects many entries, and one
+    # (target, source) pair repeated, up to more entries than `size`
+    targets = st.integers(0, data.draw(st.integers(0, size - 1)))
+    index = st.integers(0, size - 1)
+    entries = data.draw(st.lists(st.tuples(targets, index, st.integers(0, p - 1)),
+                                 max_size=4 * size))
+    pair = data.draw(st.tuples(index, index))
+    entries += [pair + (p - 1,)] * data.draw(st.integers(0, 3 * size))
+    tgt, src, coef = ([e[k] for e in entries] for k in range(3))
+    check_apply(SparseMap(p, size, tgt, src, coef), data)
+
+
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
@@ -219,10 +276,7 @@ def test_operator_degree_matches_column_reference(map_truncs, name):
 def summed_matrix(t, tgt, src, coef):
     """Dense matrix of (target, source, coefficient) entries, repeated pairs
     summed."""
-    mat = np.zeros((t.size, t.size), dtype=np.int64)
-    np.add.at(mat, (np.asarray(tgt, dtype=np.int64), np.asarray(src, dtype=np.int64)),
-              np.asarray(coef, dtype=np.int64))
-    return OperatorMatrix(t, mat % t.model.p)
+    return OperatorMatrix(t, dense(SparseMap(t.model.p, t.size, tgt, src, coef)))
 
 
 @pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
