@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -50,7 +49,8 @@ import numpy as np
 from .linalg import rref
 from .padic import (
     AtLeast, PadicInt, PrecisionError, Val, eq_compatible, ge_refuted,
-    gt_provable, is_prime, padic_make, val_min, val_add, val_sub_exact,
+    gt_provable, is_prime, padic_make, poly_combine, poly_product_sum, power,
+    val_min, val_add, val_sub_exact,
 )
 from .rng import Pcg32
 
@@ -179,35 +179,14 @@ def _mat_inv_mod(rows, m: int, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials mod m: dicts {exponent tuple: coefficient}, no zero terms.
-# Matrices of them are tuples of rows; the empty dict is the zero entry.
+# Matrices of polynomials mod m (the sparse dicts of `padic`): tuples of
+# rows, the empty dict being the zero entry.
 # ---------------------------------------------------------------------------
-
-def _poly_combine(coeffs, polys, m: int) -> dict:
-    """sum of c * f over the pairs, mod m."""
-    out: dict = {}
-    for c, f in zip(coeffs, polys):
-        if c % m:
-            for k, v in f.items():
-                out[k] = out.get(k, 0) + c * v
-    return {k: v % m for k, v in out.items() if v % m}
-
-
-def _poly_product_sum(pairs, m: int) -> dict:
-    """sum of f * g over the pairs, mod m."""
-    out: dict = {}
-    for f, g in pairs:
-        for a, c in f.items():
-            for b, d in g.items():
-                k = tuple(map(add, a, b))
-                out[k] = out.get(k, 0) + c * d
-    return {k: v % m for k, v in out.items() if v % m}
-
 
 def _pmat_mul(a, b, m: int):
     n = len(a)
     return tuple(
-        tuple(_poly_product_sum([(a[i][k], b[k][j]) for k in range(n)
+        tuple(poly_product_sum([(a[i][k], b[k][j]) for k in range(n)
                                  if a[i][k] and b[k][j]], m) for j in range(n))
         for i in range(n))
 
@@ -215,7 +194,7 @@ def _pmat_mul(a, b, m: int):
 def _pmat_combine(coeffs, mats, m: int):
     """sum of c * A over the pairs, mod m."""
     n = len(mats[0])
-    return tuple(tuple(_poly_combine(coeffs, [a[i][j] for a in mats], m)
+    return tuple(tuple(poly_combine(coeffs, [a[i][j] for a in mats], m)
                        for j in range(n)) for i in range(n))
 
 
@@ -337,7 +316,9 @@ class GroupModel:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate_common(self, samples: int = 8) -> None:
+    def _validate_common(self, centre_exponents: Optional[Sequence[int]]) -> None:
+        """Check the basis and omega, then declare the centre, if one is
+        given, and check that it is central."""
         if not is_prime(self.p):
             raise ModelError(f"p = {self.p} is not prime")
         if self.precision < 1:
@@ -361,7 +342,7 @@ class GroupModel:
                         f"omega([g_{i + 1}, g_{j + 1}]) is not provably above "
                         f"omega(g_{i + 1}) + omega(g_{j + 1}) = {bound}{why}")
         rng = Pcg32(_VALIDATION_SEED, stream=17)
-        for _ in range(samples):
+        for _ in range(8):
             x = self.sample_element(rng)
             y = self.sample_element(rng)
             wx, wy = self.omega_of(x), self.omega_of(y)
@@ -374,11 +355,10 @@ class GroupModel:
             if not isinstance(wx, AtLeast):
                 if not eq_compatible(self.omega_of(self.pow(x, self.p)), wx + 1):
                     raise ModelError("omega(x^p) = omega(x) + 1 fails on a sample")
-        if self.centre is not None:
-            for h in self.centre.generators():
-                for g in basis:
-                    if not self.mul(h, g).coords == self.mul(g, h).coords:
-                        raise ModelError("declared centre does not commute with the basis")
+        if centre_exponents is not None:
+            self.centre = subgroup_from_exponents(self, centre_exponents)
+            if not self.centre.is_central():
+                raise ModelError("declared centre does not commute with the basis")
 
 
 class AbelianModel(GroupModel):
@@ -392,10 +372,7 @@ class AbelianModel(GroupModel):
         self.precision = precision
         self.omega = omega
         self.centre = None
-        self._validate_common()
-        if centre_exponents is not None:
-            self.centre = subgroup_from_exponents(self, centre_exponents)
-            self._validate_common(samples=0)
+        self._validate_common(centre_exponents)
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement(self, tuple(x + y for x, y in zip(a.coords, b.coords)))
@@ -462,10 +439,7 @@ class UnitriangularModel(GroupModel):
             _pmat_log(self._normal_form(x, one), self._mod)))
         self._from_first_kind_law = self._peel(
             _pmat_exp(self._log_matrix(x), self._mod, one), one)
-        self._validate_common()
-        if centre_exponents is not None:
-            self.centre = subgroup_from_exponents(self, centre_exponents)
-            self._validate_common(samples=0)
+        self._validate_common(centre_exponents)
 
     def _check_matrix(self, rows):
         n = self.size
@@ -503,7 +477,7 @@ class UnitriangularModel(GroupModel):
         """sum_k f_k log g_k for polynomials f_k."""
         n = self.size
         return tuple(
-            tuple(_poly_combine([log[i][j] for log in self._logs], polys, self._mod)
+            tuple(poly_combine([log[i][j] for log in self._logs], polys, self._mod)
                   for j in range(n)) for i in range(n))
 
     def _normal_form(self, symbols, one):
@@ -524,9 +498,9 @@ class UnitriangularModel(GroupModel):
                 raise ModelError("log entry not divisible by p; element outside the group")
             target.append({k: c // self.p for k, c in entry.items()})
         sources = [target[r] for r in self._pivot_rows]
-        mu = [_poly_combine(row, sources, self._pm) for row in self._solver]
+        mu = [poly_combine(row, sources, self._pm) for row in self._solver]
         for r, row in enumerate(self._vmatrix):
-            if _poly_combine(row, mu, self._pm) != target[r]:
+            if poly_combine(row, mu, self._pm) != target[r]:
                 raise ModelError("matrix is not in the span of the basis logs")
         return mu
 
@@ -537,7 +511,7 @@ class UnitriangularModel(GroupModel):
             lam = self._first_kind_of_log(_pmat_log(mat, self._mod))[i]
             coords.append(lam)
             undo = _pmat_exp(self._log_matrix(
-                [_poly_combine([-1], [lam], self._mod) if k == i else {}
+                [poly_combine([-1], [lam], self._mod) if k == i else {}
                  for k in range(self.rank)]), self._mod, one)
             mat = _pmat_mul(undo, mat, self._mod)
         if mat != _pmat_id(self.size, one):
@@ -613,6 +587,12 @@ class SubgroupSpec:
             if any(lam.digits[:need]):
                 return False
         return True
+
+    def is_central(self) -> bool:
+        """Do the generators commute with every basis element?"""
+        model = self.model
+        return all(model.mul(h, g).coords == model.mul(g, h).coords
+                   for h in self.generators() for g in model.basis())
 
     def direction_mask(self) -> list[int]:
         """Directions whose basis power is a proper p-power (the 'moved' block)."""
@@ -736,13 +716,8 @@ class Automorphism:
             return Automorphism.inner(self.model, self.model.pow(self.conjugator, k))
         # square and multiply on Python ints: entries mod p^M overflow int64
         pm = self.model.p ** self.model.precision
-        out, base = _mat_id(self.model.rank), self.matrix
-        while k:
-            if k & 1:
-                out = _mat_mul(out, base, pm)
-            base = _mat_mul(base, base, pm)
-            k >>= 1
-        return Automorphism.linear_on_log(self.model, out)
+        return Automorphism.linear_on_log(self.model, power(
+            self.matrix, k, _mat_id(self.model.rank), lambda a, b: _mat_mul(a, b, pm)))
 
 
 def deg_omega(phi: Automorphism, samples: int = 24, seed: int = _VALIDATION_SEED) -> Val:

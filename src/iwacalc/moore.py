@@ -22,14 +22,15 @@ coefficient asymptotics."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .groups import Automorphism, ModelError
 from .linalg import inv_mod
 from .operators import divided_power, mahler_coeff_aut
 from .padic import (
-    AtLeast, PrecisionError, Val, ge_provable, gt_provable, mi_range,
-    val_min, val_sub_exact,
+    AtLeast, PrecisionError, Val, format_poly, ge_provable, gt_provable, mi_range,
+    poly_combine, poly_frobenius, poly_product_sum, power, val_min, val_sub_exact,
 )
 from .series import (
     TruncatedSeries, TruncationSpec, format_series, group_embed,
@@ -82,52 +83,29 @@ class FpPolynomial:
 
     def __add__(self, other: "FpPolynomial") -> "FpPolynomial":
         self._check(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = (out.get(a, 0) + c) % self.p
-        return FpPolynomial(self.p, self.nvars, out)
+        return FpPolynomial(self.p, self.nvars, poly_combine(
+            (1, 1), (self.coeffs, other.coeffs), self.p))
 
     def __neg__(self) -> "FpPolynomial":
-        return FpPolynomial(self.p, self.nvars,
-                            {a: self.p - c for a, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "FpPolynomial") -> "FpPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
         self._check(other)
-        out: dict = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = (out.get(key, 0) + ca * cb) % self.p
-        return FpPolynomial(self.p, self.nvars, out)
+        return FpPolynomial(self.p, self.nvars, poly_product_sum(
+            [(self.coeffs, other.coeffs)], self.p))
 
     def scale(self, c: int) -> "FpPolynomial":
-        c = c % self.p
-        return FpPolynomial(self.p, self.nvars,
-                            {a: v * c for a, v in self.coeffs.items()})
+        return FpPolynomial(self.p, self.nvars, poly_combine((c,), (self.coeffs,), self.p))
 
     def pow(self, k: int) -> "FpPolynomial":
-        if k < 0:
-            raise ValueError("negative polynomial powers are undefined")
-        out = FpPolynomial.constant(self.p, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, FpPolynomial.constant(self.p, self.nvars, 1), mul)
 
     def frobenius(self, k: int = 1) -> "FpPolynomial":
         """self^{p^k}; coefficients are fixed by x -> x^p over F_p."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        step = self.p ** k
-        return FpPolynomial(self.p, self.nvars,
-                            {tuple(x * step for x in a): c
-                             for a, c in self.coeffs.items()})
+        return FpPolynomial(self.p, self.nvars, poly_frobenius(self.coeffs, self.p, k))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FpPolynomial) and self.p == other.p
@@ -159,24 +137,7 @@ class FpPolynomial:
 
 
 def format_fp_poly(q: FpPolynomial) -> str:
-    if not q.coeffs:
-        return "0"
-    parts = []
-    for a in q.monomials():
-        c = q.coeffs[a]
-        factors = []
-        for i, v in enumerate(a):
-            if v == 1:
-                factors.append(f"y{i + 1}")
-            elif v > 1:
-                factors.append(f"y{i + 1}^{v}")
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(factors))
-        else:
-            parts.append("*".join([str(c)] + factors))
-    return " + ".join(parts)
+    return format_poly(q.coeffs, q.monomials(), "y")
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +219,12 @@ def matrix_adjugate(rows: Sequence[Sequence], one):
 def projective_forms(p: int, m: int, r: int) -> list[FpPolynomial]:
     """The (p^m - 1)/(p - 1) forms sum mu_i y_i^{p^r}, one per projective
     point, represented with first non-zero coordinate 1, in lex order."""
-    ys = [FpPolynomial.variable(p, m, i).frobenius(r) for i in range(m)]
+    ys = [FpPolynomial.variable(p, m, i).frobenius(r).coeffs for i in range(m)]
     out = []
     for mu in mi_range((p - 1,) * m):
         nz = [v for v in mu if v]
-        if not nz or nz[0] != 1:
-            continue
-        form = FpPolynomial.zero(p, m)
-        for c, yq in zip(mu, ys):
-            if c:
-                form = form + yq.scale(c)
-        out.append(form)
+        if nz and nz[0] == 1:
+            out.append(FpPolynomial(p, m, poly_combine(mu, ys, p)))
     return out
 
 
@@ -587,14 +543,11 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
     for r in exp.r_range:
         if p ** r * exp.lam >= t.cutoff:
             continue
-        ypows = [series_frobenius(y, r) for y in exp.y[:exp.m]]
+        ypows = [series_frobenius(y, r).coeffs for y in exp.y[:exp.m]]
         for mu in mi_range((p - 1,) * exp.m):
             if not any(mu):
                 continue
-            form = t.zero()
-            for c, yq in zip(mu, ypows):
-                if c:
-                    form = form + yq.scale(c)
+            form = TruncatedSeries(t, poly_combine(mu, ypows, p))
             vdet_checked += 1
             if form.valuation() != p ** r * exp.lam:
                 violations.append({

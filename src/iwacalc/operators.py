@@ -35,7 +35,8 @@ import numpy as np
 
 from .groups import Automorphism, ModelError, SubgroupSpec, is_trivial_mod_centre
 from .padic import (
-    AtLeast, MultiIndex, Val, comb_mod, mi_range, val_min, val_sub_exact,
+    AtLeast, MultiIndex, Val, comb_mod, mi_range, signed_binomial_rows,
+    signed_binomials, val_min, val_sub_exact,
 )
 from .series import (
     SparseMap, TruncatedSeries, TruncationSpec, _combine_rows, group_embed,
@@ -69,8 +70,6 @@ def divided_power_map(trunc: TruncationSpec, alpha: Sequence[int]) -> SparseMap:
     hit = trunc._op_cache.get(key)
     if hit is None:
         hit = _build_divided_power_map(trunc, alpha)
-        # published only once complete, so threads sharing this
-        # truncation never see a half-built map
         trunc._op_cache[key] = hit
     return hit
 
@@ -186,18 +185,10 @@ class LocallyConstantFunction:
 def mahler_coeffs_function(f: LocallyConstantFunction) -> dict:
     """Forward differences at zero: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a,b) f(b)."""
     p = f.p
+    rows = signed_binomial_rows(f.box - 1, p)
     out: dict = {}
-    top = (f.box - 1,) * f.rank
-    for a in mi_range(top):
-        acc = 0
-        for b in mi_range(a):
-            c = 1
-            for ai, bi in zip(a, b):
-                c = c * comb_mod(ai, bi, p) % p
-            if (sum(a) - sum(b)) % 2:
-                c = -c
-            acc += c * f(b)
-        acc %= p
+    for a in mi_range((f.box - 1,) * f.rank):
+        acc = sum(s * f(b) for b, s in signed_binomials(rows, a, p)) % p
         if acc:
             out[a] = acc
     return out
@@ -218,6 +209,8 @@ def rho_apply(trunc: TruncationSpec, f: LocallyConstantFunction,
               x: TruncatedSeries) -> TruncatedSeries:
     """The multiplier  g |-> f(g) g  extended to the algebra, via the group
     expansion (the reference route)."""
+    if x.trunc is not trunc:
+        raise ValueError("series from a different truncation")
     if f.rank != trunc.model.rank or f.p != trunc.model.p:
         raise ValueError("function does not match the model")
     p = trunc.model.p
@@ -247,24 +240,16 @@ def rho_apply_mahler(trunc: TruncationSpec, f: LocallyConstantFunction,
 def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
                      alpha: Sequence[int]) -> TruncatedSeries:
     """<phi, del^(alpha)> by finite differences of  g |-> phi(g) g^{-1}  over
-    the integer points below alpha.  This is the primary route for every
-    automorphism."""
-    alpha = tuple(int(v) for v in alpha)
+    the integer points below alpha, with the signed binomials of b^alpha's
+    group expansion.  This is the primary route for every automorphism."""
     model = trunc.model
-    p = model.p
-    acc = np.zeros(trunc.size, dtype=np.int64)
-    for beta in mi_range(alpha):
-        c = 1
-        for ai, bi in zip(alpha, beta):
-            c = c * comb_mod(ai, bi, p) % p
-        if not c:
-            continue
-        if (sum(alpha) - sum(beta)) % 2:
-            c = p - c
+    terms = trunc._expand(_operator_index(trunc, alpha))
+    rows = []
+    for beta, _ in terms:
         el = trunc._group_el(beta)
-        moved = model.mul(phi.apply(el), model.inv(el))
-        acc += c * trunc._embed_row(moved)
-    return trunc.from_vector(acc % p)
+        rows.append(trunc._embed_row(model.mul(phi.apply(el), model.inv(el))))
+    return trunc.from_vector(_combine_rows(
+        [s for _, s in terms], rows, trunc.size, model.p))
 
 
 def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
@@ -273,6 +258,7 @@ def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
     """Closed form  prod_i (phi(g_i) g_i^{-1} - 1)^{a_i},  valid when every
     basis displacement is central.  Kept separate from the finite-difference
     route so the two can be compared."""
+    alpha = _operator_index(trunc, alpha)
     model = trunc.model
     centre = centre if centre is not None else model.centre
     if model.kind != "abelian":

@@ -10,16 +10,27 @@ propagates through every valuation computed in the package.
 
 Multi-indices (exponent vectors of monomials) are plain int tuples; the
 helpers prefixed ``mi_`` implement the componentwise partial order and the
-weight pairing used by the truncation modules.
+weight pairing used by the truncation modules.  A sparse polynomial mod m
+is a dict {multi-index: coefficient} with no zero terms, and one set of
+kernels serves every such dict in the package: the compiled group laws of
+`groups`, the F_p polynomials of `moore` and the truncated series of
+`series` all combine (`poly_combine`), multiply (`poly_product_sum`),
+raise to p-powers (`poly_frobenius`) and print (`format_poly`) through
+them, and `power` is the one square-and-multiply loop.  The signed
+binomials (-1)^{|a-c|} C(a, c) of finite differences and of the expansion
+b^a = (g - 1)^a come from one table (`signed_binomial_rows`) and one
+product over coordinates (`signed_binomials`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from operator import add
+from typing import Iterable, Sequence, Union
 
 
 class PrecisionError(ValueError):
@@ -301,7 +312,7 @@ def multi_binom_mod_p(lams: Sequence[PadicInt], alpha: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Multi-index helpers
+# Multi-index helpers and sparse polynomials
 # ---------------------------------------------------------------------------
 
 MultiIndex = tuple[int, ...]
@@ -338,3 +349,85 @@ def mi_range(bounds: Sequence[int]):
     for head in range(bounds[0] + 1):
         for tail in mi_range(bounds[1:]):
             yield (head,) + tail
+
+
+def signed_binomial_rows(top: int, p: int) -> list:
+    """Row a lists the (c, (-1)^{a-c} C(a, c) mod p) with a nonzero
+    coefficient, for a = 0..top, from Pascal's rule mod p."""
+    rows, line = [], [1]
+    for a in range(top + 1):
+        if a:
+            line = [(x + y) % p for x, y in zip([0] + line, line + [0])]
+        rows.append(tuple((c, x if (a - c) % 2 == 0 else p - x)
+                          for c, x in enumerate(line) if x))
+    return rows
+
+
+def signed_binomials(rows: Sequence, a: MultiIndex, p: int) -> tuple:
+    """The (c, prod_i (-1)^{a_i-c_i} C(a_i, c_i) mod p) with a nonzero
+    coefficient, c <= a in lexicographic order; `rows` is a table of
+    `signed_binomial_rows` reaching max(a)."""
+    out = []
+    for terms in itertools.product(*(rows[x] for x in a)):
+        coeff = 1
+        for _, s in terms:
+            coeff = coeff * s % p
+        out.append((tuple(c for c, _ in terms), coeff))
+    return tuple(out)
+
+
+def poly_combine(coeffs: Iterable[int], polys: Iterable[dict], m: int) -> dict:
+    """sum of c * f over the pairs, mod m."""
+    out: dict = {}
+    for c, f in zip(coeffs, polys):
+        if c % m:
+            for k, v in f.items():
+                out[k] = out.get(k, 0) + c * v
+    return {k: v % m for k, v in out.items() if v % m}
+
+
+def poly_product_sum(pairs: Iterable[tuple], m: int) -> dict:
+    """sum of f * g over the pairs, mod m."""
+    out: dict = {}
+    for f, g in pairs:
+        for a, c in f.items():
+            for b, d in g.items():
+                k = tuple(map(add, a, b))
+                out[k] = out.get(k, 0) + c * d
+    return {k: v % m for k, v in out.items() if v % m}
+
+
+def poly_frobenius(f: dict, p: int, k: int) -> dict:
+    """f^{p^k} over F_p, for commuting variables: every exponent is scaled
+    by p^k and the coefficients are fixed."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    q = p ** k
+    return {tuple(x * q for x in a): c for a, c in f.items()}
+
+
+def power(x, k: int, one, mul):
+    """x^k by square and multiply, for an associative `mul` with unit `one`."""
+    if k < 0:
+        raise ValueError(f"negative power {k} is undefined here")
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
+def format_poly(coeffs: dict, order: Iterable[MultiIndex], letter: str) -> str:
+    """Canonical text: the terms in `order` as 'c*x1^a1*x2^a2', x = `letter`,
+    with ^1 and a leading 1* omitted; '0' when there are none."""
+    parts = []
+    for a in order:
+        factors = [f"{letter}{i + 1}" + (f"^{v}" if v > 1 else "")
+                   for i, v in enumerate(a) if v]
+        if coeffs[a] != 1 or not factors:
+            factors.insert(0, str(coeffs[a]))
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"

@@ -31,14 +31,18 @@ rest of the package.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import mul
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
-from .padic import AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, mi_weight
+from .padic import (
+    AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, format_poly, mi_weight,
+    poly_combine, poly_frobenius, poly_product_sum, power, signed_binomial_rows,
+    signed_binomials,
+)
 
 
 class TruncationSpec:
@@ -88,7 +92,7 @@ class TruncationSpec:
         self._sorted_codes = codes[self._code_order]
         self._op_cache: dict = {}
         self._expand_cache: dict = {}
-        self._signed_binomials: Optional[list] = None
+        self._signed_rows: list = []
         self._embed_rows: dict = {}
         self._gel_cache: dict = {}
         self._gen_maps: dict = {}
@@ -128,23 +132,18 @@ class TruncationSpec:
 
     def _expand(self, a: MultiIndex):
         """b^a as a combination of group elements g^c, c <= a componentwise:
-        the coefficient of g^c is prod_i (-1)^{a_i - c_i} C(a_i, c_i) mod p."""
+        the coefficient of g^c is prod_i (-1)^{a_i - c_i} C(a_i, c_i) mod p.
+        The table of signed binomials reaches the largest basis exponent and
+        grows for an a beyond it."""
         hit = self._expand_cache.get(a)
-        if hit is not None:
-            return hit
-        if self._signed_binomials is None:
-            self._signed_binomials = _signed_binomials(
-                max(self.max_exponents, default=0), self.model.p)
-        p = self.model.p
-        out = []
-        for terms in itertools.product(*(self._signed_binomials[x] for x in a)):
-            coeff = 1
-            for _, s in terms:
-                coeff = coeff * s % p
-            out.append((tuple(c for c, _ in terms), coeff))
-        out = tuple(out)
-        self._expand_cache[a] = out
-        return out
+        if hit is None:
+            top = max(a)
+            if top >= len(self._signed_rows):
+                self._signed_rows = signed_binomial_rows(
+                    max(self.max_exponents + (top,)), self.model.p)
+            hit = self._expand_cache[a] = signed_binomials(
+                self._signed_rows, a, self.model.p)
+        return hit
 
     def _group_el(self, c: MultiIndex) -> GroupElement:
         hit = self._gel_cache.get(c)
@@ -179,8 +178,6 @@ class TruncationSpec:
         hit = self._gen_maps.get(key)
         if hit is None:
             hit = self._build_generator_map(j, side)
-            # published only once complete, so threads sharing this
-            # truncation never see a half-built map
             self._gen_maps[key] = hit
         return hit
 
@@ -302,18 +299,6 @@ class SparseMap:
         return out if vec.ndim == 1 else out.T
 
 
-def _signed_binomials(top: int, p: int) -> list:
-    """Row a lists the (c, (-1)^{a-c} C(a, c) mod p) with a nonzero
-    coefficient, for a = 0..top, from Pascal's rule mod p."""
-    rows, line = [], [1]
-    for a in range(top + 1):
-        if a:
-            line = [(x + y) % p for x, y in zip([0] + line, line + [0])]
-        rows.append(tuple((c, x if (a - c) % 2 == 0 else p - x)
-                          for c, x in enumerate(line) if x))
-    return rows
-
-
 def _combine_rows(coeffs: Sequence[int], rows: Sequence[np.ndarray], size: int,
                   p: int) -> np.ndarray:
     """sum_k coeffs[k] * rows[k] mod p over residues, reduced every `size`
@@ -352,35 +337,27 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = (out.get(a, 0) + c) % self.trunc.model.p
-        return TruncatedSeries(self.trunc, out)
+        return TruncatedSeries(self.trunc, poly_combine(
+            (1, 1), (self.coeffs, other.coeffs), self.trunc.model.p))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        p = self.trunc.model.p
-        return TruncatedSeries(self.trunc, {a: p - c for a, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def scale(self, c: int) -> "TruncatedSeries":
-        c = c % self.trunc.model.p
-        return TruncatedSeries(self.trunc, {a: v * c for a, v in self.coeffs.items()})
+        return TruncatedSeries(self.trunc, poly_combine(
+            (c,), (self.coeffs,), self.trunc.model.p))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         t = self.trunc
         p = t.model.p
         if t.model.kind == "abelian":
-            # every generator map is a shift here; this is its closed form
-            out: dict = {}
-            for a, ca in self.coeffs.items():
-                for b, cb in other.coeffs.items():
-                    key = tuple(x + y for x, y in zip(a, b))
-                    if key in t.index:
-                        out[key] = (out.get(key, 0) + ca * cb) % p
-            return TruncatedSeries(t, out)
+            # every generator map is a shift here, so this is the polynomial
+            # product with the monomials beyond the cutoff dropped
+            return TruncatedSeries(t, poly_product_sum([(self.coeffs, other.coeffs)], p))
         # x*b^beta = (x*b^beta')*b_j for the normal-order prefix beta'
         prefix: dict = {}
         for beta in other.coeffs:
@@ -398,16 +375,7 @@ class TruncatedSeries:
             [c for _, c in terms], [multiples[b] for b, _ in terms], t.size, p))
 
     def pow(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("negative series powers are undefined here")
-        out = self.trunc.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.trunc.one(), mul)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncatedSeries) and self.trunc is other.trunc
@@ -486,6 +454,8 @@ def aut_images_table(trunc: TruncationSpec, phi: Automorphism) -> list[np.ndarra
 def aut_extend(trunc: TruncationSpec, phi: Automorphism,
                x: TruncatedSeries) -> TruncatedSeries:
     """Apply the ring extension of phi to x, exactly mod F_W."""
+    if x.trunc is not trunc:
+        raise ValueError("series from a different truncation")
     rows = aut_images_table(trunc, phi)
     p = trunc.model.p
     acc = np.zeros(trunc.size, dtype=np.int64)
@@ -518,11 +488,7 @@ def series_frobenius(x: TruncatedSeries, k: int = 1) -> TruncatedSeries:
     """x^{p^k} for commutative models: scale exponents, keep coefficients."""
     if x.trunc.model.kind != "abelian":
         raise ValueError("Frobenius shortcut is only valid on abelian models")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    step = x.trunc.model.p ** k
-    return TruncatedSeries(
-        x.trunc, {tuple(v * step for v in a): c for a, c in x.coeffs.items()})
+    return TruncatedSeries(x.trunc, poly_frobenius(x.coeffs, x.trunc.model.p, k))
 
 
 # ---------------------------------------------------------------------------
@@ -532,24 +498,7 @@ def series_frobenius(x: TruncatedSeries, k: int = 1) -> TruncatedSeries:
 def format_series(x: TruncatedSeries) -> str:
     """Canonical text: terms in basis order, 'c*b1^a1*b2^a2' with ^1 and a
     leading 1* omitted."""
-    if not x.coeffs:
-        return "0"
-    parts = []
-    for a in x.support():
-        c = x.coeffs[a]
-        factors = []
-        for i, v in enumerate(a):
-            if v == 1:
-                factors.append(f"b{i + 1}")
-            elif v > 1:
-                factors.append(f"b{i + 1}^{v}")
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(factors))
-        else:
-            parts.append("*".join([str(c)] + factors))
-    return " + ".join(parts)
+    return format_poly(x.coeffs, x.support(), "b")
 
 
 def parse_series(trunc: TruncationSpec, text: str) -> TruncatedSeries:

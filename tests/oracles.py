@@ -10,7 +10,10 @@ two expansions.  `dense` scatters a `SparseMap` into its matrix.
 by term, `rref_reference` row-reduces by scanning columns for pivots,
 `mat_pow` raises a matrix to a power by square and multiply, and
 `escapes_reference` tests a span for del_i-stability on every column.
-`MatrixRoute` computes a unitriangular group law with numeric matrix logs
+`format_reference` writes a sparse polynomial term by term, and
+`mahler_coeff_aut_reference` takes finite differences over every point of
+the box below alpha with one `comb_mod` per coordinate.  `MatrixRoute`
+computes a unitriangular group law with numeric matrix logs
 and exps, element by element, where the model evaluates polynomials
 compiled at load."""
 
@@ -226,6 +229,51 @@ def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     terms = [(el, v) for el, v in prod.values() if v]
     return t.from_vector(_combine_rows(
         [v for _, v in terms], [t._embed_row(el) for el, _ in terms], t.size, p))
+
+
+def format_reference(coeffs: dict, order, letter: str) -> str:
+    """Text form of a sparse polynomial: the terms in `order` as
+    'c*x1^a1*x2^a2' with x = `letter`, ^1 and a leading 1* omitted."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for a in order:
+        c = coeffs[a]
+        factors = []
+        for i, v in enumerate(a):
+            if v == 1:
+                factors.append(f"{letter}{i + 1}")
+            elif v > 1:
+                factors.append(f"{letter}{i + 1}^{v}")
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append("*".join([str(c)] + factors))
+    return " + ".join(parts)
+
+
+def mahler_coeff_aut_reference(trunc: TruncationSpec, phi: Automorphism,
+                               alpha: Sequence[int]) -> TruncatedSeries:
+    """<phi, del^(alpha)> = sum_{beta <= alpha} (-1)^{|alpha-beta|}
+    C(alpha, beta) embed(phi(g^beta) g^-beta), over every beta in the box."""
+    alpha = _operator_index(trunc, alpha)
+    model = trunc.model
+    p = model.p
+    acc = np.zeros(trunc.size, dtype=np.int64)
+    for beta in mi_range(alpha):
+        c = 1
+        for ai, bi in zip(alpha, beta):
+            c = c * comb_mod(ai, bi, p) % p
+        if not c:
+            continue
+        if (sum(alpha) - sum(beta)) % 2:
+            c = p - c
+        el = model.element(beta)
+        moved = model.mul(phi.apply(el), model.inv(el))
+        acc = (acc + c * trunc._embed_row(moved)) % p
+    return trunc.from_vector(acc)
 
 
 def escapes_reference(I: IdealSpan, i: int) -> np.ndarray:

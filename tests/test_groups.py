@@ -206,6 +206,17 @@ def test_centre_declaration(heis):
     assert not centre.contains(heis.element([0, 1, 0]))
 
 
+def test_declared_centre_must_be_central(heis):
+    assert heis.centre.is_central()
+    g1_only = subgroup_from_exponents(heis, (0, 3, 3))
+    assert not g1_only.is_central()
+    with pytest.raises(ModelError, match="declared centre does not commute"):
+        load_unitriangular(5, 3, 3, heisenberg_generators(5), ["1", "1", "2"],
+                           centre_exponents=[0, 3, 3])
+    # every subgroup of an abelian model is central
+    assert load_abelian(3, 2, 4, ["1", "1"], centre_exponents=[1, 0]).centre.is_central()
+
+
 def test_subgroup_spec(heis):
     H = subgroup_from_exponents(heis, (1, 1, 0))
     assert H.direction_mask() == [0, 1]

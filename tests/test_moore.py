@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, FpPolynomial, ModelError, PrecisionError,
@@ -10,6 +11,8 @@ from iwacalc import (
     format_fp_poly, group_embed, matrix_adjugate, matrix_det, moore_det_check,
     moore_matrix, parse_series, projective_forms, zeta_convergence, zeta_eval,
 )
+
+from oracles import format_reference
 
 
 def test_fp_polynomial_arithmetic():
@@ -25,6 +28,44 @@ def test_fp_polynomial_arithmetic():
         y1.pow(-1)
     with pytest.raises(ValueError):
         y1 + FpPolynomial.variable(5, 2, 0)
+
+
+def fp_polynomials(p, nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
+                           st.integers(0, p - 1), max_size=5).map(
+        lambda coeffs: FpPolynomial(p, nvars, coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fp_polynomial_ring_laws(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    nvars = data.draw(st.integers(1, 3))
+    f, g, h = (data.draw(fp_polynomials(p, nvars)) for _ in range(3))
+    c = data.draw(st.integers(-2 * p, 2 * p))
+    k = data.draw(st.integers(0, 5))
+    zero, one = FpPolynomial.zero(p, nvars), FpPolynomial.constant(p, nvars, 1)
+    assert f + g == g + f and (f + g) + h == f + (g + h) and f + zero == f
+    assert f - f == zero and f - g == f + (-g) and -(-f) == f
+    assert f * g == g * f and (f * g) * h == f * (g * h) and f * one == f
+    assert f * (g + h) == f * g + f * h
+    assert f.scale(c) == f * FpPolynomial.constant(p, nvars, c)
+    power = one
+    for _ in range(k):
+        power = power * f
+    assert f.pow(k) == power
+    # over F_p the p-th power is additive and fixes the coefficients
+    assert f.frobenius(1) == f.pow(p)
+    assert (f + g).frobenius(2) == f.frobenius(2) + g.frobenius(2)
+    assert (f * g).frobenius(1) == f.frobenius(1) * g.frobenius(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_format_fp_poly_matches_term_by_term_formatter(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    q = data.draw(fp_polynomials(p, data.draw(st.integers(1, 3))))
+    assert format_fp_poly(q) == format_reference(q.coeffs, q.monomials(), "y")
 
 
 def test_fp_polynomial_frobenius_and_ordering():

@@ -30,8 +30,8 @@ from iwacalc.series import SparseMap, TruncationSpec
 
 from oracles import (
     OperatorMatrix, aut_matrix, dense, divided_power_matrix,
-    divided_power_reference, lmul_matrix, map_matrix, operator_matrix,
-    sparse_of,
+    divided_power_reference, lmul_matrix, mahler_coeff_aut_reference,
+    map_matrix, operator_matrix, sparse_of,
 )
 
 
@@ -366,6 +366,14 @@ def test_multiplier_routes_agree(trunc2, trunc_heis):
             assert rho_apply(t, f, x) == rho_apply_mahler(t, f, x)
 
 
+def test_multiplier_rejects_series_from_another_truncation(abelian2):
+    t6, t8 = TruncationSpec(abelian2, 6), TruncationSpec(abelian2, 8)
+    f = LocallyConstantFunction.coset_indicator(3, 2, 1, (1, 0))
+    for t, x in [(t6, t8.monomial((6, 1))), (t8, t6.monomial((1, 0)))]:
+        with pytest.raises(ValueError, match="series from a different truncation"):
+            rho_apply(t, f, x)
+
+
 def test_multiplier_is_an_algebra_map_on_functions(trunc2):
     # rho(f g) = rho(f) rho(g) for level-1 functions, as exact matrices
     t = trunc2
@@ -409,6 +417,36 @@ def test_mahler_coeff_of_identity(trunc2):
     assert mahler_coeff_aut(trunc2, ident, (0, 0)) == trunc2.one()
     for alpha in [(1, 0), (0, 1), (2, 3)]:
         assert mahler_coeff_aut(trunc2, ident, alpha).is_zero()
+
+
+def test_mahler_indices_are_checked(trunc2, trunc_heis):
+    for t, phi in [
+            (trunc2, Automorphism.linear_on_log(trunc2.model, [[1, 0], [3, 1]])),
+            (trunc_heis, Automorphism.inner(trunc_heis.model,
+                                            trunc_heis.model.basis()[0]))]:
+        d = t.model.rank
+        for alpha in [(-1,) + (0,) * (d - 1), (1,) * (d + 1), (1,) * (d - 1)]:
+            for route in (mahler_coeff_aut, mahler_coeff_aut_central):
+                with pytest.raises(ValueError, match="bad operator index"):
+                    route(t, phi, alpha)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mahler_coeff_aut_beyond_the_basis(abelian2, heis, data):
+    """Indices with an entry above the truncation's largest exponent grow
+    the signed-binomial table; the result is the full finite difference."""
+    model = data.draw(st.sampled_from([abelian2, heis]))
+    t = TruncationSpec(model, 6)  # fresh, so the table starts empty
+    phi = (Automorphism.linear_on_log(model, [[1, 0], [3, 1]])
+           if model.kind == "abelian" else Automorphism.inner(model, model.basis()[0]))
+    top = max(t.max_exponents)
+    for _ in range(3):
+        alpha = tuple(data.draw(st.lists(st.integers(0, top + 3), min_size=model.rank,
+                                         max_size=model.rank)))
+        assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
+    alpha = (top + 2,) + (0,) * (model.rank - 1)
+    assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
 
 
 def test_central_closed_form_guard(trunc_heis):

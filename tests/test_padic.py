@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, PadicInt, PrecisionError, binom_mod_p, comb_mod, eq_compatible,
@@ -11,7 +12,10 @@ from iwacalc import (
     mi_leq, mi_range, mi_sub, mi_weight, multi_binom_mod_p, padic_make,
     parse_padic, val_add, val_min, val_sub_exact,
 )
-from iwacalc.padic import mi_norm
+from iwacalc.padic import (
+    format_poly, mi_norm, poly_combine, poly_frobenius, poly_product_sum, power,
+    signed_binomial_rows, signed_binomials,
+)
 from iwacalc.rng import Pcg32
 
 
@@ -191,3 +195,50 @@ def test_mi_range_is_lexicographic():
     assert list(mi_range((1, 2))) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert list(mi_range(())) == [()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       a=st.lists(st.integers(0, 12), max_size=3), extra=st.integers(0, 3))
+def test_signed_binomials_match_comb_mod(p, a, extra):
+    a = tuple(a)
+    want = []
+    for c in mi_range(a):
+        coeff = 1
+        for ai, ci in zip(a, c):
+            coeff = coeff * comb_mod(ai, ci, p) % p
+        if coeff:
+            want.append((c, coeff if (mi_norm(a) - mi_norm(c)) % 2 == 0 else p - coeff))
+    # any table reaching max(a) gives the same terms
+    rows = signed_binomial_rows(max(a, default=0) + extra, p)
+    assert signed_binomials(rows, a, p) == tuple(want)
+
+
+def test_sparse_polynomial_kernels():
+    f = {(1, 0): 2, (0, 1): 1}
+    g = {(1, 0): 1, (0, 0): 4}
+    assert poly_combine((1, 1), (f, g), 3) == {(0, 1): 1, (0, 0): 1}
+    assert poly_combine((0, 5), (f, g), 5) == {}
+    assert poly_product_sum([(f, g), (g, g)], 5) == {
+        (2, 0): 3, (1, 1): 1, (1, 0): 1, (0, 1): 4, (0, 0): 1}
+    assert poly_frobenius(f, 3, 2) == {(9, 0): 2, (0, 9): 1}
+    with pytest.raises(ValueError):
+        poly_frobenius(f, 3, -1)
+    assert format_poly({}, [], "x") == "0"
+    assert format_poly(f, sorted(f), "y") == "y2 + 2*y1"
+    assert format_poly({(0, 0): 1, (2, 3): 1}, [(0, 0), (2, 3)], "b") == "1 + b1^2*b2^3"
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 8, 13])
+def test_power_is_square_and_multiply(k):
+    calls = []
+
+    def mul(x, y):
+        calls.append(None)
+        return x * y % 1009
+
+    assert power(3, k, 1, mul) == pow(3, k, 1009)
+    # one product per set bit plus one squaring per further bit
+    assert len(calls) == (bin(k).count("1") + k.bit_length() - 1 if k else 0)
+    with pytest.raises(ValueError):
+        power(3, -1, 1, mul)

@@ -15,7 +15,7 @@ from iwacalc import (
 from iwacalc.padic import mi_range, mi_weight
 from iwacalc.rng import Pcg32
 
-from oracles import lmul_matrix, mul_reference
+from oracles import format_reference, lmul_matrix, mul_reference
 
 
 def random_series(trunc, rng, terms=3):
@@ -178,6 +178,15 @@ def test_aut_extend_is_multiplicative(trunc_heis):
             aut_extend(trunc_heis, phi, x) * aut_extend(trunc_heis, phi, y)
 
 
+def test_aut_extend_rejects_series_from_another_truncation(abelian2):
+    t6, t8 = TruncationSpec(abelian2, 6), TruncationSpec(abelian2, 8)
+    phi = Automorphism.linear_on_log(abelian2, [[1, 0], [3, 1]])
+    # a monomial past t6's cutoff, and one that t8 also has
+    for t, x in [(t6, t8.monomial((6, 1))), (t8, t6.monomial((1, 0)))]:
+        with pytest.raises(ValueError, match="series from a different truncation"):
+            aut_extend(t, phi, x)
+
+
 def test_relative_normal_form(trunc3):
     t = trunc3
     x = parse_series(t, "b1*b2 + 2*b1 + b3 + b2*b3^2")
@@ -220,6 +229,15 @@ def test_format_parse_round_trip(trunc2, trunc_heis):
     assert format_series(trunc2.zero()) == "0"
     assert parse_series(trunc2, "0").is_zero()
     assert parse_series(trunc2, "2*b1 + b1") == trunc2.zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_format_series_matches_term_by_term_formatter(trunc2, trunc_heis, data):
+    t = data.draw(st.sampled_from([trunc2, trunc_heis]))
+    x = t.from_dict(data.draw(st.dictionaries(
+        st.sampled_from(t.basis), st.integers(0, t.model.p - 1), max_size=8)))
+    assert format_series(x) == format_reference(x.coeffs, x.support(), "b")
 
 
 def test_parse_rejects_malformed(trunc2):
