@@ -41,7 +41,6 @@ from .moore import (
     FpPolynomial, ValuedFraction, ZetaExperiment, abelian_matrix_log,
     format_fp_poly, matrix_adjugate, matrix_det, moore_det_check,
     moore_matrix, projective_forms, zeta_convergence, zeta_eval,
-    zeta_experiment,
 )
 from .cli import ConfigError, main, parse_config, run_config
 

@@ -21,9 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import (
-    RowSpace, intersect_coordinate_subspace, reduce_against, reduce_block,
-)
+from .linalg import RowSpace, intersect_coordinate_subspace, reduce_block
 from .operators import divided_power_map
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
@@ -48,7 +46,8 @@ class IdealSpan:
         return self.rows.shape[0]
 
     def contains_vector(self, vec) -> bool:
-        return not reduce_against(self.rows, self.pivots, vec, self.trunc.model.p).any()
+        block = np.reshape(vec, (1, -1))
+        return not reduce_block(self.rows, self.pivots, block, self.trunc.model.p).any()
 
     def contains(self, x: TruncatedSeries) -> bool:
         if x.trunc is not self.trunc:
@@ -63,9 +62,10 @@ def _unit_exponent(rank: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(rank))
 
 
-def _close_span(trunc: TruncationSpec, seeds, maps) -> RowSpace:
+def _close_span(trunc: TruncationSpec, generators, maps) -> RowSpace:
+    """Span of the generators closed under maps of vectors {index: coefficient}."""
     space = RowSpace(trunc.model.p, trunc.size)
-    queue = list(seeds)
+    queue = [{trunc.index[a]: c for a, c in g.coeffs.items()} for g in generators]
     while queue:
         v = queue.pop()
         if space.add(v):
@@ -89,9 +89,9 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     # in an abelian model the left maps equal the right ones
     abelian = trunc.model.kind == "abelian"
     sides = ("right",) if sided == "right" or abelian else ("right", "left")
-    maps = [trunc.generator_map(j, side).apply
+    maps = [trunc.generator_map(j, side).apply_sparse
             for side in sides for j in range(trunc.model.rank)]
-    space = _close_span(trunc, [g.vector() for g in generators], maps)
+    space = _close_span(trunc, generators, maps)
     return IdealSpan(trunc, space.matrix(), tuple(space.pivots), sided)
 
 
@@ -231,19 +231,16 @@ def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
         if stray:
             raise ValueError(f"generator term {stray[0]} lies outside the subalgebra")
     # the subalgebra generators are b_j^{p^n_j}: apply x -> x*b_j p^n_j times
-    def power_map(j: int, k: int):
-        step = trunc.generator_map(j).apply
-
+    def power_map(step, k: int):
         def apply(v):
             for _ in range(k):
                 v = step(v)
             return v
         return apply
 
-    maps = [power_map(j, trunc.model.p ** n) for j, n in enumerate(H.exponents)
-            if n < trunc.model.precision]
-    space = _close_span(trunc, [g.vector() for g in generators], maps)
-    return space.matrix()
+    maps = [power_map(trunc.generator_map(j).apply_sparse, trunc.model.p ** n)
+            for j, n in enumerate(H.exponents) if n < trunc.model.precision]
+    return _close_span(trunc, generators, maps).matrix()
 
 
 def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,

@@ -1,26 +1,18 @@
-"""Dense linear algebra over F_p.
+"""Linear algebra over F_p: one incremental sparse echelon, `RowSpace`,
+and one block residual kernel, `reduce_block`.
 
-Everything here is exact integer arithmetic on numpy int64 arrays reduced
-mod p after each operation.  A span is held as its reduced row echelon
-basis, which is unique, so span comparisons are plain array comparisons.
-
-Every elimination goes through one residual kernel, `reduce_block`: against
-a fully reduced basis the residual of v is v - sum_k v[c_k] R_k, computed
-for a block of vectors at once.  A block is reduced only on the columns
-where the basis rows it uses are nonzero off their pivots; one row, the
-case `reduce_against` and every `RowSpace.add` take, is reduced on all
-columns, which is cheaper than finding those.  `RowSpace` keeps a growing
-span fully reduced with it, and `rref` is a `RowSpace` fed the rows of a
-matrix.
+A span is grown only by a `RowSpace`, whose rows are dicts in Python ints,
+so it is exact for any p; `rref` feeds it the rows of a matrix.  Its
+`matrix()` is the reduced row echelon basis as an int64 array, which is
+unique, so span comparisons are plain array comparisons.  `reduce_block`
+reduces a block of dense vectors against such a basis at once.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
-
-
-def inv_mod(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
@@ -31,7 +23,7 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
         a = a.reshape(1, -1)
     space = RowSpace(p, a.shape[1])
     for row in a:
-        space.add(row)
+        space.add({int(c): int(row[c]) for c in np.flatnonzero(row)})
     return space.matrix(), space.pivots
 
 
@@ -40,26 +32,15 @@ def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
     reduced rref basis (rows[k] is 1 at pivots[k] and 0 at every other pivot).
 
     The residual of v is v - sum_k v[pivots[k]] * rows[k].  It is zero at the
-    pivots, so the product is formed only for the basis rows some v needs.
-    For a block of rows it is also formed only on the columns where one of
-    those rows is nonzero off its pivot; a monomial basis has no such
-    columns.  For one row that search would cost as much as the product it
-    saves, so the product covers every column.  The basis rows are taken in
-    chunks small enough that no int64 sum of products of residues reaches
-    2^63, so the result is exact whenever (p - 1)^2 + p < 2^63.
+    pivots, so the product is formed only for the basis rows some v needs,
+    and only on the columns where one of those rows is nonzero off its
+    pivot; a monomial basis has no such columns.  The basis rows are taken
+    in chunks small enough that no int64 sum of products of residues
+    reaches 2^63, so the result is exact whenever (p - 1)^2 + p < 2^63.
     """
     out = np.asarray(block, dtype=np.int64) % p
-    if not len(pivots):
-        return out
     pivots = np.asarray(pivots, dtype=np.intp)
     step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
-    if out.shape[0] == 1:
-        coeffs = out[0, pivots]
-        used = coeffs.nonzero()[0]
-        for lo in range(0, used.size, step):
-            part = used[lo:lo + step]
-            out = (out - coeffs[part] @ rows[part]) % p
-        return out
     coeffs = out[:, pivots]
     used = np.flatnonzero(coeffs.any(axis=0))
     if not used.size:
@@ -75,58 +56,74 @@ def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
     return out
 
 
-def reduce_against(rows: np.ndarray, pivots, vec, p: int) -> np.ndarray:
-    """Residual of one vector: the one-row case of `reduce_block`."""
-    return reduce_block(rows, pivots, np.reshape(vec, (1, -1)), p)[0]
-
-
 class RowSpace:
-    """Incrementally maintained rref basis of a growing span.
+    """Echelon basis of a growing span in F_p^ncols, held as sparse rows.
 
-    Rows are kept fully reduced in one preallocated array, in insertion
-    order; `matrix()` and `pivots` sort them by pivot, so they are the
-    canonical representative of the span regardless of the insertion order.
+    A row is a dict {column: coefficient} with 1 at its pivot, its least
+    column.  A vector is reduced in increasing column order, a heap giving
+    the next column, so each step touches only the row it subtracts; a new
+    row is reduced only up to its pivot.  `matrix()` back-substitutes once
+    to the reduced row echelon form, which does not depend on the order of
+    the adds.
     """
 
     def __init__(self, p: int, ncols: int):
         self.p = p
-        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
-        self._pivots = np.zeros(ncols, dtype=np.intp)
+        self.ncols = ncols
+        self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
         self.dim = 0
 
-    def residual(self, vec) -> np.ndarray:
-        k = self.dim
-        return reduce_against(self._rows[:k], self._pivots[:k], vec, self.p)
+    def _reduce(self, vec: dict, rows: dict, stop: bool) -> dict:
+        """vec less the multiples of rows that clear it at their pivots; with
+        stop, only up to the first column that no row clears."""
+        p = self.p
+        v = {c: x % p for c, x in vec.items() if x % p}
+        heap = list(v)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            x, row = v.get(c), rows.get(c)
+            if x is None:
+                continue  # cancelled, or a repeated heap entry
+            if row is None:
+                if stop:
+                    break
+                continue
+            for k, y in row.items():
+                z = (v.get(k, 0) - x * y) % p
+                if not z:
+                    v.pop(k, None)
+                    continue
+                if k not in v:
+                    heapq.heappush(heap, k)
+                v[k] = z
+        return v
 
-    def contains(self, vec) -> bool:
-        return not self.residual(vec).any()
-
-    def add(self, vec) -> bool:
-        """Insert vec into the span; True iff the dimension grew."""
-        v = self.residual(vec)
-        nz = v.nonzero()[0]
-        if not nz.size:
+    def add(self, vec: dict) -> bool:
+        """Insert {column: coefficient} into the span; True iff it grew."""
+        v = self._reduce(vec, self._rows, stop=True)
+        if not v:
             return False
-        c = int(nz[0])
-        if v[c] != 1:
-            v = v * inv_mod(int(v[c]), self.p) % self.p
-        k = self.dim
-        stored = self._rows[:k]
-        hit = np.flatnonzero(stored[:, c])
-        if hit.size:
-            stored[hit] = (stored[hit] - stored[hit, c][:, None] * v) % self.p
-        self._rows[k] = v
-        self._pivots[k] = c
-        self.dim = k + 1
+        c = min(v)
+        inv = pow(v[c], -1, self.p)
+        self._rows[c] = {k: x * inv % self.p for k, x in v.items()}
+        self.dim += 1
         return True
 
     @property
     def pivots(self) -> list[int]:
-        return sorted(int(c) for c in self._pivots[:self.dim])
+        return sorted(self._rows)
 
     def matrix(self) -> np.ndarray:
-        order = np.argsort(self._pivots[:self.dim])
-        return self._rows[order]
+        """The reduced row echelon basis, rows sorted by pivot."""
+        done: dict[int, dict[int, int]] = {}
+        # a row meets only rows of larger pivots, which are reduced first
+        for c in sorted(self._rows, reverse=True):
+            done[c] = self._reduce(self._rows[c], done, stop=False)
+        mat = np.zeros((len(done), self.ncols), dtype=np.int64)
+        for i, c in enumerate(sorted(done)):
+            mat[i, list(done[c])] = list(done[c].values())
+        return mat
 
 
 def intersect_coordinate_subspace(rows, p: int, keep: list[int]) -> np.ndarray:

@@ -26,7 +26,6 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .groups import Automorphism, ModelError
-from .linalg import inv_mod
 from .operators import divided_power, mahler_coeff_aut
 from .padic import (
     AtLeast, PrecisionError, Val, format_poly, ge_provable, gt_provable, mi_range,
@@ -243,7 +242,7 @@ def moore_det_check(p: int, m: int, r: int, budget: int = 4096) -> dict:
     for f in forms:
         prod = prod * f
     lead_mono, lead_coeff = prod.leading()
-    c = det.coeffs.get(lead_mono, 0) * inv_mod(lead_coeff, p) % p
+    c = det.coeffs.get(lead_mono, 0) * pow(lead_coeff, -1, p) % p
     factor_ok = bool(c) and det == prod.scale(c)
     mindeg = det.min_total_degree()
     expected = sum(p ** k for k in range(m)) * p ** r
@@ -470,12 +469,6 @@ class ZetaExperiment:
             hit = (mat, det, adj)
             self._mat_cache[r] = hit
         return hit
-
-
-def zeta_experiment(trunc: TruncationSpec, phi: Automorphism,
-                    r_range: Sequence[int] = (0, 1),
-                    test_monomials=None) -> ZetaExperiment:
-    return ZetaExperiment(trunc, phi, r_range, test_monomials)
 
 
 def zeta_eval(exp: ZetaExperiment, i: int, r: int,

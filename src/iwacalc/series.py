@@ -243,7 +243,7 @@ class SparseMap:
     `restrict` keeps the entries of some targets only: the image at those
     coordinates, formed without the others."""
 
-    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers")
+    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers", "_by_source")
 
     def __init__(self, p: int, size: int, tgt, src, coef):
         self.p = p
@@ -254,6 +254,7 @@ class SparseMap:
         self.src = src[order]
         self.coef = coef[order]
         self._layers = None
+        self._by_source = None
 
     def _split(self) -> list:
         """(targets, sources, coefficients) of each layer."""
@@ -297,6 +298,19 @@ class SparseMap:
             out[tgt] += part
         out %= p
         return out if vec.ndim == 1 else out.T
+
+    def apply_sparse(self, vec: Mapping[int, int]) -> dict:
+        """Image of the vector {coordinate: coefficient}, without zero entries,
+        through per-source lists of (target, coefficient) built on first use."""
+        if self._by_source is None:
+            self._by_source = {}
+            for t, s, c in zip(self.tgt.tolist(), self.src.tolist(), self.coef.tolist()):
+                self._by_source.setdefault(s, []).append((t, c))
+        out: dict = {}
+        for s, x in vec.items():
+            for t, c in self._by_source.get(s, ()):
+                out[t] = out.get(t, 0) + x * c
+        return {t: y % self.p for t, y in out.items() if y % self.p}
 
 
 def _combine_rows(coeffs: Sequence[int], rows: Sequence[np.ndarray], size: int,

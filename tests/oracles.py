@@ -8,6 +8,8 @@ multiplies series through the group, every pair of group elements of the
 two expansions.  `dense` scatters a `SparseMap` into its matrix.
 `divided_power_reference` applies the closed formula for del^(alpha) term
 by term, `rref_reference` row-reduces by scanning columns for pivots,
+`DenseRowSpace` keeps a growing span fully reduced in a dense array and
+`dense_closure` closes a span under maps of dense vectors with it,
 `mat_pow` raises a matrix to a power by square and multiply, and
 `escapes_reference` tests a span for del_i-stability on every column.
 `format_reference` writes a sparse polynomial term by term, and
@@ -28,7 +30,7 @@ from iwacalc.groups import (
     Automorphism, UnitriangularModel, _mat_id, _mat_inv_mod, _mat_mul,
 )
 from iwacalc.control import IdealSpan
-from iwacalc.linalg import inv_mod, reduce_block, rref
+from iwacalc.linalg import reduce_block, rref
 from iwacalc.operators import _operator_index, divided_power_map
 from iwacalc.padic import MultiIndex, comb_mod, mi_range
 from iwacalc.series import (
@@ -69,7 +71,7 @@ def rref_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
             continue
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * inv_mod(a[r, c], p) % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         for i in range(nrows):
             if i != r and a[i, c]:
                 a[i] = (a[i] - a[i, c] * a[r]) % p
@@ -78,6 +80,65 @@ def rref_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
         if r == nrows:
             break
     return a[:r].copy(), pivots
+
+
+class DenseRowSpace:
+    """Incrementally maintained rref basis of a growing span.
+
+    Rows are kept fully reduced in one preallocated array, in insertion
+    order; `matrix()` and `pivots` sort them by pivot, so they are the
+    canonical representative of the span regardless of the insertion order.
+    """
+
+    def __init__(self, p: int, ncols: int):
+        self.p = p
+        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
+        self._pivots = np.zeros(ncols, dtype=np.intp)
+        self.dim = 0
+
+    def residual(self, vec) -> np.ndarray:
+        k = self.dim
+        block = np.reshape(vec, (1, -1))
+        return reduce_block(self._rows[:k], self._pivots[:k], block, self.p)[0]
+
+    def add(self, vec) -> bool:
+        """Insert vec into the span; True iff the dimension grew."""
+        v = self.residual(vec)
+        nz = v.nonzero()[0]
+        if not nz.size:
+            return False
+        c = int(nz[0])
+        if v[c] != 1:
+            v = v * pow(int(v[c]), -1, self.p) % self.p
+        k = self.dim
+        stored = self._rows[:k]
+        hit = np.flatnonzero(stored[:, c])
+        if hit.size:
+            stored[hit] = (stored[hit] - stored[hit, c][:, None] * v) % self.p
+        self._rows[k] = v
+        self._pivots[k] = c
+        self.dim = k + 1
+        return True
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(int(c) for c in self._pivots[:self.dim])
+
+    def matrix(self) -> np.ndarray:
+        order = np.argsort(self._pivots[:self.dim])
+        return self._rows[order]
+
+
+def dense_closure(p: int, size: int, seeds, maps) -> DenseRowSpace:
+    """Span of the dense seed vectors closed under the maps: the image of
+    every vector that grew the span under every map is pushed in turn."""
+    space = DenseRowSpace(p, size)
+    queue = list(seeds)
+    while queue:
+        v = queue.pop()
+        if space.add(v):
+            queue.extend(m(v) for m in maps)
+    return space
 
 
 def divided_power_reference(trunc: TruncationSpec, alpha: Sequence[int],

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, CentralPrimeSpec, ModelError, completely_prime_probe,
@@ -14,12 +14,13 @@ from iwacalc import (
     zalesskii_check,
 )
 from iwacalc.control import IdealSpan, _escapes
-from iwacalc.linalg import RowSpace, rref
+from iwacalc.linalg import intersect_coordinate_subspace, rref
 from iwacalc.rng import Pcg32
 from iwacalc.series import TruncationSpec, format_series
 
 from oracles import (
-    divided_power_reference, escapes_reference, mul_reference, operator_matrix,
+    dense_closure, divided_power_reference, escapes_reference, mul_reference,
+    operator_matrix,
 )
 
 
@@ -253,12 +254,8 @@ def test_two_sided_span_matches_dense_group_route(trunc_heis_wide,
     gens = [t.from_dict(data.draw(st.dictionaries(
         st.sampled_from(t.basis[1:]), st.integers(1, p - 1), min_size=1, max_size=3)))
         for _ in range(data.draw(st.integers(1, 2)))]
-    space = RowSpace(p, t.size)
-    queue = [g.vector() for g in gens]
-    while queue:
-        v = queue.pop()
-        if space.add(v):
-            queue.extend(m @ v % p for m in heis_dense_generator_mults)
+    space = dense_closure(p, t.size, [g.vector() for g in gens],
+                          [lambda v, m=m: m @ v % p for m in heis_dense_generator_mults])
     I = ideal_span(t, gens, "two-sided")
     assert np.array_equal(I.rows, space.matrix())
     assert I.pivots == tuple(space.pivots)
@@ -322,19 +319,67 @@ def test_abelian_two_sided_span_is_the_right_span(request, fixture, data):
     assert two.sided == "two-sided"
     assert np.array_equal(two.rows, right.rows) and two.pivots == right.pivots
     # the closure under the maps of both sides
-    space = RowSpace(p, t.size)
-    maps = [t.generator_map(j, side) for side in ("right", "left")
+    maps = [t.generator_map(j, side).apply for side in ("right", "left")
             for j in range(t.model.rank)]
-    queue = [g.vector() for g in gens]
-    while queue:
-        v = queue.pop()
-        if space.add(v):
-            queue.extend(m.apply(v) for m in maps)
+    space = dense_closure(p, t.size, [g.vector() for g in gens], maps)
     assert np.array_equal(two.rows, space.matrix())
     # a fresh truncation of the same model builds no left map
     fresh = TruncationSpec(t.model, t.W)
     ideal_span(fresh, [fresh.from_dict(g.coeffs) for g in gens], "two-sided")
     assert fresh._gen_maps and all(side == "right" for side, _ in fresh._gen_maps)
+
+
+def draw_generators(t, data, monomials):
+    """One or two series over the given monomials, each with one term, three
+    terms or every monomial, and nonzero coefficients."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        terms = min(data.draw(st.sampled_from([1, 3, len(monomials)])), len(monomials))
+        picks = rng.choice(len(monomials), terms, replace=False)
+        gens.append(t.from_dict({monomials[k]: int(rng.integers(1, t.model.p))
+                                 for k in picks}))
+    return gens
+
+
+@pytest.mark.parametrize("sided", ["right", "two-sided"])
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "u4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_spans_match_dense_closure(escape_truncs, name, sided, data):
+    t = escape_truncs[name]
+    p, d = t.model.p, t.model.rank
+    gens = draw_generators(t, data, t.basis[1:])
+    # both sides even in the abelian models, where ideal_span applies one
+    sides = ("right", "left") if sided == "two-sided" else ("right",)
+    want = dense_closure(p, t.size, [g.vector() for g in gens],
+                         [t.generator_map(j, side).apply for side in sides
+                          for j in range(d)])
+    I = ideal_span(t, gens, sided)
+    assert np.array_equal(I.rows, want.matrix()) and I.pivots == tuple(want.pivots)
+    # the subalgebra of the subgroup G^(p^n), and induction from it
+    n = data.draw(st.integers(0, 1))
+    H = subgroup_from_exponents(t.model, (n,) * d)
+    mons = [a for a in subalgebra_monomials(t, H) if any(a)]
+    assume(mons)
+    gens = draw_generators(t, data, mons)
+
+    def power(j):
+        def apply(v):
+            for _ in range(p ** n):
+                v = t.generator_map(j).apply(v)
+            return v
+        return apply
+    seeds = [g.vector() for g in gens]
+    sub = dense_closure(p, t.size, seeds, [power(j) for j in range(d)]).matrix()
+    assert np.array_equal(subalgebra_ideal_span(t, H, gens), sub)
+    induced = dense_closure(p, t.size, seeds,
+                            [t.generator_map(j).apply for j in range(d)]).matrix()
+    meet = intersect_coordinate_subspace(
+        induced, p, [t.index[a] for a in subalgebra_monomials(t, H)])
+    assert flatness_check(t, H, gens) == {
+        "dim_subalgebra_ideal": sub.shape[0], "dim_induced_ideal": induced.shape[0],
+        "dim_intersection": meet.shape[0], "flat": np.array_equal(sub, meet)}
 
 
 @pytest.fixture(scope="session")

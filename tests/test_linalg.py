@@ -1,12 +1,12 @@
 """Elimination over F_p: the block residual kernel, the incremental span
 and `rref`, each checked against the column scan of `oracles`."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from iwacalc.linalg import (
-    RowSpace, intersect_coordinate_subspace, reduce_against, reduce_block, rref,
-)
+from iwacalc.linalg import RowSpace, intersect_coordinate_subspace, reduce_block, rref
 
 from oracles import rref_reference
 
@@ -45,7 +45,6 @@ def test_reduce_block_matches_row_loop(case):
     for v, res in zip(block, got):
         want = residual_by_rows(rows, pivots, v, p)
         assert np.array_equal(res, want)
-        assert np.array_equal(reduce_against(rows, pivots, v, p), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -54,13 +53,45 @@ def test_row_space_is_canonical_rref(case):
     p, mat, block = case
     vectors = list(mat) + list(block)
     space = RowSpace(p, mat.shape[1])
-    for v in vectors:
-        space.add(v)
+    grew = [space.add({c: int(x) for c, x in enumerate(v) if x}) for v in vectors]
     rows, pivots = rref_reference(np.array(vectors), p)
     assert np.array_equal(space.matrix(), rows)
     assert space.pivots == pivots
+    assert space.dim == len(pivots) == sum(grew)
+    # every vector now lies in the span, so a second add never grows it
+    assert not any(space.add({c: int(x) for c, x in enumerate(v)}) for v in vectors)
     assert space.dim == len(pivots)
-    assert all(space.contains(v) for v in vectors)
+
+
+def test_row_space_allocates_no_square_array():
+    tracemalloc.start()
+    try:
+        space = RowSpace(3, 4000)
+        for v in ({0: 1, 3999: 2}, {5: 1}, {0: 2, 5: 1}, {3999: 1}):
+            space.add(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.pivots == [0, 5, 3999]
+    assert peak < 1 << 20
+
+
+def test_rref_is_exact_past_int64_products():
+    # (p - 1)^2 > 2^63: one product of two residues no longer fits in int64
+    p = 4294967311
+    mat = [[p - 1, p - 2, 3], [p - 3, 5, p - 7], [1, 2, p - 3]]
+    rows, pivots = rref(mat, p)
+    assert pivots == sorted(set(pivots)) and len(pivots) == 2
+    got = [[int(x) for x in r] for r in rows]
+    for r, c in zip(got, pivots):
+        assert all(0 <= x < p for x in r)
+        assert r[c] == 1 and all(r2[c] == 0 for r2 in got if r2 is not r)
+        assert not any(r[:c])
+    # each input row is the combination of the rows by its pivot entries
+    for v in mat:
+        v = [x % p for x in v]
+        assert all((sum(v[c] * r[k] for r, c in zip(got, pivots)) - v[k]) % p == 0
+                   for k in range(3))
 
 
 # 1518500213 is the largest prime with 4 * (p - 1)^2 < 2^63: past 4 rows,

@@ -152,7 +152,7 @@ def map_truncs(trunc2, trunc3, trunc_heis, tzeta, trunc_e4):
 
 def check_apply(m, data):
     """m.apply against the dense matrix of m, in Python integers, on a
-    drawn vector and a drawn block of rows."""
+    drawn vector and a drawn block of rows; m.apply_sparse on the vector."""
     mat = dense(m).astype(object)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     for shape in [(m.size,), (data.draw(st.integers(0, 4)), m.size)]:
@@ -160,6 +160,9 @@ def check_apply(m, data):
         want = np.array(x.astype(object) @ mat.T % m.p, dtype=np.int64)
         got = m.apply(x)
         assert got.shape == shape and np.array_equal(got, want)
+        if x.ndim == 1:
+            image = m.apply_sparse({k: int(v) for k, v in enumerate(x) if v})
+            assert image == {k: int(v) for k, v in enumerate(want) if v}
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])
