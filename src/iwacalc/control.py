@@ -15,13 +15,14 @@ via the depth/cutoff parameters they quote.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import RowSpace, intersect_coordinate_subspace, reduce_block
+from .linalg import RowSpace, intersect_coordinate_subspace, reduce_sparse
 from .operators import divided_power_map
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
@@ -45,17 +46,34 @@ class IdealSpan:
     def dim(self) -> int:
         return self.rows.shape[0]
 
+    @cached_property
+    def _sparse_rows(self) -> dict[int, dict[int, int]]:
+        """The rows as {pivot: {column: coefficient}}, in pivot order."""
+        out: dict[int, dict[int, int]] = {int(c): {} for c in self.pivots}
+        at, cols = np.nonzero(self.rows)
+        for k, c, x in zip(at.tolist(), cols.tolist(), self.rows[at, cols].tolist()):
+            out[self.pivots[k]][c] = x
+        return out
+
+    def _residual(self, vec: dict, stop: bool = False) -> dict:
+        """The residual of {column: coefficient} against the span, which is
+        unique and zero at the pivots since the rows are in rref.  With stop
+        it is cut at its least column, which still decides membership."""
+        return reduce_sparse(vec, self._sparse_rows, self.trunc.model.p, stop)
+
     def contains_vector(self, vec) -> bool:
-        block = np.reshape(vec, (1, -1))
-        return not reduce_block(self.rows, self.pivots, block, self.trunc.model.p).any()
+        vec = np.asarray(vec, dtype=np.int64)
+        if vec.shape != (self.trunc.size,):
+            raise ValueError(f"vector of shape {vec.shape}, expected "
+                             f"({self.trunc.size},)")
+        return not self._residual({c: x for c, x in enumerate(vec.tolist()) if x},
+                                  stop=True)
 
     def contains(self, x: TruncatedSeries) -> bool:
         if x.trunc is not self.trunc:
             raise ValueError("series from a different truncation")
-        return self.contains_vector(x.vector())
-
-    def basis_series(self) -> list[TruncatedSeries]:
-        return [self.trunc.from_vector(r) for r in self.rows]
+        return not self._residual({self.trunc.index[a]: c for a, c in x.coeffs.items()},
+                                  stop=True)
 
 
 def _unit_exponent(rank: int, j: int) -> tuple[int, ...]:
@@ -118,45 +136,29 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
         raise ModelError("subgroup belongs to a different model")
     out = []
     for i in _stability_mask(H):
-        res = _escapes(I, i)
-        bad = np.flatnonzero(res.any(axis=1))
-        if bad.size:
-            k = int(bad[0])
+        hit = _escape(I, i)
+        if hit is not None:
+            k, res = hit
             out.append({
                 "direction": i + 1,
                 "row": format_series(t.from_vector(I.rows[k])),
-                "escapes_as": format_series(t.from_vector(res[k])),
+                "escapes_as": format_series(t.from_dict({t.basis[c]: x
+                                                         for c, x in res.items()})),
             })
     return out
 
 
-def _escapes(I: IdealSpan, i: int) -> np.ndarray:
-    """Residuals of del_i(row) against the span, one per row of I.
-
-    Against the rref span (R, P) the residual of X = del_i(R) is zero at the
-    pivots P; at the free columns F it is X[:, F] - X[:, P] @ R[:, F].  A row
-    of R that is a unit vector adds nothing there, so the residual needs X
-    only at the columns F and the pivots of the other rows.  Those columns
-    are formed by the restriction of the cached map and reduced against the
-    other rows alone; a monomial span needs F only.  The residuals come back
-    full width, zero off F.
-    """
+def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
+    """(k, residual) for the first row k of I, in pivot order, whose image
+    under del_i has a nonzero residual against the span; None if the span
+    is del_i-stable."""
     t = I.trunc
-    rows, pivots = I.rows, np.asarray(I.pivots, dtype=np.intp)
-    free = np.ones(t.size, dtype=bool)
-    free[pivots] = False
-    mixed = np.flatnonzero(rows[:, free].any(axis=1))
-    need = free.copy()
-    need[pivots[mixed]] = True
-    need = np.flatnonzero(need)
     d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
-    image = d_i.restrict(need).apply(rows)
-    res = reduce_block(rows[mixed][:, need], np.searchsorted(need, pivots[mixed]),
-                       image, t.model.p)
-    # built transposed, so that each column of `need` is written in one piece
-    out = np.zeros(rows.shape[::-1], dtype=np.int64)
-    out[need] = res.T
-    return out.T
+    for k, row in enumerate(I._sparse_rows.values()):
+        res = I._residual(d_i.apply_sparse(row))
+        if res:
+            return k, res
+    return None
 
 
 def is_controlled_by(I: IdealSpan, H: SubgroupSpec) -> bool:
@@ -172,7 +174,7 @@ def controller_approx(I: IdealSpan) -> SubgroupSpec:
     chosen basis; non-aligned subgroups are not searched.
     """
     model = I.trunc.model
-    exps = [0 if _escapes(I, i).any() else 1 for i in range(model.rank)]
+    exps = [0 if _escape(I, i) is not None else 1 for i in range(model.rank)]
     return subgroup_from_exponents(model, exps)
 
 
@@ -189,15 +191,13 @@ def dagger_approx(I: IdealSpan, depth: int, budget: int = 4096) -> list[tuple[in
                          f"membership tests, over the budget {budget}")
     box = model.p ** depth
     one_at = t.index[(0,) * model.rank]
-    lams = list(mi_range((box - 1,) * model.rank))  # in sorted order
     out = []
-    # one block of candidates g^lam - 1 per `size` lambdas
-    for lo in range(0, count, t.size):
-        chunk = lams[lo:lo + t.size]
-        block = np.array([t._embed_row(model.element(lam)) for lam in chunk])
-        block[:, one_at] -= 1
-        res = reduce_block(I.rows, I.pivots, block, model.p)
-        out.extend(chunk[k] for k in np.flatnonzero(~res.any(axis=1)))
+    for lam in mi_range((box - 1,) * model.rank):  # in sorted order
+        row = t._embed_row(model.element(lam)).tolist()
+        vec = {c: x for c, x in enumerate(row) if x}
+        vec[one_at] -= 1
+        if not I._residual(vec, stop=True):
+            out.append(lam)
     return out
 
 

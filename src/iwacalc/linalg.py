@@ -1,11 +1,12 @@
-"""Linear algebra over F_p: one incremental sparse echelon, `RowSpace`,
-and one block residual kernel, `reduce_block`.
+"""Linear algebra over F_p: one sparse elimination, `reduce_sparse`, and
+the incremental echelon `RowSpace` built on it.
 
-A span is grown only by a `RowSpace`, whose rows are dicts in Python ints,
-so it is exact for any p; `rref` feeds it the rows of a matrix.  Its
-`matrix()` is the reduced row echelon basis as an int64 array, which is
-unique, so span comparisons are plain array comparisons.  `reduce_block`
-reduces a block of dense vectors against such a basis at once.
+Rows and vectors are dicts {column: coefficient} in Python ints, so the
+arithmetic is exact for any p.  A span is grown only by a `RowSpace`;
+`rref` feeds it the rows of a matrix.  Its `matrix()` is the reduced row
+echelon basis as an int64 array, which is unique, so span comparisons are
+plain array comparisons.  The residual of a vector against such a basis,
+held as sparse rows, is `reduce_sparse` again.
 """
 
 from __future__ import annotations
@@ -27,44 +28,46 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     return space.matrix(), space.pivots
 
 
-def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
-    """Residual of each row of block after elimination against a fully
-    reduced rref basis (rows[k] is 1 at pivots[k] and 0 at every other pivot).
+def reduce_sparse(vec: dict, rows: dict, p: int, stop: bool = False) -> dict:
+    """vec less the multiples of rows that clear it at their pivots, without
+    zero entries; with stop, only up to the first column that no row clears.
 
-    The residual of v is v - sum_k v[pivots[k]] * rows[k].  It is zero at the
-    pivots, so the product is formed only for the basis rows some v needs,
-    and only on the columns where one of those rows is nonzero off its
-    pivot; a monomial basis has no such columns.  The basis rows are taken
-    in chunks small enough that no int64 sum of products of residues
-    reaches 2^63, so the result is exact whenever (p - 1)^2 + p < 2^63.
+    rows maps each pivot to its row {column: coefficient}, which is 1 at the
+    pivot and 0 before it.  The columns are cleared in increasing order, a
+    heap giving the next one, so each step touches only the row it
+    subtracts.  Against a fully reduced basis (each row 0 at every other
+    pivot) the result is the unique residual, zero at the pivots.
     """
-    out = np.asarray(block, dtype=np.int64) % p
-    pivots = np.asarray(pivots, dtype=np.intp)
-    step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
-    coeffs = out[:, pivots]
-    used = np.flatnonzero(coeffs.any(axis=0))
-    if not used.size:
-        return out
-    coeffs, basis = coeffs[:, used], rows[used]
-    out[:, pivots[used]] = 0
-    off = basis.any(axis=0)
-    off[pivots] = False
-    cols = np.flatnonzero(off)
-    for lo in range(0, used.size if cols.size else 0, step):
-        part = coeffs[:, lo:lo + step] @ basis[lo:lo + step][:, cols]
-        out[:, cols] = (out[:, cols] - part) % p
-    return out
+    v = {c: x % p for c, x in vec.items() if x % p}
+    heap = list(v)
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        x, row = v.get(c), rows.get(c)
+        if x is None:
+            continue  # cancelled, or a repeated heap entry
+        if row is None:
+            if stop:
+                break
+            continue
+        for k, y in row.items():
+            z = (v.get(k, 0) - x * y) % p
+            if not z:
+                v.pop(k, None)
+                continue
+            if k not in v:
+                heapq.heappush(heap, k)
+            v[k] = z
+    return v
 
 
 class RowSpace:
     """Echelon basis of a growing span in F_p^ncols, held as sparse rows.
 
     A row is a dict {column: coefficient} with 1 at its pivot, its least
-    column.  A vector is reduced in increasing column order, a heap giving
-    the next column, so each step touches only the row it subtracts; a new
-    row is reduced only up to its pivot.  `matrix()` back-substitutes once
-    to the reduced row echelon form, which does not depend on the order of
-    the adds.
+    column.  A new vector is reduced by `reduce_sparse` only up to its
+    pivot.  `matrix()` back-substitutes once to the reduced row echelon
+    form, which does not depend on the order of the adds.
     """
 
     def __init__(self, p: int, ncols: int):
@@ -73,35 +76,9 @@ class RowSpace:
         self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
         self.dim = 0
 
-    def _reduce(self, vec: dict, rows: dict, stop: bool) -> dict:
-        """vec less the multiples of rows that clear it at their pivots; with
-        stop, only up to the first column that no row clears."""
-        p = self.p
-        v = {c: x % p for c, x in vec.items() if x % p}
-        heap = list(v)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            x, row = v.get(c), rows.get(c)
-            if x is None:
-                continue  # cancelled, or a repeated heap entry
-            if row is None:
-                if stop:
-                    break
-                continue
-            for k, y in row.items():
-                z = (v.get(k, 0) - x * y) % p
-                if not z:
-                    v.pop(k, None)
-                    continue
-                if k not in v:
-                    heapq.heappush(heap, k)
-                v[k] = z
-        return v
-
     def add(self, vec: dict) -> bool:
         """Insert {column: coefficient} into the span; True iff it grew."""
-        v = self._reduce(vec, self._rows, stop=True)
+        v = reduce_sparse(vec, self._rows, self.p, stop=True)
         if not v:
             return False
         c = min(v)
@@ -119,7 +96,7 @@ class RowSpace:
         done: dict[int, dict[int, int]] = {}
         # a row meets only rows of larger pivots, which are reduced first
         for c in sorted(self._rows, reverse=True):
-            done[c] = self._reduce(self._rows[c], done, stop=False)
+            done[c] = reduce_sparse(self._rows[c], done, self.p)
         mat = np.zeros((len(done), self.ncols), dtype=np.int64)
         for i, c in enumerate(sorted(done)):
             mat[i, list(done[c])] = list(done[c].values())

@@ -238,10 +238,7 @@ class SparseMap:
     entries per target and the generator maps few, so an apply takes a few
     layers.  The layers are built on the first apply, since most cached
     divided powers are never applied.  The partial sums are reduced often
-    enough that no int64 sum of products of residues reaches 2^63.
-
-    `restrict` keeps the entries of some targets only: the image at those
-    coordinates, formed without the others."""
+    enough that no int64 sum of products of residues reaches 2^63."""
 
     __slots__ = ("p", "size", "tgt", "src", "coef", "_layers", "_by_source")
 
@@ -268,16 +265,6 @@ class SparseMap:
         cuts = np.cumsum(np.bincount(depth, minlength=1))[:-1]
         return [(self.tgt[k], self.src[k], self.coef[k])
                 for k in np.split(order, cuts) if k.size]
-
-    def restrict(self, keep) -> "SparseMap":
-        """The map followed by the projection onto the sorted coordinates
-        `keep`: its image has len(keep) coordinates, in that order."""
-        keep = np.asarray(keep, dtype=np.int64)
-        at = np.full(self.size, -1, dtype=np.int64)
-        at[keep] = np.arange(keep.size)
-        hit = at[self.tgt] >= 0
-        return SparseMap(self.p, keep.size, at[self.tgt[hit]], self.src[hit],
-                         self.coef[hit])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Image of a coefficient vector with entries in [0, p), or of each

@@ -8,8 +8,9 @@ multiplies series through the group, every pair of group elements of the
 two expansions.  `dense` scatters a `SparseMap` into its matrix.
 `divided_power_reference` applies the closed formula for del^(alpha) term
 by term, `rref_reference` row-reduces by scanning columns for pivots,
-`DenseRowSpace` keeps a growing span fully reduced in a dense array and
-`dense_closure` closes a span under maps of dense vectors with it,
+`reduce_block` reduces a block of dense vectors against an rref basis at
+once, `DenseRowSpace` keeps a growing span fully reduced in a dense array
+and `dense_closure` closes a span under maps of dense vectors with it,
 `mat_pow` raises a matrix to a power by square and multiply, and
 `escapes_reference` tests a span for del_i-stability on every column.
 `format_reference` writes a sparse polynomial term by term, and
@@ -30,7 +31,7 @@ from iwacalc.groups import (
     Automorphism, UnitriangularModel, _mat_id, _mat_inv_mod, _mat_mul,
 )
 from iwacalc.control import IdealSpan
-from iwacalc.linalg import reduce_block, rref
+from iwacalc.linalg import rref
 from iwacalc.operators import _operator_index, divided_power_map
 from iwacalc.padic import MultiIndex, comb_mod, mi_range
 from iwacalc.series import (
@@ -80,6 +81,35 @@ def rref_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
         if r == nrows:
             break
     return a[:r].copy(), pivots
+
+
+def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
+    """Residual of each row of block after elimination against a fully
+    reduced rref basis (rows[k] is 1 at pivots[k] and 0 at every other pivot).
+
+    The residual of v is v - sum_k v[pivots[k]] * rows[k].  It is zero at the
+    pivots, so the product is formed only for the basis rows some v needs,
+    and only on the columns where one of those rows is nonzero off its
+    pivot; a monomial basis has no such columns.  The basis rows are taken
+    in chunks small enough that no int64 sum of products of residues
+    reaches 2^63, so the result is exact whenever (p - 1)^2 + p < 2^63.
+    """
+    out = np.asarray(block, dtype=np.int64) % p
+    pivots = np.asarray(pivots, dtype=np.intp)
+    step = max(1, ((1 << 63) - p) // (p - 1) ** 2)
+    coeffs = out[:, pivots]
+    used = np.flatnonzero(coeffs.any(axis=0))
+    if not used.size:
+        return out
+    coeffs, basis = coeffs[:, used], rows[used]
+    out[:, pivots[used]] = 0
+    off = basis.any(axis=0)
+    off[pivots] = False
+    cols = np.flatnonzero(off)
+    for lo in range(0, used.size if cols.size else 0, step):
+        part = coeffs[:, lo:lo + step] @ basis[lo:lo + step][:, cols]
+        out[:, cols] = (out[:, cols] - part) % p
+    return out
 
 
 class DenseRowSpace:

@@ -1,5 +1,6 @@
 """Ideal spans, control by subgroups, flat induction and central primes."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,15 @@ from iwacalc import (
     subalgebra_ideal_span, subalgebra_monomials, subgroup_from_exponents,
     zalesskii_check,
 )
-from iwacalc.control import IdealSpan, _escapes
+from iwacalc.control import IdealSpan, _escape
 from iwacalc.linalg import intersect_coordinate_subspace, rref
+from iwacalc.padic import mi_range
 from iwacalc.rng import Pcg32
-from iwacalc.series import TruncationSpec, format_series
+from iwacalc.series import TruncationSpec, format_series, group_embed
 
 from oracles import (
     dense_closure, divided_power_reference, escapes_reference, mul_reference,
-    operator_matrix,
+    operator_matrix, reduce_block,
 )
 
 
@@ -30,6 +32,17 @@ def test_principal_span_dimension(trunc2):
     # abelian right ideal: exactly the monomial multiples of b1
     assert I.contains(parse_series(trunc2, "b1*b2^3 + 2*b1^4"))
     assert not I.contains(parse_series(trunc2, "b1 + b2"))
+
+
+def test_contains_vector_checks_shape(trunc2):
+    I = ideal_span(trunc2, [trunc2.monomial((1, 0))])
+    n = trunc2.size
+    assert I.contains_vector(parse_series(trunc2, "b1*b2 + 2*b1^3").vector())
+    assert not I.contains_vector(trunc2.one().vector())
+    # longer, shorter, a block of two, a scalar: none is read as a vector
+    for shape in [(n + 3,), (n - 3,), (2, n), ()]:
+        with pytest.raises(ValueError, match="shape"):
+            I.contains_vector(np.zeros(shape, dtype=np.int64))
 
 
 def test_maximal_ideal_dimension(trunc2):
@@ -414,7 +427,41 @@ def test_escapes_match_full_width_reference(escape_truncs, name, sided, data):
     rows, pivots = rref(rng.integers(0, p, shape) * (rng.random(shape) < density), p)
     spans.append(IdealSpan(t, rows, tuple(pivots), sided))
     for I in spans:
-        for i in range(t.model.rank):
-            got = _escapes(I, i)
-            assert got.shape == I.rows.shape
-            assert np.array_equal(got, escapes_reference(I, i))
+        refs = [escapes_reference(I, i) for i in range(t.model.rank)]
+        for i, ref in enumerate(refs):
+            # the first row that escapes, with its full-width residual
+            bad = np.flatnonzero(ref.any(axis=1))
+            got = _escape(I, i)
+            if not bad.size:
+                assert got is None
+                continue
+            k, res = got
+            assert k == bad[0]
+            assert res == {int(c): int(ref[k, c]) for c in np.flatnonzero(ref[k])}
+        want = tuple(0 if ref.any() else 1 for ref in refs)
+        try:
+            H = subgroup_from_exponents(t.model, want)
+        except ModelError as exc:
+            with pytest.raises(ModelError, match=re.escape(str(exc))):
+                controller_approx(I)
+        else:
+            assert controller_approx(I).exponents == H.exponents
+
+
+@pytest.mark.parametrize("sided", ["right", "two-sided"])
+@pytest.mark.parametrize("fixture", ["trunc2", "trunc_heis"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_dagger_matches_block_residuals(request, fixture, sided, data):
+    t = request.getfixturevalue(fixture)
+    model = t.model
+    p, rank = model.p, model.rank
+    depth = data.draw(st.sampled_from([d for d in (1, 2) if p ** (d * rank) <= 4096]))
+    I = ideal_span(t, draw_generators(t, data, t.basis[1:]), sided)
+    # lam is kept iff g^lam - 1 has a zero residual against the dense rows
+    want = []
+    for lam in mi_range((p ** depth - 1,) * rank):
+        v = (group_embed(t, model.element(lam)) - t.one()).vector()
+        if not reduce_block(I.rows, I.pivots, v[None, :], p).any():
+            want.append(lam)
+    assert dagger_approx(I, depth) == want

@@ -1,23 +1,32 @@
-"""Elimination over F_p: the block residual kernel, the incremental span
-and `rref`, each checked against the column scan of `oracles`."""
+"""Elimination over F_p: the sparse residual kernel, the incremental span
+and `rref`, each checked against the column scan and the block residuals
+of `oracles`."""
 
 import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from iwacalc.linalg import RowSpace, intersect_coordinate_subspace, reduce_block, rref
+from iwacalc.linalg import RowSpace, intersect_coordinate_subspace, reduce_sparse, rref
 
-from oracles import rref_reference
+from oracles import reduce_block, rref_reference
 
 
 def residual_by_rows(rows, pivots, vec, p):
-    """Row-by-row elimination, the loop that reduce_block replaces."""
-    v = np.array(vec, dtype=np.int64) % p
+    """Row-by-row elimination in Python ints, exact for any p."""
+    v = np.array(vec, dtype=object) % p
     for row, c in zip(rows, pivots):
         if v[c]:
-            v = (v - v[c] * row) % p
+            v = (v - v[c] * row.astype(object)) % p
     return v
+
+
+def as_dict(vec):
+    return {int(c): int(vec[c]) for c in np.flatnonzero(vec)}
+
+
+def sparse_rows(rows, pivots):
+    return {int(c): as_dict(row) for row, c in zip(rows, pivots)}
 
 
 @st.composite
@@ -45,6 +54,7 @@ def test_reduce_block_matches_row_loop(case):
     for v, res in zip(block, got):
         want = residual_by_rows(rows, pivots, v, p)
         assert np.array_equal(res, want)
+        assert reduce_sparse(as_dict(v), sparse_rows(rows, pivots), p) == as_dict(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,23 +174,30 @@ def test_intersect_coordinate_subspace(case, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_reduce_block_one_row_matches_block_at_large_p(data):
-    # past 4 basis rows the product is taken in chunks at this prime
-    p = PRIMES[-1]
+@given(p=st.sampled_from([PRIMES[-1], 4294967311]), data=st.data())
+def test_reduce_block_one_row_matches_block_at_large_p(p, data):
+    # at the first prime the block product is taken in chunks past 4 basis
+    # rows; at the second one product of two residues passes 2^63, and only
+    # the sparse route, in Python ints, is exact
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     nrows = data.draw(st.integers(0, 12))
     ncols = data.draw(st.integers(1, 24))
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
     mat = rng.integers(0, p, (nrows, ncols)) * (rng.random((nrows, ncols)) < density)
-    rows, pivots = rref_reference(mat, p)
+    rows, pivots = (rref_reference if p == PRIMES[-1] else rref)(mat, p)
     block = rng.integers(0, p, (data.draw(st.integers(2, 6)), ncols))
     # members of the span, combined with Python ints so they cannot wrap
     mix = rng.integers(0, p, (block[::2].shape[0], rows.shape[0])).astype(object)
     block[::2] = np.array(mix @ rows.astype(object) % p, dtype=np.int64).reshape(
         block[::2].shape)
-    whole = reduce_block(rows, pivots, block, p)
-    assert not whole[::2].any()
-    for v, res in zip(block, whole):
-        assert np.array_equal(reduce_block(rows, pivots, v[None, :], p)[0], res)
-        assert np.array_equal(res, residual_by_rows(rows, pivots, v, p))
+    sparse = sparse_rows(rows, pivots)
+    for k, v in enumerate(block):
+        res = reduce_sparse(as_dict(v), sparse, p)
+        assert res == as_dict(residual_by_rows(rows, pivots, v, p))
+        assert k % 2 or not res
+    if p == PRIMES[-1]:
+        whole = reduce_block(rows, pivots, block, p)
+        assert not whole[::2].any()
+        for v, res in zip(block, whole):
+            assert np.array_equal(reduce_block(rows, pivots, v[None, :], p)[0], res)
+            assert np.array_equal(res, residual_by_rows(rows, pivots, v, p))
