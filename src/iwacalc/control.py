@@ -189,16 +189,11 @@ def dagger_approx(I: IdealSpan, depth: int, budget: int = 4096) -> list[tuple[in
     if count > budget:
         raise ValueError(f"dagger search needs p^(depth*rank) = {count} "
                          f"membership tests, over the budget {budget}")
-    box = model.p ** depth
-    one_at = t.index[(0,) * model.rank]
-    out = []
-    for lam in mi_range((box - 1,) * model.rank):  # in sorted order
-        row = t._embed_row(model.element(lam)).tolist()
-        vec = {c: x for c, x in enumerate(row) if x}
-        vec[one_at] -= 1
-        if not I._residual(vec, stop=True):
-            out.append(lam)
-    return out
+    lams = list(mi_range((model.p ** depth - 1,) * model.rank))  # in sorted order
+    rows = t._embed_rows(lams)
+    rows[:, t.index[(0,) * model.rank]] -= 1  # g^lam - 1; C(lam, 0) = 1
+    return [lam for lam, row in zip(lams, rows) if not I._residual(
+        {c: int(row[c]) for c in np.flatnonzero(row)}, stop=True)]
 
 
 # ---------------------------------------------------------------------------

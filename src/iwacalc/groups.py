@@ -528,9 +528,12 @@ class UnitriangularModel(GroupModel):
         return GroupElement(self, tuple(padic_make(v, self.p, self.precision)
                                         for v in values))
 
+    def _mul_values(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Coordinates of g^a * g^b, from plain coordinates in [0, p^M)."""
+        return _evaluate(self._mul_law, list(a) + list(b), self._pm)
+
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._element(_evaluate(
-            self._mul_law, self._values(a) + self._values(b), self._pm))
+        return self._element(self._mul_values(self._values(a), self._values(b)))
 
     def inv(self, a: GroupElement) -> GroupElement:
         return self.pow(a, -1)

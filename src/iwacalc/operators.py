@@ -39,7 +39,7 @@ from .padic import (
     signed_binomials, val_min, val_sub_exact,
 )
 from .series import (
-    SparseMap, TruncatedSeries, TruncationSpec, _combine_rows, group_embed,
+    SparseMap, TruncatedSeries, TruncationSpec, group_embed,
 )
 
 
@@ -214,14 +214,12 @@ def rho_apply(trunc: TruncationSpec, f: LocallyConstantFunction,
     if f.rank != trunc.model.rank or f.p != trunc.model.p:
         raise ValueError("function does not match the model")
     p = trunc.model.p
-    coeffs, rows = [], []
+    weights: dict = {}  # g^c -> its coefficient; each c is a basis monomial
     for a, ca in x.coeffs.items():
         for c, s in trunc._expand(a):
-            v = ca * s * f(c) % p
-            if v:
-                coeffs.append(v)
-                rows.append(trunc._embed_row(trunc._group_el(c)))
-    return trunc.from_vector(_combine_rows(coeffs, rows, trunc.size, p))
+            weights[c] = (weights.get(c, 0) + ca * s * f(c)) % p
+    return trunc.from_vector(np.array(list(weights.values()), dtype=np.int64)
+                             @ trunc._embed_rows(list(weights)))
 
 
 def rho_apply_mahler(trunc: TruncationSpec, f: LocallyConstantFunction,
@@ -244,12 +242,13 @@ def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
     group expansion.  This is the primary route for every automorphism."""
     model = trunc.model
     terms = trunc._expand(_operator_index(trunc, alpha))
-    rows = []
-    for beta, _ in terms:
-        el = trunc._group_el(beta)
-        rows.append(trunc._embed_row(model.mul(phi.apply(el), model.inv(el))))
-    return trunc.from_vector(_combine_rows(
-        [s for _, s in terms], rows, trunc.size, model.p))
+    els = [model.element(beta) for beta, _ in terms]
+    lams = [model.mul(phi.apply(el), model.inv(el)).coord_values() for el in els]
+    coefs, rows = np.array([s for _, s in terms]), trunc._embed_rows(lams)
+    # alpha need not lie in the basis: sum at most `size` products at a time
+    step = trunc.size
+    return trunc.from_vector(sum(coefs[k:k + step] @ rows[k:k + step] % model.p
+                                 for k in range(0, len(terms), step)))
 
 
 def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,

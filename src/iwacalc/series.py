@@ -12,14 +12,18 @@ product is computed through the group: b^a is expanded into group elements,
 b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c, each g^c is multiplied by g_j
 in the model, and the products are re-expanded by the Mahler formula
 g^m = sum_b C(m, b) b^b.  A truncation keeps these products as sparse maps
-x -> x*b_j and x -> b_j*x (`TruncationSpec.generator_map`), built on first
-use.  On non-abelian models x*y = sum_beta y_beta (x*b^beta), and each
-x*b^beta is one sparse apply to x*b^beta', where b^beta = b^beta' * b_j
-drops the last letter of the normal-order word.  On abelian models every
-map is a shift, and `*` adds exponents directly.  The tests keep the older
-route, which multiplies every pair of group elements of the two expansions
-(`mul_reference` in tests/oracles.py), as the oracle that `*` is compared
-with.
+x -> x*b_j and x -> b_j*x (`TruncationSpec.generator_map`), each built on
+first use in one batch.  The group law runs on plain integer coordinates.
+By Lucas's theorem C(m, b) mod p depends only on m mod p^need, the least
+power of p above every basis exponent, so all the Mahler rows of a build
+are one gather from rows of binomials kept per residue that occurs.
+Products already in normal order, all of them on abelian models, are one
+shift of exponents.  On non-abelian models x*y = sum_beta y_beta (x*b^beta),
+and each x*b^beta is one sparse apply to x*b^beta', where b^beta =
+b^beta' * b_j drops the last letter of the normal-order word.  On abelian
+models `*` adds exponents directly.  The tests keep the older route, which
+multiplies every pair of group elements of the two expansions
+(`mul_reference` in tests/oracles.py), as the oracle that `*` is compared with.
 
 Every accumulation sums at most `size` products of residues, so
 `TruncationSpec` rejects primes with size * (p - 1)^2 >= 2^63 and int64
@@ -31,6 +35,7 @@ rest of the package.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, Optional, Sequence
@@ -40,8 +45,8 @@ import numpy as np
 from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, format_poly, mi_weight,
-    poly_combine, poly_frobenius, poly_product_sum, power, signed_binomial_rows,
-    signed_binomials,
+    padic_make, poly_combine, poly_frobenius, poly_product_sum, power,
+    signed_binomial_rows, signed_binomials,
 )
 
 
@@ -72,11 +77,12 @@ class TruncationSpec:
         self._exponents = np.array(self.basis, dtype=np.int64).reshape(
             self.size, model.rank)
         self.max_exponents = tuple(int(m) for m in self._exponents.max(axis=0))
-        max_exp = max(self.max_exponents, default=0)
-        if model.p ** model.precision <= max_exp:
-            need = 1
-            while model.p ** need <= max_exp:
-                need += 1
+        max_exp = max(self.max_exponents)
+        # p^need, the least power of p above every exponent (see _embed_rows)
+        self._lucas_modulus, need = model.p, 1
+        while self._lucas_modulus <= max_exp:
+            self._lucas_modulus, need = self._lucas_modulus * model.p, need + 1
+        if need > model.precision:
             raise PrecisionError(
                 f"cutoff W={W} uses exponents up to {max_exp}; coordinate precision "
                 f"M={model.precision} is too small (need M >= {need})")
@@ -93,8 +99,7 @@ class TruncationSpec:
         self._op_cache: dict = {}
         self._expand_cache: dict = {}
         self._signed_rows: list = []
-        self._embed_rows: dict = {}
-        self._gel_cache: dict = {}
+        self._lucas_rows: dict = {}
         self._gen_maps: dict = {}
         self._aut_tables: dict = {}
 
@@ -125,8 +130,9 @@ class TruncationSpec:
         return TruncatedSeries(self, dict(coeffs))
 
     def from_vector(self, vec) -> "TruncatedSeries":
-        coeffs = {self.basis[i]: int(v) for i, v in enumerate(vec) if v % self.model.p}
-        return TruncatedSeries(self, coeffs)
+        vec = np.asarray(vec) % self.model.p
+        return TruncatedSeries._trusted(
+            self, {self.basis[i]: int(vec[i]) for i in np.flatnonzero(vec)})
 
     # -- expansion caches ---------------------------------------------------
 
@@ -145,85 +151,89 @@ class TruncationSpec:
                 self._signed_rows, a, self.model.p)
         return hit
 
-    def _group_el(self, c: MultiIndex) -> GroupElement:
-        hit = self._gel_cache.get(c)
-        if hit is None:
-            hit = self.model.element(c)
-            self._gel_cache[c] = hit
-        return hit
-
-    def _embed_key(self, el: GroupElement):
-        return tuple(x.digits for x in el.coords)
+    def _embed_rows(self, coords) -> np.ndarray:
+        """Row k is the embedding of g^lam, lam the k-th integer coordinate
+        vector of `coords`: C(lam, b) mod p for every basis monomial b.  By
+        Lucas's theorem C(lam_i, n) mod p for n up to the largest exponent
+        depends only on lam_i mod p^need, so a row of these binomials is kept
+        per residue that has occurred, and each coordinate is one gather."""
+        p, top = self.model.p, max(self.max_exponents)
+        lams = np.asarray(coords, dtype=np.int64).reshape(-1, self.model.rank)
+        residues, at = np.unique(lams % self._lucas_modulus, return_inverse=True)
+        for r in residues.tolist():
+            if r not in self._lucas_rows:
+                lam = padic_make(r, p, self.precision)
+                self._lucas_rows[r] = [binom_mod_p(lam, n) for n in range(top + 1)]
+        table = np.array([self._lucas_rows[r] for r in residues.tolist()],
+                         dtype=np.int64).reshape(residues.size, top + 1)
+        at = at.reshape(lams.shape)
+        # factors are residues, so reduce only when the next product could wrap
+        out, bound = np.ones((len(lams), self.size), dtype=np.int64), 1
+        for i, col in enumerate(self._exponents.T):
+            if bound * (p - 1) >= INT64_LIMIT:
+                out %= p
+                bound = p - 1
+            out *= table[:, col][at[:, i]]
+            bound *= p - 1
+        return out % p
 
     def _embed_row(self, el: GroupElement) -> np.ndarray:
-        """C(lam, b) mod p for every basis monomial b, where lam = coords of el:
-        one table of C(lam_i, k) per coordinate, gathered at the exponents."""
-        key = self._embed_key(el)
-        hit = self._embed_rows.get(key)
-        if hit is None:
-            p = self.model.p
-            hit = np.ones(self.size, dtype=np.int64)
-            for lam, top, col in zip(el.coords, self.max_exponents, self._exponents.T):
-                table = np.array([binom_mod_p(lam, k) for k in range(top + 1)],
-                                 dtype=np.int64)
-                hit = hit * table[col] % p
-            self._embed_rows[key] = hit
-        return hit
+        """The one-row case of `_embed_rows`: the embedding of el."""
+        return self._embed_rows([el.coord_values()])[0]
 
     # -- generator maps -----------------------------------------------------
 
     def generator_map(self, j: int, side: str = "right") -> "SparseMap":
         """Sparse map x -> x*b_j (side "right") or x -> b_j*x ("left")."""
-        key = (side, j)
-        hit = self._gen_maps.get(key)
+        hit = self._gen_maps.get((side, j))
         if hit is None:
-            hit = self._build_generator_map(j, side)
-            self._gen_maps[key] = hit
+            hit = self._gen_maps[side, j] = self._build_generator_map(j, side)
         return hit
 
     def _build_generator_map(self, j: int, side: str) -> "SparseMap":
+        """Built on integer arrays (see the module docstring): one shift for
+        the columns in normal order, one `_embed_rows` call for every g^c g_j
+        of the others, and one int64 product of at most `size` terms each."""
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         model = self.model
         p = model.p
-        gj = model.basis()[j]
+        unit = tuple(int(k == j) for k in range(model.rank))
         # b^a*b_j is in normal order iff a has no letter after j, b_j*b^a iff
         # it has none before j; in abelian models every product is
         if model.kind == "abelian":
-            outside = ()
+            outside = []
         else:
-            outside = range(j + 1, model.rank) if side == "right" else range(j)
-        rows: dict = {}  # c -> embed(g^c * g_j), or embed(g_j * g^c)
-
-        def bump(a: MultiIndex) -> MultiIndex:
-            return a[:j] + (a[j] + 1,) + a[j + 1:]
-
-        def moved_row(c: MultiIndex) -> np.ndarray:
-            hit = rows.get(c)
-            if hit is None:
-                if any(c[k] for k in outside):
-                    g = self._group_el(c)
-                    el = model.mul(g, gj) if side == "right" else model.mul(gj, g)
+            outside = list(range(j + 1, model.rank) if side == "right" else range(j))
+        moved = self._exponents[:, outside].any(axis=1)
+        shift = np.flatnonzero(~moved & (
+            self._int_weights + int(self.omega[j] * self.e) < self.W))
+        # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a,
+        # and g^c g_j = g^(c + e_j) when c has no letter outside
+        movers = np.flatnonzero(moved)
+        terms = [self._expand(self.basis[i]) for i in movers.tolist()]
+        at: dict = {}  # c -> its row of `rows`
+        coords = []
+        for c, _ in itertools.chain.from_iterable(terms):
+            if c not in at:
+                at[c] = len(coords)
+                if not any(c[k] for k in outside):
+                    coords.append([x + y for x, y in zip(c, unit)])
+                elif side == "right":
+                    coords.append(model._mul_values(c, unit))
                 else:
-                    el = self._group_el(bump(c))
-                hit = rows[c] = self._embed_row(el)
-            return hit
-
-        entries = []  # (target, source, coefficient)
-        for i, a in enumerate(self.basis):
-            if not any(a[k] for k in outside):
-                k = self.index.get(bump(a))
-                if k is not None:
-                    entries.append((k, i, 1))
-                continue
-            # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a
-            terms = self._expand(a)
-            col = _combine_rows([s for _, s in terms],
-                                [moved_row(c) for c, _ in terms], self.size, p)
-            col[i] = (col[i] - 1) % p
-            entries.extend((int(k), i, int(col[k])) for k in np.flatnonzero(col))
-        tgt, src, coef = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-        return SparseMap(p, self.size, tgt, src, coef)
+                    coords.append(model._mul_values(unit, c))
+        rows = self._embed_rows(coords)
+        cols = np.zeros((movers.size, self.size), dtype=np.int64)
+        for n, col in enumerate(terms):
+            cols[n] = np.array([s for _, s in col]) @ rows[[at[c] for c, _ in col]]
+        cols[np.arange(movers.size), movers] -= 1
+        cols %= p
+        n, k = np.nonzero(cols)
+        shifted = self._indices_of(self._exponents[shift] + unit)
+        return SparseMap(p, self.size, np.concatenate([shifted, k]),
+                         np.concatenate([shift, movers[n]]),
+                         np.concatenate([np.ones(shift.size, dtype=np.int64), cols[n, k]]))
 
 
 class SparseMap:
@@ -300,17 +310,6 @@ class SparseMap:
         return {t: y % self.p for t, y in out.items() if y % self.p}
 
 
-def _combine_rows(coeffs: Sequence[int], rows: Sequence[np.ndarray], size: int,
-                  p: int) -> np.ndarray:
-    """sum_k coeffs[k] * rows[k] mod p over residues, reduced every `size`
-    rows so that no partial sum reaches size * (p - 1)^2."""
-    acc = np.zeros(size, dtype=np.int64)
-    for lo in range(0, len(rows), size):
-        part = np.array(coeffs[lo:lo + size], dtype=np.int64) @ np.array(rows[lo:lo + size])
-        acc = (acc + part % p) % p
-    return acc
-
-
 class TruncatedSeries:
     """Coefficient map on the monomial basis; immutable by convention."""
 
@@ -330,6 +329,13 @@ class TruncatedSeries:
         self.trunc = trunc
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, trunc: TruncationSpec, coeffs: dict) -> "TruncatedSeries":
+        """A kernel's dict of basis monomials to residues in [1, p), unchecked."""
+        out = object.__new__(cls)
+        out.trunc, out.coeffs = trunc, coeffs
+        return out
+
     # -- ring structure -----------------------------------------------------
 
     def _check(self, other: "TruncatedSeries") -> None:
@@ -338,7 +344,7 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries(self.trunc, poly_combine(
+        return TruncatedSeries._trusted(self.trunc, poly_combine(
             (1, 1), (self.coeffs, other.coeffs), self.trunc.model.p))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -348,7 +354,7 @@ class TruncatedSeries:
         return self.scale(-1)
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.trunc, poly_combine(
+        return TruncatedSeries._trusted(self.trunc, poly_combine(
             (c,), (self.coeffs,), self.trunc.model.p))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -358,7 +364,9 @@ class TruncatedSeries:
         if t.model.kind == "abelian":
             # every generator map is a shift here, so this is the polynomial
             # product with the monomials beyond the cutoff dropped
-            return TruncatedSeries(t, poly_product_sum([(self.coeffs, other.coeffs)], p))
+            prod = poly_product_sum([(self.coeffs, other.coeffs)], p)
+            return TruncatedSeries._trusted(
+                t, {a: c for a, c in prod.items() if a in t.index})
         # x*b^beta = (x*b^beta')*b_j for the normal-order prefix beta'
         prefix: dict = {}
         for beta in other.coeffs:
@@ -372,8 +380,8 @@ class TruncatedSeries:
             prev, j = prefix[beta]
             multiples[beta] = t.generator_map(j).apply(multiples[prev])
         terms = list(other.coeffs.items())
-        return t.from_vector(_combine_rows(
-            [c for _, c in terms], [multiples[b] for b, _ in terms], t.size, p))
+        rows = np.array([multiples[b] for b, _ in terms]).reshape(-1, t.size)
+        return t.from_vector(np.array([c for _, c in terms], dtype=np.int64) @ rows)
 
     def pow(self, k: int) -> "TruncatedSeries":
         return power(self, k, self.trunc.one(), mul)

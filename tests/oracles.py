@@ -35,7 +35,7 @@ from iwacalc.linalg import rref
 from iwacalc.operators import _operator_index, divided_power_map
 from iwacalc.padic import MultiIndex, comb_mod, mi_range
 from iwacalc.series import (
-    SparseMap, TruncatedSeries, TruncationSpec, _combine_rows, aut_images_table,
+    SparseMap, TruncatedSeries, TruncationSpec, aut_images_table,
 )
 
 
@@ -55,8 +55,9 @@ def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
 
 
 def rref_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % p
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+    The scan runs on Python ints, so it is exact for any p below 2^63."""
+    a = np.array(mat, dtype=object) % p
     if a.ndim != 2:
         a = a.reshape(1, -1)
     nrows, ncols = a.shape
@@ -80,7 +81,7 @@ def rref_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
         r += 1
         if r == nrows:
             break
-    return a[:r].copy(), pivots
+    return a[:r].astype(np.int64), pivots
 
 
 def reduce_block(rows: np.ndarray, pivots, block, p: int) -> np.ndarray:
@@ -310,16 +311,15 @@ def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
                 yg[c] = v
             else:
                 yg.pop(c, None)
-    prod: dict = {}  # embed key -> [group element, coefficient]
+    el = {c: t.model.element(c) for c in set(xg) | set(yg)}
+    prod: dict = {}  # coordinates -> coefficient
     for c1, v1 in xg.items():
-        g1 = t._group_el(c1)
         for c2, v2 in yg.items():
-            el = t.model.mul(g1, t._group_el(c2))
-            slot = prod.setdefault(t._embed_key(el), [el, 0])
-            slot[1] = (slot[1] + v1 * v2) % p
-    terms = [(el, v) for el, v in prod.values() if v]
-    return t.from_vector(_combine_rows(
-        [v for _, v in terms], [t._embed_row(el) for el, _ in terms], t.size, p))
+            lam = t.model.mul(el[c1], el[c2]).coord_values()
+            prod[lam] = (prod.get(lam, 0) + v1 * v2) % p
+    # more products than monomials may meet here, so sum in Python ints
+    rows = t._embed_rows(list(prod)).astype(object)
+    return t.from_vector(np.array(list(prod.values()), dtype=object) @ rows)
 
 
 def format_reference(coeffs: dict, order, letter: str) -> str:

@@ -110,8 +110,8 @@ PRIMES = [2, 3, 5, 7, 101, 65521, 1518500213]
 
 
 @st.composite
-def matrices(draw):
-    p = draw(st.sampled_from(PRIMES))
+def matrices(draw, primes=PRIMES):
+    p = draw(st.sampled_from(primes))
     nrows = draw(st.integers(0, 12))
     ncols = draw(st.integers(0, 12))  # tall, square and wide shapes
     density = draw(st.sampled_from([0.0, 0.2, 1.0]))  # 0.0: all zero
@@ -128,7 +128,7 @@ def matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices())
+@given(matrices(primes=PRIMES + [4294967311]))  # past it (p - 1)^2 passes 2^63
 def test_rref_matches_column_scan(case):
     p, mat = case
     rows, pivots = rref(mat, p)
@@ -137,6 +137,16 @@ def test_rref_matches_column_scan(case):
     assert rows.shape == want_rows.shape
     assert np.array_equal(rows, want_rows)
     assert pivots == want_pivots
+
+
+def test_rref_reference_is_exact_past_int64_products():
+    # an int64 column scan wrapped here and returned three rows, not echelon
+    p = 4294967311
+    mat = [[p - 1, p - 2, 3], [p - 3, 5, p - 7], [1, 2, p - 3]]
+    rows, pivots = rref_reference(mat, p)
+    want_rows, want_pivots = rref(mat, p)
+    assert pivots == want_pivots == [0, 1]
+    assert np.array_equal(rows, want_rows)
 
 
 def test_rref_edge_shapes():

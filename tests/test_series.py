@@ -4,17 +4,19 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
-    AtLeast, ModelError, PrecisionError, TruncationSpec, aut_extend,
-    Automorphism, format_series, group_embed, load_abelian, parse_series,
-    relative_normal_form, series_frobenius,
+    AtLeast, ModelError, PrecisionError, TruncatedSeries, TruncationSpec, aut_extend,
+    Automorphism, format_series, group_embed, load_abelian, load_unitriangular,
+    multi_binom_mod_p, padic_make, parse_series, relative_normal_form, series_frobenius,
 )
 from iwacalc.padic import mi_range, mi_weight
 from iwacalc.rng import Pcg32
 
+from conftest import heisenberg_generators
 from oracles import format_reference, lmul_matrix, mul_reference
 
 
@@ -259,9 +261,17 @@ def test_series_rejects_cross_truncation(trunc2, trunc3):
 # -- the sparse generator-multiplication kernel -------------------------------
 
 @pytest.fixture(scope="session")
-def kernel_truncs(trunc2, trunc3, trunc_heis, trunc_heis_wide):
+def kernel_truncs(trunc2, trunc3, trunc_heis, trunc_heis_wide, u4):
+    p = 1000003  # p^need = p: a table with a row for every residue would be huge
+    heis_big = load_unitriangular(p, 3, 3, heisenberg_generators(p), ["1", "1", "2"],
+                                  centre_exponents=[3, 3, 0])
+    # the largest prime with 20 * (q - 1)^2 < 2^63, for 20 monomials; a
+    # product of three residues passes 2^63
+    q = 679093949
     return {"abelian2": trunc2, "abelian3": trunc3,
-            "heis": trunc_heis, "heis_wide": trunc_heis_wide}
+            "heis": trunc_heis, "heis_wide": trunc_heis_wide,
+            "u4": TruncationSpec(u4, 12), "heis_big": TruncationSpec(heis_big, 5),
+            "abelian_big": TruncationSpec(load_abelian(q, 3, 2, ["1"] * 3), 4)}
 
 
 def draw_series(data, t, max_terms):
@@ -280,7 +290,7 @@ def test_product_matches_group_route(kernel_truncs, name, data):
     assert x * y == mul_reference(x, y)
 
 
-@pytest.mark.parametrize("name", ["abelian3", "heis", "heis_wide"])
+@pytest.mark.parametrize("name", ["abelian3", "heis", "heis_wide", "u4", "heis_big"])
 def test_generator_maps_match_group_route(kernel_truncs, name):
     t = kernel_truncs[name]
     d = t.model.rank
@@ -292,6 +302,48 @@ def test_generator_maps_match_group_route(kernel_truncs, name):
             x = t.monomial(a)
             assert t.from_vector(right.apply(x.vector())) == mul_reference(x, bj)
             assert t.from_vector(left.apply(x.vector())) == mul_reference(bj, x)
+
+
+@pytest.mark.parametrize("name", ["abelian3", "heis_wide", "u4", "heis_big", "abelian_big"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_embed_rows_match_lucas_binomials(kernel_truncs, name, data):
+    t = kernel_truncs[name]
+    p, M, d = t.model.p, t.model.precision, t.model.rank
+    box = p ** M
+    lams = data.draw(st.lists(st.tuples(*[st.integers(0, box - 1)] * d),
+                              min_size=1, max_size=4))
+    # coordinates that share their low digits, up to the least power of p
+    # above every exponent, with a drawn one
+    low = p
+    while low <= max(t.max_exponents):
+        low *= p
+    lams += [tuple((x + low * data.draw(st.integers(1, box))) % box for x in lam)
+             for lam in lams]
+    rows = t._embed_rows(lams)
+    assert rows.shape == (len(lams), t.size)
+    for lam, row in zip(lams, rows):
+        coords = [padic_make(x, p, M) for x in lam]
+        assert row.tolist() == [multi_binom_mod_p(coords, b) for b in t.basis]
+        assert np.array_equal(t._embed_row(t.model.element(lam)), row)
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "heis_wide"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ring_results_are_normalised(kernel_truncs, name, data):
+    # results built without the constructor's checks must pass them unchanged
+    t = kernel_truncs[name]
+    p = t.model.p
+    x = draw_series(data, t, 8)
+    y = draw_series(data, t, 8)
+    c = data.draw(st.integers(-3 * p, 3 * p))
+    vec = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=t.size,
+                             max_size=t.size))
+    for r in [x + y, x - y, -x, x.scale(c), x * y, x.pow(3), t.from_vector(vec),
+              t.from_vector(np.array(vec, dtype=np.int64))]:
+        assert r == TruncatedSeries(t, dict(r.coeffs))
+        assert all(type(v) is int for v in r.coeffs.values())
 
 
 def test_generator_map_rejects_unknown_side(trunc_heis):
@@ -316,11 +368,13 @@ def test_prime_just_under_the_bound_stays_exact():
 
 
 def test_threads_share_lazily_built_maps(heis):
-    # a fresh truncation, so the threads race to build the same maps
-    t = TruncationSpec(heis, 9)
+    # a fresh truncation, so the threads race to build the same maps and
+    # Lucas rows; the oracle runs on another one
+    t, ref = TruncationSpec(heis, 9), TruncationSpec(heis, 9)
     rng = Pcg32(38)
     pairs = [(random_series(t, rng), random_series(t, rng)) for _ in range(8)]
-    want = [mul_reference(x, y) for x, y in pairs]
+    want = [mul_reference(ref.from_dict(x.coeffs), ref.from_dict(y.coeffs)).coeffs
+            for x, y in pairs]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -329,4 +383,4 @@ def test_threads_share_lazily_built_maps(heis):
             got = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(old)
-    assert got == want
+    assert [g.coeffs for g in got] == want
