@@ -1,10 +1,10 @@
 """Exact computation in truncated Iwasawa algebras of complete p-valued
 groups over F_p.
 
-Everything is finite and exact: group elements carry base-p digit vectors
-at precision M, series live in the quotient by the weight-W filtration
-ideal, and every comparison below the cutoff is a theorem about the full
-algebra.  Values beyond the cutoff are reported as AtLeast markers, never
+Everything is finite and exact: group elements carry their coordinates
+as integer residues mod p^M, series live in the quotient by the weight-W
+filtration ideal, and every comparison below the cutoff is a theorem about
+the full algebra.  Values beyond the cutoff are reported as AtLeast markers, never
 guessed."""
 
 from .padic import (

@@ -33,8 +33,8 @@ from .operators import (
     reconstruct_aut,
 )
 from .padic import (
-    AtLeast, PrecisionError, comb_mod, ge_provable, is_prime, mi_range,
-    multi_binom_mod_p,
+    AtLeast, PrecisionError, comb_mod, format_val, ge_provable, is_prime,
+    mi_range, multi_binom_mod_p, padic_make,
 )
 from .rng import Pcg32
 from .series import (
@@ -245,10 +245,6 @@ def _build_ideal(ctx: RunContext, spec, path: str):
     return ideal_span(ctx.trunc, gens, sided)
 
 
-def _val_str(v) -> str:
-    return repr(v) if isinstance(v, AtLeast) else str(v)
-
-
 def _depth_and_budget(ctx: RunContext, params: dict) -> tuple[int, int]:
     return (_expect_int(params.get("depth", 1), "depth", 1),
             _expect_int(ctx.budgets.get("dagger", 4096), "budgets.dagger", 1))
@@ -294,14 +290,15 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
         g = model.sample_element(rng)
         emb = group_embed(t, g)
         alpha = _random_basis_key(t, rng)
-        lam = multi_binom_mod_p(g.coords, alpha)
+        lam = multi_binom_mod_p(
+            [padic_make(c, p, model.precision) for c in g.coords], alpha)
         eigen += 1
         diff = divided_power(t, alpha, emb) - emb.scale(lam)
         # the dropped tail of embed(g) re-enters below the cutoff under
         # del^(alpha); equality holds mod F at the alpha-shifted cutoff
         if not ge_provable(diff.valuation(), t.cutoff - t.weight(alpha)):
             witnesses.append({"kind": "eigen", "alpha": list(alpha),
-                              "element": [c.value() for c in g.coords]})
+                              "element": list(g.coords)})
     for a in t.basis:
         if not any(a):
             continue
@@ -309,7 +306,7 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
         report = operator_degree(t, divided_power_map(t, a))
         if not ge_provable(report.value(), -t.weight(a)):
             witnesses.append({"kind": "degree", "alpha": list(a),
-                              "value": _val_str(report.value())})
+                              "value": format_val(report.value())})
     status = "pass" if not witnesses else "fail"
     return status, {"pairs": pairs, "eigen": eigen, "degrees": degrees}, witnesses
 
@@ -335,14 +332,14 @@ def _task_verify_valuation(ctx: RunContext, params: dict, stream: int):
         if isinstance(wxy, AtLeast) or Fraction(wxy) != Fraction(wx) + Fraction(wy):
             witnesses.append({"kind": "multiplicativity",
                               "x": format_series(x), "y": format_series(y),
-                              "got": _val_str(wxy),
+                              "got": format_val(wxy),
                               "expected": str(Fraction(wx) + Fraction(wy))})
         ws = (x + y).valuation()
         floor = min(Fraction(wx), Fraction(wy))
         if not isinstance(ws, AtLeast) and Fraction(ws) < floor:
             witnesses.append({"kind": "ultrametric",
                               "x": format_series(x), "y": format_series(y),
-                              "got": _val_str(ws), "floor": str(floor)})
+                              "got": format_val(ws), "floor": str(floor)})
     status = "pass" if not witnesses else "fail"
     return status, {"checked": checked, "skipped": skipped}, witnesses
 
@@ -394,14 +391,14 @@ def _task_idempotents(ctx: RunContext, params: dict, stream: int):
     for _ in range(samples):
         g = model.sample_element(rng)
         emb = group_embed(t, g)
-        resid = tuple(c.value() % p for i, c in enumerate(g.coords) if i in mask)
+        resid = tuple(c % p for i, c in enumerate(g.coords) if i in mask)
         for nu, e in idems:
             expect = emb if nu == resid else t.zero()
             actions += 1
             diff = t.from_vector(e.apply(emb.vector())) - expect
             if not ge_provable(diff.valuation(), bound):
                 witnesses.append({"kind": "indicator", "nu": list(nu),
-                                  "element": [c.value() for c in g.coords]})
+                                  "element": list(g.coords)})
     status = "pass" if not witnesses else "fail"
     return status, {"cosets": len(idems), "actions": actions}, witnesses
 
@@ -449,10 +446,10 @@ def _task_induced_filtration(ctx: RunContext, params: dict, stream: int):
     witnesses = []
     for k, text in enumerate(texts):
         f = induced_filtration(parse_series(ctx.trunc, text), P)
-        values.append(_val_str(f))
-        if expect is not None and _val_str(f) != expect[k]:
+        values.append(format_val(f))
+        if expect is not None and format_val(f) != expect[k]:
             witnesses.append({"kind": "filtration", "element": text,
-                              "got": _val_str(f), "expected": expect[k]})
+                              "got": format_val(f), "expected": expect[k]})
     status = "pass" if not witnesses else "fail"
     return status, {"values": values, "kind": P.kind}, witnesses
 

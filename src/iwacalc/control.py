@@ -350,8 +350,7 @@ class CentralPrimeSpec:
         return acc + TruncatedSeries(t, plain)
 
 
-def induced_filtration(x: TruncatedSeries, P: CentralPrimeSpec,
-                       split: Optional[int] = None) -> Val:
+def induced_filtration(x: TruncatedSeries, P: CentralPrimeSpec) -> Val:
     """Filtration degree induced by the quotient mod P on the centre:
     f(sum r_gamma c^gamma) = min over gamma of v(tau(r_gamma)) + w(c^gamma).
 
@@ -362,8 +361,6 @@ def induced_filtration(x: TruncatedSeries, P: CentralPrimeSpec,
     if t is not P.trunc:
         raise ValueError("series and prime live on different truncations")
     c = P.central_block
-    if split is not None and split != c:
-        raise ValueError(f"split {split} does not match the central block {c}")
     parts = relative_normal_form(x, c)
     if not parts:
         return AtLeast(t.cutoff)

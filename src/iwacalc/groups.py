@@ -3,7 +3,8 @@
 A model fixes a prime p, an ordered basis g_1..g_d, a p-valuation omega on
 the basis, and a coordinate precision M.  Every element is the coordinate
 vector (l_1, ..., l_d) of its normal form g_1^{l_1} ... g_d^{l_d}, with each
-l_i a residue mod p^M.  Two kinds are implemented:
+l_i a residue mod p^M, held as a Python int in [0, p^M).  Two kinds are
+implemented:
 
 * abelian: the free Z_p-module of rank d, multiplication adds coordinates;
 * unitriangular: subgroups of upper unitriangular n x n matrices over Z_p
@@ -49,7 +50,7 @@ import numpy as np
 from .linalg import rref
 from .padic import (
     AtLeast, PadicInt, PrecisionError, Val, eq_compatible, ge_refuted,
-    gt_provable, is_prime, padic_make, poly_combine, poly_product_sum, power,
+    gt_provable, is_prime, poly_combine, poly_product_sum, power, residue_vp,
     val_min, val_add, val_sub_exact,
 )
 from .rng import Pcg32
@@ -116,7 +117,7 @@ def parse_fraction(v) -> Fraction:
 @dataclass(frozen=True)
 class GroupElement:
     model: "GroupModel" = field(repr=False)
-    coords: tuple[PadicInt, ...]
+    coords: tuple[int, ...]  # residues in [0, p^M)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.model.mul(self, other)
@@ -131,10 +132,7 @@ class GroupElement:
         return self.model.omega_of(self)
 
     def is_identity(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def coord_values(self) -> tuple[int, ...]:
-        return tuple(c.value() for c in self.coords)
+        return not any(self.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +263,7 @@ class GroupModel:
     p: int
     rank: int
     precision: int
+    _pm: int  # p^M
     omega: PValuation
     centre: Optional["SubgroupSpec"]
 
@@ -279,9 +278,8 @@ class GroupModel:
                 if c.p != self.p or c.precision != self.precision:
                     raise PrecisionError(
                         f"coordinate {c!r} does not match p={self.p}, M={self.precision}")
-                fixed.append(c)
-            else:
-                fixed.append(padic_make(int(c), self.p, self.precision))
+                c = c.value()
+            fixed.append(int(c) % self._pm)
         return GroupElement(self, tuple(fixed))
 
     def identity(self) -> GroupElement:
@@ -303,7 +301,7 @@ class GroupModel:
         return int(lam)
 
     def omega_of(self, el: GroupElement) -> Val:
-        terms = [val_add(w, lam.vp())
+        terms = [val_add(w, residue_vp(lam, self.p, self.precision))
                  for w, lam in zip(self.omega.values, el.coords)]
         return val_min(terms)
 
@@ -311,8 +309,7 @@ class GroupModel:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def sample_element(self, rng: Pcg32) -> GroupElement:
-        box = self.p ** self.precision
-        return self.element([rng.below(box) for _ in range(self.rank)])
+        return self.element([rng.below(self._pm) for _ in range(self.rank)])
 
     # -- validation ---------------------------------------------------------
 
@@ -348,8 +345,8 @@ class GroupModel:
             wx, wy = self.omega_of(x), self.omega_of(y)
             lower = val_min([wx, wy])
             if ge_refuted(self.omega_of(self.mul(x, self.inv(y))), lower):
-                raise ModelError(f"omega(x y^-1) >= min fails on x={x.coord_values()}, "
-                                 f"y={y.coord_values()}")
+                raise ModelError(f"omega(x y^-1) >= min fails on x={x.coords}, "
+                                 f"y={y.coords}")
             if ge_refuted(self.omega_of(self.commutator(x, y)), val_add(wx, wy)):
                 raise ModelError("omega([x, y]) >= omega(x) + omega(y) fails on a sample")
             if not isinstance(wx, AtLeast):
@@ -370,24 +367,26 @@ class AbelianModel(GroupModel):
         self.p = p
         self.rank = rank
         self.precision = precision
+        self._pm = p ** precision
         self.omega = omega
         self.centre = None
         self._validate_common(centre_exponents)
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return GroupElement(self, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return GroupElement(self, tuple((x + y) % self._pm
+                                        for x, y in zip(a.coords, b.coords)))
 
     def inv(self, a: GroupElement) -> GroupElement:
-        return GroupElement(self, tuple(-x for x in a.coords))
+        return GroupElement(self, tuple(-x % self._pm for x in a.coords))
 
     def pow(self, a: GroupElement, lam) -> GroupElement:
         s = self._lam(lam)
-        return GroupElement(self, tuple(x.scale(s) for x in a.coords))
+        return GroupElement(self, tuple(x * s % self._pm for x in a.coords))
 
-    def first_kind_coords(self, a: GroupElement) -> tuple[PadicInt, ...]:
+    def first_kind_coords(self, a: GroupElement) -> tuple[int, ...]:
         return a.coords
 
-    def from_first_kind(self, mu: Sequence[PadicInt]) -> GroupElement:
+    def from_first_kind(self, mu: Sequence[int]) -> GroupElement:
         return self.element(list(mu))
 
     def with_precision(self, precision: int) -> "AbelianModel":
@@ -521,19 +520,12 @@ class UnitriangularModel(GroupModel):
 
     # -- arithmetic: evaluation of the compiled polynomials -----------------
 
-    def _values(self, a: GroupElement) -> list[int]:
-        return [c.value() for c in a.coords]
-
-    def _element(self, values) -> GroupElement:
-        return GroupElement(self, tuple(padic_make(v, self.p, self.precision)
-                                        for v in values))
-
     def _mul_values(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Coordinates of g^a * g^b, from plain coordinates in [0, p^M)."""
         return _evaluate(self._mul_law, list(a) + list(b), self._pm)
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._element(self._mul_values(self._values(a), self._values(b)))
+        return GroupElement(self, tuple(self._mul_values(a.coords, b.coords)))
 
     def inv(self, a: GroupElement) -> GroupElement:
         return self.pow(a, -1)
@@ -541,17 +533,14 @@ class UnitriangularModel(GroupModel):
     def pow(self, a: GroupElement, lam) -> GroupElement:
         """a^s = exp(s log a): scale the first-kind coordinates by s."""
         s = self._lam(lam)
-        mu = _evaluate(self._first_kind_law, self._values(a), self._pm)
-        return self._element(_evaluate(
-            self._from_first_kind_law, [s * x % self._pm for x in mu], self._pm))
+        return self.from_first_kind([s * x for x in self.first_kind_coords(a)])
 
-    def first_kind_coords(self, a: GroupElement) -> tuple[PadicInt, ...]:
-        return self._element(_evaluate(
-            self._first_kind_law, self._values(a), self._pm)).coords
+    def first_kind_coords(self, a: GroupElement) -> tuple[int, ...]:
+        return tuple(_evaluate(self._first_kind_law, a.coords, self._pm))
 
-    def from_first_kind(self, mu: Sequence[PadicInt]) -> GroupElement:
-        return self._element(_evaluate(
-            self._from_first_kind_law, [self._lam(x) for x in mu], self._pm))
+    def from_first_kind(self, mu: Sequence[int]) -> GroupElement:
+        return GroupElement(self, tuple(_evaluate(
+            self._from_first_kind_law, [x % self._pm for x in mu], self._pm)))
 
     def with_precision(self, precision: int) -> "UnitriangularModel":
         centre = self.centre.exponents if self.centre else None
@@ -585,11 +574,9 @@ class SubgroupSpec:
         return out
 
     def contains(self, el: GroupElement) -> bool:
-        for lam, n in zip(el.coords, self.exponents):
-            need = min(n, self.model.precision)
-            if any(lam.digits[:need]):
-                return False
-        return True
+        p, M = self.model.p, self.model.precision
+        return all(lam % p ** min(n, M) == 0
+                   for lam, n in zip(el.coords, self.exponents))
 
     def is_central(self) -> bool:
         """Do the generators commute with every basis element?"""
@@ -603,8 +590,8 @@ class SubgroupSpec:
                 if 0 < n < self.model.precision]
 
 
-def subgroup_from_exponents(model: GroupModel, exponents: Sequence[int],
-                            samples: int = 6) -> SubgroupSpec:
+def subgroup_from_exponents(model: GroupModel,
+                            exponents: Sequence[int]) -> SubgroupSpec:
     exps = tuple(int(n) for n in exponents)
     if len(exps) != model.rank:
         raise ModelError("one exponent per basis direction is required")
@@ -622,7 +609,7 @@ def subgroup_from_exponents(model: GroupModel, exponents: Sequence[int],
                                  "commutator escapes")
     rng = Pcg32(_VALIDATION_SEED, stream=23)
     box = model.p ** model.precision
-    for _ in range(samples):
+    for _ in range(6):
         coords = [rng.below(box) * model.p ** min(n, model.precision) for n in exps]
         x = model.element(coords)
         coords = [rng.below(box) * model.p ** min(n, model.precision) for n in exps]
@@ -696,13 +683,8 @@ class Automorphism:
 
     def _apply_linear(self, el: GroupElement) -> GroupElement:
         mu = self.model.first_kind_coords(el)
-        nu = []
-        for i in range(self.model.rank):
-            acc = padic_make(0, self.model.p, self.model.precision)
-            for j in range(self.model.rank):
-                acc = acc + mu[j].scale(self.matrix[i][j])
-            nu.append(acc)
-        return self.model.from_first_kind(nu)
+        return self.model.from_first_kind(
+            [sum(a * x for a, x in zip(row, mu)) for row in self.matrix])
 
     def apply(self, el: GroupElement) -> GroupElement:
         if el.model is not self.model:
@@ -723,7 +705,7 @@ class Automorphism:
             self.matrix, k, _mat_id(self.model.rank), lambda a, b: _mat_mul(a, b, pm)))
 
 
-def deg_omega(phi: Automorphism, samples: int = 24, seed: int = _VALIDATION_SEED) -> Val:
+def deg_omega(phi: Automorphism) -> Val:
     """Estimated omega-degree: min of omega(phi(g) g^-1) - omega(g).
 
     The minimum runs over the basis plus a seeded sample.  For automorphisms
@@ -733,8 +715,8 @@ def deg_omega(phi: Automorphism, samples: int = 24, seed: int = _VALIDATION_SEED
     """
     model = phi.model
     candidates = list(model.basis())
-    rng = Pcg32(seed, stream=29)
-    for _ in range(samples):
+    rng = Pcg32(_VALIDATION_SEED, stream=29)
+    for _ in range(24):
         candidates.append(model.sample_element(rng))
     terms = []
     for g in candidates:
@@ -768,12 +750,14 @@ def z_of_automorphism(phi: Automorphism, r: int) -> list[GroupElement]:
     if r < 0 or r > model.precision - 1:
         raise PrecisionError(f"need 0 <= r <= M - 1 = {model.precision - 1}, got {r}")
     reduced = model.with_precision(model.precision - r) if r else model
-    power = phi.power(model.p ** r)
+    q = model.p ** r
+    power = phi.power(q)
     out = []
     for g in model.basis():
         c = model.mul(power.apply(g), model.inv(g))
-        coords = [lam.div_pow_p(r) for lam in c.coords]
-        out.append(reduced.element(coords))
+        if any(lam % q for lam in c.coords):
+            raise PrecisionError(f"coordinates {c.coords} are not divisible by p^{r}")
+        out.append(reduced.element([lam // q for lam in c.coords]))
     return out
 
 

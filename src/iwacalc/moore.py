@@ -28,8 +28,9 @@ from typing import Optional, Sequence, Union
 from .groups import Automorphism, ModelError
 from .operators import divided_power, mahler_coeff_aut
 from .padic import (
-    AtLeast, PrecisionError, Val, format_poly, ge_provable, gt_provable, mi_range,
-    poly_combine, poly_frobenius, poly_product_sum, power, val_min, val_sub_exact,
+    AtLeast, PrecisionError, Val, format_poly, format_val, ge_provable,
+    gt_provable, mi_range, poly_combine, poly_frobenius, poly_product_sum, power,
+    val_min, val_sub_exact,
 )
 from .series import (
     TruncatedSeries, TruncationSpec, format_series, group_embed,
@@ -487,10 +488,6 @@ def zeta_eval(exp: ZetaExperiment, i: int, r: int,
     return ValuedFraction(num, det)
 
 
-def _fmt_val(v: Val) -> str:
-    return repr(v) if isinstance(v, AtLeast) else str(v)
-
-
 def zeta_convergence(exp: ZetaExperiment) -> dict:
     """Full measurement report; status is pass iff nothing is refuted.
 
@@ -515,9 +512,9 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
             D = val_min(vals)
             lam_term = exp.lam * p ** r
             rec = {
-                "i": i, "r": r, "D": _fmt_val(D),
-                "bound_A": _fmt_val(lam_term / 2),
-                "bound_B": _fmt_val(p ** (2 * r) - p ** (r + exp.m - 1) * exp.lam),
+                "i": i, "r": r, "D": format_val(D),
+                "bound_A": format_val(lam_term / 2),
+                "bound_B": format_val(p ** (2 * r) - p ** (r + exp.m - 1) * exp.lam),
             }
             if prev is None:
                 rec["monotone"] = "first"
@@ -528,7 +525,7 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
             else:
                 rec["monotone"] = "violation"
                 violations.append({"kind": "monotonicity", "i": i, "r": r,
-                                   "prev": _fmt_val(prev), "curr": _fmt_val(D)})
+                                   "prev": format_val(prev), "curr": format_val(D)})
             records.append(rec)
             prev = D
     # -- exhaustive determinant-form valuations
@@ -545,8 +542,8 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
             if form.valuation() != p ** r * exp.lam:
                 violations.append({
                     "kind": "form-valuation", "r": r, "mu": list(mu),
-                    "value": _fmt_val(form.valuation()),
-                    "expected": _fmt_val(Fraction(p ** r) * exp.lam)})
+                    "value": format_val(form.valuation()),
+                    "expected": format_val(Fraction(p ** r) * exp.lam)})
     # -- Cramer bound on inverse entries
     cramer_checked = 0
     for r in exp.r_range:
@@ -559,8 +556,8 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
                 if not ge_provable(entry.valuation(), bound):
                     violations.append({
                         "kind": "cramer", "r": r, "i": i + 1, "j": j + 1,
-                        "value": _fmt_val(entry.valuation()),
-                        "bound": _fmt_val(bound)})
+                        "value": format_val(entry.valuation()),
+                        "bound": format_val(bound)})
     # -- Mahler coefficient asymptotics
     asym_verified = asym_skipped = 0
     alphas = []
@@ -589,11 +586,11 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
             else:
                 violations.append({
                     "kind": "asymptotics", "r": r, "alpha": list(a),
-                    "value": _fmt_val(w), "bound": _fmt_val(bound)})
+                    "value": format_val(w), "bound": format_val(bound)})
     monotone_ok = all(rec["monotone"] in ("first", "increased")
                       for rec in records)
     return {
-        "lambda": _fmt_val(exp.lam),
+        "lambda": format_val(exp.lam),
         "m": exp.m,
         "r_range": list(exp.r_range),
         "records": records,

@@ -243,7 +243,7 @@ def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
     model = trunc.model
     terms = trunc._expand(_operator_index(trunc, alpha))
     els = [model.element(beta) for beta, _ in terms]
-    lams = [model.mul(phi.apply(el), model.inv(el)).coord_values() for el in els]
+    lams = [model.mul(phi.apply(el), model.inv(el)).coords for el in els]
     coefs, rows = np.array([s for _, s in terms]), trunc._embed_rows(lams)
     # alpha need not lie in the basis: sum at most `size` products at a time
     step = trunc.size
@@ -252,18 +252,16 @@ def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
 
 
 def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
-                             alpha: Sequence[int],
-                             centre: Optional[SubgroupSpec] = None) -> TruncatedSeries:
+                             alpha: Sequence[int]) -> TruncatedSeries:
     """Closed form  prod_i (phi(g_i) g_i^{-1} - 1)^{a_i},  valid when every
     basis displacement is central.  Kept separate from the finite-difference
     route so the two can be compared."""
     alpha = _operator_index(trunc, alpha)
     model = trunc.model
-    centre = centre if centre is not None else model.centre
     if model.kind != "abelian":
-        if centre is None:
+        if model.centre is None:
             raise ModelError("need a declared centre to certify the closed form")
-        if not is_trivial_mod_centre(phi, centre):
+        if not is_trivial_mod_centre(phi, model.centre):
             raise ModelError("closed form needs phi trivial mod the centre")
     one = trunc.one()
     out = one

@@ -1,12 +1,15 @@
 """Truncated p-adic integers and mod-p binomial coefficients.
 
-Everything downstream works with residues mod p^M stored as base-p digit
-vectors, least significant digit first.  Digit access is the hot path: Lucas'
-theorem reads C(lam, n) mod p straight off the digits, and the valuation vp
-is the index of the first nonzero digit.  A residue that is zero at working
-precision has vp >= M but nothing sharper can be said; such values are
-reported as the marker `AtLeast(M)` rather than a number, and the marker
-propagates through every valuation computed in the package.
+A residue mod p^M is a Python int in [0, p^M) wherever the package
+computes with it: group coordinates are such ints, and their valuation is
+the index of the first nonzero base-p digit (`residue_vp`).  `PadicInt`,
+the base-p digit vector least significant digit first, is the p-adic
+scalar of the public API: it parses and prints the digit form, does
+arithmetic mod p^M and gives Lucas' theorem its digits (`binom_mod_p`).
+A residue that is zero at working precision has vp >= M but nothing
+sharper can be said; such values are reported as the marker `AtLeast(M)`
+rather than a number (printed by `format_val`), and the marker propagates
+through every valuation computed in the package.
 
 Multi-indices (exponent vectors of monomials) are plain int tuples; the
 helpers prefixed ``mi_`` implement the componentwise partial order and the
@@ -67,6 +70,23 @@ class AtLeast:
 
 
 Val = Union[int, Fraction, AtLeast]
+
+
+def format_val(v: Val) -> str:
+    """Report text of a valuation: '>=b' for a marker, else the number."""
+    return repr(v) if isinstance(v, AtLeast) else str(v)
+
+
+def residue_vp(r: int, p: int, M: int) -> Val:
+    """p-adic valuation of a residue r in [0, p^M): the index of its first
+    nonzero base-p digit, or AtLeast(M) for zero."""
+    if not r:
+        return AtLeast(Fraction(M))
+    v = 0
+    while not r % p:
+        r //= p
+        v += 1
+    return v
 
 
 def _frac(v) -> Fraction:
@@ -201,10 +221,7 @@ class PadicInt:
 
     def vp(self) -> Val:
         """Index of the first nonzero digit, or AtLeast(M) for zero."""
-        for i, d in enumerate(self.digits):
-            if d:
-                return i
-        return AtLeast(Fraction(self.precision))
+        return residue_vp(self.value(), self.p, self.precision)
 
     def div_pow_p(self, r: int) -> "PadicInt":
         """Exact division by p^r; the result keeps M - r digits."""
@@ -343,12 +360,7 @@ def mi_weight(a: MultiIndex, omega: Sequence[Fraction]) -> Fraction:
 
 def mi_range(bounds: Sequence[int]):
     """All multi-indices 0 <= alpha <= bounds, lexicographic order."""
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in mi_range(bounds[1:]):
-            yield (head,) + tail
+    return itertools.product(*(range(b + 1) for b in bounds))
 
 
 def signed_binomial_rows(top: int, p: int) -> list:

@@ -130,7 +130,10 @@ class TruncationSpec:
         return TruncatedSeries(self, dict(coeffs))
 
     def from_vector(self, vec) -> "TruncatedSeries":
-        vec = np.asarray(vec) % self.model.p
+        vec = np.asarray(vec)
+        if vec.shape != (self.size,):
+            raise ValueError(f"vector of shape {vec.shape}, expected ({self.size},)")
+        vec = vec % self.model.p
         return TruncatedSeries._trusted(
             self, {self.basis[i]: int(vec[i]) for i in np.flatnonzero(vec)})
 
@@ -179,7 +182,7 @@ class TruncationSpec:
 
     def _embed_row(self, el: GroupElement) -> np.ndarray:
         """The one-row case of `_embed_rows`: the embedding of el."""
-        return self._embed_rows([el.coord_values()])[0]
+        return self._embed_rows([el.coords])[0]
 
     # -- generator maps -----------------------------------------------------
 

@@ -315,7 +315,7 @@ def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     prod: dict = {}  # coordinates -> coefficient
     for c1, v1 in xg.items():
         for c2, v2 in yg.items():
-            lam = t.model.mul(el[c1], el[c2]).coord_values()
+            lam = t.model.mul(el[c1], el[c2]).coords
             prod[lam] = (prod.get(lam, 0) + v1 * v2) % p
     # more products than monomials may meet here, so sum in Python ints
     rows = t._embed_rows(list(prod)).astype(object)

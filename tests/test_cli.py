@@ -1,6 +1,7 @@
 """Config parsing, the task runner, and the command line entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -613,3 +614,21 @@ def test_malformed_field_is_rejected(base, task, field, kind):
     assert w["kind"] == "error", rec
     if field in NAMED:
         assert w["error"] == "ConfigError" and w["message"].startswith(field), rec
+
+
+GOLDEN = Path(__file__).parent / "cli_golden"
+GOLDEN_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "table"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CODES))
+def test_main_reproduces_golden_output(tmp_path, name, fmt):
+    """`iwacalc run` on the five benchmark configs (seed 1) writes the saved
+    bytes and exit code in both formats.  A change that alters the output
+    on purpose rewrites the files with `iwacalc run NAME.json --out
+    NAME.FMT --format FMT` from tests/cli_golden."""
+    out = tmp_path / f"{name}.{fmt}"
+    rc = main(["run", str(GOLDEN / f"{name}.json"), "--out", str(out),
+               "--format", fmt])
+    assert rc == GOLDEN_CODES[name][fmt]
+    assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()

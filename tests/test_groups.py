@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
-    AtLeast, Automorphism, ModelError, PrecisionError, deg_omega,
-    eq_compatible, ge_refuted, is_trivial_mod_centre, load_abelian,
-    load_model, load_unitriangular, subgroup_from_exponents, val_add,
-    val_min, z_of_automorphism,
+    AtLeast, Automorphism, ModelError, PrecisionError, SubgroupSpec,
+    deg_omega, eq_compatible, ge_refuted, is_trivial_mod_centre, load_abelian,
+    load_model, load_unitriangular, padic_make, subgroup_from_exponents,
+    val_add, val_min, z_of_automorphism,
 )
 from iwacalc.rng import Pcg32
 
@@ -22,9 +22,9 @@ def test_abelian_arithmetic(abelian2):
     m = abelian2
     x = m.element([5, 7])
     y = m.element([2, 80])
-    assert (x * y).coord_values() == (7, 6)  # mod 3^4 = 81
-    assert x.inverse().coord_values() == (76, 74)
-    assert x.power(3).coord_values() == (15, 21)
+    assert (x * y).coords == (7, 6)  # mod 3^4 = 81
+    assert x.inverse().coords == (76, 74)
+    assert x.power(3).coords == (15, 21)
     assert (x * x.inverse()).is_identity()
 
 
@@ -87,10 +87,10 @@ def test_coordinate_range_validation():
 def test_heisenberg_native_matrices(heis):
     route = MatrixRoute(heis)
     g1, g2, g3 = heis.basis()
-    assert route.native(g1.coord_values()) == ((1, 5, 0), (0, 1, 0), (0, 0, 1))
-    assert route.native(g3.coord_values()) == ((1, 0, 5), (0, 1, 0), (0, 0, 1))
+    assert route.native(g1.coords) == ((1, 5, 0), (0, 1, 0), (0, 0, 1))
+    assert route.native(g3.coords) == ((1, 0, 5), (0, 1, 0), (0, 0, 1))
     sq = heis.pow(g1, 2)
-    assert route.native(sq.coord_values()) == ((1, 10, 0), (0, 1, 0), (0, 0, 1))
+    assert route.native(sq.coords) == ((1, 10, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_heisenberg_theta_round_trip(heis):
@@ -104,8 +104,8 @@ def test_heisenberg_theta_round_trip(heis):
 
 def test_heisenberg_commutator(heis):
     g1, g2, _ = heis.basis()
-    assert heis.commutator(g1, g2).coord_values() == (0, 0, 5)
-    assert heis.commutator(g2, g1).coord_values() == (0, 0, 120)
+    assert heis.commutator(g1, g2).coords == (0, 0, 5)
+    assert heis.commutator(g2, g1).coords == (0, 0, 120)
 
 
 def test_heisenberg_mul_against_matrices(heis):
@@ -117,12 +117,12 @@ def test_heisenberg_mul_against_matrices(heis):
         x = heis.element([rng.below(box) for _ in range(3)])
         y = heis.element([rng.below(box) for _ in range(3)])
         prod = heis.mul(x, y)
-        nx, ny = route.native(x.coord_values()), route.native(y.coord_values())
+        nx, ny = route.native(x.coords), route.native(y.coords)
         want = tuple(
             tuple(sum(nx[i][k] * ny[k][j] for k in range(3)) % mod
                   for j in range(3))
             for i in range(3))
-        assert route.native(prod.coord_values()) == want
+        assert route.native(prod.coords) == want
 
 
 @pytest.fixture(scope="module", params=["heis", "u4"])
@@ -144,9 +144,9 @@ def test_compiled_law_matches_matrix_route(law, data):
     x, y = data.draw(_coords(model)), data.draw(_coords(model))
     s = data.draw(st.integers(-2 * pm, 2 * pm))
     ex, ey = model.element(x), model.element(y)
-    assert model.mul(ex, ey).coord_values() == route.mul(x, y)
-    assert model.inv(ex).coord_values() == route.inv(x)
-    assert model.pow(ex, s).coord_values() == route.pow(x, s)
+    assert model.mul(ex, ey).coords == route.mul(x, y)
+    assert model.inv(ex).coords == route.inv(x)
+    assert model.pow(ex, s).coords == route.pow(x, s)
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,10 +155,52 @@ def test_compiled_first_kind_matches_matrix_route(law, data):
     model, route = law
     x, mu = data.draw(_coords(model)), data.draw(_coords(model))
     first = model.first_kind_coords(model.element(x))
-    assert tuple(c.value() for c in first) == route.first_kind_coords(x)
-    assert model.from_first_kind(first).coord_values() == x
-    assert model.from_first_kind(model.element(mu).coords).coord_values() == \
+    assert first == route.first_kind_coords(x)
+    assert model.from_first_kind(first).coords == x
+    assert model.from_first_kind(model.element(mu).coords).coords == \
         route.from_first_kind(mu)
+
+
+@pytest.fixture(scope="module", params=["abelian3", "heis", "u4"])
+def int_model(request):
+    return request.getfixturevalue(request.param)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_int_coordinates_match_digit_routes(int_model, data):
+    """Coordinates are ints in [0, p^M): the readers that once took base-p
+    digits agree with the digit form, and every result stays in range."""
+    model = int_model
+    p, M = model.p, model.precision
+    pm = p ** M
+    rank = model.rank
+    x, y = data.draw(_coords(model)), data.draw(_coords(model))
+    shifts = data.draw(st.lists(st.integers(0, M), min_size=rank, max_size=rank))
+    exps = data.draw(st.lists(st.integers(0, M + 1), min_size=rank, max_size=rank))
+    spec = SubgroupSpec(model, tuple(exps))
+    divisible = tuple(v * p ** k % pm for v, k in zip(x, shifts))
+    for c in (x, divisible, (0,) * rank):
+        el = model.element(c)
+        digits = [padic_make(v, p, M) for v in c]
+        # vp read off the digits, apart from the int helper behind PadicInt.vp
+        vps = [next((i for i, v in enumerate(d.digits) if v), AtLeast(Fraction(M)))
+               for d in digits]
+        assert [d.vp() for d in digits] == vps
+        assert model.omega_of(el) == val_min(
+            [val_add(w, v) for w, v in zip(model.omega.values, vps)])
+        assert spec.contains(el) == all(
+            not any(d.digits[:min(n, M)]) for d, n in zip(digits, exps))
+        assert model.element(digits).coords == el.coords == c
+        assert model.element([v - pm for v in c]).coords == c
+    ex, ey = model.element(x), model.element(y)
+    s = data.draw(st.integers(-2 * pm, 2 * pm))
+    mu = data.draw(st.lists(st.integers(-2 * pm, 2 * pm), min_size=rank,
+                            max_size=rank))
+    for out in (model.mul(ex, ey), model.inv(ex), model.pow(ex, s),
+                model.from_first_kind(mu)):
+        assert all(type(v) is int and 0 <= v < pm for v in out.coords)
+    assert all(0 <= v < pm for v in model.first_kind_coords(ex))
 
 
 def test_compiled_law_checks_run_at_load():
@@ -201,7 +243,7 @@ def test_centre_declaration(heis):
     centre = heis.centre
     assert centre.exponents == (3, 3, 0)
     gens = centre.generators()
-    assert len(gens) == 1 and gens[0].coord_values() == (0, 0, 1)
+    assert len(gens) == 1 and gens[0].coords == (0, 0, 1)
     assert centre.contains(heis.element([0, 0, 7]))
     assert not centre.contains(heis.element([0, 1, 0]))
 
@@ -235,7 +277,7 @@ def test_linear_automorphism_degree_guard(heis):
     # raising the displacement into the p^2-layer fixes it
     phi = Automorphism.linear_on_log(heis, [[1, 0, 0], [25, 1, 0], [0, 0, 1]])
     moved = heis.mul(phi.apply(heis.basis()[0]), heis.basis()[0].inverse())
-    assert moved.coord_values()[1] == 25
+    assert moved.coords[1] == 25
 
 
 def test_linear_automorphism_bracket_guard(heis):
@@ -257,24 +299,24 @@ def test_trivial_mod_centre(heis):
 def test_identity_and_inner(abelian2, heis):
     ident = Automorphism.identity(abelian2)
     x = abelian2.element([4, 7])
-    assert ident.apply(x).coord_values() == (4, 7)
+    assert ident.apply(x).coords == (4, 7)
     # abelian conjugation is trivial
     inner = Automorphism.inner(abelian2, abelian2.element([1, 1]))
-    assert inner.apply(x).coord_values() == (4, 7)
+    assert inner.apply(x).coords == (4, 7)
     g1, g2, _ = heis.basis()
     conj = Automorphism.inner(heis, g1)
-    assert conj.apply(g2).coord_values() != g2.coord_values()
-    assert conj.apply(g2).coord_values()[2] % 5 == 0
+    assert conj.apply(g2).coords != g2.coords
+    assert conj.apply(g2).coords[2] % 5 == 0
 
 
 def test_automorphism_power(abelian2, zmodel):
     phi = Automorphism.linear_on_log(zmodel, [[10]])
     assert phi.power(3).matrix[0][0] == 1000 % 729
     g = zmodel.basis()[0]
-    assert phi.power(3).apply(g).coord_values() == (1000 % 729,)
+    assert phi.power(3).apply(g).coords == (1000 % 729,)
     h = abelian2.element([1, 2])
     inner = Automorphism.inner(abelian2, h)
-    assert inner.power(2).conjugator.coord_values() == (2, 4)
+    assert inner.power(2).conjugator.coords == (2, 4)
     with pytest.raises(ValueError):
         phi.power(-1)
 
@@ -326,15 +368,24 @@ def test_z_of_automorphism(zmodel):
     phi = Automorphism.linear_on_log(zmodel, [[10]])
     z1 = z_of_automorphism(phi, 1)
     assert len(z1) == 1
-    assert z1[0].coords[0].precision == 5
-    assert z1[0].coord_values() == (90,)  # (10^3 - 1)/3 mod 3^5
+    assert z1[0].model.precision == 5
+    assert z1[0].coords == (90,)  # (10^3 - 1)/3 mod 3^5
     z2 = z_of_automorphism(phi, 2)
-    assert z2[0].coords[0].precision == 4
-    assert z2[0].coord_values() == (9,)  # (10^9 - 1)/9 mod 3^4
+    assert z2[0].model.precision == 4
+    assert z2[0].coords == (9,)  # (10^9 - 1)/9 mod 3^4
     z0 = z_of_automorphism(phi, 0)
-    assert z0[0].coord_values() == (9,)  # 10 - 1 at full precision
+    assert z0[0].coords == (9,)  # 10 - 1 at full precision
     with pytest.raises(PrecisionError):
         z_of_automorphism(phi, 6)
+
+
+def test_z_of_automorphism_rejects_indivisible_coordinates(zmodel, monkeypatch):
+    # x -> x^2 has degree 0 and is refused at construction; with that check
+    # off, phi^3(g) g^-1 = g^7 and 7 is not divisible by 3
+    monkeypatch.setattr(Automorphism, "_check_degree", lambda self: None)
+    phi = Automorphism.linear_on_log(zmodel, [[2]])
+    with pytest.raises(PrecisionError, match=r"not divisible by p\^1"):
+        z_of_automorphism(phi, 1)
 
 
 def test_load_model_config(heis):
@@ -346,7 +397,7 @@ def test_load_model_config(heis):
             "generators": heisenberg_generators(5), "omega": ["1", "1", "2"],
             "centre": [3, 3, 0]}
     m2 = load_model(cfg2)
-    assert m2.commutator(m2.basis()[0], m2.basis()[1]).coord_values() == \
+    assert m2.commutator(m2.basis()[0], m2.basis()[1]).coords == \
         (0, 0, 5)
     with pytest.raises(ModelError):
         load_model({"kind": "mystery", "p": 3, "precision": 2, "omega": ["1"]})

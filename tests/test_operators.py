@@ -20,7 +20,8 @@ from iwacalc import (
     comb_mod, coset_idempotent, divided_power, format_series,
     function_from_mahler, ge_provable, group_embed, gt_provable,
     mahler_coeff_aut, mahler_coeff_aut_central, mahler_coeffs_function,
-    is_prime, mi_range, mi_weight, multi_binom_mod_p, operator_degree, parse_series,
+    is_prime, mi_range, mi_weight, multi_binom_mod_p, operator_degree, padic_make,
+    parse_series,
     reconstruct_aut, rho_apply, rho_apply_mahler, subgroup_from_exponents,
 )
 from iwacalc.control import ideal_span
@@ -128,7 +129,8 @@ def test_eigen_action_below_shifted_cutoff(trunc2, trunc_heis):
             g = model.sample_element(rng)
             emb = group_embed(t, g)
             alpha = t.basis[rng.below(t.size)]
-            lam = multi_binom_mod_p(g.coords, alpha)
+            lam = multi_binom_mod_p(
+                [padic_make(c, model.p, model.precision) for c in g.coords], alpha)
             diff = divided_power(t, alpha, emb) - emb.scale(lam)
             assert ge_provable(diff.valuation(),
                                t.cutoff - mi_weight(alpha, t.omega))
@@ -139,7 +141,8 @@ def test_eigen_shift_is_sharp(trunc2):
     t = trunc2
     g = t.model.element([5, 7])
     emb = group_embed(t, g)
-    lam = multi_binom_mod_p(g.coords, (1, 0))
+    lam = multi_binom_mod_p(
+        [padic_make(c, t.model.p, t.model.precision) for c in g.coords], (1, 0))
     diff = divided_power(t, (1, 0), emb) - emb.scale(lam)
     assert diff.valuation() == Fraction(7)  # cutoff 8 shifted by omega_1 = 1
 
@@ -562,7 +565,7 @@ def test_idempotent_action_below_shifted_cutoff(trunc2):
     for _ in range(20):
         g = t.model.sample_element(rng)
         emb = group_embed(t, g)
-        resid = g.coords[0].value() % p
+        resid = g.coords[0] % p
         for nu, e in idems.items():
             expect = emb if nu == resid else t.zero()
             diff = act(e, emb) - expect

@@ -346,6 +346,15 @@ def test_ring_results_are_normalised(kernel_truncs, name, data):
         assert all(type(v) is int for v in r.coeffs.values())
 
 
+def test_from_vector_checks_its_shape(abelian2):
+    t = TruncationSpec(abelian2, 6)
+    assert t.size == 21
+    for vec in ([1, 2], [1] * 24, [[0] * 21]):
+        with pytest.raises(ValueError, match=r"expected \(21,\)"):
+            t.from_vector(vec)
+    assert t.from_vector([1, 2] + [0] * 19) == parse_series(t, "1 + 2*b2")
+
+
 def test_generator_map_rejects_unknown_side(trunc_heis):
     with pytest.raises(ValueError):
         trunc_heis.generator_map(0, "middle")
