@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import RowSpace, intersect_coordinate_subspace, reduce_sparse
+from .linalg import RowSpace, integer_array, intersect_coordinate_subspace, reduce_sparse
 from .operators import divided_power_map
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
@@ -62,7 +62,7 @@ class IdealSpan:
         return reduce_sparse(vec, self._sparse_rows, self.trunc.model.p, stop)
 
     def contains_vector(self, vec) -> bool:
-        vec = np.asarray(vec, dtype=np.int64)
+        vec = integer_array(vec)
         if vec.shape != (self.trunc.size,):
             raise ValueError(f"vector of shape {vec.shape}, expected "
                              f"({self.trunc.size},)")

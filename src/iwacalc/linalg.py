@@ -16,10 +16,23 @@ import heapq
 import numpy as np
 
 
+def integer_array(values) -> np.ndarray:
+    """`np.asarray(values)`, which must hold integers: floats, complex
+    numbers and bools (also inside an object array) raise ValueError rather
+    than be cut down to integers.  An empty array holds no values and
+    passes."""
+    a = np.asarray(values)
+    if a.size and not (a.dtype.kind in "iu" or a.dtype.kind == "O" and all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            for x in a.flat)):
+        raise ValueError(f"expected an array of integers, got dtype {a.dtype}")
+    return a
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
-    A 1-D input is one row."""
-    a = np.array(mat, dtype=np.int64) % p
+    A 1-D input is one row of integers."""
+    a = np.asarray(integer_array(mat) % p, dtype=np.int64)
     if a.ndim != 2:
         a = a.reshape(1, -1)
     space = RowSpace(p, a.shape[1])

@@ -185,13 +185,16 @@ class LocallyConstantFunction:
 def mahler_coeffs_function(f: LocallyConstantFunction) -> dict:
     """Forward differences at zero: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a,b) f(b)."""
     p = f.p
-    rows = signed_binomial_rows(f.box - 1, p)
-    out: dict = {}
-    for a in mi_range((f.box - 1,) * f.rank):
-        acc = sum(s * f(b) for b, s in signed_binomials(rows, a, p)) % p
-        if acc:
-            out[a] = acc
-    return out
+    box = list(mi_range((f.box - 1,) * f.rank))
+    values = np.array([f.table[b] for b in box], dtype=np.int64)
+    owner, b, signs = signed_binomials(
+        signed_binomial_rows(f.box - 1, p),
+        np.array(box, dtype=np.int64).reshape(len(box), f.rank), p)
+    # b <= a < box, so its lexicographic code in the box is its place in `box`
+    radix = f.box ** np.arange(f.rank - 1, -1, -1, dtype=np.int64)
+    terms = signs * values[b @ radix] % p
+    acc = np.add.reduceat(terms, np.searchsorted(owner, np.arange(len(box)))) % p
+    return {box[n]: int(acc[n]) for n in np.flatnonzero(acc).tolist()}
 
 
 def function_from_mahler(coeffs: dict, lam: Sequence[int], p: int) -> int:
@@ -214,12 +217,15 @@ def rho_apply(trunc: TruncationSpec, f: LocallyConstantFunction,
     if f.rank != trunc.model.rank or f.p != trunc.model.p:
         raise ValueError("function does not match the model")
     p = trunc.model.p
-    weights: dict = {}  # g^c -> its coefficient; each c is a basis monomial
-    for a, ca in x.coeffs.items():
-        for c, s in trunc._expand(a):
-            weights[c] = (weights.get(c, 0) + ca * s * f(c)) % p
-    return trunc.from_vector(np.array(list(weights.values()), dtype=np.int64)
-                             @ trunc._embed_rows(list(weights)))
+    exps, coefs = list(x.coeffs), np.array(list(x.coeffs.values()), dtype=np.int64)
+    owner, c, signs = trunc._signed_binomials(exps)
+    # merge the terms per g^c; each c is a basis monomial
+    _, first, at = np.unique(c @ trunc._radix, return_index=True, return_inverse=True)
+    weights = np.zeros(first.size, dtype=np.int64)
+    np.add.at(weights, at, coefs[owner] * signs % p)
+    distinct = c[first]
+    values = np.array([f(g) for g in distinct.tolist()], dtype=np.int64)
+    return trunc.from_vector(weights % p * values % p @ trunc._embed_rows(distinct))
 
 
 def rho_apply_mahler(trunc: TruncationSpec, f: LocallyConstantFunction,
@@ -241,14 +247,14 @@ def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
     the integer points below alpha, with the signed binomials of b^alpha's
     group expansion.  This is the primary route for every automorphism."""
     model = trunc.model
-    terms = trunc._expand(_operator_index(trunc, alpha))
-    els = [model.element(beta) for beta, _ in terms]
+    _, betas, coefs = trunc._signed_binomials([_operator_index(trunc, alpha)])
+    els = [model.element(beta) for beta in betas.tolist()]
     lams = [model.mul(phi.apply(el), model.inv(el)).coords for el in els]
-    coefs, rows = np.array([s for _, s in terms]), trunc._embed_rows(lams)
+    rows = trunc._embed_rows(lams)
     # alpha need not lie in the basis: sum at most `size` products at a time
     step = trunc.size
     return trunc.from_vector(sum(coefs[k:k + step] @ rows[k:k + step] % model.p
-                                 for k in range(0, len(terms), step)))
+                                 for k in range(0, len(els), step)))
 
 
 def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,

@@ -21,8 +21,10 @@ kernels serves every such dict in the package: the compiled group laws of
 raise to p-powers (`poly_frobenius`) and print (`format_poly`) through
 them, and `power` is the one square-and-multiply loop.  The signed
 binomials (-1)^{|a-c|} C(a, c) of finite differences and of the expansion
-b^a = (g - 1)^a come from one table (`signed_binomial_rows`) and one
-product over coordinates (`signed_binomials`).
+b^a = (g - 1)^a come from one flat table of Pascal's rows mod p
+(`signed_binomial_rows`) and one array kernel (`signed_binomials`), which
+expands a whole block of exponent rows at once by indexing that table with
+mixed-radix digits.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 
 class PrecisionError(ValueError):
@@ -363,29 +367,55 @@ def mi_range(bounds: Sequence[int]):
     return itertools.product(*(range(b + 1) for b in bounds))
 
 
-def signed_binomial_rows(top: int, p: int) -> list:
-    """Row a lists the (c, (-1)^{a-c} C(a, c) mod p) with a nonzero
-    coefficient, for a = 0..top, from Pascal's rule mod p."""
-    rows, line = [], [1]
+def signed_binomial_rows(top: int, p: int) -> tuple:
+    """The signed binomials (-1)^{a-c} C(a, c) mod p with a nonzero value,
+    for a = 0..top, from Pascal's rule mod p, as one flat table of int64
+    arrays (start, c, coef): row a is entries start[a]:start[a+1] of c and
+    coef, c ascending."""
+    start, cs, coefs, line = [0], [], [], [1]
     for a in range(top + 1):
         if a:
             line = [(x + y) % p for x, y in zip([0] + line, line + [0])]
-        rows.append(tuple((c, x if (a - c) % 2 == 0 else p - x)
-                          for c, x in enumerate(line) if x))
-    return rows
+        for c, x in enumerate(line):
+            if x:
+                cs.append(c)
+                coefs.append(x if (a - c) % 2 == 0 else p - x)
+        start.append(len(cs))
+    return tuple(np.array(v, dtype=np.int64) for v in (start, cs, coefs))
 
 
-def signed_binomials(rows: Sequence, a: MultiIndex, p: int) -> tuple:
-    """The (c, prod_i (-1)^{a_i-c_i} C(a_i, c_i) mod p) with a nonzero
-    coefficient, c <= a in lexicographic order; `rows` is a table of
-    `signed_binomial_rows` reaching max(a)."""
-    out = []
-    for terms in itertools.product(*(rows[x] for x in a)):
-        coeff = 1
-        for _, s in terms:
-            coeff = coeff * s % p
-        out.append((tuple(c for c, _ in terms), coeff))
-    return tuple(out)
+def signed_binomials(rows: tuple, exps, p: int) -> tuple:
+    """The expansion b^a = sum_{c <= a} (-1)^{|a-c|} C(a, c) g^c of every row
+    a of the int64 block `exps`, from a `signed_binomial_rows` table reaching
+    its largest entry, as int64 arrays (owner, c, coef): term n is coef[n]
+    g^c[n] in the expansion of row owner[n].  The owners ascend, each row's
+    c come in lexicographic order and no coef is zero.  A row's terms are
+    numbered in mixed radix, one digit per coordinate in base the length of
+    that coordinate's table row; each digit picks one entry of the row, and
+    the coefficient is the product of the picked entries, exact while
+    (p - 1)^2 < 2^63."""
+    start, cs, coefs = rows
+    exps = np.asarray(exps, dtype=np.int64)
+    n, d = exps.shape
+    if exps.size and not 0 <= exps.min() <= exps.max() < start.size - 1:
+        raise ValueError(f"exponents must lie in [0, {start.size - 2}], "
+                         "the rows of the table")
+    first = start[exps]
+    count = start[exps + 1] - first
+    # stride[:, k] is the product of count[:, k:]: digit k steps once every
+    # stride[:, k + 1] terms, and stride[:, 0] terms make up the row
+    stride = np.ones((n, d + 1), dtype=np.int64)
+    stride[:, :d] = np.cumprod(count[:, ::-1], axis=1)[:, ::-1]
+    per = stride[:, 0]
+    owner = np.repeat(np.arange(n), per)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(per) - per, per)
+    at = np.repeat(first, per, axis=0) + (
+        local[:, None] // np.repeat(stride[:, 1:], per, axis=0)
+        % np.repeat(count, per, axis=0))
+    coef = np.ones(owner.size, dtype=np.int64)
+    for factor in coefs[at].T:
+        coef = coef * factor % p
+    return owner, cs[at], coef
 
 
 def poly_combine(coeffs: Iterable[int], polys: Iterable[dict], m: int) -> dict:

@@ -13,10 +13,13 @@ b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c, each g^c is multiplied by g_j
 in the model, and the products are re-expanded by the Mahler formula
 g^m = sum_b C(m, b) b^b.  A truncation keeps these products as sparse maps
 x -> x*b_j and x -> b_j*x (`TruncationSpec.generator_map`), each built on
-first use in one batch.  The group law runs on plain integer coordinates.
-By Lucas's theorem C(m, b) mod p depends only on m mod p^need, the least
-power of p above every basis exponent, so all the Mahler rows of a build
-are one gather from rows of binomials kept per residue that occurs.
+first use in one batch: one array kernel (`padic.signed_binomials`)
+expands every column out of normal order at once, the group law runs once
+per distinct g^c on plain integer coordinates, and each column is one
+int64 product over its contiguous slice of terms.  By Lucas's theorem
+C(m, b) mod p depends only on m mod p^need, the least power of p above
+every basis exponent, so all the Mahler rows of a build are one gather
+from rows of binomials kept per residue that occurs.
 Products already in normal order, all of them on abelian models, are one
 shift of exponents.  On non-abelian models x*y = sum_beta y_beta (x*b^beta),
 and each x*b^beta is one sparse apply to x*b^beta', where b^beta =
@@ -35,7 +38,6 @@ rest of the package.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, Optional, Sequence
@@ -43,6 +45,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
+from .linalg import integer_array
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, format_poly, mi_weight,
     padic_make, poly_combine, poly_frobenius, poly_product_sum, power,
@@ -97,8 +100,7 @@ class TruncationSpec:
         self._code_order = np.argsort(codes)
         self._sorted_codes = codes[self._code_order]
         self._op_cache: dict = {}
-        self._expand_cache: dict = {}
-        self._signed_rows: list = []
+        self._signed_rows = signed_binomial_rows(-1, model.p)
         self._lucas_rows: dict = {}
         self._gen_maps: dict = {}
         self._aut_tables: dict = {}
@@ -130,29 +132,25 @@ class TruncationSpec:
         return TruncatedSeries(self, dict(coeffs))
 
     def from_vector(self, vec) -> "TruncatedSeries":
-        vec = np.asarray(vec)
+        vec = integer_array(vec)
         if vec.shape != (self.size,):
             raise ValueError(f"vector of shape {vec.shape}, expected ({self.size},)")
         vec = vec % self.model.p
         return TruncatedSeries._trusted(
             self, {self.basis[i]: int(vec[i]) for i in np.flatnonzero(vec)})
 
-    # -- expansion caches ---------------------------------------------------
+    # -- expansion and embedding --------------------------------------------
 
-    def _expand(self, a: MultiIndex):
-        """b^a as a combination of group elements g^c, c <= a componentwise:
-        the coefficient of g^c is prod_i (-1)^{a_i - c_i} C(a_i, c_i) mod p.
-        The table of signed binomials reaches the largest basis exponent and
-        grows for an a beyond it."""
-        hit = self._expand_cache.get(a)
-        if hit is None:
-            top = max(a)
-            if top >= len(self._signed_rows):
-                self._signed_rows = signed_binomial_rows(
-                    max(self.max_exponents + (top,)), self.model.p)
-            hit = self._expand_cache[a] = signed_binomials(
-                self._signed_rows, a, self.model.p)
-        return hit
+    def _signed_binomials(self, exps) -> tuple:
+        """`padic.signed_binomials` of the exponent rows `exps`: the group
+        expansions of their b^a.  The table reaches the largest basis
+        exponent and grows for a row beyond it."""
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
+        top = int(exps.max(initial=0))
+        if top >= self._signed_rows[0].size - 1:
+            self._signed_rows = signed_binomial_rows(
+                max(self.max_exponents + (top,)), self.model.p)
+        return signed_binomials(self._signed_rows, exps, self.model.p)
 
     def _embed_rows(self, coords) -> np.ndarray:
         """Row k is the embedding of g^lam, lam the k-th integer coordinate
@@ -195,8 +193,9 @@ class TruncationSpec:
 
     def _build_generator_map(self, j: int, side: str) -> "SparseMap":
         """Built on integer arrays (see the module docstring): one shift for
-        the columns in normal order, one `_embed_rows` call for every g^c g_j
-        of the others, and one int64 product of at most `size` terms each."""
+        the columns in normal order; for the others one expansion of all
+        their b^a, one `_embed_rows` call for every distinct g^c g_j, and one
+        int64 product of at most `size` terms each."""
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         model = self.model
@@ -214,22 +213,23 @@ class TruncationSpec:
         # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a,
         # and g^c g_j = g^(c + e_j) when c has no letter outside
         movers = np.flatnonzero(moved)
-        terms = [self._expand(self.basis[i]) for i in movers.tolist()]
-        at: dict = {}  # c -> its row of `rows`
-        coords = []
-        for c, _ in itertools.chain.from_iterable(terms):
-            if c not in at:
-                at[c] = len(coords)
-                if not any(c[k] for k in outside):
-                    coords.append([x + y for x, y in zip(c, unit)])
-                elif side == "right":
-                    coords.append(model._mul_values(c, unit))
-                else:
-                    coords.append(model._mul_values(unit, c))
+        owner, c, signs = self._signed_binomials(self._exponents[movers])
+        # c <= a, so c is a basis monomial and its code is unique
+        _, first, at = np.unique(c @ self._radix, return_index=True,
+                                 return_inverse=True)
+        distinct = c[first]
+        coords = distinct + unit
+        for k in np.flatnonzero(distinct[:, outside].any(axis=1)).tolist():
+            c_k = distinct[k].tolist()
+            coords[k] = (model._mul_values(c_k, unit) if side == "right"
+                         else model._mul_values(unit, c_k))
         rows = self._embed_rows(coords)
+        # each mover's terms are a contiguous slice, at most `size` of them
+        cuts = np.searchsorted(owner, np.arange(movers.size + 1)).tolist()
         cols = np.zeros((movers.size, self.size), dtype=np.int64)
-        for n, col in enumerate(terms):
-            cols[n] = np.array([s for _, s in col]) @ rows[[at[c] for c, _ in col]]
+        for n in range(movers.size):
+            lo, hi = cuts[n], cuts[n + 1]
+            cols[n] = signs[lo:hi] @ rows[at[lo:hi]]
         cols[np.arange(movers.size), movers] -= 1
         cols %= p
         n, k = np.nonzero(cols)
@@ -383,7 +383,8 @@ class TruncatedSeries:
             prev, j = prefix[beta]
             multiples[beta] = t.generator_map(j).apply(multiples[prev])
         terms = list(other.coeffs.items())
-        rows = np.array([multiples[b] for b, _ in terms]).reshape(-1, t.size)
+        rows = np.array([multiples[b] for b, _ in terms],
+                        dtype=np.int64).reshape(-1, t.size)
         return t.from_vector(np.array([c for _, c in terms], dtype=np.int64) @ rows)
 
     def pow(self, k: int) -> "TruncatedSeries":

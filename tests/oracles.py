@@ -5,7 +5,8 @@ form of an operator on a truncation's monomial space (columns = images of
 basis monomials), so composing and comparing operators is plain linear
 algebra; it is built on request and never cached.  `mul_reference`
 multiplies series through the group, every pair of group elements of the
-two expansions.  `dense` scatters a `SparseMap` into its matrix.
+two expansions, which `signed_binomials_reference` writes one tuple per
+term from `math.comb`.  `dense` scatters a `SparseMap` into its matrix.
 `divided_power_reference` applies the closed formula for del^(alpha) term
 by term, `rref_reference` row-reduces by scanning columns for pivots,
 `reduce_block` reduces a block of dense vectors against an rref basis at
@@ -15,13 +16,17 @@ and `dense_closure` closes a span under maps of dense vectors with it,
 `escapes_reference` tests a span for del_i-stability on every column.
 `format_reference` writes a sparse polynomial term by term, and
 `mahler_coeff_aut_reference` takes finite differences over every point of
-the box below alpha with one `comb_mod` per coordinate.  `MatrixRoute`
+the box below alpha with one `comb_mod` per coordinate;
+`mahler_coeffs_function_reference` and `rho_apply_reference` expand
+through `signed_binomials_reference` one term at a time.  `MatrixRoute`
 computes a unitriangular group law with numeric matrix logs
 and exps, element by element, where the model evaluates polynomials
 compiled at load."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -284,6 +289,22 @@ def divided_power_matrix(trunc: TruncationSpec, alpha: Sequence[int]) -> Operato
     return OperatorMatrix(trunc, dense(divided_power_map(trunc, alpha)))
 
 
+def signed_binomials_reference(a: Sequence[int], p: int) -> tuple:
+    """b^a = sum_{c <= a} (-1)^{|a-c|} C(a, c) g^c as the (c, coefficient)
+    pairs with a nonzero coefficient mod p, c in lexicographic order: one
+    tuple per term, each factor from `math.comb`."""
+    rows = [[(c, (-1) ** (x - c) * math.comb(x, c) % p) for c in range(x + 1)]
+            for x in a]
+    out = []
+    for terms in itertools.product(*rows):
+        coeff = 1
+        for _, s in terms:
+            coeff = coeff * s % p
+        if coeff:
+            out.append((tuple(c for c, _ in terms), coeff))
+    return tuple(out)
+
+
 def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     """Product via the group: expand, multiply elements, re-expand.
 
@@ -296,21 +317,15 @@ def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("series from different truncations")
     p = t.model.p
     xg: dict = {}
-    for a, ca in x.coeffs.items():
-        for c, s in t._expand(a):
-            v = (xg.get(c, 0) + ca * s) % p
-            if v:
-                xg[c] = v
-            else:
-                xg.pop(c, None)
     yg: dict = {}
-    for a, ca in y.coeffs.items():
-        for c, s in t._expand(a):
-            v = (yg.get(c, 0) + ca * s) % p
-            if v:
-                yg[c] = v
-            else:
-                yg.pop(c, None)
+    for series, expansion in ((x, xg), (y, yg)):
+        for a, ca in series.coeffs.items():
+            for c, s in signed_binomials_reference(a, p):
+                v = (expansion.get(c, 0) + ca * s) % p
+                if v:
+                    expansion[c] = v
+                else:
+                    expansion.pop(c, None)
     el = {c: t.model.element(c) for c in set(xg) | set(yg)}
     prod: dict = {}  # coordinates -> coefficient
     for c1, v1 in xg.items():
@@ -365,6 +380,31 @@ def mahler_coeff_aut_reference(trunc: TruncationSpec, phi: Automorphism,
         moved = model.mul(phi.apply(el), model.inv(el))
         acc = (acc + c * trunc._embed_row(moved)) % p
     return trunc.from_vector(acc)
+
+
+def mahler_coeffs_function_reference(f) -> dict:
+    """Forward differences at zero of a locally constant function, one
+    point at a time: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a, b) f(b)."""
+    out = {}
+    for a in mi_range((f.box - 1,) * f.rank):
+        acc = sum(s * f(b) for b, s in signed_binomials_reference(a, f.p)) % f.p
+        if acc:
+            out[a] = acc
+    return out
+
+
+def rho_apply_reference(trunc: TruncationSpec, f, x: TruncatedSeries) -> TruncatedSeries:
+    """The multiplier g |-> f(g) g on x, term by term: each b^a expanded into
+    group elements g^c, each weighted by f(c) and embedded by the Mahler
+    formula g^c = sum_b C(c, b) b^b with one `comb_mod` per coordinate."""
+    p = trunc.model.p
+    acc = [0] * trunc.size
+    for a, ca in x.coeffs.items():
+        for c, s in signed_binomials_reference(a, p):
+            w = ca * s * f(c) % p
+            for k, b in enumerate(trunc.basis):
+                acc[k] += w * math.prod(comb_mod(ci, bi, p) for ci, bi in zip(c, b))
+    return trunc.from_vector(np.array([v % p for v in acc], dtype=np.int64))
 
 
 def escapes_reference(I: IdealSpan, i: int) -> np.ndarray:

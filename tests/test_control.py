@@ -45,6 +45,17 @@ def test_contains_vector_checks_shape(trunc2):
             I.contains_vector(np.zeros(shape, dtype=np.int64))
 
 
+def test_contains_vector_rejects_non_integers(abelian2):
+    t = TruncationSpec(abelian2, 6)
+    I = ideal_span(t, [t.monomial((1, 0))])
+    # 0.5 * e_const was cut to 0, which lies in every ideal
+    for vec in (0.5 * t.one().vector(), t.one().vector().astype(complex),
+                t.one().vector().astype(bool)):
+        with pytest.raises(ValueError, match="integers"):
+            I.contains_vector(vec)
+    assert I.contains_vector(np.array(t.monomial((1, 0)).vector().tolist(), dtype=object))
+
+
 def test_maximal_ideal_dimension(trunc2):
     M = ideal_span(trunc2, [trunc2.monomial((1, 0)), trunc2.monomial((0, 1))])
     assert M.dim == trunc2.size - 1

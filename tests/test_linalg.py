@@ -5,6 +5,7 @@ of `oracles`."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwacalc.linalg import RowSpace, intersect_coordinate_subspace, reduce_sparse, rref
@@ -147,6 +148,15 @@ def test_rref_reference_is_exact_past_int64_products():
     want_rows, want_pivots = rref(mat, p)
     assert pivots == want_pivots == [0, 1]
     assert np.array_equal(rows, want_rows)
+
+
+def test_rref_rejects_non_integers():
+    # [[0.5, 1.7]] was cut to [[0, 1]]
+    for mat in ([[0.5, 1.7]], [[1 + 2j, 0]], [[True, False]]):
+        with pytest.raises(ValueError, match="integers"):
+            rref(mat, 3)
+    rows, pivots = rref(np.array([[3 ** 50 + 2, 4]], dtype=object), 3)
+    assert rows.tolist() == [[1, 2]] and pivots == [0]
 
 
 def test_rref_edge_shapes():

@@ -32,7 +32,8 @@ from iwacalc.series import SparseMap, TruncationSpec
 from oracles import (
     OperatorMatrix, aut_matrix, dense, divided_power_matrix,
     divided_power_reference, lmul_matrix, mahler_coeff_aut_reference,
-    map_matrix, operator_matrix, sparse_of,
+    mahler_coeffs_function_reference, map_matrix, operator_matrix,
+    rho_apply_reference, sparse_of,
 )
 
 
@@ -453,6 +454,36 @@ def test_mahler_coeff_aut_beyond_the_basis(abelian2, heis, data):
         assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
     alpha = (top + 2,) + (0,) * (model.rank - 1)
     assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_expansion_routes_match_oracles(abelian3, heis, u4, data):
+    """mahler_coeff_aut, rho_apply and mahler_coeffs_function, which expand
+    through the array kernel, against term-by-term routes."""
+    model = data.draw(st.sampled_from([abelian3, heis, u4]))
+    t = TruncationSpec(model, 8)  # fresh, so the table starts empty
+    p, d = model.p, model.rank
+    rng = Pcg32(data.draw(st.integers(0, 2 ** 32 - 1)))
+    phi = (Automorphism.linear_on_log(model, [[1, 0, 0], [3, 1, 0], [0, 3, 1]])
+           if model.kind == "abelian" else Automorphism.inner(model, model.basis()[0]))
+    # up to two nonzero entries, reaching two past the largest basis exponent
+    alpha = [0] * d
+    for i in data.draw(st.lists(st.integers(0, d - 1), max_size=2)):
+        alpha[i] = data.draw(st.integers(0, max(t.max_exponents) + 2))
+    assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
+    f = LocallyConstantFunction(p, d, 1, {a: rng.below(p) for a in mi_range((p - 1,) * d)})
+    x = t.zero()
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = x + t.monomial(t.basis[rng.below(t.size)], 1 + rng.below(p - 1))
+    assert rho_apply(t, f, x) == rho_apply_reference(t, f, x)
+    # the whole box of a rank-6 function at p = 5 is 11 million terms, so
+    # the forward differences take at most three coordinates
+    rank, s = data.draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1)]))
+    box = p ** s
+    g = LocallyConstantFunction(p, rank, s, {a: rng.below(p)
+                                             for a in mi_range((box - 1,) * rank)})
+    assert mahler_coeffs_function(g) == mahler_coeffs_function_reference(g)
 
 
 def test_central_closed_form_guard(trunc_heis):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from iwacalc.padic import (
     signed_binomial_rows, signed_binomials,
 )
 from iwacalc.rng import Pcg32
+from oracles import signed_binomials_reference
 
 
 def test_is_prime_small():
@@ -211,7 +213,60 @@ def test_signed_binomials_match_comb_mod(p, a, extra):
             want.append((c, coeff if (mi_norm(a) - mi_norm(c)) % 2 == 0 else p - coeff))
     # any table reaching max(a) gives the same terms
     rows = signed_binomial_rows(max(a, default=0) + extra, p)
-    assert signed_binomials(rows, a, p) == tuple(want)
+    exps = np.array([a], dtype=np.int64).reshape(1, len(a))
+    owner, c, coef = signed_binomials(rows, exps, p)
+    assert owner.tolist() == [0] * len(want)
+    assert list(zip(map(tuple, c.tolist()), coef.tolist())) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 1000003]), rank=st.integers(1, 6), data=st.data())
+def test_signed_binomials_block_matches_comb(p, rank, data):
+    # entries up to 3p, except at p = 1000003, whose Pascal table that far
+    # is out of reach; each row has at most 4096 points c <= a to visit
+    high = min(3 * p, 40)
+    block = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        row, points = [], 1
+        for _ in range(rank):
+            row.append(data.draw(st.integers(0, min(high, 4096 // points - 1))))
+            points *= row[-1] + 1
+        block.append(data.draw(st.permutations(row)))
+    exps = np.array(block, dtype=np.int64).reshape(len(block), rank)
+    top = int(exps.max(initial=0))
+    owner, c, coef = signed_binomials(
+        signed_binomial_rows(top + data.draw(st.integers(0, 3)), p), exps, p)
+    assert owner.dtype == c.dtype == coef.dtype == np.int64
+    assert c.shape == (owner.size, rank) and coef.shape == owner.shape
+    want = [(n, c_, s) for n, a in enumerate(block)
+            for c_, s in signed_binomials_reference(a, p)]
+    assert owner.tolist() == [n for n, _, _ in want]
+    assert list(map(tuple, c.tolist())) == [c_ for _, c_, _ in want]
+    assert coef.tolist() == [s for _, _, s in want]
+    # owners ascend, each row's c is lexicographic, no coefficient is zero
+    assert (np.diff(owner) >= 0).all()
+    for n in range(len(block)):
+        terms = list(map(tuple, c[owner == n].tolist()))
+        assert terms == sorted(terms) and len(set(terms)) == len(terms)
+    assert ((0 < coef) & (coef < p)).all()
+    if top:
+        # a table that stops below an entry is refused, not read past its end
+        with pytest.raises(ValueError, match="table"):
+            signed_binomials(signed_binomial_rows(top - 1, p), exps, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003])
+def test_signed_binomials_edge_blocks(p):
+    rows = signed_binomial_rows(4, p)
+    for rank in (1, 3, 6):
+        owner, c, coef = signed_binomials(rows, np.zeros((0, rank), dtype=np.int64), p)
+        assert owner.size == coef.size == 0 and c.shape == (0, rank)
+        # b^0 = g^0: the single term (0, ..., 0) with coefficient 1
+        owner, c, coef = signed_binomials(rows, np.zeros((1, rank), dtype=np.int64), p)
+        assert owner.tolist() == [0] and c.tolist() == [[0] * rank]
+        assert coef.tolist() == [1]
+    with pytest.raises(ValueError, match="table"):
+        signed_binomials(rows, np.array([[1, -1]]), p)
 
 
 def test_sparse_polynomial_kernels():

@@ -17,7 +17,9 @@ from iwacalc.padic import mi_range, mi_weight
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators
-from oracles import format_reference, lmul_matrix, mul_reference
+from oracles import (
+    format_reference, lmul_matrix, mul_reference, signed_binomials_reference,
+)
 
 
 def random_series(trunc, rng, terms=3):
@@ -353,6 +355,32 @@ def test_from_vector_checks_its_shape(abelian2):
         with pytest.raises(ValueError, match=r"expected \(21,\)"):
             t.from_vector(vec)
     assert t.from_vector([1, 2] + [0] * 19) == parse_series(t, "1 + 2*b2")
+
+
+def test_from_vector_rejects_non_integers(trunc_heis):
+    t, p = trunc_heis, trunc_heis.model.p
+    assert t.size == 34
+    # 0.5 was cut to 0, leaving 34 explicit zero coefficients
+    for vec in (np.full(34, 0.5), np.full(34, 1 + 0j), np.ones(34, dtype=bool),
+                np.array([1.0] + [0] * 33, dtype=object)):
+        with pytest.raises(ValueError, match="integers"):
+            t.from_vector(vec)
+    # Python ints in an object array stay exact, however large
+    vec = np.array([p ** 30 + 2] + [0] * 32 + [p - 1], dtype=object)
+    assert t.from_vector(vec) == t.from_dict({(0, 0, 0): 2, t.basis[-1]: p - 1})
+    x = t.monomial((1, 0, 0))
+    assert (x * t.zero()).is_zero() and (t.zero() * x).is_zero()
+
+
+def test_signed_binomial_table_grows_past_the_basis(trunc_heis):
+    t = TruncationSpec(trunc_heis.model, 6)  # fresh, so the table starts empty
+    p, top = t.model.p, max(t.max_exponents)
+    block = [(0, 0, 0), (top, 1, 0), (top + 4, 0, 2 * p + 1), (1, 3 * p, 2)]
+    owner, c, coef = t._signed_binomials(block)
+    want = [(n, c_, s) for n, a in enumerate(block)
+            for c_, s in signed_binomials_reference(a, p)]
+    assert list(zip(owner.tolist(), map(tuple, c.tolist()), coef.tolist())) == want
+    assert t._signed_rows[0].size - 2 == 3 * p
 
 
 def test_generator_map_rejects_unknown_side(trunc_heis):
