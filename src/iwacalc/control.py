@@ -7,6 +7,12 @@ subgroup, which group elements sit inside 1 + I, does induction from a
 subalgebra stay flat, is a centrally induced ideal completely prime) reduce
 to rank computations and valuation bookkeeping.
 
+A span is closed by a `linalg.RowSpace` and then kept as its sparse
+reduced row echelon basis R (`IdealSpan`).  Every test made against a
+finished span is one block residual B - B[:, pivots]·R, computed by a
+gather through R: membership of a vector, the dagger's candidates in
+chunks, and del_i-stability, where B is del_i applied to all of R at once.
+
 All answers carry "mod F_W" semantics: a passing control or primality check
 is a certificate at the truncation, not a global theorem, and reports say so
 via the depth/cutoff parameters they quote.
@@ -14,7 +20,6 @@ via the depth/cutoff parameters they quote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,58 +27,109 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import RowSpace, integer_array, intersect_coordinate_subspace, reduce_sparse
+from .linalg import RowSpace, integer_array, intersect_coordinate_subspace
 from .operators import divided_power_map
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
 )
 from .rng import Pcg32
-from .series import TruncatedSeries, TruncationSpec, format_series, relative_normal_form
+from .series import (
+    SparseMap, TruncatedSeries, TruncationSpec, format_series, relative_normal_form,
+)
 
 _SIDES = ("right", "two-sided")
+# candidates of the dagger search embedded at a time, as dense rows
+_DAGGER_CHUNK = 2048
 
 
-@dataclass(frozen=True)
 class IdealSpan:
-    """Row-reduced span of an ideal mod F_W; rows are coefficient vectors."""
+    """Span of an ideal mod F_W, held as its reduced row echelon basis R.
 
-    trunc: TruncationSpec = field(repr=False)
-    rows: np.ndarray
-    pivots: tuple[int, ...]
-    sided: str
+    R is a `SparseMap` whose source k is the k-th row in pivot order and
+    whose targets are basis columns: row k is 1 at `pivots[k]` and 0 at
+    every other pivot.  The residual of a block B of vectors against the
+    span is B - B[:, pivots]·R, one gather through R (`_block_residual`);
+    membership, del-stability and the dagger are tests on it.  The
+    constructor also takes the basis as a dense dim x size array; `rows` is
+    that dense form, built on first read.  Two spans are equal when they are
+    the same subspace of the same truncation, whatever their sidedness.
+    """
+
+    def __init__(self, trunc: TruncationSpec, rows, pivots: Sequence[int], sided: str):
+        self.trunc = trunc
+        self.pivots = tuple(int(c) for c in pivots)
+        self.sided = sided
+        if not isinstance(rows, SparseMap):
+            dense = np.asarray(rows, dtype=np.int64).reshape(len(self.pivots), trunc.size)
+            at, cols = np.nonzero(dense)
+            rows = SparseMap(trunc.model.p, trunc.size, cols, at, dense[at, cols])
+        self.reduced = rows
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[0]
+        return len(self.pivots)
 
     @cached_property
-    def _sparse_rows(self) -> dict[int, dict[int, int]]:
-        """The rows as {pivot: {column: coefficient}}, in pivot order."""
-        out: dict[int, dict[int, int]] = {int(c): {} for c in self.pivots}
-        at, cols = np.nonzero(self.rows)
-        for k, c, x in zip(at.tolist(), cols.tolist(), self.rows[at, cols].tolist()):
-            out[self.pivots[k]][c] = x
+    def rows(self) -> np.ndarray:
+        """The basis as a read-only dense dim x size int64 array."""
+        R = self.reduced
+        out = np.zeros((self.dim, self.trunc.size), dtype=np.int64)
+        out[R.src, R.tgt] = R.coef
+        out.setflags(write=False)
         return out
 
-    def _residual(self, vec: dict, stop: bool = False) -> dict:
-        """The residual of {column: coefficient} against the span, which is
-        unique and zero at the pivots since the rows are in rref.  With stop
-        it is cut at its least column, which still decides membership."""
-        return reduce_sparse(vec, self._sparse_rows, self.trunc.model.p, stop)
+    def _key(self) -> tuple:
+        R = self.reduced
+        return (id(self.trunc), self.pivots,
+                R.tgt.tobytes(), R.src.tobytes(), R.coef.tobytes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IdealSpan):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def _position(self) -> np.ndarray:
+        """The row of R pivoting at each column, -1 at non-pivot columns."""
+        out = np.full(self.trunc.size, -1, dtype=np.int64)
+        out[list(self.pivots)] = np.arange(self.dim)
+        return out
+
+    def _block_residual(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B - B[:, pivots]·R for the block B whose entries (row, column,
+        coefficient in [0, p)) are given, repeats summed: its entries sorted
+        by row, then column, with coefficients in [1, p).  This is the
+        unique residual of each row of B, zero at the pivots."""
+        p, size = self.trunc.model.p, self.trunc.size
+        k = self._position[cols]
+        hit = k >= 0
+        more = self.reduced.apply_entries(rows[hit], k[hit], -coefs[hit] % p)
+        keys, at = np.unique(np.concatenate([rows * size + cols,
+                                             more[0] * size + more[1]]),
+                             return_inverse=True)
+        sums = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(sums, at, np.concatenate([coefs, more[2]]))
+        live = sums % p != 0
+        return keys[live] // size, keys[live] % size, sums[live] % p
 
     def contains_vector(self, vec) -> bool:
         vec = integer_array(vec)
         if vec.shape != (self.trunc.size,):
             raise ValueError(f"vector of shape {vec.shape}, expected "
                              f"({self.trunc.size},)")
-        return not self._residual({c: x for c, x in enumerate(vec.tolist()) if x},
-                                  stop=True)
+        # reduced before the cast, so that huge ints in object arrays stay exact
+        vec = np.asarray(vec % self.trunc.model.p, dtype=np.int64)
+        cols = np.flatnonzero(vec)
+        return not self._block_residual(np.zeros_like(cols), cols, vec[cols])[0].size
 
     def contains(self, x: TruncatedSeries) -> bool:
         if x.trunc is not self.trunc:
             raise ValueError("series from a different truncation")
-        return not self._residual({self.trunc.index[a]: c for a, c in x.coeffs.items()},
-                                  stop=True)
+        return self.contains_vector(x.vector())
 
 
 def _unit_exponent(rank: int, j: int) -> tuple[int, ...]:
@@ -110,7 +166,9 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     maps = [trunc.generator_map(j, side).apply_sparse
             for side in sides for j in range(trunc.model.rank)]
     space = _close_span(trunc, generators, maps)
-    return IdealSpan(trunc, space.matrix(), tuple(space.pivots), sided)
+    at, cols, coefs = space.reduced()
+    return IdealSpan(trunc, SparseMap(trunc.model.p, trunc.size, cols, at, coefs),
+                     space.pivots, sided)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +197,12 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
         hit = _escape(I, i)
         if hit is not None:
             k, res = hit
+            R = I.reduced
+            row = R.src == k
             out.append({
                 "direction": i + 1,
-                "row": format_series(t.from_vector(I.rows[k])),
+                "row": format_series(t.from_dict({t.basis[c]: x for c, x in zip(
+                    R.tgt[row].tolist(), R.coef[row].tolist())})),
                 "escapes_as": format_series(t.from_dict({t.basis[c]: x
                                                          for c, x in res.items()})),
             })
@@ -154,11 +215,12 @@ def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
     is del_i-stable."""
     t = I.trunc
     d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
-    for k, row in enumerate(I._sparse_rows.values()):
-        res = I._residual(d_i.apply_sparse(row))
-        if res:
-            return k, res
-    return None
+    R = I.reduced
+    at, cols, coefs = I._block_residual(*d_i.apply_entries(R.src, R.tgt, R.coef))
+    if not at.size:
+        return None
+    first = at == at[0]
+    return int(at[0]), dict(zip(cols[first].tolist(), coefs[first].tolist()))
 
 
 def is_controlled_by(I: IdealSpan, H: SubgroupSpec) -> bool:
@@ -190,10 +252,16 @@ def dagger_approx(I: IdealSpan, depth: int, budget: int = 4096) -> list[tuple[in
         raise ValueError(f"dagger search needs p^(depth*rank) = {count} "
                          f"membership tests, over the budget {budget}")
     lams = list(mi_range((model.p ** depth - 1,) * model.rank))  # in sorted order
-    rows = t._embed_rows(lams)
-    rows[:, t.index[(0,) * model.rank]] -= 1  # g^lam - 1; C(lam, 0) = 1
-    return [lam for lam, row in zip(lams, rows) if not I._residual(
-        {c: int(row[c]) for c in np.flatnonzero(row)}, stop=True)]
+    out = []
+    for lo in range(0, count, _DAGGER_CHUNK):
+        chunk = lams[lo:lo + _DAGGER_CHUNK]
+        rows = t._embed_rows(chunk)
+        rows[:, t.index[(0,) * model.rank]] -= 1  # g^lam - 1; C(lam, 0) = 1
+        at, cols = np.nonzero(rows)
+        kept = np.ones(len(chunk), dtype=bool)
+        kept[I._block_residual(at, cols, rows[at, cols])[0]] = False
+        out += [lam for lam, keep in zip(chunk, kept.tolist()) if keep]
+    return out
 
 
 # ---------------------------------------------------------------------------

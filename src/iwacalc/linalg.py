@@ -3,10 +3,11 @@ the incremental echelon `RowSpace` built on it.
 
 Rows and vectors are dicts {column: coefficient} in Python ints, so the
 arithmetic is exact for any p.  A span is grown only by a `RowSpace`;
-`rref` feeds it the rows of a matrix.  Its `matrix()` is the reduced row
-echelon basis as an int64 array, which is unique, so span comparisons are
-plain array comparisons.  The residual of a vector against such a basis,
-held as sparse rows, is `reduce_sparse` again.
+`rref` feeds it the rows of a matrix.  `reduced()` back-substitutes once to
+the reduced row echelon basis, which is unique, as sparse entries; a
+finished span (`control.IdealSpan`) keeps them sparse and takes residuals
+against them as block products, with no further elimination.  `matrix()`
+is the dense form of the same basis.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class RowSpace:
 
     A row is a dict {column: coefficient} with 1 at its pivot, its least
     column.  A new vector is reduced by `reduce_sparse` only up to its
-    pivot.  `matrix()` back-substitutes once to the reduced row echelon
+    pivot.  `reduced()` back-substitutes once to the reduced row echelon
     form, which does not depend on the order of the adds.
     """
 
@@ -104,15 +105,25 @@ class RowSpace:
     def pivots(self) -> list[int]:
         return sorted(self._rows)
 
-    def matrix(self) -> np.ndarray:
-        """The reduced row echelon basis, rows sorted by pivot."""
+    def reduced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reduced row echelon basis as int64 entry arrays (row, column,
+        coefficient), rows numbered in pivot order."""
         done: dict[int, dict[int, int]] = {}
         # a row meets only rows of larger pivots, which are reduced first
         for c in sorted(self._rows, reverse=True):
             done[c] = reduce_sparse(self._rows[c], done, self.p)
-        mat = np.zeros((len(done), self.ncols), dtype=np.int64)
-        for i, c in enumerate(sorted(done)):
-            mat[i, list(done[c])] = list(done[c].values())
+        rows = [done[c] for c in sorted(done)]
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        at = np.repeat(np.arange(len(rows)), lengths)
+        cols = np.array([c for r in rows for c in r], dtype=np.int64)
+        coefs = np.array([x for r in rows for x in r.values()], dtype=np.int64)
+        return at, cols, coefs
+
+    def matrix(self) -> np.ndarray:
+        """The reduced row echelon basis, rows sorted by pivot."""
+        at, cols, coefs = self.reduced()
+        mat = np.zeros((self.dim, self.ncols), dtype=np.int64)
+        mat[at, cols] = coefs
         return mat
 
 

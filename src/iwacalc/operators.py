@@ -146,6 +146,10 @@ def operator_degree(trunc: TruncationSpec, op: SparseMap) -> DegreeReport:
 # Locally constant functions on the group
 # ---------------------------------------------------------------------------
 
+# terms of the Mahler box expanded at a time (mahler_coeffs_function)
+_SLICE_TERMS = 4096
+
+
 class LocallyConstantFunction:
     """F_p-valued function on G factoring through coordinates mod p^s."""
 
@@ -183,17 +187,27 @@ class LocallyConstantFunction:
 
 
 def mahler_coeffs_function(f: LocallyConstantFunction) -> dict:
-    """Forward differences at zero: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a,b) f(b)."""
+    """Forward differences at zero: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a,b) f(b).
+
+    The box is expanded in slices of consecutive rows a, each starting a
+    new slice once _SLICE_TERMS terms precede it, so that memory follows
+    the slice and not the whole (p^s)^rank box."""
     p = f.p
     box = list(mi_range((f.box - 1,) * f.rank))
     values = np.array([f.table[b] for b in box], dtype=np.int64)
-    owner, b, signs = signed_binomials(
-        signed_binomial_rows(f.box - 1, p),
-        np.array(box, dtype=np.int64).reshape(len(box), f.rank), p)
+    table = signed_binomial_rows(f.box - 1, p)
+    exps = np.array(box, dtype=np.int64).reshape(len(box), f.rank)
     # b <= a < box, so its lexicographic code in the box is its place in `box`
     radix = f.box ** np.arange(f.rank - 1, -1, -1, dtype=np.int64)
-    terms = signs * values[b @ radix] % p
-    acc = np.add.reduceat(terms, np.searchsorted(owner, np.arange(len(box)))) % p
+    # the terms of row a: one per entry of each of its table rows
+    terms = np.prod(np.diff(table[0])[exps], axis=1)
+    cuts = np.flatnonzero(np.diff((np.cumsum(terms) - terms) // _SLICE_TERMS,
+                                  prepend=-1)).tolist() + [len(box)]
+    acc = np.zeros(len(box), dtype=np.int64)
+    for lo, hi in zip(cuts, cuts[1:]):
+        owner, b, signs = signed_binomials(table, exps[lo:hi], p)
+        acc[lo:hi] = np.add.reduceat(signs * values[b @ radix] % p,
+                                     np.searchsorted(owner, np.arange(hi - lo))) % p
     return {box[n]: int(acc[n]) for n in np.flatnonzero(acc).tolist()}
 
 

@@ -251,9 +251,11 @@ class SparseMap:
     entries per target and the generator maps few, so an apply takes a few
     layers.  The layers are built on the first apply, since most cached
     divided powers are never applied.  The partial sums are reduced often
-    enough that no int64 sum of products of residues reaches 2^63."""
+    enough that no int64 sum of products of residues reaches 2^63.  A block
+    held as entries (row, column, coefficient) is mapped by
+    `apply_entries`, a gather through the entries sorted by source."""
 
-    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers", "_by_source")
+    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers", "_by_source", "_csr")
 
     def __init__(self, p: int, size: int, tgt, src, coef):
         self.p = p
@@ -265,6 +267,7 @@ class SparseMap:
         self.coef = coef[order]
         self._layers = None
         self._by_source = None
+        self._csr = None
 
     def _split(self) -> list:
         """(targets, sources, coefficients) of each layer."""
@@ -298,6 +301,25 @@ class SparseMap:
             out[tgt] += part
         out %= p
         return out if vec.ndim == 1 else out.T
+
+    def apply_entries(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Image of the block whose entries (row, column, coefficient in
+        [0, p)) are given, the columns being source coordinates: one entry
+        (row, target, product mod p) per pair of a block entry and a map
+        entry from its column.  Entries are not summed, so a (row, target)
+        may repeat.  The entries are gathered through the map's entries
+        sorted by source, which are built on first use."""
+        if self._csr is None:
+            order = np.argsort(self.src, kind="stable")
+            self._csr = self.src[order], self.tgt[order], self.coef[order]
+        src, tgt, coef = self._csr
+        lo = np.searchsorted(src, cols)
+        n = np.searchsorted(src, cols, side="right") - lo
+        at = np.repeat(np.arange(cols.size), n)
+        # entry j of the image is map entry lo + (j - first j of its block entry)
+        pos = np.arange(at.size) + np.repeat(lo + n - np.cumsum(n), n)
+        return rows[at], tgt[pos], coefs[at] * coef[pos] % self.p
 
     def apply_sparse(self, vec: Mapping[int, int]) -> dict:
         """Image of the vector {coordinate: coefficient}, without zero entries,

@@ -21,8 +21,8 @@ from iwacalc.rng import Pcg32
 from iwacalc.series import TruncationSpec, format_series, group_embed
 
 from oracles import (
-    dense_closure, divided_power_reference, escapes_reference, mul_reference,
-    operator_matrix, reduce_block,
+    DenseRowSpace, dense_closure, divided_power_reference, escapes_reference,
+    mul_reference, operator_matrix, reduce_block,
 )
 
 
@@ -54,6 +54,29 @@ def test_contains_vector_rejects_non_integers(abelian2):
         with pytest.raises(ValueError, match="integers"):
             I.contains_vector(vec)
     assert I.contains_vector(np.array(t.monomial((1, 0)).vector().tolist(), dtype=object))
+
+
+def test_span_equality_is_equality_of_subspaces(trunc2):
+    t = trunc2
+    b1 = ideal_span(t, [t.monomial((1, 0))])
+    # the same ideal from other generators, from both sides (the model is
+    # abelian), and rebuilt from its dense rows
+    same = [ideal_span(t, [t.monomial((1, 0)), t.monomial((2, 1))]),
+            ideal_span(t, [t.monomial((1, 0))], "two-sided"),
+            IdealSpan(t, b1.rows, b1.pivots, "right")]
+    assert b1.dim > 1 and all(b1 == J and hash(b1) == hash(J) for J in same)
+    b2 = ideal_span(t, [t.monomial((0, 1))])
+    # equal pivots, other rows; the same subspace of another truncation
+    rows = np.zeros((2, t.size), dtype=np.int64)
+    rows[:, 1] = 1
+    rows[:, 5] = [1, 2]
+    fresh = TruncationSpec(t.model, t.W)
+    others = [b2, IdealSpan(t, rows[:1], (1,), "right"),
+              IdealSpan(t, rows[1:], (1,), "right"),
+              ideal_span(fresh, [fresh.monomial((1, 0))])]
+    assert all(b1 != J for J in others) and others[1] != others[2]
+    assert len({b1, *same, *others}) == 1 + len(others)
+    assert b1 != b1.rows.tolist()
 
 
 def test_maximal_ideal_dimension(trunc2):
@@ -476,3 +499,81 @@ def test_dagger_matches_block_residuals(request, fixture, sided, data):
         if not reduce_block(I.rows, I.pivots, v[None, :], p).any():
             want.append(lam)
     assert dagger_approx(I, depth) == want
+
+
+def object_vectors(rng, p, vecs):
+    """Each vector shifted by random multiples of p, some of them negative
+    and some past 2^63, as an object array of Python ints."""
+    out = []
+    for v in vecs:
+        shift = rng.integers(-3, 4, v.size).tolist()
+        big = rng.integers(0, 2, v.size).tolist()
+        out.append(np.array([int(x) + p * (s + b * (1 << 70))
+                             for x, s, b in zip(v.tolist(), shift, big)], dtype=object))
+    return out
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "u4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_block_residuals_match_dense_oracles(escape_truncs, name, data):
+    """contains, contains_vector and dagger_approx against the dense
+    residuals of `DenseRowSpace` and `reduce_block`, on ideal spans, the
+    zero span, the whole space and dense rref spans."""
+    t = escape_truncs[name]
+    model = t.model
+    p, rank = model.p, model.rank
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    kind = data.draw(st.sampled_from(["ideal", "zero", "whole", "dense"]))
+    if kind == "ideal":
+        I = ideal_span(t, draw_generators(t, data, t.basis[1:]),
+                       data.draw(st.sampled_from(["right", "two-sided"])))
+    elif kind == "zero":
+        I = IdealSpan(t, np.zeros((0, t.size), dtype=np.int64), (), "right")
+    elif kind == "whole":
+        I = IdealSpan(t, np.eye(t.size, dtype=np.int64), range(t.size), "right")
+    else:
+        shape = (data.draw(st.integers(1, 12)), t.size)
+        rows, pivots = rref(rng.integers(0, p, shape), p)
+        I = IdealSpan(t, rows, tuple(pivots), "two-sided")
+    members = rng.integers(0, p, (4, I.dim)) @ I.rows % p
+    vecs = list(members) + list(rng.integers(0, p, (4, t.size)))
+    vecs[-1] = np.zeros(t.size, dtype=np.int64)
+    vecs[-2] = vecs[0] + p  # a member with entries in [p, 2p)
+    vecs += object_vectors(rng, p, vecs)
+    space = DenseRowSpace(p, t.size)
+    for row in I.rows:
+        space.add(row)
+    assert np.array_equal(space.matrix(), I.rows) and space.pivots == list(I.pivots)
+    # the same span with its dense rows unread: no test below builds them
+    J = IdealSpan(t, I.reduced, I.pivots, I.sided)
+    for v in vecs:
+        want = not space.residual(np.array([int(x) % p for x in v])).any()
+        assert J.contains_vector(v) == want
+        assert J.contains(t.from_vector(v)) == want
+    if rank == 6:  # 5^6 candidates: over the default budget
+        with pytest.raises(ValueError, match="budget"):
+            dagger_approx(J, 1)
+    else:
+        lams = list(mi_range((p - 1,) * rank))
+        block = np.array([(group_embed(t, model.element(lam)) - t.one()).vector()
+                          for lam in lams])
+        kept = ~reduce_block(I.rows, I.pivots, block, p).any(axis=1)
+        assert dagger_approx(J, 1) == [lam for lam, k in zip(lams, kept) if k]
+    assert "rows" not in vars(J)
+
+
+def test_dagger_crosses_candidate_chunks(escape_truncs):
+    """The U_4 dagger at depth 1: 15,625 candidates, embedded 2,048 at a
+    time.  Those kept, the powers of g_1, lie in five different chunks."""
+    t = escape_truncs["u4"]
+    p, rank = t.model.p, t.model.rank
+    I = ideal_span(t, [t.monomial((1, 0, 0, 0, 0, 0))], "two-sided")
+    lams = list(mi_range((p - 1,) * rank))
+    # the embedding is the one src uses; the residuals are the dense oracle's
+    block = t._embed_rows(lams)
+    block[:, t.index[(0,) * rank]] -= 1
+    kept = ~reduce_block(I.rows, I.pivots, block, p).any(axis=1)
+    want = [lam for lam, k in zip(lams, kept) if k]
+    assert want == [(k, 0, 0, 0, 0, 0) for k in range(p)]
+    assert dagger_approx(I, 1, budget=20000) == want

@@ -9,6 +9,7 @@ element and the operators lower weight.
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -484,6 +485,29 @@ def test_expansion_routes_match_oracles(abelian3, heis, u4, data):
     g = LocallyConstantFunction(p, rank, s, {a: rng.below(p)
                                              for a in mi_range((box - 1,) * rank)})
     assert mahler_coeffs_function(g) == mahler_coeffs_function_reference(g)
+
+
+@pytest.mark.parametrize("p,rank,s", [(3, 1, 5), (5, 2, 2), (3, 3, 2)])
+def test_mahler_box_slices_match_reference(p, rank, s):
+    """Boxes of 7,776, 50,625 and 46,656 terms, expanded across slices of
+    about 4,096."""
+    rng = Pcg32(rank)
+    f = LocallyConstantFunction(p, rank, s, {a: rng.below(p)
+                                             for a in mi_range((p ** s - 1,) * rank)})
+    assert mahler_coeffs_function(f) == mahler_coeffs_function_reference(f)
+
+
+def test_mahler_box_memory_follows_the_slice():
+    # rank 4 at p = 5: 50,625 terms, a peak of 7.4 MB when expanded at once
+    rng = Pcg32(4)
+    f = LocallyConstantFunction(5, 4, 1, {a: rng.below(5) for a in mi_range((4,) * 4)})
+    tracemalloc.start()
+    try:
+        mahler_coeffs_function(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_central_closed_form_guard(trunc_heis):
