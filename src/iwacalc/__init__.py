@@ -8,11 +8,10 @@ the full algebra.  Values beyond the cutoff are reported as AtLeast markers, nev
 guessed."""
 
 from .padic import (
-    AtLeast, MultiIndex, PadicInt, PrecisionError, Val, binom_mod_p,
-    comb_mod, eq_compatible, format_padic, ge_provable, ge_refuted,
-    gt_provable, is_prime, mi_add, mi_leq, mi_range, mi_sub, mi_weight,
-    multi_binom_mod_p, padic_make, parse_padic, val_add, val_min,
-    val_sub_exact,
+    AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, comb_mod,
+    eq_compatible, format_padic, ge_provable, ge_refuted, gt_provable,
+    is_prime, mi_range, mi_weight, multi_binom_mod_p, parse_padic, val_add,
+    val_min, val_sub_exact,
 )
 from .rng import Pcg32
 from .groups import (

@@ -34,7 +34,7 @@ from .operators import (
 )
 from .padic import (
     AtLeast, PrecisionError, comb_mod, format_val, ge_provable, is_prime,
-    mi_range, multi_binom_mod_p, padic_make,
+    mi_range, multi_binom_mod_p,
 )
 from .rng import Pcg32
 from .series import (
@@ -290,8 +290,7 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
         g = model.sample_element(rng)
         emb = group_embed(t, g)
         alpha = _random_basis_key(t, rng)
-        lam = multi_binom_mod_p(
-            [padic_make(c, p, model.precision) for c in g.coords], alpha)
+        lam = multi_binom_mod_p(g.coords, alpha, p, model.precision)
         eigen += 1
         diff = divided_power(t, alpha, emb) - emb.scale(lam)
         # the dropped tail of embed(g) re-enters below the cutoff under

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import RowSpace, integer_array, intersect_coordinate_subspace
+from .linalg import RowSpace, integer_array
 from .operators import divided_power_map
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
@@ -49,10 +49,12 @@ class IdealSpan:
     whose targets are basis columns: row k is 1 at `pivots[k]` and 0 at
     every other pivot.  The residual of a block B of vectors against the
     span is B - B[:, pivots]·R, one gather through R (`_block_residual`);
-    membership, del-stability and the dagger are tests on it.  The
-    constructor also takes the basis as a dense dim x size array; `rows` is
-    that dense form, built on first read.  Two spans are equal when they are
-    the same subspace of the same truncation, whatever their sidedness.
+    membership, del-stability and the dagger are tests on it, and the
+    del_i-stability result is kept per direction, since the span never
+    changes.  The constructor also takes the basis as a dense dim x size
+    array of integers, which it reduces mod p; `rows` is that dense form,
+    built on first read.  Two spans are equal when they are the same subspace of the
+    same truncation, whatever their sidedness.
     """
 
     def __init__(self, trunc: TruncationSpec, rows, pivots: Sequence[int], sided: str):
@@ -60,10 +62,16 @@ class IdealSpan:
         self.pivots = tuple(int(c) for c in pivots)
         self.sided = sided
         if not isinstance(rows, SparseMap):
-            dense = np.asarray(rows, dtype=np.int64).reshape(len(self.pivots), trunc.size)
+            dense = integer_array(rows)
+            if dense.shape != (self.dim, trunc.size):
+                raise ValueError(f"rows of shape {dense.shape}, expected "
+                                 f"({self.dim}, {trunc.size})")
+            # reduced before the cast, so that huge ints in object arrays stay exact
+            dense = np.asarray(dense % trunc.model.p, dtype=np.int64)
             at, cols = np.nonzero(dense)
             rows = SparseMap(trunc.model.p, trunc.size, cols, at, dense[at, cols])
         self.reduced = rows
+        self._escapes: dict[int, Optional[tuple[int, dict]]] = {}
 
     @property
     def dim(self) -> int:
@@ -147,6 +155,13 @@ def _close_span(trunc: TruncationSpec, generators, maps) -> RowSpace:
     return space
 
 
+def _finished(trunc: TruncationSpec, space: RowSpace, sided: str) -> IdealSpan:
+    """The span of a closed `RowSpace` as its reduced basis."""
+    at, cols, coefs = space.reduced()
+    return IdealSpan(trunc, SparseMap(trunc.model.p, trunc.size, cols, at, coefs),
+                     space.pivots, sided)
+
+
 def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
                sided: str = "right") -> IdealSpan:
     """Closure of the F_p-span of the generators under multiplication.
@@ -165,10 +180,7 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     sides = ("right",) if sided == "right" or abelian else ("right", "left")
     maps = [trunc.generator_map(j, side).apply_sparse
             for side in sides for j in range(trunc.model.rank)]
-    space = _close_span(trunc, generators, maps)
-    at, cols, coefs = space.reduced()
-    return IdealSpan(trunc, SparseMap(trunc.model.p, trunc.size, cols, at, coefs),
-                     space.pivots, sided)
+    return _finished(trunc, _close_span(trunc, generators, maps), sided)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +224,19 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
 def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
     """(k, residual) for the first row k of I, in pivot order, whose image
     under del_i has a nonzero residual against the span; None if the span
-    is del_i-stable."""
+    is del_i-stable.  Computed once per direction and kept on I."""
+    if i in I._escapes:
+        return I._escapes[i]
     t = I.trunc
     d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
     R = I.reduced
     at, cols, coefs = I._block_residual(*d_i.apply_entries(R.src, R.tgt, R.coef))
-    if not at.size:
-        return None
-    first = at == at[0]
-    return int(at[0]), dict(zip(cols[first].tolist(), coefs[first].tolist()))
+    hit = None
+    if at.size:
+        first = at == at[0]
+        hit = int(at[0]), dict(zip(cols[first].tolist(), coefs[first].tolist()))
+    I._escapes[i] = hit
+    return hit
 
 
 def is_controlled_by(I: IdealSpan, H: SubgroupSpec) -> bool:
@@ -283,9 +299,9 @@ def subalgebra_monomials(trunc: TruncationSpec, H: SubgroupSpec) -> list:
 
 
 def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
-                          generators: Sequence[TruncatedSeries]) -> np.ndarray:
-    """Canonical row basis of the right ideal of the H-subalgebra generated
-    by the given elements (which must already lie in the subalgebra)."""
+                          generators: Sequence[TruncatedSeries]) -> IdealSpan:
+    """Span of the right ideal of the H-subalgebra generated by the given
+    elements (which must already lie in the subalgebra)."""
     allowed = set(subalgebra_monomials(trunc, H))
     for g in generators:
         if g.trunc is not trunc:
@@ -303,7 +319,15 @@ def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
 
     maps = [power_map(trunc.generator_map(j).apply_sparse, trunc.model.p ** n)
             for j, n in enumerate(H.exponents) if n < trunc.model.precision]
-    return _close_span(trunc, generators, maps).matrix()
+    return _finished(trunc, _close_span(trunc, generators, maps), "right")
+
+
+def _row_dicts(at, cols, coefs, n: int) -> list[dict]:
+    """The n rows {column: coefficient} of a matrix given by its entries."""
+    rows: list[dict] = [{} for _ in range(n)]
+    for k, c, x in zip(at.tolist(), cols.tolist(), coefs.tolist()):
+        rows[k][c] = x
+    return rows
 
 
 def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
@@ -313,19 +337,33 @@ def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
 
     The two sides are computed by independent closures (J under the
     subalgebra generators, J*kG under the full generator set), so equality
-    of the canonical bases is a genuine cross-check.
+    of the canonical bases is a genuine cross-check.  The intersection is
+    read off an echelon basis of the induced span with the columns outside
+    the subalgebra ordered first: its rows that pivot past them vanish on
+    them, and they are a basis of the intersection.
     """
     p = trunc.model.p
-    jrows = subalgebra_ideal_span(trunc, H, generators)
+    sub = subalgebra_ideal_span(trunc, H, generators)
     induced = ideal_span(trunc, list(generators), "right")
-    keep = [trunc.index[a] for a in subalgebra_monomials(trunc, H)]
-    meet = intersect_coordinate_subspace(induced.rows, p, keep)
-    flat = jrows.shape == meet.shape and bool(np.array_equal(jrows, meet))
+    kept = np.zeros(trunc.size, dtype=bool)
+    kept[[trunc.index[a] for a in subalgebra_monomials(trunc, H)]] = True
+    # new column -> old: the columns outside the subalgebra first
+    order = np.argsort(kept, kind="stable")
+    R = induced.reduced
+    space = RowSpace(p, trunc.size)
+    for v in _row_dicts(R.src, np.argsort(order)[R.tgt], R.coef, induced.dim):
+        space.add(v)
+    # the reduced rows come in pivot order, the first `low` pivoting outside
+    low = int(np.searchsorted(space.pivots, trunc.size - kept.sum()))
+    at, cols, coefs = space.reduced()
+    meet = RowSpace(p, trunc.size)
+    for v in _row_dicts(at, order[cols], coefs, space.dim)[low:]:
+        meet.add(v)
     return {
-        "dim_subalgebra_ideal": int(jrows.shape[0]),
+        "dim_subalgebra_ideal": sub.dim,
         "dim_induced_ideal": induced.dim,
-        "dim_intersection": int(meet.shape[0]),
-        "flat": flat,
+        "dim_intersection": meet.dim,
+        "flat": sub == _finished(trunc, meet, "right"),
     }
 
 

@@ -43,13 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-import numpy as np
-
-from .linalg import rref
+from .linalg import RowSpace, is_integer
 from .padic import (
-    AtLeast, PadicInt, PrecisionError, Val, eq_compatible, ge_refuted,
+    AtLeast, PrecisionError, Val, eq_compatible, ge_refuted,
     gt_provable, is_prime, poly_combine, poly_product_sum, power, residue_vp,
     val_min, val_add, val_sub_exact,
 )
@@ -130,9 +128,6 @@ class GroupElement:
 
     def omega(self) -> Val:
         return self.model.omega_of(self)
-
-    def is_identity(self) -> bool:
-        return not any(self.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +264,15 @@ class GroupModel:
 
     # -- element plumbing ---------------------------------------------------
 
-    def element(self, coords: Sequence[Union[int, PadicInt]]) -> GroupElement:
+    def element(self, coords: Sequence[int]) -> GroupElement:
+        """The element with these coordinates, Python or numpy integers
+        reduced mod p^M."""
         if len(coords) != self.rank:
             raise ModelError(f"expected {self.rank} coordinates, got {len(coords)}")
-        fixed = []
-        for c in coords:
-            if isinstance(c, PadicInt):
-                if c.p != self.p or c.precision != self.precision:
-                    raise PrecisionError(
-                        f"coordinate {c!r} does not match p={self.p}, M={self.precision}")
-                c = c.value()
-            fixed.append(int(c) % self._pm)
-        return GroupElement(self, tuple(fixed))
+        for i, c in enumerate(coords):
+            if not is_integer(c):
+                raise ValueError(f"coordinate {i + 1} = {c!r} is not an integer")
+        return GroupElement(self, tuple(int(c) % self._pm for c in coords))
 
     def identity(self) -> GroupElement:
         return self.element([0] * self.rank)
@@ -294,10 +286,8 @@ class GroupModel:
         return out
 
     def _lam(self, lam) -> int:
-        if isinstance(lam, PadicInt):
-            if lam.p != self.p:
-                raise ValueError("exponent has the wrong prime")
-            return lam.value()
+        if not is_integer(lam):
+            raise ValueError(f"exponent {lam!r} is not an integer")
         return int(lam)
 
     def omega_of(self, el: GroupElement) -> Val:
@@ -462,12 +452,13 @@ class UnitriangularModel(GroupModel):
         v = [[(self._logs[k][i][j] // self.p) % pm for k in range(self.rank)]
              for (i, j) in self._positions]
         self._vmatrix = v
-        vt = np.array(v, dtype=np.int64).T % self.p
-        _, pivots = rref(vt, self.p)
-        if len(pivots) < self.rank:
+        space = RowSpace(self.p, len(v))
+        for k in range(self.rank):
+            space.add({r: row[k] for r, row in enumerate(v)})
+        if space.dim < self.rank:
             raise ModelError("generator logs are dependent mod p; not an ordered basis")
-        self._pivot_rows = pivots
-        sub = [[v[r][k] for k in range(self.rank)] for r in pivots]
+        self._pivot_rows = space.pivots
+        sub = [[v[r][k] for k in range(self.rank)] for r in self._pivot_rows]
         self._solver = _mat_inv_mod(sub, pm, self.p)
 
     # -- compilation: the matrix route over polynomial entries --------------
@@ -583,11 +574,6 @@ class SubgroupSpec:
         model = self.model
         return all(model.mul(h, g).coords == model.mul(g, h).coords
                    for h in self.generators() for g in model.basis())
-
-    def direction_mask(self) -> list[int]:
-        """Directions whose basis power is a proper p-power (the 'moved' block)."""
-        return [i for i, n in enumerate(self.exponents)
-                if 0 < n < self.model.precision]
 
 
 def subgroup_from_exponents(model: GroupModel,

@@ -2,12 +2,12 @@
 the incremental echelon `RowSpace` built on it.
 
 Rows and vectors are dicts {column: coefficient} in Python ints, so the
-arithmetic is exact for any p.  A span is grown only by a `RowSpace`;
-`rref` feeds it the rows of a matrix.  `reduced()` back-substitutes once to
-the reduced row echelon basis, which is unique, as sparse entries; a
-finished span (`control.IdealSpan`) keeps them sparse and takes residuals
-against them as block products, with no further elimination.  `matrix()`
-is the dense form of the same basis.
+arithmetic is exact for any p.  A span is grown only by a `RowSpace`, one
+vector at a time.  `reduced()` back-substitutes once to the reduced row
+echelon basis, which is unique, as sparse entries; a finished span
+(`control.IdealSpan`) keeps them sparse and takes residuals against them
+as block products, with no further elimination.  No dense matrix is
+formed here: `integer_array` only checks that array input holds integers.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ import heapq
 import numpy as np
 
 
+def is_integer(x) -> bool:
+    """Is x a Python or numpy integer?  A bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def integer_array(values) -> np.ndarray:
     """`np.asarray(values)`, which must hold integers: floats, complex
     numbers and bools (also inside an object array) raise ValueError rather
@@ -24,22 +29,9 @@ def integer_array(values) -> np.ndarray:
     passes."""
     a = np.asarray(values)
     if a.size and not (a.dtype.kind in "iu" or a.dtype.kind == "O" and all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            for x in a.flat)):
+            map(is_integer, a.flat))):
         raise ValueError(f"expected an array of integers, got dtype {a.dtype}")
     return a
-
-
-def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-    A 1-D input is one row of integers."""
-    a = np.asarray(integer_array(mat) % p, dtype=np.int64)
-    if a.ndim != 2:
-        a = a.reshape(1, -1)
-    space = RowSpace(p, a.shape[1])
-    for row in a:
-        space.add({int(c): int(row[c]) for c in np.flatnonzero(row)})
-    return space.matrix(), space.pivots
 
 
 def reduce_sparse(vec: dict, rows: dict, p: int, stop: bool = False) -> dict:
@@ -118,31 +110,3 @@ class RowSpace:
         cols = np.array([c for r in rows for c in r], dtype=np.int64)
         coefs = np.array([x for r in rows for x in r.values()], dtype=np.int64)
         return at, cols, coefs
-
-    def matrix(self) -> np.ndarray:
-        """The reduced row echelon basis, rows sorted by pivot."""
-        at, cols, coefs = self.reduced()
-        mat = np.zeros((self.dim, self.ncols), dtype=np.int64)
-        mat[at, cols] = coefs
-        return mat
-
-
-def intersect_coordinate_subspace(rows, p: int, keep: list[int]) -> np.ndarray:
-    """Basis (rref) of rowspace(rows) intersected with span{e_j : j in keep}.
-
-    Works by eliminating the complement columns first: rows of the permuted
-    rref whose pivot lands in the kept block have zero complement part, and
-    those rows are exactly a basis of the intersection.
-    """
-    a = np.asarray(rows, dtype=np.int64)
-    if a.size == 0:
-        return np.zeros((0, a.shape[1] if a.ndim == 2 else 0), dtype=np.int64)
-    ncols = a.shape[1]
-    keep_set = set(keep)
-    drop = [c for c in range(ncols) if c not in keep_set]
-    order = drop + list(keep)
-    reduced, pivots = rref(a[:, order], p)
-    cut = len(drop)
-    hits = [i for i, c in enumerate(pivots) if c >= cut]
-    final, _ = rref(reduced[hits][:, np.argsort(order)], p)
-    return final

@@ -283,10 +283,6 @@ class ValuedFraction:
         self.den = den
         self.den_val = Fraction(dv)
 
-    @classmethod
-    def from_series(cls, x: TruncatedSeries) -> "ValuedFraction":
-        return cls(x, x.trunc.one())
-
     @property
     def trunc(self) -> TruncationSpec:
         return self.num.trunc

@@ -163,25 +163,6 @@ class LocallyConstantFunction:
             raise ValueError(f"table must cover all {size} residue vectors")
         self.table = {tuple(k): v % p for k, v in table.items()}
 
-    @classmethod
-    def from_callable(cls, p: int, rank: int, s: int, fn) -> "LocallyConstantFunction":
-        box = p ** s
-        table = {a: fn(a) for a in mi_range((box - 1,) * rank)}
-        return cls(p, rank, s, table)
-
-    @classmethod
-    def coset_indicator(cls, p: int, rank: int, s: int,
-                        nu: Sequence[int], level: Optional[int] = None
-                        ) -> "LocallyConstantFunction":
-        """Indicator of the coset {lam : lam = nu mod p^level} (level <= s)."""
-        level = s if level is None else level
-        if level > s:
-            raise ValueError("indicator level exceeds the resolution")
-        box = p ** level
-        nu = tuple(v % box for v in nu)
-        return cls.from_callable(
-            p, rank, s, lambda a: 1 if tuple(v % box for v in a) == nu else 0)
-
     def __call__(self, lam: Sequence[int]) -> int:
         return self.table[tuple(v % self.box for v in lam)]
 

@@ -1,21 +1,21 @@
-"""Truncated p-adic integers and mod-p binomial coefficients.
+"""p-adic residues, mod-p binomial coefficients and sparse polynomials.
 
-A residue mod p^M is a Python int in [0, p^M) wherever the package
-computes with it: group coordinates are such ints, and their valuation is
-the index of the first nonzero base-p digit (`residue_vp`).  `PadicInt`,
-the base-p digit vector least significant digit first, is the p-adic
-scalar of the public API: it parses and prints the digit form, does
-arithmetic mod p^M and gives Lucas' theorem its digits (`binom_mod_p`).
-A residue that is zero at working precision has vp >= M but nothing
-sharper can be said; such values are reported as the marker `AtLeast(M)`
-rather than a number (printed by `format_val`), and the marker propagates
-through every valuation computed in the package.
+The one p-adic scalar is a residue mod p^M held as a Python int in
+[0, p^M): group coordinates are such ints, and their valuation is the
+index of the first nonzero base-p digit (`residue_vp`).  Lucas' theorem
+reads the same digits off the int (`binom_mod_p`, `multi_binom_mod_p`),
+and reports print a residue as its digit vector, least significant digit
+first (`format_padic`), which `parse_padic` reads back.  A residue that is
+zero at working precision has vp >= M but nothing sharper can be said;
+such values are reported as the marker `AtLeast(M)` rather than a number
+(printed by `format_val`), and the marker propagates through every
+valuation computed in the package.
 
-Multi-indices (exponent vectors of monomials) are plain int tuples; the
-helpers prefixed ``mi_`` implement the componentwise partial order and the
-weight pairing used by the truncation modules.  A sparse polynomial mod m
-is a dict {multi-index: coefficient} with no zero terms, and one set of
-kernels serves every such dict in the package: the compiled group laws of
+Multi-indices (exponent vectors of monomials) are plain int tuples;
+`mi_weight` pairs one with the weights of a truncation and `mi_range`
+lists a box of them.  A sparse polynomial mod m is a dict {multi-index:
+coefficient} with no zero terms, and one set of kernels serves every
+such dict in the package: the compiled group laws of
 `groups`, the F_p polynomials of `moore` and the truncated series of
 `series` all combine (`poly_combine`), multiply (`poly_product_sum`),
 raise to p-powers (`poly_frobenius`) and print (`format_poly`) through
@@ -46,7 +46,7 @@ class PrecisionError(ValueError):
 
 @functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Trial division, memoised: padic_make checks p on every element."""
+    """Trial division, memoised: every model load and parse checks p."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -168,108 +168,27 @@ def eq_compatible(computed: Val, claimed) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Truncated p-adic integers
+# Residues mod p^M in digit form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PadicInt:
-    """Residue mod p^M as a digit vector; M = len(digits)."""
-
-    p: int
-    digits: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    def value(self) -> int:
-        """The canonical representative in [0, p^M)."""
-        out = 0
-        for d in reversed(self.digits):
-            out = out * self.p + d
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.digits)
-
-    def _check(self, other: "PadicInt") -> None:
-        if self.p != other.p:
-            raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
-        if self.precision != other.precision:
-            raise PrecisionError(
-                f"precision mismatch: {self.precision} vs {other.precision}")
-
-    def __add__(self, other: "PadicInt") -> "PadicInt":
-        self._check(other)
-        return padic_make(self.value() + other.value(), self.p, self.precision)
-
-    def __sub__(self, other: "PadicInt") -> "PadicInt":
-        self._check(other)
-        return padic_make(self.value() - other.value(), self.p, self.precision)
-
-    def __mul__(self, other: "PadicInt") -> "PadicInt":
-        self._check(other)
-        return padic_make(self.value() * other.value(), self.p, self.precision)
-
-    def __neg__(self) -> "PadicInt":
-        return padic_make(-self.value(), self.p, self.precision)
-
-    def __pow__(self, n: int) -> "PadicInt":
-        if n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        m = self.p ** self.precision
-        return padic_make(pow(self.value(), n, m), self.p, self.precision)
-
-    def scale(self, n: int) -> "PadicInt":
-        return padic_make(self.value() * n, self.p, self.precision)
-
-    def vp(self) -> Val:
-        """Index of the first nonzero digit, or AtLeast(M) for zero."""
-        return residue_vp(self.value(), self.p, self.precision)
-
-    def div_pow_p(self, r: int) -> "PadicInt":
-        """Exact division by p^r; the result keeps M - r digits."""
-        if r < 0:
-            raise ValueError("r must be nonnegative")
-        if r == 0:
-            return self
-        if r >= self.precision:
-            raise PrecisionError(f"cannot drop {r} digits of {self.precision}")
-        if any(self.digits[:r]):
-            raise PrecisionError(f"{self!r} is not divisible by p^{r}")
-        return PadicInt(self.p, self.digits[r:])
-
-    def with_precision(self, M: int) -> "PadicInt":
-        """Reduce to a lower precision (raising M is not meaningful)."""
-        if M > self.precision:
-            raise PrecisionError(f"cannot extend precision {self.precision} to {M}")
-        return PadicInt(self.p, self.digits[:M])
-
-    def __repr__(self) -> str:
-        return f"PadicInt({format_padic(self)})"
+def format_padic(r: int, p: int, M: int) -> str:
+    """Digit form 'd0.d1.d2@p^M' of a residue r in [0, p^M), used in reports."""
+    if not 0 <= r < p ** M:
+        raise ValueError(f"{r} is not a residue in [0, {p}^{M})")
+    digits = []
+    for _ in range(M):
+        r, d = divmod(r, p)
+        digits.append(str(d))
+    return ".".join(digits) + f"@{p}^{M}"
 
 
-def padic_make(value: int, p: int, M: int) -> PadicInt:
-    """Reduce an integer mod p^M; p must be prime and M >= 1."""
+def parse_padic(text: str, p: int, M: int) -> int:
+    """The residue in [0, p^M) of the digit form or of a plain decimal
+    integer; p must be prime and M >= 1."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if M < 1:
         raise ValueError(f"precision M = {M} must be >= 1")
-    r = value % p ** M
-    digits = []
-    for _ in range(M):
-        r, d = divmod(r, p)
-        digits.append(d)
-    return PadicInt(p, tuple(digits))
-
-
-def format_padic(x: PadicInt) -> str:
-    """Digit form 'd0.d1.d2@p^M' used in reports."""
-    return ".".join(str(d) for d in x.digits) + f"@{x.p}^{x.precision}"
-
-
-def parse_padic(text: str, p: int, M: int) -> PadicInt:
-    """Accepts the digit form or a plain decimal integer."""
     text = text.strip()
     if "@" in text:
         digit_part, mod_part = text.split("@")
@@ -279,8 +198,8 @@ def parse_padic(text: str, p: int, M: int) -> PadicInt:
         digits = [int(d) for d in digit_part.split(".")]
         if len(digits) != M or any(d < 0 or d >= p for d in digits):
             raise ValueError(f"bad digit vector {digit_part!r} for p = {p}, M = {M}")
-        return PadicInt(p, tuple(digits))
-    return padic_make(int(text), p, M)
+        return sum(d * p ** i for i, d in enumerate(digits))
+    return int(text) % p ** M
 
 
 # ---------------------------------------------------------------------------
@@ -296,37 +215,37 @@ def comb_mod(m: int, n: int, p: int) -> int:
     return math.comb(m, n) % p
 
 
-def binom_mod_p(lam: PadicInt, n: int) -> int:
-    """C(lam, n) mod p by Lucas' theorem on the digits.
+def binom_mod_p(lam: int, n: int, p: int, M: int) -> int:
+    """C(lam, n) mod p for a residue lam in [0, p^M), by Lucas' theorem on
+    the base-p digits.
 
-    Requires p^M > n so that every base-p digit of n is covered by a stored
+    Requires p^M > n so that every base-p digit of n is covered by a known
     digit of lam; otherwise the answer would depend on digits beyond the
     working precision.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    p = lam.p
-    if n >= p ** lam.precision:
-        raise PrecisionError(
-            f"binomial needs p^M > n: p^{lam.precision} = {p ** lam.precision} <= {n}")
+    if not 0 <= lam < p ** M:
+        raise ValueError(f"{lam} is not a residue in [0, {p}^{M})")
+    if n >= p ** M:
+        raise PrecisionError(f"binomial needs p^M > n: {p}^{M} = {p ** M} <= {n}")
     out = 1
-    i = 0
     while n:
+        lam, ld = divmod(lam, p)
         n, nd = divmod(n, p)
-        out = out * math.comb(lam.digits[i], nd) % p
+        out = out * math.comb(ld, nd) % p
         if out == 0:
             return 0
-        i += 1
     return out
 
 
-def multi_binom_mod_p(lams: Sequence[PadicInt], alpha: Sequence[int]) -> int:
-    """Product of digitwise binomials, one factor per coordinate."""
+def multi_binom_mod_p(lams: Sequence[int], alpha: Sequence[int], p: int, M: int) -> int:
+    """Product of the binomials C(lam_i, alpha_i) mod p, one per coordinate."""
     if len(lams) != len(alpha):
         raise ValueError("coordinate count mismatch")
     out = 1
     for lam, a in zip(lams, alpha):
-        out = out * binom_mod_p(lam, a) % lam.p
+        out = out * binom_mod_p(lam, a, p, M) % p
         if out == 0:
             return 0
     return out
@@ -337,25 +256,6 @@ def multi_binom_mod_p(lams: Sequence[PadicInt], alpha: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 MultiIndex = tuple[int, ...]
-
-
-def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
-        raise ValueError(f"{a} - {b} leaves the exponent lattice")
-    return out
-
-
-def mi_leq(a: MultiIndex, b: MultiIndex) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mi_norm(a: MultiIndex) -> int:
-    return sum(a)
 
 
 def mi_weight(a: MultiIndex, omega: Sequence[Fraction]) -> Fraction:

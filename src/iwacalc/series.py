@@ -48,8 +48,8 @@ from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelEr
 from .linalg import integer_array
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, format_poly, mi_weight,
-    padic_make, poly_combine, poly_frobenius, poly_product_sum, power,
-    signed_binomial_rows, signed_binomials,
+    poly_combine, poly_frobenius, poly_product_sum, power, signed_binomial_rows,
+    signed_binomials,
 )
 
 
@@ -163,8 +163,8 @@ class TruncationSpec:
         residues, at = np.unique(lams % self._lucas_modulus, return_inverse=True)
         for r in residues.tolist():
             if r not in self._lucas_rows:
-                lam = padic_make(r, p, self.precision)
-                self._lucas_rows[r] = [binom_mod_p(lam, n) for n in range(top + 1)]
+                self._lucas_rows[r] = [binom_mod_p(r, n, p, self.precision)
+                                       for n in range(top + 1)]
         table = np.array([self._lucas_rows[r] for r in residues.tolist()],
                          dtype=np.int64).reshape(residues.size, top + 1)
         at = at.reshape(lams.shape)

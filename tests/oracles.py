@@ -8,7 +8,10 @@ multiplies series through the group, every pair of group elements of the
 two expansions, which `signed_binomials_reference` writes one tuple per
 term from `math.comb`.  `dense` scatters a `SparseMap` into its matrix.
 `divided_power_reference` applies the closed formula for del^(alpha) term
-by term, `rref_reference` row-reduces by scanning columns for pivots,
+by term.  `rref` writes the reduced basis of a `RowSpace` fed the rows of
+a matrix as a dense array (`space_matrix`), `intersect_coordinate_subspace`
+intersects a row space with a coordinate subspace through it, and
+`rref_reference` row-reduces by scanning columns for pivots;
 `reduce_block` reduces a block of dense vectors against an rref basis at
 once, `DenseRowSpace` keeps a growing span fully reduced in a dense array
 and `dense_closure` closes a span under maps of dense vectors with it,
@@ -21,7 +24,8 @@ the box below alpha with one `comb_mod` per coordinate;
 through `signed_binomials_reference` one term at a time.  `MatrixRoute`
 computes a unitriangular group law with numeric matrix logs
 and exps, element by element, where the model evaluates polynomials
-compiled at load."""
+compiled at load.  `coset_indicator` tabulates the indicator of a coset
+mod p^level with `function_from_callable`."""
 
 from __future__ import annotations
 
@@ -36,8 +40,8 @@ from iwacalc.groups import (
     Automorphism, UnitriangularModel, _mat_id, _mat_inv_mod, _mat_mul,
 )
 from iwacalc.control import IdealSpan
-from iwacalc.linalg import rref
-from iwacalc.operators import _operator_index, divided_power_map
+from iwacalc.linalg import RowSpace, integer_array
+from iwacalc.operators import LocallyConstantFunction, _operator_index, divided_power_map
 from iwacalc.padic import MultiIndex, comb_mod, mi_range
 from iwacalc.series import (
     SparseMap, TruncatedSeries, TruncationSpec, aut_images_table,
@@ -57,6 +61,66 @@ def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
         base = (base @ base) % p
         k >>= 1
     return out
+
+
+def space_matrix(space: RowSpace) -> np.ndarray:
+    """The reduced row echelon basis of a `RowSpace`, rows sorted by pivot,
+    as a dense dim x ncols int64 array."""
+    at, cols, coefs = space.reduced()
+    mat = np.zeros((space.dim, space.ncols), dtype=np.int64)
+    mat[at, cols] = coefs
+    return mat
+
+
+def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form through a `RowSpace`; returns (nonzero rows,
+    pivot columns).  A 1-D input is one row of integers."""
+    a = np.asarray(integer_array(mat) % p, dtype=np.int64)
+    if a.ndim != 2:
+        a = a.reshape(1, -1)
+    space = RowSpace(p, a.shape[1])
+    for row in a:
+        space.add({int(c): int(row[c]) for c in np.flatnonzero(row)})
+    return space_matrix(space), space.pivots
+
+
+def intersect_coordinate_subspace(rows, p: int, keep: list[int]) -> np.ndarray:
+    """Basis (rref) of rowspace(rows) intersected with span{e_j : j in keep}.
+
+    Works by eliminating the complement columns first: rows of the permuted
+    rref whose pivot lands in the kept block have zero complement part, and
+    those rows are exactly a basis of the intersection.
+    """
+    a = np.asarray(rows, dtype=np.int64)
+    if a.size == 0:
+        return np.zeros((0, a.shape[1] if a.ndim == 2 else 0), dtype=np.int64)
+    ncols = a.shape[1]
+    keep_set = set(keep)
+    drop = [c for c in range(ncols) if c not in keep_set]
+    order = drop + list(keep)
+    reduced, pivots = rref(a[:, order], p)
+    cut = len(drop)
+    hits = [i for i, c in enumerate(pivots) if c >= cut]
+    final, _ = rref(reduced[hits][:, np.argsort(order)], p)
+    return final
+
+
+def function_from_callable(p: int, rank: int, s: int, fn) -> LocallyConstantFunction:
+    """The function lam -> fn(lam mod p^s), tabulated on the box."""
+    box = p ** s
+    return LocallyConstantFunction(p, rank, s, {a: fn(a) for a in mi_range((box - 1,) * rank)})
+
+
+def coset_indicator(p: int, rank: int, s: int, nu: Sequence[int],
+                    level: int | None = None) -> LocallyConstantFunction:
+    """Indicator of the coset {lam : lam = nu mod p^level} (level <= s)."""
+    level = s if level is None else level
+    if level > s:
+        raise ValueError("indicator level exceeds the resolution")
+    box = p ** level
+    nu = tuple(v % box for v in nu)
+    return function_from_callable(
+        p, rank, s, lambda a: 1 if tuple(v % box for v in a) == nu else 0)
 
 
 def rref_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:

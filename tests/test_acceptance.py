@@ -15,7 +15,7 @@ from iwacalc import (
     coset_idempotent, deg_omega, divided_power, eq_compatible,
     flatness_check, ge_provable, group_embed, ideal_span, is_controlled_by,
     mahler_coeff_aut, mahler_coeff_aut_central, mi_range, moore_det_check,
-    multi_binom_mod_p, padic_make, reconstruct_aut, subalgebra_monomials,
+    multi_binom_mod_p, reconstruct_aut, subalgebra_monomials,
     subgroup_from_exponents, zalesskii_check, zeta_convergence, zeta_eval,
 )
 from iwacalc.padic import mi_weight
@@ -81,9 +81,7 @@ def test_c01_divided_power_product_rule(trunc2, trunc_heis):
                 g = t.model.sample_element(rng)
                 emb = group_embed(t, g)
                 alpha = t.basis[rng.below(t.size)]
-                lam = multi_binom_mod_p(
-                    [padic_make(c, p, t.model.precision) for c in g.coords],
-                    alpha)
+                lam = multi_binom_mod_p(g.coords, alpha, p, t.model.precision)
                 diff = divided_power(t, alpha, emb) - emb.scale(lam)
                 assert ge_provable(diff.valuation(),
                                    t.cutoff - mi_weight(alpha, t.omega))

@@ -15,14 +15,14 @@ from iwacalc import (
     zalesskii_check,
 )
 from iwacalc.control import IdealSpan, _escape
-from iwacalc.linalg import intersect_coordinate_subspace, rref
 from iwacalc.padic import mi_range
 from iwacalc.rng import Pcg32
 from iwacalc.series import TruncationSpec, format_series, group_embed
 
 from oracles import (
     DenseRowSpace, dense_closure, divided_power_reference, escapes_reference,
-    mul_reference, operator_matrix, reduce_block,
+    intersect_coordinate_subspace, mul_reference, operator_matrix, reduce_block,
+    rref,
 )
 
 
@@ -60,11 +60,24 @@ def test_span_equality_is_equality_of_subspaces(trunc2):
     t = trunc2
     b1 = ideal_span(t, [t.monomial((1, 0))])
     # the same ideal from other generators, from both sides (the model is
-    # abelian), and rebuilt from its dense rows
+    # abelian), and rebuilt from its dense rows, also from rows that agree
+    # with them mod p: p added to each nonzero entry, huge ints in an object
+    # array, and an explicit entry p where a zero stood
+    p = t.model.p
+    explicit = b1.rows.copy()
+    explicit[explicit == 0] = p
     same = [ideal_span(t, [t.monomial((1, 0)), t.monomial((2, 1))]),
             ideal_span(t, [t.monomial((1, 0))], "two-sided"),
-            IdealSpan(t, b1.rows, b1.pivots, "right")]
+            IdealSpan(t, b1.rows, b1.pivots, "right"),
+            IdealSpan(t, np.where(b1.rows, b1.rows + p, 0), b1.pivots, "right"),
+            IdealSpan(t, b1.rows.astype(object) + p ** 50, b1.pivots, "right"),
+            IdealSpan(t, explicit, b1.pivots, "right")]
     assert b1.dim > 1 and all(b1 == J and hash(b1) == hash(J) for J in same)
+    # rows that are not integers, or not dim x size, are refused
+    for bad in (b1.rows + 0.4, b1.rows.astype(bool), b1.rows.reshape(-1),
+                b1.rows.reshape(t.size, b1.dim), b1.rows[:-1]):
+        with pytest.raises(ValueError):
+            IdealSpan(t, bad, b1.pivots, "right")
     b2 = ideal_span(t, [t.monomial((0, 1))])
     # equal pivots, other rows; the same subspace of another truncation
     rows = np.zeros((2, t.size), dtype=np.int64)
@@ -100,6 +113,30 @@ def test_controller_approx(trunc2):
     assert controller_approx(I).exponents == (0, 1)
     M = ideal_span(trunc2, [trunc2.monomial((1, 0)), trunc2.monomial((0, 1))])
     assert controller_approx(M).exponents == (0, 0)
+
+
+def test_escapes_are_shared_between_control_calls(trunc3, monkeypatch):
+    """control_witnesses and controller_approx on one span form each
+    direction's block residual once: 3 in rank 3 with a one-direction
+    mask, not 4, with the answers of spans that start with none kept."""
+    t = trunc3
+    I = ideal_span(t, [t.monomial((1, 0, 0)) + t.monomial((0, 2, 1))])
+    H = subgroup_from_exponents(t.model, (1, 0, 0))
+    want = (control_witnesses(IdealSpan(t, I.reduced, I.pivots, I.sided), H),
+            controller_approx(IdealSpan(t, I.reduced, I.pivots, I.sided)))
+    assert want[0]  # direction 1 escapes, so its witness is not empty
+    residual = IdealSpan._block_residual
+    calls = []
+
+    def counted(self, *block):
+        calls.append(1)
+        return residual(self, *block)
+
+    monkeypatch.setattr(IdealSpan, "_block_residual", counted)
+    assert (control_witnesses(I, H), controller_approx(I)) == want
+    assert len(calls) == 3
+    assert (control_witnesses(I, H), controller_approx(I)) == want
+    assert len(calls) == 3
 
 
 def test_maximal_ideal_is_never_controlled(trunc2):
@@ -419,7 +456,7 @@ def test_spans_match_dense_closure(escape_truncs, name, sided, data):
         return apply
     seeds = [g.vector() for g in gens]
     sub = dense_closure(p, t.size, seeds, [power(j) for j in range(d)]).matrix()
-    assert np.array_equal(subalgebra_ideal_span(t, H, gens), sub)
+    assert np.array_equal(subalgebra_ideal_span(t, H, gens).rows, sub)
     induced = dense_closure(p, t.size, seeds,
                             [t.generator_map(j).apply for j in range(d)]).matrix()
     meet = intersect_coordinate_subspace(

@@ -1,6 +1,7 @@
-"""Elimination over F_p: the sparse residual kernel, the incremental span
-and `rref`, each checked against the column scan and the block residuals
-of `oracles`."""
+"""Elimination over F_p: the sparse residual kernel and the incremental
+span, each checked against the column scan and the block residuals of
+`oracles`, also through the dense `rref` that `oracles` builds on the
+span."""
 
 import tracemalloc
 
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwacalc.linalg import RowSpace, intersect_coordinate_subspace, reduce_sparse, rref
+from iwacalc.linalg import RowSpace, reduce_sparse
 
-from oracles import reduce_block, rref_reference
+from oracles import (
+    intersect_coordinate_subspace, reduce_block, rref, rref_reference, space_matrix,
+)
 
 
 def residual_by_rows(rows, pivots, vec, p):
@@ -66,7 +69,7 @@ def test_row_space_is_canonical_rref(case):
     space = RowSpace(p, mat.shape[1])
     grew = [space.add({c: int(x) for c, x in enumerate(v) if x}) for v in vectors]
     rows, pivots = rref_reference(np.array(vectors), p)
-    assert np.array_equal(space.matrix(), rows)
+    assert np.array_equal(space_matrix(space), rows)
     assert space.pivots == pivots
     assert space.dim == len(pivots) == sum(grew)
     # every vector now lies in the span, so a second add never grows it

@@ -21,7 +21,7 @@ from iwacalc import (
     comb_mod, coset_idempotent, divided_power, format_series,
     function_from_mahler, ge_provable, group_embed, gt_provable,
     mahler_coeff_aut, mahler_coeff_aut_central, mahler_coeffs_function,
-    is_prime, mi_range, mi_weight, multi_binom_mod_p, operator_degree, padic_make,
+    is_prime, mi_range, mi_weight, multi_binom_mod_p, operator_degree,
     parse_series,
     reconstruct_aut, rho_apply, rho_apply_mahler, subgroup_from_exponents,
 )
@@ -31,10 +31,10 @@ from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec
 
 from oracles import (
-    OperatorMatrix, aut_matrix, dense, divided_power_matrix,
-    divided_power_reference, lmul_matrix, mahler_coeff_aut_reference,
-    mahler_coeffs_function_reference, map_matrix, operator_matrix,
-    rho_apply_reference, sparse_of,
+    OperatorMatrix, aut_matrix, coset_indicator, dense, divided_power_matrix,
+    divided_power_reference, function_from_callable, lmul_matrix,
+    mahler_coeff_aut_reference, mahler_coeffs_function_reference, map_matrix,
+    operator_matrix, rho_apply_reference, sparse_of,
 )
 
 
@@ -131,8 +131,7 @@ def test_eigen_action_below_shifted_cutoff(trunc2, trunc_heis):
             g = model.sample_element(rng)
             emb = group_embed(t, g)
             alpha = t.basis[rng.below(t.size)]
-            lam = multi_binom_mod_p(
-                [padic_make(c, model.p, model.precision) for c in g.coords], alpha)
+            lam = multi_binom_mod_p(g.coords, alpha, model.p, model.precision)
             diff = divided_power(t, alpha, emb) - emb.scale(lam)
             assert ge_provable(diff.valuation(),
                                t.cutoff - mi_weight(alpha, t.omega))
@@ -143,8 +142,7 @@ def test_eigen_shift_is_sharp(trunc2):
     t = trunc2
     g = t.model.element([5, 7])
     emb = group_embed(t, g)
-    lam = multi_binom_mod_p(
-        [padic_make(c, t.model.p, t.model.precision) for c in g.coords], (1, 0))
+    lam = multi_binom_mod_p(g.coords, (1, 0), t.model.p, t.model.precision)
     diff = divided_power(t, (1, 0), emb) - emb.scale(lam)
     assert diff.valuation() == Fraction(7)  # cutoff 8 shifted by omega_1 = 1
 
@@ -346,7 +344,7 @@ def test_operator_degree_of_multiplication(trunc2):
 
 
 def test_mahler_coeffs_of_indicator():
-    f = LocallyConstantFunction.coset_indicator(3, 1, 1, (0,))
+    f = coset_indicator(3, 1, 1, (0,))
     assert mahler_coeffs_function(f) == {(0,): 1, (1,): 2, (2,): 1}
 
 
@@ -376,7 +374,7 @@ def test_multiplier_routes_agree(trunc2, trunc_heis):
 
 def test_multiplier_rejects_series_from_another_truncation(abelian2):
     t6, t8 = TruncationSpec(abelian2, 6), TruncationSpec(abelian2, 8)
-    f = LocallyConstantFunction.coset_indicator(3, 2, 1, (1, 0))
+    f = coset_indicator(3, 2, 1, (1, 0))
     for t, x in [(t6, t8.monomial((6, 1))), (t8, t6.monomial((1, 0)))]:
         with pytest.raises(ValueError, match="series from a different truncation"):
             rho_apply(t, f, x)
@@ -403,7 +401,7 @@ def test_multiplier_is_an_algebra_map_on_functions(trunc2):
 def test_multiplier_projection_formula(tzeta):
     # rho(indicator of 0 mod p) sends b^n to (-1)^(n + n//p) * b^(p * (n//p))
     t = tzeta
-    f = LocallyConstantFunction.coset_indicator(3, 1, 1, (0,))
+    f = coset_indicator(3, 1, 1, (0,))
     for n in range(10):
         m = n // 3
         want = t.monomial((3 * m,), (-1) ** (n + m))
@@ -668,7 +666,7 @@ def test_coset_idempotent_matches_multiplier(trunc2):
     t = trunc2
     H = subgroup_from_exponents(t.model, (1, 1))
     for nu in [(0, 0), (2, 1)]:
-        f = LocallyConstantFunction.coset_indicator(3, 2, 1, nu)
+        f = coset_indicator(3, 2, 1, nu)
         rho_mat = operator_matrix(t, lambda a: rho_apply(t, f, t.monomial(a)))
         assert map_matrix(t, coset_idempotent(t, H, nu)) == rho_mat
 
@@ -685,7 +683,7 @@ def test_coset_idempotent_matches_multiplier_on_drawn_cosets(map_truncs, name, d
         exps = data.draw(st.tuples(*[st.integers(0, 1)] * d).filter(any))
     mask = [i for i, n in enumerate(exps) if n]
     nu = tuple(data.draw(st.integers(0, p - 1)) for _ in mask)
-    f = LocallyConstantFunction.from_callable(
+    f = function_from_callable(
         p, d, 1, lambda lam: int(all(lam[i] == v for i, v in zip(mask, nu))))
     rho_mat = operator_matrix(t, lambda a: rho_apply(t, f, t.monomial(a)))
     e = coset_idempotent(t, subgroup_from_exponents(t.model, exps), nu)

@@ -1,4 +1,4 @@
-"""Digit vectors, Lucas binomials and the AtLeast marker algebra."""
+"""Residues in digit form, Lucas binomials and the AtLeast marker algebra."""
 
 import math
 from fractions import Fraction
@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
-    AtLeast, PadicInt, PrecisionError, binom_mod_p, comb_mod, eq_compatible,
-    format_padic, ge_provable, ge_refuted, gt_provable, is_prime, mi_add,
-    mi_leq, mi_range, mi_sub, mi_weight, multi_binom_mod_p, padic_make,
-    parse_padic, val_add, val_min, val_sub_exact,
+    AtLeast, PrecisionError, binom_mod_p, comb_mod, eq_compatible,
+    format_padic, ge_provable, ge_refuted, gt_provable, is_prime, mi_range,
+    mi_weight, multi_binom_mod_p, parse_padic, val_add, val_min, val_sub_exact,
 )
 from iwacalc.padic import (
-    format_poly, mi_norm, poly_combine, poly_frobenius, poly_product_sum, power,
-    signed_binomial_rows, signed_binomials,
+    format_poly, poly_combine, poly_frobenius, poly_product_sum, power,
+    residue_vp, signed_binomial_rows, signed_binomials,
 )
 from iwacalc.rng import Pcg32
 from oracles import signed_binomials_reference
@@ -32,50 +31,28 @@ def test_digit_round_trip():
         box = p ** M
         for _ in range(50):
             v = rng.below(box)
-            x = padic_make(v, p, M)
-            assert x.value() == v
-            assert x.digits[0] == v % p
-            assert len(x.digits) == M
-    assert padic_make(-1, 3, 2).value() == 8
+            text = format_padic(v, p, M)
+            digits = text.split("@")[0].split(".")
+            assert len(digits) == M and int(digits[0]) == v % p
+            assert parse_padic(text, p, M) == v
+    assert parse_padic("-1", 3, 2) == 8
+    for r in (-1, 9):
+        with pytest.raises(ValueError):
+            format_padic(r, 3, 2)
 
 
-def test_padic_make_rejects_bad_input():
+def test_parse_padic_rejects_bad_context():
     with pytest.raises(ValueError):
-        padic_make(1, 4, 2)
+        parse_padic("1", 4, 2)
     with pytest.raises(ValueError):
-        padic_make(1, 3, 0)
-
-
-def test_arithmetic_matches_integers():
-    rng = Pcg32(12)
-    p, M = 3, 5
-    box = p ** M
-    for _ in range(60):
-        a, b = rng.below(box), rng.below(box)
-        x, y = padic_make(a, p, M), padic_make(b, p, M)
-        assert (x + y).value() == (a + b) % box
-        assert (x - y).value() == (a - b) % box
-        assert (x * y).value() == (a * b) % box
-        assert (-x).value() == (-a) % box
-        assert (x ** 4).value() == pow(a, 4, box)
-        assert x.scale(7).value() == a * 7 % box
-
-
-def test_mixed_precision_is_rejected():
-    x = padic_make(1, 3, 4)
-    y = padic_make(1, 3, 3)
-    with pytest.raises(PrecisionError):
-        x + y
-    with pytest.raises(ValueError):
-        x + padic_make(1, 5, 4)
+        parse_padic("1", 3, 0)
 
 
 def test_format_and_parse():
-    x = padic_make(7, 3, 4)
-    assert format_padic(x) == "1.2.0.0@3^4"
-    assert parse_padic("1.2.0.0@3^4", 3, 4) == x
-    assert parse_padic("7", 3, 4) == x
-    assert parse_padic(" 7 ", 3, 4) == x
+    assert format_padic(7, 3, 4) == "1.2.0.0@3^4"
+    assert parse_padic("1.2.0.0@3^4", 3, 4) == 7
+    assert parse_padic("7", 3, 4) == 7
+    assert parse_padic(" 7 ", 3, 4) == 7
     with pytest.raises(ValueError):
         parse_padic("1.2.0.0@3^5", 3, 4)
     with pytest.raises(ValueError):
@@ -84,21 +61,11 @@ def test_format_and_parse():
         parse_padic("1.5.0.0@3^4", 3, 4)
 
 
-def test_vp_and_division():
-    assert padic_make(18, 3, 4).vp() == 2
-    assert padic_make(1, 3, 4).vp() == 0
-    zero = padic_make(0, 3, 4)
-    v = zero.vp()
+def test_residue_vp():
+    assert residue_vp(18, 3, 4) == 2
+    assert residue_vp(1, 3, 4) == 0
+    v = residue_vp(0, 3, 4)
     assert isinstance(v, AtLeast) and v.bound == 4
-    assert padic_make(18, 3, 4).div_pow_p(2).value() == 2
-    assert padic_make(18, 3, 4).div_pow_p(0).value() == 18
-    with pytest.raises(PrecisionError):
-        padic_make(4, 3, 4).div_pow_p(1)
-    with pytest.raises(PrecisionError):
-        padic_make(18, 3, 4).div_pow_p(4)
-    assert padic_make(18, 3, 4).with_precision(2).value() == 0
-    with pytest.raises(PrecisionError):
-        padic_make(18, 3, 4).with_precision(5)
 
 
 def test_val_min_prefers_provable_exact_values():
@@ -140,30 +107,30 @@ def test_provability_predicates():
         eq_compatible(4, AtLeast(Fraction(4)))
 
 
-def test_lucas_matches_integer_binomials():
-    rng = Pcg32(13)
-    for p, M in [(3, 4), (5, 3)]:
-        box = p ** M
-        for _ in range(80):
-            lam = rng.below(box)
-            n = rng.below(box)
-            assert binom_mod_p(padic_make(lam, p, M), n) == math.comb(lam, n) % p
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.data())
+def test_lucas_matches_integer_binomials(p, M, data):
+    lam = data.draw(st.integers(0, p ** M - 1))
+    n = data.draw(st.integers(0, p ** M - 1))
+    assert binom_mod_p(lam, n, p, M) == math.comb(lam, n) % p
 
 
 def test_lucas_reads_high_digits():
     # 576 = 2.3^5 + 3^4 + 3^2, so the digit at 3^2 is 1 and at 3^3 is 0
-    lam = padic_make(576, 3, 6)
-    assert binom_mod_p(lam, 9) == 1
-    assert binom_mod_p(lam, 18) == 0
-    assert binom_mod_p(lam, 81) == 1
+    assert binom_mod_p(576, 9, 3, 6) == 1
+    assert binom_mod_p(576, 18, 3, 6) == 0
+    assert binom_mod_p(576, 81, 3, 6) == 1
 
 
 def test_lucas_precision_guard():
-    lam = padic_make(5, 3, 2)
     with pytest.raises(PrecisionError):
-        binom_mod_p(lam, 9)
+        binom_mod_p(5, 9, 3, 2)  # n = p^M
     with pytest.raises(ValueError):
-        binom_mod_p(lam, -1)
+        binom_mod_p(5, -1, 3, 2)
+    for lam in (-1, 9):  # outside [0, p^M): a bad argument, not a precision limit
+        with pytest.raises(ValueError) as err:
+            binom_mod_p(lam, 1, 3, 2)
+        assert err.type is ValueError
 
 
 def test_comb_mod():
@@ -174,22 +141,19 @@ def test_comb_mod():
 
 
 def test_multi_binom():
-    lams = [padic_make(4, 3, 3), padic_make(7, 3, 3)]
-    assert multi_binom_mod_p(lams, (1, 2)) == \
+    lams = [4, 7]
+    assert multi_binom_mod_p(lams, (1, 2), 3, 3) == \
         math.comb(4, 1) * math.comb(7, 2) % 3
-    assert multi_binom_mod_p(lams, (2, 0)) == 0  # C(4,2) = 6 = 0 mod 3
+    assert multi_binom_mod_p(lams, (2, 0), 3, 3) == 0  # C(4,2) = 6 = 0 mod 3
     with pytest.raises(ValueError):
-        multi_binom_mod_p(lams, (1,))
+        multi_binom_mod_p(lams, (1,), 3, 3)
+    with pytest.raises(PrecisionError):
+        multi_binom_mod_p(lams, (1, 27), 3, 3)
+    with pytest.raises(ValueError):
+        multi_binom_mod_p([4, 27], (1, 1), 3, 3)
 
 
 def test_multi_index_helpers():
-    assert mi_add((1, 2), (3, 0)) == (4, 2)
-    assert mi_sub((3, 2), (1, 2)) == (2, 0)
-    with pytest.raises(ValueError):
-        mi_sub((1, 2), (2, 2))
-    assert mi_leq((1, 2), (1, 3))
-    assert not mi_leq((2, 2), (1, 3))
-    assert mi_norm((4, 5)) == 9
     assert mi_weight((2, 3), (Fraction(1), Fraction(1, 2))) == Fraction(7, 2)
 
 
@@ -210,7 +174,7 @@ def test_signed_binomials_match_comb_mod(p, a, extra):
         for ai, ci in zip(a, c):
             coeff = coeff * comb_mod(ai, ci, p) % p
         if coeff:
-            want.append((c, coeff if (mi_norm(a) - mi_norm(c)) % 2 == 0 else p - coeff))
+            want.append((c, coeff if (sum(a) - sum(c)) % 2 == 0 else p - coeff))
     # any table reaching max(a) gives the same terms
     rows = signed_binomial_rows(max(a, default=0) + extra, p)
     exps = np.array([a], dtype=np.int64).reshape(1, len(a))
