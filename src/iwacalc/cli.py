@@ -36,7 +36,7 @@ from .padic import (
     AtLeast, PrecisionError, comb_mod, format_val, ge_provable, is_prime,
     mi_range, multi_binom_mod_p,
 )
-from .rng import Pcg32
+from .rng import MASK64, Pcg32
 from .series import (
     TruncatedSeries, TruncationSpec, aut_extend, format_series, group_embed,
     parse_series,
@@ -77,11 +77,13 @@ def _expect_list(v, path):
     return v
 
 
-def _expect_int(v, path, minimum=None):
+def _expect_int(v, path, minimum=None, maximum=None):
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {v}")
     return v
 
 
@@ -164,7 +166,8 @@ def parse_config(doc) -> dict:
                               f"(known: {known})")
         params = {k: v for k, v in item.items() if k != "name"}
         tasks.append((name, params))
-    seed = _expect_int(doc.get("seed", 0), "seed", 0)
+    # Pcg32 keeps the low 64 bits: a larger seed would repeat a smaller one
+    seed = _expect_int(doc.get("seed", 0), "seed", 0, MASK64)
     budgets = _expect_dict(doc.get("budgets", {}), "budgets")
     model_cfg.update({"p": p, "precision": M, "omega": omega, "e": e})
     return {"p": p, "model": model_cfg, "W": W, "seed": seed,
@@ -189,10 +192,9 @@ class RunContext:
 
 
 def build_context(cfg: dict, seed: Optional[int] = None) -> RunContext:
+    seed = cfg["seed"] if seed is None else _expect_int(seed, "--seed", 0, MASK64)
     model = load_model(cfg["model"])
-    trunc = TruncationSpec(model, cfg["W"])
-    return RunContext(model, trunc,
-                      cfg["seed"] if seed is None else seed, cfg["budgets"])
+    return RunContext(model, TruncationSpec(model, cfg["W"]), seed, cfg["budgets"])
 
 
 # ---------------------------------------------------------------------------

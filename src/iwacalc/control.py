@@ -7,11 +7,11 @@ subgroup, which group elements sit inside 1 + I, does induction from a
 subalgebra stay flat, is a centrally induced ideal completely prime) reduce
 to rank computations and valuation bookkeeping.
 
-A span is closed by a `linalg.RowSpace` and then kept as its sparse
-reduced row echelon basis R (`IdealSpan`).  Every test made against a
-finished span is one block residual B - B[:, pivots]·R, computed by a
-gather through R: membership of a vector, the dagger's candidates in
-chunks, and del_i-stability, where B is del_i applied to all of R at once.
+A span is closed by a `linalg.RowSpace`, a frontier of entry arrays at a
+time, and kept as its sparse reduced row echelon basis R (`IdealSpan`).
+Every test against it is one block residual B - B[:, pivots]·R, a gather
+through R: membership of a vector, the dagger's candidates in chunks, and
+del_i-stability, where B is del_i applied to all of R at once.
 
 All answers carry "mod F_W" semantics: a passing control or primality check
 is a certificate at the truncation, not a global theorem, and reports say so
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import RowSpace, integer_array
+from .linalg import RowSpace, integer_array, sum_entries
 from .operators import divided_power_map
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
@@ -112,17 +112,12 @@ class IdealSpan:
         coefficient in [0, p)) are given, repeats summed: its entries sorted
         by row, then column, with coefficients in [1, p).  This is the
         unique residual of each row of B, zero at the pivots."""
-        p, size = self.trunc.model.p, self.trunc.size
+        p = self.trunc.model.p
         k = self._position[cols]
         hit = k >= 0
         more = self.reduced.apply_entries(rows[hit], k[hit], -coefs[hit] % p)
-        keys, at = np.unique(np.concatenate([rows * size + cols,
-                                             more[0] * size + more[1]]),
-                             return_inverse=True)
-        sums = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(sums, at, np.concatenate([coefs, more[2]]))
-        live = sums % p != 0
-        return keys[live] // size, keys[live] % size, sums[live] % p
+        return sum_entries(*(np.concatenate(pair) for pair in
+                             zip((rows, cols, coefs), more)), p)
 
     def contains_vector(self, vec) -> bool:
         vec = integer_array(vec)
@@ -144,14 +139,22 @@ def _unit_exponent(rank: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(rank))
 
 
-def _close_span(trunc: TruncationSpec, generators, maps) -> RowSpace:
-    """Span of the generators closed under maps of vectors {index: coefficient}."""
-    space = RowSpace(trunc.model.p, trunc.size)
-    queue = [{trunc.index[a]: c for a, c in g.coeffs.items()} for g in generators]
-    while queue:
-        v = queue.pop()
-        if space.add(v):
-            queue.extend(m(v) for m in maps)
+def _close_span(trunc: TruncationSpec, generators,
+                maps: list[SparseMap]) -> RowSpace:
+    """Span of the generators closed under the maps, a frontier at a time:
+    the rows a frontier stored go through all n maps in one gather, the
+    maps stacked with map k's targets offset by k*size, and the image of
+    row r under map k is row r*n + k of the next frontier."""
+    p, size, n = trunc.model.p, trunc.size, len(maps)
+    parts = [np.zeros((3, 0), dtype=np.int64)] + [
+        np.stack([m.tgt + k * size, m.src, m.coef]) for k, m in enumerate(maps)]
+    stacked = SparseMap(p, n * size, *np.concatenate(parts, axis=1))
+    gens = np.array([g.vector() for g in generators], dtype=np.int64).reshape(-1, size)
+    space = RowSpace(p, size)
+    front = space.add(*np.nonzero(gens), gens[gens != 0])
+    while front[0].size:
+        at, tgt, coefs = sum_entries(*stacked.apply_entries(*front), p)
+        front = space.add(at * n + tgt // size, tgt % size, coefs)
     return space
 
 
@@ -178,7 +181,7 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     # in an abelian model the left maps equal the right ones
     abelian = trunc.model.kind == "abelian"
     sides = ("right",) if sided == "right" or abelian else ("right", "left")
-    maps = [trunc.generator_map(j, side).apply_sparse
+    maps = [trunc.generator_map(j, side)
             for side in sides for j in range(trunc.model.rank)]
     return _finished(trunc, _close_span(trunc, generators, maps), sided)
 
@@ -309,25 +312,19 @@ def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
         stray = [a for a in g.coeffs if a not in allowed]
         if stray:
             raise ValueError(f"generator term {stray[0]} lies outside the subalgebra")
-    # the subalgebra generators are b_j^{p^n_j}: apply x -> x*b_j p^n_j times
-    def power_map(step, k: int):
-        def apply(v):
-            for _ in range(k):
-                v = step(v)
-            return v
-        return apply
-
-    maps = [power_map(trunc.generator_map(j).apply_sparse, trunc.model.p ** n)
+    # the subalgebra generators are b_j^{p^n_j}
+    maps = [_power_map(trunc.generator_map(j), trunc.model.p ** n)
             for j, n in enumerate(H.exponents) if n < trunc.model.precision]
     return _finished(trunc, _close_span(trunc, generators, maps), "right")
 
 
-def _row_dicts(at, cols, coefs, n: int) -> list[dict]:
-    """The n rows {column: coefficient} of a matrix given by its entries."""
-    rows: list[dict] = [{} for _ in range(n)]
-    for k, c, x in zip(at.tolist(), cols.tolist(), coefs.tolist()):
-        rows[k][c] = x
-    return rows
+def _power_map(step: SparseMap, k: int) -> SparseMap:
+    """step^k, from k gathers of the identity entries through step."""
+    ident = np.arange(step.size, dtype=np.int64)
+    at, cols, coefs = ident, ident, np.ones_like(ident)
+    for _ in range(k):
+        at, cols, coefs = sum_entries(*step.apply_entries(at, cols, coefs), step.p)
+    return SparseMap(step.p, step.size, cols, at, coefs)
 
 
 def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
@@ -351,14 +348,12 @@ def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
     order = np.argsort(kept, kind="stable")
     R = induced.reduced
     space = RowSpace(p, trunc.size)
-    for v in _row_dicts(R.src, np.argsort(order)[R.tgt], R.coef, induced.dim):
-        space.add(v)
+    space.add(R.src, np.argsort(order)[R.tgt], R.coef)
     # the reduced rows come in pivot order, the first `low` pivoting outside
     low = int(np.searchsorted(space.pivots, trunc.size - kept.sum()))
     at, cols, coefs = space.reduced()
     meet = RowSpace(p, trunc.size)
-    for v in _row_dicts(at, order[cols], coefs, space.dim)[low:]:
-        meet.add(v)
+    meet.add(*(a[at >= low] for a in (at, order[cols], coefs)))
     return {
         "dim_subalgebra_ideal": sub.dim,
         "dim_induced_ideal": induced.dim,

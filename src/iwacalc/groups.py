@@ -45,6 +45,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .linalg import RowSpace, is_integer
 from .padic import (
     AtLeast, PrecisionError, Val, eq_compatible, ge_refuted,
@@ -453,8 +455,8 @@ class UnitriangularModel(GroupModel):
              for (i, j) in self._positions]
         self._vmatrix = v
         space = RowSpace(self.p, len(v))
-        for k in range(self.rank):
-            space.add({r: row[k] for r, row in enumerate(v)})
+        a = np.array(v, dtype=np.int64).T % self.p  # row k: column k of v
+        space.add(*np.nonzero(a), a[a != 0])
         if space.dim < self.rank:
             raise ModelError("generator logs are dependent mod p; not an ordered basis")
         self._pivot_rows = space.pivots

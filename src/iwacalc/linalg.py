@@ -1,13 +1,12 @@
 """Linear algebra over F_p: one sparse elimination, `reduce_sparse`, and
 the incremental echelon `RowSpace` built on it.
 
-Rows and vectors are dicts {column: coefficient} in Python ints, so the
-arithmetic is exact for any p.  A span is grown only by a `RowSpace`, one
-vector at a time.  `reduced()` back-substitutes once to the reduced row
-echelon basis, which is unique, as sparse entries; a finished span
-(`control.IdealSpan`) keeps them sparse and takes residuals against them
-as block products, with no further elimination.  No dense matrix is
-formed here: `integer_array` only checks that array input holds integers.
+Blocks of vectors pass between layers as int64 entry arrays (row, column,
+coefficient), whose repeats `sum_entries` sums mod p.  Only inside this
+module are rows dicts {column: coefficient} in Python ints, exact for any
+p.  A span grows only in a `RowSpace`, a block at a time; `reduced()`
+back-substitutes once to the unique reduced row echelon basis, which a
+finished span (`control.IdealSpan`) keeps sparse.
 """
 
 from __future__ import annotations
@@ -67,11 +66,31 @@ def reduce_sparse(vec: dict, rows: dict, p: int, stop: bool = False) -> dict:
     return v
 
 
+def sum_entries(rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray, p: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (row, column, coefficient) with repeats summed mod p and
+    zeros dropped, sorted by row, then column."""
+    width = int(cols.max()) + 1 if cols.size else 1
+    keys, at = np.unique(rows * width + cols, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(sums, at, coefs)
+    live = sums % p != 0
+    return keys[live] // width, keys[live] % width, sums[live] % p
+
+
+def _entries(rows: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dict rows as int64 entry arrays, rows numbered in list order."""
+    at = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
+    cols = np.array([c for r in rows for c in r], dtype=np.int64)
+    coefs = np.array([x for r in rows for x in r.values()], dtype=np.int64)
+    return at, cols, coefs
+
+
 class RowSpace:
     """Echelon basis of a growing span in F_p^ncols, held as sparse rows.
 
     A row is a dict {column: coefficient} with 1 at its pivot, its least
-    column.  A new vector is reduced by `reduce_sparse` only up to its
+    column.  `add` reduces each new vector by `reduce_sparse` only up to its
     pivot.  `reduced()` back-substitutes once to the reduced row echelon
     form, which does not depend on the order of the adds.
     """
@@ -82,16 +101,25 @@ class RowSpace:
         self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
         self.dim = 0
 
-    def add(self, vec: dict) -> bool:
-        """Insert {column: coefficient} into the span; True iff it grew."""
-        v = reduce_sparse(vec, self._rows, self.p, stop=True)
-        if not v:
-            return False
-        c = min(v)
-        inv = pow(v[c], -1, self.p)
-        self._rows[c] = {k: x * inv % self.p for k, x in v.items()}
-        self.dim += 1
-        return True
+    def add(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Insert the rows of the block with entries (row, column, coefficient),
+        repeats summed, in row order; return the entries of the rows stored,
+        numbered in the order stored, so none if the span did not grow."""
+        block: dict[int, dict[int, int]] = {}
+        for k, c, x in zip(rows.tolist(), cols.tolist(), coefs.tolist()):
+            v = block.setdefault(k, {})
+            v[c] = v.get(c, 0) + x
+        stored = []
+        for k in sorted(block):
+            v = reduce_sparse(block[k], self._rows, self.p, stop=True)
+            if v:
+                c = min(v)
+                inv = pow(v[c], -1, self.p)
+                row = self._rows[c] = {j: y * inv % self.p for j, y in v.items()}
+                stored.append(row)
+        self.dim += len(stored)
+        return _entries(stored)
 
     @property
     def pivots(self) -> list[int]:
@@ -104,9 +132,4 @@ class RowSpace:
         # a row meets only rows of larger pivots, which are reduced first
         for c in sorted(self._rows, reverse=True):
             done[c] = reduce_sparse(self._rows[c], done, self.p)
-        rows = [done[c] for c in sorted(done)]
-        lengths = np.array([len(r) for r in rows], dtype=np.int64)
-        at = np.repeat(np.arange(len(rows)), lengths)
-        cols = np.array([c for r in rows for c in r], dtype=np.int64)
-        coefs = np.array([x for r in rows for x in r.values()], dtype=np.int64)
-        return at, cols, coefs
+        return _entries([done[c] for c in sorted(done)])

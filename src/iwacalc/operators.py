@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import Automorphism, ModelError, SubgroupSpec, is_trivial_mod_centre
+from .linalg import sum_entries
 from .padic import (
     AtLeast, MultiIndex, Val, comb_mod, mi_range, signed_binomial_rows,
     signed_binomials, val_min, val_sub_exact,
@@ -126,13 +127,9 @@ def operator_degree(trunc: TruncationSpec, op: SparseMap) -> DegreeReport:
     w = trunc._int_weights
     none = np.iinfo(np.int64).max
     least = np.full(trunc.size, none)
-    if op.src.size:
-        # entries are sorted by (target, source) and a pair may repeat, so
-        # each pair's coefficients are summed before the test for zero
-        pair = op.tgt * op.size + op.src
-        first = np.flatnonzero(np.diff(pair, prepend=-1))
-        live = first[np.add.reduceat(op.coef, first) % op.p != 0]
-        np.minimum.at(least, op.src[live], w[op.tgt[live]])
+    # a (target, source) pair may repeat: its sum is tested for zero
+    tgt, src, _ = sum_entries(op.tgt, op.src, op.coef, op.p)
+    np.minimum.at(least, src, w[tgt])
     hit = least != none
     resolved = tail = None
     if hit.any():

@@ -243,19 +243,17 @@ class SparseMap:
     """A sparse F_p-linear map into `size` coordinates, as int64 arrays.
 
     Entry n adds coef[n] times source coordinate src[n] to target coordinate
-    tgt[n]; the entries are sorted by (target, source).  An apply splits them
-    into layers, layer l holding the l-th entry of each target, so that no
-    target occurs twice in a layer.  It is then one gather, product and
-    scatter-add per layer and one reduction mod p; a 2-D block is applied
-    on its transpose, whose rows are the coordinates.  del_i has at most 2
-    entries per target and the generator maps few, so an apply takes a few
-    layers.  The layers are built on the first apply, since most cached
-    divided powers are never applied.  The partial sums are reduced often
-    enough that no int64 sum of products of residues reaches 2^63.  A block
-    held as entries (row, column, coefficient) is mapped by
-    `apply_entries`, a gather through the entries sorted by source."""
+    tgt[n]; the entries are sorted by (target, source).  Two kernels apply
+    it.  `apply` maps a dense vector, or a 2-D block through its transpose,
+    in layers, layer l holding the l-th entry of each target: one gather,
+    product and scatter-add per layer, reduced mod p often enough that no
+    int64 sum of products of residues reaches 2^63.  del_i has at most 2
+    entries per target and the generator maps few, so there are few layers;
+    they are built on the first apply, as most cached divided powers are
+    never applied.  `apply_entries` maps a block held as entries (row,
+    column, coefficient) by a gather through the entries sorted by source."""
 
-    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers", "_by_source", "_csr")
+    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers", "_csr")
 
     def __init__(self, p: int, size: int, tgt, src, coef):
         self.p = p
@@ -266,7 +264,6 @@ class SparseMap:
         self.src = src[order]
         self.coef = coef[order]
         self._layers = None
-        self._by_source = None
         self._csr = None
 
     def _split(self) -> list:
@@ -304,12 +301,10 @@ class SparseMap:
 
     def apply_entries(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Image of the block whose entries (row, column, coefficient in
-        [0, p)) are given, the columns being source coordinates: one entry
-        (row, target, product mod p) per pair of a block entry and a map
-        entry from its column.  Entries are not summed, so a (row, target)
-        may repeat.  The entries are gathered through the map's entries
-        sorted by source, which are built on first use."""
+        """Image of the block with entries (row, column, coefficient in
+        [0, p)), the columns being sources: one entry (row, target, product
+        mod p) per pair of a block entry and a map entry from its column, not
+        summed.  The map's entries sorted by source are built on first use."""
         if self._csr is None:
             order = np.argsort(self.src, kind="stable")
             self._csr = self.src[order], self.tgt[order], self.coef[order]
@@ -320,19 +315,6 @@ class SparseMap:
         # entry j of the image is map entry lo + (j - first j of its block entry)
         pos = np.arange(at.size) + np.repeat(lo + n - np.cumsum(n), n)
         return rows[at], tgt[pos], coefs[at] * coef[pos] % self.p
-
-    def apply_sparse(self, vec: Mapping[int, int]) -> dict:
-        """Image of the vector {coordinate: coefficient}, without zero entries,
-        through per-source lists of (target, coefficient) built on first use."""
-        if self._by_source is None:
-            self._by_source = {}
-            for t, s, c in zip(self.tgt.tolist(), self.src.tolist(), self.coef.tolist()):
-                self._by_source.setdefault(s, []).append((t, c))
-        out: dict = {}
-        for s, x in vec.items():
-            for t, c in self._by_source.get(s, ()):
-                out[t] = out.get(t, 0) + x * c
-        return {t: y % self.p for t, y in out.items() if y % self.p}
 
 
 class TruncatedSeries:
@@ -554,14 +536,13 @@ def parse_series(trunc: TruncationSpec, text: str) -> TruncatedSeries:
             if not factor:
                 raise ValueError(f"empty factor in term {term!r}")
             if factor[0] == "b":
-                name, _, power = factor.partition("^")
-                try:
-                    idx = int(name[1:])
+                name, caret, power = factor.partition("^")
+                try:  # a ^ needs an exponent after it
+                    idx, k = int(name[1:]), int(power) if caret else 1
                 except ValueError:
-                    raise ValueError(f"bad variable {factor!r}") from None
+                    raise ValueError(f"bad factor {factor!r}") from None
                 if not 1 <= idx <= d:
                     raise ValueError(f"variable {name} out of range 1..{d}")
-                k = int(power) if power else 1
                 if k < 0:
                     raise ValueError(f"negative exponent in {factor!r}")
                 expo[idx - 1] += k

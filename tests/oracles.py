@@ -79,8 +79,8 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     if a.ndim != 2:
         a = a.reshape(1, -1)
     space = RowSpace(p, a.shape[1])
-    for row in a:
-        space.add({int(c): int(row[c]) for c in np.flatnonzero(row)})
+    at, cols = np.nonzero(a)
+    space.add(at, cols, a[at, cols])
     return space_matrix(space), space.pivots
 
 

@@ -1,6 +1,7 @@
 """Config parsing, the task runner, and the command line entry point."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,29 @@ def test_main_out_file_and_seed(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     expected = render_jsonl(run_config(parse_config(doc), seed=5))
     assert out.read_text(encoding="utf-8") == expected
+
+
+def test_seeds_outside_64_bits_exit_two(tmp_path, capsys):
+    # Pcg32 keeps the low 64 bits: 2^64 + 1 wrote the bytes of seed 1
+    for seed, message in [(2 ** 64 + 1, f"seed: must be <= {2 ** 64 - 1}"),
+                          (-5, "seed: must be >= 0")]:
+        doc = abelian_doc([{"name": "verify-valuation", "samples": 5}])
+        doc["seed"] = seed
+        path = write_doc(tmp_path, "seed.json", doc)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(doc)
+        assert main(["run", path]) == 2
+        assert message in capsys.readouterr().err
+    path = write_doc(tmp_path, "ok.json", abelian_doc([{"name": "moore-det"}]))
+    for seed, message in [(2 ** 64, f"--seed: must be <= {2 ** 64 - 1}"),
+                          (-5, "--seed: must be >= 0")]:
+        assert main(["run", path, "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_config(parse_config(abelian_doc([{"name": "moore-det"}])), seed=seed)
+    # the largest seed still runs
+    assert main(["run", path, "--seed", str(2 ** 64 - 1)]) == 0
 
 
 def test_render_table_alignment():

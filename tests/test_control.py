@@ -14,15 +14,15 @@ from iwacalc import (
     subalgebra_ideal_span, subalgebra_monomials, subgroup_from_exponents,
     zalesskii_check,
 )
-from iwacalc.control import IdealSpan, _escape
+from iwacalc.control import IdealSpan, _escape, _power_map
 from iwacalc.padic import mi_range
 from iwacalc.rng import Pcg32
 from iwacalc.series import TruncationSpec, format_series, group_embed
 
 from oracles import (
-    DenseRowSpace, dense_closure, divided_power_reference, escapes_reference,
-    intersect_coordinate_subspace, mul_reference, operator_matrix, reduce_block,
-    rref,
+    DenseRowSpace, dense, dense_closure, divided_power_reference, escapes_reference,
+    intersect_coordinate_subspace, mat_pow, mul_reference, operator_matrix,
+    reduce_block, rref,
 )
 
 
@@ -470,6 +470,38 @@ def test_spans_match_dense_closure(escape_truncs, name, sided, data):
 def escape_truncs(trunc2, trunc3, trunc_heis_wide, u4):
     return {"abelian2": trunc2, "abelian3": trunc3, "heis": trunc_heis_wide,
             "u4": TruncationSpec(u4, 10)}
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "u4"])
+def test_subalgebra_power_maps_are_matrix_powers(escape_truncs, name):
+    # x -> x*b_j^{p^n}, the maps the subalgebra span is closed under
+    t = escape_truncs[name]
+    p = t.model.p
+    for j in range(t.model.rank):
+        step = t.generator_map(j)
+        for n in range(min(t.model.precision, 3)):
+            composed = _power_map(step, p ** n)
+            assert composed.coef.all() and composed.size == t.size
+            assert np.array_equal(dense(composed), mat_pow(dense(step), p ** n, p))
+
+
+@pytest.mark.parametrize("sided", ["right", "two-sided"])
+def test_spans_of_no_generators_and_of_zero(escape_truncs, sided):
+    for t in escape_truncs.values():
+        d = t.model.rank
+        for gens in ([], [t.zero()], [t.zero(), t.zero()]):
+            I = ideal_span(t, gens, sided)
+            assert I.dim == 0 and I.pivots == () and I.rows.shape == (0, t.size)
+            assert I.contains(t.zero()) and not I.contains(t.one())
+            assert not control_witnesses(I, subgroup_from_exponents(t.model, (1,) * d))
+            H = subgroup_from_exponents(t.model, (0,) * d)
+            assert subalgebra_ideal_span(t, H, gens) == I
+        # a zero generator beside a nonzero one changes nothing
+        g = t.monomial(t.basis[1]) + t.monomial(t.basis[-1])
+        assert ideal_span(t, [t.zero(), g, t.zero()], sided) == ideal_span(t, [g], sided)
+        # the trivial subgroup: no maps, so the span of the generators alone
+        trivial = subgroup_from_exponents(t.model, (t.model.precision,) * d)
+        assert subalgebra_ideal_span(t, trivial, [t.one().scale(2)]).dim == 1
 
 
 @pytest.mark.parametrize("sided", ["right", "two-sided"])

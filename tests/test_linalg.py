@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwacalc.linalg import RowSpace, reduce_sparse
+from iwacalc.linalg import RowSpace, reduce_sparse, sum_entries
 
 from oracles import (
     intersect_coordinate_subspace, reduce_block, rref, rref_reference, space_matrix,
@@ -61,28 +61,56 @@ def test_reduce_block_matches_row_loop(case):
         assert reduce_sparse(as_dict(v), sparse_rows(rows, pivots), p) == as_dict(want)
 
 
+def entries(mat):
+    at, cols = np.nonzero(mat)
+    return at, cols, mat[at, cols]
+
+
 @settings(max_examples=100, deadline=None)
 @given(bases())
 def test_row_space_is_canonical_rref(case):
     p, mat, block = case
-    vectors = list(mat) + list(block)
+    vectors = np.vstack([mat, block])
     space = RowSpace(p, mat.shape[1])
-    grew = [space.add({c: int(x) for c, x in enumerate(v) if x}) for v in vectors]
-    rows, pivots = rref_reference(np.array(vectors), p)
+    # the block split in two halves that share the rows, repeats summed
+    at, cols, coefs = entries(vectors)
+    half = coefs // 2
+    stored = space.add(np.concatenate([at, at]), np.concatenate([cols, cols]),
+                       np.concatenate([half, coefs - half]))
+    rows, pivots = rref_reference(vectors, p)
     assert np.array_equal(space_matrix(space), rows)
     assert space.pivots == pivots
-    assert space.dim == len(pivots) == sum(grew)
-    # every vector now lies in the span, so a second add never grows it
-    assert not any(space.add({c: int(x) for c, x in enumerate(v)}) for v in vectors)
+    assert space.dim == len(pivots) == len(np.unique(stored[0]))
+    # each stored row is 1 at its pivot, its least column
+    for k in range(space.dim):
+        row = stored[0] == k
+        c = stored[1][row].min()
+        assert c in pivots and stored[2][row][stored[1][row] == c].tolist() == [1]
+    # the same rows added one at a time give the same span
+    one = RowSpace(p, mat.shape[1])
+    for v in vectors:
+        one.add(*entries(v[None, :]))
+    assert np.array_equal(space_matrix(one), rows) and one.pivots == pivots
+    # every vector now lies in the span, so re-adding stores nothing
+    assert not space.add(*entries(vectors))[0].size
     assert space.dim == len(pivots)
+
+
+def test_sum_entries_sums_repeats_and_drops_zeros():
+    got = sum_entries(np.array([2, 0, 2, 0, 1]), np.array([1, 3, 1, 0, 2]),
+                      np.array([3, 4, 2, 1, 5]), 5)
+    # (2, 1) sums to 5 = 0 and (1, 2) is 5 = 0; the rest sorted by row, column
+    assert [a.tolist() for a in got] == [[0, 0], [0, 3], [1, 4]]
+    assert all(a.size == 0 for a in sum_entries(*(np.zeros(0, dtype=np.int64),) * 3, 7))
 
 
 def test_row_space_allocates_no_square_array():
     tracemalloc.start()
     try:
         space = RowSpace(3, 4000)
-        for v in ({0: 1, 3999: 2}, {5: 1}, {0: 2, 5: 1}, {3999: 1}):
-            space.add(v)
+        # the rows {0: 1, 3999: 2}, {5: 1}, {0: 2, 5: 1}, {3999: 1}
+        space.add(np.array([0, 0, 1, 2, 2, 3]), np.array([0, 3999, 5, 0, 5, 3999]),
+                  np.array([1, 2, 1, 2, 1, 1]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

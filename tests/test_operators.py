@@ -26,6 +26,7 @@ from iwacalc import (
     reconstruct_aut, rho_apply, rho_apply_mahler, subgroup_from_exponents,
 )
 from iwacalc.control import ideal_span
+from iwacalc.linalg import sum_entries
 from iwacalc.operators import divided_power_map
 from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec
@@ -155,7 +156,8 @@ def map_truncs(trunc2, trunc3, trunc_heis, tzeta, trunc_e4):
 
 def check_apply(m, data):
     """m.apply against the dense matrix of m, in Python integers, on a
-    drawn vector and a drawn block of rows; m.apply_sparse on the vector."""
+    drawn vector and a drawn block of rows; m.apply_entries, its repeats
+    summed by sum_entries, on the entries of each."""
     mat = dense(m).astype(object)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     for shape in [(m.size,), (data.draw(st.integers(0, 4)), m.size)]:
@@ -163,9 +165,14 @@ def check_apply(m, data):
         want = np.array(x.astype(object) @ mat.T % m.p, dtype=np.int64)
         got = m.apply(x)
         assert got.shape == shape and np.array_equal(got, want)
-        if x.ndim == 1:
-            image = m.apply_sparse({k: int(v) for k, v in enumerate(x) if v})
-            assert image == {k: int(v) for k, v in enumerate(want) if v}
+        block, want = x.reshape(-1, m.size), want.reshape(-1, m.size)
+        at, cols = np.nonzero(block)
+        image = np.zeros_like(want)
+        rows, tgts, coefs = sum_entries(*m.apply_entries(at, cols, block[at, cols]), m.p)
+        image[rows, tgts] = coefs
+        assert np.array_equal(image, want) and coefs.all()
+        # sorted by row, then target, each pair once
+        assert (np.diff(rows * m.size + tgts) > 0).all()
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])

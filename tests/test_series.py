@@ -1,5 +1,6 @@
 """Truncated series: basis layout, ring structure, embeddings, text forms."""
 
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -253,6 +254,12 @@ def test_parse_rejects_malformed(trunc2):
         parse_series(trunc2, "b1^-2")
     with pytest.raises(ValueError):
         parse_series(trunc2, "1 + + b1")
+    # a dangling ^ read as b1 and b1 + b2; a bad exponent gave int's message
+    for text, factor in [("b1^", "b1^"), ("b1^+b2", "b1^"), ("2*b2^ * b1", "b2^"),
+                         ("b1^x", "b1^x"), ("bx^2", "bx^2")]:
+        with pytest.raises(ValueError, match=re.escape(f"bad factor '{factor}'")):
+            parse_series(trunc2, text)
+    assert parse_series(trunc2, "b1^2 * b2^0") == trunc2.monomial((2, 0))
 
 
 def test_series_rejects_cross_truncation(trunc2, trunc3):
