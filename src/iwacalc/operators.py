@@ -67,12 +67,7 @@ def divided_power_map(trunc: TruncationSpec, alpha: Sequence[int]) -> SparseMap:
     """del^(alpha) as a sparse map, built from the closed formula on first
     use and cached on the truncation."""
     alpha = _operator_index(trunc, alpha)
-    key = ("dp", alpha)
-    hit = trunc._op_cache.get(key)
-    if hit is None:
-        hit = _build_divided_power_map(trunc, alpha)
-        trunc._op_cache[key] = hit
-    return hit
+    return trunc.cached_map(("dp", alpha), lambda: _build_divided_power_map(trunc, alpha))
 
 
 def _build_divided_power_map(trunc: TruncationSpec, alpha: MultiIndex) -> SparseMap:
@@ -233,20 +228,25 @@ def rho_apply_mahler(trunc: TruncationSpec, f: LocallyConstantFunction,
 # Mahler coefficients of automorphisms
 # ---------------------------------------------------------------------------
 
+def _displacement(phi: Automorphism):
+    """The map c -> coordinates of phi(g^c) g^{-c} on blocks of exponents c,
+    whose finite differences are the Mahler coefficients of phi."""
+    model = phi.model
+
+    def image(cs):
+        els = [model.element(c) for c in cs.tolist()]
+        return [model.mul(phi.apply(el), model.inv(el)).coords for el in els]
+    return image
+
+
 def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
                      alpha: Sequence[int]) -> TruncatedSeries:
     """<phi, del^(alpha)> by finite differences of  g |-> phi(g) g^{-1}  over
-    the integer points below alpha, with the signed binomials of b^alpha's
-    group expansion.  This is the primary route for every automorphism."""
-    model = trunc.model
-    _, betas, coefs = trunc._signed_binomials([_operator_index(trunc, alpha)])
-    els = [model.element(beta) for beta in betas.tolist()]
-    lams = [model.mul(phi.apply(el), model.inv(el)).coords for el in els]
-    rows = trunc._embed_rows(lams)
-    # alpha need not lie in the basis: sum at most `size` products at a time
-    step = trunc.size
-    return trunc.from_vector(sum(coefs[k:k + step] @ rows[k:k + step] % model.p
-                                 for k in range(0, len(els), step)))
+    the integer points below alpha: the image of b^alpha under the linear
+    extension of that map.  This is the primary route for every
+    automorphism; alpha need not lie in the basis."""
+    alpha = _operator_index(trunc, alpha)
+    return trunc.from_vector(trunc._group_columns([alpha], _displacement(phi))[0])
 
 
 def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
@@ -300,12 +300,13 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     cols = trunc.basis[:int(np.searchsorted(w, math.floor(D * e), side="right"))]
     images = {B: trunc.zero() for B in cols}
     block = np.eye(len(cols), trunc.size, dtype=np.int64)
-    for k, a in enumerate(cols):
-        if sum(a) and delta * sum(a) * e + int(w[k]) >= trunc.W:
+    alphas = [a for k, a in enumerate(cols)
+              if not sum(a) or delta * sum(a) * e + int(w[k]) < trunc.W]
+    coeffs = trunc._group_columns(alphas, _displacement(phi))
+    for a, vec in zip(alphas, coeffs):
+        if not vec.any():
             continue
-        coeff = mahler_coeff_aut(trunc, phi, a)
-        if coeff.is_zero():
-            continue
+        coeff = trunc.from_vector(vec)
         moved = divided_power_map(trunc, a).apply(block)
         for B, row in zip(cols, moved):
             if row.any():

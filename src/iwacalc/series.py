@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -99,11 +99,11 @@ class TruncationSpec:
         codes = self._exponents @ self._radix
         self._code_order = np.argsort(codes)
         self._sorted_codes = codes[self._code_order]
+        # every SparseMap built from the model: generator maps, divided
+        # powers and automorphism extensions (`cached_map`)
         self._op_cache: dict = {}
         self._signed_rows = signed_binomial_rows(-1, model.p)
         self._lucas_rows: dict = {}
-        self._gen_maps: dict = {}
-        self._aut_tables: dict = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -178,24 +178,49 @@ class TruncationSpec:
             bound *= p - 1
         return out % p
 
-    def _embed_row(self, el: GroupElement) -> np.ndarray:
-        """The one-row case of `_embed_rows`: the embedding of el."""
-        return self._embed_rows([el.coords])[0]
+    def _group_columns(self, exps, image) -> np.ndarray:
+        """Row k is the image of b^a, a the k-th exponent row of `exps`, under
+        the linear extension of a map on G: b^a = sum_c s_c g^c is expanded
+        once for the block, `image` sends the array of distinct exponents c
+        to the integer coordinates of the images of their g^c, and row k is
+        sum_c s_c embed(image(g^c)), one int64 product of its terms reduced
+        mod p once at the end."""
+        p, step = self.model.p, self.size
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
+        owner, c, signs = self._signed_binomials(exps)
+        # codes in the block's own radix: a row past the basis has exponents
+        # whose codes in `_radix` collide
+        radix = np.cumprod(np.concatenate(([1], c.max(axis=0, initial=0)[:-1] + 1)))
+        _, first, at = np.unique(c @ radix, return_index=True, return_inverse=True)
+        rows = self._embed_rows(image(c[first]))
+        cuts = np.searchsorted(owner, np.arange(len(exps) + 1)).tolist()
+        out = np.zeros((len(exps), self.size), dtype=np.int64)
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            # the c of a row inside the basis are distinct basis monomials,
+            # so at most `size` terms; a row past it sums `size` at a time
+            if hi - lo <= step:
+                out[k] = signs[lo:hi] @ rows[at[lo:hi]]
+            else:
+                out[k] = sum(signs[n:min(n + step, hi)] @ rows[at[n:min(n + step, hi)]] % p
+                             for n in range(lo, hi, step))
+        return out % p
+
+    def cached_map(self, key, build) -> "SparseMap":
+        """The operator stored under `key`, from `build()` on first use."""
+        hit = self._op_cache.get(key)
+        if hit is None:
+            hit = self._op_cache[key] = build()
+        return hit
 
     # -- generator maps -----------------------------------------------------
 
     def generator_map(self, j: int, side: str = "right") -> "SparseMap":
         """Sparse map x -> x*b_j (side "right") or x -> b_j*x ("left")."""
-        hit = self._gen_maps.get((side, j))
-        if hit is None:
-            hit = self._gen_maps[side, j] = self._build_generator_map(j, side)
-        return hit
+        return self.cached_map((side, j), lambda: self._build_generator_map(j, side))
 
     def _build_generator_map(self, j: int, side: str) -> "SparseMap":
-        """Built on integer arrays (see the module docstring): one shift for
-        the columns in normal order; for the others one expansion of all
-        their b^a, one `_embed_rows` call for every distinct g^c g_j, and one
-        int64 product of at most `size` terms each."""
+        """One shift for the columns in normal order; the others from
+        `_group_columns` with the map c -> c*g_j (or g_j*c)."""
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         model = self.model
@@ -210,28 +235,21 @@ class TruncationSpec:
         moved = self._exponents[:, outside].any(axis=1)
         shift = np.flatnonzero(~moved & (
             self._int_weights + int(self.omega[j] * self.e) < self.W))
-        # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a,
-        # and g^c g_j = g^(c + e_j) when c has no letter outside
+
+        def image(cs):
+            # g^c g_j = g^(c + e_j) when c has no letter outside
+            coords = cs + unit
+            for k in np.flatnonzero(cs[:, outside].any(axis=1)).tolist():
+                c_k = cs[k].tolist()
+                coords[k] = (model._mul_values(c_k, unit) if side == "right"
+                             else model._mul_values(unit, c_k))
+            return coords
+
+        # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a
         movers = np.flatnonzero(moved)
-        owner, c, signs = self._signed_binomials(self._exponents[movers])
-        # c <= a, so c is a basis monomial and its code is unique
-        _, first, at = np.unique(c @ self._radix, return_index=True,
-                                 return_inverse=True)
-        distinct = c[first]
-        coords = distinct + unit
-        for k in np.flatnonzero(distinct[:, outside].any(axis=1)).tolist():
-            c_k = distinct[k].tolist()
-            coords[k] = (model._mul_values(c_k, unit) if side == "right"
-                         else model._mul_values(unit, c_k))
-        rows = self._embed_rows(coords)
-        # each mover's terms are a contiguous slice, at most `size` of them
-        cuts = np.searchsorted(owner, np.arange(movers.size + 1)).tolist()
-        cols = np.zeros((movers.size, self.size), dtype=np.int64)
-        for n in range(movers.size):
-            lo, hi = cuts[n], cuts[n + 1]
-            cols[n] = signs[lo:hi] @ rows[at[lo:hi]]
-        cols[np.arange(movers.size), movers] -= 1
-        cols %= p
+        cols = self._group_columns(self._exponents[movers], image)
+        diag = np.arange(movers.size), movers
+        cols[diag] = (cols[diag] - 1) % p
         n, k = np.nonzero(cols)
         shifted = self._indices_of(self._exponents[shift] + unit)
         return SparseMap(p, self.size, np.concatenate([shifted, k]),
@@ -438,34 +456,22 @@ def group_embed(trunc: TruncationSpec, el: GroupElement) -> TruncatedSeries:
     """g as a series: g^m = sum_b C(m, b) b^b over the monomial basis."""
     if el.model is not trunc.model:
         raise ModelError("element belongs to a different model")
-    return trunc.from_vector(trunc._embed_row(el))
+    return trunc.from_vector(trunc._embed_rows([el.coords])[0])
 
 
-def aut_images_table(trunc: TruncationSpec, phi: Automorphism) -> list[np.ndarray]:
-    """Images of every basis monomial under the ring extension of phi.
-
-    phi(b^a) = prod_i (phi(g_i) - 1)^{a_i} in normal order; the table is
-    built in graded order so each entry is one series product.
-    """
-    hit = trunc._aut_tables.get(phi)
-    if hit is not None:
-        return hit
+def aut_map(trunc: TruncationSpec, phi: Automorphism) -> SparseMap:
+    """The ring extension of phi as a sparse map, cached on the truncation:
+    phi(b^a) = sum_c s_c embed(phi(g^c)) over the group expansion of b^a."""
     if phi.model is not trunc.model:
         raise ModelError("automorphism belongs to a different model")
-    one = trunc.one()
-    moved = [group_embed(trunc, img) - one for img in phi.images]
-    table: list[Optional[TruncatedSeries]] = [None] * trunc.size
-    table[trunc.index[(0,) * trunc.model.rank]] = one
-    for a in trunc.basis:
-        if sum(a) == 0:
-            continue
-        j = max(i for i, v in enumerate(a) if v)
-        prev = list(a)
-        prev[j] -= 1
-        table[trunc.index[a]] = table[trunc.index[tuple(prev)]] * moved[j]
-    rows = [s.vector() for s in table]
-    trunc._aut_tables[phi] = rows
-    return rows
+    model = trunc.model
+
+    def build():
+        cols = trunc._group_columns(trunc._exponents, lambda cs: [
+            phi.apply(model.element(c)).coords for c in cs.tolist()])
+        src, tgt = np.nonzero(cols)
+        return SparseMap(model.p, trunc.size, tgt, src, cols[src, tgt])
+    return trunc.cached_map(("aut", phi), build)
 
 
 def aut_extend(trunc: TruncationSpec, phi: Automorphism,
@@ -473,12 +479,7 @@ def aut_extend(trunc: TruncationSpec, phi: Automorphism,
     """Apply the ring extension of phi to x, exactly mod F_W."""
     if x.trunc is not trunc:
         raise ValueError("series from a different truncation")
-    rows = aut_images_table(trunc, phi)
-    p = trunc.model.p
-    acc = np.zeros(trunc.size, dtype=np.int64)
-    for a, c in x.coeffs.items():
-        acc += c * rows[trunc.index[a]]
-    return trunc.from_vector(acc % p)
+    return trunc.from_vector(aut_map(trunc, phi).apply(x.vector()))
 
 
 def relative_normal_form(x: TruncatedSeries, split: int) -> dict:

@@ -43,9 +43,7 @@ from iwacalc.control import IdealSpan
 from iwacalc.linalg import RowSpace, integer_array
 from iwacalc.operators import LocallyConstantFunction, _operator_index, divided_power_map
 from iwacalc.padic import MultiIndex, comb_mod, mi_range
-from iwacalc.series import (
-    SparseMap, TruncatedSeries, TruncationSpec, aut_images_table,
-)
+from iwacalc.series import SparseMap, TruncatedSeries, TruncationSpec, group_embed
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -332,12 +330,24 @@ def lmul_matrix(trunc: TruncationSpec, s: TruncatedSeries) -> OperatorMatrix:
     return operator_matrix(trunc, lambda a: s * trunc.monomial(a))
 
 
-def aut_matrix(trunc: TruncationSpec, phi: Automorphism) -> OperatorMatrix:
-    rows = aut_images_table(trunc, phi)
+def aut_images_reference(trunc: TruncationSpec, phi: Automorphism) -> np.ndarray:
+    """The matrix of the ring extension of phi (column j = image of b^j):
+    phi(b^a) = prod_i (phi(g_i) - 1)^{a_i} in normal order, built in graded
+    order so that each column is one series product of an earlier one."""
+    one = trunc.one()
+    moved = [group_embed(trunc, img) - one for img in phi.images]
+    images = {(0,) * trunc.model.rank: one}
     mat = np.zeros((trunc.size, trunc.size), dtype=np.int64)
-    for j in range(trunc.size):
-        mat[:, j] = rows[j]
-    return OperatorMatrix(trunc, mat)
+    for k, a in enumerate(trunc.basis):
+        if any(a):
+            j = max(i for i, v in enumerate(a) if v)
+            images[a] = images[a[:j] + (a[j] - 1,) + a[j + 1:]] * moved[j]
+        mat[:, k] = images[a].vector()
+    return mat
+
+
+def aut_matrix(trunc: TruncationSpec, phi: Automorphism) -> OperatorMatrix:
+    return OperatorMatrix(trunc, aut_images_reference(trunc, phi))
 
 
 def dense(m: SparseMap) -> np.ndarray:
@@ -442,7 +452,7 @@ def mahler_coeff_aut_reference(trunc: TruncationSpec, phi: Automorphism,
             c = p - c
         el = model.element(beta)
         moved = model.mul(phi.apply(el), model.inv(el))
-        acc = (acc + c * trunc._embed_row(moved)) % p
+        acc = (acc + c * group_embed(trunc, moved).vector()) % p
     return trunc.from_vector(acc)
 
 

@@ -451,8 +451,11 @@ def test_mahler_coeff_aut_beyond_the_basis(abelian2, heis, data):
     the signed-binomial table; the result is the full finite difference."""
     model = data.draw(st.sampled_from([abelian2, heis]))
     t = TruncationSpec(model, 6)  # fresh, so the table starts empty
-    phi = (Automorphism.linear_on_log(model, [[1, 0], [3, 1]])
-           if model.kind == "abelian" else Automorphism.inner(model, model.basis()[0]))
+    p = model.p
+    phi = (Automorphism.linear_on_log(model, [
+        [int(i == j) + p * data.draw(st.integers(0, p - 1)) for j in range(2)]
+        for i in range(2)]) if model.kind == "abelian"
+        else Automorphism.inner(model, model.basis()[0]))
     top = max(t.max_exponents)
     for _ in range(3):
         alpha = tuple(data.draw(st.lists(st.integers(0, top + 3), min_size=model.rank,
@@ -460,6 +463,17 @@ def test_mahler_coeff_aut_beyond_the_basis(abelian2, heis, data):
         assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
     alpha = (top + 2,) + (0,) * (model.rank - 1)
     assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
+
+
+def test_mahler_coeff_aut_past_the_basis_keeps_distinct_points(abelian2):
+    """Past the basis, points below alpha can share a code in the
+    truncation's mixed radix: (6, 0) and (0, 1) both have code 6 when the
+    largest exponents are (5, 5).  Their terms must not merge."""
+    t = TruncationSpec(abelian2, 6)
+    assert t.max_exponents == (5, 5)
+    phi = Automorphism.linear_on_log(abelian2, [[1, 3], [3, 1]])
+    assert mahler_coeff_aut(t, phi, (6, 1)) == mahler_coeff_aut_reference(t, phi, (6, 1))
+    assert mahler_coeff_aut(t, phi, (6, 1)).is_zero()
 
 
 @settings(max_examples=15, deadline=None)

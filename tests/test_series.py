@@ -14,12 +14,14 @@ from iwacalc import (
     Automorphism, format_series, group_embed, load_abelian, load_unitriangular,
     multi_binom_mod_p, parse_series, relative_normal_form, series_frobenius,
 )
+from iwacalc.series import aut_map
 from iwacalc.padic import mi_range, mi_weight
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators
 from oracles import (
-    format_reference, lmul_matrix, mul_reference, signed_binomials_reference,
+    aut_images_reference, dense, format_reference, lmul_matrix, mul_reference,
+    signed_binomials_reference,
 )
 
 
@@ -183,6 +185,49 @@ def test_aut_extend_is_multiplicative(trunc_heis):
             aut_extend(trunc_heis, phi, x) * aut_extend(trunc_heis, phi, y)
 
 
+@pytest.fixture(scope="module")
+def aut_truncs(trunc2, trunc3, tzeta, trunc_heis, trunc_heis_wide, u4):
+    return {"abelian2": trunc2, "abelian3": trunc3, "zeta": tzeta,
+            "heis": trunc_heis, "heis_wide": trunc_heis_wide,
+            "u4": TruncationSpec(u4, 8)}
+
+
+def draw_automorphism(model, data):
+    """An inner automorphism by a drawn element, or a linear one: I + pN on
+    abelian models, and on the others a shear adding a multiple of the
+    central log to the first log coordinate; then perhaps a power of it."""
+    p, d = model.p, model.rank
+    if data.draw(st.booleans()):
+        h = data.draw(st.lists(st.integers(0, p ** model.precision - 1),
+                               min_size=d, max_size=d))
+        phi = Automorphism.inner(model, model.element(h))
+    elif model.kind == "abelian":
+        phi = Automorphism.linear_on_log(model, [
+            [int(i == j) + p * data.draw(st.integers(0, p - 1)) for j in range(d)]
+            for i in range(d)])
+    else:
+        shear = p * data.draw(st.integers(0, p - 1))
+        phi = Automorphism.linear_on_log(model, [
+            [int(i == j) + (shear if (i, j) == (d - 1, 0) else 0) for j in range(d)]
+            for i in range(d)])
+    return phi.power(data.draw(st.sampled_from([1, 1, 2, p, p + 2])))
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "zeta", "heis", "heis_wide", "u4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_aut_map_matches_the_product_recursion(aut_truncs, name, data):
+    """The extension of phi from the group expansion of each b^a against
+    the product of the moved generators phi(g_i) - 1, column by column."""
+    t = aut_truncs[name]
+    phi = draw_automorphism(t.model, data)
+    m = aut_map(t, phi)
+    assert aut_map(t, phi) is m
+    assert np.array_equal(dense(m), aut_images_reference(t, phi))
+    x = t.from_dict({a: 1 + k % (t.model.p - 1) for k, a in enumerate(t.basis[::7])})
+    assert aut_extend(t, phi, x) == t.from_vector(aut_images_reference(t, phi) @ x.vector())
+
+
 def test_aut_extend_rejects_series_from_another_truncation(abelian2):
     t6, t8 = TruncationSpec(abelian2, 6), TruncationSpec(abelian2, 8)
     phi = Automorphism.linear_on_log(abelian2, [[1, 0], [3, 1]])
@@ -333,7 +378,7 @@ def test_embed_rows_match_lucas_binomials(kernel_truncs, name, data):
     assert rows.shape == (len(lams), t.size)
     for lam, row in zip(lams, rows):
         assert row.tolist() == [multi_binom_mod_p(lam, b, p, M) for b in t.basis]
-        assert np.array_equal(t._embed_row(t.model.element(lam)), row)
+        assert np.array_equal(group_embed(t, t.model.element(lam)).vector(), row)
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "heis_wide"])
