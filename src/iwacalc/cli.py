@@ -461,7 +461,7 @@ def _task_completely_prime_probe(ctx: RunContext, params: dict, stream: int):
         samples = _expect_int(params["samples"], "samples", 0)
     else:
         samples = _expect_int(ctx.budgets.get("samples", 100), "budgets.samples", 1)
-    report = completely_prime_probe(P, samples, seed=ctx.seed + stream)
+    report = completely_prime_probe(P, Pcg32(ctx.seed, stream=stream), samples)
     metrics = {k: report[k] for k in
                ("samples", "checked", "skipped", "kernel_checked", "violations")}
     return report["status"], metrics, report["witnesses"]

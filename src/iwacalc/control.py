@@ -486,14 +486,13 @@ def _random_series(trunc: TruncationSpec, rng: Pcg32, terms: int = 3) -> Truncat
     return TruncatedSeries(trunc, coeffs)
 
 
-def completely_prime_probe(P: CentralPrimeSpec, samples: int = 100,
-                           seed: int = 0) -> dict:
-    """Samples pairs and checks the induced filtration behaves like a
-    valuation: f(xy) = f(x) + f(y) whenever both factors resolve and the sum
-    stays under the cutoff, never refuted otherwise; and multiples of the
-    prime generator stay in the f-unresolved kernel."""
+def completely_prime_probe(P: CentralPrimeSpec, rng: Pcg32,
+                           samples: int = 100) -> dict:
+    """Samples pairs from `rng` and checks the induced filtration behaves
+    like a valuation: f(xy) = f(x) + f(y) whenever both factors resolve and
+    the sum stays under the cutoff, never refuted otherwise; and multiples
+    of the prime generator stay in the f-unresolved kernel."""
     t = P.trunc
-    rng = Pcg32(seed, stream=31)
     checked = skipped = kernel_checked = 0
     witnesses: list[dict] = []
     gen = P.generator() if P.kind == "graph" else None

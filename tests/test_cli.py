@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from iwacalc import cli
 from iwacalc.cli import (
     ConfigError, _task_verify_operators, build_context, load_config_file, main,
     parse_config, render_jsonl, render_table, run_config,
 )
+from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap
 
 
@@ -264,6 +266,30 @@ def test_run_config_prime_tasks():
     assert records[0]["metrics"]["values"] == ["2", "1", "1", ">=8"]
     assert records[1]["metrics"]["kernel_checked"] == 0
     assert records[2]["metrics"]["kernel_checked"] > 0
+
+
+def test_probe_draws_from_the_stream_of_its_position(monkeypatch):
+    """Like every other task, a probe draws from Pcg32(seed, stream =
+    position), so a probe at position 1 under one seed shares no draws with
+    one at position 0 under the next seed."""
+    class Recording(Pcg32):
+        def __init__(self, seed, stream=0):
+            self.args = (seed, stream)
+            super().__init__(seed, stream)
+
+    seen = []
+    probe = cli.completely_prime_probe
+    monkeypatch.setattr(cli, "Pcg32", Recording)
+    monkeypatch.setattr(cli, "completely_prime_probe",
+                        lambda P, rng, samples: seen.append(rng.args) or probe(P, rng, samples))
+    task = {"name": "completely-prime-probe", "prime": RANK3_PRIME, "samples": 2}
+    doc = abelian_doc([{"name": "moore-det", "cases": [[2, 2, 0]]}, task, task])
+    doc["model"] = {"kind": "abelian", "rank": 3, "centre": [0, 0, 4]}
+    doc["omega"] = ["1", "1", "1"]
+    doc["seed"] = 2 ** 64 - 1
+    records = run_config(parse_config(doc))
+    assert [r["status"] for r in records] == ["pass"] * 3
+    assert seen == [(2 ** 64 - 1, 1), (2 ** 64 - 1, 2)]
 
 
 def test_main_exit_zero(tmp_path, capsys):
