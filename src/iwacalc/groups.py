@@ -122,15 +122,6 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.model.mul(self, other)
 
-    def inverse(self) -> "GroupElement":
-        return self.model.inv(self)
-
-    def power(self, lam) -> "GroupElement":
-        return self.model.pow(self, lam)
-
-    def omega(self) -> Val:
-        return self.model.omega_of(self)
-
 
 # ---------------------------------------------------------------------------
 # Integer matrix helpers (entries are Python ints reduced mod m)

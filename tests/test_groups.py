@@ -24,16 +24,16 @@ def test_abelian_arithmetic(abelian2):
     x = m.element([5, 7])
     y = m.element([2, 80])
     assert (x * y).coords == (7, 6)  # mod 3^4 = 81
-    assert x.inverse().coords == (76, 74)
-    assert x.power(3).coords == (15, 21)
-    assert (x * x.inverse()).coords == (0, 0)
+    assert m.inv(x).coords == (76, 74)
+    assert m.pow(x, 3).coords == (15, 21)
+    assert (x * m.inv(x)).coords == (0, 0)
 
 
 def test_abelian_omega(abelian2):
     m = abelian2
-    assert m.element([3, 0]).omega() == 2
-    assert m.element([1, 9]).omega() == 1
-    w = m.identity().omega()
+    assert m.omega_of(m.element([3, 0])) == 2
+    assert m.omega_of(m.element([1, 9])) == 1
+    w = m.omega_of(m.identity())
     assert isinstance(w, AtLeast) and w.bound == 5  # min omega + precision
 
 
@@ -181,8 +181,6 @@ def test_element_and_pow_take_integers_only(abelian2, heis):
         for lam in (2.9, True, 2.0):
             with pytest.raises(ValueError, match="exponent"):
                 model.pow(g, lam)
-            with pytest.raises(ValueError, match="exponent"):
-                g.power(lam)
 
 
 def _digits(v: int, p: int, M: int) -> list[int]:
@@ -251,12 +249,12 @@ def test_p_valuation_axioms(heis):
     for _ in range(12):
         x = heis.sample_element(rng)
         y = heis.sample_element(rng)
-        wx, wy = x.omega(), y.omega()
+        wx, wy = heis.omega_of(x), heis.omega_of(y)
         assert not ge_refuted(
-            (x * y.inverse()).omega(), val_min([wx, wy]))
-        assert not ge_refuted(heis.commutator(x, y).omega(), val_add(wx, wy))
+            heis.omega_of(x * heis.inv(y)), val_min([wx, wy]))
+        assert not ge_refuted(heis.omega_of(heis.commutator(x, y)), val_add(wx, wy))
         if not isinstance(wx, AtLeast):
-            assert eq_compatible(x.power(5).omega(), Fraction(wx) + 1)
+            assert eq_compatible(heis.omega_of(heis.pow(x, 5)), Fraction(wx) + 1)
 
 
 def test_unitriangular_validation():
@@ -303,7 +301,7 @@ def test_linear_automorphism_degree_guard(heis):
         Automorphism.linear_on_log(heis, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
     # raising the displacement into the p^2-layer fixes it
     phi = Automorphism.linear_on_log(heis, [[1, 0, 0], [25, 1, 0], [0, 0, 1]])
-    moved = heis.mul(phi.apply(heis.basis()[0]), heis.basis()[0].inverse())
+    moved = heis.mul(phi.apply(heis.basis()[0]), heis.inv(heis.basis()[0]))
     assert moved.coords[1] == 25
 
 
@@ -384,8 +382,8 @@ def test_deg_omega(abelian2):
     phi = Automorphism.linear_on_log(abelian2, [[10, 0], [0, 10]])
     # every basis element moves by its 9th power, a displacement of degree 2
     for i, g in enumerate(abelian2.basis()):
-        moved = phi.apply(g) * g.inverse()
-        assert moved.omega() == abelian2.omega.values[i] + 2
+        moved = phi.apply(g) * abelian2.inv(g)
+        assert abelian2.omega_of(moved) == abelian2.omega.values[i] + 2
     # the sampled estimate keeps markers from elements whose displacement
     # falls past precision, so it is only compatible with the true value
     assert eq_compatible(deg_omega(phi), 2)

@@ -10,10 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "iwacalc"
 
 # definitions nothing in src names, kept on purpose: name -> reason
-UNUSED_IN_SRC = {
-    "inverse": "GroupElement.inverse: with `*` and `power`, the element "
-               "arithmetic of the public API; src calls the model's `inv`",
-}
+UNUSED_IN_SRC: dict = {}
 
 
 def test_sources_parse_as_python_3_10():
