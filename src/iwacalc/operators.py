@@ -20,8 +20,9 @@ maps against the formula applied term by term.
 Mahler coefficients of an automorphism phi are the series <phi, del^(a)>
 in the expansion  phi = sum_a  (left mult by <phi, del^(a)>) o del^(a).
 The primary computation is always the finite-difference one, over integer
-points below a; the product closed form, valid when phi moves every basis
-element by a central factor, is kept separate as a cross-check.
+points below a: the group kernel of `series` applied to g |-> phi(g) g^{-1};
+the product closed form, valid when phi moves every basis element by a
+central factor, is kept separate as a cross-check.
 """
 
 from __future__ import annotations
@@ -228,25 +229,21 @@ def rho_apply_mahler(trunc: TruncationSpec, f: LocallyConstantFunction,
 # Mahler coefficients of automorphisms
 # ---------------------------------------------------------------------------
 
-def _displacement(phi: Automorphism):
-    """The map c -> coordinates of phi(g^c) g^{-c} on blocks of exponents c,
-    whose finite differences are the Mahler coefficients of phi."""
+def _mahler_rows(trunc: TruncationSpec, phi: Automorphism, alphas) -> np.ndarray:
+    """Row k is <phi, del^(alphas[k])>, the image of b^alpha under the linear
+    extension of  g |-> phi(g) g^{-1}: its finite differences over the
+    integer points below alpha.  alpha need not lie in the basis."""
     model = phi.model
-
-    def image(cs):
-        els = [model.element(c) for c in cs.tolist()]
-        return [model.mul(phi.apply(el), model.inv(el)).coords for el in els]
-    return image
+    return trunc._group_columns(alphas, lambda cs: [
+        model.mul(phi.apply(g), model.inv(g)).coords
+        for g in map(model.element, cs.tolist())])
 
 
 def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
                      alpha: Sequence[int]) -> TruncatedSeries:
-    """<phi, del^(alpha)> by finite differences of  g |-> phi(g) g^{-1}  over
-    the integer points below alpha: the image of b^alpha under the linear
-    extension of that map.  This is the primary route for every
-    automorphism; alpha need not lie in the basis."""
-    alpha = _operator_index(trunc, alpha)
-    return trunc.from_vector(trunc._group_columns([alpha], _displacement(phi))[0])
+    """<phi, del^(alpha)> by finite differences (`_mahler_rows`), the primary
+    route for every automorphism."""
+    return trunc.from_vector(_mahler_rows(trunc, phi, [_operator_index(trunc, alpha)])[0])
 
 
 def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
@@ -302,7 +299,7 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     block = np.eye(len(cols), trunc.size, dtype=np.int64)
     alphas = [a for k, a in enumerate(cols)
               if not sum(a) or delta * sum(a) * e + int(w[k]) < trunc.W]
-    coeffs = trunc._group_columns(alphas, _displacement(phi))
+    coeffs = _mahler_rows(trunc, phi, alphas)
     for a, vec in zip(alphas, coeffs):
         if not vec.any():
             continue

@@ -6,31 +6,32 @@ the cutoff W/e form a k-basis of k[[G]] modulo the tail ideal
 F_W = {x : w(x) >= W/e}; a TruncatedSeries is a coefficient map on that
 basis.  All ring operations are exact mod F_W.
 
-Multiplication needs the group law only for monomial x generator products
-b^a * b_j (and b_j * b^a) that are not already in normal order.  Such a
-product is computed through the group: b^a is expanded into group elements,
-b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c, each g^c is multiplied by g_j
-in the model, and the products are re-expanded by the Mahler formula
-g^m = sum_b C(m, b) b^b.  A truncation keeps these products as sparse maps
-x -> x*b_j and x -> b_j*x (`TruncationSpec.generator_map`), each built on
-first use in one batch: one array kernel (`padic.signed_binomials`)
-expands every column out of normal order at once, the group law runs once
-per distinct g^c on plain integer coordinates, and each column is one
-int64 product over its contiguous slice of terms.  By Lucas's theorem
-C(m, b) mod p depends only on m mod p^need, the least power of p above
-every basis exponent, so all the Mahler rows of a build are one gather
-from rows of binomials kept per residue that occurs.
-Products already in normal order, all of them on abelian models, are one
-shift of exponents.  On non-abelian models x*y = sum_beta y_beta (x*b^beta),
-and each x*b^beta is one sparse apply to x*b^beta', where b^beta =
-b^beta' * b_j drops the last letter of the normal-order word.  On abelian
-models `*` adds exponents directly.  The tests keep the older route, which
-multiplies every pair of group elements of the two expansions
-(`mul_reference` in tests/oracles.py), as the oracle that `*` is compared with.
+Every operator that comes from a map on G is built by one kernel,
+`TruncationSpec._group_columns`: it expands a block of monomials
+b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c at once (one array kernel,
+`padic.signed_binomials`), sends each distinct g^c through the map on
+plain integer coordinates, re-expands the images by the Mahler formula
+g^m = sum_b C(m, b) b^b and combines them, one int64 product per monomial.
+By Lucas's theorem C(m, b) mod p depends only on m mod p^need, the least
+power of p above every basis exponent, so all the Mahler rows of a build
+are one gather from rows of binomials kept per residue that occurs.  The
+maps g^c -> g^c g_j and g_j g^c give x -> x*b_j and x -> b_j*x
+(`TruncationSpec.generator_map`), whose products already in normal order,
+all of them on abelian models, are one shift of exponents; g^c -> phi(g^c)
+gives the ring extension of an automorphism (`aut_map`), and
+g^c -> phi(g^c) g^{-c} its Mahler coefficients (in `operators`).  These
+`SparseMap`s and the divided powers share one cache per truncation.
 
-Every accumulation sums at most `size` products of residues, so
-`TruncationSpec` rejects primes with size * (p - 1)^2 >= 2^63 and int64
-arithmetic stays exact.
+On non-abelian models x*y = sum_beta y_beta (x*b^beta), and each x*b^beta
+is one sparse apply to x*b^beta', where b^beta = b^beta' * b_j drops the
+last letter of the normal-order word.  On abelian models `*` adds
+exponents directly.  The tests keep the older route, which multiplies
+every pair of group elements of the two expansions (`mul_reference` in
+tests/oracles.py), as the oracle that `*` is compared with.
+
+Every accumulation sums at most `size` products of residues before a
+reduction mod p, so `TruncationSpec` rejects primes with
+size * (p - 1)^2 >= 2^63 and int64 arithmetic stays exact.
 
 The empty series has valuation marker AtLeast(W/e), consistent with the
 rest of the package.
@@ -99,9 +100,7 @@ class TruncationSpec:
         codes = self._exponents @ self._radix
         self._code_order = np.argsort(codes)
         self._sorted_codes = codes[self._code_order]
-        # every SparseMap built from the model: generator maps, divided
-        # powers and automorphism extensions (`cached_map`)
-        self._op_cache: dict = {}
+        self._op_cache: dict = {}  # every SparseMap, see `cached_map`
         self._signed_rows = signed_binomial_rows(-1, model.p)
         self._lucas_rows: dict = {}
 
@@ -179,12 +178,9 @@ class TruncationSpec:
         return out % p
 
     def _group_columns(self, exps, image) -> np.ndarray:
-        """Row k is the image of b^a, a the k-th exponent row of `exps`, under
-        the linear extension of a map on G: b^a = sum_c s_c g^c is expanded
-        once for the block, `image` sends the array of distinct exponents c
-        to the integer coordinates of the images of their g^c, and row k is
-        sum_c s_c embed(image(g^c)), one int64 product of its terms reduced
-        mod p once at the end."""
+        """Row k is the image of b^a, a the k-th row of `exps`, under the
+        linear extension of a map on G; `image` sends an array of distinct
+        exponents c to the integer coordinates of the images of the g^c."""
         p, step = self.model.p, self.size
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         owner, c, signs = self._signed_binomials(exps)
@@ -195,9 +191,10 @@ class TruncationSpec:
         rows = self._embed_rows(image(c[first]))
         cuts = np.searchsorted(owner, np.arange(len(exps) + 1)).tolist()
         out = np.zeros((len(exps), self.size), dtype=np.int64)
-        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            # the c of a row inside the basis are distinct basis monomials,
-            # so at most `size` terms; a row past it sums `size` at a time
+        for k in range(len(exps)):
+            lo, hi = cuts[k], cuts[k + 1]
+            # a row inside the basis has at most `size` terms, its c being
+            # distinct basis monomials; a row past it sums `size` at a time
             if hi - lo <= step:
                 out[k] = signs[lo:hi] @ rows[at[lo:hi]]
             else:

@@ -6,7 +6,10 @@ basis monomials), so composing and comparing operators is plain linear
 algebra; it is built on request and never cached.  `mul_reference`
 multiplies series through the group, every pair of group elements of the
 two expansions, which `signed_binomials_reference` writes one tuple per
-term from `math.comb`.  `dense` scatters a `SparseMap` into its matrix.
+term from `math.comb`.  `aut_images_reference` builds the ring extension
+of an automorphism column by column from products of the moved generators
+phi(g_i) - 1, and `aut_matrix` is its dense operator.  `dense` scatters a
+`SparseMap` into its matrix.
 `divided_power_reference` applies the closed formula for del^(alpha) term
 by term.  `rref` writes the reduced basis of a `RowSpace` fed the rows of
 a matrix as a dense array (`space_matrix`), `intersect_coordinate_subspace`
