@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .control import (
     _SIDES, CentralPrimeSpec, _random_series, completely_prime_probe,
     control_witnesses, dagger_approx, ideal_span, induced_filtration,
@@ -38,22 +36,8 @@ from .padic import (
 )
 from .rng import MASK64, Pcg32
 from .series import (
-    TruncatedSeries, TruncationSpec, aut_extend, format_series, group_embed,
-    parse_series,
-)
-
-TASK_NAMES = (
-    "verify-operators",
-    "verify-valuation",
-    "mahler-reconstruct",
-    "idempotents",
-    "control-check",
-    "dagger",
-    "induced-filtration",
-    "completely-prime-probe",
-    "zalesskii",
-    "moore-det",
-    "zeta",
+    SparseMap, TruncatedSeries, TruncationSpec, aut_extend, format_series,
+    group_embed, parse_series,
 )
 
 
@@ -110,6 +94,16 @@ def _expect_fraction(v, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _expect_keys(doc: dict, known: Sequence[str], path: str = "") -> dict:
+    """doc, all of whose keys are known: a misspelled field is an error,
+    not a field that silently keeps its default."""
+    for key in doc:
+        if key not in known:
+            full = f"{path}.{key}" if path else key
+            raise ConfigError(f"{full}: unknown field (known: {', '.join(known)})")
+    return doc
+
+
 def _require(doc, key, path=""):
     if key not in doc:
         full = f"{path}.{key}" if path else key
@@ -122,8 +116,10 @@ def _parse_model(doc: dict) -> dict:
     out = dict(doc)
     kind = _expect_str(_require(doc, "kind", "model"), "model.kind")
     if kind == "abelian":
+        _expect_keys(doc, ("kind", "rank", "centre"), "model")
         out["rank"] = _expect_int(_require(doc, "rank", "model"), "model.rank", 1)
     elif kind == "unitriangular":
+        _expect_keys(doc, ("kind", "size", "generators", "centre"), "model")
         out["size"] = _expect_int(_require(doc, "size", "model"), "model.size", 1)
         gens = _expect_list(_require(doc, "generators", "model"), "model.generators")
         if not gens:
@@ -142,12 +138,14 @@ def _parse_model(doc: dict) -> dict:
 
 def parse_config(doc) -> dict:
     """Validate a raw config mapping; errors name the offending field."""
-    _expect_dict(doc, "top level")
+    _expect_keys(_expect_dict(doc, "top level"),
+                 ("p", "model", "omega", "truncation", "seed", "budgets", "tasks"))
     p = _expect_int(_require(doc, "p"), "p", 2)
     model_cfg = _parse_model(_expect_dict(_require(doc, "model"), "model"))
     omega = [_expect_fraction(w, f"omega[{i}]") for i, w in
              enumerate(_expect_list(_require(doc, "omega"), "omega"))]
-    trunc_cfg = _expect_dict(_require(doc, "truncation"), "truncation")
+    trunc_cfg = _expect_keys(_expect_dict(_require(doc, "truncation"), "truncation"),
+                             ("W", "M", "e"), "truncation")
     W = _expect_int(_require(trunc_cfg, "W", "truncation"), "truncation.W", 1)
     M = _expect_int(_require(trunc_cfg, "M", "truncation"), "truncation.M", 1)
     e = _expect_int(trunc_cfg.get("e", 1), "truncation.e", 1)
@@ -156,19 +154,18 @@ def parse_config(doc) -> dict:
         raise ConfigError("tasks: must not be empty")
     tasks = []
     for i, item in enumerate(tasks_raw):
-        _expect_dict(item, f"tasks[{i}]")
-        if "name" not in item:
-            raise ConfigError(f"missing required field 'tasks[{i}].name'")
-        name = item["name"]
-        if name not in TASK_NAMES:
-            known = ", ".join(TASK_NAMES)
+        name = _expect_str(_require(_expect_dict(item, f"tasks[{i}]"), "name",
+                                    f"tasks[{i}]"), f"tasks[{i}].name")
+        if name not in HANDLERS:
+            known = ", ".join(HANDLERS)
             raise ConfigError(f"tasks[{i}].name: unknown task {name!r} "
                               f"(known: {known})")
         params = {k: v for k, v in item.items() if k != "name"}
         tasks.append((name, params))
     # Pcg32 keeps the low 64 bits: a larger seed would repeat a smaller one
     seed = _expect_int(doc.get("seed", 0), "seed", 0, MASK64)
-    budgets = _expect_dict(doc.get("budgets", {}), "budgets")
+    budgets = _expect_keys(_expect_dict(doc.get("budgets", {}), "budgets"),
+                           ("dagger",), "budgets")
     model_cfg.update({"p": p, "precision": M, "omega": omega, "e": e})
     return {"p": p, "model": model_cfg, "W": W, "seed": seed,
             "budgets": dict(budgets), "tasks": tasks}
@@ -205,11 +202,14 @@ def _build_automorphism(model: GroupModel, spec, path: str) -> Automorphism:
     _expect_dict(spec, path)
     kind = spec.get("kind")
     if kind == "identity":
+        _expect_keys(spec, ("kind",), path)
         return Automorphism.identity(model)
     if kind == "inner":
+        _expect_keys(spec, ("kind", "element"), path)
         coords = _expect_int_list(_require(spec, "element", path), f"{path}.element")
         return Automorphism.inner(model, model.element(coords))
     if kind == "linear":
+        _expect_keys(spec, ("kind", "matrix"), path)
         rows = _expect_list(_require(spec, "matrix", path), f"{path}.matrix")
         return Automorphism.linear_on_log(model, [
             _expect_int_list(r, f"{path}.matrix[{i}]") for i, r in enumerate(rows)])
@@ -223,8 +223,10 @@ def _build_prime(ctx: RunContext, spec, path: str) -> CentralPrimeSpec:
     block = _expect_int(_require(spec, "central_block", path),
                         f"{path}.central_block", 1)
     if kind == "zero":
+        _expect_keys(spec, ("kind", "central_block"), path)
         return CentralPrimeSpec(ctx.trunc, "zero", block)
     if kind == "graph":
+        _expect_keys(spec, ("kind", "central_block", "target", "u"), path)
         target = _expect_int(_require(spec, "target", path), f"{path}.target", 1)
         u = parse_series(ctx.trunc, _expect_str(spec.get("u", "0"), f"{path}.u"))
         return CentralPrimeSpec(ctx.trunc, "graph", block, target - 1, u)
@@ -237,7 +239,7 @@ def _parse_texts(ctx: RunContext, texts, path: str) -> list[TruncatedSeries]:
 
 
 def _build_ideal(ctx: RunContext, spec, path: str):
-    _expect_dict(spec, path)
+    _expect_keys(_expect_dict(spec, path), ("generators", "sided"), path)
     gens = _parse_texts(ctx, _require(spec, "generators", path),
                         f"{path}.generators")
     sided = _expect_str(spec.get("sided", "right"), f"{path}.sided")
@@ -267,13 +269,12 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
     rng = Pcg32(ctx.seed, stream=stream)
     witnesses = []
     pairs = eigen = degrees = 0
-    # operators are compared by their images of every basis monomial
-    eye = np.eye(t.size, dtype=np.int64)
+    # operators are compared as canonical sparse maps
     for _ in range(samples):
         a = _random_basis_key(t, rng)
         b = _random_basis_key(t, rng)
-        lhs = divided_power_map(t, a).apply(divided_power_map(t, b).apply(eye))
-        rhs = np.zeros_like(eye)
+        lhs = divided_power_map(t, a).compose(divided_power_map(t, b))
+        rhs = SparseMap(p, t.size, [], [], [])
         for c in mi_range(tuple(x + y for x, y in zip(a, b))):
             if any(v < max(x, y) for v, x, y in zip(c, a, b)):
                 continue
@@ -283,9 +284,9 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
             for v, x, y in zip(c, a, b):
                 coeff = coeff * comb_mod(v, x, p) * comb_mod(x, x + y - v, p) % p
             if coeff:
-                rhs = (rhs + coeff * divided_power_map(t, c).apply(eye)) % p
+                rhs = SparseMap.combine((1, coeff), (rhs, divided_power_map(t, c)))
         pairs += 1
-        if not np.array_equal(lhs, rhs):
+        if lhs != rhs:
             witnesses.append({"kind": "product-rule", "alpha": list(a),
                               "beta": list(b)})
     for _ in range(samples):
@@ -374,15 +375,12 @@ def _task_idempotents(ctx: RunContext, params: dict, stream: int):
     witnesses = []
     idems = [(nu, coset_idempotent(t, H, nu))
              for nu in mi_range((p - 1,) * len(mask))]
-    # operators are compared by their images of every basis monomial
-    eye = np.eye(t.size, dtype=np.int64)
-    total = np.zeros_like(eye)
+    # operators are compared as canonical sparse maps
     for nu, e in idems:
-        image = e.apply(eye)
-        if not np.array_equal(e.apply(image), image):
+        if e.compose(e) != e:
             witnesses.append({"kind": "idempotent", "nu": list(nu)})
-        total = (total + image) % p
-    if not np.array_equal(total, eye):
+    if SparseMap.combine([1] * len(idems), [e for _, e in idems]) != \
+            SparseMap.identity(p, t.size):
         witnesses.append({"kind": "partition-of-unity"})
     rng = Pcg32(ctx.seed, stream=stream)
     actions = 0
@@ -457,10 +455,7 @@ def _task_induced_filtration(ctx: RunContext, params: dict, stream: int):
 
 def _task_completely_prime_probe(ctx: RunContext, params: dict, stream: int):
     P = _build_prime(ctx, _require(params, "prime"), "prime")
-    if "samples" in params:
-        samples = _expect_int(params["samples"], "samples", 0)
-    else:
-        samples = _expect_int(ctx.budgets.get("samples", 100), "budgets.samples", 1)
+    samples = _expect_int(params.get("samples", 100), "samples", 0)
     report = completely_prime_probe(P, Pcg32(ctx.seed, stream=stream), samples)
     metrics = {k: report[k] for k in
                ("samples", "checked", "skipped", "kernel_checked", "violations")}
@@ -468,7 +463,8 @@ def _task_completely_prime_probe(ctx: RunContext, params: dict, stream: int):
 
 
 def _task_zalesskii(ctx: RunContext, params: dict, stream: int):
-    spec = _expect_dict(_require(params, "ideal"), "ideal")
+    spec = _expect_keys(_expect_dict(_require(params, "ideal"), "ideal"),
+                        ("generators",), "ideal")
     gens = _parse_texts(ctx, _require(spec, "generators", "ideal"),
                         "ideal.generators")
     depth, budget = _depth_and_budget(ctx, params)
@@ -536,18 +532,19 @@ def _task_zeta(ctx: RunContext, params: dict, stream: int):
     return report["status"], metrics, report["violations"]
 
 
+# each task's handler, and the fields of its entry beside "name"
 HANDLERS = {
-    "verify-operators": _task_verify_operators,
-    "verify-valuation": _task_verify_valuation,
-    "mahler-reconstruct": _task_mahler_reconstruct,
-    "idempotents": _task_idempotents,
-    "control-check": _task_control_check,
-    "dagger": _task_dagger,
-    "induced-filtration": _task_induced_filtration,
-    "completely-prime-probe": _task_completely_prime_probe,
-    "zalesskii": _task_zalesskii,
-    "moore-det": _task_moore_det,
-    "zeta": _task_zeta,
+    "verify-operators": (_task_verify_operators, ("samples",)),
+    "verify-valuation": (_task_verify_valuation, ("samples",)),
+    "mahler-reconstruct": (_task_mahler_reconstruct, ("automorphism", "degree_budget")),
+    "idempotents": (_task_idempotents, ("directions", "samples")),
+    "control-check": (_task_control_check, ("ideal", "subgroup", "expect")),
+    "dagger": (_task_dagger, ("ideal", "depth", "expect_cosets")),
+    "induced-filtration": (_task_induced_filtration, ("prime", "elements", "expect")),
+    "completely-prime-probe": (_task_completely_prime_probe, ("prime", "samples")),
+    "zalesskii": (_task_zalesskii, ("ideal", "depth", "expect")),
+    "moore-det": (_task_moore_det, ("cases",)),
+    "zeta": (_task_zeta, ("automorphism", "r_range", "monomials")),
 }
 
 
@@ -564,7 +561,7 @@ def run_config(cfg: dict, only: Optional[Sequence[str]] = None,
     errors raise."""
     ctx = build_context(cfg, seed)
     if only:
-        unknown = set(only) - set(TASK_NAMES)
+        unknown = set(only) - set(HANDLERS)
         if unknown:
             raise ConfigError(f"--task: unknown task {sorted(unknown)[0]!r}")
     records = []
@@ -572,7 +569,9 @@ def run_config(cfg: dict, only: Optional[Sequence[str]] = None,
         if only and name not in only:
             continue
         try:
-            status, metrics, witnesses = HANDLERS[name](ctx, params, pos)
+            handler, fields = HANDLERS[name]
+            _expect_keys(params, fields)
+            status, metrics, witnesses = handler(ctx, params, pos)
         except (ConfigError, ModelError, PrecisionError, ValueError,
                 ZeroDivisionError) as exc:
             status = "fail"

@@ -30,7 +30,8 @@ from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, integer_array, sum_entries
 from .operators import divided_power_map
 from .padic import (
-    AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, val_add, val_min,
+    AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, power, val_add,
+    val_min,
 )
 from .rng import Pcg32
 from .series import (
@@ -313,18 +314,11 @@ def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
         if stray:
             raise ValueError(f"generator term {stray[0]} lies outside the subalgebra")
     # the subalgebra generators are b_j^{p^n_j}
-    maps = [_power_map(trunc.generator_map(j), trunc.model.p ** n)
+    p = trunc.model.p
+    one = SparseMap.identity(p, trunc.size)
+    maps = [power(trunc.generator_map(j), p ** n, one, SparseMap.compose)
             for j, n in enumerate(H.exponents) if n < trunc.model.precision]
     return _finished(trunc, _close_span(trunc, generators, maps), "right")
-
-
-def _power_map(step: SparseMap, k: int) -> SparseMap:
-    """step^k, from k gathers of the identity entries through step."""
-    ident = np.arange(step.size, dtype=np.int64)
-    at, cols, coefs = ident, ident, np.ones_like(ident)
-    for _ in range(k):
-        at, cols, coefs = sum_entries(*step.apply_entries(at, cols, coefs), step.p)
-    return SparseMap(step.p, step.size, cols, at, coefs)
 
 
 def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,

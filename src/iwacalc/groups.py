@@ -604,19 +604,21 @@ def subgroup_from_exponents(model: GroupModel,
 
 @dataclass(frozen=True, eq=False)
 class Automorphism:
-    """Inner or linear-on-log automorphism with cached basis images.
+    """Inner or linear-on-log automorphism.
 
-    Linear-on-log means: act on first-kind coordinates by a matrix A, i.e.
-    log x = sum mu_i log g_i  |->  sum (A mu)_i log g_i.  Construction checks
-    the homomorphism property on all basis pairs and membership in the
-    omega-compatible group (degree > 1/(p-1)); both failures raise.
+    Inner means x |-> h x h^{-1}, h the conjugator, whose inverse is kept
+    beside it.  Linear-on-log means: act on first-kind coordinates by a
+    matrix A, i.e.  log x = sum mu_i log g_i  |->  sum (A mu)_i log g_i.
+    Construction checks the homomorphism property on all basis pairs and
+    membership in the omega-compatible group (degree > 1/(p-1)); both
+    failures raise.
     """
 
     model: GroupModel = field(repr=False)
     kind: str
     matrix: Optional[tuple[tuple[int, ...], ...]] = None
     conjugator: Optional[GroupElement] = None
-    images: tuple[GroupElement, ...] = ()
+    conjugator_inv: Optional[GroupElement] = field(default=None, repr=False)
 
     @staticmethod
     def identity(model: GroupModel) -> "Automorphism":
@@ -626,9 +628,7 @@ class Automorphism:
 
     @staticmethod
     def inner(model: GroupModel, h: GroupElement) -> "Automorphism":
-        hi = model.inv(h)
-        images = tuple(model.mul(model.mul(h, g), hi) for g in model.basis())
-        phi = Automorphism(model, "inner", None, h, images)
+        phi = Automorphism(model, "inner", None, h, model.inv(h))
         phi._check_degree()
         return phi
 
@@ -638,9 +638,7 @@ class Automorphism:
         mat = tuple(tuple(int(x) % pm for x in r) for r in rows)
         if len(mat) != model.rank or any(len(r) != model.rank for r in mat):
             raise ModelError(f"matrix must be {model.rank} x {model.rank}")
-        phi = Automorphism(model, "linear", mat, None, ())
-        images = tuple(phi._apply_linear(g) for g in model.basis())
-        object.__setattr__(phi, "images", images)
+        phi = Automorphism(model, "linear", mat)
         basis = model.basis()
         for i, gi in enumerate(basis):
             for gj in basis:
@@ -669,8 +667,8 @@ class Automorphism:
         if el.model is not self.model:
             raise ModelError("element belongs to a different model")
         if self.kind == "inner":
-            h, hi = self.conjugator, self.model.inv(self.conjugator)
-            return self.model.mul(self.model.mul(h, el), hi)
+            return self.model.mul(self.model.mul(self.conjugator, el),
+                                  self.conjugator_inv)
         return self._apply_linear(el)
 
     def power(self, k: int) -> "Automorphism":

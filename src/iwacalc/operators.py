@@ -1,12 +1,13 @@
 """Divided-power operators, Mahler calculus and coset idempotents.
 
 Every operator here is a `SparseMap` on a TruncationSpec's monomial space:
-(target, source, coefficient) arrays over F_p, applied to a coefficient
-vector or to each row of a block of them.  Two operators are compared by
-their images of the basis monomials, that is, by applying them to the
-identity block.  The divided powers are cached as such maps
-(`divided_power_map`), one per truncation and index, built with numpy from
-the closed formula below; the coset idempotents are polynomials in them.
+(target, source, coefficient) arrays over F_p, sorted by source, applied to
+a coefficient vector.  Operators compose (`SparseMap.compose`) and combine
+linearly (`SparseMap.combine`) as sparse maps, into canonical maps that
+compare equal exactly when the operators are equal.  The divided powers
+are cached as such maps (`divided_power_map`), one per truncation and
+index, built with numpy from the closed formula below; the coset
+idempotents are polynomials in them.
 
 The divided power del^(a) acts by the closed formula
 
@@ -37,7 +38,7 @@ import numpy as np
 from .groups import Automorphism, ModelError, SubgroupSpec, is_trivial_mod_centre
 from .linalg import sum_entries
 from .padic import (
-    AtLeast, MultiIndex, Val, comb_mod, mi_range, signed_binomial_rows,
+    AtLeast, MultiIndex, Val, comb_mod, mi_range, power, signed_binomial_rows,
     signed_binomials, val_min, val_sub_exact,
 )
 from .series import (
@@ -296,7 +297,6 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     # the same prefix
     cols = trunc.basis[:int(np.searchsorted(w, math.floor(D * e), side="right"))]
     images = {B: trunc.zero() for B in cols}
-    block = np.eye(len(cols), trunc.size, dtype=np.int64)
     alphas = [a for k, a in enumerate(cols)
               if not sum(a) or delta * sum(a) * e + int(w[k]) < trunc.W]
     coeffs = _mahler_rows(trunc, phi, alphas)
@@ -304,8 +304,12 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
         if not vec.any():
             continue
         coeff = trunc.from_vector(vec)
-        moved = divided_power_map(trunc, a).apply(block)
-        for B, row in zip(cols, moved):
+        # the columns in `cols` are the leading slice of the map's sources
+        d = divided_power_map(trunc, a)
+        n = int(np.searchsorted(d.src, len(cols)))
+        moved = np.zeros((len(cols), trunc.size), dtype=np.int64)
+        np.add.at(moved, (d.src[:n], d.tgt[:n]), d.coef[:n])
+        for B, row in zip(cols, moved % trunc.model.p):
             if row.any():
                 images[B] = images[B] + coeff * trunc.from_vector(row)
     return images
@@ -320,8 +324,8 @@ def coset_idempotent(trunc: TruncationSpec, H: SubgroupSpec,
     """e_nu = prod_{i in mask} (1 - (del_i - nu_i)^{p-1}) for a subgroup whose
     exponent pattern is 0/1; acts on an embedded group element as the
     indicator of the coordinate coset  lam_i = nu_i mod p  over the mask.
-    Built as a sparse map from p - 1 applies of each cached del_i to the
-    identity block."""
+    Built by composing sparse maps: each factor from the cached del_i, its
+    power by square and multiply."""
     if H.model is not trunc.model:
         raise ModelError("subgroup belongs to a different model")
     if any(n not in (0, 1) for n in H.exponents):
@@ -334,14 +338,12 @@ def coset_idempotent(trunc: TruncationSpec, H: SubgroupSpec,
     p = trunc.model.p
     if any(not 0 <= v < p for v in nu):
         raise ValueError("residues must lie in [0, p)")
-    # row k of the block is the image of b^k under the factors so far
-    block = np.eye(trunc.size, dtype=np.int64)
+    one = SparseMap.identity(p, trunc.size)
+    out = one
     for i, v in zip(mask, nu):
         d_i = divided_power_map(
             trunc, tuple(1 if j == i else 0 for j in range(trunc.model.rank)))
-        shifted = block
-        for _ in range(p - 1):
-            shifted = (d_i.apply(shifted) - v * shifted) % p
-        block = (block - shifted) % p
-    src, tgt = np.nonzero(block)
-    return SparseMap(p, trunc.size, tgt, src, block[src, tgt])
+        shifted = SparseMap.combine((1, -v), (d_i, one))
+        out = out.compose(SparseMap.combine(
+            (1, -1), (one, power(shifted, p - 1, one, SparseMap.compose))))
+    return out

@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
-from .linalg import integer_array
+from .linalg import integer_array, sum_entries
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, format_poly, mi_weight,
     poly_combine, poly_frobenius, poly_product_sum, power, signed_binomial_rows,
@@ -257,79 +257,78 @@ class TruncationSpec:
 class SparseMap:
     """A sparse F_p-linear map into `size` coordinates, as int64 arrays.
 
-    Entry n adds coef[n] times source coordinate src[n] to target coordinate
-    tgt[n]; the entries are sorted by (target, source).  Two kernels apply
-    it.  `apply` maps a dense vector, or a 2-D block through its transpose,
-    in layers, layer l holding the l-th entry of each target: one gather,
-    product and scatter-add per layer, reduced mod p often enough that no
-    int64 sum of products of residues reaches 2^63.  del_i has at most 2
-    entries per target and the generator maps few, so there are few layers;
-    they are built on the first apply, as most cached divided powers are
-    never applied.  `apply_entries` maps a block held as entries (row,
-    column, coefficient) by a gather through the entries sorted by source."""
+    Entry n adds coef[n], a residue in [0, p), times source coordinate
+    src[n] to target coordinate tgt[n].  The entries are kept in one order,
+    sorted by (source, target), so the entries of one source are one slice;
+    a pair may repeat, its coefficients then adding up.  Two kernels read
+    them.  `apply` maps a coefficient vector: one gather, one product mod p
+    and one scatter-add.  `apply_entries` maps a block held as entries
+    (row, column, coefficient), gathering the slice of each column.
+    `compose` and `combine` build new maps on `apply_entries` and
+    `linalg.sum_entries`; their results are canonical, each pair once and
+    no zero coefficient.  Maps are equal (`==`) when they are the same
+    linear map."""
 
-    __slots__ = ("p", "size", "tgt", "src", "coef", "_layers", "_csr")
+    __slots__ = ("p", "size", "tgt", "src", "coef")
 
     def __init__(self, p: int, size: int, tgt, src, coef):
         self.p = p
         self.size = size
         tgt, src, coef = (np.asarray(a, dtype=np.int64) for a in (tgt, src, coef))
-        order = np.lexsort((src, tgt))
-        self.tgt = tgt[order]
-        self.src = src[order]
-        self.coef = coef[order]
-        self._layers = None
-        self._csr = None
+        order = np.lexsort((tgt, src))
+        self.tgt, self.src, self.coef = tgt[order], src[order], coef[order]
 
-    def _split(self) -> list:
-        """(targets, sources, coefficients) of each layer."""
-        n = self.tgt.size
-        at = np.arange(n)
-        first = np.ones(n, dtype=bool)
-        first[1:] = self.tgt[1:] != self.tgt[:-1]
-        # position of each entry within the run of its target
-        depth = at - np.maximum.accumulate(np.where(first, at, 0))
-        order = np.argsort(depth, kind="stable")
-        cuts = np.cumsum(np.bincount(depth, minlength=1))[:-1]
-        return [(self.tgt[k], self.src[k], self.coef[k])
-                for k in np.split(order, cuts) if k.size]
+    @staticmethod
+    def identity(p: int, size: int) -> "SparseMap":
+        ident = np.arange(size, dtype=np.int64)
+        return SparseMap(p, size, ident, ident, np.ones_like(ident))
+
+    @staticmethod
+    def combine(scalars: Sequence[int], maps: Sequence["SparseMap"]) -> "SparseMap":
+        """sum_k scalars[k] * maps[k] for at least one map, canonical."""
+        p, size = maps[0].p, maps[0].size
+        if any(m.p != p or m.size != size for m in maps):
+            raise ValueError("maps on different spaces")
+        coefs = [c % p * m.coef % p for c, m in zip(scalars, maps, strict=True)]
+        src, tgt, coef = sum_entries(np.concatenate([m.src for m in maps]),
+                                     np.concatenate([m.tgt for m in maps]),
+                                     np.concatenate(coefs), p)
+        return SparseMap(p, size, tgt, src, coef)
+
+    def compose(self, other: "SparseMap") -> "SparseMap":
+        """self o other, other applied first, canonical."""
+        if other.p != self.p or other.size != self.size:
+            raise ValueError("maps on different spaces")
+        src, tgt, coef = sum_entries(
+            *self.apply_entries(other.src, other.tgt, other.coef), self.p)
+        return SparseMap(self.p, self.size, tgt, src, coef)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMap):
+            return NotImplemented
+        return (self.p, self.size) == (other.p, other.size) and not \
+            SparseMap.combine((1, -1), (self, other)).coef.size
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Image of a coefficient vector with entries in [0, p), or of each
-        row of a 2-D block of them."""
-        if self._layers is None:
-            self._layers = self._split()
-        p = self.p
-        cols = vec.T
-        out = np.zeros((self.size,) + cols.shape[1:], dtype=np.int64)
-        step = max(1, (INT64_LIMIT - p) // (p - 1) ** 2)
-        for k, (tgt, src, coef) in enumerate(self._layers):
-            part = cols[src] * (coef if vec.ndim == 1 else coef[:, None])
-            if not k:
-                out[tgt] = part
-                continue
-            if k % step == 0:
-                out %= p
-            out[tgt] += part
-        out %= p
-        return out if vec.ndim == 1 else out.T
+        """Image of a coefficient vector with entries in [0, p)."""
+        if vec.shape != (self.size,):
+            raise ValueError(f"vector of shape {vec.shape}, expected ({self.size},)")
+        out = np.zeros(self.size, dtype=np.int64)
+        np.add.at(out, self.tgt, vec[self.src] * self.coef % self.p)
+        return out % self.p
 
     def apply_entries(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Image of the block with entries (row, column, coefficient in
         [0, p)), the columns being sources: one entry (row, target, product
         mod p) per pair of a block entry and a map entry from its column, not
-        summed.  The map's entries sorted by source are built on first use."""
-        if self._csr is None:
-            order = np.argsort(self.src, kind="stable")
-            self._csr = self.src[order], self.tgt[order], self.coef[order]
-        src, tgt, coef = self._csr
-        lo = np.searchsorted(src, cols)
-        n = np.searchsorted(src, cols, side="right") - lo
+        summed."""
+        lo = np.searchsorted(self.src, cols)
+        n = np.searchsorted(self.src, cols, side="right") - lo
         at = np.repeat(np.arange(cols.size), n)
         # entry j of the image is map entry lo + (j - first j of its block entry)
         pos = np.arange(at.size) + np.repeat(lo + n - np.cumsum(n), n)
-        return rows[at], tgt[pos], coefs[at] * coef[pos] % self.p
+        return rows[at], self.tgt[pos], coefs[at] * self.coef[pos] % self.p
 
 
 class TruncatedSeries:

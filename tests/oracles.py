@@ -338,7 +338,7 @@ def aut_images_reference(trunc: TruncationSpec, phi: Automorphism) -> np.ndarray
     phi(b^a) = prod_i (phi(g_i) - 1)^{a_i} in normal order, built in graded
     order so that each column is one series product of an earlier one."""
     one = trunc.one()
-    moved = [group_embed(trunc, img) - one for img in phi.images]
+    moved = [group_embed(trunc, phi.apply(g)) - one for g in trunc.model.basis()]
     images = {(0,) * trunc.model.rank: one}
     mat = np.zeros((trunc.size, trunc.size), dtype=np.int64)
     for k, a in enumerate(trunc.basis):

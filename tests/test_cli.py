@@ -69,6 +69,9 @@ def test_parse_config_unknown_task():
     msg = str(err.value)
     assert "tasks[0].name: unknown task 'frobnicate'" in msg
     assert "zeta" in msg and "control-check" in msg  # lists the known names
+    for name in ([], {}, 3):
+        with pytest.raises(ConfigError, match=r"tasks\[0\]\.name: expected a string"):
+            parse_config(abelian_doc([{"name": name}]))
 
 
 def test_load_config_file_rejects_bad_json(tmp_path):
@@ -98,18 +101,15 @@ def test_jobs_option_is_gone(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_stale_jobs_field_is_ignored(tmp_path):
-    tasks = [{"name": "verify-valuation", "samples": 30},
-             {"name": "moore-det", "cases": [[2, 2, 0]]}]
-    stale = abelian_doc(tasks)
-    stale["jobs"] = 4
-    outs = []
-    for name, doc in (("plain", abelian_doc(tasks)), ("stale", stale)):
-        out = tmp_path / f"{name}.jsonl"
-        assert main(["run", write_doc(tmp_path, f"{name}.json", doc),
-                     "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def test_removed_fields_are_rejected(tmp_path, capsys):
+    # `jobs` and `budgets.samples` were config fields once; unknown now
+    for field, message in [("jobs", "jobs: unknown field"),
+                           ("budgets", "budgets.samples: unknown field (known: dagger)")]:
+        doc = abelian_doc([{"name": "completely-prime-probe",
+                            "prime": {"kind": "zero", "central_block": 2}}])
+        doc[field] = {"samples": 5} if field == "budgets" else 4
+        assert main(["run", write_doc(tmp_path, "c.json", doc)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_verify_operators_reports_broken_product_rule(monkeypatch):
@@ -205,7 +205,6 @@ RANK3_PRIME = {"kind": "zero", "central_block": 2}
                {"name": "zalesskii", "ideal": {"generators": ["b3"]}}]),
     ("budgets.dagger", [{"name": "dagger", "ideal": {"generators": ["b1"]}},
                         {"name": "zalesskii", "ideal": {"generators": ["b3"]}}]),
-    ("budgets.samples", [{"name": "completely-prime-probe", "prime": RANK3_PRIME}]),
 ])
 def test_task_integers_are_typed(field, tasks, bad):
     doc = abelian_doc([dict(task) for task in tasks])
@@ -535,8 +534,9 @@ def test_zeta_texts_and_entries_are_typed():
         "r_range[1]: expected an integer, got '1'"]
 
 
-# Every field each task reads, with a task that passes as given.  A path
-# names a field of the task, or of the config's budgets as "budgets.<key>".
+# Every field each task reads, with a task that passes as given, and one
+# misspelled field per object, which no value makes valid.  A path names a
+# field of the task, or one of the config itself (`CONFIG_FIELDS`).
 RANK3 = {"p": 3, "model": {"kind": "abelian", "rank": 3, "centre": [0, 0, 4]},
          "omega": ["1", "1", "1"], "truncation": {"W": 5, "M": 4}, "seed": 3}
 RANK1 = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
@@ -549,10 +549,11 @@ HEIS = {"p": 5, "model": {"kind": "unitriangular", "size": 3,
         "omega": ["1", "1", "2"], "truncation": {"W": 4, "M": 3}, "seed": 3}
 PRIME = {"kind": "graph", "central_block": 2, "target": 1, "u": "b2^2"}
 SWEEP = [
-    (RANK3, {"name": "verify-operators", "samples": 2}, ["samples"]),
+    (RANK3, {"name": "verify-operators", "samples": 2}, ["samples", "sampels"]),
     (RANK3, {"name": "verify-valuation", "samples": 5},
      ["samples", "model.kind", "model.rank", "model.centre",
-      "model.centre[0]", "omega", "omega[0]"]),
+      "model.centre[0]", "omega", "omega[0]", "sample", "seeed", "model.rnak",
+      "truncation.w"]),
     (HEIS, {"name": "verify-valuation", "samples": 2},
      ["model.size", "model.generators", "model.generators[0]",
       "model.generators[0][0]", "model.generators[0][0][0]", "omega[2]"]),
@@ -560,42 +561,49 @@ SWEEP = [
              "automorphism": {"kind": "linear",
                               "matrix": [[10, 0, 0], [0, 1, 0], [0, 0, 1]]}},
      ["automorphism", "automorphism.kind", "automorphism.matrix",
-      "automorphism.matrix[0]", "automorphism.matrix[0][0]", "degree_budget"]),
+      "automorphism.matrix[0]", "automorphism.matrix[0][0]", "degree_budget",
+      "degree_bugdet"]),
     (RANK3, {"name": "mahler-reconstruct",
              "automorphism": {"kind": "inner", "element": [1, 0, 0]}},
      ["automorphism.element", "automorphism.element[0]"]),
     (RANK3, {"name": "idempotents", "directions": [1, 0, 0], "samples": 2},
-     ["directions", "directions[0]", "samples"]),
+     ["directions", "directions[0]", "samples", "direction"]),
     (RANK3, {"name": "control-check", "subgroup": [0, 1, 1],
              "ideal": {"generators": ["b1"], "sided": "right"},
              "expect": "controlled"},
      ["ideal", "ideal.generators", "ideal.generators[0]", "ideal.sided",
-      "subgroup", "subgroup[0]", "expect"]),
+      "subgroup", "subgroup[0]", "expect", "subgrup", "ideal.sidde"]),
     (RANK3, {"name": "dagger", "ideal": {"generators": ["b1"]}, "depth": 1,
              "expect_cosets": [[0, 0, 0], [1, 0, 0], [2, 0, 0]]},
      ["ideal", "ideal.generators", "ideal.generators[0]", "depth",
       "expect_cosets", "expect_cosets[0]", "expect_cosets[0][0]",
-      "budgets.dagger"]),
+      "budgets.dagger", "deph", "ideal.generator", "budgets.dager"]),
     (RANK3, {"name": "induced-filtration", "prime": dict(PRIME),
              "elements": ["b1", "b3"], "expect": ["2", "1"]},
      ["prime", "prime.kind", "prime.central_block", "prime.target", "prime.u",
-      "elements", "elements[0]", "expect", "expect[0]"]),
+      "elements", "elements[0]", "expect", "expect[0]", "expected",
+      "prime.taget"]),
     (RANK3, {"name": "completely-prime-probe", "prime": dict(PRIME),
              "samples": 5},
-     ["prime", "prime.kind", "prime.central_block", "samples"]),
+     ["prime", "prime.kind", "prime.central_block", "samples", "sample"]),
+    # a budget that set the probe's samples once, now unknown
     (RANK3, {"name": "completely-prime-probe", "prime": dict(PRIME)},
      ["budgets.samples"]),
     (RANK3, {"name": "zalesskii", "ideal": {"generators": ["b3"]}, "depth": 1,
              "expect": "skipped"},
      ["ideal", "ideal.generators", "ideal.generators[0]", "depth", "expect",
-      "budgets.dagger"]),
+      "budgets.dagger", "dept", "ideal.sided"]),
     (RANK3, {"name": "moore-det", "cases": [[2, 2, 0]]},
-     ["cases", "cases[0]", "cases[0][0]", "cases[0][1]", "cases[0][2]"]),
+     ["cases", "cases[0]", "cases[0][0]", "cases[0][1]", "cases[0][2]", "case"]),
     (RANK1, {"name": "zeta", "r_range": [0, 1], "monomials": ["b1"],
              "automorphism": {"kind": "linear", "matrix": [[10]]}},
      ["automorphism", "automorphism.kind", "automorphism.matrix",
       "automorphism.matrix[0]", "automorphism.matrix[0][0]", "r_range",
-      "r_range[0]", "monomials", "monomials[0]"]),
+      "r_range[0]", "monomials", "monomials[0]", "r_rang", "automorphism.matirx",
+      "automorphism.element"]),
+    (RANK3, {"name": "completely-prime-probe",
+             "prime": {"kind": "zero", "central_block": 2}},
+     ["prime.u"]),
 ]
 WRONG = {"bool": True, "float": 2.5, "str": "x", "list": [], "null": None}
 # values that are right for a field: a string where a series text or a
@@ -613,6 +621,21 @@ ALLOWED = {
 # fields whose wrong values the task would reject on its own, or take for a
 # mismatch; the config check must name them instead
 NAMED = {"ideal.sided", "expect[0]"}
+# (task, field) for the fields of a task entry that its object does not
+# have: the task would ignore them, so it must name them as unknown
+UNKNOWN = {
+    ("verify-operators", "sampels"), ("verify-valuation", "sample"),
+    ("mahler-reconstruct", "degree_bugdet"), ("idempotents", "direction"),
+    ("control-check", "subgrup"), ("control-check", "ideal.sidde"),
+    ("dagger", "deph"), ("dagger", "ideal.generator"),
+    ("induced-filtration", "expected"), ("induced-filtration", "prime.taget"),
+    ("completely-prime-probe", "sample"), ("completely-prime-probe", "prime.u"),
+    ("zalesskii", "dept"), ("zalesskii", "ideal.sided"), ("moore-det", "case"),
+    ("zeta", "r_rang"), ("zeta", "automorphism.matirx"),
+    ("zeta", "automorphism.element"),
+}
+# fields of the config itself, not of its task
+CONFIG_FIELDS = ("budgets", "model", "omega", "truncation", "seeed")
 
 
 def _sweep_cases():
@@ -626,11 +649,10 @@ def _sweep_cases():
 
 
 def _set(doc, field, value):
-    """Set a field of the task, or of the config itself for the model,
-    omega and "budgets.<key>"."""
+    """Set a field of the task, or of the config itself."""
     keys = [int(k) if k.isdigit() else k
             for k in field.replace("[", ".").replace("]", "").split(".")]
-    target = doc if keys[0] in ("budgets", "model", "omega") else doc["tasks"][0]
+    target = doc if keys[0] in CONFIG_FIELDS else doc["tasks"][0]
     if keys[0] == "budgets":
         target = target.setdefault("budgets", {})
         keys = keys[1:]
@@ -664,6 +686,8 @@ def test_malformed_field_is_rejected(base, task, field, kind):
     assert w["kind"] == "error", rec
     if field in NAMED:
         assert w["error"] == "ConfigError" and w["message"].startswith(field), rec
+    if (task["name"], field) in UNKNOWN:
+        assert w["message"].startswith(f"{field}: unknown field"), rec
 
 
 GOLDEN = Path(__file__).parent / "cli_golden"

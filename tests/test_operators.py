@@ -156,23 +156,26 @@ def map_truncs(trunc2, trunc3, trunc_heis, tzeta, trunc_e4):
 
 def check_apply(m, data):
     """m.apply against the dense matrix of m, in Python integers, on a
-    drawn vector and a drawn block of rows; m.apply_entries, its repeats
-    summed by sum_entries, on the entries of each."""
+    drawn vector; m.apply_entries, its repeats summed by sum_entries, on
+    the entries of a drawn block of rows."""
     mat = dense(m).astype(object)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    for shape in [(m.size,), (data.draw(st.integers(0, 4)), m.size)]:
-        x = rng.integers(0, m.p, shape)
-        want = np.array(x.astype(object) @ mat.T % m.p, dtype=np.int64)
-        got = m.apply(x)
-        assert got.shape == shape and np.array_equal(got, want)
-        block, want = x.reshape(-1, m.size), want.reshape(-1, m.size)
-        at, cols = np.nonzero(block)
-        image = np.zeros_like(want)
-        rows, tgts, coefs = sum_entries(*m.apply_entries(at, cols, block[at, cols]), m.p)
-        image[rows, tgts] = coefs
-        assert np.array_equal(image, want) and coefs.all()
-        # sorted by row, then target, each pair once
-        assert (np.diff(rows * m.size + tgts) > 0).all()
+    x = rng.integers(0, m.p, m.size)
+    assert np.array_equal(m.apply(x), np.array(x.astype(object) @ mat.T % m.p,
+                                               dtype=np.int64))
+    block = rng.integers(0, m.p, (data.draw(st.integers(0, 4)), m.size))
+    want = np.array(block.astype(object) @ mat.T % m.p, dtype=np.int64)
+    want = want.reshape(block.shape)
+    at, cols = np.nonzero(block)
+    image = np.zeros_like(want)
+    rows, tgts, coefs = sum_entries(*m.apply_entries(at, cols, block[at, cols]), m.p)
+    image[rows, tgts] = coefs
+    assert np.array_equal(image, want) and coefs.all()
+    # sorted by row, then target, each pair once
+    assert (np.diff(rows * m.size + tgts) > 0).all()
+    # apply takes vectors only
+    with pytest.raises(ValueError, match="vector of shape"):
+        m.apply(block)
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])
@@ -201,13 +204,10 @@ def largest_prime(size):
     return p
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_sparse_apply_matches_dense_matrix_on_drawn_maps(data):
-    size = data.draw(st.integers(1, 12))
-    p = data.draw(st.sampled_from([2, 3, 7, largest_prime(size)]))
-    # targets drawn from a prefix, so each collects many entries, and one
-    # (target, source) pair repeated, up to more entries than `size`
+def draw_map(data, size, p):
+    """A map on `size` coordinates: targets drawn from a prefix, so each
+    collects many entries, and one (target, source) pair repeated, up to
+    more entries than `size`; possibly no entries at all."""
     targets = st.integers(0, data.draw(st.integers(0, size - 1)))
     index = st.integers(0, size - 1)
     entries = data.draw(st.lists(st.tuples(targets, index, st.integers(0, p - 1)),
@@ -215,7 +215,42 @@ def test_sparse_apply_matches_dense_matrix_on_drawn_maps(data):
     pair = data.draw(st.tuples(index, index))
     entries += [pair + (p - 1,)] * data.draw(st.integers(0, 3 * size))
     tgt, src, coef = ([e[k] for e in entries] for k in range(3))
-    check_apply(SparseMap(p, size, tgt, src, coef), data)
+    return SparseMap(p, size, tgt, src, coef)
+
+
+def draw_size_and_prime(data):
+    size = data.draw(st.integers(1, 12))
+    return size, data.draw(st.sampled_from([2, 3, 7, largest_prime(size)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_apply_matches_dense_matrix_on_drawn_maps(data):
+    check_apply(draw_map(data, *draw_size_and_prime(data)), data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compose_and_combine_match_dense_products_and_sums(data):
+    size, p = draw_size_and_prime(data)
+    a, b = draw_map(data, size, p), draw_map(data, size, p)
+    x, y = (data.draw(st.integers(-2 * p, 2 * p)) for _ in range(2))
+    A, B = (dense(m).astype(object) for m in (a, b))
+    for m in (a, b):
+        # sorted by (source, target), a pair possibly repeated
+        assert (np.diff(m.src * size + m.tgt) >= 0).all()
+    one = SparseMap.identity(p, size)
+    for got, want in [(a.compose(b), A @ B % p),
+                      (SparseMap.combine((x, y), (a, b)), (x * A + y * B) % p),
+                      (SparseMap.combine((x,), (a,)), x * A % p),
+                      (one.compose(a), A), (a.compose(one), A)]:
+        assert np.array_equal(dense(got), want)
+        # canonical: sorted by (source, target), each pair once, no zeros
+        assert (np.diff(got.src * size + got.tgt) > 0).all()
+        assert ((got.coef > 0) & (got.coef < p)).all()
+        tgt, src = np.nonzero(want)
+        assert got == SparseMap(p, size, tgt, src, want[tgt, src].astype(np.int64))
+    assert (a == b) == np.array_equal(A, B) and a == SparseMap.combine((1,), (a,))
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])

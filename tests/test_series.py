@@ -228,6 +228,20 @@ def test_aut_map_matches_the_product_recursion(aut_truncs, name, data):
     assert aut_extend(t, phi, x) == t.from_vector(aut_images_reference(t, phi) @ x.vector())
 
 
+def test_inner_aut_map_build_inverts_nothing(u4, monkeypatch):
+    """The inner automorphism keeps its conjugator's inverse, so the map
+    build, which sends every g^c through phi, makes no group inversion."""
+    calls = []
+    inv = u4.inv
+    monkeypatch.setattr(u4, "inv", lambda g: calls.append(g) or inv(g))
+    h = u4.basis()[0]
+    phi = Automorphism.inner(u4, h)
+    assert calls[0] is h and phi.conjugator_inv == inv(h)
+    made = len(calls)
+    aut_map(TruncationSpec(u4, 12), phi)
+    assert len(calls) == made
+
+
 def test_aut_extend_rejects_series_from_another_truncation(abelian2):
     t6, t8 = TruncationSpec(abelian2, 6), TruncationSpec(abelian2, 8)
     phi = Automorphism.linear_on_log(abelian2, [[1, 0], [3, 1]])
