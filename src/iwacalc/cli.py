@@ -27,7 +27,7 @@ from .groups import (
 )
 from .moore import ZetaExperiment, moore_det_check, zeta_convergence
 from .operators import (
-    coset_idempotent, divided_power, divided_power_map, operator_degree,
+    coset_idempotent, divided_power, divided_power_maps, operator_degrees,
     reconstruct_aut,
 )
 from .padic import (
@@ -268,13 +268,14 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
     samples = _expect_int(params.get("samples", 20), "samples", 0)
     rng = Pcg32(ctx.seed, stream=stream)
     witnesses = []
-    pairs = eigen = degrees = 0
+    pairs = eigen = 0
     # operators are compared as canonical sparse maps
     for _ in range(samples):
         a = _random_basis_key(t, rng)
         b = _random_basis_key(t, rng)
-        lhs = divided_power_map(t, a).compose(divided_power_map(t, b))
-        rhs = SparseMap(p, t.size, [], [], [])
+        d_a, d_b = divided_power_maps(t, [a, b])
+        lhs = d_a.compose(d_b)
+        terms = {}
         for c in mi_range(tuple(x + y for x, y in zip(a, b))):
             if any(v < max(x, y) for v, x, y in zip(c, a, b)):
                 continue
@@ -284,7 +285,9 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
             for v, x, y in zip(c, a, b):
                 coeff = coeff * comb_mod(v, x, p) * comb_mod(x, x + y - v, p) % p
             if coeff:
-                rhs = SparseMap.combine((1, coeff), (rhs, divided_power_map(t, c)))
+                terms[c] = coeff
+        rhs = SparseMap.combine(list(terms.values()), divided_power_maps(t, terms)) \
+            if terms else SparseMap(p, t.size, [], [], [])
         pairs += 1
         if lhs != rhs:
             witnesses.append({"kind": "product-rule", "alpha": list(a),
@@ -301,16 +304,13 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
         if not ge_provable(diff.valuation(), t.cutoff - t.weight(alpha)):
             witnesses.append({"kind": "eigen", "alpha": list(alpha),
                               "element": list(g.coords)})
-    for a in t.basis:
-        if not any(a):
-            continue
-        degrees += 1
-        report = operator_degree(t, divided_power_map(t, a))
+    alphas = [a for a in t.basis if any(a)]
+    for a, report in zip(alphas, operator_degrees(t, divided_power_maps(t, alphas))):
         if not ge_provable(report.value(), -t.weight(a)):
             witnesses.append({"kind": "degree", "alpha": list(a),
                               "value": format_val(report.value())})
     status = "pass" if not witnesses else "fail"
-    return status, {"pairs": pairs, "eigen": eigen, "degrees": degrees}, witnesses
+    return status, {"pairs": pairs, "eigen": eigen, "degrees": len(alphas)}, witnesses
 
 
 def _task_verify_valuation(ctx: RunContext, params: dict, stream: int):

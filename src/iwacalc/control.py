@@ -28,7 +28,7 @@ import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, integer_array, sum_entries
-from .operators import divided_power_map
+from .operators import divided_power_maps
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, power, val_add,
     val_min,
@@ -232,7 +232,9 @@ def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
     if i in I._escapes:
         return I._escapes[i]
     t = I.trunc
-    d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
+    # every del_j in one build: a closure check usually visits each direction
+    d_i = divided_power_maps(t, [_unit_exponent(t.model.rank, j)
+                                 for j in range(t.model.rank)])[i]
     R = I.reduced
     at, cols, coefs = I._block_residual(*d_i.apply_entries(R.src, R.tgt, R.coef))
     hit = None

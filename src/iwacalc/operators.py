@@ -5,9 +5,10 @@ Every operator here is a `SparseMap` on a TruncationSpec's monomial space:
 a coefficient vector.  Operators compose (`SparseMap.compose`) and combine
 linearly (`SparseMap.combine`) as sparse maps, into canonical maps that
 compare equal exactly when the operators are equal.  The divided powers
-are cached as such maps (`divided_power_map`), one per truncation and
-index, built with numpy from the closed formula below; the coset
-idempotents are polynomials in them.
+are cached as such maps, one per truncation and index, built a block at a
+time from the closed formula below (`divided_power_maps`), and their degrees
+are read a block at a time (`operator_degrees`); the coset idempotents are
+polynomials in them.
 
 The divided power del^(a) acts by the closed formula
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +51,19 @@ from .series import (
 # Divided powers
 # ---------------------------------------------------------------------------
 
+_SLICE_TERMS = 2048  # terms built or read at a time, see `_slices`
+
+
+def _slices(terms) -> list[tuple[int, int]]:
+    """Runs (lo, hi) of consecutive items, item k of terms[k] terms, cut where
+    the running total passes a multiple of _SLICE_TERMS, so that the memory
+    of a divided-power build, a degree pass or a Mahler box follows the run."""
+    terms = np.asarray(terms, dtype=np.int64)
+    cuts = np.flatnonzero(np.diff((np.cumsum(terms) - terms) // _SLICE_TERMS,
+                                  prepend=-1)).tolist() + [terms.size]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _operator_index(trunc: TruncationSpec, alpha: Sequence[int]) -> MultiIndex:
     alpha = tuple(int(v) for v in alpha)
     if len(alpha) != trunc.model.rank or any(v < 0 for v in alpha):
@@ -66,37 +80,62 @@ def divided_power(trunc: TruncationSpec, alpha: Sequence[int],
 
 
 def divided_power_map(trunc: TruncationSpec, alpha: Sequence[int]) -> SparseMap:
-    """del^(alpha) as a sparse map, built from the closed formula on first
-    use and cached on the truncation."""
-    alpha = _operator_index(trunc, alpha)
-    return trunc.cached_map(("dp", alpha), lambda: _build_divided_power_map(trunc, alpha))
+    """del^(alpha) as a sparse map, cached on the truncation."""
+    return divided_power_maps(trunc, [alpha])[0]
 
 
-def _build_divided_power_map(trunc: TruncationSpec, alpha: MultiIndex) -> SparseMap:
-    p = trunc.model.p
-    exps = trunc._exponents
-    # C(B, alpha) = prod_i C(B_i, alpha_i), one binomial table per coordinate
-    lead = np.ones(trunc.size, dtype=np.int64)
-    for a, top, col in zip(alpha, trunc.max_exponents, exps.T):
-        table = np.array([comb_mod(m, a, p) for m in range(top + 1)], dtype=np.int64)
-        lead = lead * table[col] % p
-    src = np.flatnonzero(lead)
-    if not src.size:
-        # also keeps a large alpha from enumerating the box below it
-        return SparseMap(p, trunc.size, [], [], [])
-    # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k, one offset k per term
-    offsets = np.array(list(mi_range(alpha)), dtype=np.int64).reshape(-1, len(alpha))
-    scale = np.ones(len(offsets), dtype=np.int64)
-    for a, col in zip(alpha, offsets.T):
-        table = np.array([comb_mod(a, k, p) for k in range(a + 1)], dtype=np.int64)
-        scale = scale * table[col] % p
-    offsets, scale = offsets[scale != 0], scale[scale != 0]
-    # B - alpha + k <= B componentwise, and the basis is closed under
-    # lowering exponents, so every target is a basis monomial
-    targets = exps[src, None, :] - np.array(alpha) + offsets[None, :, :]
-    tgt = trunc._indices_of(targets.reshape(-1, len(alpha)))
-    coef = (lead[src, None] * scale[None, :] % p).ravel()
-    return SparseMap(p, trunc.size, tgt, np.repeat(src, len(offsets)), coef)
+def divided_power_maps(trunc: TruncationSpec,
+                       alphas: Iterable[Sequence[int]]) -> list[SparseMap]:
+    """del^(alpha) for each alpha of `alphas`, cached on the truncation; those
+    not cached yet come from one `_divided_powers` call."""
+    alphas = [_operator_index(trunc, a) for a in alphas]
+    new = [a for a in dict.fromkeys(alphas) if ("dp", a) not in trunc._op_cache]
+    if new:
+        trunc._op_cache.update(zip([("dp", a) for a in new], _divided_powers(trunc, new)))
+    return [trunc._op_cache["dp", a] for a in alphas]
+
+
+def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
+    """del^(alpha) for each alpha of `alphas` by the closed formula, in slices
+    of at most about _SLICE_TERMS entries: the leading factor of each
+    (alpha, source) pair from the Pascal table mod p, times each offset of
+    its alpha."""
+    p, size, exps, pascal = trunc.model.p, trunc.size, trunc._exponents, trunc._pascal
+    # past the largest exponent every C(B_i, alpha_i) is 0, as one past it
+    A = np.minimum(np.array(alphas, dtype=np.int64), len(pascal) - 1)
+    nonzero = pascal != 0
+    # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
+    # C(alpha, k), the signed binomials of alpha unsigned, as a map from
+    # each alpha to its terms
+    owner, k, signed = trunc._signed_binomials(A)
+    down = A[owner] - k
+    offsets = SparseMap(p, owner.size, np.arange(owner.size), owner,
+                        np.where(down.sum(axis=1) % 2, p - signed, signed))
+    shift = down @ trunc._radix
+    del k, signed, down  # each slice reads only the offsets and their shifts
+    # a source b^B has B >= alpha, so B - alpha weighs less than the cutoff
+    # minus the weight of alpha; each source has one entry per offset
+    weights = A @ np.array([int(w * trunc.e) for w in trunc.omega])
+    bound = np.searchsorted(trunc._int_weights, trunc.W - weights)
+    maps = []
+    for lo, hi in _slices(bound * np.bincount(owner, minlength=len(A))):
+        # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p
+        live = np.ones((hi - lo, size), dtype=bool)
+        for a, col in zip(A[lo:hi].T, exps.T):
+            live &= nonzero.T[a][:, col]
+        at, src = np.nonzero(live)
+        at += lo
+        lead = np.ones(src.size, dtype=np.int64)
+        for col, a in zip(exps[src].T, A[at].T):
+            lead = lead * pascal[col, a] % p
+        src, n, coef = offsets.apply_entries(src, at, lead)
+        # B - alpha + k <= B componentwise, and the basis is closed under
+        # lowering exponents, so every target is a basis monomial
+        tgt = trunc._indices_of(trunc._codes[src] - shift[n])
+        cuts = np.searchsorted(owner[n], np.arange(lo, hi + 1)).tolist()
+        maps += [SparseMap(p, size, tgt[i:j], src[i:j], coef[i:j])
+                 for i, j in zip(cuts, cuts[1:])]
+    return maps
 
 
 @dataclass(frozen=True)
@@ -117,31 +156,44 @@ class DegreeReport:
 
 
 def operator_degree(trunc: TruncationSpec, op: SparseMap) -> DegreeReport:
-    """Degree of a sparse map on the truncation, read from its entries: each
-    source's least-weight target with a nonzero coefficient."""
-    if op.size != trunc.size:
-        raise ValueError(f"map on {op.size} monomials, truncation has {trunc.size}")
-    w = trunc._int_weights
-    none = np.iinfo(np.int64).max
-    least = np.full(trunc.size, none)
-    # a (target, source) pair may repeat: its sum is tested for zero
-    tgt, src, _ = sum_entries(op.tgt, op.src, op.coef, op.p)
-    np.minimum.at(least, src, w[tgt])
-    hit = least != none
-    resolved = tail = None
-    if hit.any():
-        resolved = Fraction(int((least[hit] - w[hit]).min()), trunc.e)
-    if not hit.all():
-        tail = Fraction(int(trunc.W - w[~hit].max()), trunc.e)
-    return DegreeReport(resolved, tail)
+    """Degree of a sparse map on the truncation (`operator_degrees`)."""
+    return operator_degrees(trunc, [op])[0]
+
+
+def operator_degrees(trunc: TruncationSpec, maps: Sequence[SparseMap]
+                     ) -> list[DegreeReport]:
+    """Degree of each sparse map on the truncation, read from its entries
+    with a nonzero coefficient, in slices of about _SLICE_TERMS entries:
+    one sum over (map, source, target) keys and one pass of weights each."""
+    size, w, e = trunc.size, trunc._int_weights, trunc.e
+    for op in maps:
+        if op.size != size:
+            raise ValueError(f"map on {op.size} monomials, truncation has {size}")
+    reports = []
+    for lo, hi in _slices([op.coef.size for op in maps]):
+        # a (target, source) pair may repeat: its sum is tested for zero
+        keys, tgt, _ = sum_entries(
+            np.concatenate([k * size + op.src for k, op in enumerate(maps[lo:hi])]),
+            np.concatenate([op.tgt for op in maps[lo:hi]]),
+            np.concatenate([op.coef for op in maps[lo:hi]]), trunc.model.p)
+        at, src = np.divmod(keys, size)
+        least = np.full(hi - lo, trunc.W)  # above every w[tgt] - w[src]
+        np.minimum.at(least, at, w[tgt] - w[src])
+        hit = np.zeros((hi - lo, size), dtype=bool)
+        hit[at, src] = True
+        # the basis ascends by weight: the last source missed is the heaviest
+        tail = trunc.W - w[size - 1 - np.argmin(hit[:, ::-1], axis=1)]
+        reports += [DegreeReport(Fraction(d, e) if some else None,
+                                 None if every else Fraction(t, e))
+                    for d, t, some, every in zip(least.tolist(), tail.tolist(),
+                                                 hit.any(axis=1), hit.all(axis=1))]
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # Locally constant functions on the group
 # ---------------------------------------------------------------------------
 
-# terms of the Mahler box expanded at a time (mahler_coeffs_function)
-_SLICE_TERMS = 4096
 
 
 class LocallyConstantFunction:
@@ -164,9 +216,8 @@ class LocallyConstantFunction:
 def mahler_coeffs_function(f: LocallyConstantFunction) -> dict:
     """Forward differences at zero: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a,b) f(b).
 
-    The box is expanded in slices of consecutive rows a, each starting a
-    new slice once _SLICE_TERMS terms precede it, so that memory follows
-    the slice and not the whole (p^s)^rank box."""
+    The box is expanded in slices of consecutive rows a (`_slices`), so
+    that memory follows the slice and not the whole (p^s)^rank box."""
     p = f.p
     box = list(mi_range((f.box - 1,) * f.rank))
     values = np.array([f.table[b] for b in box], dtype=np.int64)
@@ -174,12 +225,9 @@ def mahler_coeffs_function(f: LocallyConstantFunction) -> dict:
     exps = np.array(box, dtype=np.int64).reshape(len(box), f.rank)
     # b <= a < box, so its lexicographic code in the box is its place in `box`
     radix = f.box ** np.arange(f.rank - 1, -1, -1, dtype=np.int64)
-    # the terms of row a: one per entry of each of its table rows
-    terms = np.prod(np.diff(table[0])[exps], axis=1)
-    cuts = np.flatnonzero(np.diff((np.cumsum(terms) - terms) // _SLICE_TERMS,
-                                  prepend=-1)).tolist() + [len(box)]
     acc = np.zeros(len(box), dtype=np.int64)
-    for lo, hi in zip(cuts, cuts[1:]):
+    # the terms of row a: one per entry of each of its table rows
+    for lo, hi in _slices(np.prod(np.diff(table[0])[exps], axis=1)):
         owner, b, signs = signed_binomials(table, exps[lo:hi], p)
         acc[lo:hi] = np.add.reduceat(signs * values[b @ radix] % p,
                                      np.searchsorted(owner, np.arange(hi - lo))) % p
@@ -299,13 +347,11 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     images = {B: trunc.zero() for B in cols}
     alphas = [a for k, a in enumerate(cols)
               if not sum(a) or delta * sum(a) * e + int(w[k]) < trunc.W]
-    coeffs = _mahler_rows(trunc, phi, alphas)
-    for a, vec in zip(alphas, coeffs):
-        if not vec.any():
-            continue
+    coeffs = {a: vec for a, vec in zip(alphas, _mahler_rows(trunc, phi, alphas))
+              if vec.any()}
+    for vec, d in zip(coeffs.values(), divided_power_maps(trunc, coeffs)):
         coeff = trunc.from_vector(vec)
         # the columns in `cols` are the leading slice of the map's sources
-        d = divided_power_map(trunc, a)
         n = int(np.searchsorted(d.src, len(cols)))
         moved = np.zeros((len(cols), trunc.size), dtype=np.int64)
         np.add.at(moved, (d.src[:n], d.tgt[:n]), d.coef[:n])
@@ -340,9 +386,8 @@ def coset_idempotent(trunc: TruncationSpec, H: SubgroupSpec,
         raise ValueError("residues must lie in [0, p)")
     one = SparseMap.identity(p, trunc.size)
     out = one
-    for i, v in zip(mask, nu):
-        d_i = divided_power_map(
-            trunc, tuple(1 if j == i else 0 for j in range(trunc.model.rank)))
+    units = [tuple(int(j == i) for j in range(trunc.model.rank)) for i in mask]
+    for d_i, v in zip(divided_power_maps(trunc, units), nu):
         shifted = SparseMap.combine((1, -v), (d_i, one))
         out = out.compose(SparseMap.combine(
             (1, -1), (one, power(shifted, p - 1, one, SparseMap.compose))))

@@ -3,7 +3,8 @@
 The one p-adic scalar is a residue mod p^M held as a Python int in
 [0, p^M): group coordinates are such ints, and their valuation is the
 index of the first nonzero base-p digit (`residue_vp`).  Lucas' theorem
-reads the same digits off the int (`binom_mod_p`, `multi_binom_mod_p`),
+reads the same digits off the int (`binom_mod_p`, `multi_binom_mod_p`, and
+`lucas_rows` for whole rows of binomials of many residues at once),
 and reports print a residue as its digit vector, least significant digit
 first (`format_padic`), which `parse_padic` reads back.  A residue that is
 zero at working precision has vp >= M but nothing sharper can be said;
@@ -248,6 +249,24 @@ def multi_binom_mod_p(lams: Sequence[int], alpha: Sequence[int], p: int, M: int)
         out = out * binom_mod_p(lam, a, p, M) % p
         if out == 0:
             return 0
+    return out
+
+
+def lucas_rows(residues, top: int, p: int) -> np.ndarray:
+    """Row k is C(r, n) mod p for n = 0..top, r the k-th of `residues`: by
+    Lucas' theorem, the product over the base-p digits that n reaches of
+    C(r_d, n_d), each from one recurrence over y < p for all digits at once,
+    C(x, y) = C(x, y - 1) (x - y + 1) / y mod p; exact while p^2 < 2^63."""
+    r = np.asarray(residues, dtype=np.int64).reshape(-1, 1)
+    places = p ** np.arange(next(d for d in itertools.count(1) if p ** d > top))
+    x = r // places % p
+    digit = np.ones(x.shape + (min(p - 1, top) + 1,), dtype=np.int64)
+    for y in range(1, digit.shape[2]):
+        digit[..., y] = digit[..., y - 1] * (x - y + 1) % p * pow(y, -1, p) % p
+    n = np.arange(top + 1)[:, None] // places % p
+    out = np.ones((r.size, top + 1), dtype=np.int64)
+    for d in range(places.size):
+        out = out * digit[:, d, n[:, d]] % p
     return out
 
 

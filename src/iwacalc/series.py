@@ -14,7 +14,7 @@ plain integer coordinates, re-expands the images by the Mahler formula
 g^m = sum_b C(m, b) b^b and combines them, one int64 product per monomial.
 By Lucas's theorem C(m, b) mod p depends only on m mod p^need, the least
 power of p above every basis exponent, so all the Mahler rows of a build
-are one gather from rows of binomials kept per residue that occurs.  The
+are one gather from rows of binomials, one per residue that occurs.  The
 maps g^c -> g^c g_j and g_j g^c give x -> x*b_j and x -> b_j*x
 (`TruncationSpec.generator_map`), whose products already in normal order,
 all of them on abelian models, are one shift of exponents; g^c -> phi(g^c)
@@ -40,6 +40,7 @@ rest of the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -48,7 +49,7 @@ import numpy as np
 from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
 from .linalg import integer_array, sum_entries
 from .padic import (
-    AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, format_poly, mi_weight,
+    AtLeast, MultiIndex, PrecisionError, Val, format_poly, lucas_rows, mi_weight,
     poly_combine, poly_frobenius, poly_product_sum, power, signed_binomial_rows,
     signed_binomials,
 )
@@ -97,12 +98,11 @@ class TruncationSpec:
         # mixed-radix codes of the exponents, for vectorised index lookup
         self._radix = np.cumprod([1] + [m + 1 for m in self.max_exponents[:-1]],
                                  dtype=np.int64)
-        codes = self._exponents @ self._radix
-        self._code_order = np.argsort(codes)
-        self._sorted_codes = codes[self._code_order]
+        self._codes = self._exponents @ self._radix
+        self._code_order = np.argsort(self._codes)
+        self._sorted_codes = self._codes[self._code_order]
         self._op_cache: dict = {}  # every SparseMap, see `cached_map`
-        self._signed_rows = signed_binomial_rows(-1, model.p)
-        self._lucas_rows: dict = {}
+        self._signed_rows = None  # see `_signed_binomials`
 
     # -- basic structure ----------------------------------------------------
 
@@ -112,10 +112,9 @@ class TruncationSpec:
             return mi_weight(a, self.omega)
         return Fraction(int(self._int_weights[i]), self.e)
 
-    def _indices_of(self, exponents: np.ndarray) -> np.ndarray:
-        """Basis indices of exponent rows, each of which must be a basis
-        monomial."""
-        codes = exponents @ self._radix
+    def _indices_of(self, codes: np.ndarray) -> np.ndarray:
+        """Basis indices of mixed-radix codes (exponent rows @ `_radix`), each
+        the code of a basis monomial."""
         return self._code_order[np.searchsorted(self._sorted_codes, codes)]
 
     def zero(self) -> "TruncatedSeries":
@@ -142,30 +141,25 @@ class TruncationSpec:
 
     def _signed_binomials(self, exps) -> tuple:
         """`padic.signed_binomials` of the exponent rows `exps`: the group
-        expansions of their b^a.  The table reaches the largest basis
-        exponent and grows for a row beyond it."""
+        expansions of their b^a.  The table, built on first use, grows to the
+        largest exponent asked for."""
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         top = int(exps.max(initial=0))
-        if top >= self._signed_rows[0].size - 1:
-            self._signed_rows = signed_binomial_rows(
-                max(self.max_exponents + (top,)), self.model.p)
+        if self._signed_rows is None or top >= self._signed_rows[0].size - 1:
+            self._signed_rows = signed_binomial_rows(top, self.model.p)
         return signed_binomials(self._signed_rows, exps, self.model.p)
 
     def _embed_rows(self, coords) -> np.ndarray:
         """Row k is the embedding of g^lam, lam the k-th integer coordinate
         vector of `coords`: C(lam, b) mod p for every basis monomial b.  By
         Lucas's theorem C(lam_i, n) mod p for n up to the largest exponent
-        depends only on lam_i mod p^need, so a row of these binomials is kept
-        per residue that has occurred, and each coordinate is one gather."""
+        depends only on lam_i mod p^need, so one row of these binomials is
+        built per distinct residue (`padic.lucas_rows`), and each coordinate
+        is one gather."""
         p, top = self.model.p, max(self.max_exponents)
         lams = np.asarray(coords, dtype=np.int64).reshape(-1, self.model.rank)
         residues, at = np.unique(lams % self._lucas_modulus, return_inverse=True)
-        for r in residues.tolist():
-            if r not in self._lucas_rows:
-                self._lucas_rows[r] = [binom_mod_p(r, n, p, self.precision)
-                                       for n in range(top + 1)]
-        table = np.array([self._lucas_rows[r] for r in residues.tolist()],
-                         dtype=np.int64).reshape(residues.size, top + 1)
+        table = lucas_rows(residues, top, p)
         at = at.reshape(lams.shape)
         # factors are residues, so reduce only when the next product could wrap
         out, bound = np.ones((len(lams), self.size), dtype=np.int64), 1
@@ -176,6 +170,12 @@ class TruncationSpec:
             out *= table[:, col][at[:, i]]
             bound *= p - 1
         return out % p
+
+    @cached_property
+    def _pascal(self) -> np.ndarray:
+        """C(m, n) mod p for m, n up to one past the largest exponent."""
+        top = max(self.max_exponents) + 1
+        return lucas_rows(np.arange(top + 1), top, self.model.p)
 
     def _group_columns(self, exps, image) -> np.ndarray:
         """Row k is the image of b^a, a the k-th row of `exps`, under the
@@ -248,7 +248,7 @@ class TruncationSpec:
         diag = np.arange(movers.size), movers
         cols[diag] = (cols[diag] - 1) % p
         n, k = np.nonzero(cols)
-        shifted = self._indices_of(self._exponents[shift] + unit)
+        shifted = self._indices_of(self._codes[shift] + self._radix[j])
         return SparseMap(p, self.size, np.concatenate([shifted, k]),
                          np.concatenate([shift, movers[n]]),
                          np.concatenate([np.ones(shift.size, dtype=np.int64), cols[n, k]]))

@@ -27,7 +27,10 @@ from iwacalc import (
 )
 from iwacalc.control import ideal_span
 from iwacalc.linalg import sum_entries
-from iwacalc.operators import divided_power_map
+from iwacalc.groups import load_abelian
+from iwacalc.operators import (
+    _SLICE_TERMS, divided_power_map, divided_power_maps, operator_degrees,
+)
 from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec
 
@@ -271,6 +274,61 @@ def test_divided_power_map_matches_closed_formula(map_truncs, name, data):
     assert divided_power(t, alpha, x) == t.from_vector(got)
 
 
+def check_block(t, alphas):
+    """divided_power_maps on a cold copy of t against the closed formula
+    applied term by term, and its maps the ones cached for one index."""
+    t = TruncationSpec(t.model, t.W)
+    maps = divided_power_maps(t, alphas)
+    assert len(maps) == len(alphas)
+    want = {}
+    for a, m in zip(alphas, maps):
+        if a not in want:
+            want[a] = operator_matrix(
+                t, lambda b: divided_power_reference(t, a, t.monomial(b)))
+        assert OperatorMatrix(t, dense(m)) == want[a]
+        assert m is divided_power_map(t, a)
+    return maps
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_divided_power_blocks_match_closed_formula(map_truncs, name, data):
+    t = map_truncs[name]
+    # alpha = 0, repeats, and alphas one past the largest exponent (empty
+    # maps); with the whole basis the larger fixtures span several slices
+    index = st.tuples(*[st.integers(0, m + 1) for m in t.max_exponents])
+    alphas = [(0,) * t.model.rank] + data.draw(st.lists(index, max_size=6))
+    if data.draw(st.booleans()):
+        alphas += t.basis
+    alphas += data.draw(st.lists(st.sampled_from(alphas), min_size=1, max_size=3))
+    check_block(t, data.draw(st.permutations(alphas)))
+
+
+@pytest.mark.parametrize("name", ["abelian3", "zeta"])
+def test_divided_power_block_of_the_basis_spans_slices(map_truncs, name):
+    t = map_truncs[name]
+    past = tuple(m + 1 for m in t.max_exponents)
+    maps = check_block(t, t.basis + [past, t.basis[1]])
+    assert sum(m.coef.size for m in maps) > 2 * _SLICE_TERMS
+    assert not maps[-2].coef.size
+
+
+def test_divided_power_sweep_memory_follows_the_slice():
+    # verify-operators on abelian rank 3 at W=12: 363 maps, 1.3 MB of entries
+    # kept in the cache
+    t = TruncationSpec(load_abelian(3, 3, 4, ["1", "1", "1"]), 12)
+    alphas = [a for a in t.basis if any(a)]
+    tracemalloc.start()
+    try:
+        reports = operator_degrees(t, divided_power_maps(t, alphas))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.value() for r in reports] == [-t.weight(a) for a in alphas]
+    assert peak < 2_000_000
+
+
 @pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
@@ -327,11 +385,9 @@ def summed_matrix(t, tgt, src, coef):
     return OperatorMatrix(t, dense(SparseMap(t.model.p, t.size, tgt, src, coef)))
 
 
-@pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_operator_degree_of_drawn_maps(map_truncs, name, data):
-    t = map_truncs[name]
+def draw_degree_entries(data, t):
+    """Entries (target, source, coefficient) of a map on t, with cancelling
+    repeats."""
     p = t.model.p
     index = st.integers(0, t.size - 1)
     entries = data.draw(st.lists(st.tuples(index, index, st.integers(0, p - 1)),
@@ -341,10 +397,38 @@ def test_operator_degree_of_drawn_maps(map_truncs, name, data):
     for tg, sc, c in data.draw(st.lists(st.tuples(index, index, st.integers(1, p - 1)),
                                         max_size=6)):
         entries += [(tg, sc, c), (tg, sc, p - c)]
-    tgt, src, coef = ([e[k] for e in entries] for k in range(3))
-    report = operator_degree(t, SparseMap(p, t.size, tgt, src, coef))
+    return tuple([e[k] for e in entries] for k in range(3))
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_operator_degree_of_drawn_maps(map_truncs, name, data):
+    t = map_truncs[name]
+    tgt, src, coef = draw_degree_entries(data, t)
+    report = operator_degree(t, SparseMap(t.model.p, t.size, tgt, src, coef))
     want = degree_by_columns(summed_matrix(t, tgt, src, coef))
     assert (report.resolved, report.tail_bound) == want
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_operator_degrees_of_drawn_maps(map_truncs, name, data):
+    t = map_truncs[name]
+    drawn = [draw_degree_entries(data, t) for _ in range(data.draw(st.integers(0, 5)))]
+    reports = operator_degrees(
+        t, [SparseMap(t.model.p, t.size, *entries) for entries in drawn])
+    assert [(r.resolved, r.tail_bound) for r in reports] == \
+        [degree_by_columns(summed_matrix(t, *entries)) for entries in drawn]
+
+
+def test_operator_degrees_across_slices(trunc3):
+    # the divided powers of the basis hold more than two slices of entries
+    maps = divided_power_maps(trunc3, trunc3.basis)
+    assert sum(m.coef.size for m in maps) > 2 * _SLICE_TERMS
+    assert [(r.resolved, r.tail_bound) for r in operator_degrees(trunc3, maps)] == \
+        [degree_by_columns(OperatorMatrix(trunc3, dense(m))) for m in maps]
 
 
 def test_operator_degree_sums_repeated_entries(trunc2):
@@ -544,7 +628,7 @@ def test_expansion_routes_match_oracles(abelian3, heis, u4, data):
 @pytest.mark.parametrize("p,rank,s", [(3, 1, 5), (5, 2, 2), (3, 3, 2)])
 def test_mahler_box_slices_match_reference(p, rank, s):
     """Boxes of 7,776, 50,625 and 46,656 terms, expanded across slices of
-    about 4,096."""
+    about 2,048."""
     rng = Pcg32(rank)
     f = LocallyConstantFunction(p, rank, s, {a: rng.below(p)
                                              for a in mi_range((p ** s - 1,) * rank)})

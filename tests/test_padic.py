@@ -13,7 +13,7 @@ from iwacalc import (
     mi_weight, multi_binom_mod_p, parse_padic, val_add, val_min, val_sub_exact,
 )
 from iwacalc.padic import (
-    format_poly, poly_combine, poly_frobenius, poly_product_sum, power,
+    format_poly, lucas_rows, poly_combine, poly_frobenius, poly_product_sum, power,
     residue_vp, signed_binomial_rows, signed_binomials,
 )
 from iwacalc.rng import Pcg32
@@ -113,6 +113,22 @@ def test_lucas_matches_integer_binomials(p, M, data):
     lam = data.draw(st.integers(0, p ** M - 1))
     n = data.draw(st.integers(0, p ** M - 1))
     assert binom_mod_p(lam, n, p, M) == math.comb(lam, n) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 1000003, 679093949]), st.integers(0, 60), st.data())
+def test_lucas_rows_match_lucas_binomials(p, top, data):
+    # residues with up to three base-p digits past those that n reaches,
+    # within int64
+    need = 1
+    while p ** need <= top:
+        need += 1
+    residues = data.draw(st.lists(st.integers(0, min(p ** (need + 3), 2 ** 63) - 1),
+                                  max_size=6))
+    rows = lucas_rows(residues, top, p)
+    assert rows.shape == (len(residues), top + 1) and rows.dtype == np.int64
+    assert rows.tolist() == [[binom_mod_p(r, n, p, need + 3) for n in range(top + 1)]
+                             for r in residues]
 
 
 def test_lucas_reads_high_digits():

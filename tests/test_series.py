@@ -329,7 +329,7 @@ def test_series_rejects_cross_truncation(trunc2, trunc3):
 # -- the sparse generator-multiplication kernel -------------------------------
 
 @pytest.fixture(scope="session")
-def kernel_truncs(trunc2, trunc3, trunc_heis, trunc_heis_wide, u4):
+def kernel_truncs(trunc2, trunc3, trunc_heis, trunc_heis_wide, u4, tzeta):
     p = 1000003  # p^need = p: a table with a row for every residue would be huge
     heis_big = load_unitriangular(p, 3, 3, heisenberg_generators(p), ["1", "1", "2"],
                                   centre_exponents=[3, 3, 0])
@@ -337,7 +337,7 @@ def kernel_truncs(trunc2, trunc3, trunc_heis, trunc_heis_wide, u4):
     # product of three residues passes 2^63
     q = 679093949
     return {"abelian2": trunc2, "abelian3": trunc3,
-            "heis": trunc_heis, "heis_wide": trunc_heis_wide,
+            "heis": trunc_heis, "heis_wide": trunc_heis_wide, "zeta": tzeta,
             "u4": TruncationSpec(u4, 12), "heis_big": TruncationSpec(heis_big, 5),
             "abelian_big": TruncationSpec(load_abelian(q, 3, 2, ["1"] * 3), 4)}
 
@@ -372,7 +372,8 @@ def test_generator_maps_match_group_route(kernel_truncs, name):
             assert t.from_vector(left.apply(x.vector())) == mul_reference(bj, x)
 
 
-@pytest.mark.parametrize("name", ["abelian3", "heis_wide", "u4", "heis_big", "abelian_big"])
+@pytest.mark.parametrize("name", ["abelian3", "heis_wide", "zeta", "u4", "heis_big",
+                                  "abelian_big"])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_embed_rows_match_lucas_binomials(kernel_truncs, name, data):
@@ -388,6 +389,9 @@ def test_embed_rows_match_lucas_binomials(kernel_truncs, name, data):
         low *= p
     lams += [tuple((x + low * data.draw(st.integers(1, box))) % box for x in lam)
              for lam in lams]
+    if low <= 100:
+        # every residue below that power, in each coordinate
+        lams += [(r,) * d for r in range(low)]
     rows = t._embed_rows(lams)
     assert rows.shape == (len(lams), t.size)
     for lam, row in zip(lams, rows):
