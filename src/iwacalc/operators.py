@@ -37,7 +37,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .groups import Automorphism, ModelError, SubgroupSpec, is_trivial_mod_centre
-from .linalg import sum_entries
 from .padic import (
     AtLeast, MultiIndex, Val, comb_mod, mi_range, power, signed_binomial_rows,
     signed_binomials, val_min, val_sub_exact,
@@ -105,20 +104,21 @@ def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
     A = np.minimum(np.array(alphas, dtype=np.int64), len(pascal) - 1)
     nonzero = pascal != 0
     # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
-    # C(alpha, k), the signed binomials of alpha unsigned, as a map from
-    # each alpha to its terms
+    # C(alpha, k), the signed binomials of alpha unsigned; the slices read
+    # only their coefficients, the codes of k - alpha and where each alpha's
+    # terms start
     owner, k, signed = trunc._signed_binomials(A)
-    down = A[owner] - k
-    offsets = SparseMap(p, owner.size, np.arange(owner.size), owner,
-                        np.where(down.sum(axis=1) % 2, p - signed, signed))
-    shift = down @ trunc._radix
-    del k, signed, down  # each slice reads only the offsets and their shifts
+    k -= A[owner]
+    scale = np.where(k.sum(axis=1) % 2, p - signed, signed)
+    shift = k @ trunc._radix
+    starts = np.searchsorted(owner, np.arange(len(A) + 1))
+    del owner, k, signed
     # a source b^B has B >= alpha, so B - alpha weighs less than the cutoff
     # minus the weight of alpha; each source has one entry per offset
     weights = A @ np.array([int(w * trunc.e) for w in trunc.omega])
     bound = np.searchsorted(trunc._int_weights, trunc.W - weights)
     maps = []
-    for lo, hi in _slices(bound * np.bincount(owner, minlength=len(A))):
+    for lo, hi in _slices(bound * np.diff(starts)):
         # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p
         live = np.ones((hi - lo, size), dtype=bool)
         for a, col in zip(A[lo:hi].T, exps.T):
@@ -128,11 +128,14 @@ def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
         lead = np.ones(src.size, dtype=np.int64)
         for col, a in zip(exps[src].T, A[at].T):
             lead = lead * pascal[col, a] % p
-        src, n, coef = offsets.apply_entries(src, at, lead)
+        # each pair times each offset of its alpha, as in SparseMap.apply_entries
+        count = starts[at + 1] - starts[at]
+        n = np.arange(count.sum()) + np.repeat(starts[at] - np.cumsum(count) + count, count)
+        src, coef = np.repeat(src, count), np.repeat(lead, count) * scale[n] % p
         # B - alpha + k <= B componentwise, and the basis is closed under
         # lowering exponents, so every target is a basis monomial
-        tgt = trunc._indices_of(trunc._codes[src] - shift[n])
-        cuts = np.searchsorted(owner[n], np.arange(lo, hi + 1)).tolist()
+        tgt = trunc._indices_of(trunc._codes[src] + shift[n])
+        cuts = np.searchsorted(np.repeat(at, count), np.arange(lo, hi + 1)).tolist()
         maps += [SparseMap(p, size, tgt[i:j], src[i:j], coef[i:j])
                  for i, j in zip(cuts, cuts[1:])]
     return maps
@@ -164,19 +167,24 @@ def operator_degrees(trunc: TruncationSpec, maps: Sequence[SparseMap]
                      ) -> list[DegreeReport]:
     """Degree of each sparse map on the truncation, read from its entries
     with a nonzero coefficient, in slices of about _SLICE_TERMS entries:
-    one sum over (map, source, target) keys and one pass of weights each."""
+    one sum over the runs of equal (map, source, target) keys and one pass
+    of weights each."""
     size, w, e = trunc.size, trunc._int_weights, trunc.e
     for op in maps:
         if op.size != size:
             raise ValueError(f"map on {op.size} monomials, truncation has {size}")
     reports = []
     for lo, hi in _slices([op.coef.size for op in maps]):
-        # a (target, source) pair may repeat: its sum is tested for zero
-        keys, tgt, _ = sum_entries(
-            np.concatenate([k * size + op.src for k, op in enumerate(maps[lo:hi])]),
-            np.concatenate([op.tgt for op in maps[lo:hi]]),
-            np.concatenate([op.coef for op in maps[lo:hi]]), trunc.model.p)
-        at, src = np.divmod(keys, size)
+        # a map's entries are sorted by (source, target), so a repeated pair
+        # is a run of equal keys, whose sum is tested for zero
+        block = maps[lo:hi]
+        owner = np.repeat(np.arange(hi - lo), [op.coef.size for op in block])
+        keys = ((owner * size + np.concatenate([op.src for op in block])) * size
+                + np.concatenate([op.tgt for op in block]))
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        sums = np.add.reduceat(np.concatenate([op.coef for op in block]), first)
+        at, src, tgt = np.unravel_index(keys[first[sums % trunc.model.p != 0]],
+                                        (hi - lo, size, size))
         least = np.full(hi - lo, trunc.W)  # above every w[tgt] - w[src]
         np.minimum.at(least, at, w[tgt] - w[src])
         hit = np.zeros((hi - lo, size), dtype=bool)
