@@ -203,7 +203,6 @@ def operator_degrees(trunc: TruncationSpec, maps: Sequence[SparseMap]
 # ---------------------------------------------------------------------------
 
 
-
 class LocallyConstantFunction:
     """F_p-valued function on G factoring through coordinates mod p^s."""
 
