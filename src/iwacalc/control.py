@@ -28,7 +28,7 @@ import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, integer_array, sum_entries
-from .operators import divided_power_maps
+from .operators import divided_power_map, divided_power_maps
 from .padic import (
     AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, power, val_add,
     val_min,
@@ -208,8 +208,10 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
     t = I.trunc
     if H.model is not t.model:
         raise ModelError("subgroup belongs to a different model")
-    out = []
-    for i in _stability_mask(H):
+    out, mask = [], _stability_mask(H)
+    # the del_i of the mask in one build, which `_escape` reads from the cache
+    divided_power_maps(t, [_unit_exponent(t.model.rank, i) for i in mask])
+    for i in mask:
         hit = _escape(I, i)
         if hit is not None:
             k, res = hit
@@ -232,9 +234,7 @@ def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
     if i in I._escapes:
         return I._escapes[i]
     t = I.trunc
-    # every del_j in one build: a closure check usually visits each direction
-    d_i = divided_power_maps(t, [_unit_exponent(t.model.rank, j)
-                                 for j in range(t.model.rank)])[i]
+    d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
     R = I.reduced
     at, cols, coefs = I._block_residual(*d_i.apply_entries(R.src, R.tgt, R.coef))
     hit = None
@@ -258,6 +258,7 @@ def controller_approx(I: IdealSpan) -> SubgroupSpec:
     chosen basis; non-aligned subgroups are not searched.
     """
     model = I.trunc.model
+    divided_power_maps(I.trunc, [_unit_exponent(model.rank, i) for i in range(model.rank)])
     exps = [0 if _escape(I, i) is not None else 1 for i in range(model.rank)]
     return subgroup_from_exponents(model, exps)
 

@@ -57,9 +57,8 @@ def _slices(terms) -> list[tuple[int, int]]:
     """Runs (lo, hi) of consecutive items, item k of terms[k] terms, cut where
     the running total passes a multiple of _SLICE_TERMS, so that the memory
     of a divided-power build, a degree pass or a Mahler box follows the run."""
-    terms = np.asarray(terms, dtype=np.int64)
     cuts = np.flatnonzero(np.diff((np.cumsum(terms) - terms) // _SLICE_TERMS,
-                                  prepend=-1)).tolist() + [terms.size]
+                                  prepend=-1)).tolist() + [len(terms)]
     return list(zip(cuts, cuts[1:]))
 
 
@@ -87,11 +86,8 @@ def divided_power_maps(trunc: TruncationSpec,
                        alphas: Iterable[Sequence[int]]) -> list[SparseMap]:
     """del^(alpha) for each alpha of `alphas`, cached on the truncation; those
     not cached yet come from one `_divided_powers` call."""
-    alphas = [_operator_index(trunc, a) for a in alphas]
-    new = [a for a in dict.fromkeys(alphas) if ("dp", a) not in trunc._op_cache]
-    if new:
-        trunc._op_cache.update(zip([("dp", a) for a in new], _divided_powers(trunc, new)))
-    return [trunc._op_cache["dp", a] for a in alphas]
+    return trunc.cached_maps([("dp", _operator_index(trunc, a)) for a in alphas],
+                             lambda keys: _divided_powers(trunc, [a for _, a in keys]))
 
 
 def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
@@ -103,22 +99,24 @@ def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
     # past the largest exponent every C(B_i, alpha_i) is 0, as one past it
     A = np.minimum(np.array(alphas, dtype=np.int64), len(pascal) - 1)
     nonzero = pascal != 0
-    # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
-    # C(alpha, k), the signed binomials of alpha unsigned; the slices read
-    # only their coefficients, the codes of k - alpha and where each alpha's
-    # terms start
-    owner, k, signed = trunc._signed_binomials(A)
-    k -= A[owner]
-    scale = np.where(k.sum(axis=1) % 2, p - signed, signed)
-    shift = k @ trunc._radix
-    starts = np.searchsorted(owner, np.arange(len(A) + 1))
-    del owner, k, signed
     # a source b^B has B >= alpha, so B - alpha weighs less than the cutoff
     # minus the weight of alpha; each source has one entry per offset
     weights = A @ np.array([int(w * trunc.e) for w in trunc.omega])
     bound = np.searchsorted(trunc._int_weights, trunc.W - weights)
+    # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
+    # C(alpha, k), the signed binomials of alpha unsigned, of which the slices
+    # read only the coefficients, the codes of k - alpha and where each
+    # alpha's terms start; an alpha with no source is not expanded
+    E = A * (bound > 0)[:, None]
+    owner, k, signed = trunc._signed_binomials(E)
+    k -= E[owner]
+    scale = np.where(k.sum(axis=1) % 2, p - signed, signed)
+    shift = k @ trunc._radix
+    starts = np.searchsorted(owner, np.arange(len(A) + 1))
+    del owner, k, signed
     maps = []
-    for lo, hi in _slices(bound * np.diff(starts)):
+    # each alpha also holds a row of `size` flags, counted as size / 8 terms
+    for lo, hi in _slices(bound * np.diff(starts) + size // 8 + 1):
         # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p
         live = np.ones((hi - lo, size), dtype=bool)
         for a, col in zip(A[lo:hi].T, exps.T):
@@ -174,7 +172,8 @@ def operator_degrees(trunc: TruncationSpec, maps: Sequence[SparseMap]
         if op.size != size:
             raise ValueError(f"map on {op.size} monomials, truncation has {size}")
     reports = []
-    for lo, hi in _slices([op.coef.size for op in maps]):
+    # each map also holds a row of `size` flags, counted as size / 8 terms
+    for lo, hi in _slices([op.coef.size + size // 8 + 1 for op in maps]):
         # a map's entries are sorted by (source, target), so a repeated pair
         # is a run of equal keys, whose sum is tested for zero
         block = maps[lo:hi]

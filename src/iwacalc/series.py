@@ -102,7 +102,7 @@ class TruncationSpec:
         self._code_order = np.argsort(self._codes)
         self._sorted_codes = self._codes[self._code_order]
         self._op_cache: dict = {}  # every SparseMap, see `cached_map`
-        self._signed_rows = None  # see `_signed_binomials`
+        self._signed_rows = signed_binomial_rows(-1, model.p)
 
     # -- basic structure ----------------------------------------------------
 
@@ -141,12 +141,13 @@ class TruncationSpec:
 
     def _signed_binomials(self, exps) -> tuple:
         """`padic.signed_binomials` of the exponent rows `exps`: the group
-        expansions of their b^a.  The table, built on first use, grows to the
-        largest exponent asked for."""
+        expansions of their b^a.  The table reaches the largest basis
+        exponent and grows for a row beyond it."""
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         top = int(exps.max(initial=0))
-        if self._signed_rows is None or top >= self._signed_rows[0].size - 1:
-            self._signed_rows = signed_binomial_rows(top, self.model.p)
+        if top >= self._signed_rows[0].size - 1:
+            self._signed_rows = signed_binomial_rows(
+                max(self.max_exponents + (top,)), self.model.p)
         return signed_binomials(self._signed_rows, exps, self.model.p)
 
     def _embed_rows(self, coords) -> np.ndarray:
@@ -204,10 +205,15 @@ class TruncationSpec:
 
     def cached_map(self, key, build) -> "SparseMap":
         """The operator stored under `key`, from `build()` on first use."""
-        hit = self._op_cache.get(key)
-        if hit is None:
-            hit = self._op_cache[key] = build()
-        return hit
+        return self.cached_maps([key], lambda _: [build()])[0]
+
+    def cached_maps(self, keys, build) -> list:
+        """The operators stored under `keys`; those not stored yet come from
+        one `build(missing keys)` call, which returns their maps in order."""
+        new = [k for k in dict.fromkeys(keys) if k not in self._op_cache]
+        if new:
+            self._op_cache.update(zip(new, build(new)))
+        return [self._op_cache[k] for k in keys]
 
     # -- generator maps -----------------------------------------------------
 

@@ -329,6 +329,29 @@ def test_divided_power_sweep_memory_follows_the_slice():
     assert peak < 2_000_000
 
 
+def test_light_divided_power_blocks_keep_slices_small():
+    # the heaviest basis indices have few sources and offsets, and the 2197
+    # indices past the basis none, yet each map holds a row of `size` flags
+    # in the build and in the degree pass: the slices must count those rows
+    t = TruncationSpec(load_abelian(3, 3, 4, ["1", "1", "1"]), 16)
+    top = max(t.max_exponents)
+    heavy = [a for a in t.basis if t.weight(a) >= 14]
+    past = [tuple(top + 1 + v for v in a) for a in np.ndindex(13, 13, 13)]
+    tracemalloc.start()
+    try:
+        maps = divided_power_maps(t, heavy + past)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        reports = operator_degrees(t, maps)
+        kept_after, peak_degrees = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(m.coef.size for m in maps[len(heavy):])
+    assert [r.value() for r in reports[:len(heavy)]] == [-t.weight(a) for a in heavy]
+    assert all(r.resolved is None for r in reports[len(heavy):])
+    assert peak - kept < 1_000_000 and peak_degrees - kept_after < 1_000_000
+
+
 @pytest.mark.parametrize("name", ["abelian2", "heis", "e4"])
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
