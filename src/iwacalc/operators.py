@@ -104,16 +104,18 @@ def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
     weights = A @ np.array([int(w * trunc.e) for w in trunc.omega])
     bound = np.searchsorted(trunc._int_weights, trunc.W - weights)
     # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
-    # C(alpha, k), the signed binomials of alpha unsigned, of which the slices
-    # read only the coefficients, the codes of k - alpha and where each
+    # C(alpha, k) nonzero, expanded by `signed_binomials` from the nonzero
+    # entries of the Pascal table row by row, so with no signs; the slices
+    # read only their coefficients, the codes of k - alpha and where each
     # alpha's terms start; an alpha with no source is not expanded
     E = A * (bound > 0)[:, None]
-    owner, k, signed = trunc._signed_binomials(E)
+    m, c = np.nonzero(nonzero)
+    owner, k, scale = signed_binomials(
+        (np.searchsorted(m, np.arange(len(pascal) + 1)), c, pascal[m, c]), E, p)
     k -= E[owner]
-    scale = np.where(k.sum(axis=1) % 2, p - signed, signed)
     shift = k @ trunc._radix
     starts = np.searchsorted(owner, np.arange(len(A) + 1))
-    del owner, k, signed
+    del owner, k
     maps = []
     # each alpha also holds a row of `size` flags, counted as size / 8 terms
     for lo, hi in _slices(bound * np.diff(starts) + size // 8 + 1):

@@ -101,7 +101,7 @@ class TruncationSpec:
         self._codes = self._exponents @ self._radix
         self._code_order = np.argsort(self._codes)
         self._sorted_codes = self._codes[self._code_order]
-        self._op_cache: dict = {}  # every SparseMap, see `cached_map`
+        self._op_cache: dict = {}  # every SparseMap, see `cached_maps`
         self._signed_rows = signed_binomial_rows(-1, model.p)
 
     # -- basic structure ----------------------------------------------------
