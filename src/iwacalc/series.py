@@ -205,7 +205,10 @@ class TruncationSpec:
 
     def cached_map(self, key, build) -> "SparseMap":
         """The operator stored under `key`, from `build()` on first use."""
-        return self.cached_maps([key], lambda _: [build()])[0]
+        hit = self._op_cache.get(key)
+        if hit is None:
+            hit = self._op_cache[key] = build()
+        return hit
 
     def cached_maps(self, keys, build) -> list:
         """The operators stored under `keys`; those not stored yet come from
