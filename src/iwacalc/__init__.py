@@ -16,19 +16,16 @@ from .padic import (
 from .rng import Pcg32
 from .groups import (
     AbelianModel, Automorphism, GroupElement, GroupModel, ModelError,
-    PValuation, SubgroupSpec, UnitriangularModel, deg_omega,
-    is_trivial_mod_centre, load_abelian, load_model, load_unitriangular,
-    subgroup_from_exponents, z_of_automorphism,
+    PValuation, SubgroupSpec, UnitriangularModel, deg_omega, load_abelian,
+    load_model, load_unitriangular, subgroup_from_exponents,
 )
 from .series import (
     TruncatedSeries, TruncationSpec, aut_extend, format_series, group_embed,
     parse_series, relative_normal_form, series_frobenius,
 )
 from .operators import (
-    DegreeReport, LocallyConstantFunction, coset_idempotent, divided_power,
-    function_from_mahler, mahler_coeff_aut, mahler_coeff_aut_central,
-    mahler_coeffs_function, operator_degree, reconstruct_aut, rho_apply,
-    rho_apply_mahler,
+    DegreeReport, coset_idempotent, divided_power, mahler_coeff_aut,
+    operator_degree, reconstruct_aut,
 )
 from .control import (
     CentralPrimeSpec, IdealSpan, completely_prime_probe, control_witnesses,

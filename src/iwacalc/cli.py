@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .control import (
     _SIDES, CentralPrimeSpec, _random_series, completely_prime_probe,
     control_witnesses, dagger_approx, ideal_span, induced_filtration,
-    is_controlled_by, zalesskii_check,
+    zalesskii_check,
 )
 from .groups import (
     Automorphism, GroupModel, ModelError, load_model, parse_fraction,

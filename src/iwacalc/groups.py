@@ -49,9 +49,9 @@ import numpy as np
 
 from .linalg import RowSpace, is_integer
 from .padic import (
-    AtLeast, PrecisionError, Val, eq_compatible, ge_refuted,
-    gt_provable, is_prime, poly_combine, poly_product_sum, power, residue_vp,
-    val_min, val_add, val_sub_exact,
+    AtLeast, Val, eq_compatible, ge_refuted, gt_provable, is_prime,
+    poly_combine, poly_product_sum, power, residue_vp, val_min, val_add,
+    val_sub_exact,
 )
 from .rng import Pcg32
 
@@ -307,7 +307,9 @@ class GroupModel:
             raise ModelError("omega must assign a value to each basis element")
         self.omega.check_p(self.p)
         basis = self.basis()
-        for i in range(self.rank):
+        # an abelian commutator is the identity, above every bound, though
+        # its valuation reads only as AtLeast(omega_i + M)
+        for i in range(self.rank if self.kind != "abelian" else 0):
             for j in range(i + 1, self.rank):
                 comm = self.commutator(basis[i], basis[j])
                 bound = self.omega.values[i] + self.omega.values[j]
@@ -371,10 +373,6 @@ class AbelianModel(GroupModel):
 
     def from_first_kind(self, mu: Sequence[int]) -> GroupElement:
         return self.element(list(mu))
-
-    def with_precision(self, precision: int) -> "AbelianModel":
-        centre = self.centre.exponents if self.centre else None
-        return AbelianModel(self.p, self.rank, precision, self.omega, centre)
 
 
 class UnitriangularModel(GroupModel):
@@ -525,11 +523,6 @@ class UnitriangularModel(GroupModel):
     def from_first_kind(self, mu: Sequence[int]) -> GroupElement:
         return GroupElement(self, tuple(_evaluate(
             self._from_first_kind_law, [x % self._pm for x in mu], self._pm)))
-
-    def with_precision(self, precision: int) -> "UnitriangularModel":
-        centre = self.centre.exponents if self.centre else None
-        return UnitriangularModel(self.p, self.size, precision, self._gens,
-                                  self.omega, centre)
 
 
 # ---------------------------------------------------------------------------
@@ -705,37 +698,6 @@ def deg_omega(phi: Automorphism) -> Val:
     if not terms:
         raise ModelError("degree estimate needs at least one non-identity sample")
     return val_min(terms)
-
-
-def is_trivial_mod_centre(phi: Automorphism, centre: SubgroupSpec) -> bool:
-    """Does phi move every basis element by a central factor only?"""
-    model = phi.model
-    for g in model.basis():
-        if not centre.contains(model.mul(phi.apply(g), model.inv(g))):
-            return False
-    return True
-
-
-def z_of_automorphism(phi: Automorphism, r: int) -> list[GroupElement]:
-    """p^r-th root of g |-> phi^{p^r}(g) g^{-1}, one image per basis element.
-
-    The root divides coordinates by p^r, so the images live in a copy of the
-    model at precision M - r; r <= M - 1 is required, and a coordinate that
-    is not divisible by p^r raises PrecisionError.
-    """
-    model = phi.model
-    if r < 0 or r > model.precision - 1:
-        raise PrecisionError(f"need 0 <= r <= M - 1 = {model.precision - 1}, got {r}")
-    reduced = model.with_precision(model.precision - r) if r else model
-    q = model.p ** r
-    power = phi.power(q)
-    out = []
-    for g in model.basis():
-        c = model.mul(power.apply(g), model.inv(g))
-        if any(lam % q for lam in c.coords):
-            raise PrecisionError(f"coordinates {c.coords} are not divisible by p^{r}")
-        out.append(reduced.element([lam // q for lam in c.coords]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Divided-power operators, Mahler calculus and coset idempotents.
+"""Divided-power operators, Mahler coefficients of automorphisms and coset
+idempotents.
 
 Every operator here is a `SparseMap` on a TruncationSpec's monomial space:
-(target, source, coefficient) arrays over F_p, sorted by source, applied to
-a coefficient vector.  Operators compose (`SparseMap.compose`) and combine
-linearly (`SparseMap.combine`) as sparse maps, into canonical maps that
-compare equal exactly when the operators are equal.  The divided powers
-are cached as such maps, one per truncation and index, built a block at a
-time from the closed formula below (`divided_power_maps`), and their degrees
-are read a block at a time (`operator_degrees`); the coset idempotents are
-polynomials in them.
+(target, source, coefficient) arrays over F_p, sorted by (source, target),
+applied to a coefficient vector.  Operators compose (`SparseMap.compose`)
+and combine linearly (`SparseMap.combine`) as sparse maps, into canonical
+maps that compare equal exactly when the operators are equal.  The divided
+powers are cached as such maps, one per truncation and index, built a block
+at a time from the closed formula below (`divided_power_maps`), and their
+degrees are read a block at a time (`operator_degrees`); the coset
+idempotents are polynomials in them.
 
 The divided power del^(a) acts by the closed formula
 
@@ -21,10 +22,8 @@ maps against the formula applied term by term.
 
 Mahler coefficients of an automorphism phi are the series <phi, del^(a)>
 in the expansion  phi = sum_a  (left mult by <phi, del^(a)>) o del^(a).
-The primary computation is always the finite-difference one, over integer
-points below a: the group kernel of `series` applied to g |-> phi(g) g^{-1};
-the product closed form, valid when phi moves every basis element by a
-central factor, is kept separate as a cross-check.
+They are computed one way, by finite differences over the integer points
+below a: the group kernel of `series` applied to g |-> phi(g) g^{-1}.
 """
 
 from __future__ import annotations
@@ -36,14 +35,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import Automorphism, ModelError, SubgroupSpec, is_trivial_mod_centre
+from .groups import Automorphism, ModelError, SubgroupSpec
 from .padic import (
-    AtLeast, MultiIndex, Val, comb_mod, mi_range, power, signed_binomial_rows,
-    signed_binomials, val_min, val_sub_exact,
+    AtLeast, MultiIndex, Val, power, signed_binomials, val_min, val_sub_exact,
 )
-from .series import (
-    SparseMap, TruncatedSeries, TruncationSpec, group_embed,
-)
+from .series import SparseMap, TruncatedSeries, TruncationSpec
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +52,7 @@ _SLICE_TERMS = 2048  # terms built or read at a time, see `_slices`
 def _slices(terms) -> list[tuple[int, int]]:
     """Runs (lo, hi) of consecutive items, item k of terms[k] terms, cut where
     the running total passes a multiple of _SLICE_TERMS, so that the memory
-    of a divided-power build, a degree pass or a Mahler box follows the run."""
+    of a divided-power build or a degree pass follows the run."""
     cuts = np.flatnonzero(np.diff((np.cumsum(terms) - terms) // _SLICE_TERMS,
                                   prepend=-1)).tolist() + [len(terms)]
     return list(zip(cuts, cuts[1:]))
@@ -101,7 +97,7 @@ def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
     nonzero = pascal != 0
     # a source b^B has B >= alpha, so B - alpha weighs less than the cutoff
     # minus the weight of alpha; each source has one entry per offset
-    weights = A @ np.array([int(w * trunc.e) for w in trunc.omega])
+    weights = A @ trunc._int_omega
     bound = np.searchsorted(trunc._int_weights, trunc.W - weights)
     # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
     # C(alpha, k) nonzero, expanded by `signed_binomials` from the nonzero
@@ -200,89 +196,6 @@ def operator_degrees(trunc: TruncationSpec, maps: Sequence[SparseMap]
 
 
 # ---------------------------------------------------------------------------
-# Locally constant functions on the group
-# ---------------------------------------------------------------------------
-
-
-class LocallyConstantFunction:
-    """F_p-valued function on G factoring through coordinates mod p^s."""
-
-    def __init__(self, p: int, rank: int, s: int, table: dict):
-        self.p = p
-        self.rank = rank
-        self.s = s
-        self.box = p ** s
-        size = self.box ** rank
-        if len(table) != size:
-            raise ValueError(f"table must cover all {size} residue vectors")
-        self.table = {tuple(k): v % p for k, v in table.items()}
-
-    def __call__(self, lam: Sequence[int]) -> int:
-        return self.table[tuple(v % self.box for v in lam)]
-
-
-def mahler_coeffs_function(f: LocallyConstantFunction) -> dict:
-    """Forward differences at zero: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a,b) f(b).
-
-    The box is expanded in slices of consecutive rows a (`_slices`), so
-    that memory follows the slice and not the whole (p^s)^rank box."""
-    p = f.p
-    box = list(mi_range((f.box - 1,) * f.rank))
-    values = np.array([f.table[b] for b in box], dtype=np.int64)
-    table = signed_binomial_rows(f.box - 1, p)
-    exps = np.array(box, dtype=np.int64).reshape(len(box), f.rank)
-    # b <= a < box, so its lexicographic code in the box is its place in `box`
-    radix = f.box ** np.arange(f.rank - 1, -1, -1, dtype=np.int64)
-    acc = np.zeros(len(box), dtype=np.int64)
-    # the terms of row a: one per entry of each of its table rows
-    for lo, hi in _slices(np.prod(np.diff(table[0])[exps], axis=1)):
-        owner, b, signs = signed_binomials(table, exps[lo:hi], p)
-        acc[lo:hi] = np.add.reduceat(signs * values[b @ radix] % p,
-                                     np.searchsorted(owner, np.arange(hi - lo))) % p
-    return {box[n]: int(acc[n]) for n in np.flatnonzero(acc).tolist()}
-
-
-def function_from_mahler(coeffs: dict, lam: Sequence[int], p: int) -> int:
-    """Evaluate sum_a C_a * C(lam, a); inverse of mahler_coeffs_function."""
-    acc = 0
-    for a, c in coeffs.items():
-        term = c
-        for li, ai in zip(lam, a):
-            term = term * comb_mod(li, ai, p) % p
-        acc += term
-    return acc % p
-
-
-def rho_apply(trunc: TruncationSpec, f: LocallyConstantFunction,
-              x: TruncatedSeries) -> TruncatedSeries:
-    """The multiplier  g |-> f(g) g  extended to the algebra, via the group
-    expansion (the reference route)."""
-    if x.trunc is not trunc:
-        raise ValueError("series from a different truncation")
-    if f.rank != trunc.model.rank or f.p != trunc.model.p:
-        raise ValueError("function does not match the model")
-    p = trunc.model.p
-    exps, coefs = list(x.coeffs), np.array(list(x.coeffs.values()), dtype=np.int64)
-    owner, c, signs = trunc._signed_binomials(exps)
-    # merge the terms per g^c; each c is a basis monomial
-    _, first, at = np.unique(c @ trunc._radix, return_index=True, return_inverse=True)
-    weights = np.zeros(first.size, dtype=np.int64)
-    np.add.at(weights, at, coefs[owner] * signs % p)
-    distinct = c[first]
-    values = np.array([f(g) for g in distinct.tolist()], dtype=np.int64)
-    return trunc.from_vector(weights % p * values % p @ trunc._embed_rows(distinct))
-
-
-def rho_apply_mahler(trunc: TruncationSpec, f: LocallyConstantFunction,
-                     x: TruncatedSeries) -> TruncatedSeries:
-    """Same multiplier through the Mahler expansion: sum_a C_a(f) del^(a)(x)."""
-    out = trunc.zero()
-    for a, c in mahler_coeffs_function(f).items():
-        out = out + divided_power(trunc, a, x).scale(c)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Mahler coefficients of automorphisms
 # ---------------------------------------------------------------------------
 
@@ -298,32 +211,8 @@ def _mahler_rows(trunc: TruncationSpec, phi: Automorphism, alphas) -> np.ndarray
 
 def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
                      alpha: Sequence[int]) -> TruncatedSeries:
-    """<phi, del^(alpha)> by finite differences (`_mahler_rows`), the primary
-    route for every automorphism."""
+    """<phi, del^(alpha)> by finite differences (`_mahler_rows`)."""
     return trunc.from_vector(_mahler_rows(trunc, phi, [_operator_index(trunc, alpha)])[0])
-
-
-def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
-                             alpha: Sequence[int]) -> TruncatedSeries:
-    """Closed form  prod_i (phi(g_i) g_i^{-1} - 1)^{a_i},  valid when every
-    basis displacement is central.  Kept separate from the finite-difference
-    route so the two can be compared."""
-    alpha = _operator_index(trunc, alpha)
-    model = trunc.model
-    if model.kind != "abelian":
-        if model.centre is None:
-            raise ModelError("need a declared centre to certify the closed form")
-        if not is_trivial_mod_centre(phi, model.centre):
-            raise ModelError("closed form needs phi trivial mod the centre")
-    one = trunc.one()
-    out = one
-    for i, g in enumerate(model.basis()):
-        if not alpha[i]:
-            continue
-        moved = model.mul(phi.apply(g), model.inv(g))
-        factor = group_embed(trunc, moved) - one
-        out = out * factor.pow(alpha[i])
-    return out
 
 
 def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,

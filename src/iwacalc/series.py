@@ -67,10 +67,11 @@ class TruncationSpec:
         self.precision = model.precision
         self.cutoff = Fraction(W, self.e)
         self.omega = model.omega.values
-        # omega lies in (1/e)Z, so e * weight is an integer and the cutoff
-        # is W: grow exponent prefixes one coordinate at a time below it
+        # omega lies in (1/e)Z, so e * omega is integral and the cutoff is W
+        self._int_omega = np.array([int(w * self.e) for w in self.omega], dtype=np.int64)
+        # grow exponent prefixes one coordinate at a time below the cutoff
         pairs = [(0, ())]
-        for w in (int(w * self.e) for w in self.omega):
+        for w in self._int_omega.tolist():
             pairs = [(s + k * w, a + (k,)) for s, a in pairs
                      for k in range((W - 1 - s) // w + 1)]
         pairs.sort()
@@ -240,7 +241,7 @@ class TruncationSpec:
             outside = list(range(j + 1, model.rank) if side == "right" else range(j))
         moved = self._exponents[:, outside].any(axis=1)
         shift = np.flatnonzero(~moved & (
-            self._int_weights + int(self.omega[j] * self.e) < self.W))
+            self._int_weights + self._int_omega[j] < self.W))
 
         def image(cs):
             # g^c g_j = g^(c + e_j) when c has no letter outside

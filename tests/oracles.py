@@ -23,12 +23,18 @@ and `dense_closure` closes a span under maps of dense vectors with it,
 `format_reference` writes a sparse polynomial term by term, and
 `mahler_coeff_aut_reference` takes finite differences over every point of
 the box below alpha with one `comb_mod` per coordinate;
-`mahler_coeffs_function_reference` and `rho_apply_reference` expand
-through `signed_binomials_reference` one term at a time.  `MatrixRoute`
+`mahler_coeff_aut_central` is the closed form of the same coefficients,
+a product of series, for an automorphism that `is_trivial_mod_centre`.
+`rho_apply_reference` applies the multiplier g |-> f(g) g of a
+`LocallyConstantFunction` f, expanding through
+`signed_binomials_reference` one term at a time, so it shares no kernel
+with the coset idempotents; `coset_indicator` tabulates the indicator of a
+coset mod p^level with `function_from_callable`.  `z_of_automorphism`
+takes the p^r-th root of g |-> phi^{p^r}(g) g^{-1} coordinate by
+coordinate, in a model loaded afresh at precision M - r.  `MatrixRoute`
 computes a unitriangular group law with numeric matrix logs
 and exps, element by element, where the model evaluates polynomials
-compiled at load.  `coset_indicator` tabulates the indicator of a coset
-mod p^level with `function_from_callable`."""
+compiled at load."""
 
 from __future__ import annotations
 
@@ -40,12 +46,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from iwacalc.groups import (
-    Automorphism, UnitriangularModel, _mat_id, _mat_inv_mod, _mat_mul,
+    Automorphism, GroupElement, ModelError, SubgroupSpec, UnitriangularModel,
+    _mat_id, _mat_inv_mod, _mat_mul, load_abelian, load_unitriangular,
 )
 from iwacalc.control import IdealSpan
 from iwacalc.linalg import RowSpace, integer_array
-from iwacalc.operators import LocallyConstantFunction, _operator_index, divided_power_map
-from iwacalc.padic import MultiIndex, comb_mod, mi_range
+from iwacalc.operators import _operator_index, divided_power_map
+from iwacalc.padic import MultiIndex, PrecisionError, comb_mod, mi_range
 from iwacalc.series import SparseMap, TruncatedSeries, TruncationSpec, group_embed
 
 
@@ -104,6 +111,23 @@ def intersect_coordinate_subspace(rows, p: int, keep: list[int]) -> np.ndarray:
     hits = [i for i, c in enumerate(pivots) if c >= cut]
     final, _ = rref(reduced[hits][:, np.argsort(order)], p)
     return final
+
+
+class LocallyConstantFunction:
+    """F_p-valued function on G factoring through coordinates mod p^s."""
+
+    def __init__(self, p: int, rank: int, s: int, table: dict):
+        self.p = p
+        self.rank = rank
+        self.s = s
+        self.box = p ** s
+        size = self.box ** rank
+        if len(table) != size:
+            raise ValueError(f"table must cover all {size} residue vectors")
+        self.table = {tuple(k): v % p for k, v in table.items()}
+
+    def __call__(self, lam: Sequence[int]) -> int:
+        return self.table[tuple(v % self.box for v in lam)]
 
 
 def function_from_callable(p: int, rank: int, s: int, fn) -> LocallyConstantFunction:
@@ -459,17 +483,6 @@ def mahler_coeff_aut_reference(trunc: TruncationSpec, phi: Automorphism,
     return trunc.from_vector(acc)
 
 
-def mahler_coeffs_function_reference(f) -> dict:
-    """Forward differences at zero of a locally constant function, one
-    point at a time: C_a(f) = sum_{b <= a} (-1)^{|a-b|} C(a, b) f(b)."""
-    out = {}
-    for a in mi_range((f.box - 1,) * f.rank):
-        acc = sum(s * f(b) for b, s in signed_binomials_reference(a, f.p)) % f.p
-        if acc:
-            out[a] = acc
-    return out
-
-
 def rho_apply_reference(trunc: TruncationSpec, f, x: TruncatedSeries) -> TruncatedSeries:
     """The multiplier g |-> f(g) g on x, term by term: each b^a expanded into
     group elements g^c, each weighted by f(c) and embedded by the Mahler
@@ -482,6 +495,66 @@ def rho_apply_reference(trunc: TruncationSpec, f, x: TruncatedSeries) -> Truncat
             for k, b in enumerate(trunc.basis):
                 acc[k] += w * math.prod(comb_mod(ci, bi, p) for ci, bi in zip(c, b))
     return trunc.from_vector(np.array([v % p for v in acc], dtype=np.int64))
+
+
+def is_trivial_mod_centre(phi: Automorphism, centre: SubgroupSpec) -> bool:
+    """Does phi move every basis element by a central factor only?"""
+    model = phi.model
+    for g in model.basis():
+        if not centre.contains(model.mul(phi.apply(g), model.inv(g))):
+            return False
+    return True
+
+
+def mahler_coeff_aut_central(trunc: TruncationSpec, phi: Automorphism,
+                             alpha: Sequence[int]) -> TruncatedSeries:
+    """Closed form  prod_i (phi(g_i) g_i^{-1} - 1)^{a_i},  valid when every
+    basis displacement is central: a product of series, where
+    `mahler_coeff_aut` takes finite differences."""
+    alpha = _operator_index(trunc, alpha)
+    model = trunc.model
+    if model.kind != "abelian":
+        if model.centre is None:
+            raise ModelError("need a declared centre to certify the closed form")
+        if not is_trivial_mod_centre(phi, model.centre):
+            raise ModelError("closed form needs phi trivial mod the centre")
+    one = trunc.one()
+    out = one
+    for i, g in enumerate(model.basis()):
+        if not alpha[i]:
+            continue
+        moved = model.mul(phi.apply(g), model.inv(g))
+        factor = group_embed(trunc, moved) - one
+        out = out * factor.pow(alpha[i])
+    return out
+
+
+def z_of_automorphism(phi: Automorphism, r: int) -> list[GroupElement]:
+    """p^r-th root of g |-> phi^{p^r}(g) g^{-1}, one image per basis element.
+
+    The root divides coordinates by p^r, so the images live in a copy of the
+    model at precision M - r, loaded afresh; r <= M - 1 is required, and a
+    coordinate that is not divisible by p^r raises PrecisionError.
+    """
+    model = phi.model
+    if r < 0 or r > model.precision - 1:
+        raise PrecisionError(f"need 0 <= r <= M - 1 = {model.precision - 1}, got {r}")
+    reduced = model
+    if r:
+        centre = model.centre.exponents if model.centre else None
+        omega, e, M = model.omega.values, model.omega.e, model.precision - r
+        reduced = (load_abelian(model.p, model.rank, M, omega, e, centre)
+                   if model.kind == "abelian" else
+                   load_unitriangular(model.p, model.size, M, model._gens, omega, e, centre))
+    q = model.p ** r
+    power = phi.power(q)
+    out = []
+    for g in model.basis():
+        c = model.mul(power.apply(g), model.inv(g))
+        if any(lam % q for lam in c.coords):
+            raise PrecisionError(f"coordinates {c.coords} are not divisible by p^{r}")
+        out.append(reduced.element([lam // q for lam in c.coords]))
+    return out
 
 
 def escapes_reference(I: IdealSpan, i: int) -> np.ndarray:

@@ -14,13 +14,15 @@ from iwacalc import (
     completely_prime_probe, control_witnesses, controller_approx,
     coset_idempotent, deg_omega, divided_power, eq_compatible,
     flatness_check, ge_provable, group_embed, ideal_span, is_controlled_by,
-    mahler_coeff_aut, mahler_coeff_aut_central, mi_range, moore_det_check,
+    mahler_coeff_aut, mi_range, moore_det_check,
     multi_binom_mod_p, reconstruct_aut, subalgebra_monomials,
     subgroup_from_exponents, zalesskii_check, zeta_convergence, zeta_eval,
 )
 from iwacalc.padic import mi_weight
 
-from oracles import OperatorMatrix, divided_power_matrix, map_matrix
+from oracles import (
+    OperatorMatrix, divided_power_matrix, mahler_coeff_aut_central, map_matrix,
+)
 
 
 class Budget:

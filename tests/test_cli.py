@@ -309,6 +309,21 @@ def test_main_exit_zero(tmp_path, capsys):
     assert set(records[0]) == {"task", "status", "metrics", "witnesses"}
 
 
+def test_main_runs_an_abelian_model_at_low_precision(tmp_path, capsys):
+    # at M = 2 the commutator of g_1 and g_2 reads only as >= 3 = omega_1 +
+    # omega_2, which an abelian model does not need to decide
+    doc = {"p": 3, "model": {"kind": "abelian", "rank": 2}, "omega": ["1", "2"],
+           "truncation": {"W": 3, "M": 2}, "seed": 5, "tasks": [
+               {"name": "verify-operators", "samples": 4},
+               {"name": "control-check", "ideal": {"generators": ["b1"]},
+                "subgroup": [0, 1], "expect": "controlled"},
+               {"name": "dagger", "ideal": {"generators": ["b1"]}, "depth": 1,
+                "expect_cosets": [[0, 0], [1, 0], [2, 0]]}]}
+    assert main(["run", write_doc(tmp_path, "low.json", doc)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["status"] for r in records] == ["pass"] * 3
+
+
 def test_main_exit_zero_with_skips(tmp_path, capsys):
     doc = {
         "p": 5,

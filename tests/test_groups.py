@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, ModelError, PrecisionError, SubgroupSpec,
-    deg_omega, eq_compatible, ge_refuted, is_trivial_mod_centre, load_abelian,
-    load_model, load_unitriangular, subgroup_from_exponents, val_add, val_min,
-    z_of_automorphism,
+    deg_omega, eq_compatible, ge_refuted, load_abelian, load_model,
+    load_unitriangular, subgroup_from_exponents, val_add, val_min,
 )
 from iwacalc.padic import residue_vp
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators, u4_generators
-from oracles import MatrixRoute, mat_pow
+from oracles import MatrixRoute, is_trivial_mod_centre, mat_pow, z_of_automorphism
 
 
 def test_abelian_arithmetic(abelian2):
@@ -61,6 +60,14 @@ def test_omega_validation_names_precision_when_undecided():
     assert "precision M=4" in message and "a larger M would decide it" in message
     model = load_unitriangular(5, 4, 8, gens, omega)
     assert model.rank == 6
+
+
+def test_abelian_models_load_at_low_precision():
+    # an abelian commutator is the identity, whose valuation reads only as
+    # AtLeast(omega_i + M): at M = 1 and omega = (1, 1) that is >= 2, and at
+    # M = 2 and omega = (1, 2) it is >= 3, neither provably above the sum
+    assert load_abelian(3, 2, 1, ["1", "1"]).precision == 1
+    assert load_abelian(3, 2, 2, ["1", "2"]).precision == 2
 
 
 def test_abelian_model_with_empty_basis_is_rejected():

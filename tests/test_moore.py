@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, FpPolynomial, ModelError, PrecisionError,
-    ValuedFraction, ZetaExperiment, abelian_matrix_log, divided_power,
-    format_fp_poly, group_embed, matrix_adjugate, matrix_det, moore_det_check,
-    moore_matrix, parse_series, projective_forms, zeta_convergence, zeta_eval,
+    TruncationSpec, ValuedFraction, ZetaExperiment, abelian_matrix_log,
+    divided_power, format_fp_poly, group_embed, load_abelian, matrix_adjugate,
+    matrix_det, moore_det_check, moore_matrix, parse_series, projective_forms,
+    zeta_convergence, zeta_eval,
 )
 
-from oracles import format_reference
+from oracles import format_reference, z_of_automorphism
 
 
 def test_fp_polynomial_arithmetic():
@@ -196,6 +197,23 @@ def test_zeta_experiment_setup(tzeta):
     assert len(exp.test_monomials) == 4
     with pytest.raises(ValueError):
         ZetaExperiment(tzeta, phi, test_monomials=[])
+
+
+@pytest.mark.parametrize("rows", [[[4]], [[1, 3], [3, 1]]])
+def test_zeta_log_route_matches_z_of_automorphism(rows):
+    # z(g_i) from the exact log U of phi's matrix A against the p^r-th root
+    # of g |-> phi^{p^r}(g) g^-1: (A^q - I)/q = U + q U^2/2 + ... with
+    # q = p^r and U = 0 mod p, and the root is known mod p^(M - r); r runs
+    # up to M - 1, where the root lives in a model of precision 1
+    p, M, d = 3, 6, len(rows)
+    model = load_abelian(p, d, M, ["1"] * d)
+    phi = Automorphism.linear_on_log(model, rows)
+    exp = ZetaExperiment(TruncationSpec(model, 8), phi)
+    for r in range(M):
+        q = p ** min(r + 1, M - r)
+        for i, z in enumerate(z_of_automorphism(phi, r)):
+            assert z.model.precision == M - r
+            assert [c % q for c in z.coords] == [exp.log[k][i] % q for k in range(d)]
 
 
 def test_zeta_eval_approximates_the_derivation(tzeta):

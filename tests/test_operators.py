@@ -17,13 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
-    AtLeast, Automorphism, LocallyConstantFunction, ModelError, aut_extend,
-    comb_mod, coset_idempotent, divided_power, format_series,
-    function_from_mahler, ge_provable, group_embed, gt_provable,
-    mahler_coeff_aut, mahler_coeff_aut_central, mahler_coeffs_function,
-    is_prime, mi_range, mi_weight, multi_binom_mod_p, operator_degree,
-    parse_series,
-    reconstruct_aut, rho_apply, rho_apply_mahler, subgroup_from_exponents,
+    AtLeast, Automorphism, ModelError, aut_extend, comb_mod, coset_idempotent,
+    divided_power, format_series, ge_provable, group_embed, gt_provable,
+    mahler_coeff_aut, is_prime, mi_range, mi_weight, multi_binom_mod_p,
+    operator_degree, parse_series, reconstruct_aut, subgroup_from_exponents,
 )
 from iwacalc.control import ideal_span
 from iwacalc.linalg import sum_entries
@@ -35,10 +32,10 @@ from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec
 
 from oracles import (
-    OperatorMatrix, aut_matrix, coset_indicator, dense, divided_power_matrix,
-    divided_power_reference, function_from_callable, lmul_matrix,
-    mahler_coeff_aut_reference, mahler_coeffs_function_reference, map_matrix,
-    operator_matrix, rho_apply_reference, sparse_of,
+    LocallyConstantFunction, OperatorMatrix, aut_matrix, coset_indicator, dense,
+    divided_power_matrix, divided_power_reference, function_from_callable,
+    lmul_matrix, mahler_coeff_aut_central, mahler_coeff_aut_reference,
+    map_matrix, operator_matrix, rho_apply_reference, sparse_of,
 )
 
 
@@ -492,43 +489,6 @@ def test_operator_degree_of_multiplication(trunc2):
     assert report.value() == AtLeast(Fraction(1))
 
 
-def test_mahler_coeffs_of_indicator():
-    f = coset_indicator(3, 1, 1, (0,))
-    assert mahler_coeffs_function(f) == {(0,): 1, (1,): 2, (2,): 1}
-
-
-def test_mahler_coeffs_invert(trunc2):
-    p = 3
-    rng = Pcg32(46)
-    for rank, s in [(1, 1), (2, 1), (1, 2)]:
-        box = p ** s
-        table = {a: rng.below(p) for a in mi_range((box - 1,) * rank)}
-        f = LocallyConstantFunction(p, rank, s, table)
-        coeffs = mahler_coeffs_function(f)
-        for lam in mi_range((box - 1,) * rank):
-            assert function_from_mahler(coeffs, lam, p) == f(lam)
-
-
-def test_multiplier_routes_agree(trunc2, trunc_heis):
-    for t, seed in [(trunc2, 47), (trunc_heis, 48)]:
-        p = t.model.p
-        d = t.model.rank
-        rng = Pcg32(seed)
-        table = {a: rng.below(p) for a in mi_range((p - 1,) * d)}
-        f = LocallyConstantFunction(p, d, 1, table)
-        for _ in range(6):
-            x = t.monomial(t.basis[rng.below(t.size)], 1 + rng.below(p - 1))
-            assert rho_apply(t, f, x) == rho_apply_mahler(t, f, x)
-
-
-def test_multiplier_rejects_series_from_another_truncation(abelian2):
-    t6, t8 = TruncationSpec(abelian2, 6), TruncationSpec(abelian2, 8)
-    f = coset_indicator(3, 2, 1, (1, 0))
-    for t, x in [(t6, t8.monomial((6, 1))), (t8, t6.monomial((1, 0)))]:
-        with pytest.raises(ValueError, match="series from a different truncation"):
-            rho_apply(t, f, x)
-
-
 def test_multiplier_is_an_algebra_map_on_functions(trunc2):
     # rho(f g) = rho(f) rho(g) for level-1 functions, as exact matrices
     t = trunc2
@@ -542,7 +502,7 @@ def test_multiplier_is_an_algebra_map_on_functions(trunc2):
         p, 2, 1, {a: tab1[a] * tab2[a] for a in tab1})
 
     def matrix_of(f):
-        return operator_matrix(t, lambda a: rho_apply(t, f, t.monomial(a)))
+        return operator_matrix(t, lambda a: rho_apply_reference(t, f, t.monomial(a)))
 
     assert matrix_of(f1) @ matrix_of(f2) == matrix_of(prod)
 
@@ -554,7 +514,7 @@ def test_multiplier_projection_formula(tzeta):
     for n in range(10):
         m = n // 3
         want = t.monomial((3 * m,), (-1) ** (n + m))
-        assert rho_apply(t, f, t.monomial((n,))) == want
+        assert rho_apply_reference(t, f, t.monomial((n,))) == want
 
 
 def test_mahler_coeff_aut_oracle(tzeta):
@@ -621,12 +581,11 @@ def test_mahler_coeff_aut_past_the_basis_keeps_distinct_points(abelian2):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_expansion_routes_match_oracles(abelian3, heis, u4, data):
-    """mahler_coeff_aut, rho_apply and mahler_coeffs_function, which expand
-    through the array kernel, against term-by-term routes."""
+    """mahler_coeff_aut, which expands through the array kernel, against
+    finite differences point by point."""
     model = data.draw(st.sampled_from([abelian3, heis, u4]))
     t = TruncationSpec(model, 8)  # fresh, so the table starts empty
-    p, d = model.p, model.rank
-    rng = Pcg32(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d = model.rank
     phi = (Automorphism.linear_on_log(model, [[1, 0, 0], [3, 1, 0], [0, 3, 1]])
            if model.kind == "abelian" else Automorphism.inner(model, model.basis()[0]))
     # up to two nonzero entries, reaching two past the largest basis exponent
@@ -634,41 +593,6 @@ def test_expansion_routes_match_oracles(abelian3, heis, u4, data):
     for i in data.draw(st.lists(st.integers(0, d - 1), max_size=2)):
         alpha[i] = data.draw(st.integers(0, max(t.max_exponents) + 2))
     assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
-    f = LocallyConstantFunction(p, d, 1, {a: rng.below(p) for a in mi_range((p - 1,) * d)})
-    x = t.zero()
-    for _ in range(data.draw(st.integers(0, 3))):
-        x = x + t.monomial(t.basis[rng.below(t.size)], 1 + rng.below(p - 1))
-    assert rho_apply(t, f, x) == rho_apply_reference(t, f, x)
-    # the whole box of a rank-6 function at p = 5 is 11 million terms, so
-    # the forward differences take at most three coordinates
-    rank, s = data.draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1)]))
-    box = p ** s
-    g = LocallyConstantFunction(p, rank, s, {a: rng.below(p)
-                                             for a in mi_range((box - 1,) * rank)})
-    assert mahler_coeffs_function(g) == mahler_coeffs_function_reference(g)
-
-
-@pytest.mark.parametrize("p,rank,s", [(3, 1, 5), (5, 2, 2), (3, 3, 2)])
-def test_mahler_box_slices_match_reference(p, rank, s):
-    """Boxes of 7,776, 50,625 and 46,656 terms, expanded across slices of
-    about 2,048."""
-    rng = Pcg32(rank)
-    f = LocallyConstantFunction(p, rank, s, {a: rng.below(p)
-                                             for a in mi_range((p ** s - 1,) * rank)})
-    assert mahler_coeffs_function(f) == mahler_coeffs_function_reference(f)
-
-
-def test_mahler_box_memory_follows_the_slice():
-    # rank 4 at p = 5: 50,625 terms, a peak of 7.4 MB when expanded at once
-    rng = Pcg32(4)
-    f = LocallyConstantFunction(5, 4, 1, {a: rng.below(5) for a in mi_range((4,) * 4)})
-    tracemalloc.start()
-    try:
-        mahler_coeffs_function(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
 
 
 def test_central_closed_form_guard(trunc_heis):
@@ -830,7 +754,7 @@ def test_coset_idempotent_matches_multiplier(trunc2):
     H = subgroup_from_exponents(t.model, (1, 1))
     for nu in [(0, 0), (2, 1)]:
         f = coset_indicator(3, 2, 1, nu)
-        rho_mat = operator_matrix(t, lambda a: rho_apply(t, f, t.monomial(a)))
+        rho_mat = operator_matrix(t, lambda a: rho_apply_reference(t, f, t.monomial(a)))
         assert map_matrix(t, coset_idempotent(t, H, nu)) == rho_mat
 
 
@@ -848,7 +772,7 @@ def test_coset_idempotent_matches_multiplier_on_drawn_cosets(map_truncs, name, d
     nu = tuple(data.draw(st.integers(0, p - 1)) for _ in mask)
     f = function_from_callable(
         p, d, 1, lambda lam: int(all(lam[i] == v for i, v in zip(mask, nu))))
-    rho_mat = operator_matrix(t, lambda a: rho_apply(t, f, t.monomial(a)))
+    rho_mat = operator_matrix(t, lambda a: rho_apply_reference(t, f, t.monomial(a)))
     e = coset_idempotent(t, subgroup_from_exponents(t.model, exps), nu)
     assert map_matrix(t, e) == rho_mat
     # the map holds one entry per nonzero matrix entry
