@@ -21,7 +21,7 @@ from .groups import (
 )
 from .series import (
     TruncatedSeries, TruncationSpec, aut_extend, format_series, group_embed,
-    parse_series, relative_normal_form, series_frobenius,
+    parse_series, series_frobenius,
 )
 from .operators import (
     DegreeReport, coset_idempotent, divided_power, mahler_coeff_aut,

@@ -13,31 +13,32 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .control import (
-    _SIDES, CentralPrimeSpec, _random_series, completely_prime_probe,
-    control_witnesses, dagger_approx, ideal_span, induced_filtration,
-    zalesskii_check,
+    _SIDES, CentralPrimeSpec, completely_prime_probe, control_witnesses,
+    dagger_approx, ideal_span, induced_filtration, random_pairs, zalesskii_check,
 )
 from .groups import (
     Automorphism, GroupModel, ModelError, load_model, parse_fraction,
     subgroup_from_exponents,
 )
+from .linalg import sum_entries
 from .moore import ZetaExperiment, moore_det_check, zeta_convergence
 from .operators import (
     coset_idempotent, divided_power, divided_power_maps, operator_degrees,
     reconstruct_aut,
 )
 from .padic import (
-    AtLeast, PrecisionError, comb_mod, format_val, ge_provable, is_prime,
+    PrecisionError, comb_mod, format_val, ge_provable, is_prime,
     mi_range, multi_binom_mod_p,
 )
 from .rng import MASK64, Pcg32
 from .series import (
-    SparseMap, TruncatedSeries, TruncationSpec, aut_extend, format_series,
-    group_embed, parse_series,
+    SparseMap, TruncatedSeries, TruncationSpec, aut_extend, format_row,
+    format_series, group_embed, parse_series,
 )
 
 
@@ -316,34 +317,32 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
 def _task_verify_valuation(ctx: RunContext, params: dict, stream: int):
     t = ctx.trunc
     samples = _expect_int(params.get("samples", 100), "samples", 0)
-    rng = Pcg32(ctx.seed, stream=stream)
+    x, y = random_pairs(t, Pcg32(ctx.seed, stream=stream), samples)
+    wx, wy = t.valuations(x, samples), t.valuations(y, samples)
+    # a pair is checked when w(x) + w(y) stays below the cutoff; a zero
+    # factor reads W, so its pair is skipped too
+    keep = wx + wy < t.W
+    sample = np.flatnonzero(keep)
+    n = sample.size
+    # the rows of the checked pairs, renumbered 0..n-1
+    index = np.cumsum(keep) - 1
+    xs, ys = ((index[r[keep[r]]], c[keep[r]], v[keep[r]]) for r, c, v in (x, y))
+    wxy = t.valuations(t.mul_block(xs, ys), n)
+    ws = t.valuations(sum_entries(*map(np.concatenate, zip(xs, ys)), ctx.model.p), n)
+    total, floor = wx[keep] + wy[keep], np.minimum(wx[keep], wy[keep])
     witnesses = []
-    checked = skipped = 0
-    for _ in range(samples):
-        x = _random_series(t, rng)
-        y = _random_series(t, rng)
-        wx, wy = x.valuation(), y.valuation()
-        if isinstance(wx, AtLeast) or isinstance(wy, AtLeast):
-            skipped += 1
-            continue
-        if Fraction(wx) + Fraction(wy) >= t.cutoff:
-            skipped += 1
-            continue
-        checked += 1
-        wxy = (x * y).valuation()
-        if isinstance(wxy, AtLeast) or Fraction(wxy) != Fraction(wx) + Fraction(wy):
-            witnesses.append({"kind": "multiplicativity",
-                              "x": format_series(x), "y": format_series(y),
-                              "got": format_val(wxy),
-                              "expected": str(Fraction(wx) + Fraction(wy))})
-        ws = (x + y).valuation()
-        floor = min(Fraction(wx), Fraction(wy))
-        if not isinstance(ws, AtLeast) and Fraction(ws) < floor:
-            witnesses.append({"kind": "ultrametric",
-                              "x": format_series(x), "y": format_series(y),
-                              "got": format_val(ws), "floor": str(floor)})
+    for k in np.flatnonzero((wxy != total) | (ws < floor)).tolist():
+        pair = {"x": format_row(t, x, sample[k]), "y": format_row(t, y, sample[k])}
+        if wxy[k] != total[k]:
+            witnesses.append({"kind": "multiplicativity", **pair,
+                              "got": format_val(t.val(wxy[k])),
+                              "expected": str(t.val(total[k]))})
+        if ws[k] < floor[k]:
+            witnesses.append({"kind": "ultrametric", **pair,
+                              "got": format_val(t.val(ws[k])),
+                              "floor": str(t.val(floor[k]))})
     status = "pass" if not witnesses else "fail"
-    return status, {"checked": checked, "skipped": skipped}, witnesses
+    return status, {"checked": n, "skipped": samples - n}, witnesses
 
 
 def _task_mahler_reconstruct(ctx: RunContext, params: dict, stream: int):

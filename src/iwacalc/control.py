@@ -13,6 +13,13 @@ Every test against it is one block residual B - B[:, pivots]·R, a gather
 through R: membership of a vector, the dagger's candidates in chunks, and
 del_i-stability, where B is del_i applied to all of R at once.
 
+A central prime keeps its quotient map tau as one `SparseMap`, so the
+induced filtration of a block of series is one apply of tau to every part
+r_gamma of every row, and the completely-prime probe draws all its samples
+before it multiplies and filters them as blocks (`TruncationSpec.mul_block`,
+`CentralPrimeSpec.filtrations`); values stay integers in units of 1/e until
+a report needs their text.
+
 All answers carry "mod F_W" semantics: a passing control or primality check
 is a certificate at the truncation, not a global theorem, and reports say so
 via the depth/cutoff parameters they quote.
@@ -21,7 +28,6 @@ via the depth/cutoff parameters they quote.
 from __future__ import annotations
 
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,13 +35,10 @@ import numpy as np
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, integer_array, sum_entries
 from .operators import divided_power_map, divided_power_maps
-from .padic import (
-    AtLeast, Val, ge_refuted, gt_provable, mi_range, mi_weight, power, val_add,
-    val_min,
-)
+from .padic import Val, gt_provable, mi_range, power
 from .rng import Pcg32
 from .series import (
-    SparseMap, TruncatedSeries, TruncationSpec, format_series, relative_normal_form,
+    SparseMap, TruncatedSeries, TruncationSpec, format_row, format_series,
 )
 
 _SIDES = ("right", "two-sided")
@@ -216,11 +219,9 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
         if hit is not None:
             k, res = hit
             R = I.reduced
-            row = R.src == k
             out.append({
                 "direction": i + 1,
-                "row": format_series(t.from_dict({t.basis[c]: x for c, x in zip(
-                    R.tgt[row].tolist(), R.coef[row].tolist())})),
+                "row": format_row(t, (R.src, R.tgt, R.coef), k),
                 "escapes_as": format_series(t.from_dict({t.basis[c]: x
                                                          for c, x in res.items()})),
             })
@@ -414,7 +415,6 @@ class CentralPrimeSpec:
                     f"above omega_{j + 1} = {trunc.omega[j]}")
             self.target = j
             self.u = u
-            self._u_pows = [trunc.one(), u]
         elif target is not None or u is not None:
             raise ValueError("zero prime takes no target or substitution")
 
@@ -424,28 +424,64 @@ class CentralPrimeSpec:
         t = self.trunc
         return t.monomial(_unit_exponent(t.model.rank, self.target)) - self.u
 
-    def _u_pow(self, k: int) -> TruncatedSeries:
-        while len(self._u_pows) <= k:
-            self._u_pows.append(self._u_pows[-1] * self.u)
-        return self._u_pows[k]
-
-    def tau(self, r: TruncatedSeries) -> TruncatedSeries:
-        """Quotient map on the central subalgebra (identity for the zero prime)."""
-        if self.kind == "zero":
-            return r
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(head, tail): basis column b^a is b^head * c^tail, head the
+        central block of a and tail the rest, both basis indices."""
         t = self.trunc
+        lead = t._exponents[:, :self.central_block] @ t._radix[:self.central_block]
+        return t._indices_of(lead), t._indices_of(t._codes - lead)
+
+    @cached_property
+    def _tau(self) -> SparseMap:
+        """The quotient map on the central columns: b^a to itself, or for a
+        graph prime with a_j = k > 0, to b^(a - k e_j) * u^k."""
+        t = self.trunc
+        p, size = t.model.p, t.size
+        head = np.flatnonzero(self._split[1] == 0)
+        if self.kind == "zero":
+            return SparseMap(p, size, head, head, np.ones_like(head))
         j = self.target
-        p = t.model.p
-        plain: dict = {}
-        acc = t.zero()
-        for a, cf in r.coeffs.items():
-            k = a[j]
-            if k == 0:
-                plain[a] = (plain.get(a, 0) + cf) % p
-            else:
-                base = a[:j] + (0,) + a[j + 1:]
-                acc = acc + t.monomial(base, cf) * self._u_pow(k)
-        return acc + TruncatedSeries(t, plain)
+        k = t._exponents[head, j]
+        plain, moved, k = head[k == 0], head[k > 0], k[k > 0]
+        pows = [t.one()]
+        for _ in range(int(k.max(initial=0))):
+            pows.append(pows[-1] * self.u)
+        # b^(a - k e_j) * u^k for every moved column in one block product,
+        # the powers gathered from a map that sends i to the columns of u^i
+        i, cols, coefs = t.block(pows)
+        powers = SparseMap(p, size, cols, i, coefs)
+        rows = np.arange(moved.size)
+        base = t._indices_of(t._codes[moved] - k * t._radix[j])
+        at, tgt, coef = t.mul_block((rows, base, np.ones_like(rows)),
+                                    powers.apply_entries(rows, k, np.ones_like(k)))
+        return SparseMap(p, size, np.concatenate([plain, tgt]),
+                         np.concatenate([plain, moved[at]]),
+                         np.concatenate([np.ones_like(plain), coef]))
+
+    def filtrations(self, block, n: int) -> np.ndarray:
+        """f of each of the n rows of a block (see `induced_filtration`), in
+        units of 1/e, as `TruncationSpec.val` reads them: a value below W is
+        exact, one from W on a lower bound.  The terms of a row with the same
+        tail gamma form one node r_gamma, and tau maps every node at once."""
+        t = self.trunc
+        rows, cols, coefs = block
+        head, tail = self._split
+        keys, node = np.unique(rows * t.size + tail[cols], return_inverse=True)
+        v = t.valuations(sum_entries(*self._tau.apply_entries(
+            node.reshape(-1), head[cols], coefs), t.model.p), keys.size)
+        w = t._int_weights[keys % t.size]
+        # a node with tau(r_gamma) = 0 is only bounded, by W/e + w(gamma);
+        # tau only sees r_gamma mod the shifted cutoff, so resolved values
+        # that land at or past W/e could be tail artifacts and are demoted
+        term = np.where(v < t.W, np.minimum(v + w, t.W), t.W + w)
+        # a zero row has no node and reads W, as a zero series does
+        out = np.full(n, t.W, dtype=np.int64)
+        row = keys // t.size
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        if first.size:
+            out[row[first]] = np.minimum.reduceat(term, first)
+        return out
 
 
 def induced_filtration(x: TruncatedSeries, P: CentralPrimeSpec) -> Val:
@@ -454,33 +490,28 @@ def induced_filtration(x: TruncatedSeries, P: CentralPrimeSpec) -> Val:
 
     For the zero prime this equals the plain valuation w.  Values pushed
     past the cutoff come back as AtLeast markers, in particular for every
-    element of the induced ideal P*kG."""
+    element of the induced ideal P*kG.  A block of one row of
+    `CentralPrimeSpec.filtrations`."""
     t = x.trunc
     if t is not P.trunc:
         raise ValueError("series and prime live on different truncations")
-    c = P.central_block
-    parts = relative_normal_form(x, c)
-    if not parts:
-        return AtLeast(t.cutoff)
-    tail_omega = t.omega[c:]
-    vals = []
-    for gamma, r in parts.items():
-        term = val_add(P.tau(r).valuation(), mi_weight(gamma, tail_omega))
-        # tau only sees r_gamma mod the shifted cutoff: resolved values that
-        # land at or past W/e could be tail artifacts, so demote them
-        if not isinstance(term, AtLeast) and term >= t.cutoff:
-            term = AtLeast(t.cutoff)
-        vals.append(term)
-    return val_min(vals)
+    return t.val(int(P.filtrations(t.block([x]), 1)[0]))
 
 
-def _random_series(trunc: TruncationSpec, rng: Pcg32, terms: int = 3) -> TruncatedSeries:
-    p = trunc.model.p
-    coeffs: dict = {}
-    for _ in range(terms):
-        a = trunc.basis[rng.below(trunc.size)]
-        coeffs[a] = (coeffs.get(a, 0) + 1 + rng.below(p - 1)) % p
-    return TruncatedSeries(trunc, coeffs)
+def random_pairs(trunc: TruncationSpec, rng: Pcg32, samples: int, terms: int = 3):
+    """Blocks x and y of `samples` rows each, row s of both from draw s:
+    each series sums `terms` monomials, drawn uniformly, with coefficients
+    drawn from [1, p), x before y."""
+    size, p = trunc.size, trunc.model.p
+    below = rng.below
+    draws: list[int] = []
+    for _ in range(2 * samples * terms):
+        draws += below(size), 1 + below(p - 1)
+    cols, coefs = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+    rows, cols, coefs = sum_entries(np.arange(cols.size) // terms, cols, coefs, p)
+    y = rows % 2 == 1
+    return ((rows[~y] // 2, cols[~y], coefs[~y]),
+            (rows[y] // 2, cols[y], coefs[y]))
 
 
 def completely_prime_probe(P: CentralPrimeSpec, rng: Pcg32,
@@ -488,52 +519,47 @@ def completely_prime_probe(P: CentralPrimeSpec, rng: Pcg32,
     """Samples pairs from `rng` and checks the induced filtration behaves
     like a valuation: f(xy) = f(x) + f(y) whenever both factors resolve and
     the sum stays under the cutoff, never refuted otherwise; and multiples
-    of the prime generator stay in the f-unresolved kernel."""
+    of the prime generator stay in the f-unresolved kernel.  Every sample is
+    drawn first; the products and filtrations then run on blocks."""
     t = P.trunc
-    checked = skipped = kernel_checked = 0
+    W = t.W
+    x, y = random_pairs(t, rng, samples)
+    fx, fy, fxy = (P.filtrations(b, samples) for b in (x, y, t.mul_block(x, y)))
+    total = fx + fy
+    superadditive = (fxy < W) & (fxy < total)
+    checked = (fx < W) & (fy < W) & (total < W)
+    multiplicative = checked & (fxy != total)
+    kernel, kernel_blocks = np.zeros((samples, 0), dtype=np.int64), ()
+    if P.kind == "graph":
+        gx = t.mul_block(t.block([P.generator()] * samples), x)
+        kernel_blocks = (gx, t.mul_block(gx, y))
+        kernel = np.stack([P.filtrations(z, samples) for z in kernel_blocks], axis=1)
+    resolved = kernel < W
+    violations = int(superadditive.sum() + multiplicative.sum() + resolved.sum())
     witnesses: list[dict] = []
-    gen = P.generator() if P.kind == "graph" else None
-    for _ in range(samples):
-        x = _random_series(t, rng)
-        y = _random_series(t, rng)
-        fx = induced_filtration(x, P)
-        fy = induced_filtration(y, P)
-        fxy = induced_filtration(x * y, P)
-        lower = val_add(fx, fy)
-        if ge_refuted(fxy, lower):
-            witnesses.append({
-                "kind": "superadditivity",
-                "x": format_series(x), "y": format_series(y),
-                "f_x": str(fx), "f_y": str(fy), "f_xy": str(fxy),
-            })
-        resolved = not (isinstance(fx, AtLeast) or isinstance(fy, AtLeast))
-        if resolved and Fraction(fx) + Fraction(fy) < t.cutoff:
-            checked += 1
-            if isinstance(fxy, AtLeast) or Fraction(fxy) != Fraction(fx) + Fraction(fy):
-                witnesses.append({
-                    "kind": "multiplicativity",
-                    "x": format_series(x), "y": format_series(y),
-                    "f_x": str(fx), "f_y": str(fy), "f_xy": str(fxy),
-                })
-        else:
-            skipped += 1
-        if gen is not None:
-            gx = gen * x
-            for z in (gx, gx * y):
-                kernel_checked += 1
-                fz = induced_filtration(z, P)
-                if not isinstance(fz, AtLeast):
-                    witnesses.append({
-                        "kind": "kernel", "element": format_series(z), "f": str(fz),
-                    })
+    hit = superadditive | multiplicative | resolved.any(axis=1)
+    for s in np.flatnonzero(hit).tolist():
+        if len(witnesses) >= 5:
+            break
+        pair = {"x": format_row(t, x, s), "y": format_row(t, y, s),
+                "f_x": str(t.val(fx[s])), "f_y": str(t.val(fy[s])),
+                "f_xy": str(t.val(fxy[s]))}
+        if superadditive[s]:
+            witnesses.append({"kind": "superadditivity", **pair})
+        if multiplicative[s]:
+            witnesses.append({"kind": "multiplicativity", **pair})
+        for z, f in zip(kernel_blocks, kernel[s]):
+            if f < W:
+                witnesses.append({"kind": "kernel", "element": format_row(t, z, s),
+                                  "f": str(t.val(f))})
     return {
         "samples": samples,
-        "checked": checked,
-        "skipped": skipped,
-        "kernel_checked": kernel_checked,
-        "violations": len(witnesses),
+        "checked": int(checked.sum()),
+        "skipped": samples - int(checked.sum()),
+        "kernel_checked": kernel.size,
+        "violations": violations,
         "witnesses": witnesses[:5],
-        "status": "pass" if not witnesses else "fail",
+        "status": "pass" if not violations else "fail",
     }
 
 

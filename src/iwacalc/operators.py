@@ -36,6 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .groups import Automorphism, ModelError, SubgroupSpec
+from .linalg import sum_entries
 from .padic import (
     AtLeast, MultiIndex, Val, power, signed_binomials, val_min, val_sub_exact,
 )
@@ -241,21 +242,30 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     # prefix; del^(a) kills b^B unless a <= B, so the a that matter lie in
     # the same prefix
     cols = trunc.basis[:int(np.searchsorted(w, math.floor(D * e), side="right"))]
-    images = {B: trunc.zero() for B in cols}
+    p, m = trunc.model.p, len(cols)
     alphas = [a for k, a in enumerate(cols)
               if not sum(a) or delta * sum(a) * e + int(w[k]) < trunc.W]
     coeffs = {a: vec for a, vec in zip(alphas, _mahler_rows(trunc, phi, alphas))
               if vec.any()}
-    for vec, d in zip(coeffs.values(), divided_power_maps(trunc, coeffs)):
-        coeff = trunc.from_vector(vec)
-        # the columns in `cols` are the leading slice of the map's sources
-        n = int(np.searchsorted(d.src, len(cols)))
-        moved = np.zeros((len(cols), trunc.size), dtype=np.int64)
-        np.add.at(moved, (d.src[:n], d.tgt[:n]), d.coef[:n])
-        for B, row in zip(cols, moved % trunc.model.p):
-            if row.any():
-                images[B] = images[B] + coeff * trunc.from_vector(row)
-    return images
+    # every product in one block: row k*m + b is <phi, del^(alpha)> times
+    # del^(alpha)(b^B), alpha the k-th index and b^B the b-th column; the
+    # columns in `cols` are the leading slice of each map's sources
+    parts = [np.zeros((3, 0), dtype=np.int64)]
+    for k, d in enumerate(divided_power_maps(trunc, coeffs)):
+        n = int(np.searchsorted(d.src, m))
+        parts.append(np.stack([k * m + d.src[:n], d.tgt[:n], d.coef[:n]]))
+    y = sum_entries(*np.concatenate(parts, axis=1), p)
+    vecs = np.array(list(coeffs.values()), dtype=np.int64).reshape(-1, trunc.size)
+    k, c = np.nonzero(vecs)
+    rows = y[0][np.diff(y[0], prepend=-1) != 0]
+    x = SparseMap(p, trunc.size, c, k, vecs[k, c]).apply_entries(
+        rows, rows // m, np.ones_like(rows))
+    at, tgt, coef = trunc.mul_block(x, y)
+    # the image of b^B sums the products of its column over every alpha
+    at, tgt, coef = sum_entries(at % m, tgt, coef, p)
+    cuts = np.searchsorted(at, np.arange(m + 1)).tolist()
+    return {B: trunc._series(tgt[lo:hi], coef[lo:hi])
+            for B, lo, hi in zip(cols, cuts, cuts[1:])}
 
 
 # ---------------------------------------------------------------------------

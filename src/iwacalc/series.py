@@ -22,12 +22,23 @@ gives the ring extension of an automorphism (`aut_map`), and
 g^c -> phi(g^c) g^{-c} its Mahler coefficients (in `operators`).  These
 `SparseMap`s and the divided powers share one cache per truncation.
 
-On non-abelian models x*y = sum_beta y_beta (x*b^beta), and each x*b^beta
-is one sparse apply to x*b^beta', where b^beta = b^beta' * b_j drops the
-last letter of the normal-order word.  On abelian models `*` adds
-exponents directly.  The tests keep the older route, which multiplies
-every pair of group elements of the two expansions (`mul_reference` in
-tests/oracles.py), as the oracle that `*` is compared with.
+Products have one kernel, `TruncationSpec.mul_block`: row k of its result
+is the product of row k of two blocks of series held as entry arrays, and
+`*` is a block of one row.  On abelian models it enumerates only the pairs
+of terms whose summed weight stays below the cutoff: the basis ascends by
+weight, so for a term b^a of x they are a prefix of y's row, found by one
+`searchsorted`.  On other models x*y = sum_beta y_beta (x*b^beta), and each
+x*b^beta is (x*b^beta')*b_j, where b^beta = b^beta' * b_j drops the last
+letter of the normal-order word; the multiples of every row are built a
+word length at a time, one apply of all the right generator maps at once.  The tests keep
+the older route, which multiplies every pair of group elements of the two
+expansions (`mul_reference` in tests/oracles.py), as the oracle that the
+kernel is compared with.
+
+A valuation read from a block is an integer in units of 1/e
+(`TruncationSpec.valuations`): the weight of the row's first column, or W
+for a zero row.  `TruncationSpec.val` turns such an integer into a `Val`,
+with AtLeast(f/e) for f >= W.
 
 Every accumulation sums at most `size` products of residues before a
 reduction mod p, so `TruncationSpec` rejects primes with
@@ -50,8 +61,7 @@ from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelEr
 from .linalg import integer_array, sum_entries
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, format_poly, lucas_rows, mi_weight,
-    poly_combine, poly_frobenius, poly_product_sum, power, signed_binomial_rows,
-    signed_binomials,
+    poly_combine, poly_frobenius, power, signed_binomial_rows, signed_binomials,
 )
 
 
@@ -118,6 +128,35 @@ class TruncationSpec:
         the code of a basis monomial."""
         return self._code_order[np.searchsorted(self._sorted_codes, codes)]
 
+    def val(self, f: int) -> Val:
+        """The valuation f/e of an integer in units of 1/e; from W on only
+        AtLeast(f/e) is known."""
+        f = Fraction(int(f), self.e)
+        return f if f < self.cutoff else AtLeast(f)
+
+    def valuations(self, block, n: int) -> np.ndarray:
+        """w of each of the n rows of a block, in units of 1/e: the weight of
+        the row's first column, or W for a zero row."""
+        rows, cols, _ = block
+        out = np.full(n, self.W, dtype=np.int64)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[first]] = self._int_weights[cols[first]]
+        return out
+
+    def block(self, series: Sequence["TruncatedSeries"]) -> tuple:
+        """The block whose row k is series[k] (see `mul_block`)."""
+        index = self.index
+        terms = [(k, index[a], c) for k, x in enumerate(series) for a, c in x.coeffs.items()]
+        rows, cols, coefs = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], coefs[order]
+
+    def _series(self, cols, coefs) -> "TruncatedSeries":
+        """The series with coefficients `coefs`, residues in [1, p), at the
+        distinct basis columns `cols`."""
+        return TruncatedSeries._trusted(self, {
+            self.basis[c]: v for c, v in zip(cols.tolist(), coefs.tolist())})
+
     def zero(self) -> "TruncatedSeries":
         return TruncatedSeries(self, {})
 
@@ -179,10 +218,12 @@ class TruncationSpec:
         top = max(self.max_exponents) + 1
         return lucas_rows(np.arange(top + 1), top, self.model.p)
 
-    def _group_columns(self, exps, image) -> np.ndarray:
+    def _group_columns(self, exps, image, start=None) -> np.ndarray:
         """Row k is the image of b^a, a the k-th row of `exps`, under the
         linear extension of a map on G; `image` sends an array of distinct
-        exponents c to the integer coordinates of the images of the g^c."""
+        exponents c to the integer coordinates of the images of the g^c.
+        With `start`, row k is combined only on the columns from start[k]
+        on and is 0 before them."""
         p, step = self.model.p, self.size
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         owner, c, signs = self._signed_binomials(exps)
@@ -192,16 +233,18 @@ class TruncationSpec:
         _, first, at = np.unique(c @ radix, return_index=True, return_inverse=True)
         rows = self._embed_rows(image(c[first]))
         cuts = np.searchsorted(owner, np.arange(len(exps) + 1)).tolist()
+        start = [0] * len(exps) if start is None else start.tolist()
         out = np.zeros((len(exps), self.size), dtype=np.int64)
-        for k in range(len(exps)):
+        for k, s in enumerate(start):
             lo, hi = cuts[k], cuts[k + 1]
             # a row inside the basis has at most `size` terms, its c being
             # distinct basis monomials; a row past it sums `size` at a time
             if hi - lo <= step:
-                out[k] = signs[lo:hi] @ rows[at[lo:hi]]
+                out[k, s:] = signs[lo:hi] @ rows[at[lo:hi], s:]
             else:
-                out[k] = sum(signs[n:min(n + step, hi)] @ rows[at[n:min(n + step, hi)]] % p
-                             for n in range(lo, hi, step))
+                out[k, s:] = sum(signs[n:min(n + step, hi)] @
+                                 rows[at[n:min(n + step, hi)], s:] % p
+                                 for n in range(lo, hi, step))
         return out % p
 
     def cached_map(self, key, build) -> "SparseMap":
@@ -240,8 +283,9 @@ class TruncationSpec:
         else:
             outside = list(range(j + 1, model.rank) if side == "right" else range(j))
         moved = self._exponents[:, outside].any(axis=1)
-        shift = np.flatnonzero(~moved & (
-            self._int_weights + self._int_omega[j] < self.W))
+        # b^a b_j lies in F_{w(a) + omega_j}, 0 at or past the cutoff
+        floor = self._int_weights + self._int_omega[j]
+        shift = np.flatnonzero(~moved & (floor < self.W))
 
         def image(cs):
             # g^c g_j = g^(c + e_j) when c has no letter outside
@@ -252,16 +296,101 @@ class TruncationSpec:
                              else model._mul_values(unit, c_k))
             return coords
 
-        # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a
-        movers = np.flatnonzero(moved)
-        cols = self._group_columns(self._exponents[movers], image)
-        diag = np.arange(movers.size), movers
-        cols[diag] = (cols[diag] - 1) % p
+        # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a,
+        # combined only on the columns of weight w(a) + omega_j on, where the
+        # term -b^a, of weight w(a), does not reach
+        movers = np.flatnonzero(moved & (floor < self.W))
+        cols = self._group_columns(self._exponents[movers], image,
+                                   np.searchsorted(self._int_weights, floor[movers]))
         n, k = np.nonzero(cols)
         shifted = self._indices_of(self._codes[shift] + self._radix[j])
         return SparseMap(p, self.size, np.concatenate([shifted, k]),
                          np.concatenate([shift, movers[n]]),
                          np.concatenate([np.ones(shift.size, dtype=np.int64), cols[n, k]]))
+
+    # -- products -----------------------------------------------------------
+
+    @cached_property
+    def _words(self) -> tuple:
+        """(prefix, letter, length) of each basis monomial b^a: b^a is
+        b^prefix * b_letter, `letter` the last letter of the normal-order
+        word of b^a and `prefix` the basis index of the rest; `length` is
+        |a|.  The constant 1 is its own prefix."""
+        exps = self._exponents
+        letter = self.model.rank - 1 - np.argmax(exps[:, ::-1] != 0, axis=1)
+        prefix = np.zeros(self.size, dtype=np.int64)
+        # index 0 is the constant, the only monomial of weight 0
+        prefix[1:] = self._indices_of(self._codes[1:] - self._radix[letter[1:]])
+        return prefix, letter, exps.sum(axis=1)
+
+    def mul_block(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row k of the result is (row k of x) * (row k of y).  Blocks are
+        entries (row, column, coefficient in [1, p)) sorted by row, then
+        column, with no repeats, as `linalg.sum_entries` returns them; so is
+        the result."""
+        p, size = self.model.p, self.size
+        (xr, xc, xv), (yr, yc, yv) = x, y
+        if self.model.kind == "abelian":
+            # the terms b^c of y's row with w(a) + w(c) < W/e are the columns
+            # below the first of weight W/e - w(a), the basis ascending by weight
+            keys = yr * size + yc
+            lo = np.searchsorted(keys, xr * size)
+            hi = np.searchsorted(keys, xr * size + np.searchsorted(
+                self._int_weights, self.W - self._int_weights[xc]))
+            at, pos = _runs(lo, hi - lo)
+            # exponents add, and a sum inside the basis adds its codes
+            tgt = self._indices_of(self._codes[xc[at]] + self._codes[yc[pos]])
+            return sum_entries(xr[at], tgt, xv[at] * yv[pos] % p, p)
+        prefix, letter, length = self._words
+        # the nodes (row, b^gamma), keyed row*size + gamma, of every prefix
+        # gamma of a term of y, one sorted array per word length; the prefix
+        # of length 0 of row r is the node r*size, whose multiple is x's row
+        ykeys, ylen = yr * size + yc, length[yc]
+        n = int(max(xr.max(initial=-1), yr.max(initial=-1))) + 1
+        levels, up = [np.arange(n) * size], np.zeros(0, dtype=np.int64)
+        for k in range(int(ylen.max(initial=0)), 0, -1):
+            # sorted and distinct; a plain np.unique would load numpy.ma
+            keys = np.sort(np.concatenate([ykeys[ylen == k], up]))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            levels.insert(1, keys)
+            up = keys - keys % size + prefix[keys % size]
+        def stacked():
+            maps = [self.generator_map(j) for j in range(self.model.rank)]
+            return SparseMap(p, size, np.concatenate([m.tgt for m in maps]),
+                             np.concatenate([m.src + j * size for j, m in enumerate(maps)]),
+                             np.concatenate([m.coef for m in maps]))
+        # every right generator map in one, source j*size + a for b^a*b_j
+        right = self.cached_map(("right", "all"), stacked)
+
+        def gather(block, at):
+            # the entries of the rows `at` of a block sorted by row, row k
+            # of the result being row at[k] of the block
+            lo = np.searchsorted(block[0], at)
+            k, pos = _runs(lo, np.searchsorted(block[0], at, side="right") - lo)
+            return k, block[1][pos], block[2][pos]
+
+        # the multiples x*b^gamma of one level, as a block with a row per node
+        empty = np.zeros(0, dtype=np.int64)
+        multiples, out = x, [(empty, empty, empty)]
+        for k, keys in enumerate(levels):
+            if k:
+                col = keys % size
+                node, src, coef = gather(multiples, np.searchsorted(
+                    levels[k - 1], keys - col + prefix[col]))
+                multiples = sum_entries(*right.apply_entries(
+                    node, letter[col][node] * size + src, coef), p)
+            here = np.flatnonzero(ylen == k)
+            if here.size:
+                at, cols, coefs = gather(multiples, np.searchsorted(keys, ykeys[here]))
+                out.append((yr[here][at], cols, yv[here][at] * coefs % p))
+        return sum_entries(*map(np.concatenate, zip(*out)), p)
+
+
+def _runs(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs lo[k], ..., lo[k] + n[k] - 1 laid end to end, as (at, pos):
+    item i is position pos[i], in run at[i]."""
+    at = np.repeat(np.arange(n.size), n)
+    return at, np.arange(at.size) + np.repeat(lo + n - np.cumsum(n), n)
 
 
 class SparseMap:
@@ -334,10 +463,7 @@ class SparseMap:
         mod p) per pair of a block entry and a map entry from its column, not
         summed."""
         lo = np.searchsorted(self.src, cols)
-        n = np.searchsorted(self.src, cols, side="right") - lo
-        at = np.repeat(np.arange(cols.size), n)
-        # entry j of the image is map entry lo + (j - first j of its block entry)
-        pos = np.arange(at.size) + np.repeat(lo + n - np.cumsum(n), n)
+        at, pos = _runs(lo, np.searchsorted(self.src, cols, side="right") - lo)
         return rows[at], self.tgt[pos], coefs[at] * self.coef[pos] % self.p
 
 
@@ -391,29 +517,8 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         t = self.trunc
-        p = t.model.p
-        if t.model.kind == "abelian":
-            # every generator map is a shift here, so this is the polynomial
-            # product with the monomials beyond the cutoff dropped
-            prod = poly_product_sum([(self.coeffs, other.coeffs)], p)
-            return TruncatedSeries._trusted(
-                t, {a: c for a, c in prod.items() if a in t.index})
-        # x*b^beta = (x*b^beta')*b_j for the normal-order prefix beta'
-        prefix: dict = {}
-        for beta in other.coeffs:
-            while any(beta) and beta not in prefix:
-                j = max(i for i, v in enumerate(beta) if v)
-                prev = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-                prefix[beta] = (prev, j)
-                beta = prev
-        multiples = {(0,) * t.model.rank: self.vector()}
-        for beta in sorted(prefix, key=t.index.__getitem__):
-            prev, j = prefix[beta]
-            multiples[beta] = t.generator_map(j).apply(multiples[prev])
-        terms = list(other.coeffs.items())
-        rows = np.array([multiples[b] for b, _ in terms],
-                        dtype=np.int64).reshape(-1, t.size)
-        return t.from_vector(np.array([c for _, c in terms], dtype=np.int64) @ rows)
+        _, cols, coefs = t.mul_block(t.block([self]), t.block([other]))
+        return t._series(cols, coefs)
 
     def pow(self, k: int) -> "TruncatedSeries":
         return power(self, k, self.trunc.one(), mul)
@@ -488,26 +593,6 @@ def aut_extend(trunc: TruncationSpec, phi: Automorphism,
     return trunc.from_vector(aut_map(trunc, phi).apply(x.vector()))
 
 
-def relative_normal_form(x: TruncatedSeries, split: int) -> dict:
-    """Regroup x = sum_g r_g * c^g with c_i = b_{split+i}.
-
-    Keys are the exponent tuples g on the trailing rank-split coordinates;
-    each r_g is a series supported on the leading block (trailing exponents
-    zero).  The regrouping is exact because normal order already factors
-    every monomial as (leading block) * (trailing block).
-    """
-    t = x.trunc
-    d = t.model.rank
-    if not 0 <= split <= d:
-        raise ValueError(f"split must be in [0, {d}]")
-    out: dict = {}
-    for a, c in x.coeffs.items():
-        gamma = a[split:]
-        head = a[:split] + (0,) * (d - split)
-        out.setdefault(gamma, {})[head] = c
-    return {gamma: TruncatedSeries(t, coeffs) for gamma, coeffs in out.items()}
-
-
 def series_frobenius(x: TruncatedSeries, k: int = 1) -> TruncatedSeries:
     """x^{p^k} for commutative models: scale exponents, keep coefficients."""
     if x.trunc.model.kind != "abelian":
@@ -523,6 +608,13 @@ def format_series(x: TruncatedSeries) -> str:
     """Canonical text: terms in basis order, 'c*b1^a1*b2^a2' with ^1 and a
     leading 1* omitted."""
     return format_poly(x.coeffs, x.support(), "b")
+
+
+def format_row(trunc: TruncationSpec, block, k: int) -> str:
+    """`format_series` of row k of a block (see `TruncationSpec.mul_block`)."""
+    rows, cols, coefs = block
+    lo, hi = np.searchsorted(rows, [k, k + 1])
+    return format_series(trunc._series(cols[lo:hi], coefs[lo:hi]))
 
 
 def parse_series(trunc: TruncationSpec, text: str) -> TruncatedSeries:

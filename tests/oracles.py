@@ -34,13 +34,19 @@ takes the p^r-th root of g |-> phi^{p^r}(g) g^{-1} coordinate by
 coordinate, in a model loaded afresh at precision M - r.  `MatrixRoute`
 computes a unitriangular group law with numeric matrix logs
 and exps, element by element, where the model evaluates polynomials
-compiled at load."""
+compiled at load.  `induced_filtration_reference` reads the induced
+filtration of a central prime on `Val`s, one part r_gamma of the
+`relative_normal_form` at a time through `tau_reference`, which
+substitutes b_j <- u term by term; `verify_valuation_reference` and
+`completely_prime_probe_reference` are the two sampled checks one sample
+at a time, each drawn by `random_series_reference`."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,11 +55,17 @@ from iwacalc.groups import (
     Automorphism, GroupElement, ModelError, SubgroupSpec, UnitriangularModel,
     _mat_id, _mat_inv_mod, _mat_mul, load_abelian, load_unitriangular,
 )
-from iwacalc.control import IdealSpan
+from iwacalc.control import CentralPrimeSpec, IdealSpan
 from iwacalc.linalg import RowSpace, integer_array
 from iwacalc.operators import _operator_index, divided_power_map
-from iwacalc.padic import MultiIndex, PrecisionError, comb_mod, mi_range
-from iwacalc.series import SparseMap, TruncatedSeries, TruncationSpec, group_embed
+from iwacalc.padic import (
+    AtLeast, MultiIndex, PrecisionError, Val, comb_mod, format_val, ge_refuted,
+    mi_range, mi_weight, val_add, val_min,
+)
+from iwacalc.rng import Pcg32
+from iwacalc.series import (
+    SparseMap, TruncatedSeries, TruncationSpec, format_series, group_embed,
+)
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -689,3 +701,165 @@ class MatrixRoute:
         for lam, ell in zip(mu, self.logs):
             acc = _mat_add(acc, _mat_scale(ell, lam, self.mod), self.mod)
         return self.theta_coords(_mat_exp_nilpotent(acc, self.mod))
+
+
+# ---------------------------------------------------------------------------
+# Central primes and the sampled checks, term by term and sample by sample
+# ---------------------------------------------------------------------------
+
+def relative_normal_form(x: TruncatedSeries, split: int) -> dict:
+    """Regroup x = sum_g r_g * c^g with c_i = b_{split+i}.
+
+    Keys are the exponent tuples g on the trailing rank-split coordinates;
+    each r_g is a series supported on the leading block (trailing exponents
+    zero).  The regrouping is exact because normal order already factors
+    every monomial as (leading block) * (trailing block).
+    """
+    t = x.trunc
+    d = t.model.rank
+    if not 0 <= split <= d:
+        raise ValueError(f"split must be in [0, {d}]")
+    out: dict = {}
+    for a, c in x.coeffs.items():
+        gamma = a[split:]
+        head = a[:split] + (0,) * (d - split)
+        out.setdefault(gamma, {})[head] = c
+    return {gamma: TruncatedSeries(t, coeffs) for gamma, coeffs in out.items()}
+
+
+def tau_reference(P: CentralPrimeSpec, r: TruncatedSeries) -> TruncatedSeries:
+    """The quotient map on the central subalgebra, term by term: b_j <- u,
+    each power of u by repeated products (identity for the zero prime)."""
+    if P.kind == "zero":
+        return r
+    t = P.trunc
+    j = P.target
+    p = t.model.p
+    pows = [t.one()]
+    plain: dict = {}
+    acc = t.zero()
+    for a, cf in r.coeffs.items():
+        k = a[j]
+        if k == 0:
+            plain[a] = (plain.get(a, 0) + cf) % p
+        else:
+            while len(pows) <= k:
+                pows.append(pows[-1] * P.u)
+            base = a[:j] + (0,) + a[j + 1:]
+            acc = acc + t.monomial(base, cf) * pows[k]
+    return acc + TruncatedSeries(t, plain)
+
+
+def induced_filtration_reference(x: TruncatedSeries, P: CentralPrimeSpec) -> Val:
+    """min over gamma of v(tau(r_gamma)) + w(c^gamma) on `Val`s, one relative
+    normal form part at a time, with resolved values at or past W/e demoted
+    to AtLeast(W/e)."""
+    t = x.trunc
+    c = P.central_block
+    parts = relative_normal_form(x, c)
+    if not parts:
+        return AtLeast(t.cutoff)
+    tail_omega = t.omega[c:]
+    vals = []
+    for gamma, r in parts.items():
+        term = val_add(tau_reference(P, r).valuation(), mi_weight(gamma, tail_omega))
+        if not isinstance(term, AtLeast) and term >= t.cutoff:
+            term = AtLeast(t.cutoff)
+        vals.append(term)
+    return val_min(vals)
+
+
+def random_series_reference(trunc: TruncationSpec, rng: Pcg32,
+                            terms: int = 3) -> TruncatedSeries:
+    """One sampled series: `terms` monomials drawn uniformly, each with a
+    coefficient drawn from [1, p)."""
+    p = trunc.model.p
+    coeffs: dict = {}
+    for _ in range(terms):
+        a = trunc.basis[rng.below(trunc.size)]
+        coeffs[a] = (coeffs.get(a, 0) + 1 + rng.below(p - 1)) % p
+    return TruncatedSeries(trunc, coeffs)
+
+
+def verify_valuation_reference(t: TruncationSpec, rng: Pcg32, samples: int) -> tuple:
+    """(status, metrics, witnesses) of the verify-valuation task, one sample
+    at a time with `*` and `Val` arithmetic."""
+    witnesses = []
+    checked = skipped = 0
+    for _ in range(samples):
+        x = random_series_reference(t, rng)
+        y = random_series_reference(t, rng)
+        wx, wy = x.valuation(), y.valuation()
+        if isinstance(wx, AtLeast) or isinstance(wy, AtLeast):
+            skipped += 1
+            continue
+        if Fraction(wx) + Fraction(wy) >= t.cutoff:
+            skipped += 1
+            continue
+        checked += 1
+        wxy = (x * y).valuation()
+        if isinstance(wxy, AtLeast) or Fraction(wxy) != Fraction(wx) + Fraction(wy):
+            witnesses.append({"kind": "multiplicativity",
+                              "x": format_series(x), "y": format_series(y),
+                              "got": format_val(wxy),
+                              "expected": str(Fraction(wx) + Fraction(wy))})
+        ws = (x + y).valuation()
+        floor = min(Fraction(wx), Fraction(wy))
+        if not isinstance(ws, AtLeast) and Fraction(ws) < floor:
+            witnesses.append({"kind": "ultrametric",
+                              "x": format_series(x), "y": format_series(y),
+                              "got": format_val(ws), "floor": str(floor)})
+    status = "pass" if not witnesses else "fail"
+    return status, {"checked": checked, "skipped": skipped}, witnesses
+
+
+def completely_prime_probe_reference(P: CentralPrimeSpec, rng: Pcg32,
+                                     samples: int = 100) -> dict:
+    """The report of `completely_prime_probe`, one sample at a time with `*`
+    and `induced_filtration_reference`."""
+    t = P.trunc
+    checked = skipped = kernel_checked = 0
+    witnesses: list[dict] = []
+    gen = P.generator() if P.kind == "graph" else None
+    for _ in range(samples):
+        x = random_series_reference(t, rng)
+        y = random_series_reference(t, rng)
+        fx = induced_filtration_reference(x, P)
+        fy = induced_filtration_reference(y, P)
+        fxy = induced_filtration_reference(x * y, P)
+        lower = val_add(fx, fy)
+        if ge_refuted(fxy, lower):
+            witnesses.append({
+                "kind": "superadditivity",
+                "x": format_series(x), "y": format_series(y),
+                "f_x": str(fx), "f_y": str(fy), "f_xy": str(fxy),
+            })
+        resolved = not (isinstance(fx, AtLeast) or isinstance(fy, AtLeast))
+        if resolved and Fraction(fx) + Fraction(fy) < t.cutoff:
+            checked += 1
+            if isinstance(fxy, AtLeast) or Fraction(fxy) != Fraction(fx) + Fraction(fy):
+                witnesses.append({
+                    "kind": "multiplicativity",
+                    "x": format_series(x), "y": format_series(y),
+                    "f_x": str(fx), "f_y": str(fy), "f_xy": str(fxy),
+                })
+        else:
+            skipped += 1
+        if gen is not None:
+            gx = gen * x
+            for z in (gx, gx * y):
+                kernel_checked += 1
+                fz = induced_filtration_reference(z, P)
+                if not isinstance(fz, AtLeast):
+                    witnesses.append({
+                        "kind": "kernel", "element": format_series(z), "f": str(fz),
+                    })
+    return {
+        "samples": samples,
+        "checked": checked,
+        "skipped": skipped,
+        "kernel_checked": kernel_checked,
+        "violations": len(witnesses),
+        "witnesses": witnesses[:5],
+        "status": "pass" if not witnesses else "fail",
+    }

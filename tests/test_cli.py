@@ -2,17 +2,22 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from iwacalc import cli
+from iwacalc import CentralPrimeSpec, cli, parse_series
 from iwacalc.cli import (
     ConfigError, _task_verify_operators, build_context, load_config_file, main,
     parse_config, render_jsonl, render_table, run_config,
 )
 from iwacalc.rng import Pcg32
-from iwacalc.series import SparseMap
+from iwacalc.series import SparseMap, TruncationSpec
+
+from conftest import heisenberg_generators
+from oracles import completely_prime_probe_reference, verify_valuation_reference
 
 
 def abelian_doc(tasks):
@@ -289,6 +294,112 @@ def test_probe_draws_from_the_stream_of_its_position(monkeypatch):
     records = run_config(parse_config(doc))
     assert [r["status"] for r in records] == ["pass"] * 3
     assert seen == [(2 ** 64 - 1, 1), (2 ** 64 - 1, 2)]
+
+
+# models for the sampled checks: abelian with a central prime block at
+# e = 1 and e = 2, at p = 2 (where no coefficient is drawn), and Heisenberg
+SAMPLED = {
+    "abelian3": ({"p": 3, "model": {"kind": "abelian", "rank": 3, "centre": [0, 0, 4]},
+                  "omega": ["1", "1", "1"], "truncation": {"W": 8, "M": 4}},
+                 [RANK3_PRIME, {"kind": "graph", "central_block": 2, "target": 1,
+                                "u": "b2^2"}]),
+    "e2": ({"p": 3, "model": {"kind": "abelian", "rank": 3, "centre": [0, 0, 4]},
+            "omega": ["1", "1", "3/2"], "truncation": {"W": 12, "M": 4, "e": 2}},
+           [RANK3_PRIME, {"kind": "graph", "central_block": 2, "target": 2,
+                          "u": "b1^2 + b1^3"}]),
+    "p2": ({"p": 2, "model": {"kind": "abelian", "rank": 3, "centre": [0, 0, 6]},
+            "omega": ["2", "2", "2"], "truncation": {"W": 12, "M": 6}},
+           [RANK3_PRIME, {"kind": "graph", "central_block": 2, "target": 2,
+                          "u": "b1^2"}]),
+    "heisenberg": ({"p": 5, "model": {"kind": "unitriangular", "size": 3,
+                                      "generators": heisenberg_generators(5)},
+                    "omega": ["1", "1", "2"], "truncation": {"W": 8, "M": 3}}, []),
+}
+
+
+def sampled_records(name: str, seed: int, samples: int) -> tuple[list, list]:
+    """The records of verify-valuation and one probe per prime of a model,
+    and what the oracle loops give for the same streams."""
+    base, primes = SAMPLED[name]
+    doc = dict(base, seed=seed, tasks=[{"name": "verify-valuation", "samples": samples}] + [
+        {"name": "completely-prime-probe", "prime": P, "samples": samples}
+        for P in primes])
+    cfg = parse_config(doc)
+    t = build_context(cfg).trunc
+    want = [dict(zip(("status", "metrics", "witnesses"), verify_valuation_reference(
+        t, Pcg32(seed, stream=0), samples)), task="verify-valuation")]
+    for k, spec in enumerate(primes, 1):
+        u = parse_series(t, spec["u"]) if "u" in spec else None
+        target = spec["target"] - 1 if "target" in spec else None
+        P = CentralPrimeSpec(t, spec["kind"], spec["central_block"], target, u)
+        report = completely_prime_probe_reference(P, Pcg32(seed, stream=k), samples)
+        want.append({"task": "completely-prime-probe", "status": report["status"],
+                     "metrics": {f: report[f] for f in ("samples", "checked", "skipped",
+                                                        "kernel_checked", "violations")},
+                     "witnesses": report["witnesses"]})
+    return run_config(cfg), want
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_sampled_checks_match_the_oracle_loops(name):
+    """Both sampled tasks draw every sample first and then work on blocks;
+    their records equal those of the one-sample-at-a-time loops."""
+    for seed in range(1, 21):
+        got, want = sampled_records(name, seed, 12)
+        assert got == want
+    got, want = sampled_records(name, 5, 0)
+    assert got == want
+    assert all(r["status"] == "pass" for r in got)
+
+
+def drop_leading(rows, cols, coefs):
+    keep = np.diff(rows, prepend=-1) == 0
+    return rows[keep], cols[keep], coefs[keep]
+
+
+def lower_leading(rows, cols, coefs):
+    cols = cols.copy()
+    cols[np.diff(rows, prepend=-1) != 0] = 0
+    return rows, cols, coefs
+
+
+@pytest.mark.parametrize("fault", [drop_leading, lower_leading])
+@pytest.mark.parametrize("name", ["abelian3", "e2", "heisenberg"])
+def test_sampled_check_witnesses_match_the_oracle_loops(monkeypatch, name, fault):
+    """No golden config reaches a witness.  Here every product has the
+    leading term of each row dropped, or moved to the constant; both the
+    block route and the oracle loops multiply through `mul_block`, and the
+    witnesses come in the oracle's order and with its text."""
+    mul = TruncationSpec.mul_block
+    monkeypatch.setattr(TruncationSpec, "mul_block",
+                        lambda self, x, y: fault(*mul(self, x, y)))
+    kinds = set()
+    for seed in (1, 2, 3):
+        got, want = sampled_records(name, seed, 40)
+        assert got == want
+        assert all(r["status"] == "fail" for r in got)
+        kinds |= {w["kind"] for r in got for w in r["witnesses"]}
+    assert "multiplicativity" in kinds
+    if name != "heisenberg":
+        assert "kernel" in kinds
+        assert fault is drop_leading or "superadditivity" in kinds
+
+
+def test_verify_valuation_memory_follows_the_samples(u4):
+    """5,000 samples on U_4 at W=16, its generator maps built cold, peak
+    below one dense 5,000 x 720 int64 block."""
+    t = TruncationSpec(u4, 16)
+    assert t.size == 720
+    ctx = cli.RunContext(u4, t, 5)
+    tracemalloc.start()
+    try:
+        status, metrics, _ = cli._task_verify_valuation(ctx, {"samples": 5000}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == "pass" and metrics["checked"] + metrics["skipped"] == 5000
+    assert metrics["checked"] > 500
+    assert peak < 5000 * 720 * 8
 
 
 def test_main_exit_zero(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from iwacalc import (
     AtLeast, CentralPrimeSpec, ModelError, completely_prime_probe,
     control_witnesses, controller_approx, dagger_approx, flatness_check,
-    ideal_span, induced_filtration, is_controlled_by, parse_series,
+    ideal_span, induced_filtration, is_controlled_by, load_abelian, parse_series,
     subalgebra_ideal_span, subalgebra_monomials, subgroup_from_exponents,
     zalesskii_check,
 )
@@ -21,8 +21,8 @@ from iwacalc.series import SparseMap, TruncationSpec, format_series, group_embed
 
 from oracles import (
     DenseRowSpace, dense, dense_closure, divided_power_reference, escapes_reference,
-    intersect_coordinate_subspace, mat_pow, mul_reference, operator_matrix,
-    reduce_block, rref,
+    induced_filtration_reference, intersect_coordinate_subspace, mat_pow,
+    mul_reference, operator_matrix, reduce_block, rref,
 )
 
 
@@ -234,6 +234,56 @@ def test_graph_prime_filtration(trunc3):
     assert isinstance(f, AtLeast) and f.bound == 8
     f = induced_filtration(gen * parse_series(trunc3, "b2 + b3"), P)
     assert isinstance(f, AtLeast)
+
+
+@pytest.fixture(scope="session")
+def filtration_primes(trunc3):
+    # e = 2: weights in (1/2)Z, cutoff 6
+    e2 = TruncationSpec(load_abelian(3, 3, 4, ["1", "1", "3/2"], e=2,
+                                     centre_exponents=[0, 0, 4]), 12)
+    return [CentralPrimeSpec(trunc3, "zero", 2),
+            CentralPrimeSpec(trunc3, "graph", 2, 0, parse_series(trunc3, "b2^2")),
+            CentralPrimeSpec(trunc3, "graph", 2, 1, parse_series(trunc3, "b1^2 + 2*b1^3")),
+            CentralPrimeSpec(e2, "zero", 2),
+            CentralPrimeSpec(e2, "graph", 2, 1, parse_series(e2, "b1^2 + b1^3"))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_filtrations_match_the_oracle(filtration_primes, data):
+    P = data.draw(st.sampled_from(filtration_primes))
+    t = P.trunc
+    series = data.draw(st.lists(st.builds(t.from_dict, st.dictionaries(
+        st.sampled_from(t.basis), st.integers(1, t.model.p - 1), max_size=6)),
+        max_size=6))
+    if P.kind == "graph":
+        # elements of the induced ideal, whose filtration is only bounded
+        series += [P.generator() * x for x in series[:3]]
+    want = [induced_filtration_reference(x, P) for x in series]
+    assert [t.val(f) for f in P.filtrations(t.block(series), len(series))] == want
+    assert [induced_filtration(x, P) for x in series] == want
+
+
+def test_filtration_bounds_and_demotion(trunc3):
+    t = trunc3
+    P = CentralPrimeSpec(t, "graph", 2, 0, parse_series(t, "b2^2"))
+    b3 = parse_series(t, "b3")
+    cases = [
+        (t.zero(), AtLeast(Fraction(8))),
+        # tau(b1^3) = b2^6, and 6 + w(b3^2) reaches the cutoff 8: demoted
+        (parse_series(t, "b1^3*b3^2"), AtLeast(Fraction(8))),
+        # r_gamma = b1 - b2^2 for gamma = (1), and tau(r_gamma) = 0: only the
+        # bound 8 + w(b3) is known
+        (P.generator() * b3, AtLeast(Fraction(9))),
+        # an exact value below the cutoff wins over every bound
+        (P.generator() * b3 + b3.pow(3), 3),
+        (parse_series(t, "b1^3*b3^2 + b2*b3"), 2),
+    ]
+    series = [x for x, _ in cases]
+    want = [v for _, v in cases]
+    assert [induced_filtration_reference(x, P) for x in series] == want
+    assert [t.val(f) for f in P.filtrations(t.block(series), len(series))] == want
+    assert [induced_filtration(x, P) for x in series] == want
 
 
 def test_prime_spec_validation(trunc2, trunc3, tzeta):

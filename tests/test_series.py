@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from iwacalc import (
     AtLeast, ModelError, PrecisionError, TruncatedSeries, TruncationSpec, aut_extend,
     Automorphism, format_series, group_embed, load_abelian, load_unitriangular,
-    multi_binom_mod_p, parse_series, relative_normal_form, series_frobenius,
+    multi_binom_mod_p, parse_series, series_frobenius,
 )
 from iwacalc.series import aut_map
 from iwacalc.padic import mi_range, mi_weight
@@ -21,7 +21,7 @@ from iwacalc.rng import Pcg32
 from conftest import heisenberg_generators
 from oracles import (
     aut_images_reference, dense, format_reference, lmul_matrix, mul_reference,
-    signed_binomials_reference,
+    relative_normal_form, signed_binomials_reference,
 )
 
 
@@ -356,6 +356,47 @@ def test_product_matches_group_route(kernel_truncs, name, data):
     x = draw_series(data, t, 5)
     y = draw_series(data, t, 5)
     assert x * y == mul_reference(x, y)
+
+
+@pytest.fixture(scope="session")
+def block_truncs(abelian3, heis, u4):
+    truncs = {name: TruncationSpec(model, 12)
+              for name, model in [("abelian3", abelian3), ("heis", heis), ("u4", u4)]}
+    # a full-support series of each, and a cache of the oracle's products
+    return {name: (t, t.from_dict({a: 1 + k % (t.model.p - 1)
+                                   for k, a in enumerate(t.basis)}), {})
+            for name, t in truncs.items()}
+
+
+@pytest.mark.parametrize("name", ["abelian3", "heis", "u4"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_block_product_matches_group_route(block_truncs, name, data):
+    """Row k of `mul_block` is the product of the k-th pair, for blocks
+    that hold zero rows, repeated rows and rows of full support."""
+    t, full, cache = block_truncs[name]
+    drawn = st.one_of(st.just(t.zero()), st.just(full),
+                      st.builds(t.from_dict, st.dictionaries(
+                          st.sampled_from(t.basis), st.integers(1, t.model.p - 1),
+                          max_size=6)))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        repeat = pairs and data.draw(st.booleans())
+        pairs.append(data.draw(st.sampled_from(pairs)) if repeat
+                     else (data.draw(drawn), data.draw(drawn)))
+    rows, cols, coefs = t.mul_block(t.block([x for x, _ in pairs]),
+                                    t.block([y for _, y in pairs]))
+    # canonical: sorted by (row, column) without repeats, residues in [1, p)
+    keys = rows * t.size + cols
+    assert np.all(np.diff(keys) > 0)
+    assert np.all((coefs >= 1) & (coefs < t.model.p))
+    for k, (x, y) in enumerate(pairs):
+        if (x, y) not in cache:
+            cache[x, y] = mul_reference(x, y)
+        row = rows == k
+        assert t.from_dict({t.basis[c]: v for c, v in zip(cols[row].tolist(),
+                                                          coefs[row].tolist())}) \
+            == cache[x, y]
 
 
 @pytest.mark.parametrize("name", ["abelian3", "heis", "heis_wide", "u4", "heis_big"])
