@@ -8,10 +8,11 @@ subalgebra stay flat, is a centrally induced ideal completely prime) reduce
 to rank computations and valuation bookkeeping.
 
 A span is closed by a `linalg.RowSpace`, a frontier of entry arrays at a
-time, and kept as its sparse reduced row echelon basis R (`IdealSpan`).
-Every test against it is one block residual B - B[:, pivots]·R, a gather
-through R: membership of a vector, the dagger's candidates in chunks, and
-del_i-stability, where B is del_i applied to all of R at once.
+time, which keeps it as its reduced row echelon basis R (`IdealSpan`).
+Every test against it is one `linalg.residual` B - B[:, pivots]·R, the
+kernel that also grows the span: membership of a vector, the dagger's
+candidates in chunks, and del_i-stability, where B is del_i applied to all
+of R at once.
 
 A central prime keeps its quotient map tau as one `SparseMap`, so the
 induced filtration of a block of series is one apply of tau to every part
@@ -33,13 +34,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
-from .linalg import RowSpace, integer_array, sum_entries
+from .linalg import RowSpace, SparseMap, integer_array, residual, sum_entries
 from .operators import divided_power_map, divided_power_maps
 from .padic import Val, gt_provable, mi_range, power
 from .rng import Pcg32
-from .series import (
-    SparseMap, TruncatedSeries, TruncationSpec, format_row, format_series,
-)
+from .series import TruncatedSeries, TruncationSpec, format_row, format_series
 
 _SIDES = ("right", "two-sided")
 # candidates of the dagger search embedded at a time, as dense rows
@@ -51,13 +50,13 @@ class IdealSpan:
 
     R is a `SparseMap` whose source k is the k-th row in pivot order and
     whose targets are basis columns: row k is 1 at `pivots[k]` and 0 at
-    every other pivot.  The residual of a block B of vectors against the
-    span is B - B[:, pivots]·R, one gather through R (`_block_residual`);
-    membership, del-stability and the dagger are tests on it, and the
-    del_i-stability result is kept per direction, since the span never
-    changes.  The constructor also takes the basis as a dense dim x size
-    array of integers, which it reduces mod p; `rows` is that dense form,
-    built on first read.  Two spans are equal when they are the same subspace of the
+    every other pivot, as a `RowSpace` leaves it.  Membership,
+    del-stability and the dagger are tests on the residual B - B[:, pivots]·R
+    of a block B of vectors (`linalg.residual`), and the del_i-stability
+    result is kept per direction, since the span never changes.  The
+    constructor also takes the basis as a dense dim x size array of
+    integers, which it reduces mod p; `rows` is that dense form, built on
+    first read.  Two spans are equal when they are the same subspace of the
     same truncation, whatever their sidedness.
     """
 
@@ -103,26 +102,6 @@ class IdealSpan:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    @cached_property
-    def _position(self) -> np.ndarray:
-        """The row of R pivoting at each column, -1 at non-pivot columns."""
-        out = np.full(self.trunc.size, -1, dtype=np.int64)
-        out[list(self.pivots)] = np.arange(self.dim)
-        return out
-
-    def _block_residual(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """B - B[:, pivots]·R for the block B whose entries (row, column,
-        coefficient in [0, p)) are given, repeats summed: its entries sorted
-        by row, then column, with coefficients in [1, p).  This is the
-        unique residual of each row of B, zero at the pivots."""
-        p = self.trunc.model.p
-        k = self._position[cols]
-        hit = k >= 0
-        more = self.reduced.apply_entries(rows[hit], k[hit], -coefs[hit] % p)
-        return sum_entries(*(np.concatenate(pair) for pair in
-                             zip((rows, cols, coefs), more)), p)
-
     def contains_vector(self, vec) -> bool:
         vec = integer_array(vec)
         if vec.shape != (self.trunc.size,):
@@ -131,7 +110,8 @@ class IdealSpan:
         # reduced before the cast, so that huge ints in object arrays stay exact
         vec = np.asarray(vec % self.trunc.model.p, dtype=np.int64)
         cols = np.flatnonzero(vec)
-        return not self._block_residual(np.zeros_like(cols), cols, vec[cols])[0].size
+        return not residual(np.zeros_like(cols), cols, vec[cols], self.reduced,
+                            self.pivots)[0].size
 
     def contains(self, x: TruncatedSeries) -> bool:
         if x.trunc is not self.trunc:
@@ -143,8 +123,8 @@ def _unit_exponent(rank: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(rank))
 
 
-def _close_span(trunc: TruncationSpec, generators,
-                maps: list[SparseMap]) -> RowSpace:
+def _close_span(trunc: TruncationSpec, generators, maps: list[SparseMap],
+                sided: str) -> IdealSpan:
     """Span of the generators closed under the maps, a frontier at a time:
     the rows a frontier stored go through all n maps in one gather, the
     maps stacked with map k's targets offset by k*size, and the image of
@@ -157,16 +137,9 @@ def _close_span(trunc: TruncationSpec, generators,
     space = RowSpace(p, size)
     front = space.add(*np.nonzero(gens), gens[gens != 0])
     while front[0].size:
-        at, tgt, coefs = sum_entries(*stacked.apply_entries(*front), p)
+        at, tgt, coefs = stacked.apply_entries(*front)
         front = space.add(at * n + tgt // size, tgt % size, coefs)
-    return space
-
-
-def _finished(trunc: TruncationSpec, space: RowSpace, sided: str) -> IdealSpan:
-    """The span of a closed `RowSpace` as its reduced basis."""
-    at, cols, coefs = space.reduced()
-    return IdealSpan(trunc, SparseMap(trunc.model.p, trunc.size, cols, at, coefs),
-                     space.pivots, sided)
+    return IdealSpan(trunc, space.basis, space.pivots, sided)
 
 
 def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
@@ -187,7 +160,7 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     sides = ("right",) if sided == "right" or abelian else ("right", "left")
     maps = [trunc.generator_map(j, side)
             for side in sides for j in range(trunc.model.rank)]
-    return _finished(trunc, _close_span(trunc, generators, maps), sided)
+    return _close_span(trunc, generators, maps, sided)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +210,7 @@ def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
     t = I.trunc
     d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
     R = I.reduced
-    at, cols, coefs = I._block_residual(*d_i.apply_entries(R.src, R.tgt, R.coef))
+    at, cols, coefs = residual(*d_i.apply_entries(R.src, R.tgt, R.coef), R, I.pivots)
     hit = None
     if at.size:
         first = at == at[0]
@@ -283,7 +256,7 @@ def dagger_approx(I: IdealSpan, depth: int, budget: int = 4096) -> list[tuple[in
         rows[:, t.index[(0,) * model.rank]] -= 1  # g^lam - 1; C(lam, 0) = 1
         at, cols = np.nonzero(rows)
         kept = np.ones(len(chunk), dtype=bool)
-        kept[I._block_residual(at, cols, rows[at, cols])[0]] = False
+        kept[residual(at, cols, rows[at, cols], I.reduced, I.pivots)[0]] = False
         out += [lam for lam, keep in zip(chunk, kept.tolist()) if keep]
     return out
 
@@ -322,7 +295,7 @@ def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
     one = SparseMap.identity(p, trunc.size)
     maps = [power(trunc.generator_map(j), p ** n, one, SparseMap.compose)
             for j, n in enumerate(H.exponents) if n < trunc.model.precision]
-    return _finished(trunc, _close_span(trunc, generators, maps), "right")
+    return _close_span(trunc, generators, maps, "right")
 
 
 def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
@@ -349,14 +322,14 @@ def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
     space.add(R.src, np.argsort(order)[R.tgt], R.coef)
     # the reduced rows come in pivot order, the first `low` pivoting outside
     low = int(np.searchsorted(space.pivots, trunc.size - kept.sum()))
-    at, cols, coefs = space.reduced()
+    B = space.basis
     meet = RowSpace(p, trunc.size)
-    meet.add(*(a[at >= low] for a in (at, order[cols], coefs)))
+    meet.add(*(a[B.src >= low] for a in (B.src, order[B.tgt], B.coef)))
     return {
         "dim_subalgebra_ideal": sub.dim,
         "dim_induced_ideal": induced.dim,
         "dim_intersection": meet.dim,
-        "flat": sub == _finished(trunc, meet, "right"),
+        "flat": sub == IdealSpan(trunc, meet.basis, meet.pivots, "right"),
     }
 
 

@@ -45,9 +45,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .linalg import RowSpace, is_integer
+from .linalg import is_integer
 from .padic import (
     AtLeast, Val, eq_compatible, ge_refuted, gt_provable, is_prime,
     poly_combine, poly_product_sum, power, residue_vp, val_min, val_add,
@@ -138,30 +136,22 @@ def _mat_mul(a, b, m: int):
         for i in range(n))
 
 
-def _mat_inv_mod(rows, m: int, p: int):
-    """Inverse of a square matrix whose reduction mod p is invertible."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            raise ModelError("matrix is singular mod p")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        s = pow(a[col][col], -1, m)
-        a[col] = [x * s % m for x in a[col]]
-        inv[col] = [x * s % m for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % m for x, y in zip(a[r], a[col])]
-                inv[r] = [(x - f * y) % m for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(r) for r in inv)
+def _rref_mod(rows, m: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod m, a power of p, of a matrix of Python
+    ints, pivoting on units (entries nonzero mod p): (pivot rows, pivot
+    columns).  Exact for any p; the pivot columns are those mod p."""
+    a, pivots = [[x % m for x in r] for r in rows], []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] % p), None)
+        if piv is not None:
+            a[r], a[piv] = a[piv], a[r]
+            s = pow(a[r][col], -1, m)
+            a[r] = [x * s % m for x in a[r]]
+            a = [row if i == r else [(x - row[col] * y) % m for x, y in zip(row, a[r])]
+                 for i, row in enumerate(a)]
+            pivots.append(col)
+    return a[:len(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +427,20 @@ class UnitriangularModel(GroupModel):
         return mat
 
     def _setup_solver(self) -> None:
-        """Express logs in first-kind coordinates: pick d pivot positions whose
-        d x d submatrix of (log g_k)/p is invertible mod p."""
-        pm = self._pm
-        v = [[(self._logs[k][i][j] // self.p) % pm for k in range(self.rank)]
+        """Express logs in first-kind coordinates: pick the first d positions
+        whose d x d submatrix S of v = (log g_k)/p is invertible mod p, and
+        S^-1 mod p^M.  One elimination of [v^T | 1] does both: it ends in
+        [E v^T | E] with E = (S^T)^-1, so S^-1 is the transpose of E."""
+        pm, d = self._pm, self.rank
+        v = [[(self._logs[k][i][j] // self.p) % pm for k in range(d)]
              for (i, j) in self._positions]
         self._vmatrix = v
-        space = RowSpace(self.p, len(v))
-        a = np.array(v, dtype=np.int64).T % self.p  # row k: column k of v
-        space.add(*np.nonzero(a), a[a != 0])
-        if space.dim < self.rank:
+        rows, pivots = _rref_mod([list(col) + [int(j == k) for j in range(d)]
+                                  for k, col in enumerate(zip(*v))], pm, self.p)
+        if any(c >= len(v) for c in pivots):
             raise ModelError("generator logs are dependent mod p; not an ordered basis")
-        self._pivot_rows = space.pivots
-        sub = [[v[r][k] for k in range(self.rank)] for r in self._pivot_rows]
-        self._solver = _mat_inv_mod(sub, pm, self.p)
+        self._pivot_rows = pivots
+        self._solver = tuple(zip(*(r[len(v):] for r in rows)))
 
     # -- compilation: the matrix route over polynomial entries --------------
 

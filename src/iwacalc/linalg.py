@@ -1,19 +1,22 @@
-"""Linear algebra over F_p: one sparse elimination, `reduce_sparse`, and
-the incremental echelon `RowSpace` built on it.
+"""Linear algebra over F_p on int64 entry arrays: one residual kernel,
+`residual`, and the growing span `RowSpace` built on it.
 
-Blocks of vectors pass between layers as int64 entry arrays (row, column,
-coefficient), whose repeats `sum_entries` sums mod p.  Only inside this
-module are rows dicts {column: coefficient} in Python ints, exact for any
-p.  A span grows only in a `RowSpace`, a block at a time; `reduced()`
-back-substitutes once to the unique reduced row echelon basis, which a
-finished span (`control.IdealSpan`) keeps sparse.
+Blocks of vectors pass between layers as entry arrays (row, column,
+coefficient), whose repeats `sum_entries` sums mod p, and a linear map is a
+`SparseMap`.  A span is its reduced row echelon basis R, a `SparseMap` from
+rows to columns, with its pivots; every reduction against it, also while a
+`RowSpace` grows it, is the residual B - B[:, pivots]·R, one gather through
+R.  A product of two residues must fit in int64, so a `RowSpace` refuses p
+with (p - 1)^2 >= 2^63; `series.TruncationSpec` bounds size·(p - 1)^2.
 """
 
 from __future__ import annotations
 
-import heapq
+from typing import Sequence
 
 import numpy as np
+
+from .padic import power
 
 
 def is_integer(x) -> bool:
@@ -33,103 +36,209 @@ def integer_array(values) -> np.ndarray:
     return a
 
 
-def reduce_sparse(vec: dict, rows: dict, p: int, stop: bool = False) -> dict:
-    """vec less the multiples of rows that clear it at their pivots, without
-    zero entries; with stop, only up to the first column that no row clears.
-
-    rows maps each pivot to its row {column: coefficient}, which is 1 at the
-    pivot and 0 before it.  The columns are cleared in increasing order, a
-    heap giving the next one, so each step touches only the row it
-    subtracts.  Against a fully reduced basis (each row 0 at every other
-    pivot) the result is the unique residual, zero at the pivots.
-    """
-    v = {c: x % p for c, x in vec.items() if x % p}
-    heap = list(v)
-    heapq.heapify(heap)
-    while heap:
-        c = heapq.heappop(heap)
-        x, row = v.get(c), rows.get(c)
-        if x is None:
-            continue  # cancelled, or a repeated heap entry
-        if row is None:
-            if stop:
-                break
-            continue
-        for k, y in row.items():
-            z = (v.get(k, 0) - x * y) % p
-            if not z:
-                v.pop(k, None)
-                continue
-            if k not in v:
-                heapq.heappush(heap, k)
-            v[k] = z
-    return v
-
-
 def sum_entries(rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray, p: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries (row, column, coefficient) with repeats summed mod p and
     zeros dropped, sorted by row, then column."""
     width = int(cols.max()) + 1 if cols.size else 1
-    keys, at = np.unique(rows * width + cols, return_inverse=True)
-    sums = np.zeros(keys.size, dtype=np.int64)
-    np.add.at(sums, at, coefs)
-    live = sums % p != 0
-    return keys[live] // width, keys[live] % width, sums[live] % p
+    keys = rows * width + cols
+    order = keys.argsort()
+    first = _bounds(keys[order])[:-1]
+    sums = np.add.reduceat(coefs[order], first) % p if first.size else coefs[:0]
+    keys = keys[order[first[sums != 0]]]
+    return keys // width, keys % width, sums[sums != 0]
 
 
-def _entries(rows: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dict rows as int64 entry arrays, rows numbered in list order."""
-    at = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
-    cols = np.array([c for r in rows for c in r], dtype=np.int64)
-    coefs = np.array([x for r in rows for x in r.values()], dtype=np.int64)
-    return at, cols, coefs
+def _bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts, and its end."""
+    edge = np.empty(keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
+
+
+def _runs(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs lo[k], ..., lo[k] + n[k] - 1 laid end to end, as (at, pos):
+    item i is position pos[i], in run at[i]."""
+    at = np.arange(n.size).repeat(n)
+    return at, np.arange(at.size) + (lo + n - n.cumsum()).repeat(n)
+
+
+class SparseMap:
+    """A sparse F_p-linear map into `size` coordinates, as int64 arrays.
+
+    Entry n adds coef[n], a residue in [0, p), times source coordinate
+    src[n] to target coordinate tgt[n].  The entries are kept in one order,
+    sorted by (source, target), so the entries of one source are one slice;
+    a pair may repeat, its coefficients then adding up.  The constructor
+    sorts only entries that come out of order.  Two kernels read them.
+    `apply` maps a coefficient vector: one gather, one product mod p and
+    one scatter-add.  `apply_entries` maps a block held as entries
+    (row, column, coefficient), gathering the slice of each column.
+    `compose` and `combine` build new maps on `apply_entries` and
+    `sum_entries`; their results are canonical, each pair once and no zero
+    coefficient.  Maps are equal (`==`) when they are the same linear map."""
+
+    __slots__ = ("p", "size", "tgt", "src", "coef")
+
+    def __init__(self, p: int, size: int, tgt, src, coef):
+        self.p = p
+        self.size = size
+        # copies, so that a map made of slices does not keep their whole arrays
+        tgt, src, coef = (np.array(a, dtype=np.int64) for a in (tgt, src, coef))
+        key = src * size + tgt
+        if (key[1:] < key[:-1]).any():
+            order = key.argsort(kind="stable")
+            tgt, src, coef = tgt[order], src[order], coef[order]
+        self.tgt, self.src, self.coef = tgt, src, coef
+
+    @staticmethod
+    def identity(p: int, size: int) -> "SparseMap":
+        ident = np.arange(size, dtype=np.int64)
+        return SparseMap(p, size, ident, ident, np.ones_like(ident))
+
+    @staticmethod
+    def combine(scalars: Sequence[int], maps: Sequence["SparseMap"]) -> "SparseMap":
+        """sum_k scalars[k] * maps[k] for at least one map, canonical."""
+        p, size = maps[0].p, maps[0].size
+        if any(m.p != p or m.size != size for m in maps):
+            raise ValueError("maps on different spaces")
+        coefs = [c % p * m.coef % p for c, m in zip(scalars, maps, strict=True)]
+        src, tgt, coef = sum_entries(np.concatenate([m.src for m in maps]),
+                                     np.concatenate([m.tgt for m in maps]),
+                                     np.concatenate(coefs), p)
+        return SparseMap(p, size, tgt, src, coef)
+
+    def compose(self, other: "SparseMap") -> "SparseMap":
+        """self o other, other applied first, canonical."""
+        if other.p != self.p or other.size != self.size:
+            raise ValueError("maps on different spaces")
+        src, tgt, coef = sum_entries(
+            *self.apply_entries(other.src, other.tgt, other.coef), self.p)
+        return SparseMap(self.p, self.size, tgt, src, coef)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMap):
+            return NotImplemented
+        return (self.p, self.size) == (other.p, other.size) and not \
+            SparseMap.combine((1, -1), (self, other)).coef.size
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """Image of a coefficient vector with entries in [0, p)."""
+        if vec.shape != (self.size,):
+            raise ValueError(f"vector of shape {vec.shape}, expected ({self.size},)")
+        out = np.zeros(self.size, dtype=np.int64)
+        np.add.at(out, self.tgt, vec[self.src] * self.coef % self.p)
+        return out % self.p
+
+    def apply_entries(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Image of the block with entries (row, column, coefficient in
+        [0, p)), the columns being sources: one entry (row, target, product
+        mod p) per pair of a block entry and a map entry from its column, not
+        summed."""
+        lo = self.src.searchsorted(cols)
+        at, pos = _runs(lo, self.src.searchsorted(cols, side="right") - lo)
+        return rows[at], self.tgt[pos], coefs[at] * self.coef[pos] % self.p
+
+
+def residual(rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
+             basis: SparseMap, pivots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B - B[:, pivots]·R for the block B with entries (row, column,
+    coefficient), repeats summed, and the basis R whose source k is a row
+    that is 1 at pivots[k]: its entries sorted by row, then column, with
+    coefficients in [1, p).  Where R is also 0 at every other pivot, this is
+    the unique residual of each row of B, zero at the pivots."""
+    p = basis.p
+    position = np.full(basis.size, -1, dtype=np.int64)
+    position[np.asarray(pivots, dtype=np.int64)] = np.arange(len(pivots))
+    k = position[cols]
+    hit = k >= 0
+    more = basis.apply_entries(rows[hit], k[hit], -coefs[hit] % p)
+    return sum_entries(*(np.concatenate(pair) for pair in
+                         zip((rows, cols, coefs), more)), p)
 
 
 class RowSpace:
-    """Echelon basis of a growing span in F_p^ncols, held as sparse rows.
-
-    A row is a dict {column: coefficient} with 1 at its pivot, its least
-    column.  `add` reduces each new vector by `reduce_sparse` only up to its
-    pivot.  `reduced()` back-substitutes once to the reduced row echelon
-    form, which does not depend on the order of the adds.
-    """
+    """A growing span in F_p^ncols as its reduced row echelon basis R
+    (`basis`): source k is the row 1 at `pivots[k]` and 0 at every other
+    pivot, the same whatever the order of the adds.  `add` takes a block B
+    in three steps, each a `residual`: r = B - B[:, P]·R; r echelonized
+    within itself into rows N with new pivots Q (`_echelon`); R <- R -
+    R[:, Q]·N.  Refuses p with (p - 1)^2 >= 2^63, where a product of two
+    residues wraps in int64."""
 
     def __init__(self, p: int, ncols: int):
+        if (p - 1) ** 2 >= 1 << 63:
+            raise ValueError(f"p = {p}: (p - 1)^2 passes 2^63, so products of "
+                             "residues do not fit in int64")
         self.p = p
         self.ncols = ncols
-        self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
-        self.dim = 0
+        self.basis = SparseMap(p, ncols, [], [], [])
+        self._pivots = np.zeros(0, dtype=np.int64)
+
+    @property
+    def dim(self) -> int:
+        return self._pivots.size
+
+    @property
+    def pivots(self) -> list[int]:
+        return self._pivots.tolist()
 
     def add(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Insert the rows of the block with entries (row, column, coefficient),
-        repeats summed, in row order; return the entries of the rows stored,
-        numbered in the order stored, so none if the span did not grow."""
-        block: dict[int, dict[int, int]] = {}
-        for k, c, x in zip(rows.tolist(), cols.tolist(), coefs.tolist()):
-            v = block.setdefault(k, {})
-            v[c] = v.get(c, 0) + x
-        stored = []
-        for k in sorted(block):
-            v = reduce_sparse(block[k], self._rows, self.p, stop=True)
-            if v:
-                c = min(v)
-                inv = pow(v[c], -1, self.p)
-                row = self._rows[c] = {j: y * inv % self.p for j, y in v.items()}
-                stored.append(row)
-        self.dim += len(stored)
-        return _entries(stored)
+        repeats summed; return the entries of the rows stored, each 1 at its
+        least column, a new pivot, and numbered in pivot order, so none if
+        the span did not grow."""
+        R = self.basis
+        N, lead = self._echelon(*residual(rows, cols, coefs, R, self._pivots))
+        at, tgt, coef = residual(R.src, R.tgt, R.coef, N, lead)
+        pivots = np.sort(np.concatenate([self._pivots, lead]))
+        rank = pivots.searchsorted(self._pivots)
+        self.basis = SparseMap(self.p, self.ncols, np.concatenate([tgt, N.tgt]),
+                               np.concatenate([rank[at], pivots.searchsorted(lead)[N.src]]),
+                               np.concatenate([coef, N.coef]))
+        self._pivots = pivots
+        return N.src, N.tgt, N.coef
 
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
-
-    def reduced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reduced row echelon basis as int64 entry arrays (row, column,
-        coefficient), rows numbered in pivot order."""
-        done: dict[int, dict[int, int]] = {}
-        # a row meets only rows of larger pivots, which are reduced first
-        for c in sorted(self._rows, reverse=True):
-            done[c] = reduce_sparse(self._rows[c], done, self.p)
-        return _entries([done[c] for c in sorted(done)])
+    def _echelon(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
+                 ) -> tuple[SparseMap, np.ndarray]:
+        """(N, Q) for a block whose entries are sorted by row, then column,
+        with coefficients in [1, p): the reduced echelon basis N of its span,
+        whose source k is 1 at Q[k].  A forward round scales each row's lead
+        to 1 and takes the first row of each group of rows with the same
+        lead from the rest of the group, until the leads differ.  A back
+        round is the residual of the rows, off their leads, against
+        themselves; it squares what is left at Q, so few rounds end it."""
+        p = self.p
+        while True:
+            edge = _bounds(rows)
+            first, n = edge[:-1], edge[1:] - edge[:-1]
+            # c^(p - 2) = 1/c for every lead coefficient c
+            inverse = power(coefs[first], p - 2, np.ones_like(first),
+                            lambda a, b: a * b % p)
+            coefs = coefs * inverse.repeat(n) % p
+            order = cols[first].argsort(kind="stable")
+            lead = cols[first[order]]
+            # the first row of each row's group, in lead order
+            head = order[lead.searchsorted(lead)]
+            rest = head != order
+            if not rest.any():
+                break
+            at, pos = _runs(first[head[rest]], n[head[rest]])
+            rows, cols, coefs = sum_entries(
+                np.concatenate([rows, rows[first[order[rest]]][at]]),
+                np.concatenate([cols, cols[pos]]),
+                np.concatenate([coefs, p - coefs[pos]]), p)
+        N = SparseMap(p, self.ncols, cols, lead.searchsorted(cols[first]).repeat(n), coefs)
+        at_lead = np.zeros(self.ncols, dtype=bool)
+        at_lead[lead] = True
+        while True:
+            off = N.tgt != lead[N.src]
+            if not at_lead[N.tgt[off]].any():
+                return N, lead
+            at, tgt, coef = residual(N.src[off], N.tgt[off], N.coef[off], N, lead)
+            N = SparseMap(p, self.ncols, np.concatenate([lead, tgt]),
+                          np.concatenate([np.arange(lead.size), at]),
+                          np.concatenate([np.ones_like(lead), coef]))

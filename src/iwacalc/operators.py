@@ -36,11 +36,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .groups import Automorphism, ModelError, SubgroupSpec
-from .linalg import sum_entries
+from .linalg import SparseMap, sum_entries
 from .padic import (
     AtLeast, MultiIndex, Val, power, signed_binomials, val_min, val_sub_exact,
 )
-from .series import SparseMap, TruncatedSeries, TruncationSpec
+from .series import TruncatedSeries, TruncationSpec
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelError
-from .linalg import integer_array, sum_entries
+from .linalg import SparseMap, _runs, integer_array, sum_entries
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, format_poly, lucas_rows, mi_weight,
     poly_combine, poly_frobenius, power, signed_binomial_rows, signed_binomials,
@@ -384,87 +384,6 @@ class TruncationSpec:
                 at, cols, coefs = gather(multiples, np.searchsorted(keys, ykeys[here]))
                 out.append((yr[here][at], cols, yv[here][at] * coefs % p))
         return sum_entries(*map(np.concatenate, zip(*out)), p)
-
-
-def _runs(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The runs lo[k], ..., lo[k] + n[k] - 1 laid end to end, as (at, pos):
-    item i is position pos[i], in run at[i]."""
-    at = np.repeat(np.arange(n.size), n)
-    return at, np.arange(at.size) + np.repeat(lo + n - np.cumsum(n), n)
-
-
-class SparseMap:
-    """A sparse F_p-linear map into `size` coordinates, as int64 arrays.
-
-    Entry n adds coef[n], a residue in [0, p), times source coordinate
-    src[n] to target coordinate tgt[n].  The entries are kept in one order,
-    sorted by (source, target), so the entries of one source are one slice;
-    a pair may repeat, its coefficients then adding up.  Two kernels read
-    them.  `apply` maps a coefficient vector: one gather, one product mod p
-    and one scatter-add.  `apply_entries` maps a block held as entries
-    (row, column, coefficient), gathering the slice of each column.
-    `compose` and `combine` build new maps on `apply_entries` and
-    `linalg.sum_entries`; their results are canonical, each pair once and
-    no zero coefficient.  Maps are equal (`==`) when they are the same
-    linear map."""
-
-    __slots__ = ("p", "size", "tgt", "src", "coef")
-
-    def __init__(self, p: int, size: int, tgt, src, coef):
-        self.p = p
-        self.size = size
-        tgt, src, coef = (np.asarray(a, dtype=np.int64) for a in (tgt, src, coef))
-        order = np.lexsort((tgt, src))
-        self.tgt, self.src, self.coef = tgt[order], src[order], coef[order]
-
-    @staticmethod
-    def identity(p: int, size: int) -> "SparseMap":
-        ident = np.arange(size, dtype=np.int64)
-        return SparseMap(p, size, ident, ident, np.ones_like(ident))
-
-    @staticmethod
-    def combine(scalars: Sequence[int], maps: Sequence["SparseMap"]) -> "SparseMap":
-        """sum_k scalars[k] * maps[k] for at least one map, canonical."""
-        p, size = maps[0].p, maps[0].size
-        if any(m.p != p or m.size != size for m in maps):
-            raise ValueError("maps on different spaces")
-        coefs = [c % p * m.coef % p for c, m in zip(scalars, maps, strict=True)]
-        src, tgt, coef = sum_entries(np.concatenate([m.src for m in maps]),
-                                     np.concatenate([m.tgt for m in maps]),
-                                     np.concatenate(coefs), p)
-        return SparseMap(p, size, tgt, src, coef)
-
-    def compose(self, other: "SparseMap") -> "SparseMap":
-        """self o other, other applied first, canonical."""
-        if other.p != self.p or other.size != self.size:
-            raise ValueError("maps on different spaces")
-        src, tgt, coef = sum_entries(
-            *self.apply_entries(other.src, other.tgt, other.coef), self.p)
-        return SparseMap(self.p, self.size, tgt, src, coef)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMap):
-            return NotImplemented
-        return (self.p, self.size) == (other.p, other.size) and not \
-            SparseMap.combine((1, -1), (self, other)).coef.size
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Image of a coefficient vector with entries in [0, p)."""
-        if vec.shape != (self.size,):
-            raise ValueError(f"vector of shape {vec.shape}, expected ({self.size},)")
-        out = np.zeros(self.size, dtype=np.int64)
-        np.add.at(out, self.tgt, vec[self.src] * self.coef % self.p)
-        return out % self.p
-
-    def apply_entries(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Image of the block with entries (row, column, coefficient in
-        [0, p)), the columns being sources: one entry (row, target, product
-        mod p) per pair of a block entry and a map entry from its column, not
-        summed."""
-        lo = np.searchsorted(self.src, cols)
-        at, pos = _runs(lo, np.searchsorted(self.src, cols, side="right") - lo)
-        return rows[at], self.tgt[pos], coefs[at] * self.coef[pos] % self.p
 
 
 class TruncatedSeries:

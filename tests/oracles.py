@@ -18,7 +18,8 @@ intersects a row space with a coordinate subspace through it, and
 `reduce_block` reduces a block of dense vectors against an rref basis at
 once, `DenseRowSpace` keeps a growing span fully reduced in a dense array
 and `dense_closure` closes a span under maps of dense vectors with it,
-`mat_pow` raises a matrix to a power by square and multiply, and
+`mat_pow` raises a matrix to a power by square and multiply,
+`mat_inv_mod` inverts one mod p^k by Gauss-Jordan, and
 `escapes_reference` tests a span for del_i-stability on every column.
 `format_reference` writes a sparse polynomial term by term, and
 `mahler_coeff_aut_reference` takes finite differences over every point of
@@ -53,7 +54,7 @@ import numpy as np
 
 from iwacalc.groups import (
     Automorphism, GroupElement, ModelError, SubgroupSpec, UnitriangularModel,
-    _mat_id, _mat_inv_mod, _mat_mul, load_abelian, load_unitriangular,
+    _mat_id, _mat_mul, load_abelian, load_unitriangular,
 )
 from iwacalc.control import CentralPrimeSpec, IdealSpan
 from iwacalc.linalg import RowSpace, integer_array
@@ -66,6 +67,32 @@ from iwacalc.rng import Pcg32
 from iwacalc.series import (
     SparseMap, TruncatedSeries, TruncationSpec, format_series, group_embed,
 )
+
+
+def mat_inv_mod(rows, m: int, p: int):
+    """Inverse of a square matrix whose reduction mod p is invertible."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if a[r][col] % p:
+                piv = r
+                break
+        if piv is None:
+            raise ValueError("matrix is singular mod p")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        s = pow(a[col][col], -1, m)
+        a[col] = [x * s % m for x in a[col]]
+        inv[col] = [x * s % m for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % m for x, y in zip(a[r], a[col])]
+                inv[r] = [(x - f * y) % m for x, y in zip(inv[r], inv[col])]
+    return tuple(tuple(r) for r in inv)
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -86,9 +113,9 @@ def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
 def space_matrix(space: RowSpace) -> np.ndarray:
     """The reduced row echelon basis of a `RowSpace`, rows sorted by pivot,
     as a dense dim x ncols int64 array."""
-    at, cols, coefs = space.reduced()
+    R = space.basis
     mat = np.zeros((space.dim, space.ncols), dtype=np.int64)
-    mat[at, cols] = coefs
+    mat[R.src, R.tgt] = R.coef
     return mat
 
 
@@ -645,7 +672,7 @@ class MatrixRoute:
         self.vmatrix = [[self.logs[k][i][j] // p % self.pm for k in range(d)]
                         for (i, j) in self.positions]
         _, self.pivots = rref(np.array(self.vmatrix, dtype=np.int64).T % p, p)
-        self.solver = _mat_inv_mod(
+        self.solver = mat_inv_mod(
             [self.vmatrix[r] for r in self.pivots], self.pm, p)
 
     def first_kind_of_log(self, logmat) -> list[int]:

@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 from iwacalc import (
-    Automorphism, CentralPrimeSpec, Pcg32, ZetaExperiment, aut_extend,
-    completely_prime_probe, control_witnesses, controller_approx,
-    coset_idempotent, deg_omega, divided_power, eq_compatible,
+    Automorphism, CentralPrimeSpec, IdealSpan, Pcg32, TruncationSpec,
+    ZetaExperiment, aut_extend, completely_prime_probe, control_witnesses,
+    controller_approx, coset_idempotent, deg_omega, divided_power, eq_compatible,
     flatness_check, ge_provable, group_embed, ideal_span, is_controlled_by,
     mahler_coeff_aut, mi_range, moore_det_check,
     multi_binom_mod_p, reconstruct_aut, subalgebra_monomials,
@@ -21,7 +21,8 @@ from iwacalc import (
 from iwacalc.padic import mi_weight
 
 from oracles import (
-    OperatorMatrix, divided_power_matrix, mahler_coeff_aut_central, map_matrix,
+    OperatorMatrix, dense_closure, divided_power_matrix, escapes_reference,
+    mahler_coeff_aut_central, map_matrix,
 )
 
 
@@ -214,7 +215,7 @@ def test_c06_valuation_is_multiplicative_and_ultrametric(trunc2, trunc_heis):
             assert checked > 50
 
 
-def test_c07_control_detection(trunc2, trunc_heis, abelian2, heis):
+def test_c07_control_detection(trunc2, trunc_heis, abelian2, heis, u4):
     with Budget(30):
         # the span of b1 is controlled exactly by the subgroups containing
         # the first direction
@@ -244,6 +245,38 @@ def test_c07_control_detection(trunc2, trunc_heis, abelian2, heis):
             trunc_heis, [trunc_heis.monomial((0, 0, 2))], depth=1, budget=200)
         assert report["status"] == "controlled"
         assert report["faithful"] and report["dim"] == 3
+        # class 3, U_4 at W=12, against the dense closure and the full-width
+        # escapes of `oracles`: a basis-aligned subgroup controls a span iff
+        # none of its directions escapes
+        t = TruncationSpec(u4, 12)
+        masks = [m for m in mi_range((1,) * u4.rank) if any(m)]
+
+        def oracle_span(gens, sided):
+            sides = ("right", "left") if sided == "two-sided" else ("right",)
+            space = dense_closure(u4.p, t.size, [g.vector() for g in gens],
+                                  [t.generator_map(j, side).apply
+                                   for side in sides for j in range(u4.rank)])
+            want = IdealSpan(t, space.matrix(), space.pivots, sided)
+            return want, [bool(escapes_reference(want, i).any()) for i in range(u4.rank)]
+
+        # the maximal ideal, of dimension 220 of 221: every direction escapes,
+        # so none of the 63 proper subgroups controls it
+        gens = [t.monomial(a) for a in t.basis if sum(a) == 1]
+        want, escapes = oracle_span(gens, "right")
+        maximal = ideal_span(t, gens, "right")
+        assert maximal == want and maximal.dim == 220 and all(escapes)
+        assert len(masks) == 63
+        for exps in masks:
+            assert not is_controlled_by(maximal, subgroup_from_exponents(u4, exps))
+        # the two-sided span of the central b6 escapes only along del_6
+        b6 = [t.monomial((0, 0, 0, 0, 0, 1))]
+        want, escapes = oracle_span(b6, "two-sided")
+        I = ideal_span(t, b6, "two-sided")
+        assert I == want and I.dim == 49 and escapes == [False] * 5 + [True]
+        assert controller_approx(I).exponents == tuple(0 if e else 1 for e in escapes)
+        for exps in masks:
+            assert is_controlled_by(I, subgroup_from_exponents(u4, exps)) == \
+                (not any(e for e, m in zip(escapes, exps) if m))
 
 
 def test_c08_zeta_convergence(tzeta):

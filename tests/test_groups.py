@@ -15,7 +15,9 @@ from iwacalc.padic import residue_vp
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators, u4_generators
-from oracles import MatrixRoute, is_trivial_mod_centre, mat_pow, z_of_automorphism
+from oracles import (
+    MatrixRoute, is_trivial_mod_centre, mat_pow, rref_reference, z_of_automorphism,
+)
 
 
 def test_abelian_arithmetic(abelian2):
@@ -262,6 +264,22 @@ def test_p_valuation_axioms(heis):
         assert not ge_refuted(heis.omega_of(heis.commutator(x, y)), val_add(wx, wy))
         if not isinstance(wx, AtLeast):
             assert eq_compatible(heis.omega_of(heis.pow(x, 5)), Fraction(wx) + 1)
+
+
+def test_pivot_rows_are_exact_past_int64_products(heis, u4):
+    """The d pivot rows of the logs, picked in Python ints: the same rows as
+    the column scan, also at a prime whose products of residues pass 2^63."""
+    assert heis._pivot_rows == [0, 1, 2] and u4._pivot_rows == [0, 1, 2, 3, 4, 5]
+    p = 4294967311
+    # log g = g - 1 = p ((p - 1) E_02 + 2 E_12): no entry at position (0, 1)
+    model = load_unitriangular(p, 3, 1, [[[1, 0, (p - 1) * p], [0, 1, 2 * p],
+                                          [0, 0, 1]]], ["1"])
+    assert model._pivot_rows == [1]
+    for m in (heis, u4, model):
+        v = np.array(m._vmatrix, dtype=object).T
+        assert m._pivot_rows == rref_reference(v, m.p)[1]
+    x, y = model.element((p - 2,)), model.element((5,))
+    assert (x * y).coords == (3,) and model.pow(x, 3).coords == (p - 6,)
 
 
 def test_unitriangular_validation():

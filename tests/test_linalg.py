@@ -1,7 +1,7 @@
-"""Elimination over F_p: the sparse residual kernel and the incremental
-span, each checked against the column scan and the block residuals of
-`oracles`, also through the dense `rref` that `oracles` builds on the
-span."""
+"""Elimination over F_p: the residual kernel and the incremental span,
+each checked against the column scan and the block residuals of `oracles`,
+also through the dense `rref` that `oracles` builds on the span; and past
+int64 products, groups' exact elimination against the column scan."""
 
 import tracemalloc
 
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iwacalc.linalg import RowSpace, reduce_sparse, sum_entries
+from iwacalc.groups import _rref_mod
+from iwacalc.linalg import RowSpace, SparseMap, residual, sum_entries
 
 from oracles import (
     intersect_coordinate_subspace, reduce_block, rref, rref_reference, space_matrix,
@@ -29,8 +30,23 @@ def as_dict(vec):
     return {int(c): int(vec[c]) for c in np.flatnonzero(vec)}
 
 
-def sparse_rows(rows, pivots):
-    return {int(c): as_dict(row) for row, c in zip(rows, pivots)}
+def residual_dicts(block, rows, pivots, p):
+    """The residual kernel's result for each row of a dense block against
+    the dense rref basis rows, as dicts."""
+    at, cols = np.nonzero(rows)
+    R = SparseMap(p, rows.shape[1], cols, at, rows[at, cols])
+    at, cols = np.nonzero(block)
+    k, c, x = residual(at, cols, block[at, cols], R, pivots)
+    return [dict(zip(c[k == r].tolist(), x[k == r].tolist())) for r in range(len(block))]
+
+
+def exact_rref(mat, p):
+    """`rref` through groups' elimination in Python ints, exact for any p."""
+    a = np.array(mat, dtype=object)
+    if a.ndim != 2:
+        a = a.reshape(1, -1)
+    rows, pivots = _rref_mod(a.tolist(), p, p)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), a.shape[1]), pivots
 
 
 @st.composite
@@ -55,10 +71,10 @@ def test_reduce_block_matches_row_loop(case):
     p, mat, block = case
     rows, pivots = rref_reference(mat, p)
     got = reduce_block(rows, pivots, block, p)
-    for v, res in zip(block, got):
+    for v, res, kernel in zip(block, got, residual_dicts(block, rows, pivots, p)):
         want = residual_by_rows(rows, pivots, v, p)
         assert np.array_equal(res, want)
-        assert reduce_sparse(as_dict(v), sparse_rows(rows, pivots), p) == as_dict(want)
+        assert kernel == as_dict(want)
 
 
 def entries(mat):
@@ -96,6 +112,30 @@ def test_row_space_is_canonical_rref(case):
     assert space.dim == len(pivots)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_sparse_map_sorts_only_entries_out_of_order(data):
+    """A map from shuffled entries, repeats included, holds the arrays of
+    the map from the same entries sorted by (source, target), which keeps
+    them as given; a repeated pair may hold its coefficients in any order."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = data.draw(st.integers(0, 40))
+    tgt, src, coef = rng.integers(0, 6, (3, n))
+    order = np.lexsort((tgt, src))
+    shuffle = rng.permutation(n)
+    want = SparseMap(7, 6, tgt[order], src[order], coef[order])
+    got = SparseMap(7, 6, tgt[shuffle], src[shuffle], coef[shuffle])
+    assert got == want
+    for m in (want, got):
+        assert m.tgt.dtype == m.src.dtype == m.coef.dtype == np.int64
+        assert np.array_equal(m.tgt, tgt[order]) and np.array_equal(m.src, src[order])
+    assert np.array_equal(want.coef, coef[order])
+    if len(set(zip(src.tolist(), tgt.tolist()))) == n:
+        assert np.array_equal(got.coef, want.coef)
+    assert sorted(zip(got.src.tolist(), got.tgt.tolist(), got.coef.tolist())) == \
+        sorted(zip(want.src.tolist(), want.tgt.tolist(), want.coef.tolist()))
+
+
 def test_sum_entries_sums_repeats_and_drops_zeros():
     got = sum_entries(np.array([2, 0, 2, 0, 1]), np.array([1, 3, 1, 0, 2]),
                       np.array([3, 4, 2, 1, 5]), 5)
@@ -118,11 +158,27 @@ def test_row_space_allocates_no_square_array():
     assert peak < 1 << 20
 
 
+def test_row_space_refuses_wrapping_products():
+    # past (p - 1)^2 = 2^63 a product of two residues wraps in int64, and an
+    # uncancelled lead would keep the echelon rounds going
+    for p in (3037000501, 4294967311):
+        with pytest.raises(ValueError, match="2\\^63"):
+            RowSpace(p, 3)
+    # the largest prime below the bound: 2 * x + (p - 1) * y, lead scaled to 1
+    p = 3037000493
+    space = RowSpace(p, 3)
+    space.add(np.array([0, 0]), np.array([1, 2]), np.array([2, p - 1]))
+    assert space.pivots == [1]
+    assert space.basis.coef.tolist() == [1, (p - 1) // 2]
+
+
 def test_rref_is_exact_past_int64_products():
-    # (p - 1)^2 > 2^63: one product of two residues no longer fits in int64
+    # (p - 1)^2 > 2^63: one product of two residues no longer fits in int64,
+    # where groups' exact elimination picks the pivots of a model
     p = 4294967311
     mat = [[p - 1, p - 2, 3], [p - 3, 5, p - 7], [1, 2, p - 3]]
-    rows, pivots = rref(mat, p)
+    rows, pivots = exact_rref(mat, p)
+    assert pivots == rref_reference(mat, p)[1]
     assert pivots == sorted(set(pivots)) and len(pivots) == 2
     got = [[int(x) for x in r] for r in rows]
     for r, c in zip(got, pivots):
@@ -163,7 +219,8 @@ def matrices(draw, primes=PRIMES):
 @given(matrices(primes=PRIMES + [4294967311]))  # past it (p - 1)^2 passes 2^63
 def test_rref_matches_column_scan(case):
     p, mat = case
-    rows, pivots = rref(mat, p)
+    # `RowSpace` refuses the last prime, where groups' exact elimination runs
+    rows, pivots = (rref if p in PRIMES else exact_rref)(mat, p)
     want_rows, want_pivots = rref_reference(mat, p)
     assert rows.dtype == np.int64
     assert rows.shape == want_rows.shape
@@ -176,7 +233,7 @@ def test_rref_reference_is_exact_past_int64_products():
     p = 4294967311
     mat = [[p - 1, p - 2, 3], [p - 3, 5, p - 7], [1, 2, p - 3]]
     rows, pivots = rref_reference(mat, p)
-    want_rows, want_pivots = rref(mat, p)
+    want_rows, want_pivots = exact_rref(mat, p)
     assert pivots == want_pivots == [0, 1]
     assert np.array_equal(rows, want_rows)
 
@@ -229,24 +286,26 @@ def test_intersect_coordinate_subspace(case, data):
 def test_reduce_block_one_row_matches_block_at_large_p(p, data):
     # at the first prime the block product is taken in chunks past 4 basis
     # rows; at the second one product of two residues passes 2^63, and only
-    # the sparse route, in Python ints, is exact
+    # the routes in Python ints are exact: groups' elimination, whose
+    # pivots must match the column scan's, and the row loop
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     nrows = data.draw(st.integers(0, 12))
     ncols = data.draw(st.integers(1, 24))
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
     mat = rng.integers(0, p, (nrows, ncols)) * (rng.random((nrows, ncols)) < density)
-    rows, pivots = (rref_reference if p == PRIMES[-1] else rref)(mat, p)
+    rows, pivots = (rref_reference if p == PRIMES[-1] else exact_rref)(mat, p)
+    if p != PRIMES[-1]:
+        assert pivots == rref_reference(mat, p)[1]
     block = rng.integers(0, p, (data.draw(st.integers(2, 6)), ncols))
     # members of the span, combined with Python ints so they cannot wrap
     mix = rng.integers(0, p, (block[::2].shape[0], rows.shape[0])).astype(object)
     block[::2] = np.array(mix @ rows.astype(object) % p, dtype=np.int64).reshape(
         block[::2].shape)
-    sparse = sparse_rows(rows, pivots)
-    for k, v in enumerate(block):
-        res = reduce_sparse(as_dict(v), sparse, p)
-        assert res == as_dict(residual_by_rows(rows, pivots, v, p))
-        assert k % 2 or not res
+    want = [as_dict(residual_by_rows(rows, pivots, v, p)) for v in block]
+    assert not any(want[::2])
     if p == PRIMES[-1]:
+        # the residual kernel needs (p - 1)^2 < 2^63
+        assert residual_dicts(block, rows, pivots, p) == want
         whole = reduce_block(rows, pivots, block, p)
         assert not whole[::2].any()
         for v, res in zip(block, whole):
