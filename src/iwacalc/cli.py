@@ -28,17 +28,14 @@ from .groups import (
 from .linalg import sum_entries
 from .moore import ZetaExperiment, moore_det_check, zeta_convergence
 from .operators import (
-    coset_idempotent, divided_power, divided_power_maps, operator_degrees,
-    reconstruct_aut,
+    DegreeReport, _embed_valuations, _product_rule_failures, _rows_hit, _sample_blocks,
+    coset_idempotents, degree_arrays, divided_power_maps, reconstruct_aut,
 )
-from .padic import (
-    PrecisionError, comb_mod, format_val, ge_provable, is_prime,
-    mi_range, multi_binom_mod_p,
-)
+from .padic import PrecisionError, format_val, is_prime, multi_binom_mod_p
 from .rng import MASK64, Pcg32
 from .series import (
     SparseMap, TruncatedSeries, TruncationSpec, aut_extend, format_row,
-    format_series, group_embed, parse_series,
+    format_series, parse_series,
 )
 
 
@@ -255,63 +252,48 @@ def _depth_and_budget(ctx: RunContext, params: dict) -> tuple[int, int]:
             _expect_int(ctx.budgets.get("dagger", 4096), "budgets.dagger", 1))
 
 
-def _random_basis_key(trunc: TruncationSpec, rng: Pcg32):
-    return trunc.basis[rng.below(trunc.size)]
-
-
 # ---------------------------------------------------------------------------
 # Task handlers
 # ---------------------------------------------------------------------------
 
 def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
+    """Every del^(alpha) of the basis comes from one build; every sample is
+    drawn first, in the order of the per-sample checks, and each kind of
+    check then runs on blocks of samples (`_sample_blocks`)."""
     t, model = ctx.trunc, ctx.model
-    p = model.p
+    p, size, rank, w = model.p, t.size, model.rank, t._int_weights
     samples = _expect_int(params.get("samples", 20), "samples", 0)
-    rng = Pcg32(ctx.seed, stream=stream)
+    maps = divided_power_maps(t, t.basis)
+    draws = Pcg32(ctx.seed, stream=stream).below_many(
+        [size] * (2 * samples) + ([p ** model.precision] * rank + [size]) * samples)
+    pairs = draws[:2 * samples].reshape(-1, 2).tolist()
+    eigen = draws[2 * samples:].reshape(-1, rank + 1)
     witnesses = []
-    pairs = eigen = 0
-    # operators are compared as canonical sparse maps
-    for _ in range(samples):
-        a = _random_basis_key(t, rng)
-        b = _random_basis_key(t, rng)
-        d_a, d_b = divided_power_maps(t, [a, b])
-        lhs = d_a.compose(d_b)
-        terms = {}
-        for c in mi_range(tuple(x + y for x, y in zip(a, b))):
-            if any(v < max(x, y) for v, x, y in zip(c, a, b)):
-                continue
-            if c not in t.index:
-                continue
-            coeff = 1
-            for v, x, y in zip(c, a, b):
-                coeff = coeff * comb_mod(v, x, p) * comb_mod(x, x + y - v, p) % p
-            if coeff:
-                terms[c] = coeff
-        rhs = SparseMap.combine(list(terms.values()), divided_power_maps(t, terms)) \
-            if terms else SparseMap(p, t.size, [], [], [])
-        pairs += 1
-        if lhs != rhs:
-            witnesses.append({"kind": "product-rule", "alpha": list(a),
-                              "beta": list(b)})
-    for _ in range(samples):
-        g = model.sample_element(rng)
-        emb = group_embed(t, g)
-        alpha = _random_basis_key(t, rng)
-        lam = multi_binom_mod_p(g.coords, alpha, p, model.precision)
-        eigen += 1
-        diff = divided_power(t, alpha, emb) - emb.scale(lam)
-        # the dropped tail of embed(g) re-enters below the cutoff under
-        # del^(alpha); equality holds mod F at the alpha-shifted cutoff
-        if not ge_provable(diff.valuation(), t.cutoff - t.weight(alpha)):
-            witnesses.append({"kind": "eigen", "alpha": list(alpha),
-                              "element": list(g.coords)})
-    alphas = [a for a in t.basis if any(a)]
-    for a, report in zip(alphas, operator_degrees(t, divided_power_maps(t, alphas))):
-        if not ge_provable(report.value(), -t.weight(a)):
-            witnesses.append({"kind": "degree", "alpha": list(a),
-                              "value": format_val(report.value())})
+    for run in _sample_blocks(samples, size):
+        block = pairs[run]
+        witnesses += [{"kind": "product-rule", "alpha": list(t.basis[block[k][0]]),
+                       "beta": list(t.basis[block[k][1]])}
+                      for k in _product_rule_failures(t, maps, block)]
+    # del^(alpha) g - C(m, alpha) g for embedded samples g = g^m: the
+    # dropped tail of embed(g) re-enters below the cutoff under del^(alpha),
+    # so equality holds mod F at the alpha-shifted cutoff
+    for run in _sample_blocks(samples, size):
+        coords, alphas = eigen[run, :rank], eigen[run, rank]
+        lam = [multi_binom_mod_p(m, t.basis[a], p, model.precision)
+               for m, a in zip(coords.tolist(), alphas.tolist())]
+        vals = _embed_valuations(t, SparseMap.stack([maps[a] for a in alphas.tolist()]),
+                                 t._embed_rows(coords), np.arange(len(coords)),
+                                 np.array(lam, dtype=np.int64))
+        witnesses += [{"kind": "eigen", "alpha": list(t.basis[alphas[k]]),
+                       "element": coords[k].tolist()}
+                      for k in np.flatnonzero(vals < t.W - w[alphas]).tolist()]
+    # degree exactly -<alpha, omega>; index 0 is the constant, del^(0) = 1
+    least, missed = degree_arrays(t, maps[1:])
+    bad = np.flatnonzero(np.minimum(least, t.W - missed) < -w[1:])
+    witnesses += [{"kind": "degree", "alpha": list(t.basis[k + 1]), "value": format_val(
+        DegreeReport.of(t, least[k], missed[k]).value())} for k in bad.tolist()]
     status = "pass" if not witnesses else "fail"
-    return status, {"pairs": pairs, "eigen": eigen, "degrees": len(alphas)}, witnesses
+    return status, {"pairs": samples, "eigen": samples, "degrees": size - 1}, witnesses
 
 
 def _task_verify_valuation(ctx: RunContext, params: dict, stream: int):
@@ -363,42 +345,48 @@ def _task_mahler_reconstruct(ctx: RunContext, params: dict, stream: int):
 
 
 def _task_idempotents(ctx: RunContext, params: dict, stream: int):
+    """Every e_nu from shared factors (`coset_idempotents`); each check then
+    runs on all cosets at once, and on blocks of samples (`_sample_blocks`)."""
     t, model = ctx.trunc, ctx.model
-    p = model.p
+    p, size = model.p, t.size
     directions = _expect_int_list(_require(params, "directions"), "directions")
     H = subgroup_from_exponents(model, directions)
     mask = [i for i, n in enumerate(directions) if n == 1]
     if not mask:
         raise ConfigError("directions: at least one direction must be 1")
     samples = _expect_int(params.get("samples", 20), "samples", 0)
+    idems = coset_idempotents(t, H)
+    stack = SparseMap.stack([e for _, e in idems])
+    n = len(idems)
     witnesses = []
-    idems = [(nu, coset_idempotent(t, H, nu))
-             for nu in mi_range((p - 1,) * len(mask))]
-    # operators are compared as canonical sparse maps
-    for nu, e in idems:
-        if e.compose(e) != e:
-            witnesses.append({"kind": "idempotent", "nu": list(nu)})
-    if SparseMap.combine([1] * len(idems), [e for _, e in idems]) != \
-            SparseMap.identity(p, t.size):
+    # operators are compared as canonical sparse maps: e o e - e for every
+    # coset at once, row k*size + s holding column s of coset k's
+    rows = stack.src
+    square = stack.apply_entries(rows, rows - rows % size + stack.tgt, stack.coef)
+    witnesses += [{"kind": "idempotent", "nu": list(idems[k][0])}
+                  for k in _rows_hit(sum_entries(*(np.concatenate(pair) for pair in zip(
+                      square, (rows, stack.tgt, p - stack.coef))), p), size)]
+    if SparseMap.combine([1] * n, [e for _, e in idems]) != SparseMap.identity(p, size):
         witnesses.append({"kind": "partition-of-unity"})
-    rng = Pcg32(ctx.seed, stream=stream)
-    actions = 0
-    # the coset projection has degree -(p-1)*omega_i per masked direction,
-    # so on truncated embeds the indicator action holds below a shifted cutoff
-    bound = t.cutoff - (p - 1) * sum(t.omega[i] for i in mask)
-    for _ in range(samples):
-        g = model.sample_element(rng)
-        emb = group_embed(t, g)
-        resid = tuple(c % p for i, c in enumerate(g.coords) if i in mask)
-        for nu, e in idems:
-            expect = emb if nu == resid else t.zero()
-            actions += 1
-            diff = t.from_vector(e.apply(emb.vector())) - expect
-            if not ge_provable(diff.valuation(), bound):
-                witnesses.append({"kind": "indicator", "nu": list(nu),
-                                  "element": list(g.coords)})
+    # e_nu g - [g in coset nu] g for embedded samples g and every coset nu,
+    # row s*n + k for sample s and coset k (the cosets are in lexicographic
+    # order of nu); the coset projection has degree -(p-1)*omega_i per
+    # masked direction, so on truncated embeds the indicator action holds
+    # below a shifted cutoff
+    draws = Pcg32(ctx.seed, stream=stream).below_many(
+        [p ** model.precision] * (model.rank * samples)).reshape(samples, model.rank)
+    bound = t.W - (p - 1) * int(t._int_omega[mask].sum())
+    for run in _sample_blocks(samples, n * size):
+        coords = draws[run]
+        coset = coords[:, mask] % p @ p ** np.arange(len(mask) - 1, -1, -1)
+        k = np.tile(np.arange(n), len(coords))
+        vals = _embed_valuations(t, stack, t._embed_rows(coords).repeat(n, axis=0), k,
+                                 (coset.repeat(n) == k).astype(np.int64))
+        witnesses += [{"kind": "indicator", "nu": list(idems[r % n][0]),
+                       "element": coords[r // n].tolist()}
+                      for r in np.flatnonzero(vals < bound).tolist()]
     status = "pass" if not witnesses else "fail"
-    return status, {"cosets": len(idems), "actions": actions}, witnesses
+    return status, {"cosets": n, "actions": samples * n}, witnesses
 
 
 def _task_control_check(ctx: RunContext, params: dict, stream: int):

@@ -476,12 +476,8 @@ def random_pairs(trunc: TruncationSpec, rng: Pcg32, samples: int, terms: int = 3
     each series sums `terms` monomials, drawn uniformly, with coefficients
     drawn from [1, p), x before y."""
     size, p = trunc.size, trunc.model.p
-    below = rng.below
-    draws: list[int] = []
-    for _ in range(2 * samples * terms):
-        draws += below(size), 1 + below(p - 1)
-    cols, coefs = np.array(draws, dtype=np.int64).reshape(-1, 2).T
-    rows, cols, coefs = sum_entries(np.arange(cols.size) // terms, cols, coefs, p)
+    cols, coefs = rng.below_many([size, p - 1] * (2 * samples * terms)).reshape(-1, 2).T
+    rows, cols, coefs = sum_entries(np.arange(cols.size) // terms, cols, coefs + 1, p)
     y = rows % 2 == 1
     return ((rows[~y] // 2, cols[~y], coefs[~y]),
             (rows[y] // 2, cols[y], coefs[y]))

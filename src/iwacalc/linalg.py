@@ -71,7 +71,9 @@ class SparseMap:
     src[n] to target coordinate tgt[n].  The entries are kept in one order,
     sorted by (source, target), so the entries of one source are one slice;
     a pair may repeat, its coefficients then adding up.  The constructor
-    sorts only entries that come out of order.  Two kernels read them.
+    copies the entries and sorts only those that come out of order;
+    `_trusted` keeps arrays that a kernel made in that order.  Two kernels
+    read them.
     `apply` maps a coefficient vector: one gather, one product mod p and
     one scatter-add.  `apply_entries` maps a block held as entries
     (row, column, coefficient), gathering the slice of each column.
@@ -92,6 +94,14 @@ class SparseMap:
             tgt, src, coef = tgt[order], src[order], coef[order]
         self.tgt, self.src, self.coef = tgt, src, coef
 
+    @classmethod
+    def _trusted(cls, p: int, size: int, tgt, src, coef) -> "SparseMap":
+        """A map on int64 entry arrays already sorted by (source, target),
+        kept as they are: no copy and no check."""
+        out = object.__new__(cls)
+        out.p, out.size, out.tgt, out.src, out.coef = p, size, tgt, src, coef
+        return out
+
     @staticmethod
     def identity(p: int, size: int) -> "SparseMap":
         ident = np.arange(size, dtype=np.int64)
@@ -107,7 +117,18 @@ class SparseMap:
         src, tgt, coef = sum_entries(np.concatenate([m.src for m in maps]),
                                      np.concatenate([m.tgt for m in maps]),
                                      np.concatenate(coefs), p)
-        return SparseMap(p, size, tgt, src, coef)
+        return SparseMap._trusted(p, size, tgt, src, coef)
+
+    @staticmethod
+    def stack(maps: Sequence["SparseMap"]) -> "SparseMap":
+        """The maps side by side: source k*size + s of the result is source
+        s of maps[k], so that one `apply_entries` applies each map to the
+        columns offset into its range."""
+        p, size = maps[0].p, maps[0].size
+        return SparseMap._trusted(
+            p, size, np.concatenate([m.tgt for m in maps]),
+            np.concatenate([m.src + k * size for k, m in enumerate(maps)]),
+            np.concatenate([m.coef for m in maps]))
 
     def compose(self, other: "SparseMap") -> "SparseMap":
         """self o other, other applied first, canonical."""
@@ -115,7 +136,7 @@ class SparseMap:
             raise ValueError("maps on different spaces")
         src, tgt, coef = sum_entries(
             *self.apply_entries(other.src, other.tgt, other.coef), self.p)
-        return SparseMap(self.p, self.size, tgt, src, coef)
+        return SparseMap._trusted(self.p, self.size, tgt, src, coef)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMap):

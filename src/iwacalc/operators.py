@@ -8,8 +8,9 @@ and combine linearly (`SparseMap.combine`) as sparse maps, into canonical
 maps that compare equal exactly when the operators are equal.  The divided
 powers are cached as such maps, one per truncation and index, built a block
 at a time from the closed formula below (`divided_power_maps`), and their
-degrees are read a block at a time (`operator_degrees`); the coset
-idempotents are polynomials in them.
+degrees are read a block at a time as integers (`degree_arrays`); the coset
+idempotents are polynomials in them, each factor one combination of them
+(`_coset_factor`).
 
 The divided power del^(a) acts by the closed formula
 
@@ -28,6 +29,7 @@ below a: the group kernel of `series` applied to g |-> phi(g) g^{-1}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +40,7 @@ import numpy as np
 from .groups import Automorphism, ModelError, SubgroupSpec
 from .linalg import SparseMap, sum_entries
 from .padic import (
-    AtLeast, MultiIndex, Val, power, signed_binomials, val_min, val_sub_exact,
+    AtLeast, MultiIndex, Val, comb_mod, signed_binomials, val_min, val_sub_exact,
 )
 from .series import TruncatedSeries, TruncationSpec
 
@@ -60,6 +62,9 @@ def _slices(terms) -> list[tuple[int, int]]:
 
 
 def _operator_index(trunc: TruncationSpec, alpha: Sequence[int]) -> MultiIndex:
+    i = trunc.index.get(alpha) if type(alpha) is tuple else None
+    if i is not None:  # a basis index, as the basis holds it
+        return trunc.basis[i]
     alpha = tuple(int(v) for v in alpha)
     if len(alpha) != trunc.model.rank or any(v < 0 for v in alpha):
         raise ValueError(f"bad operator index {alpha}")
@@ -91,49 +96,63 @@ def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
     """del^(alpha) for each alpha of `alphas` by the closed formula, in slices
     of at most about _SLICE_TERMS entries: the leading factor of each
     (alpha, source) pair from the Pascal table mod p, times each offset of
-    its alpha."""
+    its alpha.  Each map holds views of its slice's arrays, already sorted
+    by (source, target)."""
     p, size, exps, pascal = trunc.model.p, trunc.size, trunc._exponents, trunc._pascal
     # past the largest exponent every C(B_i, alpha_i) is 0, as one past it
     A = np.minimum(np.array(alphas, dtype=np.int64), len(pascal) - 1)
     nonzero = pascal != 0
-    # a source b^B has B >= alpha, so B - alpha weighs less than the cutoff
-    # minus the weight of alpha; each source has one entry per offset
-    weights = A @ trunc._int_omega
-    bound = np.searchsorted(trunc._int_weights, trunc.W - weights)
+    # flags[i][a, B] = C(B_i, a) is nonzero mod p
+    flags = [nonzero.T[:, col] for col in exps.T]
+
+    def live(lo, hi):
+        # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p, as flags
+        out = flags[0][A[lo:hi, 0]]
+        for i in range(1, len(flags)):
+            out &= flags[i][A[lo:hi, i]]
+        return out
+
+    # the sources of each alpha, counted a flag budget of rows at a time
+    rows = max(1, 8 * _SLICE_TERMS // size)
+    sources = np.concatenate([live(lo, min(lo + rows, len(A))).sum(axis=1)
+                              for lo in range(0, len(A), rows)])
     # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
     # C(alpha, k) nonzero, expanded by `signed_binomials` from the nonzero
     # entries of the Pascal table row by row, so with no signs; the slices
     # read only their coefficients, the codes of k - alpha and where each
     # alpha's terms start; an alpha with no source is not expanded
-    E = A * (bound > 0)[:, None]
+    E = A * (sources > 0)[:, None]
     m, c = np.nonzero(nonzero)
     owner, k, scale = signed_binomials(
         (np.searchsorted(m, np.arange(len(pascal) + 1)), c, pascal[m, c]), E, p)
     k -= E[owner]
-    shift = k @ trunc._radix
+    # the basis ascends by weight, then exponents, and so do the targets
+    # B - alpha + k of one source in that order of the k: each alpha's
+    # offsets in that order make its entries sorted by (source, target)
+    order = np.lexsort((k @ trunc._int_omega, owner))
+    shift, scale = k[order] @ trunc._radix, scale[order]
     starts = np.searchsorted(owner, np.arange(len(A) + 1))
-    del owner, k
+    del owner, k, order
     maps = []
-    # each alpha also holds a row of `size` flags, counted as size / 8 terms
-    for lo, hi in _slices(bound * np.diff(starts) + size // 8 + 1):
-        # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p
-        live = np.ones((hi - lo, size), dtype=bool)
-        for a, col in zip(A[lo:hi].T, exps.T):
-            live &= nonzero.T[a][:, col]
-        at, src = np.nonzero(live)
+    # each alpha has one entry per source and offset, and also holds a row
+    # of `size` flags, counted as size / 8 terms
+    for lo, hi in _slices(sources * np.diff(starts) + size // 8 + 1):
+        at, src = np.nonzero(live(lo, hi))
         at += lo
         lead = np.ones(src.size, dtype=np.int64)
         for col, a in zip(exps[src].T, A[at].T):
             lead = lead * pascal[col, a] % p
         # each pair times each offset of its alpha, as in SparseMap.apply_entries
         count = starts[at + 1] - starts[at]
-        n = np.arange(count.sum()) + np.repeat(starts[at] - np.cumsum(count) + count, count)
+        ends = np.cumsum(count)
+        n = np.arange(count.sum()) + np.repeat(starts[at] - ends + count, count)
         src, coef = np.repeat(src, count), np.repeat(lead, count) * scale[n] % p
         # B - alpha + k <= B componentwise, and the basis is closed under
         # lowering exponents, so every target is a basis monomial
         tgt = trunc._indices_of(trunc._codes[src] + shift[n])
-        cuts = np.searchsorted(np.repeat(at, count), np.arange(lo, hi + 1)).tolist()
-        maps += [SparseMap(p, size, tgt[i:j], src[i:j], coef[i:j])
+        # where each alpha's entries start and end
+        cuts = np.concatenate(([0], ends))[np.searchsorted(at, np.arange(lo, hi + 1))].tolist()
+        maps += [SparseMap._trusted(p, size, tgt[i:j], src[i:j], coef[i:j])
                  for i, j in zip(cuts, cuts[1:])]
     return maps
 
@@ -146,6 +165,13 @@ class DegreeReport:
     resolved: Optional[Fraction]
     tail_bound: Optional[Fraction]
 
+    @classmethod
+    def of(cls, trunc: TruncationSpec, least: int, missed: int) -> "DegreeReport":
+        """The report of one map's `degree_arrays` entries."""
+        least, missed = int(least), int(missed)
+        return cls(Fraction(least, trunc.e) if least < trunc.W else None,
+                   Fraction(trunc.W - missed, trunc.e) if missed >= 0 else None)
+
     def value(self) -> Val:
         vals: list[Val] = []
         if self.resolved is not None:
@@ -156,44 +182,131 @@ class DegreeReport:
 
 
 def operator_degree(trunc: TruncationSpec, op: SparseMap) -> DegreeReport:
-    """Degree of a sparse map on the truncation (`operator_degrees`)."""
+    """Degree of a sparse map on the truncation (`degree_arrays`)."""
     return operator_degrees(trunc, [op])[0]
 
 
 def operator_degrees(trunc: TruncationSpec, maps: Sequence[SparseMap]
                      ) -> list[DegreeReport]:
-    """Degree of each sparse map on the truncation, read from its entries
-    with a nonzero coefficient, in slices of about _SLICE_TERMS entries:
-    one sum over the runs of equal (map, source, target) keys and one pass
-    of weights each."""
-    size, w, e = trunc.size, trunc._int_weights, trunc.e
+    """Degree of each sparse map on the truncation (`degree_arrays`)."""
+    return [DegreeReport.of(trunc, d, m)
+            for d, m in zip(*(a.tolist() for a in degree_arrays(trunc, maps)))]
+
+
+def degree_arrays(trunc: TruncationSpec, maps: Sequence[SparseMap]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(least, missed) of each sparse map on the truncation, in units of 1/e:
+    least is the least w(target) - w(source) over its entries with a nonzero
+    coefficient, W if it has none, and missed the weight of the heaviest
+    source without one, -1 if there is none.  Its degree is then
+    min(least, W - missed), exact when least <= W - missed and otherwise
+    only bounded below by it (`DegreeReport`).  Read in slices of about
+    _SLICE_TERMS entries: one sum over the runs of equal (map, source,
+    target) entries and one pass of weights each."""
+    p, size, w = trunc.model.p, trunc.size, trunc._int_weights
     for op in maps:
         if op.size != size:
             raise ValueError(f"map on {op.size} monomials, truncation has {size}")
-    reports = []
+    sizes = np.array([op.coef.size for op in maps], dtype=np.int64)
+    least = np.full(len(maps), trunc.W)  # above every w[tgt] - w[src]
+    missed = np.empty(len(maps), dtype=np.int64)
     # each map also holds a row of `size` flags, counted as size / 8 terms
-    for lo, hi in _slices([op.coef.size + size // 8 + 1 for op in maps]):
-        # a map's entries are sorted by (source, target), so a repeated pair
-        # is a run of equal keys, whose sum is tested for zero
+    for lo, hi in _slices(sizes + size // 8 + 1):
         block = maps[lo:hi]
-        owner = np.repeat(np.arange(hi - lo), [op.coef.size for op in block])
-        keys = ((owner * size + np.concatenate([op.src for op in block])) * size
-                + np.concatenate([op.tgt for op in block]))
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(np.concatenate([op.coef for op in block]), first)
-        at, src, tgt = np.unravel_index(keys[first[sums % trunc.model.p != 0]],
-                                        (hi - lo, size, size))
-        least = np.full(hi - lo, trunc.W)  # above every w[tgt] - w[src]
-        np.minimum.at(least, at, w[tgt] - w[src])
+        at = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        src = np.concatenate([op.src for op in block])
+        tgt = np.concatenate([op.tgt for op in block])
+        coef = np.concatenate([op.coef for op in block])
+        # a map's entries are sorted by (source, target), so a repeated pair
+        # is a run of entries equal in map, source and target, whose sum is
+        # tested for zero
+        repeat = np.zeros(src.size, dtype=bool)
+        repeat[1:] = (at[1:] == at[:-1]) & (src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])
+        if repeat.any():
+            first = np.flatnonzero(~repeat)
+            at, src, tgt, coef = at[first], src[first], tgt[first], np.add.reduceat(coef, first)
+        keep = coef % p != 0
+        if not keep.all():
+            at, src, tgt = at[keep], src[keep], tgt[keep]
+        del repeat, coef, keep
+        # the kept entries come map by map
+        first = np.flatnonzero(np.diff(at, prepend=-1))
+        if first.size:
+            least[lo + at[first]] = np.minimum.reduceat(w[tgt] - w[src], first)
         hit = np.zeros((hi - lo, size), dtype=bool)
         hit[at, src] = True
         # the basis ascends by weight: the last source missed is the heaviest
-        tail = trunc.W - w[size - 1 - np.argmin(hit[:, ::-1], axis=1)]
-        reports += [DegreeReport(Fraction(d, e) if some else None,
-                                 None if every else Fraction(t, e))
-                    for d, t, some, every in zip(least.tolist(), tail.tolist(),
-                                                 hit.any(axis=1), hit.all(axis=1))]
-    return reports
+        last = size - 1 - np.argmin(hit[:, ::-1], axis=1)
+        missed[lo:hi] = np.where(hit.all(axis=1), -1, w[last])
+    return least, missed
+
+
+# ---------------------------------------------------------------------------
+# Checks of the divided powers on blocks of samples
+# ---------------------------------------------------------------------------
+
+def _product_rule_terms(trunc: TruncationSpec, a, b) -> dict:
+    """{basis index of c: N^c_ab} for the coefficients of del^(a) del^(b) =
+    sum_c N^c_ab del^(c) that are nonzero, N^c_ab = prod_i C(c_i, a_i)
+    C(a_i, a_i + b_i - c_i) mod p: each coordinate's factors are nonzero
+    only for max(a_i, b_i) <= c_i <= a_i + b_i."""
+    p = trunc.model.p
+    factors = [[(v, f) for v in range(max(x, y), x + y + 1)
+                if (f := comb_mod(v, x, p) * comb_mod(x, x + y - v, p) % p)]
+               for x, y in zip(a, b)]
+    terms = {}
+    for combo in itertools.product(*factors):
+        c = trunc.index.get(tuple(v for v, _ in combo))
+        if c is not None:
+            terms[c] = math.prod(f for _, f in combo) % p
+    return terms
+
+
+_CHECK_TERMS = 1 << 15  # entries a sampled check takes at a time, see `_sample_blocks`
+
+
+def _sample_blocks(samples: int, per: int) -> list[slice]:
+    """Runs of consecutive samples of about _CHECK_TERMS entries each, at
+    `per` entries a sample, so that the memory of a check made on blocks of
+    samples follows the run, not the number of samples."""
+    step = max(1, _CHECK_TERMS // per)
+    return [slice(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
+
+
+def _product_rule_failures(trunc: TruncationSpec, maps: Sequence[SparseMap],
+                           pairs: list) -> list[int]:
+    """The k, in order, whose pair (a, b) = pairs[k] of basis indices breaks
+    del^(a) del^(b) = sum_c N^c_ab del^(c), maps[i] being del^(i-th basis
+    index): every pair in one stacked composition against one stacked
+    combination, row k*size + s holding column s of pair k's difference."""
+    p, size = trunc.model.p, trunc.size
+    stack = SparseMap.stack([maps[a] for a, _ in pairs])
+    parts = [np.zeros((3, 0), dtype=np.int64)]
+    for k, (a, b) in enumerate(pairs):
+        d = maps[b]
+        parts.append(np.stack(stack.apply_entries(k * size + d.src, k * size + d.tgt, d.coef)))
+        parts += [np.stack([k * size + maps[c].src, maps[c].tgt, (p - n) * maps[c].coef % p])
+                  for c, n in _product_rule_terms(trunc, trunc.basis[a], trunc.basis[b]).items()]
+    return _rows_hit(sum_entries(*np.concatenate(parts, axis=1), p), size)
+
+
+def _embed_valuations(trunc: TruncationSpec, stack: SparseMap, emb: np.ndarray,
+                      op, scalar) -> np.ndarray:
+    """w, in units of 1/e, of M(x) - scalar[r]*x for each row r of the dense
+    block `emb`, x that row and M map op[r] of the stack, in one apply."""
+    p, size = trunc.model.p, trunc.size
+    r, c = np.nonzero(emb)
+    v = emb[r, c]
+    image = stack.apply_entries(r, op[r] * size + c, v)
+    return trunc.valuations(sum_entries(*(np.concatenate(pair) for pair in zip(
+        image, (r, c, (p - scalar[r]) * v % p))), p), len(emb))
+
+
+def _rows_hit(block, size: int) -> list[int]:
+    """The k, in order, whose rows k*size .. k*size + size - 1 of a block
+    sorted by row hold an entry."""
+    k = block[0] // size
+    return k[np.diff(k, prepend=-1) != 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +385,59 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
 # Coset idempotents
 # ---------------------------------------------------------------------------
 
-def coset_idempotent(trunc: TruncationSpec, H: SubgroupSpec,
-                     nu: Sequence[int]) -> SparseMap:
-    """e_nu = prod_{i in mask} (1 - (del_i - nu_i)^{p-1}) for a subgroup whose
-    exponent pattern is 0/1; acts on an embedded group element as the
-    indicator of the coordinate coset  lam_i = nu_i mod p  over the mask.
-    Built by composing sparse maps: each factor from the cached del_i, its
-    power by square and multiply."""
+def _mask(trunc: TruncationSpec, H: SubgroupSpec) -> list[int]:
+    """The directions of a subgroup whose exponent pattern is 0/1."""
     if H.model is not trunc.model:
         raise ModelError("subgroup belongs to a different model")
     if any(n not in (0, 1) for n in H.exponents):
         raise ModelError(f"subgroup shape {H.exponents} unsupported: "
                          "exponents must be 0 or 1")
-    mask = [i for i, n in enumerate(H.exponents) if n == 1]
+    return [i for i, n in enumerate(H.exponents) if n == 1]
+
+
+def _coset_factor(trunc: TruncationSpec, i: int, v: int) -> SparseMap:
+    """1 - (del_i - v)^{p-1}, which acts on g^m as the indicator of m_i = v
+    mod p: a polynomial of degree p - 1 in m_i, whose Mahler coefficients
+    are (-1)^{k-v} C(k, v) mod p for k < p.  So it is one combination of the
+    cached del^(k e_i), those past the largest exponent being 0."""
+    ks = range(min(trunc.model.p, trunc.max_exponents[i] + 1))
+    units = [tuple(k * (j == i) for j in range(trunc.model.rank)) for k in ks]
+    return SparseMap.combine([(-1) ** (k + v) * math.comb(k, v) for k in ks],
+                             divided_power_maps(trunc, units))
+
+
+def coset_idempotents(trunc: TruncationSpec, H: SubgroupSpec) -> list:
+    """(nu, e_nu) for every coset nu of H over its mask, nu in lexicographic
+    order: e_nu = prod_{i in mask} (1 - (del_i - nu_i)^{p-1}), each of the
+    |mask| * p factors built once (`_coset_factor`), the divided powers
+    they combine in one block, and each e_nu composed from its factors,
+    sharing its prefixes with the other cosets."""
+    mask = _mask(trunc, H)
+    p, rank = trunc.model.p, trunc.model.rank
+    divided_power_maps(trunc, [tuple(k * (j == i) for j in range(rank)) for i in mask
+                               for k in range(min(p, trunc.max_exponents[i] + 1))])
+    layer = [((), SparseMap.identity(p, trunc.size))]
+    for i in mask:
+        row = [_coset_factor(trunc, i, v) for v in range(p)]
+        layer = [(nu + (v,), e.compose(f) if nu else f)
+                 for nu, e in layer for v, f in enumerate(row)]
+    return layer
+
+
+def coset_idempotent(trunc: TruncationSpec, H: SubgroupSpec,
+                     nu: Sequence[int]) -> SparseMap:
+    """e_nu = prod_{i in mask} (1 - (del_i - nu_i)^{p-1}) for a subgroup whose
+    exponent pattern is 0/1; acts on an embedded group element as the
+    indicator of the coordinate coset  lam_i = nu_i mod p  over the mask.
+    Composed from its factors (`_coset_factor`), as in `coset_idempotents`."""
+    mask = _mask(trunc, H)
     nu = [int(v) for v in nu]
     if len(nu) != len(mask):
         raise ValueError(f"need {len(mask)} residues for mask {mask}, got {len(nu)}")
     p = trunc.model.p
     if any(not 0 <= v < p for v in nu):
         raise ValueError("residues must lie in [0, p)")
-    one = SparseMap.identity(p, trunc.size)
-    out = one
-    units = [tuple(int(j == i) for j in range(trunc.model.rank)) for i in mask]
-    for d_i, v in zip(divided_power_maps(trunc, units), nu):
-        shifted = SparseMap.combine((1, -v), (d_i, one))
-        out = out.compose(SparseMap.combine(
-            (1, -1), (one, power(shifted, p - 1, one, SparseMap.compose))))
+    out = SparseMap.identity(p, trunc.size)
+    for i, v in zip(mask, nu):
+        out = out.compose(_coset_factor(trunc, i, v))
     return out

@@ -125,8 +125,23 @@ class TruncationSpec:
 
     def _indices_of(self, codes: np.ndarray) -> np.ndarray:
         """Basis indices of mixed-radix codes (exponent rows @ `_radix`), each
-        the code of a basis monomial."""
+        the code of a basis monomial: one gather from `_code_table` where it
+        exists, else a binary search of the sorted codes."""
+        table = self._code_table
+        if table is not None:
+            return table[codes]
         return self._code_order[np.searchsorted(self._sorted_codes, codes)]
+
+    @cached_property
+    def _code_table(self):
+        """The basis index at each code, where the codes span at most 64
+        entries per basis monomial; else None."""
+        span = int(self._codes.max()) + 1
+        if span > 64 * self.size:
+            return None
+        table = np.zeros(span, dtype=np.int64)
+        table[self._codes] = np.arange(self.size)
+        return table
 
     def val(self, f: int) -> Val:
         """The valuation f/e of an integer in units of 1/e; from W on only
@@ -354,13 +369,9 @@ class TruncationSpec:
             keys = keys[np.diff(keys, prepend=-1) != 0]
             levels.insert(1, keys)
             up = keys - keys % size + prefix[keys % size]
-        def stacked():
-            maps = [self.generator_map(j) for j in range(self.model.rank)]
-            return SparseMap(p, size, np.concatenate([m.tgt for m in maps]),
-                             np.concatenate([m.src + j * size for j, m in enumerate(maps)]),
-                             np.concatenate([m.coef for m in maps]))
         # every right generator map in one, source j*size + a for b^a*b_j
-        right = self.cached_map(("right", "all"), stacked)
+        right = self.cached_map(("right", "all"), lambda: SparseMap.stack(
+            [self.generator_map(j) for j in range(self.model.rank)]))
 
         def gather(block, at):
             # the entries of the rows `at` of a block sorted by row, row k

@@ -40,7 +40,10 @@ filtration of a central prime on `Val`s, one part r_gamma of the
 `relative_normal_form` at a time through `tau_reference`, which
 substitutes b_j <- u term by term; `verify_valuation_reference` and
 `completely_prime_probe_reference` are the two sampled checks one sample
-at a time, each drawn by `random_series_reference`."""
+at a time, each drawn by `random_series_reference`.
+`verify_operators_reference` and `idempotents_reference` are the two
+operator checks of the CLI one sample at a time, with one composition,
+combination and apply per sample and `Val` comparisons."""
 
 from __future__ import annotations
 
@@ -54,14 +57,17 @@ import numpy as np
 
 from iwacalc.groups import (
     Automorphism, GroupElement, ModelError, SubgroupSpec, UnitriangularModel,
-    _mat_id, _mat_mul, load_abelian, load_unitriangular,
+    _mat_id, _mat_mul, load_abelian, load_unitriangular, subgroup_from_exponents,
 )
 from iwacalc.control import CentralPrimeSpec, IdealSpan
 from iwacalc.linalg import RowSpace, integer_array
-from iwacalc.operators import _operator_index, divided_power_map
+from iwacalc.operators import (
+    _operator_index, coset_idempotent, divided_power, divided_power_map,
+    divided_power_maps, operator_degrees,
+)
 from iwacalc.padic import (
-    AtLeast, MultiIndex, PrecisionError, Val, comb_mod, format_val, ge_refuted,
-    mi_range, mi_weight, val_add, val_min,
+    AtLeast, MultiIndex, PrecisionError, Val, comb_mod, format_val, ge_provable,
+    ge_refuted, mi_range, mi_weight, multi_binom_mod_p, val_add, val_min,
 )
 from iwacalc.rng import Pcg32
 from iwacalc.series import (
@@ -890,3 +896,98 @@ def completely_prime_probe_reference(P: CentralPrimeSpec, rng: Pcg32,
         "witnesses": witnesses[:5],
         "status": "pass" if not witnesses else "fail",
     }
+
+
+def verify_operators_reference(ctx, params: dict, stream: int) -> tuple:
+    """(status, metrics, witnesses) of the verify-operators task, one sample
+    at a time: per pair one composition, one combination and one comparison
+    of maps; per element one divided power of its embedding; per basis
+    index one `DegreeReport` compared as a `Val`."""
+    t, model = ctx.trunc, ctx.model
+    p = model.p
+    samples = params.get("samples", 20)
+    rng = Pcg32(ctx.seed, stream=stream)
+    witnesses = []
+    pairs = eigen = 0
+    # operators are compared as canonical sparse maps
+    for _ in range(samples):
+        a = t.basis[rng.below(t.size)]
+        b = t.basis[rng.below(t.size)]
+        d_a, d_b = divided_power_maps(t, [a, b])
+        lhs = d_a.compose(d_b)
+        terms = {}
+        for c in mi_range(tuple(x + y for x, y in zip(a, b))):
+            if any(v < max(x, y) for v, x, y in zip(c, a, b)):
+                continue
+            if c not in t.index:
+                continue
+            coeff = 1
+            for v, x, y in zip(c, a, b):
+                coeff = coeff * comb_mod(v, x, p) * comb_mod(x, x + y - v, p) % p
+            if coeff:
+                terms[c] = coeff
+        rhs = SparseMap.combine(list(terms.values()), divided_power_maps(t, terms)) \
+            if terms else SparseMap(p, t.size, [], [], [])
+        pairs += 1
+        if lhs != rhs:
+            witnesses.append({"kind": "product-rule", "alpha": list(a),
+                              "beta": list(b)})
+    for _ in range(samples):
+        g = model.sample_element(rng)
+        emb = group_embed(t, g)
+        alpha = t.basis[rng.below(t.size)]
+        lam = multi_binom_mod_p(g.coords, alpha, p, model.precision)
+        eigen += 1
+        diff = divided_power(t, alpha, emb) - emb.scale(lam)
+        # the dropped tail of embed(g) re-enters below the cutoff under
+        # del^(alpha); equality holds mod F at the alpha-shifted cutoff
+        if not ge_provable(diff.valuation(), t.cutoff - t.weight(alpha)):
+            witnesses.append({"kind": "eigen", "alpha": list(alpha),
+                              "element": list(g.coords)})
+    alphas = [a for a in t.basis if any(a)]
+    for a, report in zip(alphas, operator_degrees(t, divided_power_maps(t, alphas))):
+        if not ge_provable(report.value(), -t.weight(a)):
+            witnesses.append({"kind": "degree", "alpha": list(a),
+                              "value": format_val(report.value())})
+    status = "pass" if not witnesses else "fail"
+    return status, {"pairs": pairs, "eigen": eigen, "degrees": len(alphas)}, witnesses
+
+
+def idempotents_reference(ctx, params: dict, stream: int) -> tuple:
+    """(status, metrics, witnesses) of the idempotents task, one coset and
+    one sample at a time: per coset one composition and one comparison of
+    maps, per (sample, coset) one apply and one `Val` comparison."""
+    t, model = ctx.trunc, ctx.model
+    p = model.p
+    directions = params["directions"]
+    H = subgroup_from_exponents(model, directions)
+    mask = [i for i, n in enumerate(directions) if n == 1]
+    samples = params.get("samples", 20)
+    witnesses = []
+    idems = [(nu, coset_idempotent(t, H, nu))
+             for nu in mi_range((p - 1,) * len(mask))]
+    # operators are compared as canonical sparse maps
+    for nu, e in idems:
+        if e.compose(e) != e:
+            witnesses.append({"kind": "idempotent", "nu": list(nu)})
+    if SparseMap.combine([1] * len(idems), [e for _, e in idems]) != \
+            SparseMap.identity(p, t.size):
+        witnesses.append({"kind": "partition-of-unity"})
+    rng = Pcg32(ctx.seed, stream=stream)
+    actions = 0
+    # the coset projection has degree -(p-1)*omega_i per masked direction,
+    # so on truncated embeds the indicator action holds below a shifted cutoff
+    bound = t.cutoff - (p - 1) * sum(t.omega[i] for i in mask)
+    for _ in range(samples):
+        g = model.sample_element(rng)
+        emb = group_embed(t, g)
+        resid = tuple(c % p for i, c in enumerate(g.coords) if i in mask)
+        for nu, e in idems:
+            expect = emb if nu == resid else t.zero()
+            actions += 1
+            diff = t.from_vector(e.apply(emb.vector())) - expect
+            if not ge_provable(diff.valuation(), bound):
+                witnesses.append({"kind": "indicator", "nu": list(nu),
+                                  "element": list(g.coords)})
+    status = "pass" if not witnesses else "fail"
+    return status, {"cosets": len(idems), "actions": actions}, witnesses

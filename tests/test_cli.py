@@ -8,16 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iwacalc import CentralPrimeSpec, cli, parse_series
+from iwacalc import CentralPrimeSpec, cli, operators, parse_series
 from iwacalc.cli import (
     ConfigError, _task_verify_operators, build_context, load_config_file, main,
     parse_config, render_jsonl, render_table, run_config,
 )
 from iwacalc.rng import Pcg32
+from iwacalc.operators import divided_power_maps
 from iwacalc.series import SparseMap, TruncationSpec
 
 from conftest import heisenberg_generators
-from oracles import completely_prime_probe_reference, verify_valuation_reference
+from oracles import (
+    completely_prime_probe_reference, idempotents_reference, verify_operators_reference,
+    verify_valuation_reference,
+)
 
 
 def abelian_doc(tasks):
@@ -118,10 +122,9 @@ def test_removed_fields_are_rejected(tmp_path, capsys):
 
 
 def test_verify_operators_reports_broken_product_rule(monkeypatch):
-    from iwacalc import cli
     from iwacalc.padic import comb_mod
     # a wrong coefficient on the right-hand side of the product rule
-    monkeypatch.setattr(cli, "comb_mod",
+    monkeypatch.setattr(operators, "comb_mod",
                         lambda n, k, p: (comb_mod(n, k, p) + 1) % p)
     ctx = build_context(parse_config(abelian_doc([{"name": "verify-operators"}])))
     status, metrics, witnesses = _task_verify_operators(ctx, {"samples": 6}, 0)
@@ -135,15 +138,15 @@ def test_verify_operators_reports_broken_product_rule(monkeypatch):
 
 def test_idempotents_reports_broken_idempotents(monkeypatch):
     from iwacalc import cli
-    real = cli.coset_idempotent
+    real = cli.coset_idempotents
 
-    def doubled(t, H, nu):
+    def doubled(t, H):
         # 2*e_nu: neither idempotent nor summing to the identity mod 3,
         # and still zero on the other cosets
-        e = real(t, H, nu)
-        return SparseMap(e.p, e.size, e.tgt, e.src, 2 * e.coef % e.p)
+        return [(nu, SparseMap(e.p, e.size, e.tgt, e.src, 2 * e.coef % e.p))
+                for nu, e in real(t, H)]
 
-    monkeypatch.setattr(cli, "coset_idempotent", doubled)
+    monkeypatch.setattr(cli, "coset_idempotents", doubled)
     ctx = build_context(parse_config(abelian_doc([{"name": "idempotents"}])))
     status, metrics, witnesses = cli._task_idempotents(
         ctx, {"directions": [1, 0], "samples": 2}, 0)
@@ -166,6 +169,179 @@ def test_verify_operators_leaves_no_dense_matrix_cached():
     for op in t._op_cache.values():
         assert isinstance(op, SparseMap)
         assert max(a.size for a in (op.src, op.coef, op.tgt)) < t.size ** 2
+
+
+# models for the operator checks: abelian at p = 3, at p = 2 and at e = 2,
+# and Heisenberg at p = 5
+OPERATOR_MODELS = {
+    "abelian2": {"p": 3, "model": {"kind": "abelian", "rank": 2},
+                 "omega": ["1", "1"], "truncation": {"W": 8, "M": 4}},
+    "p2": {"p": 2, "model": {"kind": "abelian", "rank": 2},
+           "omega": ["2", "3"], "truncation": {"W": 14, "M": 5}},
+    "e2": {"p": 3, "model": {"kind": "abelian", "rank": 3},
+           "omega": ["1", "1", "3/2"], "truncation": {"W": 10, "M": 4, "e": 2}},
+    "heisenberg": {"p": 5, "model": {"kind": "unitriangular", "size": 3,
+                                     "generators": heisenberg_generators(5)},
+                   "omega": ["1", "1", "2"], "truncation": {"W": 8, "M": 3}},
+}
+
+
+def poisoned(m: SparseMap, how: str) -> SparseMap:
+    """A wrong version of a map: its first source's entries dropped, its
+    coefficients negated, or an extra entry from the heaviest source to the
+    constant, which lowers the degree of every divided power but the
+    heaviest."""
+    keep = m.src != m.src[0] if how == "dropped" and m.src.size else \
+        np.ones(m.coef.size, dtype=bool)
+    coef = -m.coef % m.p if how == "negated" else m.coef
+    extra = int(how == "extra")
+    return SparseMap(m.p, m.size, np.append(m.tgt[keep], [0] * extra),
+                     np.append(m.src[keep], [m.size - 1] * extra),
+                     np.append(coef[keep], [1] * extra))
+
+
+def operator_contexts(name: str, seed: int, poison: str, alphas) -> list:
+    """Two contexts of one model, each with every divided power of the basis
+    cached and the maps of `alphas(trunc)` poisoned the same way."""
+    cfg = parse_config(dict(OPERATOR_MODELS[name], seed=seed,
+                            tasks=[{"name": "moore-det"}]))
+    out = []
+    for _ in range(2):
+        ctx = build_context(cfg)
+        t = ctx.trunc
+        divided_power_maps(t, t.basis)
+        for a in alphas(t) if poison != "none" else ():
+            t._op_cache[("dp", a)] = poisoned(t._op_cache[("dp", a)], poison)
+        out.append(ctx)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_MODELS))
+@pytest.mark.parametrize("poison, which", [("none", "all")] + [
+    (poison, which) for poison in ("dropped", "negated", "extra")
+    for which in ("pair", "eigen", "thirds")])
+def test_verify_operators_matches_the_oracle_loop(name, poison, which):
+    """With cached maps poisoned (those of the first sampled pair, of the
+    first sampled eigen index, or of every third basis index), the block
+    task reports the witnesses of the per-sample loop: the same kinds,
+    order and fields."""
+    seed, samples, stream = 7, 6, 2
+
+    def alphas(t):
+        if which == "thirds":
+            return t.basis[1::3]
+        rng = Pcg32(seed, stream=stream)
+        draws = [rng.below(t.size) for _ in range(2 * samples)]
+        rank, pm = t.model.rank, t.model.p ** t.model.precision
+        draws += [rng.below(pm) for _ in range(rank)] + [rng.below(t.size)]
+        return [t.basis[k] for k in (draws[:2] if which == "pair" else draws[-1:])]
+
+    block, loop = operator_contexts(name, seed, poison, alphas)
+    got = _task_verify_operators(block, {"samples": samples}, stream)
+    assert got == verify_operators_reference(loop, {"samples": samples}, stream)
+    # negation is the identity at p = 2
+    if which == "thirds" and (name, poison) != ("p2", "negated"):
+        assert got[0] == "fail"
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_MODELS))
+@pytest.mark.parametrize("poison", ["none", "dropped", "negated", "extra"])
+def test_idempotents_match_the_oracle_loop(name, poison):
+    """With del_1 poisoned, which every coset idempotent of a mask holding
+    the first direction is built from, the block task reports the
+    witnesses of the per-coset, per-sample loop."""
+    rank = len(OPERATOR_MODELS[name]["omega"])
+    params = {"directions": [1, 1] + [0] * (rank - 2), "samples": 5}
+    unit = tuple(int(j == 0) for j in range(rank))
+    block, loop = operator_contexts(name, 3, poison, lambda t: [unit])
+    got = cli._task_idempotents(block, params, 1)
+    assert got == idempotents_reference(loop, params, 1)
+    assert (got[0] == "pass") == (poison == "none" or (name, poison) == ("p2", "negated"))
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_MODELS))
+def test_operator_tasks_without_samples_match_the_oracle_loops(name):
+    """With no sample drawn, only the map checks run: the degrees, and the
+    idempotents and their sum."""
+    rank = len(OPERATOR_MODELS[name]["omega"])
+    params = {"directions": [1] + [0] * (rank - 1), "samples": 0}
+    block, loop = operator_contexts(name, 5, "none", list)
+    assert _task_verify_operators(block, {"samples": 0}, 0) == \
+        verify_operators_reference(loop, {"samples": 0}, 0)
+    assert cli._task_idempotents(block, params, 0) == idempotents_reference(loop, params, 0)
+
+
+@pytest.mark.parametrize("name, seed", [("abelian2", 7), ("heisenberg", 1)])
+def test_operator_checks_in_blocks_of_one_sample_match_the_oracle_loops(monkeypatch, name, seed):
+    """Checks split into blocks of one sample report what the per-sample
+    loops do, with every third map and del_1 poisoned; the seeds are ones
+    whose samples break each kind of check."""
+    monkeypatch.setattr(operators, "_CHECK_TERMS", 1)
+    rank = len(OPERATOR_MODELS[name]["omega"])
+    params = {"directions": [1] + [0] * (rank - 1), "samples": 7}
+    unit = tuple(params["directions"])
+    block, loop = operator_contexts(name, seed, "extra", lambda t: set(t.basis[1::3]) | {unit})
+    got = _task_verify_operators(block, {"samples": 7}, 1)
+    assert got == verify_operators_reference(loop, {"samples": 7}, 1)
+    assert {w["kind"] for w in got[2]} >= {"product-rule", "eigen", "degree"}
+    got = cli._task_idempotents(block, params, 1)
+    assert got == idempotents_reference(loop, params, 1)
+    assert got[0] == "fail"
+
+
+def test_operator_checks_memory_follows_the_blocks():
+    """600 samples, checked in blocks of about `_CHECK_TERMS` entries: the
+    peak stays below what one block of all the idempotent applications
+    would hold (about 75 MB here)."""
+    doc = dict(OPERATOR_MODELS["e2"], tasks=[{"name": "moore-det"}])
+    doc["omega"], doc["truncation"] = ["1", "1", "1"], {"W": 8, "M": 4}
+    ctx = build_context(parse_config(doc))
+    tracemalloc.start()
+    try:
+        status, metrics, _ = cli._task_idempotents(
+            ctx, {"directions": [1, 1, 1], "samples": 600}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == "pass" and metrics["actions"] == 600 * 27
+    assert peak < 6_000_000
+
+
+def test_verify_operators_builds_every_divided_power_in_one_call(monkeypatch):
+    """A cold verify-operators task builds all its maps, one per basis
+    index, in one `_divided_powers` call: no sample builds a map."""
+    calls = []
+    build = operators._divided_powers
+    monkeypatch.setattr(operators, "_divided_powers",
+                        lambda t, alphas: calls.append(len(alphas)) or build(t, alphas))
+    ctx = build_context(parse_config(dict(OPERATOR_MODELS["heisenberg"], tasks=[
+        {"name": "verify-operators"}])))
+    status, metrics, _ = _task_verify_operators(ctx, {"samples": 8}, 0)
+    assert status == "pass" and metrics["pairs"] == 8
+    assert calls == [ctx.trunc.size]
+
+
+@pytest.mark.parametrize("directions", [[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+def test_idempotents_build_each_factor_once(monkeypatch, directions):
+    """The idempotents task builds |mask| * p factors, one per direction
+    and residue, not one per coset and direction, and all the divided
+    powers they combine in one `_divided_powers` call."""
+    factors, builds = [], []
+    factor, build = operators._coset_factor, operators._divided_powers
+    monkeypatch.setattr(operators, "_coset_factor",
+                        lambda t, i, v: factors.append((i, v)) or factor(t, i, v))
+    monkeypatch.setattr(operators, "_divided_powers",
+                        lambda t, alphas: builds.append(len(alphas)) or build(t, alphas))
+    doc = abelian_doc([{"name": "idempotents"}])
+    doc["model"] = {"kind": "abelian", "rank": 3}
+    doc["omega"] = ["1", "1", "1"]
+    ctx = build_context(parse_config(doc))
+    status, metrics, _ = cli._task_idempotents(
+        ctx, {"directions": directions, "samples": 3}, 0)
+    mask = [i for i, n in enumerate(directions) if n]
+    assert status == "pass" and metrics["cosets"] == 3 ** len(mask)
+    assert factors == [(i, v) for i in mask for v in range(3)]
+    assert len(builds) == 1
 
 
 def test_run_config_task_filter_keeps_streams():
