@@ -24,9 +24,8 @@ from .series import (
     parse_series, series_frobenius,
 )
 from .operators import (
-    DegreeReport, coset_idempotent, coset_idempotents, degree_arrays,
-    divided_power, mahler_coeff_aut, operator_degree, operator_degrees,
-    reconstruct_aut,
+    DegreeReport, coset_idempotent, divided_power, mahler_coeff_aut,
+    operator_degree, reconstruct_aut,
 )
 from .control import (
     CentralPrimeSpec, IdealSpan, completely_prime_probe, control_witnesses,

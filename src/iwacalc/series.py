@@ -125,23 +125,8 @@ class TruncationSpec:
 
     def _indices_of(self, codes: np.ndarray) -> np.ndarray:
         """Basis indices of mixed-radix codes (exponent rows @ `_radix`), each
-        the code of a basis monomial: one gather from `_code_table` where it
-        exists, else a binary search of the sorted codes."""
-        table = self._code_table
-        if table is not None:
-            return table[codes]
+        the code of a basis monomial."""
         return self._code_order[np.searchsorted(self._sorted_codes, codes)]
-
-    @cached_property
-    def _code_table(self):
-        """The basis index at each code, where the codes span at most 64
-        entries per basis monomial; else None."""
-        span = int(self._codes.max()) + 1
-        if span > 64 * self.size:
-            return None
-        table = np.zeros(span, dtype=np.int64)
-        table[self._codes] = np.arange(self.size)
-        return table
 
     def val(self, f: int) -> Val:
         """The valuation f/e of an integer in units of 1/e; from W on only
