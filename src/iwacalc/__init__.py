@@ -34,9 +34,9 @@ from .control import (
     subalgebra_monomials, zalesskii_check,
 )
 from .moore import (
-    FpPolynomial, ValuedFraction, ZetaExperiment, abelian_matrix_log,
-    format_fp_poly, matrix_adjugate, matrix_det, moore_det_check,
-    moore_matrix, projective_forms, zeta_convergence, zeta_eval,
+    FpPolynomial, ZetaExperiment, abelian_matrix_log, format_fp_poly,
+    matrix_adjugate, matrix_det, moore_det_check, moore_matrix,
+    projective_forms, zeta_convergence, zeta_eval,
 )
 from .cli import ConfigError, main, parse_config, run_config
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, SparseMap, integer_array, residual, sum_entries
-from .operators import divided_power_map, divided_power_maps
+from .operators import _mask, divided_power_map, divided_power_maps
 from .padic import Val, gt_provable, mi_range, power
 from .rng import Pcg32
 from .series import TruncatedSeries, TruncationSpec, format_row, format_series
@@ -167,13 +167,6 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
 # Control by a subgroup
 # ---------------------------------------------------------------------------
 
-def _stability_mask(H: SubgroupSpec) -> list[int]:
-    if any(n not in (0, 1) for n in H.exponents):
-        raise ModelError(f"subgroup shape {H.exponents} unsupported for control "
-                         "tests: exponents must be 0 or 1")
-    return [i for i, n in enumerate(H.exponents) if n == 1]
-
-
 def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
     """Rows of I whose image under a tested operator escapes the span.
 
@@ -182,9 +175,7 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
     result means the span is stable, i.e. controlled by H mod F_W.
     """
     t = I.trunc
-    if H.model is not t.model:
-        raise ModelError("subgroup belongs to a different model")
-    out, mask = [], _stability_mask(H)
+    out, mask = [], _mask(t, H)
     # the del_i of the mask in one build, which `_escape` reads from the cache
     divided_power_maps(t, [_unit_exponent(t.model.rank, i) for i in mask])
     for i in mask:

@@ -655,14 +655,24 @@ class Automorphism:
         return self._apply_linear(el)
 
     def power(self, k: int) -> "Automorphism":
+        """phi^k, without the checks of construction, which phi passed.
+
+        A power of a homomorphism is a homomorphism: x |-> h^k x h^-k, and
+        on first-kind coordinates the matrix A^k.  Its degree is no lower:
+        phi^k(g) g^-1 = phi^(k-1)(phi(g) g^-1) * phi^(k-1)(g) g^-1, where
+        phi^(k-1) keeps omega, phi(g) g^-1 has omega at least
+        omega(g) + deg(phi), and by induction so has phi^(k-1)(g) g^-1;
+        hence deg(phi^k) >= deg(phi) > 1/(p-1)."""
         if k < 0:
             raise ValueError("negative automorphism powers are not needed here")
+        model = self.model
         if self.kind == "inner":
-            return Automorphism.inner(self.model, self.model.pow(self.conjugator, k))
+            h = model.pow(self.conjugator, k)
+            return Automorphism(model, "inner", None, h, model.inv(h))
         # square and multiply on Python ints: entries mod p^M overflow int64
-        pm = self.model.p ** self.model.precision
-        return Automorphism.linear_on_log(self.model, power(
-            self.matrix, k, _mat_id(self.model.rank), lambda a, b: _mat_mul(a, b, pm)))
+        pm = model.p ** model.precision
+        return Automorphism(model, "linear", power(
+            self.matrix, k, _mat_id(model.rank), lambda a, b: _mat_mul(a, b, pm)))
 
 
 def deg_omega(phi: Automorphism) -> Val:

@@ -13,11 +13,14 @@ have a common least valuation λ on a block of size m, and the operators
 
     ζ_r(x) = Σ_j adj(M_r)_{ij} (φ^{p^{r+j-1}}(x) - x) / det(M_r)
 
-converge to the first divided powers as r grows.  `zeta_convergence`
-measures the distance D(i, r) = min_x (v(ζ_r(x) - ∂_i(x)) - w(x)) and
-checks it increases strictly in r, alongside the exhaustive determinant
-valuation identity, the Cramer bound on inverse entries, and the Mahler
-coefficient asymptotics."""
+converge to the first divided powers as r grows.  No fraction is formed:
+v(det M_r) is resolved (checked against λ p^r (1 + p + ... + p^{m-1})), and
+`zeta_eval` returns the numerators det(M_r)·ζ_r(x) of all test series as
+one block.  `zeta_convergence` measures the distance
+D(i, r) = min_x (v(ζ_r(x) - ∂_i(x)) - w(x)), read as
+v(det·ζ_r(x) - det·∂_i(x)) - v(det) - w(x), and checks it increases
+strictly in r, alongside the exhaustive determinant valuation identity, the
+Cramer bound on inverse entries, and the Mahler coefficient asymptotics."""
 
 from __future__ import annotations
 
@@ -25,16 +28,18 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .groups import Automorphism, ModelError
-from .operators import divided_power, mahler_coeff_aut
+from .linalg import sum_entries
+from .operators import divided_power_map, mahler_coeff_aut
 from .padic import (
-    AtLeast, PrecisionError, Val, format_poly, format_val, ge_provable,
-    gt_provable, mi_range, poly_combine, poly_frobenius, poly_product_sum, power,
-    val_min, val_sub_exact,
+    AtLeast, PrecisionError, format_poly, format_val, ge_provable, gt_provable,
+    mi_range, poly_combine, poly_frobenius, poly_product_sum, power, val_min,
+    val_sub_exact,
 )
 from .series import (
-    TruncatedSeries, TruncationSpec, format_series, group_embed,
-    aut_extend, series_frobenius,
+    TruncatedSeries, TruncationSpec, aut_map, group_embed, series_frobenius,
 )
 
 
@@ -261,78 +266,6 @@ def moore_det_check(p: int, m: int, r: int, budget: int = 4096) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Fractions of truncated series
-# ---------------------------------------------------------------------------
-
-class ValuedFraction:
-    """num/den with the denominator's valuation resolved and pinned.
-
-    The pair is exact mod F_W; derived values are reliable down to the
-    effective cutoff W/e - den_val, and anything deeper is reported as an
-    AtLeast marker.  Equality is tested by cross-multiplication."""
-
-    __slots__ = ("num", "den", "den_val")
-
-    def __init__(self, num: TruncatedSeries, den: TruncatedSeries):
-        if num.trunc is not den.trunc:
-            raise ValueError("numerator and denominator from different truncations")
-        dv = den.valuation()
-        if isinstance(dv, AtLeast):
-            raise ZeroDivisionError("denominator is 0 mod F_W")
-        self.num = num
-        self.den = den
-        self.den_val = Fraction(dv)
-
-    @property
-    def trunc(self) -> TruncationSpec:
-        return self.num.trunc
-
-    def effective_cutoff(self) -> Fraction:
-        return self.trunc.cutoff - self.den_val
-
-    def valuation(self) -> Val:
-        nv = self.num.valuation()
-        if isinstance(nv, AtLeast):
-            return AtLeast(self.effective_cutoff())
-        return Fraction(nv) - self.den_val
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "ValuedFraction") -> "ValuedFraction":
-        return ValuedFraction(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-
-    def __sub__(self, other: "ValuedFraction") -> "ValuedFraction":
-        return self + (-other)
-
-    def __neg__(self) -> "ValuedFraction":
-        return ValuedFraction(-self.num, self.den)
-
-    def __mul__(self, other: "ValuedFraction") -> "ValuedFraction":
-        return ValuedFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "ValuedFraction") -> "ValuedFraction":
-        return ValuedFraction(self.num * other.den, self.den * other.num)
-
-    def scale(self, c: int) -> "ValuedFraction":
-        return ValuedFraction(self.num.scale(c), self.den)
-
-    def sub_series(self, x: TruncatedSeries) -> "ValuedFraction":
-        """self - x over the existing denominator (no precision loss)."""
-        return ValuedFraction(self.num - x * self.den, self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ValuedFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __repr__(self) -> str:
-        return (f"ValuedFraction(({format_series(self.num)}) / "
-                f"({format_series(self.den)}))")
-
-
-# ---------------------------------------------------------------------------
 # Matrix logarithm for abelian automorphisms
 # ---------------------------------------------------------------------------
 
@@ -422,6 +355,9 @@ class ZetaExperiment:
         self.r_range = tuple(sorted(int(r) for r in r_range))
         if self.r_range and self.r_range[0] < 0:
             raise ValueError("r must be nonnegative")
+        for a, b in zip(self.r_range, self.r_range[1:]):
+            if a == b:
+                raise ValueError(f"r_range: r = {a} is repeated")
         if test_monomials is None:
             test_monomials = []
             for i in range(self.m):
@@ -433,6 +369,10 @@ class ZetaExperiment:
         self.test_monomials = list(test_monomials)
         if not self.test_monomials:
             raise ValueError("no test monomials inside the cutoff")
+        for k, x in enumerate(self.test_monomials):
+            if x.is_zero():
+                raise ValueError(f"test series {k} is 0 mod F_W: its valuation "
+                                 "is unresolved")
         self._pow_cache: dict = {}
         self._mat_cache: dict = {}
 
@@ -469,19 +409,25 @@ class ZetaExperiment:
 
 
 def zeta_eval(exp: ZetaExperiment, i: int, r: int,
-              x: TruncatedSeries) -> ValuedFraction:
-    """ζ_r^{(i)}(x) through the adjugate: exact numerator over det(M_r)."""
+              xs: Sequence[TruncatedSeries]) -> tuple:
+    """det(M_r)·ζ_r^{(i)}(x) for each x of xs, exact mod F_W: the block (see
+    `TruncationSpec.mul_block`) whose row k is the numerator
+    Σ_j adj(M_r)_{ij} (φ^{p^{r+j-1}}(x_k) - x_k) over det(M_r)."""
     if not 1 <= i <= exp.m:
         raise ValueError(f"index i must be in 1..{exp.m}")
     t = exp.trunc
-    p = t.model.p
-    _, det, adj = exp.matrices(r)
-    num = t.zero()
+    p, n = t.model.p, len(xs)
+    _, _, adj = exp.matrices(r)
+    rows, cols, coefs = t.block(xs)
+    # row j*n + k, j from 0, is φ^{p^{r+j}}(x_k) - x_k, times adj[i - 1][j] below
+    parts = []
     for j in range(exp.m):
-        power = exp.phi_power(p ** (r + j))
-        diff = aut_extend(t, power, x) - x
-        num = num + adj[i - 1][j] * diff
-    return ValuedFraction(num, det)
+        image = aut_map(t, exp.phi_power(p ** (r + j))).apply_entries(rows, cols, coefs)
+        parts += [(image[0] + j * n, image[1], image[2]), (rows + j * n, cols, p - coefs)]
+    diffs = sum_entries(*map(np.concatenate, zip(*parts)), p)
+    at, cols, coefs = t.mul_block(
+        t.block([adj[i - 1][j] for j in range(exp.m) for _ in xs]), diffs)
+    return sum_entries(at % n, cols, coefs, p)
 
 
 def zeta_convergence(exp: ZetaExperiment) -> dict:
@@ -496,16 +442,22 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
     records = []
     violations = []
     # -- D(i, r) monotonicity over the test monomials
+    xs = exp.test_monomials
+    ws = [x.valuation() for x in xs]
     for i in range(1, exp.m + 1):
         direction = exp.order[i - 1]
         e_i = tuple(1 if k == direction else 0 for k in range(t.model.rank))
+        dx = sum_entries(*divided_power_map(t, e_i).apply_entries(*t.block(xs)), p)
         prev = None
         for r in exp.r_range:
-            vals = []
-            for x in exp.test_monomials:
-                diff = zeta_eval(exp, i, r, x).sub_series(divided_power(t, e_i, x))
-                vals.append(val_sub_exact(diff.valuation(), Fraction(x.valuation())))
-            D = val_min(vals)
+            _, det, _ = exp.matrices(r)
+            dv = det.valuation()
+            # v(ζ_r(x) - ∂_i x) - w(x) = v(num - det·∂_i x) - v(det) - w(x)
+            at, cols, coefs = t.mul_block(t.block([det] * len(xs)), dx)
+            diff = sum_entries(*(np.concatenate(pair) for pair in zip(
+                zeta_eval(exp, i, r, xs), (at, cols, p - coefs))), p)
+            D = val_min([val_sub_exact(t.val(f), dv + w)
+                         for f, w in zip(t.valuations(diff, len(xs)).tolist(), ws)])
             lam_term = exp.lam * p ** r
             rec = {
                 "i": i, "r": r, "D": format_val(D),
@@ -546,13 +498,13 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
         _, det, adj = exp.matrices(r)
         for i in range(exp.m):
             for j in range(exp.m):
-                entry = ValuedFraction(adj[i][j], det)
+                value = val_sub_exact(adj[i][j].valuation(), det.valuation())
                 bound = -(p ** (r + j)) * exp.lam
                 cramer_checked += 1
-                if not ge_provable(entry.valuation(), bound):
+                if not ge_provable(value, bound):
                     violations.append({
                         "kind": "cramer", "r": r, "i": i + 1, "j": j + 1,
-                        "value": format_val(entry.valuation()),
+                        "value": format_val(value),
                         "bound": format_val(bound)})
     # -- Mahler coefficient asymptotics
     asym_verified = asym_skipped = 0

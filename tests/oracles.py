@@ -32,7 +32,10 @@ a product of series, for an automorphism that `is_trivial_mod_centre`.
 with the coset idempotents; `coset_indicator` tabulates the indicator of a
 coset mod p^level with `function_from_callable`.  `z_of_automorphism`
 takes the p^r-th root of g |-> phi^{p^r}(g) g^{-1} coordinate by
-coordinate, in a model loaded afresh at precision M - r.  `MatrixRoute`
+coordinate, in a model loaded afresh at precision M - r.
+`zeta_numerator_reference` is the numerator det(M_r)·ζ_r^{(i)}(x) of one
+test series from `aut_extend` and series products, and `block_series`
+reads the rows of a block as series.  `MatrixRoute`
 computes a unitriangular group law with numeric matrix logs
 and exps, element by element, where the model evaluates polynomials
 compiled at load.  `induced_filtration_reference` reads the induced
@@ -60,6 +63,7 @@ from iwacalc.groups import (
     _mat_id, _mat_mul, load_abelian, load_unitriangular, subgroup_from_exponents,
 )
 from iwacalc.control import CentralPrimeSpec, IdealSpan
+from iwacalc.moore import ZetaExperiment
 from iwacalc.linalg import RowSpace, integer_array
 from iwacalc.operators import (
     _operator_index, coset_idempotent, divided_power, divided_power_map,
@@ -71,7 +75,8 @@ from iwacalc.padic import (
 )
 from iwacalc.rng import Pcg32
 from iwacalc.series import (
-    SparseMap, TruncatedSeries, TruncationSpec, format_series, group_embed,
+    SparseMap, TruncatedSeries, TruncationSpec, aut_extend, format_series,
+    group_embed,
 )
 
 
@@ -600,6 +605,27 @@ def z_of_automorphism(phi: Automorphism, r: int) -> list[GroupElement]:
             raise PrecisionError(f"coordinates {c.coords} are not divisible by p^{r}")
         out.append(reduced.element([lam // q for lam in c.coords]))
     return out
+
+
+def zeta_numerator_reference(exp: ZetaExperiment, i: int, r: int,
+                             x: TruncatedSeries) -> TruncatedSeries:
+    """sum_j adj(M_r)_{ij} (phi^{p^{r+j}}(x) - x) over j from 0, one series
+    product per j."""
+    t = exp.trunc
+    _, _, adj = exp.matrices(r)
+    out = t.zero()
+    for j in range(exp.m):
+        moved = aut_extend(t, exp.phi_power(t.model.p ** (r + j)), x)
+        out = out + adj[i - 1][j] * (moved - x)
+    return out
+
+
+def block_series(trunc: TruncationSpec, block, n: int) -> list[TruncatedSeries]:
+    """The n rows of a block (see `TruncationSpec.mul_block`) as series."""
+    rows, cols, coefs = block
+    return [trunc.from_dict({trunc.basis[c]: v for c, v in
+                             zip(cols[rows == k].tolist(), coefs[rows == k].tolist())})
+            for k in range(n)]
 
 
 def escapes_reference(I: IdealSpan, i: int) -> np.ndarray:

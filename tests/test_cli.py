@@ -1000,7 +1000,8 @@ GOLDEN_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8
 @pytest.mark.parametrize("name", sorted(GOLDEN_CODES))
 def test_main_reproduces_golden_output(tmp_path, name, fmt):
     """`iwacalc run` on each config in tests/cli_golden (the five benchmark
-    configs at seed 1, and a class-3 U_4 config) writes the saved bytes and
+    configs at seed 1, a class-3 U_4 config, and zeta tasks with a zero test
+    series and a repeated r beside a passing one) writes the saved bytes and
     exit code in both formats.  A change that alters the output
     on purpose rewrites the files with `iwacalc run NAME.json --out
     NAME.FMT --format FMT` from tests/cli_golden."""

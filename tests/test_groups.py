@@ -367,6 +367,7 @@ def test_automorphism_power(abelian2, zmodel):
     h = abelian2.element([1, 2])
     inner = Automorphism.inner(abelian2, h)
     assert inner.power(2).conjugator.coords == (2, 4)
+    assert inner.power(2).conjugator_inv.coords == abelian2.element([-2, -4]).coords
     with pytest.raises(ValueError):
         phi.power(-1)
 
@@ -401,6 +402,8 @@ def test_automorphism_power_matches_mat_pow(p, rank, precision, k, data):
     phi = Automorphism.linear_on_log(model, rows)
     want = mat_pow(np.array(rows, dtype=object), k, pm).tolist()
     assert [list(r) for r in phi.power(k).matrix] == want
+    # the checks that `power` skips hold for the power
+    Automorphism.linear_on_log(model, want)
 
 
 def test_deg_omega(abelian2):

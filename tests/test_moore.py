@@ -1,19 +1,27 @@
-"""Moore determinants, series fractions and the derivation approximants."""
+"""Moore determinants and the derivation approximants."""
 
+import json
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, FpPolynomial, ModelError, PrecisionError,
-    TruncationSpec, ValuedFraction, ZetaExperiment, abelian_matrix_log,
-    divided_power, format_fp_poly, group_embed, load_abelian, matrix_adjugate,
-    matrix_det, moore_det_check, moore_matrix, parse_series, projective_forms,
-    zeta_convergence, zeta_eval,
+    TruncationSpec, ZetaExperiment, abelian_matrix_log, divided_power,
+    format_fp_poly, group_embed, load_abelian, matrix_adjugate, matrix_det,
+    moore_det_check, moore_matrix, parse_config, parse_series,
+    projective_forms, run_config, val_sub_exact, zeta_convergence, zeta_eval,
+)
+from iwacalc import groups
+
+from oracles import (
+    block_series, format_reference, z_of_automorphism, zeta_numerator_reference,
 )
 
-from oracles import format_reference, z_of_automorphism
+GOLDEN = Path(__file__).parent / "cli_golden"
 
 
 def test_fp_polynomial_arithmetic():
@@ -140,32 +148,6 @@ def test_moore_matrix_series_guards(tzeta):
         moore_matrix([y], 0, 2)
 
 
-def test_valued_fraction_arithmetic(tzeta):
-    t = tzeta
-    b = t.monomial((1,))
-    x = ValuedFraction(t.monomial((3,)), b)  # b^3 / b
-    y = ValuedFraction(b, t.monomial((3,)))  # b / b^3
-    assert (x * y) == ValuedFraction(t.one(), t.one())
-    assert x.valuation() == 2
-    assert y.valuation() == -2
-    assert (x + y).valuation() == -2
-    assert (x - x).is_zero()
-    assert (x / y).valuation() == 4
-    assert x.sub_series(t.monomial((2,))).is_zero()
-    assert x.scale(2) == ValuedFraction(t.monomial((3,), 2), b)
-    with pytest.raises(ZeroDivisionError):
-        ValuedFraction(b, t.zero())
-
-
-def test_valued_fraction_effective_cutoff(tzeta):
-    t = tzeta
-    den = t.monomial((9,))
-    f = ValuedFraction(t.zero(), den)
-    assert f.effective_cutoff() == 51
-    v = f.valuation()
-    assert isinstance(v, AtLeast) and v.bound == 51
-
-
 def test_abelian_matrix_log_scalar():
     assert abelian_matrix_log([[10]], 3, 6) == ((576,),)
     assert abelian_matrix_log([[1]], 3, 6) == ((0,),)
@@ -221,11 +203,14 @@ def test_zeta_eval_approximates_the_derivation(tzeta):
     phi = Automorphism.linear_on_log(t.model, [[10]])
     exp = ZetaExperiment(t, phi)
     b = t.monomial((1,))
-    diff = zeta_eval(exp, 1, 0, b).sub_series(divided_power(t, (1,), b))
-    v = diff.valuation()
+    _, det, _ = exp.matrices(0)
+    [num] = block_series(t, zeta_eval(exp, 1, 0, [b]), 1)
+    # v(num - det * del b) - v(det) is past the effective cutoff W/e - v(det)
+    diff = num - det * divided_power(t, (1,), b)
+    v = val_sub_exact(diff.valuation(), det.valuation())
     assert isinstance(v, AtLeast) and v.bound == 51
     with pytest.raises(ValueError):
-        zeta_eval(exp, 2, 0, b)
+        zeta_eval(exp, 2, 0, [b])
 
 
 def test_zeta_kills_fixed_vectors(tzeta):
@@ -234,8 +219,59 @@ def test_zeta_kills_fixed_vectors(tzeta):
     exp = ZetaExperiment(t, phi)
     fixed = group_embed(t, t.model.element([81]))  # phi(g^81) = g^81
     for r in (0, 1):
-        assert zeta_eval(exp, 1, r, fixed).is_zero()
-        assert zeta_eval(exp, 1, r, t.one()).is_zero()
+        fixed_num, one_num = block_series(t, zeta_eval(exp, 1, r, [fixed, t.one()]), 2)
+        assert fixed_num.is_zero()
+        assert one_num.is_zero()
+
+
+# (matrix, W, largest r): lambda = 3, 9, 27 in rank 1, and two blocks of
+# size m = 2 in rank 2 with 820 monomials
+ZETA_CASES = [(((4,),), 60, 2), (((10,),), 60, 1), (((28,),), 60, 0),
+              (((10, 0), (0, 10)), 40, 0), (((10, 9), (0, 10)), 40, 0)]
+
+
+@lru_cache(maxsize=None)
+def _zeta_experiment(rows, W, r_max):
+    model = load_abelian(3, len(rows), 6, ["1"] * len(rows))
+    phi = Automorphism.linear_on_log(model, rows)
+    return ZetaExperiment(TruncationSpec(model, W), phi, range(r_max + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_zeta_eval_rows_match_the_series_oracle(data):
+    exp = _zeta_experiment(*data.draw(st.sampled_from(ZETA_CASES)))
+    t = exp.trunc
+    i = data.draw(st.integers(1, exp.m))
+    r = data.draw(st.sampled_from(exp.r_range))
+    series = st.dictionaries(st.sampled_from(t.basis), st.integers(0, 2),
+                             max_size=6).map(t.from_dict)
+    xs = data.draw(st.lists(series, min_size=1, max_size=4))
+    block = zeta_eval(exp, i, r, xs)
+    assert ((block[2] > 0) & (block[2] < t.model.p)).all()
+    assert block_series(t, block, len(xs)) == \
+        [zeta_numerator_reference(exp, i, r, x) for x in xs]
+
+
+def test_zeta_rejects_a_repeated_r_and_a_zero_test_series(tzeta):
+    phi = Automorphism.linear_on_log(tzeta.model, [[10]])
+    with pytest.raises(ValueError, match="r_range: r = 0 is repeated"):
+        ZetaExperiment(tzeta, phi, r_range=[0, 1, 0])
+    b = tzeta.monomial((1,))
+    for zero in (tzeta.zero(), parse_series(tzeta, "b1^70")):
+        with pytest.raises(ValueError, match="test series 1 is 0 mod F_W"):
+            ZetaExperiment(tzeta, phi, test_monomials=[b, zero])
+
+
+def test_a_cold_zeta_task_checks_its_automorphism_once(monkeypatch):
+    # the powers phi^(p^r) inherit the checks of phi
+    calls = []
+    check = groups.deg_omega
+    monkeypatch.setattr(groups, "deg_omega", lambda phi: calls.append(phi) or check(phi))
+    cfg = parse_config(json.loads((GOLDEN / "zeta.json").read_text(encoding="utf-8")))
+    [record] = run_config(cfg)
+    assert record["status"] == "pass"
+    assert len(calls) == 1
 
 
 def test_zeta_convergence_report(tzeta):
