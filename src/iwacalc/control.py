@@ -158,8 +158,7 @@ def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
     # in an abelian model the left maps equal the right ones
     abelian = trunc.model.kind == "abelian"
     sides = ("right",) if sided == "right" or abelian else ("right", "left")
-    maps = [trunc.generator_map(j, side)
-            for side in sides for j in range(trunc.model.rank)]
+    maps = [m for side in sides for m in trunc.generator_maps(range(trunc.model.rank), side)]
     return _close_span(trunc, generators, maps, sided)
 
 
@@ -284,8 +283,9 @@ def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
     # the subalgebra generators are b_j^{p^n_j}
     p = trunc.model.p
     one = SparseMap.identity(p, trunc.size)
-    maps = [power(trunc.generator_map(j), p ** n, one, SparseMap.compose)
-            for j, n in enumerate(H.exponents) if n < trunc.model.precision]
+    maps = [power(b_j, p ** n, one, SparseMap.compose) for b_j, n in zip(
+        trunc.generator_maps(range(trunc.model.rank)), H.exponents)
+        if n < trunc.model.precision]
     return _close_span(trunc, generators, maps, "right")
 
 

@@ -353,7 +353,9 @@ class ZetaExperiment:
             if not gt_provable(ws[self.order[ell]], self.lam):
                 raise ModelError("valuation block is not separated at this cutoff")
         self.r_range = tuple(sorted(int(r) for r in r_range))
-        if self.r_range and self.r_range[0] < 0:
+        if not self.r_range:
+            raise ValueError("r_range is empty")
+        if self.r_range[0] < 0:
             raise ValueError("r must be nonnegative")
         for a, b in zip(self.r_range, self.r_range[1:]):
             if a == b:

@@ -318,7 +318,7 @@ def _mahler_rows(trunc: TruncationSpec, phi: Automorphism, alphas) -> np.ndarray
     extension of  g |-> phi(g) g^{-1}: its finite differences over the
     integer points below alpha.  alpha need not lie in the basis."""
     model = phi.model
-    return trunc._group_columns(alphas, lambda cs: [
+    return trunc._group_columns(alphas, lambda _, cs: [
         model.mul(phi.apply(g), model.inv(g)).coords
         for g in map(model.element, cs.tolist())])
 

@@ -16,11 +16,15 @@ By Lucas's theorem C(m, b) mod p depends only on m mod p^need, the least
 power of p above every basis exponent, so all the Mahler rows of a build
 are one gather from rows of binomials, one per residue that occurs.  The
 maps g^c -> g^c g_j and g_j g^c give x -> x*b_j and x -> b_j*x
-(`TruncationSpec.generator_map`), whose products already in normal order,
-all of them on abelian models, are one shift of exponents; g^c -> phi(g^c)
-gives the ring extension of an automorphism (`aut_map`), and
-g^c -> phi(g^c) g^{-c} its Mahler coefficients (in `operators`).  These
-`SparseMap`s and the divided powers share one cache per truncation.
+(`TruncationSpec.generator_maps`, all letters of a side in one call), whose
+products already in normal order, all of them on abelian models, are one
+shift of exponents.  A right map sends b^a = b^h b^t, t the letters of a
+after j, to b^h (b^t b_j): it expands each distinct tail t once, and the
+head b^h shifts the exponents of each term, since b^t b_j has no letter
+before j.  g^c -> phi(g^c) gives the ring extension of an automorphism
+(`aut_map`), and g^c -> phi(g^c) g^{-c} its Mahler coefficients (in
+`operators`).  These `SparseMap`s and the divided powers share one cache
+per truncation.
 
 Products have one kernel, `TruncationSpec.mul_block`: row k of its result
 is the product of row k of two blocks of series held as entry arrays, and
@@ -63,6 +67,11 @@ from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, format_poly, lucas_rows, mi_weight,
     poly_combine, poly_frobenius, power, signed_binomial_rows, signed_binomials,
 )
+
+
+# dense entries of the rows of one `_group_columns` call of `_generator_maps`:
+# past it the letters are split into runs that fit, or one letter a call
+_MAP_BLOCK = 1 << 22
 
 
 class TruncationSpec:
@@ -210,7 +219,8 @@ class TruncationSpec:
                 bound = p - 1
             out *= table[:, col][at[:, i]]
             bound *= p - 1
-        return out % p
+        out %= p
+        return out
 
     @cached_property
     def _pascal(self) -> np.ndarray:
@@ -218,20 +228,25 @@ class TruncationSpec:
         top = max(self.max_exponents) + 1
         return lucas_rows(np.arange(top + 1), top, self.model.p)
 
-    def _group_columns(self, exps, image, start=None) -> np.ndarray:
+    def _group_columns(self, exps, image, start=None, labels=None) -> np.ndarray:
         """Row k is the image of b^a, a the k-th row of `exps`, under the
-        linear extension of a map on G; `image` sends an array of distinct
-        exponents c to the integer coordinates of the images of the g^c.
+        linear extension of a map on G, the map of the row's label
+        labels[k] (default 0); `image` sends arrays of labels and of
+        exponents c, each (label, c) pair distinct, to the integer
+        coordinates of the images of the g^c under the maps of those labels.
         With `start`, row k is combined only on the columns from start[k]
         on and is 0 before them."""
         p, step = self.model.p, self.size
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         owner, c, signs = self._signed_binomials(exps)
-        # codes in the block's own radix: a row past the basis has exponents
-        # whose codes in `_radix` collide
-        radix = np.cumprod(np.concatenate(([1], c.max(axis=0, initial=0)[:-1] + 1)))
-        _, first, at = np.unique(c @ radix, return_index=True, return_inverse=True)
-        rows = self._embed_rows(image(c[first]))
+        labels = np.zeros(len(exps), dtype=np.int64) if labels is None else labels
+        labels = labels[owner]
+        # codes in the block's own radix, the label its top digit: a row past
+        # the basis has exponents whose codes in `_radix` collide
+        radix = np.cumprod(np.concatenate(([1], c.max(axis=0, initial=0) + 1)))
+        _, first, at = np.unique(c @ radix[:-1] + labels * radix[-1],
+                                 return_index=True, return_inverse=True)
+        rows = self._embed_rows(image(labels[first], c[first]))
         cuts = np.searchsorted(owner, np.arange(len(exps) + 1)).tolist()
         start = [0] * len(exps) if start is None else start.tolist()
         out = np.zeros((len(exps), self.size), dtype=np.int64)
@@ -245,7 +260,8 @@ class TruncationSpec:
                 out[k, s:] = sum(signs[n:min(n + step, hi)] @
                                  rows[at[n:min(n + step, hi)], s:] % p
                                  for n in range(lo, hi, step))
-        return out % p
+        out %= p
+        return out
 
     def cached_map(self, key, build) -> "SparseMap":
         """The operator stored under `key`, from `build()` on first use."""
@@ -264,49 +280,117 @@ class TruncationSpec:
 
     # -- generator maps -----------------------------------------------------
 
-    def generator_map(self, j: int, side: str = "right") -> "SparseMap":
-        """Sparse map x -> x*b_j (side "right") or x -> b_j*x ("left")."""
-        return self.cached_map((side, j), lambda: self._build_generator_map(j, side))
-
-    def _build_generator_map(self, j: int, side: str) -> "SparseMap":
-        """One shift for the columns in normal order; the others from
-        `_group_columns` with the map c -> c*g_j (or g_j*c)."""
+    def generator_maps(self, letters, side: str = "right") -> list:
+        """The sparse maps x -> x*b_j (side "right") or x -> b_j*x ("left")
+        for each letter j of `letters`; those not cached yet come from one
+        `_generator_maps` build."""
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        model = self.model
-        p = model.p
-        unit = tuple(int(k == j) for k in range(model.rank))
-        # b^a*b_j is in normal order iff a has no letter after j, b_j*b^a iff
-        # it has none before j; in abelian models every product is
-        if model.kind == "abelian":
-            outside = []
-        else:
-            outside = list(range(j + 1, model.rank) if side == "right" else range(j))
-        moved = self._exponents[:, outside].any(axis=1)
-        # b^a b_j lies in F_{w(a) + omega_j}, 0 at or past the cutoff
-        floor = self._int_weights + self._int_omega[j]
-        shift = np.flatnonzero(~moved & (floor < self.W))
+        return self.cached_maps([(side, int(j)) for j in letters],
+                                lambda keys: self._generator_maps([j for _, j in keys], side))
 
-        def image(cs):
+    def _generator_maps(self, letters: list, side: str) -> list:
+        """The maps x -> x*b_j (or b_j*x) of `letters`, built together.
+
+        b^a*b_j is in normal order iff a has no letter after j, and b_j*b^a
+        iff a has none before j; then it is one shift of exponents, as every
+        product is in abelian models.  Otherwise split b^a = b^h*b^t, the
+        tail t the letters of a after j and the head h the others, so that
+        b^a*b_j = b^h*T(t) with T(t) = b^t*b_j; on the left the tail is all
+        of a and the head is 1.  T(t) comes from the group,
+        b^t*b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^t,
+        combined only on the columns of weight w(t) + omega_j on, which the
+        term -b^t does not reach.  It is built once per distinct (j, t), the
+        images of all letters in one `_group_columns` call (see _MAP_BLOCK),
+        so a right map expands its tails, not whole monomials.
+
+        On the right every image g^c g_j has coordinates 0 before j, so no
+        term b^gamma of T(t) has a letter before j, and
+        b^h*b^gamma = b^(h + gamma) is in normal order: one add of codes, 0
+        at weights W/e and more.  This holds because G_j = g_j^Z_p ...
+        g_d^Z_p is a subgroup.  The peel of `groups.UnitriangularModel`
+        reads coordinate i as the first-kind coordinate mu_i of what is left
+        once g_1^l_1 ... g_(i-1)^l_(i-1) is divided off, and the model loads
+        only if that leaves 1 for every product.  On g_(i+1)^s_(i+1) ...
+        g_d^s_d it reads l_i = 0, so mu_i is 0 there for every s.  So the
+        span of log g_j, ..., log g_d holds the logs of G_j, among them
+        log(g_a^s g_b^t) for a, b >= j, and with it their s*t coefficient
+        [log g_a, log g_b]/2.  It is a Lie subalgebra, and by the
+        Baker-Campbell-Hausdorff formula its exponential G_j is closed under
+        products.  The build checks the images all the same: a coordinate
+        before j raises ModelError."""
+        p, size, exps = self.model.p, self.size, self._exponents
+        right = side == "right"
+        shifts, movers, tails, tail_at, labels = [], [], [], [], []
+        for j in letters:
+            # b^a b_j lies in F_{w(a) + omega_j}, 0 at or past the cutoff
+            live = self._int_weights + self._int_omega[j] < self.W
+            outside = exps[:, j + 1:] if right else exps[:, :j]
+            moved = live & outside.any(axis=1) & (self.model.kind != "abelian")
+            shift = np.flatnonzero(live & ~moved)
+            shifts.append((shift, self._indices_of(self._codes[shift] + self._radix[j])))
+            a = np.flatnonzero(moved)
+            codes = exps[a, j + 1:] @ self._radix[j + 1:] if right else self._codes[a]
+            distinct, at = np.unique(codes, return_inverse=True)
+            tail_at.append(at + sum(map(len, tails)))
+            tails.append(self._indices_of(distinct))
+            movers.append(a)
+            labels.append(np.full(distinct.size, j, dtype=np.int64))
+        cuts = np.cumsum([0] + [a.size for a in movers])
+        tail_ends = np.cumsum([0] + [t.size for t in tails])
+        tails, labels, movers, tail_at = map(np.concatenate, (tails, labels, movers, tail_at))
+
+        # b^a b_j = b^h T(t): the terms b^gamma of each T(t), one run per
+        # tail; no kernel call when no letter has movers
+        start = np.searchsorted(self._int_weights,
+                                self._int_weights[tails] + self._int_omega[labels])
+        cap, parts, lo = max(1, _MAP_BLOCK // size), [np.zeros((3, 0), dtype=np.int64)], 0
+        while lo < tails.size:
+            hi = max(tail_ends[tail_ends <= lo + cap].max(), tail_ends[tail_ends > lo].min())
+            cols = self._group_columns(exps[tails[lo:hi]], self._letter_image(right),
+                                       start[lo:hi], labels[lo:hi])
+            r, g = np.nonzero(cols)
+            parts.append(np.stack([r + lo, g, cols[r, g]]))
+            lo = hi
+        n, gamma, coef = np.concatenate(parts, axis=1)
+        count = np.bincount(n, minlength=tails.size)
+        at, pos = _runs((np.cumsum(count) - count)[tail_at], count[tail_at])
+        # b^h b^gamma = b^(h + gamma), 0 at weights W/e and more
+        src, row, gamma = movers[at], tails[tail_at][at], gamma[pos]
+        keep = self._int_weights[src] - self._int_weights[row] + \
+            self._int_weights[gamma] < self.W
+        at, src, row, gamma, coef = at[keep], src[keep], row[keep], gamma[keep], coef[pos[keep]]
+        tgt = self._indices_of(self._codes[src] - self._codes[row] + self._codes[gamma])
+        # the movers are in letter order, and so are their entries
+        bounds = np.searchsorted(at, cuts).tolist()
+        return [SparseMap(p, size, np.concatenate([shifted, tgt[lo:hi]]),
+                          np.concatenate([shift, src[lo:hi]]),
+                          np.concatenate([np.ones(shift.size, dtype=np.int64), coef[lo:hi]]))
+                for (shift, shifted), lo, hi in zip(shifts, bounds, bounds[1:])]
+
+    def _letter_image(self, right: bool):
+        """The `image` of `_group_columns` for the maps g -> g*g_j (right)
+        or g_j*g, j the label; on the right it raises ModelError for an
+        image with a coordinate before j (see `_generator_maps`)."""
+        model, rank = self.model, self.model.rank
+        unit = np.eye(rank, dtype=np.int64)
+
+        def image(js, cs):
             # g^c g_j = g^(c + e_j) when c has no letter outside
-            coords = cs + unit
-            for k in np.flatnonzero(cs[:, outside].any(axis=1)).tolist():
-                c_k = cs[k].tolist()
-                coords[k] = (model._mul_values(c_k, unit) if side == "right"
-                             else model._mul_values(unit, c_k))
+            coords = cs + unit[js]
+            before, after = np.arange(rank) < js[:, None], np.arange(rank) > js[:, None]
+            outside = after if right else before
+            for k in np.flatnonzero((cs * outside).any(axis=1)).tolist():
+                c_k, e = cs[k].tolist(), unit[js[k]].tolist()
+                coords[k] = model._mul_values(c_k, e) if right else model._mul_values(e, c_k)
+            bad = np.flatnonzero((coords * before).any(axis=1)) if right else []
+            if len(bad):
+                k = int(bad[0])
+                raise ModelError(
+                    f"g^{tuple(cs[k].tolist())} * g_{js[k] + 1} has a nonzero coordinate "
+                    f"before {js[k] + 1}: g_{js[k] + 1}, ..., g_{rank} do not span a subgroup")
             return coords
-
-        # b^a b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^a,
-        # combined only on the columns of weight w(a) + omega_j on, where the
-        # term -b^a, of weight w(a), does not reach
-        movers = np.flatnonzero(moved & (floor < self.W))
-        cols = self._group_columns(self._exponents[movers], image,
-                                   np.searchsorted(self._int_weights, floor[movers]))
-        n, k = np.nonzero(cols)
-        shifted = self._indices_of(self._codes[shift] + self._radix[j])
-        return SparseMap(p, self.size, np.concatenate([shifted, k]),
-                         np.concatenate([shift, movers[n]]),
-                         np.concatenate([np.ones(shift.size, dtype=np.int64), cols[n, k]]))
+        return image
 
     # -- products -----------------------------------------------------------
 
@@ -356,7 +440,7 @@ class TruncationSpec:
             up = keys - keys % size + prefix[keys % size]
         # every right generator map in one, source j*size + a for b^a*b_j
         right = self.cached_map(("right", "all"), lambda: SparseMap.stack(
-            [self.generator_map(j) for j in range(self.model.rank)]))
+            self.generator_maps(range(self.model.rank))))
 
         def gather(block, at):
             # the entries of the rows `at` of a block sorted by row, row k
@@ -493,7 +577,7 @@ def aut_map(trunc: TruncationSpec, phi: Automorphism) -> SparseMap:
     model = trunc.model
 
     def build():
-        cols = trunc._group_columns(trunc._exponents, lambda cs: [
+        cols = trunc._group_columns(trunc._exponents, lambda _, cs: [
             phi.apply(model.element(c)).coords for c in cs.tolist()])
         src, tgt = np.nonzero(cols)
         return SparseMap(model.p, trunc.size, tgt, src, cols[src, tgt])

@@ -254,8 +254,8 @@ def test_c07_control_detection(trunc2, trunc_heis, abelian2, heis, u4):
         def oracle_span(gens, sided):
             sides = ("right", "left") if sided == "two-sided" else ("right",)
             space = dense_closure(u4.p, t.size, [g.vector() for g in gens],
-                                  [t.generator_map(j, side).apply
-                                   for side in sides for j in range(u4.rank)])
+                                  [m.apply for side in sides
+                                   for m in t.generator_maps(range(u4.rank), side)])
             want = IdealSpan(t, space.matrix(), space.pivots, sided)
             return want, [bool(escapes_reference(want, i).any()) for i in range(u4.rank)]
 

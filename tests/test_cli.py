@@ -836,6 +836,20 @@ def test_zeta_texts_and_entries_are_typed():
         "r_range[1]: expected an integer, got '1'"]
 
 
+def test_zeta_with_an_empty_r_range_fails(tmp_path, capsys):
+    # no r means no approximant and no measurement, which must not pass
+    doc = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
+           "truncation": {"W": 30, "M": 6}, "tasks": [
+               {"name": "zeta", "r_range": [],
+                "automorphism": {"kind": "linear", "matrix": [[10]]}}]}
+    [rec] = run_config(parse_config(doc))
+    assert rec["status"] == "fail" and rec["metrics"] == {}
+    assert rec["witnesses"] == [{"kind": "error", "error": "ValueError",
+                                 "message": "r_range is empty"}]
+    assert main(["run", write_doc(tmp_path, "zeta.json", doc)]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
 # Every field each task reads, with a task that passes as given, and one
 # misspelled field per object, which no value makes valid.  A path names a
 # field of the task, or one of the config itself (`CONFIG_FIELDS`).

@@ -454,8 +454,8 @@ def test_abelian_two_sided_span_is_the_right_span(request, fixture, data):
     assert two.sided == "two-sided"
     assert np.array_equal(two.rows, right.rows) and two.pivots == right.pivots
     # the closure under the maps of both sides
-    maps = [t.generator_map(j, side).apply for side in ("right", "left")
-            for j in range(t.model.rank)]
+    maps = [m.apply for side in ("right", "left")
+            for m in t.generator_maps(range(t.model.rank), side)]
     space = dense_closure(p, t.size, [g.vector() for g in gens], maps)
     assert np.array_equal(two.rows, space.matrix())
     # a fresh truncation of the same model builds no left map
@@ -489,8 +489,8 @@ def test_spans_match_dense_closure(escape_truncs, name, sided, data):
     # both sides even in the abelian models, where ideal_span applies one
     sides = ("right", "left") if sided == "two-sided" else ("right",)
     want = dense_closure(p, t.size, [g.vector() for g in gens],
-                         [t.generator_map(j, side).apply for side in sides
-                          for j in range(d)])
+                         [m.apply for side in sides
+                          for m in t.generator_maps(range(d), side)])
     I = ideal_span(t, gens, sided)
     assert np.array_equal(I.rows, want.matrix()) and I.pivots == tuple(want.pivots)
     # the subalgebra of the subgroup G^(p^n), and induction from it
@@ -503,14 +503,14 @@ def test_spans_match_dense_closure(escape_truncs, name, sided, data):
     def power(j):
         def apply(v):
             for _ in range(p ** n):
-                v = t.generator_map(j).apply(v)
+                v = t.generator_maps([j])[0].apply(v)
             return v
         return apply
     seeds = [g.vector() for g in gens]
     sub = dense_closure(p, t.size, seeds, [power(j) for j in range(d)]).matrix()
     assert np.array_equal(subalgebra_ideal_span(t, H, gens).rows, sub)
     induced = dense_closure(p, t.size, seeds,
-                            [t.generator_map(j).apply for j in range(d)]).matrix()
+                            [m.apply for m in t.generator_maps(range(d))]).matrix()
     meet = intersect_coordinate_subspace(
         induced, p, [t.index[a] for a in subalgebra_monomials(t, H)])
     assert flatness_check(t, H, gens) == {
@@ -530,8 +530,7 @@ def test_subalgebra_power_maps_are_matrix_powers(escape_truncs, name):
     t = escape_truncs[name]
     p = t.model.p
     one = SparseMap.identity(p, t.size)
-    for j in range(t.model.rank):
-        step = t.generator_map(j)
+    for step in t.generator_maps(range(t.model.rank)):
         for n in range(min(t.model.precision, 3)):
             composed = power(step, p ** n, one, SparseMap.compose)
             assert composed.coef.all() and composed.size == t.size

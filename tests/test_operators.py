@@ -189,7 +189,7 @@ def test_sparse_apply_matches_dense_matrix(map_truncs, name, data):
     # the coset idempotents of the Heisenberg model are for its centre
     exps = (0, 0, 1) if name == "heis" else tuple(int(i == j) for i in range(d))
     nu = (data.draw(st.integers(0, p - 1)),)
-    for m in [t.generator_map(j, "right"), t.generator_map(j, "left"),
+    for m in [*t.generator_maps([j], "right"), *t.generator_maps([j], "left"),
               divided_power_map(t, alpha),
               coset_idempotent(t, subgroup_from_exponents(t.model, exps), nu)]:
         check_apply(m, data)

@@ -4,6 +4,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from iwacalc import (
     Automorphism, format_series, group_embed, load_abelian, load_unitriangular,
     multi_binom_mod_p, parse_series, series_frobenius,
 )
+from iwacalc import series
+from iwacalc.control import ideal_span
 from iwacalc.series import aut_map
 from iwacalc.padic import mi_range, mi_weight
 from iwacalc.rng import Pcg32
@@ -403,14 +406,93 @@ def test_block_product_matches_group_route(block_truncs, name, data):
 def test_generator_maps_match_group_route(kernel_truncs, name):
     t = kernel_truncs[name]
     d = t.model.rank
-    for j in range(d):
+    maps = zip(t.generator_maps(range(d), "right"), t.generator_maps(range(d), "left"))
+    for j, (right, left) in enumerate(maps):
         bj = t.monomial(tuple(1 if i == j else 0 for i in range(d)))
-        right = t.generator_map(j, "right")
-        left = t.generator_map(j, "left")
         for a in t.basis:
             x = t.monomial(a)
             assert t.from_vector(right.apply(x.vector())) == mul_reference(x, bj)
             assert t.from_vector(left.apply(x.vector())) == mul_reference(bj, x)
+
+
+@pytest.mark.parametrize("name", ["heis", "heis_big", "u4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_right_maps_match_group_route_at_drawn_cutoffs(kernel_truncs, name, data):
+    """Right maps of a cold truncation at a drawn cutoff, built for a drawn
+    set of letters in one block or, under a tiny block budget, one letter at
+    a time, against the group route on drawn monomials."""
+    model = kernel_truncs[name].model
+    d = model.rank
+    t = TruncationSpec(model, data.draw(st.integers(1, 14), label="W"))
+    letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True))
+    budget = data.draw(st.sampled_from([series._MAP_BLOCK, 1]), label="budget")
+    with patch.object(series, "_MAP_BLOCK", budget):
+        maps = t.generator_maps(letters)
+    monomials = data.draw(st.lists(st.sampled_from(t.basis), min_size=1, max_size=6,
+                                   unique=True))
+    for j, m in zip(letters, maps):
+        bj = t.monomial(tuple(int(i == j) for i in range(d)))
+        for a in monomials:
+            x = t.monomial(a)
+            assert t.from_vector(m.apply(x.vector())) == mul_reference(x, bj)
+
+
+def test_right_maps_reject_a_basis_tail_that_is_no_subgroup():
+    # g^c g_j must have coordinates 0 before j; a tampered law that moves
+    # the first coordinate of every product breaks that for j = 2
+    model = load_unitriangular(5, 3, 3, heisenberg_generators(5), ["1", "1", "2"])
+    mul = model._mul_values
+    model._mul_values = lambda a, b: [mul(a, b)[0] + 1] + mul(a, b)[1:]
+    t = TruncationSpec(model, 9)
+    with pytest.raises(ModelError, match=r"g_2 has a nonzero coordinate before 2"):
+        t.generator_maps(range(3))
+    with pytest.raises(ModelError, match="do not span a subgroup"):
+        t.one() * t.monomial((0, 0, 1))
+
+
+def test_right_maps_embed_one_row_per_tail_image(u4):
+    """A cold U_4 right build embeds at most one row per distinct (j, c),
+    c a term of the group expansion of the tail of a mover of j, and makes
+    one kernel call for the six letters."""
+    t = TruncationSpec(u4, 16)
+    p, d = u4.p, u4.rank
+    embedded, embed = [], t._embed_rows
+    t._embed_rows = lambda coords: embedded.append(len(coords)) or embed(coords)
+    t.generator_maps(range(d))
+    tails, whole = set(), set()
+    for j in range(d):
+        for a, w in zip(t.basis, t._int_weights.tolist()):
+            tail = (0,) * (j + 1) + a[j + 1:]
+            if any(tail) and w + t._int_omega[j] < t.W:
+                tails |= {(j, c) for c, _ in signed_binomials_reference(tail, p)}
+                whole |= {(j, c) for c, _ in signed_binomials_reference(a, p)}
+    assert len(embedded) == 1 and embedded[0] <= len(tails)
+    # expanding whole monomials would embed several times as many
+    assert 3 * len(tails) < len(whole)
+
+
+def test_maps_without_movers_make_no_kernel_call(abelian3, heis):
+    calls = []
+
+    def counted(t):
+        group_columns = t._group_columns
+        t._group_columns = lambda *args: calls.append(len(args[0])) or group_columns(*args)
+        return t
+
+    t = counted(TruncationSpec(abelian3, 8))
+    for side in ("right", "left"):
+        t.generator_maps(range(3), side)
+    assert calls == []
+    # in Heisenberg nothing passes the last letter on the right, or the
+    # first on the left
+    t = counted(TruncationSpec(heis, 8))
+    t.generator_maps([2], "right")
+    t.generator_maps([0], "left")
+    assert calls == []
+    # a two-sided span builds each side's maps in one call
+    ideal_span(t, [t.monomial((1, 0, 0))], "two-sided")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["abelian3", "heis_wide", "zeta", "u4", "heis_big",
@@ -495,7 +577,7 @@ def test_signed_binomial_table_grows_past_the_basis(trunc_heis):
 
 def test_generator_map_rejects_unknown_side(trunc_heis):
     with pytest.raises(ValueError):
-        trunc_heis.generator_map(0, "middle")
+        trunc_heis.generator_maps([0], "middle")
 
 
 def test_truncation_rejects_primes_past_int64_sums():
@@ -511,7 +593,8 @@ def test_prime_just_under_the_bound_stays_exact():
     assert t.size == 4 and t.size * (p - 1) ** 2 < 2 ** 63
     x = t.from_dict({(0,): p - 1, (1,): p - 2, (2,): p - 3, (3,): p - 1})
     assert lmul_matrix(t, x).apply(x) == x * x
-    assert t.from_vector(t.generator_map(0).apply(x.vector())) == x * t.monomial((1,))
+    [b1] = t.generator_maps([0])
+    assert t.from_vector(b1.apply(x.vector())) == x * t.monomial((1,))
 
 
 def test_threads_share_lazily_built_maps(heis):
