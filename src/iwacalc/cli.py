@@ -332,6 +332,8 @@ def _task_mahler_reconstruct(ctx: RunContext, params: dict, stream: int):
     phi = _build_automorphism(ctx.model, _require(params, "automorphism"),
                               "automorphism")
     budget = _expect_fraction(params.get("degree_budget", 2), "degree_budget")
+    if budget < 0:
+        raise ConfigError(f"degree_budget: must be >= 0, got {budget}")
     images = reconstruct_aut(t, phi, budget)
     witnesses = []
     for a, got in images.items():

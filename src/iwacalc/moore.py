@@ -25,6 +25,7 @@ Cramer bound on inverse entries, and the Mahler coefficient asymptotics."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -238,15 +239,25 @@ def moore_det_check(p: int, m: int, r: int, budget: int = 4096) -> dict:
 
     Returns the scalar c with det = c * product(forms), and checks the
     minimum total degree is (1 + p + ... + p^{m-1}) p^r (the weighted
-    valuation identity under any uniform weight on the y_i)."""
+    valuation identity under any uniform weight on the y_i).  The work is
+    bounded: a case raises ValueError when its p^m points or its m!
+    cofactor terms pass `budget`, before any work, and when the running
+    product of the forms does, as it grows."""
+    case = f"moore-det case [{p}, {m}, {r}]"
     if p ** m > budget:
-        raise ValueError(f"p^m = {p ** m} exceeds the budget {budget}")
-    ys = [FpPolynomial.variable(p, m, i) for i in range(m)]
-    det = matrix_det(moore_matrix(ys, r, m))
+        raise ValueError(f"{case}: p^m = {p ** m} exceeds the budget {budget}")
+    if factorial(m) > budget:
+        raise ValueError(f"{case}: the cofactor expansion has {m}! = {factorial(m)} "
+                         f"terms, past the budget {budget}")
     forms = projective_forms(p, m, r)
     prod = FpPolynomial.constant(p, m, 1)
     for f in forms:
         prod = prod * f
+        if len(prod.coeffs) > budget:
+            raise ValueError(f"{case}: the product of the forms passes the budget "
+                             f"of {budget} terms")
+    ys = [FpPolynomial.variable(p, m, i) for i in range(m)]
+    det = matrix_det(moore_matrix(ys, r, m))
     lead_mono, lead_coeff = prod.leading()
     c = det.coeffs.get(lead_mono, 0) * pow(lead_coeff, -1, p) % p
     factor_ok = bool(c) and det == prod.scale(c)

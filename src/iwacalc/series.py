@@ -15,16 +15,15 @@ g^m = sum_b C(m, b) b^b and combines them, one int64 product per monomial.
 By Lucas's theorem C(m, b) mod p depends only on m mod p^need, the least
 power of p above every basis exponent, so all the Mahler rows of a build
 are one gather from rows of binomials, one per residue that occurs.  The
-maps g^c -> g^c g_j and g_j g^c give x -> x*b_j and x -> b_j*x
-(`TruncationSpec.generator_maps`, all letters of a side in one call), whose
-products already in normal order, all of them on abelian models, are one
-shift of exponents.  A right map sends b^a = b^h b^t, t the letters of a
-after j, to b^h (b^t b_j): it expands each distinct tail t once, and the
-head b^h shifts the exponents of each term, since b^t b_j has no letter
-before j.  g^c -> phi(g^c) gives the ring extension of an automorphism
-(`aut_map`), and g^c -> phi(g^c) g^{-c} its Mahler coefficients (in
-`operators`).  These `SparseMap`s and the divided powers share one cache
-per truncation.
+maps g^c -> g^c g_j give x -> x*b_j (`TruncationSpec.generator_maps`, all
+letters in one call), whose products already in normal order, all of them
+on abelian models, are one shift of exponents.  They send b^a = b^h b^t, t
+the letters of a after j, to b^h (b^t b_j), expanding each distinct tail t
+once: b^h shifts the exponents of each term, as b^t b_j has no letter
+before j.  The left maps x -> b_j*x are products (`mul_block`).
+g^c -> phi(g^c) gives the ring extension of an automorphism (`aut_map`),
+and g^c -> phi(g^c) g^{-c} its Mahler coefficients (in `operators`).
+These `SparseMap`s and the divided powers share one cache per truncation.
 
 Products have one kernel, `TruncationSpec.mul_block`: row k of its result
 is the product of row k of two blocks of series held as entry arrays, and
@@ -69,8 +68,9 @@ from .padic import (
 )
 
 
-# dense entries of the rows of one `_group_columns` call of `_generator_maps`:
-# past it the letters are split into runs that fit, or one letter a call
+# dense entries of the rows of one `_group_columns` call of `_right_maps`:
+# past it the letters are split into runs that fit, or one letter a call (U_4
+# at W=24 needs it: 1,472 tails x 4,416 columns, about 6.5 M entries)
 _MAP_BLOCK = 1 << 22
 
 
@@ -282,56 +282,68 @@ class TruncationSpec:
 
     def generator_maps(self, letters, side: str = "right") -> list:
         """The sparse maps x -> x*b_j (side "right") or x -> b_j*x ("left")
-        for each letter j of `letters`; those not cached yet come from one
-        `_generator_maps` build."""
+        for each letter j of `letters`, one of 0..d-1; those not cached yet
+        come from one `_right_maps` or `_left_maps` build."""
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+        for j in letters:
+            if not 0 <= j < self.model.rank:
+                raise ValueError(f"letter {j} is outside 0..{self.model.rank - 1}")
+        build = self._right_maps if side == "right" else self._left_maps
         return self.cached_maps([(side, int(j)) for j in letters],
-                                lambda keys: self._generator_maps([j for _, j in keys], side))
+                                lambda keys: build([j for _, j in keys]))
 
-    def _generator_maps(self, letters: list, side: str) -> list:
-        """The maps x -> x*b_j (or b_j*x) of `letters`, built together.
+    def _left_maps(self, letters: list) -> list:
+        """The maps x -> b_j*x of `letters`: row k*size + a of one
+        `mul_block` call is b_j*b^a, j = letters[k]."""
+        size = self.size
+        a, js = np.tile(np.arange(size), len(letters)), np.repeat(letters, size)
+        # b_j b^a lies in F_{w(a) + omega_j}, 0 at or past the cutoff
+        rows = np.flatnonzero(self._int_weights[a] + self._int_omega[js] < self.W)
+        a, bj, one = a[rows], self._indices_of(self._radix[js[rows]]), np.ones_like(rows)
+        r, tgt, coef = self.mul_block((rows, bj, one), (rows, a, one))
+        return [SparseMap(self.model.p, size, tgt[at], r[at] % size, coef[at])
+                for at in r // size == np.arange(len(letters))[:, None]]
 
-        b^a*b_j is in normal order iff a has no letter after j, and b_j*b^a
-        iff a has none before j; then it is one shift of exponents, as every
-        product is in abelian models.  Otherwise split b^a = b^h*b^t, the
-        tail t the letters of a after j and the head h the others, so that
-        b^a*b_j = b^h*T(t) with T(t) = b^t*b_j; on the left the tail is all
-        of a and the head is 1.  T(t) comes from the group,
+    def _right_maps(self, letters: list) -> list:
+        """The maps x -> x*b_j of `letters`, built together.
+
+        b^a*b_j is in normal order iff a has no letter after j; then it is
+        one shift of exponents, as every product is in abelian models.
+        Otherwise split b^a = b^h*b^t, the tail t the letters of a after j
+        and the head h the others, so that b^a*b_j = b^h*T(t) with
+        T(t) = b^t*b_j.  T(t) comes from the group,
         b^t*b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^t,
         combined only on the columns of weight w(t) + omega_j on, which the
         term -b^t does not reach.  It is built once per distinct (j, t), the
         images of all letters in one `_group_columns` call (see _MAP_BLOCK),
         so a right map expands its tails, not whole monomials.
 
-        On the right every image g^c g_j has coordinates 0 before j, so no
-        term b^gamma of T(t) has a letter before j, and
-        b^h*b^gamma = b^(h + gamma) is in normal order: one add of codes, 0
-        at weights W/e and more.  This holds because G_j = g_j^Z_p ...
-        g_d^Z_p is a subgroup.  The peel of `groups.UnitriangularModel`
-        reads coordinate i as the first-kind coordinate mu_i of what is left
-        once g_1^l_1 ... g_(i-1)^l_(i-1) is divided off, and the model loads
-        only if that leaves 1 for every product.  On g_(i+1)^s_(i+1) ...
-        g_d^s_d it reads l_i = 0, so mu_i is 0 there for every s.  So the
-        span of log g_j, ..., log g_d holds the logs of G_j, among them
-        log(g_a^s g_b^t) for a, b >= j, and with it their s*t coefficient
-        [log g_a, log g_b]/2.  It is a Lie subalgebra, and by the
-        Baker-Campbell-Hausdorff formula its exponential G_j is closed under
-        products.  The build checks the images all the same: a coordinate
-        before j raises ModelError."""
+        Every image g^c g_j has coordinates 0 before j, so no term b^gamma
+        of T(t) has a letter before j, and b^h*b^gamma = b^(h + gamma) is in
+        normal order: one add of codes, 0 at weights W/e and more.  This
+        holds because G_j = g_j^Z_p ... g_d^Z_p is a subgroup.  The peel of
+        `groups.UnitriangularModel` reads coordinate i as the first-kind
+        coordinate mu_i of what is left once g_1^l_1 ... g_(i-1)^l_(i-1) is
+        divided off, and the model loads only if that leaves 1 for every
+        product.  On g_(i+1)^s_(i+1) ... g_d^s_d it reads l_i = 0, so mu_i
+        is 0 there for every s.  So the span of log g_j, ..., log g_d holds
+        the logs of G_j, among them log(g_a^s g_b^t) for a, b >= j, and with
+        it their s*t coefficient [log g_a, log g_b]/2.  It is a Lie
+        subalgebra, and by the Baker-Campbell-Hausdorff formula its
+        exponential G_j is closed under products.  The build checks the
+        images all the same: a coordinate before j raises ModelError."""
         p, size, exps = self.model.p, self.size, self._exponents
-        right = side == "right"
         shifts, movers, tails, tail_at, labels = [], [], [], [], []
         for j in letters:
             # b^a b_j lies in F_{w(a) + omega_j}, 0 at or past the cutoff
             live = self._int_weights + self._int_omega[j] < self.W
-            outside = exps[:, j + 1:] if right else exps[:, :j]
-            moved = live & outside.any(axis=1) & (self.model.kind != "abelian")
+            moved = live & exps[:, j + 1:].any(axis=1) & (self.model.kind != "abelian")
             shift = np.flatnonzero(live & ~moved)
             shifts.append((shift, self._indices_of(self._codes[shift] + self._radix[j])))
             a = np.flatnonzero(moved)
-            codes = exps[a, j + 1:] @ self._radix[j + 1:] if right else self._codes[a]
-            distinct, at = np.unique(codes, return_inverse=True)
+            distinct, at = np.unique(exps[a, j + 1:] @ self._radix[j + 1:],
+                                     return_inverse=True)
             tail_at.append(at + sum(map(len, tails)))
             tails.append(self._indices_of(distinct))
             movers.append(a)
@@ -347,7 +359,7 @@ class TruncationSpec:
         cap, parts, lo = max(1, _MAP_BLOCK // size), [np.zeros((3, 0), dtype=np.int64)], 0
         while lo < tails.size:
             hi = max(tail_ends[tail_ends <= lo + cap].max(), tail_ends[tail_ends > lo].min())
-            cols = self._group_columns(exps[tails[lo:hi]], self._letter_image(right),
+            cols = self._group_columns(exps[tails[lo:hi]], self._letter_image,
                                        start[lo:hi], labels[lo:hi])
             r, g = np.nonzero(cols)
             parts.append(np.stack([r + lo, g, cols[r, g]]))
@@ -368,29 +380,21 @@ class TruncationSpec:
                           np.concatenate([np.ones(shift.size, dtype=np.int64), coef[lo:hi]]))
                 for (shift, shifted), lo, hi in zip(shifts, bounds, bounds[1:])]
 
-    def _letter_image(self, right: bool):
-        """The `image` of `_group_columns` for the maps g -> g*g_j (right)
-        or g_j*g, j the label; on the right it raises ModelError for an
-        image with a coordinate before j (see `_generator_maps`)."""
-        model, rank = self.model, self.model.rank
-        unit = np.eye(rank, dtype=np.int64)
-
-        def image(js, cs):
-            # g^c g_j = g^(c + e_j) when c has no letter outside
-            coords = cs + unit[js]
-            before, after = np.arange(rank) < js[:, None], np.arange(rank) > js[:, None]
-            outside = after if right else before
-            for k in np.flatnonzero((cs * outside).any(axis=1)).tolist():
-                c_k, e = cs[k].tolist(), unit[js[k]].tolist()
-                coords[k] = model._mul_values(c_k, e) if right else model._mul_values(e, c_k)
-            bad = np.flatnonzero((coords * before).any(axis=1)) if right else []
-            if len(bad):
-                k = int(bad[0])
-                raise ModelError(
-                    f"g^{tuple(cs[k].tolist())} * g_{js[k] + 1} has a nonzero coordinate "
-                    f"before {js[k] + 1}: g_{js[k] + 1}, ..., g_{rank} do not span a subgroup")
-            return coords
-        return image
+    def _letter_image(self, js, cs):
+        """The `image` of `_group_columns` for g -> g*g_j, j the label; an
+        image with a coordinate before j raises ModelError (see `_right_maps`)."""
+        rank = self.model.rank
+        unit, at = np.eye(rank, dtype=np.int64), np.arange(rank)
+        # g^c g_j = g^(c + e_j) when c has no letter after j
+        coords = cs + unit[js]
+        for k in np.flatnonzero((cs * (at > js[:, None])).any(axis=1)).tolist():
+            coords[k] = self.model._mul_values(cs[k].tolist(), unit[js[k]].tolist())
+        bad = np.flatnonzero((coords * (at < js[:, None])).any(axis=1))
+        if bad.size:
+            k, j = int(bad[0]), int(js[bad[0]]) + 1
+            raise ModelError(f"g^{tuple(cs[k].tolist())} * g_{j} has a nonzero coordinate "
+                             f"before {j}: g_{j}, ..., g_{rank} do not span a subgroup")
+        return coords
 
     # -- products -----------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -754,6 +755,23 @@ def test_moore_det_cases_are_typed(case, message):
     assert w["message"] == message
 
 
+@pytest.mark.parametrize("case,message", [
+    ([2, 7, 0], "the cofactor expansion has 7! = 5040 terms, past the budget 4096"),
+    ([2, 12, 0], "the cofactor expansion has 12! = 479001600 terms"),
+    ([2, 6, 0], "the product of the forms passes the budget of 4096 terms"),
+])
+def test_moore_det_cases_past_the_budget_fail_fast(case, message):
+    # p^m is within the budget of 4096 in each case, but the work is not
+    cfg = parse_config(abelian_doc([{"name": "moore-det", "cases": [[2, 2, 0], case]}]))
+    start = time.perf_counter()
+    [rec] = run_config(cfg)
+    assert time.perf_counter() - start < 1
+    assert rec["status"] == "fail"
+    [w] = rec["witnesses"]
+    assert w["kind"] == "error" and w["error"] == "ValueError"
+    assert w["message"].startswith(f"moore-det case {case}: {message}")
+
+
 @pytest.mark.parametrize("budget,message", [
     (True, "degree_budget: expected an integer, got True"),
     (2.5, "degree_budget: expected an integer, got 2.5"),
@@ -763,6 +781,7 @@ def test_moore_det_cases_are_typed(case, message):
     ([1, 2, 3], "degree_budget: cannot read [1, 2, 3] as a rational number"),
     ([1, 0], "degree_budget: "),
     ("x", "degree_budget: "),
+    (-1, "degree_budget: must be >= 0, got -1"),
 ])
 def test_degree_budget_is_typed(budget, message):
     cfg = parse_config(abelian_doc([

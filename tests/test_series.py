@@ -418,24 +418,28 @@ def test_generator_maps_match_group_route(kernel_truncs, name):
 @pytest.mark.parametrize("name", ["heis", "heis_big", "u4"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_right_maps_match_group_route_at_drawn_cutoffs(kernel_truncs, name, data):
-    """Right maps of a cold truncation at a drawn cutoff, built for a drawn
-    set of letters in one block or, under a tiny block budget, one letter at
-    a time, against the group route on drawn monomials."""
+def test_generator_maps_match_group_route_at_drawn_cutoffs(kernel_truncs, name, data):
+    """Right and left maps at a drawn cutoff, each side built first on a
+    cold truncation for a drawn set of letters, in one block or, under a
+    tiny block budget, one letter a call, against the group route on drawn
+    monomials.  A left build multiplies by right maps it builds itself."""
     model = kernel_truncs[name].model
     d = model.rank
-    t = TruncationSpec(model, data.draw(st.integers(1, 14), label="W"))
+    W = data.draw(st.integers(1, 14), label="W")
     letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True))
     budget = data.draw(st.sampled_from([series._MAP_BLOCK, 1]), label="budget")
+    t = TruncationSpec(model, W)
     with patch.object(series, "_MAP_BLOCK", budget):
-        maps = t.generator_maps(letters)
+        maps = {side: TruncationSpec(model, W).generator_maps(letters, side)
+                for side in ("right", "left")}
     monomials = data.draw(st.lists(st.sampled_from(t.basis), min_size=1, max_size=6,
                                    unique=True))
-    for j, m in zip(letters, maps):
+    for j, right, left in zip(letters, maps["right"], maps["left"]):
         bj = t.monomial(tuple(int(i == j) for i in range(d)))
         for a in monomials:
             x = t.monomial(a)
-            assert t.from_vector(m.apply(x.vector())) == mul_reference(x, bj)
+            assert t.from_vector(right.apply(x.vector())) == mul_reference(x, bj)
+            assert t.from_vector(left.apply(x.vector())) == mul_reference(bj, x)
 
 
 def test_right_maps_reject_a_basis_tail_that_is_no_subgroup():
@@ -476,23 +480,45 @@ def test_maps_without_movers_make_no_kernel_call(abelian3, heis):
     calls = []
 
     def counted(t):
-        group_columns = t._group_columns
-        t._group_columns = lambda *args: calls.append(len(args[0])) or group_columns(*args)
+        group_columns, embed_rows = t._group_columns, t._embed_rows
+        t._group_columns = lambda *args: calls.append(("group", len(args[0]))) or \
+            group_columns(*args)
+        t._embed_rows = lambda coords: calls.append(("embed", len(coords))) or \
+            embed_rows(coords)
         return t
 
     t = counted(TruncationSpec(abelian3, 8))
     for side in ("right", "left"):
         t.generator_maps(range(3), side)
     assert calls == []
-    # in Heisenberg nothing passes the last letter on the right, or the
-    # first on the left
+    # in Heisenberg nothing passes the last letter on the right
     t = counted(TruncationSpec(heis, 8))
     t.generator_maps([2], "right")
-    t.generator_maps([0], "left")
     assert calls == []
-    # a two-sided span builds each side's maps in one call
+    # a left build calls the kernel only to build the right maps it
+    # multiplies by, and not at all once they are built
+    t.generator_maps([0], "left")
+    left = calls[:]
+    calls.clear()
+    counted(TruncationSpec(heis, 8)).generator_maps(range(3))
+    assert left == calls and [k for k, _ in calls] == ["group", "embed"]
+    calls.clear()
+    t.generator_maps(range(3), "left")
+    assert calls == []
+    # a two-sided span makes one kernel call: its right maps, from which
+    # the left maps are built
+    t = counted(TruncationSpec(heis, 8))
     ideal_span(t, [t.monomial((1, 0, 0))], "two-sided")
-    assert len(calls) == 2
+    assert [k for k, _ in calls] == ["group", "embed"]
+
+
+def test_generator_maps_reject_letters_outside_the_rank(trunc_heis):
+    # -1 must not alias the last letter, nor 3 end in a bare IndexError
+    for side in ("right", "left"):
+        for j in (-1, 3):
+            with pytest.raises(ValueError, match=rf"letter {j} is outside 0\.\.2"):
+                trunc_heis.generator_maps([0, j], side)
+            assert (side, j) not in trunc_heis._op_cache
 
 
 @pytest.mark.parametrize("name", ["abelian3", "heis_wide", "zeta", "u4", "heis_big",
