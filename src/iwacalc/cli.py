@@ -489,7 +489,13 @@ def _task_moore_det(ctx: RunContext, params: dict, stream: int):
                    for v, name, low in zip(row, "pmr", (2, 1, 0)))
         if not is_prime(p):
             raise ConfigError(f"cases[{k}].p: must be prime, got {p}")
-        report = moore_det_check(p, m, r)
+        try:
+            report = moore_det_check(p, m, r)
+        except ValueError as exc:  # a case past the budget fails alone
+            scalars.append(None)
+            witnesses.append({"kind": "error", "error": type(exc).__name__,
+                              "message": str(exc)})
+            continue
         scalars.append(report["scalar"])
         if report["status"] != "pass":
             witnesses.append({k: report[k] for k in

@@ -32,16 +32,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .groups import Automorphism, ModelError
-from .linalg import sum_entries
-from .operators import divided_power_map, mahler_coeff_aut
+from .linalg import SparseMap, sum_entries
+from .operators import _mahler_rows, divided_power_map
 from .padic import (
-    AtLeast, PrecisionError, format_poly, format_val, ge_provable, gt_provable,
-    mi_range, poly_combine, poly_frobenius, poly_product_sum, power, val_min,
-    val_sub_exact,
+    AtLeast, PrecisionError, format_poly, format_val, mi_range, poly_combine,
+    poly_frobenius, poly_product_sum, power,
 )
-from .series import (
-    TruncatedSeries, TruncationSpec, aut_map, group_embed, series_frobenius,
-)
+from .series import TruncatedSeries, TruncationSpec, aut_map, series_frobenius
 
 
 # ---------------------------------------------------------------------------
@@ -337,32 +334,19 @@ class ZetaExperiment:
         self.phi = phi
         p, M, d = model.p, model.precision, model.rank
         self.log = abelian_matrix_log(phi.matrix, p, M)
-        one = trunc.one()
-        ys = []
-        ws = []
-        for i in range(d):
-            z = model.element([self.log[k][i] for k in range(d)])
-            y = group_embed(trunc, z) - one
-            ys.append(y)
-            ws.append(y.valuation())
-        if all(isinstance(w, AtLeast) for w in ws):
+        # row i is y_i: the embedding of z(g_i), column i of log A, less 1
+        emb = trunc._embed_rows(np.array(self.log, dtype=np.int64).T)
+        emb[:, 0] -= 1
+        rows, cols = np.nonzero(emb)
+        ws = trunc.valuations((rows, cols, emb[rows, cols]), d)
+        if ws.min() >= trunc.W:
             raise ModelError("phi is trivial at this precision; lambda unresolved")
-
-        def sort_key(i):
-            w = ws[i]
-            if isinstance(w, AtLeast):
-                return (1, Fraction(0), i)
-            return (0, Fraction(w), i)
-
-        self.order = sorted(range(d), key=sort_key)
-        lam = ws[self.order[0]]
-        self.lam = Fraction(lam)
-        self.m = sum(1 for w in ws if not isinstance(w, AtLeast)
-                     and Fraction(w) == self.lam)
-        self.y = [ys[i] for i in self.order]
-        for ell in range(self.m, d):
-            if not gt_provable(ws[self.order[ell]], self.lam):
-                raise ModelError("valuation block is not separated at this cutoff")
+        # the resolved values sort first, so every value after the block of
+        # the least one, lambda, is larger: resolved, or at least W/e
+        self.order = np.argsort(ws, kind="stable").tolist()
+        self.lam = trunc.val(ws.min())
+        self.m = int((ws == ws.min()).sum())
+        self.y = [trunc.from_vector(emb[i]) for i in self.order]
         self.r_range = tuple(sorted(int(r) for r in r_range))
         if not self.r_range:
             raise ValueError("r_range is empty")
@@ -383,6 +367,8 @@ class ZetaExperiment:
         if not self.test_monomials:
             raise ValueError("no test monomials inside the cutoff")
         for k, x in enumerate(self.test_monomials):
+            if x.trunc is not trunc:
+                raise ValueError(f"test series {k} is from a different truncation")
             if x.is_zero():
                 raise ValueError(f"test series {k} is 0 mod F_W: its valuation "
                                  "is unresolved")
@@ -449,115 +435,111 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
     Checks, per approximated direction i: D(i, r) strictly increasing in r
     (on provable comparisons); the exhaustive determinant valuation identity
     v(sum mu_i y_i^{p^r}) = p^r λ; the Cramer bound on adj/det entries; and
-    the Mahler coefficient asymptotics against y^{α p^r}."""
+    the Mahler coefficient asymptotics against y^{α p^r}.  Each check reads
+    its valuations from one block at a time, as integers in units of 1/e
+    (`TruncationSpec.valuations`), W meaning unresolved."""
     t = exp.trunc
-    p = t.model.p
+    p, e, m = t.model.p, t.e, exp.m
+    lam = int(exp.lam * e)
     records = []
     violations = []
+
+    def text(f: int, exact: bool = True) -> str:
+        """The report text of the value f/e, or of the bound f/e."""
+        return format_val(Fraction(f, e) if exact else AtLeast(Fraction(f, e)))
+
     # -- D(i, r) monotonicity over the test monomials
     xs = exp.test_monomials
-    ws = [x.valuation() for x in xs]
-    for i in range(1, exp.m + 1):
+    ws = t.valuations(t.block(xs), len(xs))
+    for i in range(1, m + 1):
         direction = exp.order[i - 1]
         e_i = tuple(1 if k == direction else 0 for k in range(t.model.rank))
         dx = sum_entries(*divided_power_map(t, e_i).apply_entries(*t.block(xs)), p)
         prev = None
         for r in exp.r_range:
             _, det, _ = exp.matrices(r)
-            dv = det.valuation()
-            # v(ζ_r(x) - ∂_i x) - w(x) = v(num - det·∂_i x) - v(det) - w(x)
+            # v(ζ_r(x) - ∂_i x) - w(x) = v(num - det·∂_i x) - v(det) - w(x),
+            # a bound only where num - det·∂_i x is 0 mod F_W
             at, cols, coefs = t.mul_block(t.block([det] * len(xs)), dx)
-            diff = sum_entries(*(np.concatenate(pair) for pair in zip(
-                zeta_eval(exp, i, r, xs), (at, cols, p - coefs))), p)
-            D = val_min([val_sub_exact(t.val(f), dv + w)
-                         for f, w in zip(t.valuations(diff, len(xs)).tolist(), ws)])
+            f = t.valuations(sum_entries(*(np.concatenate(pair) for pair in zip(
+                zeta_eval(exp, i, r, xs), (at, cols, p - coefs))), p), len(xs))
+            g = f - int(exp.det_valuation(r) * e) - ws
+            D = (int(g.min()), bool((g[f < t.W] == g.min()).any()))
             lam_term = exp.lam * p ** r
             rec = {
-                "i": i, "r": r, "D": format_val(D),
+                "i": i, "r": r, "D": text(*D),
                 "bound_A": format_val(lam_term / 2),
-                "bound_B": format_val(p ** (2 * r) - p ** (r + exp.m - 1) * exp.lam),
+                "bound_B": format_val(p ** (2 * r) - p ** (r + m - 1) * exp.lam),
             }
             if prev is None:
                 rec["monotone"] = "first"
-            elif gt_provable(D, prev):
+            elif prev[1] and D[0] > prev[0]:
                 rec["monotone"] = "increased"
-            elif isinstance(prev, AtLeast) or isinstance(D, AtLeast):
+            elif not (prev[1] and D[1]):
                 rec["monotone"] = "unresolved"
             else:
                 rec["monotone"] = "violation"
                 violations.append({"kind": "monotonicity", "i": i, "r": r,
-                                   "prev": format_val(prev), "curr": format_val(D)})
+                                   "prev": text(*prev), "curr": text(*D)})
             records.append(rec)
             prev = D
-    # -- exhaustive determinant-form valuations
-    vdet_checked = 0
+    # -- exhaustive determinant-form valuations: the forms of one r are one
+    # apply of k -> y_k^{p^r}, the first row of M_r, to the block of every
+    # nonzero mu (each M_r exists by now, so p^r λ < W/e)
+    mus = np.array([mu for mu in mi_range((p - 1,) * m) if any(mu)], dtype=np.int64)
+    form, k = np.nonzero(mus)
     for r in exp.r_range:
-        if p ** r * exp.lam >= t.cutoff:
-            continue
-        ypows = [series_frobenius(y, r).coeffs for y in exp.y[:exp.m]]
-        for mu in mi_range((p - 1,) * exp.m):
-            if not any(mu):
-                continue
-            form = TruncatedSeries(t, poly_combine(mu, ypows, p))
-            vdet_checked += 1
-            if form.valuation() != p ** r * exp.lam:
-                violations.append({
-                    "kind": "form-valuation", "r": r, "mu": list(mu),
-                    "value": format_val(form.valuation()),
-                    "expected": format_val(Fraction(p ** r) * exp.lam)})
-    # -- Cramer bound on inverse entries
-    cramer_checked = 0
-    for r in exp.r_range:
-        _, det, adj = exp.matrices(r)
-        for i in range(exp.m):
-            for j in range(exp.m):
-                value = val_sub_exact(adj[i][j].valuation(), det.valuation())
-                bound = -(p ** (r + j)) * exp.lam
-                cramer_checked += 1
-                if not ge_provable(value, bound):
-                    violations.append({
-                        "kind": "cramer", "r": r, "i": i + 1, "j": j + 1,
-                        "value": format_val(value),
-                        "bound": format_val(bound)})
-    # -- Mahler coefficient asymptotics
+        rows, cols, coefs = t.block(exp.matrices(r)[0][0])
+        forms = SparseMap(p, t.size, cols, rows, coefs).apply_entries(form, k, mus[form, k])
+        for mu, v in zip(mus.tolist(), t.valuations(sum_entries(*forms, p), len(mus)).tolist()):
+            if v != p ** r * lam:
+                violations.append({"kind": "form-valuation", "r": r, "mu": mu,
+                                   "value": text(v, v < t.W), "expected": text(p ** r * lam)})
+    # -- Cramer bound on inverse entries, every entry of every r in one block
+    cells = [(r, i, j) for r in exp.r_range for i in range(m) for j in range(m)]
+    adj = t.valuations(t.block([exp.matrices(r)[2][i][j] for r, i, j in cells]), len(cells))
+    for (r, i, j), v in zip(cells, adj.tolist()):
+        value, bound = v - int(exp.det_valuation(r) * e), -(p ** (r + j)) * lam
+        if value < bound:
+            violations.append({"kind": "cramer", "r": r, "i": i + 1, "j": j + 1,
+                               "value": text(value, v < t.W), "bound": text(bound)})
+    # -- Mahler coefficient asymptotics: <φ^{p^r}, ∂^(α)> against (y^α)^{p^r},
+    # Frobenius being a ring endomorphism of kG/F_W on abelian models; the
+    # products y^α = y^(α - e_k)·y_k, k the last direction of α, are made once
+    alphas = [a for total in range(1, 4) for a in mi_range((total,) * m) if sum(a) == total]
+    ys = {}
+    for a in alphas:
+        k = max(k for k, v in enumerate(a) if v)
+        rest = a[:k] + (a[k] - 1,) + a[k + 1:]
+        ys[a] = ys[rest] * exp.y[k] if any(rest) else exp.y[k]
+    full = np.zeros((len(alphas), t.model.rank), dtype=np.int64)
+    full[:, exp.order[:m]] = alphas
     asym_verified = asym_skipped = 0
-    alphas = []
-    for total in range(1, 4):
-        for a in mi_range((total,) * exp.m):
-            if sum(a) == total:
-                alphas.append(a)
     for r in exp.r_range:
-        power = exp.phi_power(p ** r)
-        ypows = [series_frobenius(y, r) for y in exp.y[:exp.m]]
-        for a in alphas:
-            alpha_full = [0] * t.model.rank
-            for k, v in enumerate(a):
-                alpha_full[exp.order[k]] = v
-            target = t.one()
-            for v, yq in zip(a, ypows):
-                if v:
-                    target = target * yq.pow(v)
-            diff = mahler_coeff_aut(t, power, tuple(alpha_full)) - target
-            bound = p ** (2 * r) + exp.lam * p ** r * (sum(a) - 1)
-            w = diff.valuation()
-            if ge_provable(w, bound):
+        coeffs = _mahler_rows(t, exp.phi_power(p ** r), full)
+        rows, cols = np.nonzero(coeffs)
+        at, tgt, coefs = t.block([series_frobenius(ys[a], r) for a in alphas])
+        diff = sum_entries(*(np.concatenate(pair) for pair in zip(
+            (rows, cols, coeffs[rows, cols]), (at, tgt, p - coefs))), p)
+        for a, v in zip(alphas, t.valuations(diff, len(alphas)).tolist()):
+            bound = p ** (2 * r) * e + lam * p ** r * (sum(a) - 1)
+            if v >= bound:
                 asym_verified += 1
-            elif isinstance(w, AtLeast):
+            elif v >= t.W:
                 asym_skipped += 1
             else:
-                violations.append({
-                    "kind": "asymptotics", "r": r, "alpha": list(a),
-                    "value": format_val(w), "bound": format_val(bound)})
+                violations.append({"kind": "asymptotics", "r": r, "alpha": list(a),
+                                   "value": text(v), "bound": text(bound)})
     monotone_ok = all(rec["monotone"] in ("first", "increased")
                       for rec in records)
     return {
         "lambda": format_val(exp.lam),
-        "m": exp.m,
+        "m": m,
         "r_range": list(exp.r_range),
         "records": records,
         "monotone_ok": monotone_ok,
-        "vdet_checked": vdet_checked,
-        "cramer_checked": cramer_checked,
+        "vdet_checked": len(mus) * len(exp.r_range),
+        "cramer_checked": len(cells),
         "asymptotics_verified": asym_verified,
         "asymptotics_skipped": asym_skipped,
         "violations": violations,

@@ -22,10 +22,10 @@ such dict in the package: the compiled group laws of
 raise to p-powers (`poly_frobenius`) and print (`format_poly`) through
 them, and `power` is the one square-and-multiply loop.  The signed
 binomials (-1)^{|a-c|} C(a, c) of finite differences and of the expansion
-b^a = (g - 1)^a come from one flat table of Pascal's rows mod p
-(`signed_binomial_rows`) and one array kernel (`signed_binomials`), which
-expands a whole block of exponent rows at once by indexing that table with
-mixed-radix digits.
+b^a = (g - 1)^a come from Pascal's rows mod p (`lucas_rows`), flattened
+with their signs into one table (`signed_rows`), and one array kernel
+(`signed_binomials`), which expands a whole block of exponent rows at once
+by indexing that table with mixed-radix digits.
 """
 
 from __future__ import annotations
@@ -286,26 +286,20 @@ def mi_range(bounds: Sequence[int]):
     return itertools.product(*(range(b + 1) for b in bounds))
 
 
-def signed_binomial_rows(top: int, p: int) -> tuple:
+def signed_rows(pascal: np.ndarray, p: int) -> tuple:
     """The signed binomials (-1)^{a-c} C(a, c) mod p with a nonzero value,
-    for a = 0..top, from Pascal's rule mod p, as one flat table of int64
-    arrays (start, c, coef): row a is entries start[a]:start[a+1] of c and
-    coef, c ascending."""
-    start, cs, coefs, line = [0], [], [], [1]
-    for a in range(top + 1):
-        if a:
-            line = [(x + y) % p for x, y in zip([0] + line, line + [0])]
-        for c, x in enumerate(line):
-            if x:
-                cs.append(c)
-                coefs.append(x if (a - c) % 2 == 0 else p - x)
-        start.append(len(cs))
-    return tuple(np.array(v, dtype=np.int64) for v in (start, cs, coefs))
+    from Pascal's rows mod p (`lucas_rows` of a = 0..top, row a holding
+    C(a, c) for c = 0..top), as one flat table of int64 arrays (start, c,
+    coef): row a is entries start[a]:start[a+1] of c and coef, c ascending."""
+    a, c = np.nonzero(pascal)
+    coef = pascal[a, c]
+    return (np.searchsorted(a, np.arange(len(pascal) + 1)), c,
+            np.where((a - c) % 2, p - coef, coef))
 
 
 def signed_binomials(rows: tuple, exps, p: int) -> tuple:
     """The expansion b^a = sum_{c <= a} (-1)^{|a-c|} C(a, c) g^c of every row
-    a of the int64 block `exps`, from a `signed_binomial_rows` table reaching
+    a of the int64 block `exps`, from a `signed_rows` table reaching
     its largest entry, as int64 arrays (owner, c, coef): term n is coef[n]
     g^c[n] in the expansion of row owner[n].  The owners ascend, each row's
     c come in lexicographic order and no coef is zero.  A row's terms are

@@ -64,7 +64,7 @@ from .groups import INT64_LIMIT, Automorphism, GroupElement, GroupModel, ModelEr
 from .linalg import SparseMap, _runs, integer_array, sum_entries
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, format_poly, lucas_rows, mi_weight,
-    poly_combine, poly_frobenius, power, signed_binomial_rows, signed_binomials,
+    poly_combine, poly_frobenius, power, signed_binomials, signed_rows,
 )
 
 
@@ -122,7 +122,6 @@ class TruncationSpec:
         self._code_order = np.argsort(self._codes)
         self._sorted_codes = self._codes[self._code_order]
         self._op_cache: dict = {}  # every SparseMap, see `cached_maps`
-        self._signed_rows = signed_binomial_rows(-1, model.p)
 
     # -- basic structure ----------------------------------------------------
 
@@ -190,14 +189,14 @@ class TruncationSpec:
 
     def _signed_binomials(self, exps) -> tuple:
         """`padic.signed_binomials` of the exponent rows `exps`: the group
-        expansions of their b^a.  The table reaches the largest basis
-        exponent and grows for a row beyond it."""
+        expansions of their b^a, from the rows of `_pascal` with the signs
+        (-1)^(a-c).  The table grows for a row beyond it."""
+        p = self.model.p
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         top = int(exps.max(initial=0))
-        if top >= self._signed_rows[0].size - 1:
-            self._signed_rows = signed_binomial_rows(
-                max(self.max_exponents + (top,)), self.model.p)
-        return signed_binomials(self._signed_rows, exps, self.model.p)
+        if top >= len(self._pascal):
+            self._pascal = lucas_rows(np.arange(top + 1), top, p)
+        return signed_binomials(signed_rows(self._pascal, p), exps, p)
 
     def _embed_rows(self, coords) -> np.ndarray:
         """Row k is the embedding of g^lam, lam the k-th integer coordinate
@@ -224,7 +223,8 @@ class TruncationSpec:
 
     @cached_property
     def _pascal(self) -> np.ndarray:
-        """C(m, n) mod p for m, n up to one past the largest exponent."""
+        """C(m, n) mod p for m, n up to one past the largest exponent, or up
+        to the largest exponent row that `_signed_binomials` has read."""
         top = max(self.max_exponents) + 1
         return lucas_rows(np.arange(top + 1), top, self.model.p)
 

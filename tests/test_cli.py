@@ -1,7 +1,10 @@
 """Config parsing, the task runner, and the command line entry point."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -770,6 +773,8 @@ def test_moore_det_cases_past_the_budget_fail_fast(case, message):
     [w] = rec["witnesses"]
     assert w["kind"] == "error" and w["error"] == "ValueError"
     assert w["message"].startswith(f"moore-det case {case}: {message}")
+    # the passing case keeps its scalar
+    assert rec["metrics"] == {"cases": 2, "scalars": [1, None]}
 
 
 @pytest.mark.parametrize("budget,message", [
@@ -1043,3 +1048,17 @@ def test_main_reproduces_golden_output(tmp_path, name, fmt):
                "--format", fmt])
     assert rc == GOLDEN_CODES[name][fmt]
     assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_python_m_iwacalc_runs_a_golden_config():
+    """`python -m iwacalc run` in a fresh interpreter, with the package on
+    PYTHONPATH, prints the saved bytes of a golden config and exits with its
+    code."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "iwacalc", "run", "tests/cli_golden/zeta_errors.json"],
+        cwd=root, env=env, capture_output=True, timeout=120)
+    assert done.returncode == GOLDEN_CODES["zeta_errors"]["jsonl"] == 1
+    assert done.stdout == (GOLDEN / "zeta_errors.jsonl").read_bytes()

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from iwacalc import (
     moore_det_check, moore_matrix, parse_config, parse_series,
     projective_forms, run_config, val_sub_exact, zeta_convergence, zeta_eval,
 )
-from iwacalc import groups
+from iwacalc import groups, moore
 
 from oracles import (
     block_series, format_reference, z_of_automorphism, zeta_numerator_reference,
@@ -263,6 +264,17 @@ def test_zeta_rejects_a_repeated_r_and_a_zero_test_series(tzeta):
             ZetaExperiment(tzeta, phi, test_monomials=[b, zero])
 
 
+def test_zeta_rejects_test_series_from_another_truncation(tzeta):
+    phi = Automorphism.linear_on_log(tzeta.model, [[10]])
+    narrow = TruncationSpec(tzeta.model, 30)
+    # b1 lies inside both cutoffs, and b1^40 only inside W = 60
+    with pytest.raises(ValueError, match="test series 1 is from a different truncation"):
+        ZetaExperiment(tzeta, phi, test_monomials=[tzeta.monomial((1,)),
+                                                   narrow.monomial((1,))])
+    with pytest.raises(ValueError, match="test series 0 is from a different truncation"):
+        ZetaExperiment(narrow, phi, test_monomials=[parse_series(tzeta, "b1^40")])
+
+
 def test_a_cold_zeta_task_checks_its_automorphism_once(monkeypatch):
     # the powers phi^(p^r) inherit the checks of phi
     calls = []
@@ -305,3 +317,67 @@ def test_zeta_model_requirements(trunc2, trunc_heis, tzeta):
         ZetaExperiment(tzeta, phi, r_range=[-1])
     with pytest.raises(PrecisionError):
         ZetaExperiment(tzeta, phi, r_range=[0, 2]).matrices(2)  # 81 >= 60
+
+
+def _corrupt_mahler_rows(monkeypatch):
+    """A Mahler kernel that adds 1 at the b_1 column of every row with
+    |alpha| = 2 and zeroes every row with |alpha| = 3."""
+    rows_of = moore._mahler_rows
+
+    def corrupt(t, phi, alphas):
+        out = rows_of(t, phi, alphas).copy()
+        size = np.asarray(alphas).sum(axis=1)
+        b1 = t.index[(1,) + (0,) * (t.model.rank - 1)]
+        out[size == 2, b1] = (out[size == 2, b1] + 1) % t.model.p
+        out[size == 3] = 0
+        return out
+    monkeypatch.setattr(moore, "_mahler_rows", corrupt)
+
+
+# (matrix, W, largest r) -> (asymptotics verified, skipped, violations as
+# (r, alpha, value, bound)) under the corrupted kernel
+CORRUPTED_ASYMPTOTICS = {
+    (((10,),), 60, 1): (3, 1, [(0, [2], "1", "10"), (1, [2], "1", "36")]),
+    (((10, 0), (0, 10)), 40, 0): (6, 0, [(0, [0, 2], "1", "10"), (0, [1, 1], "1", "10"),
+                                         (0, [2, 0], "1", "10")]),
+    (((4,),), 60, 2): (4, 2, [(0, [2], "1", "4"), (1, [2], "1", "18"),
+                              (2, [2], "1", "108")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED_ASYMPTOTICS))
+def test_zeta_reports_mahler_coefficients_off_their_asymptotics(case, monkeypatch):
+    _corrupt_mahler_rows(monkeypatch)
+    report = zeta_convergence(_zeta_experiment(*case))
+    verified, skipped, violations = CORRUPTED_ASYMPTOTICS[case]
+    assert report["status"] == "fail" and report["monotone_ok"]
+    assert (report["asymptotics_verified"], report["asymptotics_skipped"]) == \
+        (verified, skipped)
+    assert report["violations"] == [
+        {"kind": "asymptotics", "r": r, "alpha": alpha, "value": value, "bound": bound}
+        for r, alpha, value, bound in violations]
+
+
+# (matrix, W, largest r) -> (forms checked, violations as (r, mu, value,
+# expected)) when the enumeration of mu also yields (p, ..., p)
+VANISHING_FORMS = {
+    (((4,),), 60, 2): (9, [(0, [3], ">=60", "3"), (1, [3], ">=60", "9"),
+                           (2, [3], ">=60", "27")]),
+    (((10, 0), (0, 10)), 40, 0): (9, [(0, [3, 3], ">=40", "9")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VANISHING_FORMS))
+def test_zeta_reports_a_form_off_its_valuation(case, monkeypatch):
+    # mu = (p, ..., p) gives the form 0 mod p, of unresolved valuation; the
+    # Mahler indices, whose bounds also go through mi_range, leave the extra
+    # point out, as its sum is not their total
+    mu_range = moore.mi_range
+    monkeypatch.setattr(moore, "mi_range", lambda bounds: [
+        *mu_range(bounds), tuple(b + 1 for b in bounds)])
+    report = zeta_convergence(_zeta_experiment(*case))
+    checked, violations = VANISHING_FORMS[case]
+    assert report["status"] == "fail" and report["vdet_checked"] == checked
+    assert report["violations"] == [
+        {"kind": "form-valuation", "r": r, "mu": mu, "value": value, "expected": expected}
+        for r, mu, value, expected in violations]

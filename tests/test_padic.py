@@ -14,7 +14,7 @@ from iwacalc import (
 )
 from iwacalc.padic import (
     format_poly, lucas_rows, poly_combine, poly_frobenius, poly_product_sum, power,
-    residue_vp, signed_binomial_rows, signed_binomials,
+    residue_vp, signed_binomials, signed_rows,
 )
 from iwacalc.rng import Pcg32
 from oracles import signed_binomials_reference
@@ -179,6 +179,11 @@ def test_mi_range_is_lexicographic():
     assert list(mi_range(())) == [()]
 
 
+def pascal_table(top, p):
+    """The `signed_binomials` table of Pascal's rows 0..top mod p."""
+    return signed_rows(lucas_rows(np.arange(top + 1), top, p), p)
+
+
 @settings(max_examples=80, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7]),
        a=st.lists(st.integers(0, 12), max_size=3), extra=st.integers(0, 3))
@@ -192,7 +197,7 @@ def test_signed_binomials_match_comb_mod(p, a, extra):
         if coeff:
             want.append((c, coeff if (sum(a) - sum(c)) % 2 == 0 else p - coeff))
     # any table reaching max(a) gives the same terms
-    rows = signed_binomial_rows(max(a, default=0) + extra, p)
+    rows = pascal_table(max(a, default=0) + extra, p)
     exps = np.array([a], dtype=np.int64).reshape(1, len(a))
     owner, c, coef = signed_binomials(rows, exps, p)
     assert owner.tolist() == [0] * len(want)
@@ -215,7 +220,7 @@ def test_signed_binomials_block_matches_comb(p, rank, data):
     exps = np.array(block, dtype=np.int64).reshape(len(block), rank)
     top = int(exps.max(initial=0))
     owner, c, coef = signed_binomials(
-        signed_binomial_rows(top + data.draw(st.integers(0, 3)), p), exps, p)
+        pascal_table(top + data.draw(st.integers(0, 3)), p), exps, p)
     assert owner.dtype == c.dtype == coef.dtype == np.int64
     assert c.shape == (owner.size, rank) and coef.shape == owner.shape
     want = [(n, c_, s) for n, a in enumerate(block)
@@ -232,12 +237,12 @@ def test_signed_binomials_block_matches_comb(p, rank, data):
     if top:
         # a table that stops below an entry is refused, not read past its end
         with pytest.raises(ValueError, match="table"):
-            signed_binomials(signed_binomial_rows(top - 1, p), exps, p)
+            signed_binomials(pascal_table(top - 1, p), exps, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1000003])
 def test_signed_binomials_edge_blocks(p):
-    rows = signed_binomial_rows(4, p)
+    rows = pascal_table(4, p)
     for rank in (1, 3, 6):
         owner, c, coef = signed_binomials(rows, np.zeros((0, rank), dtype=np.int64), p)
         assert owner.size == coef.size == 0 and c.shape == (0, rank)

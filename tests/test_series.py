@@ -17,6 +17,7 @@ from iwacalc import (
 )
 from iwacalc import series
 from iwacalc.control import ideal_span
+from iwacalc.operators import _divided_powers
 from iwacalc.series import aut_map
 from iwacalc.padic import mi_range, mi_weight
 from iwacalc.rng import Pcg32
@@ -442,6 +443,37 @@ def test_generator_maps_match_group_route_at_drawn_cutoffs(kernel_truncs, name, 
             assert t.from_vector(left.apply(x.vector())) == mul_reference(bj, x)
 
 
+@pytest.fixture(scope="session")
+def u4_sides(u4):
+    """U_4 at W=16, cutoff 8, with all its right and left maps.  There
+    [g_1, g_2] = g_4^5 puts b2*b1 - b1*b2 at weight 7.5, inside the cutoff,
+    while at W <= 14 the algebra is commutative mod F_W."""
+    t = TruncationSpec(u4, 16)
+    d = u4.rank
+    return t, t.generator_maps(range(d), "right"), t.generator_maps(range(d), "left")
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_u4_generator_maps_tell_left_from_right(u4_sides, data):
+    """Each side of b_j on drawn U_4 monomials that hold a letter before j,
+    against the group route."""
+    t, right, left = u4_sides
+    d = t.model.rank
+    b1 = t.monomial((1,) + (0,) * (d - 1))
+    # b2*b1 is not b1*b2
+    assert left[1].apply(b1.vector()).tolist() != right[1].apply(b1.vector()).tolist()
+    j = data.draw(st.integers(1, d - 1), label="j")
+    before = [a for a in t.basis if any(a[:j])]
+    monomials = data.draw(st.lists(st.sampled_from(before), min_size=1, max_size=4,
+                                   unique=True))
+    bj = t.monomial(tuple(int(i == j) for i in range(d)))
+    for a in monomials:
+        x = t.monomial(a)
+        assert t.from_vector(right[j].apply(x.vector())) == mul_reference(x, bj)
+        assert t.from_vector(left[j].apply(x.vector())) == mul_reference(bj, x)
+
+
 def test_right_maps_reject_a_basis_tail_that_is_no_subgroup():
     # g^c g_j must have coordinates 0 before j; a tampered law that moves
     # the first coordinate of every product breaks that for j = 2
@@ -591,14 +623,19 @@ def test_from_vector_rejects_non_integers(trunc_heis):
 
 
 def test_signed_binomial_table_grows_past_the_basis(trunc_heis):
-    t = TruncationSpec(trunc_heis.model, 6)  # fresh, so the table starts empty
+    t = TruncationSpec(trunc_heis.model, 6)  # fresh, so the table stops at the basis
+    assert "_pascal" not in vars(t)  # built on first use, not with the basis
     p, top = t.model.p, max(t.max_exponents)
     block = [(0, 0, 0), (top, 1, 0), (top + 4, 0, 2 * p + 1), (1, 3 * p, 2)]
     owner, c, coef = t._signed_binomials(block)
     want = [(n, c_, s) for n, a in enumerate(block)
             for c_, s in signed_binomials_reference(a, p)]
     assert list(zip(owner.tolist(), map(tuple, c.tolist()), coef.tolist())) == want
-    assert t._signed_rows[0].size - 2 == 3 * p
+    assert len(t._pascal) - 1 == 3 * p
+    # the divided powers read the grown table as they read the basis one
+    alphas = [(1, 0, 0), (2, 1, 0), (top, 0, 1), (top + 1, 0, 0)]
+    fresh = TruncationSpec(trunc_heis.model, 6)
+    assert _divided_powers(t, alphas) == _divided_powers(fresh, alphas)
 
 
 def test_generator_map_rejects_unknown_side(trunc_heis):
