@@ -9,9 +9,8 @@ guessed."""
 
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, comb_mod,
-    eq_compatible, format_padic, ge_provable, ge_refuted, gt_provable,
-    is_prime, mi_range, mi_weight, multi_binom_mod_p, parse_padic, val_add,
-    val_min, val_sub_exact,
+    eq_compatible, format_padic, ge_provable, gt_provable, is_prime, mi_range,
+    mi_weight, multi_binom_mod_p, parse_padic, val_min, val_sub_exact,
 )
 from .rng import Pcg32
 from .groups import (

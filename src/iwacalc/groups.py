@@ -34,22 +34,38 @@ basis powers exhausting the matrix -- run on the polynomials at load,
 where a failure raises ModelError; once they pass they hold for every
 element.
 
-Valuations follow the marker convention of `padic`: a quantity pushed past
-the precision is reported as AtLeast(bound), never silently as a number.
+Some load checks are proofs and some are seeded samples.  The proofs are
+the compiled-law checks above and, on unitriangular models, omega([g_i,
+g_j]) > omega_i + omega_j for every pair of basis elements.  The samples
+come from one validation seed, one stream per check, each set drawn by one
+`Pcg32.below_many` call:
+* the p-valuation axioms omega(x y^-1) >= min(omega(x), omega(y)),
+  omega([x, y]) >= omega(x) + omega(y) and omega(x^p) = omega(x) + 1, on 8
+  pairs;
+* the closure of a subgroup (`subgroup_from_exponents`, the declared centre
+  included), on 6 pairs, after every product and commutator of two of its
+  generators;
+* the degree estimate of an automorphism (`deg_omega`), over the basis and
+  24 samples.
+
+Every check reads omega as an integer in units of 1/e, with a flag that
+says whether it is exact (`GroupModel._omega_units`).  A `Val` is built
+only for a caller that asks for one (`omega_of`, `deg_omega`) and for
+error text.  Valuations follow the marker convention of `padic`: a
+quantity pushed past the precision is reported as AtLeast(bound), never
+silently as a number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 from typing import Optional, Sequence
 
 from .linalg import is_integer
 from .padic import (
-    AtLeast, Val, eq_compatible, ge_refuted, gt_provable, is_prime,
-    poly_combine, poly_product_sum, power, residue_vp, val_min, val_add,
-    val_sub_exact,
+    AtLeast, Val, gt_provable, is_prime, poly_combine, poly_product_sum, power,
 )
 from .rng import Pcg32
 
@@ -74,10 +90,13 @@ def _check_shape(p: int, precision: int, rank: int) -> None:
 
 @dataclass(frozen=True)
 class PValuation:
-    """omega on the ordered basis; values live in (1/e)Z and exceed 1/(p-1)."""
+    """omega on the ordered basis; values live in (1/e)Z and exceed 1/(p-1).
+
+    `units` holds e * omega_i, the integers every check compares."""
 
     values: tuple[Fraction, ...]
     e: int
+    units: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.e < 1:
@@ -87,13 +106,18 @@ class PValuation:
                 raise ModelError(f"omega value {v} is not a multiple of 1/{self.e}")
             if v <= 0:
                 raise ModelError(f"omega value {v} must be positive")
+        object.__setattr__(self, "units", tuple(int(v * self.e) for v in self.values))
 
     def check_p(self, p: int) -> None:
-        floor = Fraction(1, p - 1)
-        for v in self.values:
-            if v <= floor:
-                raise ModelError(
-                    f"omega value {v} violates the bound > 1/(p-1) = {floor}")
+        for u, v in zip(self.units, self.values):
+            if u * (p - 1) <= self.e:
+                raise ModelError(f"omega value {v} violates the bound > 1/(p-1) "
+                                 f"= {Fraction(1, p - 1)}")
+
+    def val(self, units: int, exact: bool) -> Val:
+        """The valuation units/e, or the marker AtLeast(units/e)."""
+        f = Fraction(units, self.e)
+        return f if exact else AtLeast(f)
 
     @property
     def min(self) -> Fraction:
@@ -274,15 +298,39 @@ class GroupModel:
         return int(lam)
 
     def omega_of(self, el: GroupElement) -> Val:
-        terms = [val_add(w, residue_vp(lam, self.p, self.precision))
-                 for w, lam in zip(self.omega.values, el.coords)]
-        return val_min(terms)
+        return self.omega.val(*self._omega_units(el.coords))
+
+    def _omega_units(self, coords: Sequence[int]) -> tuple[int, bool]:
+        """(e * omega, exact) of the element with these coordinates: the
+        minimum over i of e * (omega_i + v_p(l_i)), where a zero coordinate
+        gives only the bound e * (omega_i + M).  The minimum is exact iff a
+        nonzero coordinate attains it, as in `padic.val_min`."""
+        p, e = self.p, self.omega.e
+        exact = bound = inf
+        for u, lam in zip(self.omega.units, coords):
+            if not lam:
+                bound = min(bound, u + e * self.precision)
+                continue
+            while not lam % p:
+                lam //= p
+                u += e
+            exact = min(exact, u)
+        return min(exact, bound), exact <= bound
 
     def commutator(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
-    def sample_element(self, rng: Pcg32) -> GroupElement:
-        return self.element([rng.below(self._pm) for _ in range(self.rank)])
+    def _samples(self, stream: int, count: int, scale=None) -> list[GroupElement]:
+        """`count` elements of the validation seed's `stream`, their
+        coordinates the values of successive `Pcg32.below(p^M)` calls, drawn
+        by one `below_many` call; coordinate i is multiplied by scale[i], if
+        given."""
+        rank, pm = self.rank, self._pm
+        draws = Pcg32(_VALIDATION_SEED, stream).below_many([pm] * (count * rank)).tolist()
+        if scale is not None:
+            draws = [v * s % pm for v, s in zip(draws, scale * count)]
+        return [GroupElement(self, tuple(draws[k:k + rank]))
+                for k in range(0, len(draws), rank)]
 
     # -- validation ---------------------------------------------------------
 
@@ -296,36 +344,41 @@ class GroupModel:
         if len(self.omega.values) != self.rank:
             raise ModelError("omega must assign a value to each basis element")
         self.omega.check_p(self.p)
-        basis = self.basis()
+        basis, units, e = self.basis(), self.omega.units, self.omega.e
         # an abelian commutator is the identity, above every bound, though
         # its valuation reads only as AtLeast(omega_i + M)
         for i in range(self.rank if self.kind != "abelian" else 0):
             for j in range(i + 1, self.rank):
-                comm = self.commutator(basis[i], basis[j])
-                bound = self.omega.values[i] + self.omega.values[j]
-                value = self.omega_of(comm)
-                if not gt_provable(value, bound):
+                value, exact = self._omega_units(
+                    self.commutator(basis[i], basis[j]).coords)
+                # provably above the sum: the value, or a marker's bound, is
+                if value <= units[i] + units[j]:
                     why = ""
-                    if isinstance(value, AtLeast):
+                    if not exact:
                         why = (f": at precision M={self.precision} it is only "
-                               f"known to be {value}, and a larger M would "
-                               f"decide it")
+                               f"known to be {self.omega.val(value, exact)}, and "
+                               f"a larger M would decide it")
                     raise ModelError(
                         f"omega([g_{i + 1}, g_{j + 1}]) is not provably above "
-                        f"omega(g_{i + 1}) + omega(g_{j + 1}) = {bound}{why}")
-        rng = Pcg32(_VALIDATION_SEED, stream=17)
-        for _ in range(8):
-            x = self.sample_element(rng)
-            y = self.sample_element(rng)
-            wx, wy = self.omega_of(x), self.omega_of(y)
-            lower = val_min([wx, wy])
-            if ge_refuted(self.omega_of(self.mul(x, self.inv(y))), lower):
+                        f"omega(g_{i + 1}) + omega(g_{j + 1}) = "
+                        f"{self.omega.values[i] + self.omega.values[j]}{why}")
+        # a sample refutes a lower bound only with an exact value below it,
+        # and omega(x^p) = omega(x) + 1 is compatible with an exact value
+        # equal to it or a marker at or below it
+        samples = self._samples(17, 16)
+        for x, y in zip(samples[::2], samples[1::2]):
+            wx, x_exact = self._omega_units(x.coords)
+            wy, _ = self._omega_units(y.coords)
+            w, exact = self._omega_units(self.mul(x, self.inv(y)).coords)
+            if exact and w < min(wx, wy):
                 raise ModelError(f"omega(x y^-1) >= min fails on x={x.coords}, "
                                  f"y={y.coords}")
-            if ge_refuted(self.omega_of(self.commutator(x, y)), val_add(wx, wy)):
+            w, exact = self._omega_units(self.commutator(x, y).coords)
+            if exact and w < wx + wy:
                 raise ModelError("omega([x, y]) >= omega(x) + omega(y) fails on a sample")
-            if not isinstance(wx, AtLeast):
-                if not eq_compatible(self.omega_of(self.pow(x, self.p)), wx + 1):
+            if x_exact:
+                w, exact = self._omega_units(self.pow(x, self.p).coords)
+                if w != wx + e if exact else w > wx + e:
                     raise ModelError("omega(x^p) = omega(x) + 1 fails on a sample")
         if centre_exponents is not None:
             self.centre = subgroup_from_exponents(self, centre_exponents)
@@ -569,13 +622,8 @@ def subgroup_from_exponents(model: GroupModel,
             if not spec.contains(model.commutator(a, b)):
                 raise ModelError(f"exponents {exps} do not span a subgroup: "
                                  "commutator escapes")
-    rng = Pcg32(_VALIDATION_SEED, stream=23)
-    box = model.p ** model.precision
-    for _ in range(6):
-        coords = [rng.below(box) * model.p ** min(n, model.precision) for n in exps]
-        x = model.element(coords)
-        coords = [rng.below(box) * model.p ** min(n, model.precision) for n in exps]
-        y = model.element(coords)
+    samples = model._samples(23, 12, [model.p ** min(n, model.precision) for n in exps])
+    for x, y in zip(samples[::2], samples[1::2]):
         if not (spec.contains(model.mul(x, y)) and spec.contains(model.inv(x))):
             raise ModelError(f"exponents {exps} do not span a subgroup at precision")
     return spec
@@ -678,26 +726,24 @@ class Automorphism:
 def deg_omega(phi: Automorphism) -> Val:
     """Estimated omega-degree: min of omega(phi(g) g^-1) - omega(g).
 
-    The minimum runs over the basis plus a seeded sample.  For automorphisms
+    The minimum runs over the basis plus a seeded sample, on integers in
+    units of 1/e; only the result is a `Val`.  For automorphisms
     that are trivial mod the centre the basis already attains the true
     degree; in general this is an upper estimate of the infimum and is
     documented as such.
     """
     model = phi.model
-    candidates = list(model.basis())
-    rng = Pcg32(_VALIDATION_SEED, stream=29)
-    for _ in range(24):
-        candidates.append(model.sample_element(rng))
     terms = []
-    for g in candidates:
-        wg = model.omega_of(g)
-        if isinstance(wg, AtLeast):
-            continue
-        moved = model.mul(phi.apply(g), model.inv(g))
-        terms.append(val_sub_exact(model.omega_of(moved), wg))
+    for g in model.basis() + model._samples(29, 24):
+        wg, exact = model._omega_units(g.coords)
+        if exact:
+            w, w_exact = model._omega_units(model.mul(phi.apply(g), model.inv(g)).coords)
+            terms.append((w - wg, w_exact))
     if not terms:
         raise ModelError("degree estimate needs at least one non-identity sample")
-    return val_min(terms)
+    # as in `padic.val_min`: exact iff an exact term attains the minimum
+    low = min(w for w, _ in terms)
+    return model.omega.val(low, (low, True) in terms)
 
 
 # ---------------------------------------------------------------------------

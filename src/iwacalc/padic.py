@@ -2,7 +2,7 @@
 
 The one p-adic scalar is a residue mod p^M held as a Python int in
 [0, p^M): group coordinates are such ints, and their valuation is the
-index of the first nonzero base-p digit (`residue_vp`).  Lucas' theorem
+index of the first nonzero base-p digit.  Lucas' theorem
 reads the same digits off the int (`binom_mod_p`, `multi_binom_mod_p`, and
 `lucas_rows` for whole rows of binomials of many residues at once),
 and reports print a residue as its digit vector, least significant digit
@@ -82,18 +82,6 @@ def format_val(v: Val) -> str:
     return repr(v) if isinstance(v, AtLeast) else str(v)
 
 
-def residue_vp(r: int, p: int, M: int) -> Val:
-    """p-adic valuation of a residue r in [0, p^M): the index of its first
-    nonzero base-p digit, or AtLeast(M) for zero."""
-    if not r:
-        return AtLeast(Fraction(M))
-    v = 0
-    while not r % p:
-        r //= p
-        v += 1
-    return v
-
-
 def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
@@ -111,14 +99,6 @@ def val_min(values: Sequence[Val]) -> Val:
     if bounds:
         return AtLeast(min(bounds))
     raise ValueError("val_min of an empty collection")
-
-
-def val_add(a: Val, b: Val) -> Val:
-    if isinstance(a, AtLeast) or isinstance(b, AtLeast):
-        ba = a.bound if isinstance(a, AtLeast) else _frac(a)
-        bb = b.bound if isinstance(b, AtLeast) else _frac(b)
-        return AtLeast(ba + bb)
-    return _frac(a) + _frac(b)
 
 
 def val_sub_exact(a: Val, b) -> Val:
@@ -145,14 +125,6 @@ def gt_provable(a: Val, b: Val) -> bool:
     if isinstance(a, AtLeast):
         return a.bound > _frac(b)
     return _frac(a) > _frac(b)
-
-
-def ge_refuted(a: Val, b: Val) -> bool:
-    """True iff `a >= b` is provably false (needs an upper bound on a)."""
-    if isinstance(a, AtLeast):
-        return False
-    bb = b.bound if isinstance(b, AtLeast) else _frac(b)
-    return _frac(a) < bb
 
 
 def eq_compatible(computed: Val, claimed) -> bool:

@@ -87,20 +87,23 @@ class TruncationSpec:
         self.cutoff = Fraction(W, self.e)
         self.omega = model.omega.values
         # omega lies in (1/e)Z, so e * omega is integral and the cutoff is W
-        self._int_omega = np.array([int(w * self.e) for w in self.omega], dtype=np.int64)
-        # grow exponent prefixes one coordinate at a time below the cutoff
-        pairs = [(0, ())]
-        for w in self._int_omega.tolist():
-            pairs = [(s + k * w, a + (k,)) for s, a in pairs
-                     for k in range((W - 1 - s) // w + 1)]
-        pairs.sort()
-        self.basis: list[MultiIndex] = [a for _, a in pairs]
-        self.index = {a: i for i, a in enumerate(self.basis)}
-        self.size = len(pairs)
+        self._int_omega = np.array(model.omega.units, dtype=np.int64)
+        # grow the exponent rows one coordinate at a time below the cutoff: a
+        # row of weight s (in units of 1/e) takes k = 0..(W - 1 - s) // w next
+        weights, exps = np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+        for w in model.omega.units:
+            count = (W - 1 - weights) // w + 1
+            k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            weights = np.repeat(weights, count) + k * w
+            exps = np.column_stack((np.repeat(exps, count, axis=0), k))
+        # ascending by weight, then by exponents
+        order = np.lexsort(np.vstack((exps[:, ::-1].T, weights)))
+        self._exponents = exps[order]
         # e * weight of each basis monomial, ascending
-        self._int_weights = np.array([s for s, _ in pairs], dtype=np.int64)
-        self._exponents = np.array(self.basis, dtype=np.int64).reshape(
-            self.size, model.rank)
+        self._int_weights = weights[order]
+        self.basis: list[MultiIndex] = list(map(tuple, self._exponents.tolist()))
+        self.index = dict(zip(self.basis, range(len(self.basis))))
+        self.size = len(self.basis)
         self.max_exponents = tuple(int(m) for m in self._exponents.max(axis=0))
         max_exp = max(self.max_exponents)
         # p^need, the least power of p above every exponent (see _embed_rows)
@@ -190,13 +193,19 @@ class TruncationSpec:
     def _signed_binomials(self, exps) -> tuple:
         """`padic.signed_binomials` of the exponent rows `exps`: the group
         expansions of their b^a, from the rows of `_pascal` with the signs
-        (-1)^(a-c).  The table grows for a row beyond it."""
+        (-1)^(a-c).  The table, and its flat form, grow for a row beyond it."""
         p = self.model.p
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         top = int(exps.max(initial=0))
         if top >= len(self._pascal):
             self._pascal = lucas_rows(np.arange(top + 1), top, p)
-        return signed_binomials(signed_rows(self._pascal, p), exps, p)
+            self._signed_rows = signed_rows(self._pascal, p)
+        return signed_binomials(self._signed_rows, exps, p)
+
+    @cached_property
+    def _signed_rows(self) -> tuple:
+        """`padic.signed_rows` of `_pascal`: flattened once per table."""
+        return signed_rows(self._pascal, self.model.p)
 
     def _embed_rows(self, coords) -> np.ndarray:
         """Row k is the embedding of g^lam, lam the k-th integer coordinate

@@ -1,6 +1,24 @@
 import pytest
 
-from iwacalc import TruncationSpec, load_abelian, load_unitriangular
+from iwacalc import TruncationSpec, groups, load_abelian, load_unitriangular
+
+from oracles import deg_omega_reference
+
+
+@pytest.fixture(scope="session", autouse=True)
+def deg_omega_matches_reference():
+    """Every degree estimate of the session, the checks of every
+    automorphism that a test or a golden config run in process builds
+    included, equals the `Val` route of `oracles.deg_omega_reference`."""
+    estimate = groups.deg_omega
+
+    def checked(phi):
+        got, want = estimate(phi), deg_omega_reference(phi)
+        assert got == want and type(got) is type(want), (got, want)
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "deg_omega", checked)
+        yield
 
 
 def heisenberg_generators(p):

@@ -46,7 +46,13 @@ substitutes b_j <- u term by term; `verify_valuation_reference` and
 at a time, each drawn by `random_series_reference`.
 `verify_operators_reference` and `idempotents_reference` are the two
 operator checks of the CLI one sample at a time, with one composition,
-combination and apply per sample and `Val` comparisons."""
+combination and apply per sample and `Val` comparisons.
+`residue_vp`, `val_add` and `ge_refuted` are `Val` arithmetic for the
+reference routes.  `sample_element` draws one group element, a `below`
+call per coordinate.  `omega_of_reference` and `deg_omega_reference`
+compute omega and the degree estimate on `Val`s, a `val_add` per
+coordinate and a `val_min` over the terms, where the models compare
+integers in units of 1/e."""
 
 from __future__ import annotations
 
@@ -59,8 +65,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from iwacalc.groups import (
-    Automorphism, GroupElement, ModelError, SubgroupSpec, UnitriangularModel,
-    _mat_id, _mat_mul, load_abelian, load_unitriangular, subgroup_from_exponents,
+    _VALIDATION_SEED, Automorphism, GroupElement, GroupModel, ModelError,
+    SubgroupSpec, UnitriangularModel, _mat_id, _mat_mul, load_abelian,
+    load_unitriangular, subgroup_from_exponents,
 )
 from iwacalc.control import CentralPrimeSpec, IdealSpan
 from iwacalc.moore import ZetaExperiment
@@ -71,13 +78,76 @@ from iwacalc.operators import (
 )
 from iwacalc.padic import (
     AtLeast, MultiIndex, PrecisionError, Val, comb_mod, format_val, ge_provable,
-    ge_refuted, mi_range, mi_weight, multi_binom_mod_p, val_add, val_min,
+    mi_range, mi_weight, multi_binom_mod_p, val_min, val_sub_exact,
 )
 from iwacalc.rng import Pcg32
 from iwacalc.series import (
     SparseMap, TruncatedSeries, TruncationSpec, aut_extend, format_series,
     group_embed,
 )
+
+
+def residue_vp(r: int, p: int, M: int) -> Val:
+    """p-adic valuation of a residue r in [0, p^M): the index of its first
+    nonzero base-p digit, or AtLeast(M) for zero."""
+    if not r:
+        return AtLeast(Fraction(M))
+    v = 0
+    while not r % p:
+        r //= p
+        v += 1
+    return v
+
+
+def val_add(a: Val, b: Val) -> Val:
+    """a + b, a marker if either is one."""
+    if isinstance(a, AtLeast) or isinstance(b, AtLeast):
+        ba = a.bound if isinstance(a, AtLeast) else Fraction(a)
+        bb = b.bound if isinstance(b, AtLeast) else Fraction(b)
+        return AtLeast(ba + bb)
+    return Fraction(a) + Fraction(b)
+
+
+def ge_refuted(a: Val, b: Val) -> bool:
+    """True iff `a >= b` is provably false (needs an upper bound on a)."""
+    if isinstance(a, AtLeast):
+        return False
+    return Fraction(a) < (b.bound if isinstance(b, AtLeast) else Fraction(b))
+
+
+def sample_element(model: GroupModel, rng: Pcg32) -> GroupElement:
+    """One element whose coordinates are successive `rng.below(p^M)` draws."""
+    return model.element([rng.below(model.p ** model.precision)
+                          for _ in range(model.rank)])
+
+
+def omega_of_reference(model: GroupModel, el: GroupElement) -> Val:
+    """omega(el) = min_i (omega_i + v_p(l_i)) on `Val`s: a zero coordinate
+    gives the marker AtLeast(omega_i + M)."""
+    terms = [val_add(w, residue_vp(lam, model.p, model.precision))
+             for w, lam in zip(model.omega.values, el.coords)]
+    return val_min(terms)
+
+
+def deg_omega_reference(phi: Automorphism) -> Val:
+    """The degree estimate min of omega(phi(g) g^-1) - omega(g) over the
+    basis and 24 elements of the validation seed's stream 29, drawn one at
+    a time, skipping every g whose omega is a marker."""
+    model = phi.model
+    candidates = list(model.basis())
+    rng = Pcg32(_VALIDATION_SEED, stream=29)
+    for _ in range(24):
+        candidates.append(sample_element(model, rng))
+    terms = []
+    for g in candidates:
+        wg = omega_of_reference(model, g)
+        if isinstance(wg, AtLeast):
+            continue
+        moved = model.mul(phi.apply(g), model.inv(g))
+        terms.append(val_sub_exact(omega_of_reference(model, moved), wg))
+    if not terms:
+        raise ModelError("degree estimate needs at least one non-identity sample")
+    return val_min(terms)
 
 
 def mat_inv_mod(rows, m: int, p: int):
@@ -959,7 +1029,7 @@ def verify_operators_reference(ctx, params: dict, stream: int) -> tuple:
             witnesses.append({"kind": "product-rule", "alpha": list(a),
                               "beta": list(b)})
     for _ in range(samples):
-        g = model.sample_element(rng)
+        g = sample_element(model, rng)
         emb = group_embed(t, g)
         alpha = t.basis[rng.below(t.size)]
         lam = multi_binom_mod_p(g.coords, alpha, p, model.precision)
@@ -1005,7 +1075,7 @@ def idempotents_reference(ctx, params: dict, stream: int) -> tuple:
     # so on truncated embeds the indicator action holds below a shifted cutoff
     bound = t.cutoff - (p - 1) * sum(t.omega[i] for i in mask)
     for _ in range(samples):
-        g = model.sample_element(rng)
+        g = sample_element(model, rng)
         emb = group_embed(t, g)
         resid = tuple(c % p for i, c in enumerate(g.coords) if i in mask)
         for nu, e in idems:

@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, ModelError, PrecisionError, SubgroupSpec,
-    deg_omega, eq_compatible, ge_refuted, load_abelian, load_model,
-    load_unitriangular, subgroup_from_exponents, val_add, val_min,
+    deg_omega, eq_compatible, load_abelian, load_model,
+    load_unitriangular, subgroup_from_exponents, val_min,
 )
-from iwacalc.padic import residue_vp
+from iwacalc.groups import _VALIDATION_SEED, AbelianModel, GroupElement
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators, u4_generators
 from oracles import (
-    MatrixRoute, is_trivial_mod_centre, mat_pow, rref_reference, z_of_automorphism,
+    MatrixRoute, ge_refuted, is_trivial_mod_centre, mat_pow, omega_of_reference,
+    residue_vp, rref_reference, sample_element, val_add, z_of_automorphism,
 )
 
 
@@ -256,8 +257,8 @@ def test_compiled_law_checks_run_at_load():
 def test_p_valuation_axioms(heis):
     rng = Pcg32(23)
     for _ in range(12):
-        x = heis.sample_element(rng)
-        y = heis.sample_element(rng)
+        x = sample_element(heis, rng)
+        y = sample_element(heis, rng)
         wx, wy = heis.omega_of(x), heis.omega_of(y)
         assert not ge_refuted(
             heis.omega_of(x * heis.inv(y)), val_min([wx, wy]))
@@ -318,6 +319,149 @@ def test_subgroup_spec(heis):
         subgroup_from_exponents(heis, (1, 1))
     with pytest.raises(ModelError):
         subgroup_from_exponents(heis, (-1, 0, 0))
+
+
+def _tamper(monkeypatch, cls, name, table):
+    """Replace the method `name` of a model class by the true law, except
+    that a call whose arguments (coordinates, or an exponent) are a key of
+    `table` returns the element with the coordinates stored there."""
+    real = getattr(cls, name)
+
+    def law(self, a, *rest):
+        hit = table.get((a.coords,) + tuple(getattr(r, "coords", r) for r in rest))
+        return real(self, a, *rest) if hit is None else GroupElement(self, hit)
+    monkeypatch.setattr(cls, name, law)
+
+
+def _omega_pairs(model):
+    """The 8 sample pairs (x, y) of the omega checks at load, drawn one
+    element at a time."""
+    rng = Pcg32(_VALIDATION_SEED, stream=17)
+    return [(sample_element(model, rng), sample_element(model, rng)) for _ in range(8)]
+
+
+@pytest.mark.parametrize("image, loads", [((2,), True), ((1,), False), ((0,), True)])
+def test_load_rejects_a_sample_that_breaks_the_quotient_axiom(monkeypatch, image, loads):
+    # p = 2, omega = 2: pair 4 is (2, 14), both of valuation 3, and x y^-1
+    # is tampered to omega 3 (the bound itself), 2 (below it) or the
+    # identity, only known to be >= 6 and never a refutation
+    args = (2, 1, 4, ["2"])
+    model = load_abelian(*args)
+    x, y = _omega_pairs(model)[4]
+    assert (x.coords, y.coords) == ((2,), (14,))
+    assert model.omega_of(x) == model.omega_of(y) == 3
+    _tamper(monkeypatch, AbelianModel, "mul", {(x.coords, model.inv(y).coords): image})
+    if loads:
+        load_abelian(*args)
+    else:
+        with pytest.raises(ModelError, match=r"omega\(x y\^-1\) >= min fails on "
+                                             r"x=\(2,\), y=\(14,\)"):
+            load_abelian(*args)
+
+
+@pytest.mark.parametrize("image, loads", [((3,), True), ((1,), False), ((0,), True)])
+def test_load_rejects_a_sample_that_breaks_the_commutator_axiom(monkeypatch, image,
+                                                                loads):
+    # pair 0 is (49, 34), both of valuation 1: [x, y] is tampered to omega
+    # 2 = omega(x) + omega(y), to 1, or left the identity, >= 5
+    args = (3, 1, 4, ["1"])
+    model = load_abelian(*args)
+    x, y = _omega_pairs(model)[0]
+    assert model.omega_of(x) == model.omega_of(y) == 1
+    outer = (model.mul(model.inv(x), model.inv(y)).coords, model.mul(x, y).coords)
+    _tamper(monkeypatch, AbelianModel, "mul", {outer: image})
+    if loads:
+        load_abelian(*args)
+    else:
+        with pytest.raises(ModelError, match=r"omega\(\[x, y\]\) >= omega\(x\) \+ "
+                                             r"omega\(y\) fails on a sample"):
+            load_abelian(*args)
+
+
+@pytest.mark.parametrize("precision, image, loads", [
+    (4, (3,), True),    # omega 2 = omega(x) + 1
+    (4, (1,), False),   # 1, below it
+    (4, (9,), False),   # 3, above it: the claim is an equality
+    (2, (0,), False),   # the identity, >= 3 at M = 2: above the claim
+    (1, None, True),    # the true x^3, the identity, >= 2 at M = 1: compatible
+    (1, (1,), False),
+])
+def test_load_rejects_a_sample_that_breaks_the_power_axiom(monkeypatch, precision,
+                                                           image, loads):
+    args = (3, 1, precision, ["1"])
+    model = load_abelian(*args)
+    x, _ = _omega_pairs(model)[0]
+    assert model.omega_of(x) == 1
+    if image is not None:
+        _tamper(monkeypatch, AbelianModel, "pow", {(x.coords, 3): image})
+    if loads:
+        load_abelian(*args)
+    else:
+        with pytest.raises(ModelError, match=r"omega\(x\^p\) = omega\(x\) \+ 1 fails "
+                                             "on a sample"):
+            load_abelian(*args)
+
+
+@pytest.mark.parametrize("image, ok", [((27, 3), True), ((9, 9), True),
+                                       ((3, 3), False), ((9, 1), False)])
+def test_subgroup_rejects_a_generator_product_that_escapes(monkeypatch, image, ok):
+    # generators g1^9 and g2^3: a product must have its first coordinate
+    # divisible by 9 and its second by 3
+    model = load_abelian(3, 2, 4, ["1", "1"])
+    _tamper(monkeypatch, AbelianModel, "mul", {((9, 0), (0, 3)): image})
+    if ok:
+        assert subgroup_from_exponents(model, (2, 1)).exponents == (2, 1)
+    else:
+        with pytest.raises(ModelError, match=r"exponents \(2, 1\) do not span a "
+                                             "subgroup: generator product escapes"):
+            subgroup_from_exponents(model, (2, 1))
+
+
+@pytest.mark.parametrize("image, ok", [((9, 78), True), ((3, 0), False),
+                                       ((0, 1), False)])
+def test_subgroup_rejects_a_commutator_that_escapes(monkeypatch, image, ok):
+    # the commutator of g1^9 and g2^3 is the product of (g1^9 g2^3)^-1 and
+    # g1^9 g2^3; that outer product is tampered, the generator products not
+    model = load_abelian(3, 2, 4, ["1", "1"])
+    a, b = model.element((9, 0)), model.element((0, 3))
+    outer = (model.mul(model.inv(a), model.inv(b)).coords, model.mul(a, b).coords)
+    _tamper(monkeypatch, AbelianModel, "mul", {outer: image})
+    if ok:
+        subgroup_from_exponents(model, (2, 1))
+    else:
+        with pytest.raises(ModelError, match=r"exponents \(2, 1\) do not span a "
+                                             "subgroup: commutator escapes"):
+            subgroup_from_exponents(model, (2, 1))
+
+
+def _closure_pairs(model, exps):
+    """The 6 sample pairs (x, y) of the closure check of
+    `subgroup_from_exponents`, drawn one coordinate at a time."""
+    p, M = model.p, model.precision
+    rng = Pcg32(_VALIDATION_SEED, stream=23)
+
+    def draw():
+        return model.element([rng.below(p ** M) * p ** min(n, M) for n in exps])
+    return [(draw(), draw()) for _ in range(6)]
+
+
+@pytest.mark.parametrize("name, image, ok", [
+    ("mul", (9, 3), True), ("mul", (3, 3), False), ("mul", (9, 40), False),
+    ("inv", (18, 0), True), ("inv", (0, 3), True), ("inv", (1, 0), False),
+])
+def test_subgroup_rejects_a_sampled_product_or_inverse_that_escapes(
+        monkeypatch, name, image, ok):
+    model = load_abelian(3, 2, 4, ["1", "1"])
+    x, y = _closure_pairs(model, (2, 1))[0]
+    assert (x.coords, y.coords) == ((0, 72), (36, 78))
+    key = (x.coords, y.coords) if name == "mul" else (x.coords,)
+    _tamper(monkeypatch, AbelianModel, name, {key: image})
+    if ok:
+        subgroup_from_exponents(model, (2, 1))
+    else:
+        with pytest.raises(ModelError, match=r"exponents \(2, 1\) do not span a "
+                                             "subgroup at precision"):
+            subgroup_from_exponents(model, (2, 1))
 
 
 def test_linear_automorphism_degree_guard(heis):
@@ -454,3 +598,54 @@ def test_load_model_config(heis):
         (0, 0, 5)
     with pytest.raises(ModelError):
         load_model({"kind": "mystery", "p": 3, "precision": 2, "omega": ["1"]})
+
+
+@pytest.fixture(scope="module", params=["abelian3", "e4", "p2", "heis", "u4"])
+def omega_model(request):
+    if request.param == "e4":
+        return request.getfixturevalue("trunc_e4").model
+    if request.param == "p2":
+        return load_abelian(2, 2, 6, ["2", "3/2"], e=2)
+    return request.getfixturevalue(request.param)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_omega_units_match_the_val_route(omega_model, data):
+    """omega on integers in units of 1/e is the `Val` of the reference route,
+    on coordinates of every valuation, zeros and the identity included."""
+    model = omega_model
+    p, M = model.p, model.precision
+    coordinate = st.one_of(st.just(0), st.builds(
+        lambda k, u: p ** k * u % p ** M,
+        st.integers(0, M - 1), st.integers(1, p ** M - 1)))
+    coords = data.draw(st.lists(coordinate, min_size=model.rank, max_size=model.rank))
+    for el in (model.element(coords), model.identity()):
+        got, want = model.omega_of(el), omega_of_reference(model, el)
+        assert got == want and type(got) is type(want)
+        value, exact = model._omega_units(el.coords)
+        assert exact == (not isinstance(want, AtLeast))
+        assert Fraction(value, model.omega.e) == (want if exact else want.bound)
+
+
+@pytest.mark.parametrize("load", [
+    lambda: load_abelian(3, 2, 4, ["1", "1"]),
+    lambda: load_abelian(2, 3, 40, ["2", "3", "2"]),  # p^M past 2^32: two words a draw
+    lambda: load_unitriangular(5, 3, 3, heisenberg_generators(5), ["1", "1", "2"]),
+    lambda: load_unitriangular(5, 4, 6, u4_generators(5),
+                               ["1", "1", "1", "3/2", "3/2", "2"], e=2),
+], ids=["abelian", "wide", "heis", "u4"])
+def test_block_samples_are_successive_draws(load):
+    """The samples of the load checks, drawn by one `below_many` call, are
+    the elements of successive one-at-a-time draws on the same stream."""
+    model = load()
+    for stream, count in [(17, 16), (29, 24)]:
+        rng = Pcg32(_VALIDATION_SEED, stream=stream)
+        want = [sample_element(model, rng).coords for _ in range(count)]
+        assert [g.coords for g in model._samples(stream, count)] == want
+    M = model.precision
+    exps = [(0, M + 1, 1, 2, M, 1)[i % 6] for i in range(model.rank)]
+    scale = [model.p ** min(n, M) for n in exps]
+    want = [g.coords for pair in _closure_pairs(model, exps) for g in pair]
+    assert [g.coords for g in model._samples(23, 12, scale)] == want
+    assert all(type(c) is int for g in model._samples(23, 12, scale) for c in g.coords)

@@ -35,7 +35,7 @@ from oracles import (
     LocallyConstantFunction, OperatorMatrix, aut_matrix, coset_indicator, dense,
     divided_power_matrix, divided_power_reference, function_from_callable,
     lmul_matrix, mahler_coeff_aut_central, mahler_coeff_aut_reference,
-    map_matrix, operator_matrix, rho_apply_reference, sparse_of,
+    map_matrix, operator_matrix, rho_apply_reference, sample_element, sparse_of,
 )
 
 
@@ -129,7 +129,7 @@ def test_eigen_action_below_shifted_cutoff(trunc2, trunc_heis):
         model = t.model
         rng = Pcg32(seed)
         for _ in range(15):
-            g = model.sample_element(rng)
+            g = sample_element(model, rng)
             emb = group_embed(t, g)
             alpha = t.basis[rng.below(t.size)]
             lam = multi_binom_mod_p(g.coords, alpha, model.p, model.precision)
@@ -703,7 +703,7 @@ def test_idempotent_action_below_shifted_cutoff(trunc2):
     bound = t.cutoff - (p - 1) * t.omega[0]
     rng = Pcg32(50)
     for _ in range(20):
-        g = t.model.sample_element(rng)
+        g = sample_element(t.model, rng)
         emb = group_embed(t, g)
         resid = g.coords[0] % p
         for nu, e in idems.items():

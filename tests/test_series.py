@@ -1,9 +1,11 @@
 """Truncated series: basis layout, ring structure, embeddings, text forms."""
 
+import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -15,18 +17,22 @@ from iwacalc import (
     Automorphism, format_series, group_embed, load_abelian, load_unitriangular,
     multi_binom_mod_p, parse_series, series_frobenius,
 )
-from iwacalc import series
+from iwacalc import groups, padic, series
+from iwacalc.cli import parse_config, run_config
 from iwacalc.control import ideal_span
 from iwacalc.operators import _divided_powers
 from iwacalc.series import aut_map
-from iwacalc.padic import mi_range, mi_weight
+from iwacalc.padic import lucas_rows, mi_range, mi_weight, signed_binomials
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators
 from oracles import (
     aut_images_reference, dense, format_reference, lmul_matrix, mul_reference,
-    relative_normal_form, signed_binomials_reference,
+    relative_normal_form, sample_element, signed_binomials_reference,
 )
+
+
+GOLDEN = Path(__file__).parent / "cli_golden"
 
 
 def random_series(trunc, rng, terms=3):
@@ -136,8 +142,8 @@ def test_embedding_is_multiplicative(trunc2, trunc_heis):
         rng = Pcg32(seed)
         model = t.model
         for _ in range(4):
-            g = model.sample_element(rng)
-            h = model.sample_element(rng)
+            g = sample_element(model, rng)
+            h = sample_element(model, rng)
             assert group_embed(t, model.mul(g, h)) == \
                 mul_reference(group_embed(t, g), group_embed(t, h))
 
@@ -636,6 +642,71 @@ def test_signed_binomial_table_grows_past_the_basis(trunc_heis):
     alphas = [(1, 0, 0), (2, 1, 0), (top, 0, 1), (top + 1, 0, 0)]
     fresh = TruncationSpec(trunc_heis.model, 6)
     assert _divided_powers(t, alphas) == _divided_powers(fresh, alphas)
+
+
+def _flatten_every_call(self, exps):
+    """`TruncationSpec._signed_binomials` that flattens the whole Pascal table
+    with `padic.signed_rows` on every call: the reference for the flat table
+    that the truncation keeps."""
+    p = self.model.p
+    exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
+    top = int(exps.max(initial=0))
+    if top >= len(self._pascal):
+        self._pascal = lucas_rows(np.arange(top + 1), top, p)
+    return signed_binomials(padic.signed_rows(self._pascal, p), exps, p)
+
+
+def test_signed_rows_are_flattened_once_per_table(heis, monkeypatch):
+    """`padic.signed_rows` runs once per size of the Pascal table, over a cold
+    two-sided Heisenberg span and the zeta golden config, and the maps and
+    records are those of flattening the table on every call."""
+    flattened, expansions = [], []
+    flatten, expand = series.signed_rows, TruncationSpec._signed_binomials
+    monkeypatch.setattr(series, "signed_rows", lambda pascal, p:
+                        flattened.append(len(pascal)) or flatten(pascal, p))
+    monkeypatch.setattr(TruncationSpec, "_signed_binomials", lambda self, exps:
+                        expansions.append(len(exps)) or expand(self, exps))
+    t = TruncationSpec(heis, 11)
+    gens = [parse_series(t, "b1 + 2*b2^2 + b3"), parse_series(t, "b2*b3 + 4*b1^2")]
+    span = ideal_span(t, gens, "two-sided")
+    cfg = parse_config(json.loads(
+        (GOLDEN / "zeta.json").read_text(encoding="utf-8")))
+    zeta = run_config(cfg)
+    assert len(flattened) == len(set(flattened)) < len(expansions)
+    monkeypatch.setattr(TruncationSpec, "_signed_binomials", _flatten_every_call)
+    ref = TruncationSpec(heis, 11)
+    ref_span = ideal_span(ref, [ref.from_dict(g.coeffs) for g in gens], "two-sided")
+    assert np.array_equal(span.rows, ref_span.rows) and span.pivots == ref_span.pivots
+    assert t._op_cache.keys() == ref._op_cache.keys()
+    for key, m in t._op_cache.items():
+        r = ref._op_cache[key]
+        assert all(getattr(m, a).tobytes() == getattr(r, a).tobytes()
+                   for a in ("tgt", "src", "coef")), key
+    assert run_config(cfg) == zeta
+
+
+def test_bench_set_up_compares_integers(monkeypatch):
+    """Loading the benchmark's abelian rank-3 model and its Heisenberg model
+    with centre, and building their truncations, reads no `Val`: neither
+    `GroupModel.omega_of` nor `padic.val_min` runs, and the `Val` sums
+    and digit valuations that the checks once ran on are not in the package."""
+    calls = []
+    for module in (padic, groups, series):
+        assert not hasattr(module, "val_add") and not hasattr(module, "residue_vp")
+    val_min = padic.val_min
+    monkeypatch.setattr(padic, "val_min", lambda *a: calls.append("val_min") or val_min(*a))
+    omega_of = groups.GroupModel.omega_of
+    monkeypatch.setattr(groups.GroupModel, "omega_of",
+                        lambda *a: calls.append("omega_of") or omega_of(*a))
+    abelian = load_abelian(3, 3, 4, ["1", "1", "1"])
+    heisenberg = load_unitriangular(5, 3, 3, heisenberg_generators(5), ["1", "1", "2"],
+                                    centre_exponents=[3, 3, 0])
+    for model, W in [(abelian, 14), (abelian, 16), (heisenberg, 9), (heisenberg, 12)]:
+        TruncationSpec(model, W)
+    assert calls == []
+    # the counters count: the public reader still builds a Val
+    assert heisenberg.omega_of(heisenberg.identity()) == AtLeast(4)
+    assert calls == ["omega_of"]
 
 
 def test_generator_map_rejects_unknown_side(trunc_heis):
