@@ -10,7 +10,7 @@ guessed."""
 from .padic import (
     AtLeast, MultiIndex, PrecisionError, Val, binom_mod_p, comb_mod,
     eq_compatible, format_padic, ge_provable, gt_provable, is_prime, mi_range,
-    mi_weight, multi_binom_mod_p, parse_padic, val_min, val_sub_exact,
+    mi_weight, multi_binom_mod_p, parse_padic, val_min,
 )
 from .rng import Pcg32
 from .groups import (

@@ -13,26 +13,30 @@ implemented:
 A unitriangular group law is compiled once, at load, to polynomials: the
 coordinates of x*y are d polynomials mod p^M in x_1..x_d, y_1..y_d (Hall's
 collection polynomials).  They come from the matrix route run over
-matrices whose entries are polynomials mod p^{M+1}: the product of
-exp(x_k log g_k) and exp(y_k log g_k), then a peel that reads one
-coordinate from the first-kind coordinates of a matrix log and divides
-off that basis power, d times.  First-kind coordinates (log x = sum
-mu_k log g_k) and their inverse are compiled the same way, d polynomials
-in d symbols each.  After load, `mul` evaluates polynomials, `pow` scales
-first-kind coordinates (x^s = exp(s log x)) and `inv` is the power -1; no
-matrix is built.  The generator logs are the constant case of the same
-polynomial log.
+matrices whose entries are polynomials mod p^{M+1}.  The normal form
+NF(x) = exp(x_1 log g_1) ... exp(x_d log g_d) is built once, on d symbols;
+the first-kind coordinates of its log (log x = sum mu_k log g_k) are the
+first-kind law.  Its inverse peels exp(sum x_k log g_k): it reads one
+coordinate from the first-kind coordinates of a matrix log and divides off
+that basis power, d times.  The product law is mu(x, y), the first-kind
+coordinates of log(NF(x) NF(y)), put into that inverse; NF(y) is NF(x)
+with its exponents moved to the y symbols.  After load, `mul` evaluates
+polynomials, `pow` scales first-kind coordinates (x^s = exp(s log x)) and
+`inv` is the power -1; no matrix is built.  The generator logs are the
+constant case of the same polynomial log.
 
 Evaluation is exact mod p^M.  log and exp are finite sums because the
 strictly upper part is nilpotent, and their denominators 1..(n-1)! are
 units mod p since p > n, so each step is a ring operation mod p^{M+1} and
 the polynomial identities hold for every value of the symbols.  The guard
 digit is spent when logs are divided by p, which is why matrices are kept
-mod p^{M+1} and coordinates mod p^M.  The checks the peel makes -- each
+mod p^{M+1} and coordinates mod p^M.  The checks of the compile -- each
 log entry divisible by p, each log in the span of the basis logs, the
 basis powers exhausting the matrix -- run on the polynomials at load,
 where a failure raises ModelError; once they pass they hold for every
-element.
+element.  The product is not peeled; its exhaust check follows from two
+that run: log(NF(x) NF(y)) is in the span of the basis logs, so NF(x)
+NF(y) = exp(sum mu_k log g_k), which the peel exhausts for symbolic x.
 
 Some load checks are proofs and some are seeded samples.  The proofs are
 the compiled-law checks above and, on unitriangular models, omega([g_i,
@@ -50,16 +54,16 @@ come from one validation seed, one stream per check, each set drawn by one
 
 Every check reads omega as an integer in units of 1/e, with a flag that
 says whether it is exact (`GroupModel._omega_units`).  A `Val` is built
-only for a caller that asks for one (`omega_of`, `deg_omega`) and for
-error text.  Valuations follow the marker convention of `padic`: a
-quantity pushed past the precision is reported as AtLeast(bound), never
-silently as a number.
+only for a caller that asks for one (`deg_omega`) and for error text.
+Valuations follow the marker convention of `padic`: a quantity pushed past
+the precision is reported as AtLeast(bound), never silently as a number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import factorial, inf
 from typing import Optional, Sequence
 
@@ -118,10 +122,6 @@ class PValuation:
         """The valuation units/e, or the marker AtLeast(units/e)."""
         f = Fraction(units, self.e)
         return f if exact else AtLeast(f)
-
-    @property
-    def min(self) -> Fraction:
-        return min(self.values)
 
 
 def parse_fraction(v) -> Fraction:
@@ -242,6 +242,14 @@ def _compiled(polys) -> tuple:
         for f in polys)
 
 
+def _substitute(law, polys, one: tuple, m: int) -> list[dict]:
+    """The polynomials mod m of a compiled law with polys[v] for variable v."""
+    def term(c, variables):
+        return reduce(lambda f, v: poly_product_sum([(f, polys[v])], m), variables,
+                      {one: c})
+    return [poly_combine([1] * len(terms), [term(*t) for t in terms], m) for terms in law]
+
+
 def _evaluate(law, values, m: int) -> list[int]:
     out = []
     for terms in law:
@@ -296,9 +304,6 @@ class GroupModel:
         if not is_integer(lam):
             raise ValueError(f"exponent {lam!r} is not an integer")
         return int(lam)
-
-    def omega_of(self, el: GroupElement) -> Val:
-        return self.omega.val(*self._omega_units(el.coords))
 
     def _omega_units(self, coords: Sequence[int]) -> tuple[int, bool]:
         """(e * omega, exact) of the element with these coordinates: the
@@ -452,16 +457,8 @@ class UnitriangularModel(GroupModel):
             for g in self._gens)
         self._positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
         self._setup_solver()
-        d = self.rank
-        xy, one2 = _symbols(2 * d)
-        self._mul_law = self._peel(_pmat_mul(self._normal_form(xy[:d], one2),
-                                             self._normal_form(xy[d:], one2),
-                                             self._mod), one2)
-        x, one = _symbols(d)
-        self._first_kind_law = _compiled(self._first_kind_of_log(
-            _pmat_log(self._normal_form(x, one), self._mod)))
-        self._from_first_kind_law = self._peel(
-            _pmat_exp(self._log_matrix(x), self._mod, one), one)
+        self._mul_law, self._first_kind_law, self._from_first_kind_law = (
+            self._compile_laws())
         self._validate_common(centre_exponents)
 
     def _check_matrix(self, rows):
@@ -496,6 +493,18 @@ class UnitriangularModel(GroupModel):
         self._solver = tuple(zip(*(r[len(v):] for r in rows)))
 
     # -- compilation: the matrix route over polynomial entries --------------
+
+    def _compile_laws(self) -> tuple:
+        """(mul, first-kind, from-first-kind) laws; see the module docstring."""
+        mod, x, one = self._mod, *_symbols(self.rank)
+        nf = self._normal_form(x, one)
+        from_first_kind = self._peel(_pmat_exp(self._log_matrix(x), mod, one), one)
+        # NF(x) and NF(y) in 2d symbols: each exponent key moved to one side
+        nfx, nfy = ([[{side(k): c for k, c in f.items()} for f in row] for row in nf]
+                    for side in (lambda k: k + one, lambda k: one + k))
+        mu = self._first_kind_of_log(_pmat_log(_pmat_mul(nfx, nfy, mod), mod))
+        return (_compiled(_substitute(from_first_kind, mu, one + one, self._pm)),
+                _compiled(self._first_kind_of_log(_pmat_log(nf, mod))), from_first_kind)
 
     def _log_matrix(self, polys):
         """sum_k f_k log g_k for polynomials f_k."""

@@ -40,7 +40,7 @@ import numpy as np
 from .groups import Automorphism, ModelError, SubgroupSpec
 from .linalg import SparseMap, sum_entries
 from .padic import (
-    AtLeast, MultiIndex, Val, comb_mod, signed_binomials, val_min, val_sub_exact,
+    AtLeast, MultiIndex, Val, comb_mod, signed_binomials, val_min,
 )
 from .series import TruncatedSeries, TruncationSpec
 
@@ -341,15 +341,15 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     phi.  Each image then agrees with aut_extend exactly."""
     D = Fraction(degree_budget)
     model = trunc.model
-    displacements = []
-    for i, g in enumerate(model.basis()):
-        moved = model.mul(phi.apply(g), model.inv(g))
-        displacements.append(
-            val_sub_exact(model.omega_of(moved), model.omega.values[i]))
-    delta_val = val_min(displacements)
-    delta = delta_val.bound if isinstance(delta_val, AtLeast) else delta_val
+    # omega(phi(g_i) g_i^-1) - omega_i in units of 1/e; the minimum is exact
+    # iff an exact term attains it, as in `padic.val_min`
+    terms = [(v - u, exact) for g, u in zip(model.basis(), model.omega.units)
+             for v, exact in [model._omega_units(
+                 model.mul(phi.apply(g), model.inv(g)).coords)]]
+    delta = min(v for v, _ in terms)
     if delta <= 0:
-        raise ModelError(f"reconstruction needs positive degree, got {delta_val}")
+        raise ModelError("reconstruction needs positive degree, got "
+                         f"{model.omega.val(delta, (delta, True) in terms)}")
     w, e = trunc._int_weights, trunc.e
     # the basis is sorted by weight, so the columns of weight <= D are a
     # prefix; del^(a) kills b^B unless a <= B, so the a that matter lie in
@@ -357,7 +357,7 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     cols = trunc.basis[:int(np.searchsorted(w, math.floor(D * e), side="right"))]
     p, m = trunc.model.p, len(cols)
     alphas = [a for k, a in enumerate(cols)
-              if not sum(a) or delta * sum(a) * e + int(w[k]) < trunc.W]
+              if not sum(a) or delta * sum(a) + int(w[k]) < trunc.W]
     coeffs = {a: vec for a, vec in zip(alphas, _mahler_rows(trunc, phi, alphas))
               if vec.any()}
     # every product in one block: row k*m + b is <phi, del^(alpha)> times

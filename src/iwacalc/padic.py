@@ -101,15 +101,6 @@ def val_min(values: Sequence[Val]) -> Val:
     raise ValueError("val_min of an empty collection")
 
 
-def val_sub_exact(a: Val, b) -> Val:
-    """a - b where b must be exact."""
-    if isinstance(b, AtLeast):
-        raise ValueError("subtrahend must be resolved")
-    if isinstance(a, AtLeast):
-        return AtLeast(a.bound - _frac(b))
-    return _frac(a) - _frac(b)
-
-
 def ge_provable(a: Val, b: Val) -> bool:
     """True iff `a >= b` holds for every value compatible with the markers."""
     if isinstance(b, AtLeast):

@@ -1,8 +1,12 @@
+import functools
+
 import pytest
 
-from iwacalc import TruncationSpec, groups, load_abelian, load_unitriangular
+from iwacalc import (
+    ModelError, TruncationSpec, groups, load_abelian, load_unitriangular,
+)
 
-from oracles import deg_omega_reference
+from oracles import compiled_laws_reference, deg_omega_reference, laws_or_message
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -18,6 +22,26 @@ def deg_omega_matches_reference():
         return got
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groups, "deg_omega", checked)
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def compiled_laws_match_reference():
+    """Every unitriangular law compiled in the session, those of the golden
+    configs run in process included, equals the two-peel route of
+    `oracles.compiled_laws_reference`, and a model that one route rejects
+    the other rejects with the same message."""
+    compile_laws = groups.UnitriangularModel._compile_laws
+
+    @functools.wraps(compile_laws)
+    def checked(model):
+        got = laws_or_message(compile_laws, model)
+        assert got == laws_or_message(compiled_laws_reference, model)
+        if isinstance(got, str):
+            raise ModelError(got)
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups.UnitriangularModel, "_compile_laws", checked)
         yield
 
 

@@ -38,8 +38,11 @@ test series from `aut_extend` and series products, and `block_series`
 reads the rows of a block as series.  `MatrixRoute`
 computes a unitriangular group law with numeric matrix logs
 and exps, element by element, where the model evaluates polynomials
-compiled at load.  `induced_filtration_reference` reads the induced
-filtration of a central prime on `Val`s, one part r_gamma of the
+compiled at load, and `compiled_laws_reference` compiles those
+polynomials by peeling the product of two normal forms on 2d symbols;
+`laws_or_message` reads a compile's laws or its rejection.
+`induced_filtration_reference` reads the induced filtration of a central
+prime on `Val`s, one part r_gamma of the
 `relative_normal_form` at a time through `tau_reference`, which
 substitutes b_j <- u term by term; `verify_valuation_reference` and
 `completely_prime_probe_reference` are the two sampled checks one sample
@@ -47,12 +50,13 @@ at a time, each drawn by `random_series_reference`.
 `verify_operators_reference` and `idempotents_reference` are the two
 operator checks of the CLI one sample at a time, with one composition,
 combination and apply per sample and `Val` comparisons.
-`residue_vp`, `val_add` and `ge_refuted` are `Val` arithmetic for the
-reference routes.  `sample_element` draws one group element, a `below`
-call per coordinate.  `omega_of_reference` and `deg_omega_reference`
-compute omega and the degree estimate on `Val`s, a `val_add` per
-coordinate and a `val_min` over the terms, where the models compare
-integers in units of 1/e."""
+`residue_vp`, `val_add`, `val_sub_exact` and `ge_refuted` are `Val`
+arithmetic for the reference routes.  `sample_element` draws one group
+element, a `below` call per coordinate.  `omega_of` reads a model's
+omega of an element as a `Val`; `omega_of_reference` and
+`deg_omega_reference` compute omega and the degree estimate on `Val`s,
+a `val_add` per coordinate and a `val_min` over the terms, where the
+models compare integers in units of 1/e."""
 
 from __future__ import annotations
 
@@ -66,8 +70,9 @@ import numpy as np
 
 from iwacalc.groups import (
     _VALIDATION_SEED, Automorphism, GroupElement, GroupModel, ModelError,
-    SubgroupSpec, UnitriangularModel, _mat_id, _mat_mul, load_abelian,
-    load_unitriangular, subgroup_from_exponents,
+    SubgroupSpec, UnitriangularModel, _compiled, _mat_id, _mat_mul, _pmat_exp,
+    _pmat_log, _pmat_mul, _symbols, load_abelian, load_unitriangular,
+    subgroup_from_exponents,
 )
 from iwacalc.control import CentralPrimeSpec, IdealSpan
 from iwacalc.moore import ZetaExperiment
@@ -78,7 +83,7 @@ from iwacalc.operators import (
 )
 from iwacalc.padic import (
     AtLeast, MultiIndex, PrecisionError, Val, comb_mod, format_val, ge_provable,
-    mi_range, mi_weight, multi_binom_mod_p, val_min, val_sub_exact,
+    mi_range, mi_weight, multi_binom_mod_p, val_min,
 )
 from iwacalc.rng import Pcg32
 from iwacalc.series import (
@@ -108,6 +113,15 @@ def val_add(a: Val, b: Val) -> Val:
     return Fraction(a) + Fraction(b)
 
 
+def val_sub_exact(a: Val, b) -> Val:
+    """a - b where b must be exact."""
+    if isinstance(b, AtLeast):
+        raise ValueError("subtrahend must be resolved")
+    if isinstance(a, AtLeast):
+        return AtLeast(a.bound - Fraction(b))
+    return Fraction(a) - Fraction(b)
+
+
 def ge_refuted(a: Val, b: Val) -> bool:
     """True iff `a >= b` is provably false (needs an upper bound on a)."""
     if isinstance(a, AtLeast):
@@ -119,6 +133,12 @@ def sample_element(model: GroupModel, rng: Pcg32) -> GroupElement:
     """One element whose coordinates are successive `rng.below(p^M)` draws."""
     return model.element([rng.below(model.p ** model.precision)
                           for _ in range(model.rank)])
+
+
+def omega_of(model: GroupModel, el: GroupElement) -> Val:
+    """omega of an element as a `Val`, read off the model's integers
+    (`GroupModel._omega_units`)."""
+    return model.omega.val(*model._omega_units(el.coords))
 
 
 def omega_of_reference(model: GroupModel, el: GroupElement) -> Val:
@@ -830,6 +850,30 @@ class MatrixRoute:
         for lam, ell in zip(mu, self.logs):
             acc = _mat_add(acc, _mat_scale(ell, lam, self.mod), self.mod)
         return self.theta_coords(_mat_exp_nilpotent(acc, self.mod))
+
+
+def compiled_laws_reference(model: UnitriangularModel) -> tuple:
+    """(mul, first-kind, from-first-kind) laws of a unitriangular model by
+    the two-peel route: the product of two normal forms built on 2d
+    symbols, peeled one basis power at a time."""
+    d, mod = model.rank, model._mod
+    xy, one2 = _symbols(2 * d)
+    mul = model._peel(_pmat_mul(model._normal_form(xy[:d], one2),
+                                model._normal_form(xy[d:], one2), mod), one2)
+    x, one = _symbols(d)
+    first_kind = _compiled(model._first_kind_of_log(
+        _pmat_log(model._normal_form(x, one), mod)))
+    return mul, first_kind, model._peel(
+        _pmat_exp(model._log_matrix(x), mod, one), one)
+
+
+def laws_or_message(compile_laws: Callable, model: UnitriangularModel):
+    """The laws that `compile_laws(model)` returns, or the text of the
+    ModelError it raises."""
+    try:
+        return compile_laws(model)
+    except ModelError as err:
+        return str(err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Group models, subgroups and automorphisms on the two main corpora."""
 
+import inspect
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,16 @@ from iwacalc import (
     deg_omega, eq_compatible, load_abelian, load_model,
     load_unitriangular, subgroup_from_exponents, val_min,
 )
-from iwacalc.groups import _VALIDATION_SEED, AbelianModel, GroupElement
+from iwacalc.groups import (
+    _VALIDATION_SEED, AbelianModel, GroupElement, UnitriangularModel,
+)
 from iwacalc.rng import Pcg32
 
 from conftest import heisenberg_generators, u4_generators
 from oracles import (
-    MatrixRoute, ge_refuted, is_trivial_mod_centre, mat_pow, omega_of_reference,
-    residue_vp, rref_reference, sample_element, val_add, z_of_automorphism,
+    MatrixRoute, compiled_laws_reference, ge_refuted, is_trivial_mod_centre,
+    mat_pow, omega_of, omega_of_reference, residue_vp, rref_reference,
+    sample_element, val_add, z_of_automorphism,
 )
 
 
@@ -33,9 +39,9 @@ def test_abelian_arithmetic(abelian2):
 
 def test_abelian_omega(abelian2):
     m = abelian2
-    assert m.omega_of(m.element([3, 0])) == 2
-    assert m.omega_of(m.element([1, 9])) == 1
-    w = m.omega_of(m.identity())
+    assert omega_of(m, m.element([3, 0])) == 2
+    assert omega_of(m, m.element([1, 9])) == 1
+    w = omega_of(m, m.identity())
     assert isinstance(w, AtLeast) and w.bound == 5  # min omega + precision
 
 
@@ -223,7 +229,7 @@ def test_int_coordinates_match_digit_routes(int_model, data):
         vps = [next((i for i, v in enumerate(d) if v), AtLeast(Fraction(M)))
                for d in digits]
         assert [residue_vp(v, p, M) for v in c] == vps
-        assert model.omega_of(el) == val_min(
+        assert omega_of(model, el) == val_min(
             [val_add(w, v) for w, v in zip(model.omega.values, vps)])
         assert spec.contains(el) == all(
             not any(d[:min(n, M)]) for d, n in zip(digits, exps))
@@ -254,27 +260,126 @@ def test_compiled_law_checks_run_at_load():
         load_unitriangular(5, 3, 3, heisenberg_generators(5)[:2], ["1", "1"])
 
 
+def _big_prime_model():
+    p = 4294967311
+    # log g = g - 1 = p ((p - 1) E_02 + 2 E_12): no entry at position (0, 1)
+    return load_unitriangular(p, 3, 1, [[[1, 0, (p - 1) * p], [0, 1, 2 * p],
+                                         [0, 0, 1]]], ["1"])
+
+
+def _one_log_route():
+    """`UnitriangularModel._compile_laws` without the session check of
+    conftest, which runs the two-peel route beside it."""
+    return inspect.unwrap(UnitriangularModel._compile_laws)
+
+
+def test_compiled_laws_match_the_two_peel_route(heis, u4):
+    """The product law from one log and a substitution, and the two
+    first-kind laws, equal the two-peel route's polynomials as tuples."""
+    models = [heis, u4, _big_prime_model()]
+    for name in ("heisenberg", "u4"):
+        doc = json.loads((Path(__file__).parent / "cli_golden" / f"{name}.json")
+                         .read_text(encoding="utf-8"))
+        cfg, trunc = doc["model"], doc["truncation"]
+        models.append(load_unitriangular(doc["p"], cfg["size"], trunc["M"],
+                                         cfg["generators"], doc["omega"],
+                                         trunc.get("e", 1), cfg.get("centre")))
+    for model in models:
+        laws = model._mul_law, model._first_kind_law, model._from_first_kind_law
+        assert laws == _one_log_route()(model) == compiled_laws_reference(model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7]), st.integers(1, 3), st.data())
+def test_heisenberg_type_draws_load_alike_on_both_routes(p, M, data):
+    """Generators 1 + p(a E_01 + b E_12 + c E_02): both compile routes load
+    the same draws, with equal laws, and reject the others with the same
+    message, from the solver, the compile or the validation after it."""
+    multiple = st.integers(0, p ** M - 1).map(lambda k: p * k)
+    gens = [[[1, a, c], [0, 1, b], [0, 0, 1]] for a, b, c in data.draw(
+        st.lists(st.tuples(multiple, multiple, multiple), min_size=1, max_size=3))]
+    omega = data.draw(st.lists(st.sampled_from(["1", "2"]), min_size=len(gens),
+                               max_size=len(gens)))
+
+    def load(compile_laws):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(UnitriangularModel, "_compile_laws", compile_laws)
+            try:
+                model = load_unitriangular(p, 3, M, gens, omega)
+            except ModelError as err:
+                return str(err)
+        return model._mul_law, model._first_kind_law, model._from_first_kind_law
+    assert load(_one_log_route()) == load(compiled_laws_reference)
+
+
+def test_load_builds_one_normal_form_and_one_peel(monkeypatch):
+    """A load builds the normal form once and peels once, both on d
+    symbols: the product law is one log of NF(x) NF(y), not a peel of a
+    matrix in 2d symbols."""
+    monkeypatch.setattr(UnitriangularModel, "_compile_laws", _one_log_route())
+    calls = []
+    for name in ("_normal_form", "_peel"):
+        def counted(self, *args, _name=name, _method=getattr(UnitriangularModel, name)):
+            calls.append((_name, len(args[-1])))
+            return _method(self, *args)
+        monkeypatch.setattr(UnitriangularModel, name, counted)
+    for load, d in [
+            (lambda: load_unitriangular(5, 3, 3, heisenberg_generators(5),
+                                        ["1", "1", "2"], centre_exponents=[3, 3, 0]), 3),
+            (lambda: load_unitriangular(5, 4, 6, u4_generators(5),
+                                        ["1", "1", "1", "3/2", "3/2", "2"], e=2), 6)]:
+        calls.clear()
+        load()
+        assert sorted(calls) == [("_normal_form", d), ("_peel", d)]
+
+
+def test_load_rejects_generators_whose_logs_are_dependent_mod_p():
+    """Two equal generators, and two whose logs p E_01 and p(1 + p) E_01
+    are independent over Z_p but not mod p, are no ordered basis."""
+    g = heisenberg_generators(5)[0]
+    h = [[1, 5 * 6, 0], [0, 1, 0], [0, 0, 1]]
+    for gens in ([g, g], [g, h]):
+        with pytest.raises(ModelError, match="generator logs are dependent mod p; "
+                                             "not an ordered basis"):
+            load_unitriangular(5, 3, 3, gens, ["1", "1"])
+    # the boundary: h in place of g is an ordered basis of the group
+    model = load_unitriangular(5, 3, 3, [h] + heisenberg_generators(5)[1:],
+                               ["1", "1", "2"])
+    assert model._pivot_rows == [0, 1, 2]
+
+
+def test_first_kind_of_log_rejects_an_entry_not_divisible_by_p(heis):
+    """A load cannot reach this rejection: every generator is 1 mod p, so
+    every matrix the compile builds is 1 mod p and its log is 0 mod p.  A
+    hand-built log matrix reaches it; an entry divisible by p passes."""
+    def log_matrix(entry):
+        return tuple(tuple({(): entry} if (i, j) == (0, 1) else {} for j in range(3))
+                     for i in range(3))
+    assert heis._first_kind_of_log(log_matrix(5)) == [{(): 1}, {}, {}]
+    with pytest.raises(ModelError, match="log entry not divisible by p; "
+                                         "element outside the group"):
+        heis._first_kind_of_log(log_matrix(6))
+
+
 def test_p_valuation_axioms(heis):
     rng = Pcg32(23)
     for _ in range(12):
         x = sample_element(heis, rng)
         y = sample_element(heis, rng)
-        wx, wy = heis.omega_of(x), heis.omega_of(y)
+        wx, wy = omega_of(heis, x), omega_of(heis, y)
         assert not ge_refuted(
-            heis.omega_of(x * heis.inv(y)), val_min([wx, wy]))
-        assert not ge_refuted(heis.omega_of(heis.commutator(x, y)), val_add(wx, wy))
+            omega_of(heis, x * heis.inv(y)), val_min([wx, wy]))
+        assert not ge_refuted(omega_of(heis, heis.commutator(x, y)), val_add(wx, wy))
         if not isinstance(wx, AtLeast):
-            assert eq_compatible(heis.omega_of(heis.pow(x, 5)), Fraction(wx) + 1)
+            assert eq_compatible(omega_of(heis, heis.pow(x, 5)), Fraction(wx) + 1)
 
 
 def test_pivot_rows_are_exact_past_int64_products(heis, u4):
     """The d pivot rows of the logs, picked in Python ints: the same rows as
     the column scan, also at a prime whose products of residues pass 2^63."""
     assert heis._pivot_rows == [0, 1, 2] and u4._pivot_rows == [0, 1, 2, 3, 4, 5]
-    p = 4294967311
-    # log g = g - 1 = p ((p - 1) E_02 + 2 E_12): no entry at position (0, 1)
-    model = load_unitriangular(p, 3, 1, [[[1, 0, (p - 1) * p], [0, 1, 2 * p],
-                                          [0, 0, 1]]], ["1"])
+    model = _big_prime_model()
+    p = model.p
     assert model._pivot_rows == [1]
     for m in (heis, u4, model):
         v = np.array(m._vmatrix, dtype=object).T
@@ -349,7 +454,7 @@ def test_load_rejects_a_sample_that_breaks_the_quotient_axiom(monkeypatch, image
     model = load_abelian(*args)
     x, y = _omega_pairs(model)[4]
     assert (x.coords, y.coords) == ((2,), (14,))
-    assert model.omega_of(x) == model.omega_of(y) == 3
+    assert omega_of(model, x) == omega_of(model, y) == 3
     _tamper(monkeypatch, AbelianModel, "mul", {(x.coords, model.inv(y).coords): image})
     if loads:
         load_abelian(*args)
@@ -367,7 +472,7 @@ def test_load_rejects_a_sample_that_breaks_the_commutator_axiom(monkeypatch, ima
     args = (3, 1, 4, ["1"])
     model = load_abelian(*args)
     x, y = _omega_pairs(model)[0]
-    assert model.omega_of(x) == model.omega_of(y) == 1
+    assert omega_of(model, x) == omega_of(model, y) == 1
     outer = (model.mul(model.inv(x), model.inv(y)).coords, model.mul(x, y).coords)
     _tamper(monkeypatch, AbelianModel, "mul", {outer: image})
     if loads:
@@ -391,7 +496,7 @@ def test_load_rejects_a_sample_that_breaks_the_power_axiom(monkeypatch, precisio
     args = (3, 1, precision, ["1"])
     model = load_abelian(*args)
     x, _ = _omega_pairs(model)[0]
-    assert model.omega_of(x) == 1
+    assert omega_of(model, x) == 1
     if image is not None:
         _tamper(monkeypatch, AbelianModel, "pow", {(x.coords, 3): image})
     if loads:
@@ -555,7 +660,7 @@ def test_deg_omega(abelian2):
     # every basis element moves by its 9th power, a displacement of degree 2
     for i, g in enumerate(abelian2.basis()):
         moved = phi.apply(g) * abelian2.inv(g)
-        assert abelian2.omega_of(moved) == abelian2.omega.values[i] + 2
+        assert omega_of(abelian2, moved) == abelian2.omega.values[i] + 2
     # the sampled estimate keeps markers from elements whose displacement
     # falls past precision, so it is only compatible with the true value
     assert eq_compatible(deg_omega(phi), 2)
@@ -621,7 +726,7 @@ def test_omega_units_match_the_val_route(omega_model, data):
         st.integers(0, M - 1), st.integers(1, p ** M - 1)))
     coords = data.draw(st.lists(coordinate, min_size=model.rank, max_size=model.rank))
     for el in (model.element(coords), model.identity()):
-        got, want = model.omega_of(el), omega_of_reference(model, el)
+        got, want = omega_of(model, el), omega_of_reference(model, el)
         assert got == want and type(got) is type(want)
         value, exact = model._omega_units(el.coords)
         assert exact == (not isinstance(want, AtLeast))

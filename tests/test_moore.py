@@ -14,12 +14,13 @@ from iwacalc import (
     TruncationSpec, ZetaExperiment, abelian_matrix_log, divided_power,
     format_fp_poly, group_embed, load_abelian, matrix_adjugate, matrix_det,
     moore_det_check, moore_matrix, parse_config, parse_series,
-    projective_forms, run_config, val_sub_exact, zeta_convergence, zeta_eval,
+    projective_forms, run_config, zeta_convergence, zeta_eval,
 )
 from iwacalc import groups, moore
 
 from oracles import (
-    block_series, format_reference, z_of_automorphism, zeta_numerator_reference,
+    block_series, format_reference, val_sub_exact, z_of_automorphism,
+    zeta_numerator_reference,
 )
 
 GOLDEN = Path(__file__).parent / "cli_golden"

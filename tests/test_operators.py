@@ -662,6 +662,20 @@ def test_reconstruct_images_match_aut_extend(map_truncs, name, data):
         assert got == aut_extend(t, phi, t.monomial(a))
 
 
+def test_reconstruct_needs_positive_degree(trunc2):
+    """The degree of the basis displacements omega(phi(g_i) g_i^-1) - omega_i
+    must be positive.  On omega = (1, 5) at M = 1 the checked identity
+    reaches the rejection: omega(g_2) reads only as >=2, so `deg_omega`
+    leaves g_2 out, and its displacement is the marker bound 1 + 1 - 5.  The
+    unchecked phi = 1 moves g_i to g_i^-1, of exact degree 0."""
+    model = load_abelian(3, 2, 1, ["1", "5"])
+    with pytest.raises(ModelError, match="needs positive degree, got >=-3$"):
+        reconstruct_aut(TruncationSpec(model, 3), Automorphism.identity(model), 1)
+    trivial = Automorphism(trunc2.model, "linear", ((0, 0), (0, 0)))
+    with pytest.raises(ModelError, match="needs positive degree, got 0$"):
+        reconstruct_aut(trunc2, trivial, 1)
+
+
 def test_idempotent_algebra(trunc2, trunc_heis):
     cases = [
         (trunc2, (1, 0)),

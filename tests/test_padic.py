@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 from iwacalc import (
     AtLeast, PrecisionError, binom_mod_p, comb_mod, eq_compatible,
     format_padic, ge_provable, gt_provable, is_prime, mi_range,
-    mi_weight, multi_binom_mod_p, parse_padic, val_min, val_sub_exact,
+    mi_weight, multi_binom_mod_p, parse_padic, val_min,
 )
 from iwacalc.padic import (
     format_poly, lucas_rows, poly_combine, poly_frobenius, poly_product_sum, power,
     signed_binomials, signed_rows,
 )
 from iwacalc.rng import Pcg32
-from oracles import ge_refuted, residue_vp, signed_binomials_reference, val_add
+from oracles import (
+    ge_refuted, residue_vp, signed_binomials_reference, val_add, val_sub_exact,
+)
 
 
 def test_is_prime_small():

@@ -687,26 +687,25 @@ def test_signed_rows_are_flattened_once_per_table(heis, monkeypatch):
 
 def test_bench_set_up_compares_integers(monkeypatch):
     """Loading the benchmark's abelian rank-3 model and its Heisenberg model
-    with centre, and building their truncations, reads no `Val`: neither
-    `GroupModel.omega_of` nor `padic.val_min` runs, and the `Val` sums
-    and digit valuations that the checks once ran on are not in the package."""
+    with centre, and building their truncations, reads no `Val`:
+    `padic.val_min` does not run, `GroupModel` has no `Val` reader of an
+    element, and the `Val` sums and digit valuations that the checks once
+    ran on are not in the package."""
     calls = []
     for module in (padic, groups, series):
         assert not hasattr(module, "val_add") and not hasattr(module, "residue_vp")
+    assert not hasattr(groups.GroupModel, "omega_of")
     val_min = padic.val_min
     monkeypatch.setattr(padic, "val_min", lambda *a: calls.append("val_min") or val_min(*a))
-    omega_of = groups.GroupModel.omega_of
-    monkeypatch.setattr(groups.GroupModel, "omega_of",
-                        lambda *a: calls.append("omega_of") or omega_of(*a))
     abelian = load_abelian(3, 3, 4, ["1", "1", "1"])
     heisenberg = load_unitriangular(5, 3, 3, heisenberg_generators(5), ["1", "1", "2"],
                                     centre_exponents=[3, 3, 0])
     for model, W in [(abelian, 14), (abelian, 16), (heisenberg, 9), (heisenberg, 12)]:
         TruncationSpec(model, W)
     assert calls == []
-    # the counters count: the public reader still builds a Val
-    assert heisenberg.omega_of(heisenberg.identity()) == AtLeast(4)
-    assert calls == ["omega_of"]
+    # the counter counts
+    assert padic.val_min([AtLeast(4), 5]) == AtLeast(4)
+    assert calls == ["val_min"]
 
 
 def test_generator_map_rejects_unknown_side(trunc_heis):
