@@ -38,19 +38,24 @@ element.  The product is not peeled; its exhaust check follows from two
 that run: log(NF(x) NF(y)) is in the span of the basis logs, so NF(x)
 NF(y) = exp(sum mu_k log g_k), which the peel exhausts for symbolic x.
 
-Some load checks are proofs and some are seeded samples.  The proofs are
-the compiled-law checks above and, on unitriangular models, omega([g_i,
-g_j]) > omega_i + omega_j for every pair of basis elements.  The samples
-come from one validation seed, one stream per check, each set drawn by one
-`Pcg32.below_many` call:
+Some load checks are proofs and some are seeded samples.  On abelian
+models the p-valuation axioms and the closure of every exponent subgroup
+(the declared centre included) are proofs, written out in
+`AbelianModel._check_omega_axioms` and `subgroup_from_exponents`: an
+abelian model or subgroup is accepted with no group product and no sample.
+On unitriangular models the proofs are the compiled-law checks above and
+omega([g_i, g_j]) > omega_i + omega_j for every pair of basis elements, and
+the samples come from one validation seed, one stream per check, each set
+drawn by one `Pcg32.below_many` call:
 * the p-valuation axioms omega(x y^-1) >= min(omega(x), omega(y)),
   omega([x, y]) >= omega(x) + omega(y) and omega(x^p) = omega(x) + 1, on 8
   pairs;
 * the closure of a subgroup (`subgroup_from_exponents`, the declared centre
   included), on 6 pairs, after every product and commutator of two of its
-  generators;
-* the degree estimate of an automorphism (`deg_omega`), over the basis and
-  24 samples.
+  generators.
+On both kinds, the degree of a linear-on-log automorphism is estimated
+(`deg_omega`) over the basis and 24 samples; an inner automorphism passes
+that check by proof (`Automorphism.inner`).
 
 Every check reads omega as an integer in units of 1/e, with a flag that
 says whether it is exact (`GroupModel._omega_units`).  A `Val` is built
@@ -340,8 +345,9 @@ class GroupModel:
     # -- validation ---------------------------------------------------------
 
     def _validate_common(self, centre_exponents: Optional[Sequence[int]]) -> None:
-        """Check the basis and omega, then declare the centre, if one is
-        given, and check that it is central."""
+        """Check the basis and omega, then the p-valuation axioms
+        (`_check_omega_axioms`, which each kind implements), then declare
+        the centre, if one is given, and check that it is central."""
         if not is_prime(self.p):
             raise ModelError(f"p = {self.p} is not prime")
         if self.precision < 1:
@@ -349,42 +355,7 @@ class GroupModel:
         if len(self.omega.values) != self.rank:
             raise ModelError("omega must assign a value to each basis element")
         self.omega.check_p(self.p)
-        basis, units, e = self.basis(), self.omega.units, self.omega.e
-        # an abelian commutator is the identity, above every bound, though
-        # its valuation reads only as AtLeast(omega_i + M)
-        for i in range(self.rank if self.kind != "abelian" else 0):
-            for j in range(i + 1, self.rank):
-                value, exact = self._omega_units(
-                    self.commutator(basis[i], basis[j]).coords)
-                # provably above the sum: the value, or a marker's bound, is
-                if value <= units[i] + units[j]:
-                    why = ""
-                    if not exact:
-                        why = (f": at precision M={self.precision} it is only "
-                               f"known to be {self.omega.val(value, exact)}, and "
-                               f"a larger M would decide it")
-                    raise ModelError(
-                        f"omega([g_{i + 1}, g_{j + 1}]) is not provably above "
-                        f"omega(g_{i + 1}) + omega(g_{j + 1}) = "
-                        f"{self.omega.values[i] + self.omega.values[j]}{why}")
-        # a sample refutes a lower bound only with an exact value below it,
-        # and omega(x^p) = omega(x) + 1 is compatible with an exact value
-        # equal to it or a marker at or below it
-        samples = self._samples(17, 16)
-        for x, y in zip(samples[::2], samples[1::2]):
-            wx, x_exact = self._omega_units(x.coords)
-            wy, _ = self._omega_units(y.coords)
-            w, exact = self._omega_units(self.mul(x, self.inv(y)).coords)
-            if exact and w < min(wx, wy):
-                raise ModelError(f"omega(x y^-1) >= min fails on x={x.coords}, "
-                                 f"y={y.coords}")
-            w, exact = self._omega_units(self.commutator(x, y).coords)
-            if exact and w < wx + wy:
-                raise ModelError("omega([x, y]) >= omega(x) + omega(y) fails on a sample")
-            if x_exact:
-                w, exact = self._omega_units(self.pow(x, self.p).coords)
-                if w != wx + e if exact else w > wx + e:
-                    raise ModelError("omega(x^p) = omega(x) + 1 fails on a sample")
+        self._check_omega_axioms()
         if centre_exponents is not None:
             self.centre = subgroup_from_exponents(self, centre_exponents)
             if not self.centre.is_central():
@@ -404,6 +375,31 @@ class AbelianModel(GroupModel):
         self.omega = omega
         self.centre = None
         self._validate_common(centre_exponents)
+
+    def _check_omega_axioms(self) -> None:
+        """Nothing to sample: on the free Z_p-module the three axioms hold
+        for every pair, read as the unitriangular checks read them
+        (`_omega_units`: each term omega_i + v_p(x_i), a zero coordinate
+        read as v = M and giving only a bound; a lower bound is refuted
+        only by an exact value below it).
+
+        * [x, y] is the identity.  Its coordinates are all zero, so its
+          omega is never an exact value and the commutator check cannot
+          refute.
+        * x y^-1 has coordinates x_i - y_i, and v_p(x_i - y_i) >=
+          min(v_p x_i, v_p y_i), a zero coordinate read as v = M.  So every
+          term of omega(x y^-1), exact or a bound, is at least
+          min(omega(x), omega(y)).
+        * x^p has coordinates p x_i.  The term of a nonzero x_i of
+          valuation below M - 1 becomes exactly 1 larger, and one of
+          valuation M - 1 becomes the bound omega_i + M, also 1 larger; a
+          zero stays the bound it was.  If omega(x) is exact, attained at x_j, every exact
+          term of x^p is at least omega(x) + 1 and the term of x_j is at
+          most that: omega(x^p) is either exactly omega(x) + 1, or only
+          bounded at or below it, and the check accepts both.
+
+        `tests/test_groups.py` runs the three checks on drawn pairs of
+        small abelian models through the `Val` route."""
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement(self, tuple((x + y) % self._pm
@@ -491,6 +487,45 @@ class UnitriangularModel(GroupModel):
             raise ModelError("generator logs are dependent mod p; not an ordered basis")
         self._pivot_rows = pivots
         self._solver = tuple(zip(*(r[len(v):] for r in rows)))
+
+    def _check_omega_axioms(self) -> None:
+        """omega([g_i, g_j]) > omega_i + omega_j on every pair of basis
+        elements, a proof; then the three p-valuation axioms on 8 pairs of
+        the validation seed's stream 17, a sample."""
+        basis, units, e = self.basis(), self.omega.units, self.omega.e
+        for i in range(self.rank):
+            for j in range(i + 1, self.rank):
+                value, exact = self._omega_units(
+                    self.commutator(basis[i], basis[j]).coords)
+                # provably above the sum: the value, or a marker's bound, is
+                if value <= units[i] + units[j]:
+                    why = ""
+                    if not exact:
+                        why = (f": at precision M={self.precision} it is only "
+                               f"known to be {self.omega.val(value, exact)}, and "
+                               f"a larger M would decide it")
+                    raise ModelError(
+                        f"omega([g_{i + 1}, g_{j + 1}]) is not provably above "
+                        f"omega(g_{i + 1}) + omega(g_{j + 1}) = "
+                        f"{self.omega.values[i] + self.omega.values[j]}{why}")
+        # a sample refutes a lower bound only with an exact value below it,
+        # and omega(x^p) = omega(x) + 1 is compatible with an exact value
+        # equal to it or a marker at or below it
+        samples = self._samples(17, 16)
+        for x, y in zip(samples[::2], samples[1::2]):
+            wx, x_exact = self._omega_units(x.coords)
+            wy, _ = self._omega_units(y.coords)
+            w, exact = self._omega_units(self.mul(x, self.inv(y)).coords)
+            if exact and w < min(wx, wy):
+                raise ModelError(f"omega(x y^-1) >= min fails on x={x.coords}, "
+                                 f"y={y.coords}")
+            w, exact = self._omega_units(self.commutator(x, y).coords)
+            if exact and w < wx + wy:
+                raise ModelError("omega([x, y]) >= omega(x) + omega(y) fails on a sample")
+            if x_exact:
+                w, exact = self._omega_units(self.pow(x, self.p).coords)
+                if w != wx + e if exact else w > wx + e:
+                    raise ModelError("omega(x^p) = omega(x) + 1 fails on a sample")
 
     # -- compilation: the matrix route over polynomial entries --------------
 
@@ -608,20 +643,34 @@ class SubgroupSpec:
                    for lam, n in zip(el.coords, self.exponents))
 
     def is_central(self) -> bool:
-        """Do the generators commute with every basis element?"""
+        """Do the generators commute with every basis element?  On an
+        abelian model they do, and no product is made."""
         model = self.model
-        return all(model.mul(h, g).coords == model.mul(g, h).coords
-                   for h in self.generators() for g in model.basis())
+        return model.kind == "abelian" or all(
+            model.mul(h, g).coords == model.mul(g, h).coords
+            for h in self.generators() for g in model.basis())
 
 
 def subgroup_from_exponents(model: GroupModel,
                             exponents: Sequence[int]) -> SubgroupSpec:
+    """The subgroup H with ordered basis {g_i^{p^{n_i}}} (`SubgroupSpec`),
+    once the exponents are checked to span one.
+
+    On an abelian model H is accepted by proof, with no group product and
+    no sample: H = {x : p^min(n_i, M) divides x_i} is a Z_p-submodule, so
+    it holds every product (a sum of coordinates), every inverse (their
+    negatives) and every commutator (the identity).  On a unitriangular
+    model every product and commutator of two generators, and the product
+    x y and the inverse x^-1 of 6 pairs of H drawn from the validation
+    seed's stream 23, must lie in H; the samples are not a proof."""
     exps = tuple(int(n) for n in exponents)
     if len(exps) != model.rank:
         raise ModelError("one exponent per basis direction is required")
     if any(n < 0 for n in exps):
         raise ModelError("exponents must be naturals")
     spec = SubgroupSpec(model, exps)
+    if model.kind == "abelian":
+        return spec
     gens = spec.generators()
     for a in gens:
         for b in gens:
@@ -649,9 +698,10 @@ class Automorphism:
     Inner means x |-> h x h^{-1}, h the conjugator, whose inverse is kept
     beside it.  Linear-on-log means: act on first-kind coordinates by a
     matrix A, i.e.  log x = sum mu_i log g_i  |->  sum (A mu)_i log g_i.
-    Construction checks the homomorphism property on all basis pairs and
-    membership in the omega-compatible group (degree > 1/(p-1)); both
-    failures raise.
+    Construction of a linear-on-log automorphism checks the homomorphism
+    property on all basis pairs and membership in the omega-compatible
+    group (degree > 1/(p-1)); both failures raise.  An inner automorphism
+    passes both by proof (`inner`).
     """
 
     model: GroupModel = field(repr=False)
@@ -668,9 +718,15 @@ class Automorphism:
 
     @staticmethod
     def inner(model: GroupModel, h: GroupElement) -> "Automorphism":
-        phi = Automorphism(model, "inner", None, h, model.inv(h))
-        phi._check_degree()
-        return phi
+        """x |-> h x h^-1, without the degree check, which it passes by
+        proof: phi(g) g^-1 = h g h^-1 g^-1 = [h^-1, g^-1] in the a^-1 b^-1 a b
+        convention of `GroupModel.commutator`, so the commutator axiom gives
+        omega(phi(g) g^-1) >= omega(h) + omega(g), a degree of at least
+        omega(h) >= min_i omega_i, which `PValuation.check_p` puts above
+        1/(p-1).  The sampled estimate `deg_omega` can read less at low
+        precision, where a displacement is only a marker: on abelian p = 3,
+        omega = (1, 2), M = 1 it reads >=0."""
+        return Automorphism(model, "inner", None, h, model.inv(h))
 
     @staticmethod
     def linear_on_log(model: GroupModel, rows) -> "Automorphism":

@@ -186,7 +186,7 @@ class RowSpace:
     pivot, the same whatever the order of the adds.  `add` takes a block B
     in three steps, each a `residual`: r = B - B[:, P]·R; r echelonized
     within itself into rows N with new pivots Q (`_echelon`); R <- R -
-    R[:, Q]·N.  Refuses p with (p - 1)^2 >= 2^63, where a product of two
+    R[:, Q]·N.  An empty r ends it after the first.  Refuses p with (p - 1)^2 >= 2^63, where a product of two
     residues wraps in int64."""
 
     def __init__(self, p: int, ncols: int):
@@ -213,7 +213,11 @@ class RowSpace:
         least column, a new pivot, and numbered in pivot order, so none if
         the span did not grow."""
         R = self.basis
-        N, lead = self._echelon(*residual(rows, cols, coefs, R, self._pivots))
+        r = residual(rows, cols, coefs, R, self._pivots)
+        if not r[0].size:
+            # nothing new: R, its pivots and the `basis` object stay as they are
+            return r
+        N, lead = self._echelon(*r)
         at, tgt, coef = residual(R.src, R.tgt, R.coef, N, lead)
         pivots = np.sort(np.concatenate([self._pivots, lead]))
         rank = pivots.searchsorted(self._pivots)

@@ -348,8 +348,15 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
                  model.mul(phi.apply(g), model.inv(g)).coords)]]
     delta = min(v for v, _ in terms)
     if delta <= 0:
+        why = ""
+        # no exact term refutes: the least is a marker, which a larger M decides
+        if not any(exact and v <= 0 for v, exact in terms):
+            j = [v for v, _ in terms].index(delta) + 1
+            why = (f": omega(phi(g_{j}) g_{j}^-1) - omega(g_{j}) is at precision "
+                   f"M={model.precision} only known to be "
+                   f"{model.omega.val(delta, False)}, and a larger M would decide it")
         raise ModelError("reconstruction needs positive degree, got "
-                         f"{model.omega.val(delta, (delta, True) in terms)}")
+                         f"{model.omega.val(delta, (delta, True) in terms)}{why}")
     w, e = trunc._int_weights, trunc.e
     # the basis is sorted by weight, so the columns of weight <= D are a
     # prefix; del^(a) kills b^B unless a <= B, so the a that matter lie in

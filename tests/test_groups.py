@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from iwacalc import (
     AtLeast, Automorphism, ModelError, PrecisionError, SubgroupSpec,
-    deg_omega, eq_compatible, load_abelian, load_model,
+    deg_omega, eq_compatible, groups, gt_provable, load_abelian, load_model,
     load_unitriangular, subgroup_from_exponents, val_min,
 )
 from iwacalc.groups import (
@@ -445,98 +445,113 @@ def _omega_pairs(model):
     return [(sample_element(model, rng), sample_element(model, rng)) for _ in range(8)]
 
 
-@pytest.mark.parametrize("image, loads", [((2,), True), ((1,), False), ((0,), True)])
+def _heis_args(precision, omega, e=1):
+    """Arguments of `load_unitriangular` for the Heisenberg model at p = 5,
+    without a declared centre."""
+    return (5, 3, precision, heisenberg_generators(5), omega, e)
+
+
+@pytest.mark.parametrize("image, loads", [((1, 0, 0), True), ((0, 0, 1), False),
+                                          ((0, 0, 0), True)])
 def test_load_rejects_a_sample_that_breaks_the_quotient_axiom(monkeypatch, image, loads):
-    # p = 2, omega = 2: pair 4 is (2, 14), both of valuation 3, and x y^-1
-    # is tampered to omega 3 (the bound itself), 2 (below it) or the
-    # identity, only known to be >= 6 and never a refutation
-    args = (2, 1, 4, ["2"])
-    model = load_abelian(*args)
-    x, y = _omega_pairs(model)[4]
-    assert (x.coords, y.coords) == ((2,), (14,))
-    assert omega_of(model, x) == omega_of(model, y) == 3
-    _tamper(monkeypatch, AbelianModel, "mul", {(x.coords, model.inv(y).coords): image})
+    # omega = (5/8, 5/8, 1/2): pair 2 has both valuations 5/8, above the
+    # least omega, and x y^-1 is tampered to omega 5/8 (the bound itself),
+    # 1/2 (below it) or the identity, only known to be >= 7/2 and never a
+    # refutation
+    args = _heis_args(3, ["5/8", "5/8", "1/2"], 8)
+    model = load_unitriangular(*args)
+    x, y = _omega_pairs(model)[2]
+    assert (x.coords, y.coords) == ((28, 61, 60), (86, 34, 10))
+    assert omega_of(model, x) == omega_of(model, y) == Fraction(5, 8)
+    _tamper(monkeypatch, UnitriangularModel, "mul",
+            {(x.coords, model.inv(y).coords): image})
     if loads:
-        load_abelian(*args)
+        load_unitriangular(*args)
     else:
         with pytest.raises(ModelError, match=r"omega\(x y\^-1\) >= min fails on "
-                                             r"x=\(2,\), y=\(14,\)"):
-            load_abelian(*args)
+                                             r"x=\(28, 61, 60\), y=\(86, 34, 10\)"):
+            load_unitriangular(*args)
 
 
-@pytest.mark.parametrize("image, loads", [((3,), True), ((1,), False), ((0,), True)])
+@pytest.mark.parametrize("image, loads", [((5, 0, 0), True), ((1, 0, 0), False),
+                                          ((0, 0, 0), True)])
 def test_load_rejects_a_sample_that_breaks_the_commutator_axiom(monkeypatch, image,
                                                                 loads):
-    # pair 0 is (49, 34), both of valuation 1: [x, y] is tampered to omega
-    # 2 = omega(x) + omega(y), to 1, or left the identity, >= 5
-    args = (3, 1, 4, ["1"])
-    model = load_abelian(*args)
+    # pair 0 is ((79, 40, 22), (34, 73, 99)), both of valuation 1: [x, y] is
+    # tampered to omega 2 = omega(x) + omega(y), to 1, or to the identity,
+    # >= 4
+    args = _heis_args(3, ["1", "1", "2"])
+    model = load_unitriangular(*args)
     x, y = _omega_pairs(model)[0]
     assert omega_of(model, x) == omega_of(model, y) == 1
     outer = (model.mul(model.inv(x), model.inv(y)).coords, model.mul(x, y).coords)
-    _tamper(monkeypatch, AbelianModel, "mul", {outer: image})
+    _tamper(monkeypatch, UnitriangularModel, "mul", {outer: image})
     if loads:
-        load_abelian(*args)
+        load_unitriangular(*args)
     else:
         with pytest.raises(ModelError, match=r"omega\(\[x, y\]\) >= omega\(x\) \+ "
                                              r"omega\(y\) fails on a sample"):
-            load_abelian(*args)
+            load_unitriangular(*args)
 
 
 @pytest.mark.parametrize("precision, image, loads", [
-    (4, (3,), True),    # omega 2 = omega(x) + 1
-    (4, (1,), False),   # 1, below it
-    (4, (9,), False),   # 3, above it: the claim is an equality
-    (2, (0,), False),   # the identity, >= 3 at M = 2: above the claim
-    (1, None, True),    # the true x^3, the identity, >= 2 at M = 1: compatible
-    (1, (1,), False),
+    (4, (5, 0, 0), True),    # omega 3/2 = omega(x) + 1
+    (4, (1, 0, 0), False),   # 1/2, below it
+    (4, (25, 0, 0), False),  # 5/2, above it: the claim is an equality
+    (2, (0, 0, 0), False),   # the identity, >= 5/2 at M = 2: above the claim
+    (1, None, True),         # the true x^5, the identity, >= 3/2 at M = 1: compatible
+    (1, (1, 0, 0), False),
 ])
 def test_load_rejects_a_sample_that_breaks_the_power_axiom(monkeypatch, precision,
                                                            image, loads):
-    args = (3, 1, precision, ["1"])
-    model = load_abelian(*args)
+    # omega = 1/2 on every generator: the least omega plus M = 1 is omega(x)
+    # + 1, so at M = 1 every x^5, the identity, is a marker at the claim
+    args = _heis_args(precision, ["1/2", "1/2", "1/2"], 2)
+    model = load_unitriangular(*args)
     x, _ = _omega_pairs(model)[0]
-    assert omega_of(model, x) == 1
-    if image is not None:
-        _tamper(monkeypatch, AbelianModel, "pow", {(x.coords, 3): image})
+    assert omega_of(model, x) == Fraction(1, 2)
+    if image is None:
+        assert model.pow(x, 5) == model.identity()
+    else:
+        _tamper(monkeypatch, UnitriangularModel, "pow", {(x.coords, 5): image})
     if loads:
-        load_abelian(*args)
+        load_unitriangular(*args)
     else:
         with pytest.raises(ModelError, match=r"omega\(x\^p\) = omega\(x\) \+ 1 fails "
                                              "on a sample"):
-            load_abelian(*args)
+            load_unitriangular(*args)
 
 
-@pytest.mark.parametrize("image, ok", [((27, 3), True), ((9, 9), True),
-                                       ((3, 3), False), ((9, 1), False)])
-def test_subgroup_rejects_a_generator_product_that_escapes(monkeypatch, image, ok):
-    # generators g1^9 and g2^3: a product must have its first coordinate
-    # divisible by 9 and its second by 3
-    model = load_abelian(3, 2, 4, ["1", "1"])
-    _tamper(monkeypatch, AbelianModel, "mul", {((9, 0), (0, 3)): image})
+@pytest.mark.parametrize("image, ok", [((25, 1, 0), True), ((5, 4, 5), True),
+                                       ((1, 1, 0), False), ((5, 1, 1), False)])
+def test_subgroup_rejects_a_generator_product_that_escapes(monkeypatch, heis, image,
+                                                           ok):
+    # generators g1^5, g2 and g3^5: a product must have its first and third
+    # coordinates divisible by 5
+    _tamper(monkeypatch, UnitriangularModel, "mul", {((5, 0, 0), (0, 1, 0)): image})
     if ok:
-        assert subgroup_from_exponents(model, (2, 1)).exponents == (2, 1)
+        assert subgroup_from_exponents(heis, (1, 0, 1)).exponents == (1, 0, 1)
     else:
-        with pytest.raises(ModelError, match=r"exponents \(2, 1\) do not span a "
+        with pytest.raises(ModelError, match=r"exponents \(1, 0, 1\) do not span a "
                                              "subgroup: generator product escapes"):
-            subgroup_from_exponents(model, (2, 1))
+            subgroup_from_exponents(heis, (1, 0, 1))
 
 
-@pytest.mark.parametrize("image, ok", [((9, 78), True), ((3, 0), False),
-                                       ((0, 1), False)])
-def test_subgroup_rejects_a_commutator_that_escapes(monkeypatch, image, ok):
-    # the commutator of g1^9 and g2^3 is the product of (g1^9 g2^3)^-1 and
-    # g1^9 g2^3; that outer product is tampered, the generator products not
-    model = load_abelian(3, 2, 4, ["1", "1"])
-    a, b = model.element((9, 0)), model.element((0, 3))
-    outer = (model.mul(model.inv(a), model.inv(b)).coords, model.mul(a, b).coords)
-    _tamper(monkeypatch, AbelianModel, "mul", {outer: image})
+@pytest.mark.parametrize("image, ok", [((5, 3, 50), True), ((1, 0, 0), False),
+                                       ((0, 0, 1), False)])
+def test_subgroup_rejects_a_commutator_that_escapes(monkeypatch, heis, image, ok):
+    # the commutator of g1^5 and g2, g3^25, is the product of (g2 g1^5)^-1
+    # and g1^5 g2; that outer product is tampered, the generator products not
+    a, b = heis.element((5, 0, 0)), heis.element((0, 1, 0))
+    assert heis.commutator(a, b).coords == (0, 0, 25)
+    outer = (heis.mul(heis.inv(a), heis.inv(b)).coords, heis.mul(a, b).coords)
+    _tamper(monkeypatch, UnitriangularModel, "mul", {outer: image})
     if ok:
-        subgroup_from_exponents(model, (2, 1))
+        subgroup_from_exponents(heis, (1, 0, 1))
     else:
-        with pytest.raises(ModelError, match=r"exponents \(2, 1\) do not span a "
+        with pytest.raises(ModelError, match=r"exponents \(1, 0, 1\) do not span a "
                                              "subgroup: commutator escapes"):
-            subgroup_from_exponents(model, (2, 1))
+            subgroup_from_exponents(heis, (1, 0, 1))
 
 
 def _closure_pairs(model, exps):
@@ -551,22 +566,79 @@ def _closure_pairs(model, exps):
 
 
 @pytest.mark.parametrize("name, image, ok", [
-    ("mul", (9, 3), True), ("mul", (3, 3), False), ("mul", (9, 40), False),
-    ("inv", (18, 0), True), ("inv", (0, 3), True), ("inv", (1, 0), False),
+    ("mul", (5, 89, 45), True), ("mul", (1, 89, 45), False),
+    ("mul", (100, 89, 1), False),
+    ("inv", (0, 69, 95), True), ("inv", (5, 0, 5), True), ("inv", (1, 0, 0), False),
 ])
 def test_subgroup_rejects_a_sampled_product_or_inverse_that_escapes(
-        monkeypatch, name, image, ok):
-    model = load_abelian(3, 2, 4, ["1", "1"])
-    x, y = _closure_pairs(model, (2, 1))[0]
-    assert (x.coords, y.coords) == ((0, 72), (36, 78))
+        monkeypatch, heis, name, image, ok):
+    x, y = _closure_pairs(heis, (1, 0, 1))[0]
+    assert (x.coords, y.coords) == ((0, 56, 30), (100, 33, 15))
     key = (x.coords, y.coords) if name == "mul" else (x.coords,)
-    _tamper(monkeypatch, AbelianModel, name, {key: image})
+    _tamper(monkeypatch, UnitriangularModel, name, {key: image})
     if ok:
-        subgroup_from_exponents(model, (2, 1))
+        subgroup_from_exponents(heis, (1, 0, 1))
     else:
-        with pytest.raises(ModelError, match=r"exponents \(2, 1\) do not span a "
+        with pytest.raises(ModelError, match=r"exponents \(1, 0, 1\) do not span a "
                                              "subgroup at precision"):
-            subgroup_from_exponents(model, (2, 1))
+            subgroup_from_exponents(heis, (1, 0, 1))
+
+
+def _count_calls(monkeypatch, cls, names) -> dict:
+    """Wrap the methods `names` of a model class to record the arguments of
+    each call (coordinates for elements) under its name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(self, *args, _name=name, _real=getattr(cls, name)):
+            calls[_name].append(tuple(getattr(a, "coords", a) for a in args))
+            return _real(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_abelian_loads_and_subgroups_make_no_product_and_draw_no_sample(monkeypatch):
+    """An abelian model, its declared centre and its exponent subgroups are
+    accepted by proof; the Heisenberg model still draws its 8 pairs for the
+    omega axioms and 6 for its centre."""
+    calls = _count_calls(monkeypatch, AbelianModel,
+                         ["mul", "inv", "pow", "commutator", "_samples"])
+    for centre in (None, [0, 4]):
+        model = load_abelian(3, 2, 4, ["1", "1"], centre_exponents=centre)
+    H = subgroup_from_exponents(model, (2, 1))
+    assert H.is_central() and model.centre.is_central()
+    assert H.exponents == (2, 1) and model.centre.exponents == (0, 4)
+    assert all(not c for c in calls.values()), calls
+    samples = _count_calls(monkeypatch, UnitriangularModel, ["_samples"])["_samples"]
+    heis = load_unitriangular(*_heis_args(3, ["1", "1", "2"]), centre_exponents=[3, 3, 0])
+    assert samples == [(17, 16), (23, 12, [125, 125, 1])]
+    subgroup_from_exponents(heis, (1, 0, 1))
+    assert samples[2:] == [(23, 12, [5, 1, 5])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_abelian_omega_axioms_never_refute(data):
+    """The three checks that abelian loads no longer run never refute, on
+    drawn pairs of small abelian models read through the `Val` route."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    rank = data.draw(st.integers(1, 3))
+    e = data.draw(st.integers(1, 2))
+    M = data.draw(st.integers(1, 4))
+    # omega_i in (1/e)Z, above 1/(p - 1)
+    low = e // (p - 1) + 1
+    omega = [Fraction(u, e) for u in data.draw(st.lists(
+        st.integers(low, low + 3 * e), min_size=rank, max_size=rank))]
+    model = load_abelian(p, rank, M, omega, e)
+    coordinate = st.one_of(st.just(0), st.integers(0, p ** M - 1), st.builds(
+        lambda k, u: p ** k * u % p ** M, st.integers(0, M - 1), st.integers(1, p ** M - 1)))
+    for _ in range(4):
+        x, y = (model.element(data.draw(st.lists(coordinate, min_size=rank,
+                                                  max_size=rank))) for _ in range(2))
+        wx, wy = omega_of(model, x), omega_of(model, y)
+        assert not ge_refuted(omega_of(model, x * model.inv(y)), val_min([wx, wy]))
+        assert not ge_refuted(omega_of(model, model.commutator(x, y)), val_add(wx, wy))
+        if not isinstance(wx, AtLeast):
+            assert eq_compatible(omega_of(model, model.pow(x, p)), Fraction(wx) + 1)
 
 
 def test_linear_automorphism_degree_guard(heis):
@@ -606,6 +678,26 @@ def test_identity_and_inner(abelian2, heis):
     conj = Automorphism.inner(heis, g1)
     assert conj.apply(g2).coords != g2.coords
     assert conj.apply(g2).coords[2] % 5 == 0
+
+
+def test_inner_automorphisms_skip_the_degree_estimate(monkeypatch, abelian2, heis, u4):
+    """`Automorphism.inner` passes the degree check by proof, so it runs no
+    `deg_omega`.  On these models the estimate, run apart, is provably above
+    1/(p-1) as the proof says; at too low a precision it is only a marker,
+    and the inner automorphism still constructs."""
+    calls = []
+    monkeypatch.setattr(groups, "deg_omega", calls.append)
+    low = load_abelian(3, 2, 1, ["1", "2"])
+    conjugators = [(m, h) for m in (abelian2, heis, u4)
+                   for h in m.basis() + [m.element(range(1, m.rank + 1))]]
+    inners = [Automorphism.inner(m, h) for m, h in conjugators + [(low, low.basis()[0])]]
+    assert calls == []
+    monkeypatch.undo()
+    for phi in inners[:-1]:
+        assert gt_provable(deg_omega(phi), Fraction(1, phi.model.p - 1))
+    assert deg_omega(inners[-1]) == AtLeast(0)
+    with pytest.raises(ModelError, match="degree >=0 is not provably above"):
+        Automorphism.identity(low)
 
 
 def test_automorphism_power(abelian2, zmodel):

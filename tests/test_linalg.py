@@ -113,6 +113,23 @@ def test_row_space_is_canonical_rref(case):
 
 
 @settings(max_examples=50, deadline=None)
+@given(bases())
+def test_row_space_add_with_no_residual_keeps_the_basis(case):
+    """A block with nothing outside the span, empty or made of rows already
+    in it, stores nothing and leaves `basis` the same object, with equal
+    pivots."""
+    p, mat, block = case
+    space = RowSpace(p, mat.shape[1])
+    space.add(*entries(mat))
+    basis, pivots = space.basis, space.pivots
+    # the even rows of the block are members of the span
+    for inside in (block[:0], block[::2]):
+        stored = space.add(*entries(inside))
+        assert all(a.dtype == np.int64 and not a.size for a in stored)
+        assert space.basis is basis and space.pivots == pivots
+
+
+@settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_sparse_map_sorts_only_entries_out_of_order(data):
     """A map from shuffled entries, repeats included, holds the arrays of

@@ -9,6 +9,7 @@ element and the operators lower weight.
 
 import functools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -666,10 +667,14 @@ def test_reconstruct_needs_positive_degree(trunc2):
     """The degree of the basis displacements omega(phi(g_i) g_i^-1) - omega_i
     must be positive.  On omega = (1, 5) at M = 1 the checked identity
     reaches the rejection: omega(g_2) reads only as >=2, so `deg_omega`
-    leaves g_2 out, and its displacement is the marker bound 1 + 1 - 5.  The
-    unchecked phi = 1 moves g_i to g_i^-1, of exact degree 0."""
+    leaves g_2 out, and its displacement is the marker bound 1 + 1 - 5,
+    which the message names as undecided at this M.  The unchecked phi = 1
+    moves g_i to g_i^-1, of exact degree 0."""
     model = load_abelian(3, 2, 1, ["1", "5"])
-    with pytest.raises(ModelError, match="needs positive degree, got >=-3$"):
+    with pytest.raises(ModelError, match=re.escape(
+            "needs positive degree, got >=-3: omega(phi(g_2) g_2^-1) - omega(g_2) "
+            "is at precision M=1 only known to be >=-3, and a larger M would "
+            "decide it") + "$"):
         reconstruct_aut(TruncationSpec(model, 3), Automorphism.identity(model), 1)
     trivial = Automorphism(trunc2.model, "linear", ((0, 0), (0, 0)))
     with pytest.raises(ModelError, match="needs positive degree, got 0$"):
