@@ -7,12 +7,16 @@ subgroup, which group elements sit inside 1 + I, does induction from a
 subalgebra stay flat, is a centrally induced ideal completely prime) reduce
 to rank computations and valuation bookkeeping.
 
-A span is closed by a `linalg.RowSpace`, a frontier of entry arrays at a
-time, which keeps it as its reduced row echelon basis R (`IdealSpan`).
-Every test against it is one `linalg.residual` B - B[:, pivots]·R, the
-kernel that also grows the span: membership of a vector, the dagger's
-candidates in chunks, and del_i-stability, where B is del_i applied to all
-of R at once.
+A right ideal mod F_W is the row space of one block, g_i*b^c for every
+generator and every basis monomial of weight below W/e - w(g_i)
+(`TruncationSpec.multiples`), which one `linalg.RowSpace.add` eliminates a
+lead at a time; it is kept as its reduced row echelon basis R
+(`IdealSpan`).  That is also the two-sided span of an abelian model; in a
+unitriangular one the right ideal is closed under the left maps alone, a
+frontier at a time (`ideal_span`).  Every test against a span is one
+`linalg.residual` B - B[:, pivots]·R, the kernel that also grows it:
+membership of a vector, the dagger's candidates in chunks, and
+del_i-stability, where B is del_i applied to all of R at once.
 
 A central prime keeps its quotient map tau as one `SparseMap`, so the
 induced filtration of a block of series is one apply of tau to every part
@@ -36,7 +40,7 @@ import numpy as np
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, SparseMap, integer_array, residual, sum_entries
 from .operators import _mask, divided_power_map, divided_power_maps
-from .padic import Val, gt_provable, mi_range, power
+from .padic import Val, gt_provable, mi_range
 from .rng import Pcg32
 from .series import TruncatedSeries, TruncationSpec, format_row, format_series
 
@@ -123,43 +127,47 @@ def _unit_exponent(rank: int, j: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(rank))
 
 
-def _close_span(trunc: TruncationSpec, generators, maps: list[SparseMap],
-                sided: str) -> IdealSpan:
-    """Span of the generators closed under the maps, a frontier at a time:
-    the rows a frontier stored go through all n maps in one gather, the
-    maps stacked with map k's targets offset by k*size, and the image of
-    row r under map k is row r*n + k of the next frontier."""
-    p, size, n = trunc.model.p, trunc.size, len(maps)
-    parts = [np.zeros((3, 0), dtype=np.int64)] + [
-        np.stack([m.tgt + k * size, m.src, m.coef]) for k, m in enumerate(maps)]
-    stacked = SparseMap(p, n * size, *np.concatenate(parts, axis=1))
-    gens = np.array([g.vector() for g in generators], dtype=np.int64).reshape(-1, size)
-    space = RowSpace(p, size)
-    front = space.add(*np.nonzero(gens), gens[gens != 0])
-    while front[0].size:
-        at, tgt, coefs = stacked.apply_entries(*front)
-        front = space.add(at * n + tgt // size, tgt % size, coefs)
-    return IdealSpan(trunc, space.basis, space.pivots, sided)
+def _right_ideal(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
+                 monomials) -> tuple[RowSpace, tuple]:
+    """The span of every g_i*b^c, c in `monomials` (basis indices, ascending),
+    as one block of `TruncationSpec.multiples` added in one `RowSpace.add`;
+    with the rows that add stored."""
+    for g in generators:
+        if g.trunc is not trunc:
+            raise ValueError("generators from a different truncation")
+    space = RowSpace(trunc.model.p, trunc.size)
+    stored = space.add(*trunc.multiples(trunc.block(generators), len(generators), monomials))
+    return space, stored
 
 
 def ideal_span(trunc: TruncationSpec, generators: Sequence[TruncatedSeries],
                sided: str = "right") -> IdealSpan:
-    """Closure of the F_p-span of the generators under multiplication.
+    """The span of (sum of gen*kG) mod F_W, or of (sum of kG*gen*kG).
 
-    Right spans close under x -> x*b_j for every j; two-sided spans also
-    under left multiplication.  That reaches every product by a monomial, so
-    the result is exactly (sum of gen*kG) mod F_W.
+    A right ideal is the span of the one block {g_i*b^c : c a basis
+    monomial}: the b^c span kG mod F_W, and F_W is a two-sided ideal, so
+    g*x mod F_W is g*(x mod F_W); g*b^c lies in F_{w(g) + w(c)}, so the rows
+    with w(g_i) + w(c) >= W/e are 0 and never formed.  In an abelian model
+    that is also the two-sided span.  Otherwise the two-sided span is the
+    sum of b^c*S over the monomials, S the right ideal, and each b^c*S is
+    again a right ideal, (b^c*s)*x = b^c*(s*x).  So S is closed under the
+    left maps x -> b_j*x alone, a frontier at a time: the rows a frontier
+    stored go through all d maps in one gather, the maps stacked with map
+    k's targets offset by k*size, and the image of row r under map k is
+    row r*d + k of the next frontier.
     """
     if sided not in _SIDES:
         raise ValueError(f"sidedness must be one of {_SIDES}, got {sided!r}")
-    for g in generators:
-        if g.trunc is not trunc:
-            raise ValueError("generators from a different truncation")
-    # in an abelian model the left maps equal the right ones
-    abelian = trunc.model.kind == "abelian"
-    sides = ("right",) if sided == "right" or abelian else ("right", "left")
-    maps = [m for side in sides for m in trunc.generator_maps(range(trunc.model.rank), side)]
-    return _close_span(trunc, generators, maps, sided)
+    space, front = _right_ideal(trunc, generators, np.arange(trunc.size))
+    if sided == "two-sided" and trunc.model.kind != "abelian":
+        p, size, d = trunc.model.p, trunc.size, trunc.model.rank
+        left = SparseMap(p, d * size, *np.concatenate([
+            np.stack([m.tgt + k * size, m.src, m.coef])
+            for k, m in enumerate(trunc.generator_maps(range(d), "left"))], axis=1))
+        while front[0].size:
+            at, tgt, coefs = left.apply_entries(*front)
+            front = space.add(at * d + tgt // size, tgt % size, coefs)
+    return IdealSpan(trunc, space.basis, space.pivots, sided)
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +280,19 @@ def subalgebra_monomials(trunc: TruncationSpec, H: SubgroupSpec) -> list:
 def subalgebra_ideal_span(trunc: TruncationSpec, H: SubgroupSpec,
                           generators: Sequence[TruncatedSeries]) -> IdealSpan:
     """Span of the right ideal of the H-subalgebra generated by the given
-    elements (which must already lie in the subalgebra)."""
-    allowed = set(subalgebra_monomials(trunc, H))
+    elements (which must already lie in the subalgebra): the block
+    {g_i*b^c : b^c a monomial of `subalgebra_monomials`}, for those monomials
+    span the subalgebra mod F_W, as the b^c span kG in `ideal_span`."""
+    monomials = subalgebra_monomials(trunc, H)
+    allowed = set(monomials)
     for g in generators:
         if g.trunc is not trunc:
             raise ValueError("generators from a different truncation")
         stray = [a for a in g.coeffs if a not in allowed]
         if stray:
             raise ValueError(f"generator term {stray[0]} lies outside the subalgebra")
-    # the subalgebra generators are b_j^{p^n_j}
-    p = trunc.model.p
-    one = SparseMap.identity(p, trunc.size)
-    maps = [power(b_j, p ** n, one, SparseMap.compose) for b_j, n in zip(
-        trunc.generator_maps(range(trunc.model.rank)), H.exponents)
-        if n < trunc.model.precision]
-    return _close_span(trunc, generators, maps, "right")
+    space, _ = _right_ideal(trunc, generators, [trunc.index[a] for a in monomials])
+    return IdealSpan(trunc, space.basis, space.pivots, "right")
 
 
 def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
@@ -294,9 +300,11 @@ def flatness_check(trunc: TruncationSpec, H: SubgroupSpec,
     """Induction from the subalgebra changes nothing inside it:
     span(J*kG) intersected with the subalgebra equals span(J).
 
-    The two sides are computed by independent closures (J under the
-    subalgebra generators, J*kG under the full generator set), so equality
-    of the canonical bases is a genuine cross-check.  The intersection is
+    Both sides are blocks of monomial multiples of the generators, J over
+    the subalgebra's monomials and J*kG over all of them, one route, so the
+    comparison checks the ideal and not two routes against each other: the
+    multiples by monomials outside the subalgebra add nothing inside it
+    that J does not hold.  The intersection is
     read off an echelon basis of the induced span with the columns outside
     the subalgebra ordered first: its rows that pivot past them vanish on
     them, and they are a basis of the intersection.

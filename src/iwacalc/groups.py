@@ -54,8 +54,9 @@ drawn by one `Pcg32.below_many` call:
   included), on 6 pairs, after every product and commutator of two of its
   generators.
 On both kinds, the degree of a linear-on-log automorphism is estimated
-(`deg_omega`) over the basis and 24 samples; an inner automorphism passes
-that check by proof (`Automorphism.inner`).
+(`deg_omega`) over the basis and 24 samples; an inner automorphism and
+the identity pass that check by proof (`Automorphism.inner`,
+`Automorphism.identity`).
 
 Every check reads omega as an integer in units of 1/e, with a flag that
 says whether it is exact (`GroupModel._omega_units`).  A `Val` is built
@@ -701,7 +702,7 @@ class Automorphism:
     Construction of a linear-on-log automorphism checks the homomorphism
     property on all basis pairs and membership in the omega-compatible
     group (degree > 1/(p-1)); both failures raise.  An inner automorphism
-    passes both by proof (`inner`).
+    and the identity pass both by proof (`inner`, `identity`).
     """
 
     model: GroupModel = field(repr=False)
@@ -712,9 +713,12 @@ class Automorphism:
 
     @staticmethod
     def identity(model: GroupModel) -> "Automorphism":
-        return Automorphism.linear_on_log(
-            model, [[1 if i == j else 0 for j in range(model.rank)]
-                    for i in range(model.rank)])
+        """The identity, on first-kind coordinates the identity matrix,
+        without the checks of `linear_on_log`, which it passes by proof: it
+        keeps every bracket, and phi(g) g^-1 = 1 for every g, so its degree
+        is infinite.  The sampled estimate `deg_omega` can read only a
+        marker at low precision, as for `inner`."""
+        return Automorphism(model, "linear", _mat_id(model.rank))
 
     @staticmethod
     def inner(model: GroupModel, h: GroupElement) -> "Automorphism":

@@ -6,8 +6,11 @@ coefficient), whose repeats `sum_entries` sums mod p, and a linear map is a
 `SparseMap`.  A span is its reduced row echelon basis R, a `SparseMap` from
 rows to columns, with its pivots; every reduction against it, also while a
 `RowSpace` grows it, is the residual B - B[:, pivots]·R, one gather through
-R.  A product of two residues must fit in int64, so a `RowSpace` refuses p
-with (p - 1)^2 >= 2^63; `series.TruncationSpec` bounds size·(p - 1)^2.
+R.  A `RowSpace` takes a block a lead at a time: a pass stores the first row
+of each distinct lead and reduces the others against them, so its
+elimination never sees two rows with one lead.  A product of two residues
+must fit in int64, so a `RowSpace` refuses p with (p - 1)^2 >= 2^63;
+`series.TruncationSpec` bounds size·(p - 1)^2.
 """
 
 from __future__ import annotations
@@ -184,10 +187,12 @@ class RowSpace:
     """A growing span in F_p^ncols as its reduced row echelon basis R
     (`basis`): source k is the row 1 at `pivots[k]` and 0 at every other
     pivot, the same whatever the order of the adds.  `add` takes a block B
-    in three steps, each a `residual`: r = B - B[:, P]·R; r echelonized
-    within itself into rows N with new pivots Q (`_echelon`); R <- R -
-    R[:, Q]·N.  An empty r ends it after the first.  Refuses p with (p - 1)^2 >= 2^63, where a product of two
-    residues wraps in int64."""
+    a lead at a time, in passes, each two `residual`s: the first pass's
+    residual is r = B - B[:, P]·R.  A pass stores the heads of r, the first
+    row of each distinct lead, as rows N with new pivots Q (`_echelon`),
+    and clears R at them, R <- R - R[:, Q]·N; the next pass's residual is
+    that of the other rows of r against N.  Refuses p with
+    (p - 1)^2 >= 2^63, where a product of two residues wraps in int64."""
 
     def __init__(self, p: int, ncols: int):
         if (p - 1) ** 2 >= 1 << 63:
@@ -211,13 +216,39 @@ class RowSpace:
         """Insert the rows of the block with entries (row, column, coefficient),
         repeats summed; return the entries of the rows stored, each 1 at its
         least column, a new pivot, and numbered in pivot order, so none if
-        the span did not grow."""
-        R = self.basis
-        r = residual(rows, cols, coefs, R, self._pivots)
+        the span did not grow.
+
+        A pass stores at least one row, the head of the least lead, so the
+        passes end.  The rows left after a pass are 0 at every pivot of R
+        but Q, and N is 0 at every pivot but its own, so their residual
+        against N alone is their residual against the grown R: it removes
+        every stored lead in one gather."""
+        r = residual(rows, cols, coefs, self.basis, self._pivots)
         if not r[0].size:
             # nothing new: R, its pivots and the `basis` object stay as they are
             return r
-        N, lead = self._echelon(*r)
+        old = self._pivots
+        while r[0].size:
+            rows, cols, coefs = r
+            edge = _bounds(rows)
+            first = edge[:-1]
+            # the first row of each lead: a stable sort keeps rows in order
+            order = cols[first].argsort(kind="stable")
+            head = np.zeros(first.size, dtype=bool)
+            head[order[_bounds(cols[first[order]])[:-1]]] = True
+            head = head.repeat(np.diff(edge))
+            N, lead = self._echelon(rows[head], cols[head], coefs[head])
+            self._store(N, lead)
+            r = residual(rows[~head], cols[~head], coefs[~head], N, lead)
+        new = np.ones(self.dim, dtype=bool)
+        new[self._pivots.searchsorted(old)] = False
+        R = self.basis
+        mine = new[R.src]
+        return (np.cumsum(new) - 1)[R.src[mine]], R.tgt[mine], R.coef[mine]
+
+    def _store(self, N: SparseMap, lead: np.ndarray) -> None:
+        """R <- R - R[:, Q]·N, with the rows N, pivots Q = `lead`, merged in."""
+        R = self.basis
         at, tgt, coef = residual(R.src, R.tgt, R.coef, N, lead)
         pivots = np.sort(np.concatenate([self._pivots, lead]))
         rank = pivots.searchsorted(self._pivots)
@@ -225,38 +256,23 @@ class RowSpace:
                                np.concatenate([rank[at], pivots.searchsorted(lead)[N.src]]),
                                np.concatenate([coef, N.coef]))
         self._pivots = pivots
-        return N.src, N.tgt, N.coef
 
     def _echelon(self, rows: np.ndarray, cols: np.ndarray, coefs: np.ndarray
                  ) -> tuple[SparseMap, np.ndarray]:
-        """(N, Q) for a block whose entries are sorted by row, then column,
-        with coefficients in [1, p): the reduced echelon basis N of its span,
-        whose source k is 1 at Q[k].  A forward round scales each row's lead
-        to 1 and takes the first row of each group of rows with the same
-        lead from the rest of the group, until the leads differ.  A back
-        round is the residual of the rows, off their leads, against
-        themselves; it squares what is left at Q, so few rounds end it."""
+        """(N, Q) for a block of rows with distinct leads, its entries sorted
+        by row, then column, with coefficients in [1, p): the reduced echelon
+        basis N of its span, whose source k is 1 at Q[k].  Each row is scaled
+        to 1 at its lead.  A back round is then the residual of the rows, off
+        their leads, against themselves; it squares what is left at Q, so
+        few rounds end it."""
         p = self.p
-        while True:
-            edge = _bounds(rows)
-            first, n = edge[:-1], edge[1:] - edge[:-1]
-            # c^(p - 2) = 1/c for every lead coefficient c
-            inverse = power(coefs[first], p - 2, np.ones_like(first),
-                            lambda a, b: a * b % p)
-            coefs = coefs * inverse.repeat(n) % p
-            order = cols[first].argsort(kind="stable")
-            lead = cols[first[order]]
-            # the first row of each row's group, in lead order
-            head = order[lead.searchsorted(lead)]
-            rest = head != order
-            if not rest.any():
-                break
-            at, pos = _runs(first[head[rest]], n[head[rest]])
-            rows, cols, coefs = sum_entries(
-                np.concatenate([rows, rows[first[order[rest]]][at]]),
-                np.concatenate([cols, cols[pos]]),
-                np.concatenate([coefs, p - coefs[pos]]), p)
-        N = SparseMap(p, self.ncols, cols, lead.searchsorted(cols[first]).repeat(n), coefs)
+        edge = _bounds(rows)
+        first, n = edge[:-1], np.diff(edge)
+        # c^(p - 2) = 1/c for every lead coefficient c
+        inverse = power(coefs[first], p - 2, np.ones_like(first), lambda a, b: a * b % p)
+        lead = np.sort(cols[first])
+        N = SparseMap(p, self.ncols, cols, lead.searchsorted(cols[first]).repeat(n),
+                      coefs * inverse.repeat(n) % p)
         at_lead = np.zeros(self.ncols, dtype=bool)
         at_lead[lead] = True
         while True:

@@ -25,15 +25,19 @@ g^c -> phi(g^c) gives the ring extension of an automorphism (`aut_map`),
 and g^c -> phi(g^c) g^{-c} its Mahler coefficients (in `operators`).
 These `SparseMap`s and the divided powers share one cache per truncation.
 
-Products have one kernel, `TruncationSpec.mul_block`: row k of its result
-is the product of row k of two blocks of series held as entry arrays, and
-`*` is a block of one row.  On abelian models it enumerates only the pairs
+Products have one kernel, `TruncationSpec._term_products`: the product of
+a row of x with each term of the same row of y, for two blocks of series
+held as entry arrays.  `mul_block` sums them by row, so that its row k is
+the product of row k of the two blocks, and `*` is a block of one row;
+`multiples` keeps them apart, one row x_k*b^c per monomial of a list, the
+rows of a right ideal's block.  On abelian models it enumerates only the pairs
 of terms whose summed weight stays below the cutoff: the basis ascends by
 weight, so for a term b^a of x they are a prefix of y's row, found by one
 `searchsorted`.  On other models x*y = sum_beta y_beta (x*b^beta), and each
 x*b^beta is (x*b^beta')*b_j, where b^beta = b^beta' * b_j drops the last
 letter of the normal-order word; the multiples of every row are built a
-word length at a time, one apply of all the right generator maps at once.  The tests keep
+word length at a time, one apply of all the right generator maps at once,
+each prefix once per row, so the rows of `multiples` share them.  The tests keep
 the older route, which multiplies every pair of group elements of the two
 expansions (`mul_reference` in tests/oracles.py), as the oracle that the
 kernel is compared with.
@@ -425,6 +429,28 @@ class TruncationSpec:
         entries (row, column, coefficient in [1, p)) sorted by row, then
         column, with no repeats, as `linalg.sum_entries` returns them; so is
         the result."""
+        term, cols, coefs = self._term_products(x, y)
+        return sum_entries(y[0][term], cols, coefs, self.model.p)
+
+    def multiples(self, x, n: int, monomials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block whose row k*m + i is (row k of x) * b^c, c = monomials[i]
+        and m = len(monomials), for the n rows of the block x and basis
+        indices `monomials` in ascending order, so ordered by weight.  x_k*b^c
+        lies in F_{w(x_k) + w(c)}, so a row with w(x_k) + w(c) >= W/e is 0
+        and never formed: the c of row k are a prefix of `monomials`.  One
+        `_term_products` call, the kernel of `mul_block`, on the block y
+        whose row k holds those b^c; its terms are the rows of the result."""
+        monomials = np.asarray(monomials, dtype=np.int64)
+        count = np.searchsorted(self._int_weights[monomials],
+                                self.W - self.valuations(x, n))
+        k, i = _runs(np.zeros(n, dtype=np.int64), count)
+        term, cols, coefs = self._term_products(x, (k, monomials[i], np.ones_like(k)))
+        return sum_entries(k[term] * monomials.size + i[term], cols, coefs, self.model.p)
+
+    def _term_products(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries (t, column, coefficient) of the products (row r of x) *
+        y_t, y_t the t-th term of y and r its row, for blocks as in
+        `mul_block`: each product once, its entries not sorted."""
         p, size = self.model.p, self.size
         (xr, xc, xv), (yr, yc, yv) = x, y
         if self.model.kind == "abelian":
@@ -437,7 +463,7 @@ class TruncationSpec:
             at, pos = _runs(lo, hi - lo)
             # exponents add, and a sum inside the basis adds its codes
             tgt = self._indices_of(self._codes[xc[at]] + self._codes[yc[pos]])
-            return sum_entries(xr[at], tgt, xv[at] * yv[pos] % p, p)
+            return pos, tgt, xv[at] * yv[pos] % p
         prefix, letter, length = self._words
         # the nodes (row, b^gamma), keyed row*size + gamma, of every prefix
         # gamma of a term of y, one sorted array per word length; the prefix
@@ -475,8 +501,8 @@ class TruncationSpec:
             here = np.flatnonzero(ylen == k)
             if here.size:
                 at, cols, coefs = gather(multiples, np.searchsorted(keys, ykeys[here]))
-                out.append((yr[here][at], cols, yv[here][at] * coefs % p))
-        return sum_entries(*map(np.concatenate, zip(*out)), p)
+                out.append((here[at], cols, yv[here][at] * coefs % p))
+        return tuple(map(np.concatenate, zip(*out)))
 
 
 class TruncatedSeries:

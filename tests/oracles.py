@@ -20,7 +20,9 @@ once, `DenseRowSpace` keeps a growing span fully reduced in a dense array
 and `dense_closure` closes a span under maps of dense vectors with it,
 `mat_pow` raises a matrix to a power by square and multiply,
 `mat_inv_mod` inverts one mod p^k by Gauss-Jordan, and
-`escapes_reference` tests a span for del_i-stability on every column.
+`escapes_reference` tests a span for del_i-stability on every column;
+`close_span_reference` closes a span under sparse maps a frontier at a
+time, with no block of monomial multiples.
 `format_reference` writes a sparse polynomial term by term, and
 `mahler_coeff_aut_reference` takes finite differences over every point of
 the box below alpha with one `comb_mod` per coordinate;
@@ -725,6 +727,28 @@ def escapes_reference(I: IdealSpan, i: int) -> np.ndarray:
     p = t.model.p
     d_i = dense(divided_power_map(t, tuple(int(j == i) for j in range(t.model.rank))))
     return reduce_block(I.rows, I.pivots, I.rows @ d_i.T % p, p)
+
+
+def close_span_reference(trunc: TruncationSpec, generators, maps: list[SparseMap],
+                         sided: str) -> IdealSpan:
+    """Span of the generators closed under the maps, a frontier at a time:
+    the rows a frontier stored go through all n maps in one gather, the
+    maps stacked with map k's targets offset by k*size, and the image of
+    row r under map k is row r*n + k of the next frontier.  Under the right
+    generator maps this is the right ideal, under those of both sides the
+    two-sided one, and under x -> x*b_j^(p^n_j) the right ideal of a
+    subalgebra; no block of monomial multiples is formed."""
+    p, size, n = trunc.model.p, trunc.size, len(maps)
+    parts = [np.zeros((3, 0), dtype=np.int64)] + [
+        np.stack([m.tgt + k * size, m.src, m.coef]) for k, m in enumerate(maps)]
+    stacked = SparseMap(p, n * size, *np.concatenate(parts, axis=1))
+    gens = np.array([g.vector() for g in generators], dtype=np.int64).reshape(-1, size)
+    space = RowSpace(p, size)
+    front = space.add(*np.nonzero(gens), gens[gens != 0])
+    while front[0].size:
+        at, tgt, coefs = stacked.apply_entries(*front)
+        front = space.add(at * n + tgt // size, tgt % size, coefs)
+    return IdealSpan(trunc, space.basis, space.pivots, sided)
 
 
 def map_matrix(trunc: TruncationSpec, m: SparseMap) -> OperatorMatrix:

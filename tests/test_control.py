@@ -1,5 +1,6 @@
 """Ideal spans, control by subgroups, flat induction and central primes."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec, format_series, group_embed
 
 from oracles import (
-    DenseRowSpace, dense, dense_closure, divided_power_reference, escapes_reference,
+    DenseRowSpace, close_span_reference, dense, dense_closure,
+    divided_power_reference, escapes_reference,
     induced_filtration_reference, intersect_coordinate_subspace, mat_pow,
     mul_reference, operator_matrix, reduce_block, rref,
 )
@@ -458,11 +460,10 @@ def test_abelian_two_sided_span_is_the_right_span(request, fixture, data):
             for m in t.generator_maps(range(t.model.rank), side)]
     space = dense_closure(p, t.size, [g.vector() for g in gens], maps)
     assert np.array_equal(two.rows, space.matrix())
-    # a fresh truncation of the same model builds no left map
+    # a fresh truncation of the same model builds no generator map
     fresh = TruncationSpec(t.model, t.W)
     ideal_span(fresh, [fresh.from_dict(g.coeffs) for g in gens], "two-sided")
-    sides = {key[0] for key in fresh._op_cache}
-    assert "right" in sides and "left" not in sides
+    assert not {key[0] for key in fresh._op_cache} & {"right", "left"}
 
 
 def draw_generators(t, data, monomials):
@@ -698,3 +699,110 @@ def test_dagger_crosses_candidate_chunks(escape_truncs):
     want = [lam for lam, k in zip(lams, kept) if k]
     assert want == [(k, 0, 0, 0, 0, 0) for k in range(p)]
     assert dagger_approx(I, 1, budget=20000) == want
+
+
+def side_maps(t, sides):
+    return [m for side in sides for m in t.generator_maps(range(t.model.rank), side)]
+
+
+def assert_same_bytes(got, want):
+    """Equal spans down to the bytes of R's targets, sources and
+    coefficients, and equal pivots."""
+    assert got.pivots == want.pivots
+    for a, b in zip((got.reduced.tgt, got.reduced.src, got.reduced.coef),
+                    (want.reduced.tgt, want.reduced.src, want.reduced.coef)):
+        assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+
+
+def closure_bench_generators(t, seed):
+    """The generators b^alpha*u1 and b^beta*u2 of the ideal-closure bench
+    ops at t.W, drawn as they draw them: a monomial ideal of the abelian
+    rank-3 model, alpha = 3*e_h + e_(h+1) and beta = 5*e_(h+2), h = W mod 3,
+    times units that are 1 plus three seeded terms."""
+    d, p, W = 3, 3, t.W
+    h = W % d
+    alpha = tuple(p * (i == h) + (i == (h + 1) % d) for i in range(d))
+    beta = tuple(5 * (i == (h + 2) % d) for i in range(d))
+    rng = random.Random(f"ideal-closure/{seed}/{W}")
+
+    def unit():
+        u = {(0,) * d: 1}
+        while len(u) < 4:
+            a = tuple(p * rng.randrange(2) if i == h else rng.randrange(3)
+                      for i in range(d))
+            if any(a):
+                u[a] = rng.randint(1, p - 1)
+        return t.from_dict(u)
+    return [t.monomial(alpha) * unit(), t.monomial(beta) * unit()]
+
+
+@pytest.fixture(scope="module")
+def bench_abelian():
+    return load_abelian(3, 3, 4, ["1", "1", "1"])
+
+
+@pytest.mark.parametrize("W", [14, 16])
+def test_bench_spans_match_the_frontier_closure(bench_abelian, W):
+    """The four ideal-closure bench ops: the block of monomial multiples
+    gives the bytes of the closure under the maps of both sides."""
+    t = TruncationSpec(bench_abelian, W)
+    gens = closure_bench_generators(t, seed=1)
+    for sided, sides in (("right", ("right",)), ("two-sided", ("right", "left"))):
+        want = close_span_reference(t, gens, side_maps(t, sides), sided)
+        assert_same_bytes(ideal_span(t, gens, sided), want)
+
+
+def test_large_closure_matches_the_frontier_closure(bench_abelian):
+    t = TruncationSpec(bench_abelian, 20)
+    gens = [parse_series(t, g) for g in ("b1^3*b2 + b1*b3^2 + 2*b2^4",
+                                         "b3^5 + b1^2*b2^2*b3")]
+    want = close_span_reference(t, gens, side_maps(t, ("right",)), "right")
+    assert_same_bytes(ideal_span(t, gens, "right"), want)
+
+
+@pytest.mark.parametrize("model,W,gens", [
+    ("heis", 9, ["b1 + 2*b2^2 + b3", "b2*b3 + 4*b1^2"]),
+    ("heis", 9, ["b3^2"]),
+    ("heis", 12, ["b1 + 2*b2^2 + b3", "b2*b3 + 4*b1^2"]),
+    ("heis", 12, ["b1^2 + 3*b2"]),
+    ("u4", 12, ["b1^2*b2 + b4", "b3^3 + 2*b6"]),
+    ("u4", 12, ["b6^2 + b6^3"]),
+])
+def test_unitriangular_spans_match_the_frontier_closure(request, model, W, gens):
+    """Two-sided: the right ideal's block, closed under the left maps
+    alone, against the closure under the maps of both sides; and right."""
+    t = TruncationSpec(request.getfixturevalue(model), W)
+    gens = [parse_series(t, g) for g in gens]
+    for sided, sides in (("two-sided", ("right", "left")), ("right", ("right",))):
+        want = close_span_reference(t, gens, side_maps(t, sides), sided)
+        assert_same_bytes(ideal_span(t, gens, sided), want)
+
+
+def test_spans_build_one_block(monkeypatch, abelian3, heis):
+    """An abelian span, right or two-sided, is one product-kernel call and
+    one `RowSpace.add`, and builds no generator map; a unitriangular
+    two-sided span builds the left maps for its frontiers, a right one
+    none; a subalgebra span composes no map."""
+    calls = []
+    for cls, name in ((TruncationSpec, "_term_products"), (control.RowSpace, "add"),
+                      (SparseMap, "compose")):
+        def counted(*args, _f=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for sided in ("right", "two-sided"):
+        t = TruncationSpec(abelian3, 10)
+        calls.clear()
+        ideal_span(t, [parse_series(t, "b1^2 + b2*b3"), parse_series(t, "b3^3")], sided)
+        assert calls == ["_term_products", "add"]
+        assert not t._op_cache
+    for sided in ("right", "two-sided"):
+        t = TruncationSpec(heis, 8)
+        ideal_span(t, [parse_series(t, "b1 + b3^2")], sided)
+        left = {key for key in t._op_cache if key[0] == "left"}
+        assert left == ({("left", j) for j in range(3)} if sided == "two-sided" else set())
+    t = TruncationSpec(heis, 8)
+    H = subgroup_from_exponents(heis, (1, 1, 1))
+    calls.clear()
+    subalgebra_ideal_span(t, H, [parse_series(t, "b1^5 + b3^5")])
+    assert "compose" not in calls and calls.count("add") == 1

@@ -681,23 +681,31 @@ def test_identity_and_inner(abelian2, heis):
 
 
 def test_inner_automorphisms_skip_the_degree_estimate(monkeypatch, abelian2, heis, u4):
-    """`Automorphism.inner` passes the degree check by proof, so it runs no
-    `deg_omega`.  On these models the estimate, run apart, is provably above
-    1/(p-1) as the proof says; at too low a precision it is only a marker,
-    and the inner automorphism still constructs."""
+    """`Automorphism.inner` and `Automorphism.identity` pass the degree
+    check by proof, so they run no `deg_omega`.  On these models the
+    estimate, run apart, is provably above 1/(p-1) as the proof says; at too
+    low a precision it is only a marker, and both still construct."""
     calls = []
     monkeypatch.setattr(groups, "deg_omega", calls.append)
     low = load_abelian(3, 2, 1, ["1", "2"])
     conjugators = [(m, h) for m in (abelian2, heis, u4)
                    for h in m.basis() + [m.element(range(1, m.rank + 1))]]
     inners = [Automorphism.inner(m, h) for m, h in conjugators + [(low, low.basis()[0])]]
+    lows = [low, load_abelian(3, 2, 2, ["1", "3"])]
+    identities = [Automorphism.identity(m) for m in lows + [abelian2, heis, u4]]
     assert calls == []
     monkeypatch.undo()
     for phi in inners[:-1]:
         assert gt_provable(deg_omega(phi), Fraction(1, phi.model.p - 1))
     assert deg_omega(inners[-1]) == AtLeast(0)
-    with pytest.raises(ModelError, match="degree >=0 is not provably above"):
-        Automorphism.identity(low)
+    for m in lows:
+        assert not gt_provable(deg_omega(Automorphism.identity(m)), Fraction(1, 2))
+    # the identity fixes every basis and sample element
+    rng = Pcg32(3)
+    for phi in identities:
+        model = phi.model
+        for g in model.basis() + [sample_element(model, rng) for _ in range(8)]:
+            assert phi.apply(g).coords == g.coords
 
 
 def test_automorphism_power(abelian2, zmodel):

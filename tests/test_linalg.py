@@ -13,7 +13,7 @@ from iwacalc.groups import _rref_mod
 from iwacalc.linalg import RowSpace, SparseMap, residual, sum_entries
 
 from oracles import (
-    intersect_coordinate_subspace, reduce_block, rref, rref_reference, space_matrix,
+    DenseRowSpace, intersect_coordinate_subspace, reduce_block, rref, rref_reference, space_matrix,
 )
 
 
@@ -151,6 +151,112 @@ def test_sparse_map_sorts_only_entries_out_of_order(data):
         assert np.array_equal(got.coef, want.coef)
     assert sorted(zip(got.src.tolist(), got.tgt.tolist(), got.coef.tolist())) == \
         sorted(zip(want.src.tolist(), want.tgt.tolist(), want.coef.tolist()))
+
+
+def stored_matrix(stored, ncols):
+    """The rows an `add` returned as a dense array, row k at index k."""
+    rows, cols, coefs = stored
+    out = np.zeros((int(rows.max(initial=-1)) + 1, ncols), dtype=np.int64)
+    out[rows, cols] = coefs
+    return out
+
+
+def add_counting_passes(space, monkeypatch, block):
+    """space.add(block) and the number of its passes, one `_echelon` each."""
+    passes = []
+    echelon = RowSpace._echelon
+    monkeypatch.setattr(RowSpace, "_echelon",
+                        lambda self, *a: passes.append(1) or echelon(self, *a))
+    stored = space.add(*entries(block))
+    monkeypatch.undo()
+    return stored, len(passes)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_row_space_lead_passes_on_scaled_copies(monkeypatch, k):
+    """k scaled copies of one row share their lead: one pass stores the
+    first, and the residual of the others against it is 0."""
+    p, ncols = 7, 9
+    row = np.array([0, 3, 0, 5, 1, 0, 0, 2, 6])
+    block = np.array([c * row % p for c in range(1, k + 1)])
+    space = RowSpace(p, ncols)
+    stored, passes = add_counting_passes(space, monkeypatch, block)
+    want, pivots = rref_reference(block, p)
+    assert passes == 1
+    assert np.array_equal(space_matrix(space), want) and space.pivots == pivots == [1]
+    assert np.array_equal(stored_matrix(stored, ncols), want)
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_row_space_lead_passes_on_rows_sharing_a_lead(monkeypatch, k):
+    """k rows with one lead and distinct tails, the first row's past the
+    others: the first pass stores it, the second the other k - 1 rows'
+    residuals, which lead at their own tails."""
+    p, ncols = 11, 12
+    block = np.zeros((k, ncols), dtype=np.int64)
+    block[:, 1] = np.arange(1, k + 1)
+    block[np.arange(k), np.arange(k) + 2] = 3
+    block[0, 2], block[0, -1] = 0, 3
+    space = RowSpace(p, ncols)
+    stored, passes = add_counting_passes(space, monkeypatch, block)
+    want, pivots = rref_reference(block, p)
+    assert passes == 2 and len(pivots) == k
+    assert np.array_equal(space_matrix(space), want) and space.pivots == pivots
+    assert np.array_equal(stored_matrix(stored, ncols), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 30])
+def test_row_space_lead_passes_on_a_chained_block(monkeypatch, k):
+    """e_0 + e_i, i = 1..k: every row leads at 0, and each pass leaves a
+    single lead in the rest, so the block takes k passes."""
+    p, ncols = 5, k + 1
+    block = np.zeros((k, ncols), dtype=np.int64)
+    block[:, 0] = 1
+    block[np.arange(k), np.arange(1, k + 1)] = 1
+    space = RowSpace(p, ncols)
+    stored, passes = add_counting_passes(space, monkeypatch, block)
+    want, pivots = rref_reference(block, p)
+    assert passes == k
+    assert np.array_equal(space_matrix(space), want) and space.pivots == pivots
+    assert np.array_equal(stored_matrix(stored, ncols), want)
+    dense = DenseRowSpace(p, ncols)
+    for v in block:
+        dense.add(v)
+    assert np.array_equal(dense.matrix(), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 3037000493]), data=st.data())
+def test_row_space_block_and_its_splits_agree(p, data):
+    """A random block added whole and in random splits: the same R and
+    pivots as the column scan, and every add returns the rows it stored,
+    each 1 at its least column, a new pivot, numbered in pivot order and
+    equal to the rows of R at those pivots.  3037000493 is the largest prime
+    with (p - 1)^2 < 2^63, which `RowSpace` takes."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    nrows, ncols = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 30))
+    density = data.draw(st.sampled_from([0.05, 0.2, 1.0]))
+    block = rng.integers(0, p, (nrows, ncols)) * (rng.random((nrows, ncols)) < density)
+    if nrows > 2:
+        # repeated leads: rows moved onto the lead of row 0
+        lead = block[0].astype(object)
+        mix = rng.integers(1, p, nrows // 2).astype(object)
+        block[1:1 + nrows // 2] = np.array(
+            (mix[:, None] * lead[None, :] + block[1:1 + nrows // 2]) % p, dtype=np.int64)
+    want, pivots = rref_reference(block, p)
+    cuts = sorted(data.draw(st.lists(st.integers(0, nrows), max_size=4)))
+    for bounds in ([0, nrows], [0, *cuts, nrows]):
+        space = RowSpace(p, ncols)
+        for lo, hi in zip(bounds, bounds[1:]):
+            before = space.pivots
+            stored = stored_matrix(space.add(*entries(block[lo:hi])), ncols)
+            new = [c for c in space.pivots if c not in before]
+            assert len(stored) == len(new)
+            for row, c in zip(stored, new):
+                assert row[c] == 1 and not row[:c].any()
+            at = [space.pivots.index(c) for c in new]
+            assert np.array_equal(stored, space_matrix(space)[at])
+        assert np.array_equal(space_matrix(space), want) and space.pivots == pivots
 
 
 def test_sum_entries_sums_repeats_and_drops_zeros():
