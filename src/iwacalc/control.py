@@ -39,7 +39,7 @@ import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, SparseMap, integer_array, residual, sum_entries
-from .operators import _mask, divided_power_map, divided_power_maps
+from .operators import _mask, first_divided_powers
 from .padic import Val, gt_provable, mi_range
 from .rng import Pcg32
 from .series import TruncatedSeries, TruncationSpec, format_row, format_series
@@ -179,13 +179,14 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
 
     The tested operators are the first divided powers for the directions H
     halves (exponent 1); directions fully inside H are untested.  Empty
-    result means the span is stable, i.e. controlled by H mod F_W.
+    result means the span is stable, i.e. controlled by H mod F_W.  Each
+    direction's escape is one block residual, kept on I (`_escape`), and
+    del_1, ..., del_d are one build per truncation
+    (`operators.first_divided_powers`), whatever the mask.
     """
     t = I.trunc
-    out, mask = [], _mask(t, H)
-    # the del_i of the mask in one build, which `_escape` reads from the cache
-    divided_power_maps(t, [_unit_exponent(t.model.rank, i) for i in mask])
-    for i in mask:
+    out = []
+    for i in _mask(t, H):
         hit = _escape(I, i)
         if hit is not None:
             k, res = hit
@@ -206,7 +207,7 @@ def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
     if i in I._escapes:
         return I._escapes[i]
     t = I.trunc
-    d_i = divided_power_map(t, _unit_exponent(t.model.rank, i))
+    d_i = first_divided_powers(t)[i]
     R = I.reduced
     at, cols, coefs = residual(*d_i.apply_entries(R.src, R.tgt, R.coef), R, I.pivots)
     hit = None
@@ -230,7 +231,6 @@ def controller_approx(I: IdealSpan) -> SubgroupSpec:
     chosen basis; non-aligned subgroups are not searched.
     """
     model = I.trunc.model
-    divided_power_maps(I.trunc, [_unit_exponent(model.rank, i) for i in range(model.rank)])
     exps = [0 if _escape(I, i) is not None else 1 for i in range(model.rank)]
     return subgroup_from_exponents(model, exps)
 

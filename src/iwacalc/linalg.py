@@ -3,12 +3,15 @@
 
 Blocks of vectors pass between layers as entry arrays (row, column,
 coefficient), whose repeats `sum_entries` sums mod p, and a linear map is a
-`SparseMap`.  A span is its reduced row echelon basis R, a `SparseMap` from
-rows to columns, with its pivots; every reduction against it, also while a
-`RowSpace` grows it, is the residual B - B[:, pivots]·R, one gather through
-R.  A `RowSpace` takes a block a lead at a time: a pass stores the first row
-of each distinct lead and reduces the others against them, so its
-elimination never sees two rows with one lead.  A product of two residues
+`SparseMap`, its entries sorted by source: it maps a block through the
+offsets of its sources, where the entries of each source start, kept from
+its first apply (row-offset or CSR storage).  A span is its reduced row
+echelon basis R, a `SparseMap` from rows to columns, with its pivots; every
+reduction against it, also while a `RowSpace` grows it, is the residual
+B - B[:, pivots]·R, one gather through R.  A `RowSpace` takes a block a
+lead at a time: a pass stores the first row of each distinct lead and
+reduces the others against them, so its elimination never sees two rows
+with one lead.  A product of two residues
 must fit in int64, so a `RowSpace` refuses p with (p - 1)^2 >= 2^63;
 `series.TruncationSpec` bounds size·(p - 1)^2.
 """
@@ -79,12 +82,16 @@ class SparseMap:
     read them.
     `apply` maps a coefficient vector: one gather, one product mod p and
     one scatter-add.  `apply_entries` maps a block held as entries
-    (row, column, coefficient), gathering the slice of each column.
+    (row, column, coefficient) through the offsets of the sources:
+    `_starts[s]` is the first entry of source s, for every s up to one past
+    the last source, so the slice of column c is
+    `_starts[c]:_starts[c + 1]`, two gathers.  The offsets are built on the
+    first `apply_entries` and kept; no kernel changes a map's entries.
     `compose` and `combine` build new maps on `apply_entries` and
     `sum_entries`; their results are canonical, each pair once and no zero
     coefficient.  Maps are equal (`==`) when they are the same linear map."""
 
-    __slots__ = ("p", "size", "tgt", "src", "coef")
+    __slots__ = ("p", "size", "tgt", "src", "coef", "_starts")
 
     def __init__(self, p: int, size: int, tgt, src, coef):
         self.p = p
@@ -96,6 +103,7 @@ class SparseMap:
             order = key.argsort(kind="stable")
             tgt, src, coef = tgt[order], src[order], coef[order]
         self.tgt, self.src, self.coef = tgt, src, coef
+        self._starts = None
 
     @classmethod
     def _trusted(cls, p: int, size: int, tgt, src, coef) -> "SparseMap":
@@ -103,6 +111,7 @@ class SparseMap:
         kept as they are: no copy and no check."""
         out = object.__new__(cls)
         out.p, out.size, out.tgt, out.src, out.coef = p, size, tgt, src, coef
+        out._starts = None
         return out
 
     @staticmethod
@@ -160,9 +169,16 @@ class SparseMap:
         """Image of the block with entries (row, column, coefficient in
         [0, p)), the columns being sources: one entry (row, target, product
         mod p) per pair of a block entry and a map entry from its column, not
-        summed."""
-        lo = self.src.searchsorted(cols)
-        at, pos = _runs(lo, self.src.searchsorted(cols, side="right") - lo)
+        summed.  A column past the last source has no entries."""
+        starts = self._starts
+        if starts is None:
+            # one past the last source and one more, so that a column past
+            # it, read as that source, finds an empty slice
+            top = int(self.src[-1]) + 2 if self.src.size else 1
+            starts = self._starts = self.src.searchsorted(np.arange(top + 1))
+        cols = np.minimum(cols, starts.size - 2)
+        lo = starts[cols]
+        at, pos = _runs(lo, starts[cols + 1] - lo)
         return rows[at], self.tgt[pos], coefs[at] * self.coef[pos] % self.p
 
 

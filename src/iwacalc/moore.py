@@ -33,7 +33,7 @@ import numpy as np
 
 from .groups import Automorphism, ModelError
 from .linalg import SparseMap, sum_entries
-from .operators import _mahler_rows, divided_power_map
+from .operators import _mahler_rows, first_divided_powers
 from .padic import (
     AtLeast, PrecisionError, format_poly, format_val, mi_range, poly_combine,
     poly_frobenius, poly_product_sum, power,
@@ -453,8 +453,7 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
     ws = t.valuations(t.block(xs), len(xs))
     for i in range(1, m + 1):
         direction = exp.order[i - 1]
-        e_i = tuple(1 if k == direction else 0 for k in range(t.model.rank))
-        dx = sum_entries(*divided_power_map(t, e_i).apply_entries(*t.block(xs)), p)
+        dx = sum_entries(*first_divided_powers(t)[direction].apply_entries(*t.block(xs)), p)
         prev = None
         for r in exp.r_range:
             _, det, _ = exp.matrices(r)

@@ -7,10 +7,12 @@ applied to a coefficient vector.  Operators compose (`SparseMap.compose`)
 and combine linearly (`SparseMap.combine`) as sparse maps, into canonical
 maps that compare equal exactly when the operators are equal.  The divided
 powers are cached as such maps, one per truncation and index, built a block
-at a time from the closed formula below (`divided_power_maps`), and their
-degrees are read a block at a time as integers (`degree_arrays`); the coset
-idempotents are polynomials in them, each factor one combination of them
-(`_coset_factor`).
+at a time from the closed formula below (`divided_power_maps`); the tables
+of binomials mod p that a build reads are kept on the truncation, and the
+first divided powers del_1, ..., del_d are one build
+(`first_divided_powers`).  Their degrees are read a block at a time as
+integers (`degree_arrays`); the coset idempotents are polynomials in them,
+each factor one combination of them (`_coset_factor`).
 
 The divided power del^(a) acts by the closed formula
 
@@ -49,7 +51,7 @@ from .series import TruncatedSeries, TruncationSpec
 # Divided powers
 # ---------------------------------------------------------------------------
 
-_SLICE_TERMS = 2048  # terms built or read at a time, see `_slices`
+_SLICE_TERMS = 8192  # terms built or read at a time, see `_slices`
 
 
 def _slices(terms) -> list[tuple[int, int]]:
@@ -92,18 +94,28 @@ def divided_power_maps(trunc: TruncationSpec,
                              lambda keys: _divided_powers(trunc, [a for _, a in keys]))
 
 
+def first_divided_powers(trunc: TruncationSpec) -> list[SparseMap]:
+    """del_1, ..., del_d, the del^(e_i), cached on the truncation: all d
+    from one build on first use.  Each has at most two entries a source,
+    so the directions a caller does not read cost little."""
+    rank = trunc.model.rank
+    return divided_power_maps(trunc, [tuple(int(j == i) for j in range(rank))
+                                      for i in range(rank)])
+
+
 def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
     """del^(alpha) for each alpha of `alphas` by the closed formula, in slices
     of at most about _SLICE_TERMS entries: the leading factor of each
     (alpha, source) pair from the Pascal table mod p, times each offset of
     its alpha.  Each map holds views of its slice's arrays, already sorted
-    by (source, target)."""
-    p, size, exps, pascal = trunc.model.p, trunc.size, trunc._exponents, trunc._pascal
+    by (source, target).  The table, its flag rows and its flat form come
+    from the truncation, which builds them once per Pascal table
+    (`TruncationSpec._divided_power_tables`)."""
+    p, size, exps = trunc.model.p, trunc.size, trunc._exponents
+    # flags[i][a, B] = C(B_i, a) is nonzero mod p
+    pascal, flags, expansions = trunc._divided_power_tables
     # past the largest exponent every C(B_i, alpha_i) is 0, as one past it
     A = np.minimum(np.array(alphas, dtype=np.int64), len(pascal) - 1)
-    nonzero = pascal != 0
-    # flags[i][a, B] = C(B_i, a) is nonzero mod p
-    flags = [nonzero.T[:, col] for col in exps.T]
 
     def live(lo, hi):
         # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p, as flags
@@ -122,9 +134,7 @@ def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
     # read only their coefficients, the codes of k - alpha and where each
     # alpha's terms start; an alpha with no source is not expanded
     E = A * (sources > 0)[:, None]
-    m, c = np.nonzero(nonzero)
-    owner, k, scale = signed_binomials(
-        (np.searchsorted(m, np.arange(len(pascal) + 1)), c, pascal[m, c]), E, p)
+    owner, k, scale = signed_binomials(expansions, E, p)
     k -= E[owner]
     # the basis ascends by weight, then exponents, and so do the targets
     # B - alpha + k of one source in that order of the k: each alpha's

@@ -197,19 +197,33 @@ class TruncationSpec:
     def _signed_binomials(self, exps) -> tuple:
         """`padic.signed_binomials` of the exponent rows `exps`: the group
         expansions of their b^a, from the rows of `_pascal` with the signs
-        (-1)^(a-c).  The table, and its flat form, grow for a row beyond it."""
+        (-1)^(a-c).  The table, and its flat form, grow for a row beyond it;
+        the divided powers' tables of it are then built again on next use."""
         p = self.model.p
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         top = int(exps.max(initial=0))
         if top >= len(self._pascal):
             self._pascal = lucas_rows(np.arange(top + 1), top, p)
             self._signed_rows = signed_rows(self._pascal, p)
+            vars(self).pop("_divided_power_tables", None)
         return signed_binomials(self._signed_rows, exps, p)
 
     @cached_property
     def _signed_rows(self) -> tuple:
         """`padic.signed_rows` of `_pascal`: flattened once per table."""
         return signed_rows(self._pascal, self.model.p)
+
+    @cached_property
+    def _divided_power_tables(self) -> tuple:
+        """(pascal, flags, rows), what `operators._divided_powers` reads of
+        `_pascal`, built once per table: the table itself; flags[i], whose
+        row a flags the basis monomials b^B with C(B_i, a) nonzero mod p;
+        and `_signed_rows` without the signs, the expansions of (1 + b)^a."""
+        pascal = self._pascal
+        nonzero = pascal.T != 0
+        a, c = np.nonzero(pascal)
+        return (pascal, [nonzero[:, col] for col in self._exponents.T],
+                (np.searchsorted(a, np.arange(len(pascal) + 1)), c, pascal[a, c]))
 
     def _embed_rows(self, coords) -> np.ndarray:
         """Row k is the embedding of g^lam, lam the k-th integer coordinate

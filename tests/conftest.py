@@ -1,12 +1,17 @@
 import functools
 
+import numpy as np
 import pytest
 
 from iwacalc import (
     ModelError, TruncationSpec, groups, load_abelian, load_unitriangular,
 )
+from iwacalc.linalg import SparseMap
 
-from oracles import compiled_laws_reference, deg_omega_reference, laws_or_message
+from oracles import (
+    apply_entries_reference, compiled_laws_reference, deg_omega_reference,
+    laws_or_message,
+)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -42,6 +47,25 @@ def compiled_laws_match_reference():
         return got
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groups.UnitriangularModel, "_compile_laws", checked)
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def sparse_applies_match_reference():
+    """Every `SparseMap.apply_entries` of the session, through the offsets
+    that the map keeps, gives the arrays of the two binary searches of
+    `oracles.apply_entries_reference`, entry for entry in the same order."""
+    apply_entries = SparseMap.apply_entries
+
+    @functools.wraps(apply_entries)
+    def checked(m, rows, cols, coefs):
+        got = apply_entries(m, rows, cols, coefs)
+        want = apply_entries_reference(m, rows, cols, coefs)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(got, want, strict=True))
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SparseMap, "apply_entries", checked)
         yield
 
 

@@ -9,7 +9,9 @@ two expansions, which `signed_binomials_reference` writes one tuple per
 term from `math.comb`.  `aut_images_reference` builds the ring extension
 of an automorphism column by column from products of the moved generators
 phi(g_i) - 1, and `aut_matrix` is its dense operator.  `dense` scatters a
-`SparseMap` into its matrix.
+`SparseMap` into its matrix, and `apply_entries_reference` applies one to
+a block by two binary searches per column, without the offsets the map
+keeps.
 `divided_power_reference` applies the closed formula for del^(alpha) term
 by term.  `rref` writes the reduced basis of a `RowSpace` fed the rows of
 a matrix as a dense array (`space_matrix`), `intersect_coordinate_subspace`
@@ -78,7 +80,7 @@ from iwacalc.groups import (
 )
 from iwacalc.control import CentralPrimeSpec, IdealSpan
 from iwacalc.moore import ZetaExperiment
-from iwacalc.linalg import RowSpace, integer_array
+from iwacalc.linalg import RowSpace, _runs, integer_array
 from iwacalc.operators import (
     _operator_index, coset_idempotent, divided_power, divided_power_map,
     divided_power_maps, operator_degrees,
@@ -525,6 +527,15 @@ def dense(m: SparseMap) -> np.ndarray:
     mat = np.zeros((m.size, m.size), dtype=np.int64)
     np.add.at(mat, (m.tgt, m.src), m.coef)
     return mat % m.p
+
+
+def apply_entries_reference(m: SparseMap, rows: np.ndarray, cols: np.ndarray,
+                            coefs: np.ndarray) -> tuple:
+    """`SparseMap.apply_entries` by two binary searches of the map's sorted
+    sources per column, where the kernel reads the offsets the map keeps."""
+    lo = m.src.searchsorted(cols)
+    at, pos = _runs(lo, m.src.searchsorted(cols, side="right") - lo)
+    return rows[at], m.tgt[pos], coefs[at] * m.coef[pos] % m.p
 
 
 def divided_power_matrix(trunc: TruncationSpec, alpha: Sequence[int]) -> OperatorMatrix:

@@ -1,8 +1,10 @@
 """Ideal spans, control by subgroups, flat induction and central primes."""
 
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from iwacalc import (
     subalgebra_ideal_span, subalgebra_monomials, subgroup_from_exponents,
     zalesskii_check,
 )
-from iwacalc import control
+from iwacalc import control, operators
+from iwacalc.cli import parse_config, run_config
 from iwacalc.control import IdealSpan, _escape
 from iwacalc.padic import mi_range, power
 from iwacalc.rng import Pcg32
@@ -27,6 +30,8 @@ from oracles import (
     induced_filtration_reference, intersect_coordinate_subspace, mat_pow,
     mul_reference, operator_matrix, reduce_block, rref,
 )
+
+GOLDEN = Path(__file__).parent / "cli_golden"
 
 
 def test_principal_span_dimension(trunc2):
@@ -140,6 +145,37 @@ def test_escapes_are_shared_between_control_calls(trunc3, monkeypatch):
     assert len(calls) == 3
     assert (control_witnesses(I, H), controller_approx(I)) == want
     assert len(calls) == 3
+
+
+def count_divided_power_builds(monkeypatch) -> list:
+    """The alphas of every `operators._divided_powers` call from now on."""
+    build, calls = operators._divided_powers, []
+    monkeypatch.setattr(operators, "_divided_powers", lambda trunc, alphas:
+                        calls.append(list(alphas)) or build(trunc, alphas))
+    return calls
+
+
+def test_control_calls_build_the_first_divided_powers_once(monkeypatch):
+    """control_witnesses for a one-direction mask, then controller_approx,
+    on a fresh truncation of the ideal-closure benchmark's model (abelian
+    rank 3 at W=14) build del_1, del_2 and del_3 in one call."""
+    t = TruncationSpec(load_abelian(3, 3, 4, ["1", "1", "1"]), 14)
+    I = ideal_span(t, [t.monomial((1, 0, 3)), t.monomial((0, 5, 0))])
+    calls = count_divided_power_builds(monkeypatch)
+    assert control_witnesses(I, subgroup_from_exponents(t.model, (0, 0, 1))) == []
+    assert controller_approx(I).exponents == (0, 0, 1)
+    assert calls == [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+
+
+def test_zalesskii_task_builds_the_first_divided_powers_once(monkeypatch):
+    """The first zalesskii task of the heisenberg golden config tests two
+    directions of a faithful span with one divided-power build."""
+    doc = json.loads((GOLDEN / "heisenberg.json").read_text(encoding="utf-8"))
+    doc["tasks"] = doc["tasks"][:1]
+    calls = count_divided_power_builds(monkeypatch)
+    [record] = run_config(parse_config(doc))
+    assert record["metrics"]["observed"] == "controlled"
+    assert len(calls) == 1
 
 
 def test_maximal_ideal_is_never_controlled(trunc2):

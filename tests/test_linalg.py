@@ -13,7 +13,8 @@ from iwacalc.groups import _rref_mod
 from iwacalc.linalg import RowSpace, SparseMap, residual, sum_entries
 
 from oracles import (
-    DenseRowSpace, intersect_coordinate_subspace, reduce_block, rref, rref_reference, space_matrix,
+    DenseRowSpace, apply_entries_reference, intersect_coordinate_subspace, reduce_block, rref,
+    rref_reference, space_matrix,
 )
 
 
@@ -151,6 +152,59 @@ def test_sparse_map_sorts_only_entries_out_of_order(data):
         assert np.array_equal(got.coef, want.coef)
     assert sorted(zip(got.src.tolist(), got.tgt.tolist(), got.coef.tolist())) == \
         sorted(zip(want.src.tolist(), want.tgt.tolist(), want.coef.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 4294967311]), data=st.data())
+def test_apply_entries_through_offsets_matches_binary_searches(p, data):
+    """`apply_entries` reads the entries of each column through the offsets
+    of the map's sources and gives the arrays of two binary searches per
+    column (`oracles.apply_entries_reference`), in the same order: on empty
+    maps, sources without entries, stacked maps whose sources reach past
+    `size`, and columns repeated, unsorted, at the last source, past it and
+    past `size`."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    size = data.draw(st.integers(1, 6))
+
+    def drawn_map():
+        # sources below `top`, so some of them, or all, have no entries
+        n, top = data.draw(st.integers(0, 12)), data.draw(st.integers(1, size))
+        return SparseMap(p, size, rng.integers(0, size, n), rng.integers(0, top, n),
+                         rng.integers(0, p, n))
+    maps = [drawn_map() for _ in range(data.draw(st.integers(1, 3)))]
+    m = SparseMap.stack(maps) if len(maps) > 1 else maps[0]
+    last = int(m.src[-1]) if m.src.size else 0
+    cols = np.concatenate([rng.integers(0, len(maps) * size + 3, data.draw(st.integers(0, 12))),
+                           data.draw(st.lists(st.sampled_from(
+                               [last, last + 1, size, size + 1, len(maps) * size + 2])))])
+    cols = rng.permutation(cols).astype(np.int64)
+    rows, coefs = rng.integers(0, 5, cols.size), rng.integers(0, p, cols.size)
+    for _ in range(2):  # the first apply builds the offsets, the second reads them
+        got = m.apply_entries(rows, cols, coefs)
+        want = apply_entries_reference(m, rows, cols, coefs)
+        assert all(a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+                   for a, b in zip(got, want, strict=True))
+
+
+def test_sparse_map_builds_its_offsets_once():
+    """A map holds no offsets until its first `apply_entries`, which builds
+    them; the second apply reads the same array."""
+    m = SparseMap(5, 4, [0, 1, 2], [3, 0, 0], [1, 2, 3])
+    stacked = SparseMap.stack([m, m])
+    for a in (m, stacked):
+        assert a._starts is None
+    rows, cols, coefs = np.array([0, 1, 1]), np.array([0, 3, 9]), np.array([1, 2, 4])
+    first = m.apply_entries(rows, cols, coefs)
+    starts = m._starts
+    # source s has entries starts[s]:starts[s + 1], and every column past
+    # the last source reads the empty slice at its end
+    assert starts.tolist() == [0, 2, 2, 2, 3, 3]
+    again = m.apply_entries(rows, cols, coefs)
+    assert m._starts is starts and stacked._starts is None
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert [a.tolist() for a in first] == [[0, 0, 1], [1, 2, 0], [2, 3, 2]]
+    stacked.apply_entries(rows, cols + 4, coefs)
+    assert stacked._starts.tolist() == [0, 2, 2, 2, 3, 5, 5, 5, 6, 6]
 
 
 def stored_matrix(stored, ncols):

@@ -23,12 +23,11 @@ from iwacalc import (
     mahler_coeff_aut, is_prime, mi_range, mi_weight, multi_binom_mod_p,
     operator_degree, parse_series, reconstruct_aut, subgroup_from_exponents,
 )
+from iwacalc import operators
 from iwacalc.control import ideal_span
 from iwacalc.linalg import sum_entries
 from iwacalc.groups import load_abelian
-from iwacalc.operators import (
-    _SLICE_TERMS, divided_power_map, divided_power_maps, operator_degrees,
-)
+from iwacalc.operators import divided_power_map, divided_power_maps, operator_degrees
 from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec
 
@@ -303,12 +302,39 @@ def test_divided_power_blocks_match_closed_formula(map_truncs, name, data):
     check_block(t, data.draw(st.permutations(alphas)))
 
 
+def test_divided_powers_follow_a_grown_pascal_table(zmodel):
+    """A `_signed_binomials` row past the Pascal table, as an automorphism
+    map of the zeta config reads, grows the table, and the tables that the
+    divided powers keep of it are built again from the grown one: the maps
+    built before and after match the closed formula term by term, and
+    those of a fresh truncation byte for byte."""
+    t, fresh = TruncationSpec(zmodel, 20), TruncationSpec(zmodel, 20)
+    top = max(t.max_exponents)
+    alphas = [(k,) for k in range(top + 3)]
+    before = divided_power_maps(t, alphas[:4])
+    pascal, *_ = t._divided_power_tables
+    assert pascal is t._pascal and len(pascal) == top + 2
+    t._signed_binomials([[3 * top]])
+    assert len(t._pascal) == 3 * top + 1 and "_divided_power_tables" not in vars(t)
+    after = divided_power_maps(t, alphas[4:])
+    assert t._divided_power_tables[0] is t._pascal
+    for a, m in zip(alphas, before + after):
+        assert OperatorMatrix(t, dense(m)) == operator_matrix(
+            t, lambda b: divided_power_reference(t, a, t.monomial(b)))
+    for m, r in zip(before + after, divided_power_maps(fresh, alphas)):
+        assert all(getattr(m, k).tobytes() == getattr(r, k).tobytes()
+                   for k in ("tgt", "src", "coef"))
+
+
 @pytest.mark.parametrize("name", ["abelian3", "zeta"])
-def test_divided_power_block_of_the_basis_spans_slices(map_truncs, name):
+def test_divided_power_block_of_the_basis_spans_slices(map_truncs, name, monkeypatch):
+    # a budget below the default, so that the build of the basis runs in
+    # several slices
+    monkeypatch.setattr(operators, "_SLICE_TERMS", 2048)
     t = map_truncs[name]
     past = tuple(m + 1 for m in t.max_exponents)
     maps = check_block(t, t.basis + [past, t.basis[1]])
-    assert sum(m.coef.size for m in maps) > 2 * _SLICE_TERMS
+    assert sum(m.coef.size for m in maps) > 2 * operators._SLICE_TERMS
     assert not maps[-2].coef.size
 
 
@@ -444,10 +470,12 @@ def test_operator_degrees_of_drawn_maps(map_truncs, name, data):
         [degree_by_columns(summed_matrix(t, *entries)) for entries in drawn]
 
 
-def test_operator_degrees_across_slices(trunc3):
+def test_operator_degrees_across_slices(trunc3, monkeypatch):
     # the divided powers of the basis hold more than two slices of entries
+    # at a budget below the default
+    monkeypatch.setattr(operators, "_SLICE_TERMS", 2048)
     maps = divided_power_maps(trunc3, trunc3.basis)
-    assert sum(m.coef.size for m in maps) > 2 * _SLICE_TERMS
+    assert sum(m.coef.size for m in maps) > 2 * operators._SLICE_TERMS
     assert [(r.resolved, r.tail_bound) for r in operator_degrees(trunc3, maps)] == \
         [degree_by_columns(OperatorMatrix(trunc3, dense(m))) for m in maps]
 
