@@ -117,6 +117,9 @@ class PValuation:
             if v <= 0:
                 raise ModelError(f"omega value {v} must be positive")
         object.__setattr__(self, "units", tuple(int(v * self.e) for v in self.values))
+        if max(self.units, default=0) >= INT64_LIMIT:
+            raise ModelError(f"e * omega = {max(self.units)} does not fit in int64: "
+                             "it must be below 2^63")
 
     def check_p(self, p: int) -> None:
         for u, v in zip(self.units, self.values):

@@ -74,12 +74,11 @@ class SparseMap:
     """A sparse F_p-linear map into `size` coordinates, as int64 arrays.
 
     Entry n adds coef[n], a residue in [0, p), times source coordinate
-    src[n] to target coordinate tgt[n].  The entries are kept in one order,
-    sorted by (source, target), so the entries of one source are one slice;
-    a pair may repeat, its coefficients then adding up.  The constructor
-    copies the entries and sorts only those that come out of order;
-    `_trusted` keeps arrays that a kernel made in that order.  Two kernels
-    read them.
+    src[n] to target coordinate tgt[n].  The entries are kept sorted by
+    source, so the entries of one source are one slice; a pair may repeat,
+    its coefficients then adding up.  The constructor copies the entries and
+    sorts those that come out of (source, target) order; `_trusted` keeps
+    arrays that a kernel made sorted by source.  Two kernels read them.
     `apply` maps a coefficient vector: one gather, one product mod p and
     one scatter-add.  `apply_entries` maps a block held as entries
     (row, column, coefficient) through the offsets of the sources:
@@ -107,8 +106,9 @@ class SparseMap:
 
     @classmethod
     def _trusted(cls, p: int, size: int, tgt, src, coef) -> "SparseMap":
-        """A map on int64 entry arrays already sorted by (source, target),
-        kept as they are: no copy and no check."""
+        """A map on int64 entry arrays already sorted by source, kept as they
+        are: no copy and no check.  `apply_entries` reads only that order,
+        and its entries of one source come in the map's order."""
         out = object.__new__(cls)
         out.p, out.size, out.tgt, out.src, out.coef = p, size, tgt, src, coef
         out._starts = None

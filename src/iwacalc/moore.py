@@ -515,11 +515,9 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
     full[:, exp.order[:m]] = alphas
     asym_verified = asym_skipped = 0
     for r in exp.r_range:
-        coeffs = _mahler_rows(t, exp.phi_power(p ** r), full)
-        rows, cols = np.nonzero(coeffs)
         at, tgt, coefs = t.block([series_frobenius(ys[a], r) for a in alphas])
         diff = sum_entries(*(np.concatenate(pair) for pair in zip(
-            (rows, cols, coeffs[rows, cols]), (at, tgt, p - coefs))), p)
+            _mahler_rows(t, exp.phi_power(p ** r), full), (at, tgt, p - coefs))), p)
         for a, v in zip(alphas, t.valuations(diff, len(alphas)).tolist()):
             bound = p ** (2 * r) * e + lam * p ** r * (sum(a) - 1)
             if v >= bound:

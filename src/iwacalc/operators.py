@@ -323,10 +323,11 @@ def _rows_hit(block, size: int) -> list[int]:
 # Mahler coefficients of automorphisms
 # ---------------------------------------------------------------------------
 
-def _mahler_rows(trunc: TruncationSpec, phi: Automorphism, alphas) -> np.ndarray:
-    """Row k is <phi, del^(alphas[k])>, the image of b^alpha under the linear
-    extension of  g |-> phi(g) g^{-1}: its finite differences over the
-    integer points below alpha.  alpha need not lie in the basis."""
+def _mahler_rows(trunc: TruncationSpec, phi: Automorphism, alphas) -> tuple:
+    """Entries (k, column, coefficient) of <phi, del^(alphas[k])>, the image
+    of b^alpha under the linear extension of  g |-> phi(g) g^{-1}: its
+    finite differences over the integer points below alpha, sorted by k,
+    then column.  alpha need not lie in the basis."""
     model = phi.model
     return trunc._group_columns(alphas, lambda _, cs: [
         model.mul(phi.apply(g), model.inv(g)).coords
@@ -336,7 +337,8 @@ def _mahler_rows(trunc: TruncationSpec, phi: Automorphism, alphas) -> np.ndarray
 def mahler_coeff_aut(trunc: TruncationSpec, phi: Automorphism,
                      alpha: Sequence[int]) -> TruncatedSeries:
     """<phi, del^(alpha)> by finite differences (`_mahler_rows`)."""
-    return trunc.from_vector(_mahler_rows(trunc, phi, [_operator_index(trunc, alpha)])[0])
+    _, cols, coefs = _mahler_rows(trunc, phi, [_operator_index(trunc, alpha)])
+    return trunc._series(cols, coefs)
 
 
 def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
@@ -348,7 +350,9 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     Includes every a with <a, omega> <= D whose term can touch these
     columns mod F_W; each omitted term has operator degree at least
     delta * |a| > W/e - D, where delta is the basis displacement degree of
-    phi.  Each image then agrees with aut_extend exactly."""
+    phi.  Each image then agrees with aut_extend exactly.  The coefficients
+    of every a are the entries of one `_mahler_rows` call, and only the a
+    whose coefficient has an entry get a divided power."""
     D = Fraction(degree_budget)
     model = trunc.model
     # omega(phi(g_i) g_i^-1) - omega_i in units of 1/e; the minimum is exact
@@ -375,20 +379,19 @@ def reconstruct_aut(trunc: TruncationSpec, phi: Automorphism,
     p, m = trunc.model.p, len(cols)
     alphas = [a for k, a in enumerate(cols)
               if not sum(a) or delta * sum(a) + int(w[k]) < trunc.W]
-    coeffs = {a: vec for a, vec in zip(alphas, _mahler_rows(trunc, phi, alphas))
-              if vec.any()}
+    owner, c, v = _mahler_rows(trunc, phi, alphas)
+    # the alphas with an entry; a plain np.unique would load numpy.ma
+    live = owner[np.diff(owner, prepend=-1) != 0]
     # every product in one block: row k*m + b is <phi, del^(alpha)> times
-    # del^(alpha)(b^B), alpha the k-th index and b^B the b-th column; the
+    # del^(alpha)(b^B), alpha the k-th live index and b^B the b-th column; the
     # columns in `cols` are the leading slice of each map's sources
     parts = [np.zeros((3, 0), dtype=np.int64)]
-    for k, d in enumerate(divided_power_maps(trunc, coeffs)):
+    for k, d in enumerate(divided_power_maps(trunc, [alphas[a] for a in live.tolist()])):
         n = int(np.searchsorted(d.src, m))
         parts.append(np.stack([k * m + d.src[:n], d.tgt[:n], d.coef[:n]]))
     y = sum_entries(*np.concatenate(parts, axis=1), p)
-    vecs = np.array(list(coeffs.values()), dtype=np.int64).reshape(-1, trunc.size)
-    k, c = np.nonzero(vecs)
     rows = y[0][np.diff(y[0], prepend=-1) != 0]
-    x = SparseMap(p, trunc.size, c, k, vecs[k, c]).apply_entries(
+    x = SparseMap._trusted(p, trunc.size, c, live.searchsorted(owner), v).apply_entries(
         rows, rows // m, np.ones_like(rows))
     at, tgt, coef = trunc.mul_block(x, y)
     # the image of b^B sums the products of its column over every alpha

@@ -6,15 +6,15 @@ the cutoff W/e form a k-basis of k[[G]] modulo the tail ideal
 F_W = {x : w(x) >= W/e}; a TruncatedSeries is a coefficient map on that
 basis.  All ring operations are exact mod F_W.
 
-Every operator that comes from a map on G is built by one kernel,
-`TruncationSpec._group_columns`: it expands a block of monomials
-b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c at once (one array kernel,
-`padic.signed_binomials`), sends each distinct g^c through the map on
-plain integer coordinates, re-expands the images by the Mahler formula
-g^m = sum_b C(m, b) b^b and combines them, one int64 product per monomial.
-By Lucas's theorem C(m, b) mod p depends only on m mod p^need, the least
-power of p above every basis exponent, so all the Mahler rows of a build
-are one gather from rows of binomials, one per residue that occurs.  The
+Every operator that comes from a map on G is built by one kernel on entry
+arrays, `TruncationSpec._group_columns`: it expands a block of monomials
+b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c (`padic.signed_binomials`),
+sends each distinct g^c through the map on integer coordinates, expands
+the images by the Mahler formula g^m = sum_b C(m, b) b^b into entries and
+sums the terms of each monomial (`linalg.sum_entries`).  By Lucas's theorem
+C(m, b) mod p depends only on m mod p^need, p^need above every exponent,
+and is 0 unless each base-p digit of b_i is at most that of m_i: an image
+expands over the nonzero binomials of one row per residue.  The
 maps g^c -> g^c g_j give x -> x*b_j (`TruncationSpec.generator_maps`, all
 letters in one call), whose products already in normal order, all of them
 on abelian models, are one shift of exponents.  They send b^a = b^h b^t, t
@@ -72,12 +72,6 @@ from .padic import (
 )
 
 
-# dense entries of the rows of one `_group_columns` call of `_right_maps`:
-# past it the letters are split into runs that fit, or one letter a call (U_4
-# at W=24 needs it: 1,472 tails x 4,416 columns, about 6.5 M entries)
-_MAP_BLOCK = 1 << 22
-
-
 class TruncationSpec:
     """Monomial basis below the cutoff plus the caches shared by all series."""
 
@@ -92,6 +86,18 @@ class TruncationSpec:
         self.omega = model.omega.values
         # omega lies in (1/e)Z, so e * omega is integral and the cutoff is W
         self._int_omega = np.array(model.omega.units, dtype=np.int64)
+        # b_i^k lies below the cutoff iff k * e * omega_i < W; Python ints, so
+        # that a huge W is refused before any array is grown
+        self.max_exponents = tuple((W - 1) // u for u in model.omega.units)
+        max_exp = max(self.max_exponents)
+        # p^need, the least power of p above every exponent (see _lucas_table)
+        self._lucas_modulus, need = model.p, 1
+        while self._lucas_modulus <= max_exp:
+            self._lucas_modulus, need = self._lucas_modulus * model.p, need + 1
+        if need > model.precision:
+            raise PrecisionError(
+                f"cutoff W={W} uses exponents up to {max_exp}; coordinate precision "
+                f"M={model.precision} is too small (need M >= {need})")
         # grow the exponent rows one coordinate at a time below the cutoff: a
         # row of weight s (in units of 1/e) takes k = 0..(W - 1 - s) // w next
         weights, exps = np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
@@ -108,16 +114,6 @@ class TruncationSpec:
         self.basis: list[MultiIndex] = list(map(tuple, self._exponents.tolist()))
         self.index = dict(zip(self.basis, range(len(self.basis))))
         self.size = len(self.basis)
-        self.max_exponents = tuple(int(m) for m in self._exponents.max(axis=0))
-        max_exp = max(self.max_exponents)
-        # p^need, the least power of p above every exponent (see _embed_rows)
-        self._lucas_modulus, need = model.p, 1
-        while self._lucas_modulus <= max_exp:
-            self._lucas_modulus, need = self._lucas_modulus * model.p, need + 1
-        if need > model.precision:
-            raise PrecisionError(
-                f"cutoff W={W} uses exponents up to {max_exp}; coordinate precision "
-                f"M={model.precision} is too small (need M >= {need})")
         if self.size * (model.p - 1) ** 2 >= INT64_LIMIT:
             raise ModelError(
                 f"p = {model.p} is too large for {self.size} monomials: exact int64 "
@@ -225,20 +221,24 @@ class TruncationSpec:
         return (pascal, [nonzero[:, col] for col in self._exponents.T],
                 (np.searchsorted(a, np.arange(len(pascal) + 1)), c, pascal[a, c]))
 
-    def _embed_rows(self, coords) -> np.ndarray:
-        """Row k is the embedding of g^lam, lam the k-th integer coordinate
-        vector of `coords`: C(lam, b) mod p for every basis monomial b.  By
-        Lucas's theorem C(lam_i, n) mod p for n up to the largest exponent
-        depends only on lam_i mod p^need, so one row of these binomials is
-        built per distinct residue (`padic.lucas_rows`), and each coordinate
-        is one gather."""
-        p, top = self.model.p, max(self.max_exponents)
+    def _lucas_table(self, coords) -> tuple:
+        """(table, at): row at[k, i] of `table` is C(lam_i, n) mod p for n up
+        to the largest exponent, lam the k-th integer coordinate vector of
+        `coords`; by Lucas's theorem it depends only on lam_i mod p^need, so
+        there is one row per distinct residue (`padic.lucas_rows`)."""
         lams = np.asarray(coords, dtype=np.int64).reshape(-1, self.model.rank)
         residues, at = np.unique(lams % self._lucas_modulus, return_inverse=True)
-        table = lucas_rows(residues, top, p)
-        at = at.reshape(lams.shape)
+        table = lucas_rows(residues, max(self.max_exponents), self.model.p)
+        return table, at.reshape(lams.shape)
+
+    def _embed_rows(self, coords) -> np.ndarray:
+        """Row k is the embedding of g^lam, lam the k-th integer coordinate
+        vector of `coords`: C(lam, b) mod p for every basis monomial b, each
+        coordinate one gather from `_lucas_table`."""
+        p = self.model.p
+        table, at = self._lucas_table(coords)
         # factors are residues, so reduce only when the next product could wrap
-        out, bound = np.ones((len(lams), self.size), dtype=np.int64), 1
+        out, bound = np.ones((len(at), self.size), dtype=np.int64), 1
         for i, col in enumerate(self._exponents.T):
             if bound * (p - 1) >= INT64_LIMIT:
                 out %= p
@@ -248,6 +248,27 @@ class TruncationSpec:
         out %= p
         return out
 
+    def _embed_entries(self, coords) -> tuple:
+        """`_embed_rows` as entries (k, basis index of b, C(lam, b) mod p),
+        the nonzero ones, sorted by k: the product of the C(lam_i, b_i)
+        grows a coordinate at a time over the nonzero entries of lam_i's
+        `_lucas_table` row, below the cutoff as `__init__` grows the basis."""
+        p, width = self.model.p, max(self.max_exponents) + 1
+        table, at = self._lucas_table(coords)
+        r, a = np.nonzero(table)
+        flat, values = r * width + a, table[r, a]
+        row, code = np.arange(len(at)), np.zeros(len(at), dtype=np.int64)
+        weight, coef = np.zeros_like(code), np.ones_like(code)
+        for i, w in enumerate(self.model.omega.units):
+            # the a of lam_i's row, ascending, up to (W - 1 - weight) // w
+            key = at[row, i] * width
+            lo = flat.searchsorted(key)
+            k, pos = _runs(lo, flat.searchsorted(key + (self.W - 1 - weight) // w,
+                                                 side="right") - lo)
+            row, code = row[k], code[k] + a[pos] * self._radix[i]
+            weight, coef = weight[k] + a[pos] * w, coef[k] * values[pos] % p
+        return row, self._indices_of(code), coef
+
     @cached_property
     def _pascal(self) -> np.ndarray:
         """C(m, n) mod p for m, n up to one past the largest exponent, or up
@@ -255,15 +276,15 @@ class TruncationSpec:
         top = max(self.max_exponents) + 1
         return lucas_rows(np.arange(top + 1), top, self.model.p)
 
-    def _group_columns(self, exps, image, start=None, labels=None) -> np.ndarray:
-        """Row k is the image of b^a, a the k-th row of `exps`, under the
-        linear extension of a map on G, the map of the row's label
-        labels[k] (default 0); `image` sends arrays of labels and of
-        exponents c, each (label, c) pair distinct, to the integer
-        coordinates of the images of the g^c under the maps of those labels.
-        With `start`, row k is combined only on the columns from start[k]
-        on and is 0 before them."""
-        p, step = self.model.p, self.size
+    def _group_columns(self, exps, image, start=None, labels=None) -> tuple:
+        """Entries (k, column, coefficient) of the image of b^a, a the k-th
+        row of `exps`, under the linear extension of a map on G, the map of
+        the row's label labels[k] (default 0), sorted as `sum_entries` sorts;
+        `image` sends arrays of labels and of exponents c, each (label, c)
+        pair distinct, to the integer coordinates of the images of the g^c
+        under the maps of those labels.  With `start`, row k keeps only its
+        columns from start[k] on."""
+        p = self.model.p
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.model.rank)
         owner, c, signs = self._signed_binomials(exps)
         labels = np.zeros(len(exps), dtype=np.int64) if labels is None else labels
@@ -273,22 +294,11 @@ class TruncationSpec:
         radix = np.cumprod(np.concatenate(([1], c.max(axis=0, initial=0) + 1)))
         _, first, at = np.unique(c @ radix[:-1] + labels * radix[-1],
                                  return_index=True, return_inverse=True)
-        rows = self._embed_rows(image(labels[first], c[first]))
-        cuts = np.searchsorted(owner, np.arange(len(exps) + 1)).tolist()
-        start = [0] * len(exps) if start is None else start.tolist()
-        out = np.zeros((len(exps), self.size), dtype=np.int64)
-        for k, s in enumerate(start):
-            lo, hi = cuts[k], cuts[k + 1]
-            # a row inside the basis has at most `size` terms, its c being
-            # distinct basis monomials; a row past it sums `size` at a time
-            if hi - lo <= step:
-                out[k, s:] = signs[lo:hi] @ rows[at[lo:hi], s:]
-            else:
-                out[k, s:] = sum(signs[n:min(n + step, hi)] @
-                                 rows[at[n:min(n + step, hi)], s:] % p
-                                 for n in range(lo, hi, step))
-        out %= p
-        return out
+        k, col, coef = self._embed_entries(image(labels[first], c[first]))
+        images = SparseMap._trusted(p, self.size, col, k, coef)
+        rows, cols, coefs = sum_entries(*images.apply_entries(owner, at, signs), p)
+        keep = cols >= (0 if start is None else start[rows])
+        return rows[keep], cols[keep], coefs[keep]
 
     def cached_map(self, key, build) -> "SparseMap":
         """The operator stored under `key`, from `build()` on first use."""
@@ -343,8 +353,8 @@ class TruncationSpec:
         b^t*b_j = sum_c s_c (g^c g_j - g^c) = sum_c s_c embed(g^c g_j) - b^t,
         combined only on the columns of weight w(t) + omega_j on, which the
         term -b^t does not reach.  It is built once per distinct (j, t), the
-        images of all letters in one `_group_columns` call (see _MAP_BLOCK),
-        so a right map expands its tails, not whole monomials.
+        entries of all letters from one `_group_columns` call, so a right
+        map expands its tails, not whole monomials.
 
         Every image g^c g_j has coordinates 0 before j, so no term b^gamma
         of T(t) has a letter before j, and b^h*b^gamma = b^(h + gamma) is in
@@ -376,22 +386,14 @@ class TruncationSpec:
             movers.append(a)
             labels.append(np.full(distinct.size, j, dtype=np.int64))
         cuts = np.cumsum([0] + [a.size for a in movers])
-        tail_ends = np.cumsum([0] + [t.size for t in tails])
         tails, labels, movers, tail_at = map(np.concatenate, (tails, labels, movers, tail_at))
 
         # b^a b_j = b^h T(t): the terms b^gamma of each T(t), one run per
-        # tail; no kernel call when no letter has movers
+        # tail, sorted; no kernel call when no letter has movers
         start = np.searchsorted(self._int_weights,
                                 self._int_weights[tails] + self._int_omega[labels])
-        cap, parts, lo = max(1, _MAP_BLOCK // size), [np.zeros((3, 0), dtype=np.int64)], 0
-        while lo < tails.size:
-            hi = max(tail_ends[tail_ends <= lo + cap].max(), tail_ends[tail_ends > lo].min())
-            cols = self._group_columns(exps[tails[lo:hi]], self._letter_image,
-                                       start[lo:hi], labels[lo:hi])
-            r, g = np.nonzero(cols)
-            parts.append(np.stack([r + lo, g, cols[r, g]]))
-            lo = hi
-        n, gamma, coef = np.concatenate(parts, axis=1)
+        n, gamma, coef = np.zeros((3, 0), dtype=np.int64) if not tails.size else \
+            self._group_columns(exps[tails], self._letter_image, start, labels)
         count = np.bincount(n, minlength=tails.size)
         at, pos = _runs((np.cumsum(count) - count)[tail_at], count[tail_at])
         # b^h b^gamma = b^(h + gamma), 0 at weights W/e and more
@@ -630,10 +632,9 @@ def aut_map(trunc: TruncationSpec, phi: Automorphism) -> SparseMap:
     model = trunc.model
 
     def build():
-        cols = trunc._group_columns(trunc._exponents, lambda _, cs: [
+        src, tgt, coef = trunc._group_columns(trunc._exponents, lambda _, cs: [
             phi.apply(model.element(c)).coords for c in cs.tolist()])
-        src, tgt = np.nonzero(cols)
-        return SparseMap(model.p, trunc.size, tgt, src, cols[src, tgt])
+        return SparseMap._trusted(model.p, trunc.size, tgt, src, coef)
     return trunc.cached_map(("aut", phi), build)
 
 

@@ -10,7 +10,7 @@ from iwacalc.linalg import SparseMap
 
 from oracles import (
     apply_entries_reference, compiled_laws_reference, deg_omega_reference,
-    laws_or_message,
+    group_columns_reference, laws_or_message,
 )
 
 
@@ -66,6 +66,27 @@ def sparse_applies_match_reference():
         return got
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SparseMap, "apply_entries", checked)
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def group_columns_match_reference():
+    """Every `TruncationSpec._group_columns` call of the session, the right
+    maps, aut maps and Mahler rows of the golden configs run in process
+    included, gives the entries of the nonzeros of the dense blocks of
+    `oracles.group_columns_reference`, array for array."""
+    group_columns = TruncationSpec._group_columns
+
+    @functools.wraps(group_columns)
+    def checked(t, exps, image, start=None, labels=None):
+        got = group_columns(t, exps, image, start, labels)
+        dense = group_columns_reference(t, exps, image, start, labels)
+        rows, cols = np.nonzero(dense)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(got, (rows, cols, dense[rows, cols]), strict=True))
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TruncationSpec, "_group_columns", checked)
         yield
 
 

@@ -12,6 +12,9 @@ phi(g_i) - 1, and `aut_matrix` is its dense operator.  `dense` scatters a
 `SparseMap` into its matrix, and `apply_entries_reference` applies one to
 a block by two binary searches per column, without the offsets the map
 keeps.
+`group_columns_reference` is the group kernel on dense blocks: the
+images' embed rows and its output each have `size` columns, and each
+row is one product of its signs with their embed rows.
 `divided_power_reference` applies the closed formula for del^(alpha) term
 by term.  `rref` writes the reduced basis of a `RowSpace` fed the rows of
 a matrix as a dense array (`space_matrix`), `intersect_coordinate_subspace`
@@ -536,6 +539,40 @@ def apply_entries_reference(m: SparseMap, rows: np.ndarray, cols: np.ndarray,
     lo = m.src.searchsorted(cols)
     at, pos = _runs(lo, m.src.searchsorted(cols, side="right") - lo)
     return rows[at], m.tgt[pos], coefs[at] * m.coef[pos] % m.p
+
+
+def group_columns_reference(t: TruncationSpec, exps, image, start=None,
+                            labels=None) -> np.ndarray:
+    """Row k is the image of b^a, a the k-th row of `exps`, as
+    `TruncationSpec._group_columns` sums it, as one dense row of `size`
+    columns: the signs of its expansion times the dense embed rows of its
+    images, 0 before start[k]."""
+    p, step = t.model.p, t.size
+    exps = np.asarray(exps, dtype=np.int64).reshape(-1, t.model.rank)
+    owner, c, signs = t._signed_binomials(exps)
+    labels = np.zeros(len(exps), dtype=np.int64) if labels is None else labels
+    labels = labels[owner]
+    # codes in the block's own radix, the label its top digit: a row past
+    # the basis has exponents whose codes in `_radix` collide
+    radix = np.cumprod(np.concatenate(([1], c.max(axis=0, initial=0) + 1)))
+    _, first, at = np.unique(c @ radix[:-1] + labels * radix[-1],
+                             return_index=True, return_inverse=True)
+    rows = t._embed_rows(image(labels[first], c[first]))
+    cuts = np.searchsorted(owner, np.arange(len(exps) + 1)).tolist()
+    start = [0] * len(exps) if start is None else start.tolist()
+    out = np.zeros((len(exps), t.size), dtype=np.int64)
+    for k, s in enumerate(start):
+        lo, hi = cuts[k], cuts[k + 1]
+        # a row inside the basis has at most `size` terms, its c being
+        # distinct basis monomials; a row past it sums `size` at a time
+        if hi - lo <= step:
+            out[k, s:] = signs[lo:hi] @ rows[at[lo:hi], s:]
+        else:
+            out[k, s:] = sum(signs[n:min(n + step, hi)] @
+                             rows[at[n:min(n + step, hi)], s:] % p
+                             for n in range(lo, hi, step))
+    out %= p
+    return out
 
 
 def divided_power_matrix(trunc: TruncationSpec, alpha: Sequence[int]) -> OperatorMatrix:

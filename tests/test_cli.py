@@ -674,12 +674,21 @@ def test_main_exit_two_on_config_errors(tmp_path, capsys):
 
 
 def test_main_exit_two_when_coordinates_exceed_int64(tmp_path, capsys):
-    doc = {"p": 3, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
-           "truncation": {"W": 4, "M": 40},
-           "tasks": [{"name": "verify-valuation"}]}
-    assert main(["run", write_doc(tmp_path, "wide.json", doc)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "2^63" in err
+    for field, value, message in [
+            ("M", 40, "2^63"),
+            # e * omega past int64, from e or from omega
+            ("e", 2 ** 63, "e * omega = 9223372036854775808 does not fit in int64"),
+            ("omega", [[10 ** 30, 1], "1"], "must be below 2^63"),
+            # exponents up to W - 1, refused before the basis is grown
+            ("W", 2 ** 62, "M=4 is too small (need M >= 40)"),
+            ("W", 2 ** 63, "uses exponents up to 9223372036854775807")]:
+        doc = {"p": 3, "model": {"kind": "abelian", "rank": 2}, "omega": ["1", "1"],
+               "truncation": {"W": 4, "M": 4},
+               "tasks": [{"name": "verify-valuation"}]}
+        (doc if field == "omega" else doc["truncation"])[field] = value
+        assert main(["run", write_doc(tmp_path, "wide.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, (field, err)
 
 
 def test_main_table_format(tmp_path, capsys):

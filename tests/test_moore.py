@@ -17,6 +17,7 @@ from iwacalc import (
     projective_forms, run_config, zeta_convergence, zeta_eval,
 )
 from iwacalc import groups, moore
+from iwacalc.linalg import sum_entries
 
 from oracles import (
     block_series, format_reference, val_sub_exact, z_of_automorphism,
@@ -326,12 +327,14 @@ def _corrupt_mahler_rows(monkeypatch):
     rows_of = moore._mahler_rows
 
     def corrupt(t, phi, alphas):
-        out = rows_of(t, phi, alphas).copy()
+        rows, cols, coefs = rows_of(t, phi, alphas)
         size = np.asarray(alphas).sum(axis=1)
         b1 = t.index[(1,) + (0,) * (t.model.rank - 1)]
-        out[size == 2, b1] = (out[size == 2, b1] + 1) % t.model.p
-        out[size == 3] = 0
-        return out
+        two = np.flatnonzero(size == 2)
+        rows, cols, coefs = (np.concatenate(pair) for pair in zip(
+            (rows, cols, coefs), (two, np.full_like(two, b1), np.ones_like(two))))
+        keep = size[rows] != 3
+        return sum_entries(rows[keep], cols[keep], coefs[keep], t.model.p)
     monkeypatch.setattr(moore, "_mahler_rows", corrupt)
 
 

@@ -607,6 +607,20 @@ def test_mahler_coeff_aut_past_the_basis_keeps_distinct_points(abelian2):
     assert mahler_coeff_aut(t, phi, (6, 1)).is_zero()
 
 
+def test_mahler_coeff_aut_past_the_basis_with_more_terms_than_monomials(abelian2, heis):
+    """An alpha past the basis whose expansion has more terms than the
+    truncation has monomials: the terms of each column are summed in one
+    `sum_entries`, with no split of the row, and cancel as the finite
+    differences point by point do."""
+    for model, W, phi, alpha in [
+            (abelian2, 6, Automorphism.linear_on_log(abelian2, [[1, 3], [3, 1]]), (8, 8)),
+            (heis, 4, Automorphism.inner(heis, heis.basis()[0]), (4, 4, 1))]:
+        t = TruncationSpec(model, W)
+        owner, _, _ = t._signed_binomials([alpha])
+        assert owner.size > t.size and alpha[0] > t.max_exponents[0]
+        assert mahler_coeff_aut(t, phi, alpha) == mahler_coeff_aut_reference(t, phi, alpha)
+
+
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_expansion_routes_match_oracles(abelian3, heis, u4, data):

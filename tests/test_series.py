@@ -6,7 +6,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -427,18 +426,16 @@ def test_generator_maps_match_group_route(kernel_truncs, name):
 @given(data=st.data())
 def test_generator_maps_match_group_route_at_drawn_cutoffs(kernel_truncs, name, data):
     """Right and left maps at a drawn cutoff, each side built first on a
-    cold truncation for a drawn set of letters, in one block or, under a
-    tiny block budget, one letter a call, against the group route on drawn
-    monomials.  A left build multiplies by right maps it builds itself."""
+    cold truncation for a drawn set of letters, in one block, against the
+    group route on drawn monomials.  A left build multiplies by right maps
+    it builds itself."""
     model = kernel_truncs[name].model
     d = model.rank
     W = data.draw(st.integers(1, 14), label="W")
     letters = data.draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True))
-    budget = data.draw(st.sampled_from([series._MAP_BLOCK, 1]), label="budget")
     t = TruncationSpec(model, W)
-    with patch.object(series, "_MAP_BLOCK", budget):
-        maps = {side: TruncationSpec(model, W).generator_maps(letters, side)
-                for side in ("right", "left")}
+    maps = {side: TruncationSpec(model, W).generator_maps(letters, side)
+            for side in ("right", "left")}
     monomials = data.draw(st.lists(st.sampled_from(t.basis), min_size=1, max_size=6,
                                    unique=True))
     for j, right, left in zip(letters, maps["right"], maps["left"]):
@@ -499,8 +496,8 @@ def test_right_maps_embed_one_row_per_tail_image(u4):
     one kernel call for the six letters."""
     t = TruncationSpec(u4, 16)
     p, d = u4.p, u4.rank
-    embedded, embed = [], t._embed_rows
-    t._embed_rows = lambda coords: embedded.append(len(coords)) or embed(coords)
+    embedded, embed = [], t._embed_entries
+    t._embed_entries = lambda coords: embedded.append(len(coords)) or embed(coords)
     t.generator_maps(range(d))
     tails, whole = set(), set()
     for j in range(d):
@@ -518,11 +515,11 @@ def test_maps_without_movers_make_no_kernel_call(abelian3, heis):
     calls = []
 
     def counted(t):
-        group_columns, embed_rows = t._group_columns, t._embed_rows
+        group_columns, embed_entries = t._group_columns, t._embed_entries
         t._group_columns = lambda *args: calls.append(("group", len(args[0]))) or \
             group_columns(*args)
-        t._embed_rows = lambda coords: calls.append(("embed", len(coords))) or \
-            embed_rows(coords)
+        t._embed_entries = lambda coords: calls.append(("embed", len(coords))) or \
+            embed_entries(coords)
         return t
 
     t = counted(TruncationSpec(abelian3, 8))
@@ -581,9 +578,15 @@ def test_embed_rows_match_lucas_binomials(kernel_truncs, name, data):
         lams += [(r,) * d for r in range(low)]
     rows = t._embed_rows(lams)
     assert rows.shape == (len(lams), t.size)
-    for lam, row in zip(lams, rows):
+    # the entries route: the nonzeros of each row, its rows in order
+    k, cols, coefs = t._embed_entries(lams)
+    assert np.array_equal(k, np.sort(k))
+    for n, (lam, row) in enumerate(zip(lams, rows)):
         assert row.tolist() == [multi_binom_mod_p(lam, b, p, M) for b in t.basis]
         assert np.array_equal(group_embed(t, t.model.element(lam)).vector(), row)
+        order = np.argsort(cols[k == n])
+        assert np.array_equal(cols[k == n][order], np.flatnonzero(row))
+        assert np.array_equal(coefs[k == n][order], row[row != 0])
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "heis_wide"])

@@ -1,7 +1,7 @@
 """The package and its tests parse with the grammar of the oldest Python
 that pyproject.toml supports, whatever interpreter runs the suite, the
-package defines nothing that it never names, and it imports nothing that it
-never names."""
+package defines and assigns nothing that it never names, and it imports
+nothing that it never names."""
 
 import ast
 import re
@@ -22,10 +22,11 @@ def _sources():
 
 
 def _names(tree) -> Counter:
-    """Every name and attribute a module refers to."""
+    """Every name and attribute a module refers to; a name that is only
+    assigned to is not referred to."""
     named = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             named[node.id] += 1
         elif isinstance(node, ast.Attribute):
             named[node.attr] += 1
@@ -65,6 +66,24 @@ def test_every_definition_in_src_is_named_in_src():
     assert not unreached, f"exported but named neither in src nor in the README: {unreached}"
     stale = [name for name in UNUSED_IN_SRC if named[name] or name in public]
     assert not stale, f"allowed as unused but named in src: {stale}"
+
+
+def test_every_module_level_name_in_src_is_named_in_src():
+    """A non-dunder name that a src module assigns at module level, such as
+    a constant or a budget, is read somewhere in src: one that only the
+    tests read, or that nothing reads once its last user is gone, is dead."""
+    assigned, named = [], Counter()
+    for f, tree in _sources():
+        named += _names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [(f"{f.name}:{node.lineno}", n.id) for target in targets
+                             for n in ast.walk(target) if isinstance(n, ast.Name)]
+    assert assigned
+    dead = [f"{where} {name}" for where, name in assigned
+            if not named[name] and not (name.startswith("__") and name.endswith("__"))]
+    assert not dead, "assigned in src but never named there: " + ", ".join(dead)
 
 
 def test_every_import_in_src_is_named_in_its_module():
