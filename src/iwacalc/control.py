@@ -16,7 +16,8 @@ unitriangular one the right ideal is closed under the left maps alone, a
 frontier at a time (`ideal_span`).  Every test against a span is one
 `linalg.residual` B - B[:, pivots]·R, the kernel that also grows it:
 membership of a vector, the dagger's candidates in chunks, and
-del_i-stability, where B is del_i applied to all of R at once.
+del_i-stability, where B is del_1, ..., del_d applied to all of R in one
+kernel pass (`operators.divided_power_block`).
 
 A central prime keeps its quotient map tau as one `SparseMap`, so the
 induced filtration of a block of series is one apply of tau to every part
@@ -39,7 +40,7 @@ import numpy as np
 
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, SparseMap, integer_array, residual, sum_entries
-from .operators import _mask, first_divided_powers
+from .operators import _mask, divided_power_block
 from .padic import Val, gt_provable, mi_range
 from .rng import Pcg32
 from .series import TruncatedSeries, TruncationSpec, format_row, format_series
@@ -57,7 +58,8 @@ class IdealSpan:
     every other pivot, as a `RowSpace` leaves it.  Membership,
     del-stability and the dagger are tests on the residual B - B[:, pivots]·R
     of a block B of vectors (`linalg.residual`), and the del_i-stability
-    result is kept per direction, since the span never changes.  The
+    results of all directions are kept from the first test (`_escape`),
+    since the span never changes.  The
     constructor also takes the basis as a dense dim x size array of
     integers, which it reduces mod p; `rows` is that dense form, built on
     first read.  Two spans are equal when they are the same subspace of the
@@ -66,7 +68,7 @@ class IdealSpan:
 
     def __init__(self, trunc: TruncationSpec, rows, pivots: Sequence[int], sided: str):
         self.trunc = trunc
-        self.pivots = tuple(int(c) for c in pivots)
+        self.pivots = tuple(map(int, pivots))
         self.sided = sided
         if not isinstance(rows, SparseMap):
             dense = integer_array(rows)
@@ -78,7 +80,7 @@ class IdealSpan:
             at, cols = np.nonzero(dense)
             rows = SparseMap(trunc.model.p, trunc.size, cols, at, dense[at, cols])
         self.reduced = rows
-        self._escapes: dict[int, Optional[tuple[int, dict]]] = {}
+        self._escapes: Optional[list[Optional[tuple[int, dict]]]] = None
 
     @property
     def dim(self) -> int:
@@ -179,10 +181,12 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
 
     The tested operators are the first divided powers for the directions H
     halves (exponent 1); directions fully inside H are untested.  Empty
-    result means the span is stable, i.e. controlled by H mod F_W.  Each
-    direction's escape is one block residual, kept on I (`_escape`), and
-    del_1, ..., del_d are one build per truncation
-    (`operators.first_divided_powers`), whatever the mask.
+    result means the span is stable, i.e. controlled by H mod F_W.  The
+    escapes of all d directions come from one kernel pass over the rows of
+    I and one residual, kept on I (`_escape`), whatever the mask: a call
+    alone pays d/|mask| times the entry work of its directions, in one pass
+    and one residual instead of |mask| of each, and a later call on I,
+    `controller_approx` included, pays none.
     """
     t = I.trunc
     out = []
@@ -203,19 +207,25 @@ def control_witnesses(I: IdealSpan, H: SubgroupSpec) -> list[dict]:
 def _escape(I: IdealSpan, i: int) -> Optional[tuple[int, dict]]:
     """(k, residual) for the first row k of I, in pivot order, whose image
     under del_i has a nonzero residual against the span; None if the span
-    is del_i-stable.  Computed once per direction and kept on I."""
-    if i in I._escapes:
-        return I._escapes[i]
-    t = I.trunc
-    d_i = first_divided_powers(t)[i]
-    R = I.reduced
-    at, cols, coefs = residual(*d_i.apply_entries(R.src, R.tgt, R.coef), R, I.pivots)
-    hit = None
-    if at.size:
-        first = at == at[0]
-        hit = int(at[0]), dict(zip(cols[first].tolist(), coefs[first].tolist()))
-    I._escapes[i] = hit
-    return hit
+    is del_i-stable.  Every direction is settled on the first request and
+    kept on I: del_1, ..., del_d applied to the entries of R in one
+    `operators.divided_power_block` call, row i*dim + r holding del_i of row
+    r, and one residual of that block against the span."""
+    if I._escapes is None:
+        t, R, dim = I.trunc, I.reduced, I.dim
+        rank = t.model.rank
+        at, cols, coefs = residual(*divided_power_block(
+            t, [_unit_exponent(rank, j) for j in range(rank)], (R.src, R.tgt, R.coef), dim),
+            R, I.pivots)
+        I._escapes = [None] * rank
+        # the residual is sorted by row: a direction's first row that escapes
+        # is the first of its rows, and that row's entries are a run
+        first = np.flatnonzero(np.diff(at // max(dim, 1), prepend=-1))
+        ends = np.searchsorted(at, at[first], side="right")
+        for lo, hi in zip(first.tolist(), ends.tolist()):
+            j, k = divmod(int(at[lo]), dim)
+            I._escapes[j] = k, dict(zip(cols[lo:hi].tolist(), coefs[lo:hi].tolist()))
+    return I._escapes[i]
 
 
 def is_controlled_by(I: IdealSpan, H: SubgroupSpec) -> bool:
@@ -225,8 +235,9 @@ def is_controlled_by(I: IdealSpan, H: SubgroupSpec) -> bool:
 def controller_approx(I: IdealSpan) -> SubgroupSpec:
     """Smallest basis-aligned subgroup (exponents 0/1) controlling I.
 
-    Stability is tested one direction at a time, so the smallest controller
-    in this lattice is simply the subgroup halving every stable direction.
+    Stability is decided per direction (every direction in one pass, see
+    `_escape`), so the smallest controller in this lattice is simply the
+    subgroup halving every stable direction.
     The answer is an upper bound for the true controller relative to the
     chosen basis; non-aligned subgroups are not searched.
     """

@@ -33,7 +33,7 @@ import numpy as np
 
 from .groups import Automorphism, ModelError
 from .linalg import SparseMap, sum_entries
-from .operators import _mahler_rows, first_divided_powers
+from .operators import _mahler_rows, divided_power_block
 from .padic import (
     AtLeast, PrecisionError, format_poly, format_val, mi_range, poly_combine,
     poly_frobenius, poly_product_sum, power,
@@ -453,7 +453,8 @@ def zeta_convergence(exp: ZetaExperiment) -> dict:
     ws = t.valuations(t.block(xs), len(xs))
     for i in range(1, m + 1):
         direction = exp.order[i - 1]
-        dx = sum_entries(*first_divided_powers(t)[direction].apply_entries(*t.block(xs)), p)
+        unit = tuple(int(j == direction) for j in range(t.model.rank))
+        dx = sum_entries(*divided_power_block(t, [unit], t.block(xs), len(xs)), p)
         prev = None
         for r in exp.r_range:
             _, det, _ = exp.matrices(r)

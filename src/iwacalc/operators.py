@@ -6,13 +6,17 @@ Every operator here is a `SparseMap` on a TruncationSpec's monomial space:
 applied to a coefficient vector.  Operators compose (`SparseMap.compose`)
 and combine linearly (`SparseMap.combine`) as sparse maps, into canonical
 maps that compare equal exactly when the operators are equal.  The divided
-powers are cached as such maps, one per truncation and index, built a block
-at a time from the closed formula below (`divided_power_maps`); the tables
-of binomials mod p that a build reads are kept on the truncation, and the
-first divided powers del_1, ..., del_d are one build
-(`first_divided_powers`).  Their degrees are read a block at a time as
-integers (`degree_arrays`); the coset idempotents are polynomials in them,
-each factor one combination of them (`_coset_factor`).
+powers have one kernel, `_divided_power_slices`: a pass of the closed
+formula below over the entries of a block of rows, for a list of indices
+at once.  `divided_power_block` applies it to a block, row k*n + r of its
+output holding del^(alpha_k) of block row r, with no map built: the
+control tests apply del_1, ..., del_d so to a span's rows.
+`divided_power_maps` applies it to the identity block, in slices, and
+caches each result as a map, one per truncation and index; the table of
+binomials mod p that a pass reads is kept on the truncation.  Their
+degrees are read a block at a time as integers (`degree_arrays`); the
+coset idempotents are polynomials in them, each factor one combination of
+them (`_coset_factor`).
 
 The divided power del^(a) acts by the closed formula
 
@@ -94,77 +98,124 @@ def divided_power_maps(trunc: TruncationSpec,
                              lambda keys: _divided_powers(trunc, [a for _, a in keys]))
 
 
-def first_divided_powers(trunc: TruncationSpec) -> list[SparseMap]:
-    """del_1, ..., del_d, the del^(e_i), cached on the truncation: all d
-    from one build on first use.  Each has at most two entries a source,
-    so the directions a caller does not read cost little."""
-    rank = trunc.model.rank
-    return divided_power_maps(trunc, [tuple(int(j == i) for j in range(rank))
-                                      for i in range(rank)])
+def divided_power_block(trunc: TruncationSpec, alphas: Sequence[Sequence[int]],
+                        block, n: int) -> tuple:
+    """Entries (row, target, coefficient) of del^(alphas[k]) applied to every
+    row of a block of n rows, row k*n + r holding del^(alphas[k]) of row r:
+    one `_divided_power_slices` pass over the block's entries, no map built.
+    The entries are not summed.  Meant for a few alphas, as the pass holds
+    a dense block of their leading factors, len(alphas) by the entries."""
+    [(cuts, at, tgt, coef)] = _divided_power_slices(
+        trunc, [_operator_index(trunc, a) for a in alphas], block)
+    return np.repeat(np.arange(len(alphas)) * n, np.diff(cuts)) + block[0][at], tgt, coef
 
 
 def _divided_powers(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
-    """del^(alpha) for each alpha of `alphas` by the closed formula, in slices
-    of at most about _SLICE_TERMS entries: the leading factor of each
-    (alpha, source) pair from the Pascal table mod p, times each offset of
-    its alpha.  Each map holds views of its slice's arrays, already sorted
-    by (source, target).  The table, its flag rows and its flat form come
-    from the truncation, which builds them once per Pascal table
-    (`TruncationSpec._divided_power_tables`)."""
-    p, size, exps = trunc.model.p, trunc.size, trunc._exponents
-    # flags[i][a, B] = C(B_i, a) is nonzero mod p
-    pascal, flags, expansions = trunc._divided_power_tables
+    """del^(alpha) for each alpha of `alphas` as maps: `_divided_power_slices`
+    of the identity block.  Each map holds views of its slice's arrays,
+    already sorted by (source, target)."""
+    p, size = trunc.model.p, trunc.size
+    return [SparseMap._trusted(p, size, tgt[i:j], src[i:j], coef[i:j])
+            for cuts, src, tgt, coef in _divided_power_slices(trunc, alphas)
+            for i, j in zip(cuts, cuts[1:])]
+
+
+def _divided_power_slices(trunc: TruncationSpec, alphas: list, block=None):
+    """del^(alpha) of the entries (row, column, coefficient in [0, p)) of a
+    block by the closed formula, for each alpha of `alphas`: the leading
+    factor of each live (alpha, entry) pair from the Pascal table mod p,
+    times each offset of its alpha.  Yields, per slice of consecutive
+    alphas, (cuts, at, target, coefficient): entry n of the slice comes from
+    block entry at[n], and the entries of the slice's k-th alpha are
+    cuts[k]:cuts[k + 1].  They come alpha by alpha, then in the block's
+    order, then by target within each pair.
+
+    With no block, the block is the identity, entry s being b^s in row s,
+    and each alpha's entries are a map's, sorted by (source, target).  The
+    maps of a truncation are built for many alphas at once, most of whose
+    pairs are dead, so the live pairs are found first as flags, a budget of
+    alphas at a time, only they get a leading factor, and the entries come
+    in slices of at most about _SLICE_TERMS.  A block comes with a few
+    alphas, most of whose pairs live, so its leading factors are one dense
+    block and its entries one slice.  The Pascal table, its expansions and
+    the basis flag rows come from the truncation, which builds them once
+    per table (`TruncationSpec._divided_power_tables`, `_divided_power_flags`)."""
+    p = trunc.model.p
+    pascal, expansions = trunc._divided_power_tables
+    # the table flat: C(B, a) mod p is table[B * width + a]
+    table, width = pascal.ravel(), pascal.shape[1]
     # past the largest exponent every C(B_i, alpha_i) is 0, as one past it
     A = np.minimum(np.array(alphas, dtype=np.int64), len(pascal) - 1)
+    if block is None:
+        # exps[i] holds the i-th exponent of each basis monomial
+        exps, codes, size = trunc._exponents.T, trunc._codes, trunc.size
+        # flags[i][a, B] = C(B_i, a) is nonzero mod p
+        flags = trunc._divided_power_flags
 
-    def live(lo, hi):
-        # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p, as flags
-        out = flags[0][A[lo:hi, 0]]
-        for i in range(1, len(flags)):
-            out &= flags[i][A[lo:hi, i]]
-        return out
+        def live(lo, hi):
+            # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p, as flags
+            out = flags[0][A[lo:hi, 0]]
+            for i in range(1, len(flags)):
+                out &= flags[i][A[lo:hi, i]]
+            return out
 
-    # the sources of each alpha, counted a flag budget of rows at a time
-    rows = max(1, 8 * _SLICE_TERMS // size)
-    sources = np.concatenate([live(lo, min(lo + rows, len(A))).sum(axis=1)
-                              for lo in range(0, len(A), rows)])
+        def pairs(lo, hi):
+            at, entry = np.nonzero(live(lo, hi))
+            at += lo
+            lead = np.ones(entry.size, dtype=np.int64)
+            for e, a in zip(exps, A.T):
+                lead = lead * table[e[entry] * width + a[at]] % p
+            return at, entry, lead
+
+        # the sources of each alpha, counted a flag budget of rows at a time
+        rows = max(1, 8 * _SLICE_TERMS // size)
+        hits = np.concatenate([live(lo, min(lo + rows, len(A))).sum(axis=1)
+                               for lo in range(0, len(A), rows)])
+    else:
+        _, cols, coefs = block
+        exps, codes = trunc._exponents.T[:, cols], trunc._codes[cols]
+        # the leading factor of every (alpha, entry) pair times the entry's
+        # coefficient, row k for alphas[k]; the live pairs are the nonzero
+        dense = coefs
+        for e, a in zip(exps, A.T):
+            dense = dense * table[e * width + a[:, None]] % p
+        hits = np.count_nonzero(dense, axis=1)
+
+        def pairs(lo, hi):
+            at, entry = np.nonzero(dense)
+            return at, entry, dense[at, entry]
+
     # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
     # C(alpha, k) nonzero, expanded by `signed_binomials` from the nonzero
     # entries of the Pascal table row by row, so with no signs; the slices
     # read only their coefficients, the codes of k - alpha and where each
-    # alpha's terms start; an alpha with no source is not expanded
-    E = A * (sources > 0)[:, None]
+    # alpha's terms start; an alpha with no live pair is not expanded
+    E = A * (hits > 0)[:, None]
     owner, k, scale = signed_binomials(expansions, E, p)
     k -= E[owner]
     # the basis ascends by weight, then exponents, and so do the targets
-    # B - alpha + k of one source in that order of the k: each alpha's
-    # offsets in that order make its entries sorted by (source, target)
+    # B - alpha + k of one entry in that order of the k: each alpha's
+    # offsets in that order make a map's entries sorted by (source, target)
     order = np.lexsort((k @ trunc._int_omega, owner))
     shift, scale = k[order] @ trunc._radix, scale[order]
     starts = np.searchsorted(owner, np.arange(len(A) + 1))
     del owner, k, order
-    maps = []
-    # each alpha has one entry per source and offset, and also holds a row
-    # of `size` flags, counted as size / 8 terms
-    for lo, hi in _slices(sources * np.diff(starts) + size // 8 + 1):
-        at, src = np.nonzero(live(lo, hi))
-        at += lo
-        lead = np.ones(src.size, dtype=np.int64)
-        for col, a in zip(exps[src].T, A[at].T):
-            lead = lead * pascal[col, a] % p
+    # each alpha of a map has one entry per source and offset, and also
+    # holds a row of `size` flags, counted as size / 8 terms
+    for lo, hi in (_slices(hits * np.diff(starts) + size // 8 + 1) if block is None
+                   else [(0, len(A))]):
+        at, entry, lead = pairs(lo, hi)
         # each pair times each offset of its alpha, as in SparseMap.apply_entries
         count = starts[at + 1] - starts[at]
         ends = np.cumsum(count)
         n = np.arange(count.sum()) + np.repeat(starts[at] - ends + count, count)
-        src, coef = np.repeat(src, count), np.repeat(lead, count) * scale[n] % p
+        entry, coef = np.repeat(entry, count), np.repeat(lead, count) * scale[n] % p
         # B - alpha + k <= B componentwise, and the basis is closed under
         # lowering exponents, so every target is a basis monomial
-        tgt = trunc._indices_of(trunc._codes[src] + shift[n])
+        tgt = trunc._indices_of(codes[entry] + shift[n])
         # where each alpha's entries start and end
-        cuts = np.concatenate(([0], ends))[np.searchsorted(at, np.arange(lo, hi + 1))].tolist()
-        maps += [SparseMap._trusted(p, size, tgt[i:j], src[i:j], coef[i:j])
-                 for i, j in zip(cuts, cuts[1:])]
-    return maps
+        yield (np.concatenate(([0], ends))[np.searchsorted(at, np.arange(lo, hi + 1))].tolist(),
+               entry, tgt, coef)
 
 
 @dataclass(frozen=True)

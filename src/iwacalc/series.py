@@ -72,8 +72,14 @@ from .padic import (
 )
 
 
+# the most basis monomials a truncation grows; a larger one is refused
+MAX_BASIS = 1 << 20
+
+
 class TruncationSpec:
-    """Monomial basis below the cutoff plus the caches shared by all series."""
+    """Monomial basis below the cutoff plus the caches shared by all series.
+    A cutoff W >= 2^63, or one whose basis would pass MAX_BASIS monomials,
+    is refused with a ModelError before any array is grown."""
 
     def __init__(self, model: GroupModel, W: int):
         if W < 1:
@@ -98,12 +104,22 @@ class TruncationSpec:
             raise PrecisionError(
                 f"cutoff W={W} uses exponents up to {max_exp}; coordinate precision "
                 f"M={model.precision} is too small (need M >= {need})")
+        if W >= INT64_LIMIT:
+            raise ModelError(f"cutoff W={W} does not fit in int64: need W < 2^63")
         # grow the exponent rows one coordinate at a time below the cutoff: a
         # row of weight s (in units of 1/e) takes k = 0..(W - 1 - s) // w next
         weights, exps = np.zeros(1, dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
         for w in model.omega.units:
             count = (W - 1 - weights) // w + 1
-            k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            # the row of weight 0 takes the most, (W - 1) // w + 1, and at most
+            # MAX_BASIS rows come in: with that within the limit, the sum of
+            # the counts cannot wrap
+            total = int(count.sum()) if (W - 1) // w < MAX_BASIS else MAX_BASIS + 1
+            if total > MAX_BASIS:
+                raise ModelError(
+                    f"cutoff W={W} gives more than {MAX_BASIS} monomials, the "
+                    "basis-size limit")
+            k = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
             weights = np.repeat(weights, count) + k * w
             exps = np.column_stack((np.repeat(exps, count, axis=0), k))
         # ascending by weight, then by exponents
@@ -202,6 +218,7 @@ class TruncationSpec:
             self._pascal = lucas_rows(np.arange(top + 1), top, p)
             self._signed_rows = signed_rows(self._pascal, p)
             vars(self).pop("_divided_power_tables", None)
+            vars(self).pop("_divided_power_flags", None)
         return signed_binomials(self._signed_rows, exps, p)
 
     @cached_property
@@ -211,15 +228,20 @@ class TruncationSpec:
 
     @cached_property
     def _divided_power_tables(self) -> tuple:
-        """(pascal, flags, rows), what `operators._divided_powers` reads of
-        `_pascal`, built once per table: the table itself; flags[i], whose
-        row a flags the basis monomials b^B with C(B_i, a) nonzero mod p;
-        and `_signed_rows` without the signs, the expansions of (1 + b)^a."""
+        """(pascal, rows), what `operators._divided_power_slices` reads of
+        `_pascal`, built once per table: the table itself and
+        `_signed_rows` without the signs, the expansions of (1 + b)^a."""
         pascal = self._pascal
-        nonzero = pascal.T != 0
         a, c = np.nonzero(pascal)
-        return (pascal, [nonzero[:, col] for col in self._exponents.T],
-                (np.searchsorted(a, np.arange(len(pascal) + 1)), c, pascal[a, c]))
+        return pascal, (np.searchsorted(a, np.arange(len(pascal) + 1)), c, pascal[a, c])
+
+    @cached_property
+    def _divided_power_flags(self) -> list:
+        """flags[i], whose row a flags the basis monomials b^B with C(B_i, a)
+        nonzero mod p: what a divided-power build over the whole basis reads
+        of the table of `_divided_power_tables`, built once per table."""
+        nonzero = self._divided_power_tables[0].T != 0
+        return [nonzero[:, col] for col in self._exponents.T]
 
     def _lucas_table(self, coords) -> tuple:
         """(table, at): row at[k, i] of `table` is C(lam_i, n) mod p for n up

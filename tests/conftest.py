@@ -1,16 +1,18 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from iwacalc import (
-    ModelError, TruncationSpec, groups, load_abelian, load_unitriangular,
+    ModelError, TruncationSpec, control, groups, load_abelian, load_unitriangular,
+    moore, operators,
 )
-from iwacalc.linalg import SparseMap
+from iwacalc.linalg import SparseMap, sum_entries
 
 from oracles import (
     apply_entries_reference, compiled_laws_reference, deg_omega_reference,
-    group_columns_reference, laws_or_message,
+    divided_power_block_reference, group_columns_reference, laws_or_message,
 )
 
 
@@ -66,6 +68,53 @@ def sparse_applies_match_reference():
         return got
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SparseMap, "apply_entries", checked)
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def divided_power_passes_match_reference():
+    """Every pass of the divided-power kernel `_divided_power_slices` in the
+    session, the whole-basis builds of `divided_power_maps` included, and
+    every `divided_power_block` that `control`, `moore` and `operators`
+    call, equals the maps of `oracles.divided_powers_reference` applied to
+    its block, repeats summed.  A pass is checked slice by slice, each
+    against the maps of its own alphas, and not while tracemalloc traces,
+    since the check's arrays would count in the peak that the memory tests
+    bound; the golden configs build the same maps in process, checked."""
+    kernel, block_of = operators._divided_power_slices, operators.divided_power_block
+
+    def same(got, want):
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(got, want, strict=True))
+
+    def checked_pass(trunc, alphas, block=None):
+        if tracemalloc.is_tracing():
+            yield from kernel(trunc, alphas, block)
+            return
+        # no block is the identity block, entry s being b^s in row s
+        ident = np.arange(trunc.size)
+        given = (ident, ident, np.ones_like(ident)) if block is None else block
+        rows = given[0]
+        n = int(rows.max()) + 1 if rows.size else 1
+        lo = 0
+        for cuts, at, tgt, coef in kernel(trunc, alphas, block):
+            hi = lo + len(cuts) - 1
+            k = np.repeat(np.arange(hi - lo), np.diff(cuts))
+            same(sum_entries(k * n + rows[at], tgt, coef, trunc.model.p),
+                 divided_power_block_reference(trunc, alphas[lo:hi], given, n))
+            lo = hi
+            yield cuts, at, tgt, coef
+        assert lo == len(alphas)
+
+    def checked_block(trunc, alphas, block, n):
+        got = block_of(trunc, alphas, block, n)
+        same(sum_entries(*got, trunc.model.p),
+             divided_power_block_reference(trunc, alphas, block, n))
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_divided_power_slices", checked_pass)
+        for module in (operators, control, moore):
+            patch.setattr(module, "divided_power_block", checked_block)
         yield
 
 

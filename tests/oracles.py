@@ -16,7 +16,11 @@ keeps.
 images' embed rows and its output each have `size` columns, and each
 row is one product of its signs with their embed rows.
 `divided_power_reference` applies the closed formula for del^(alpha) term
-by term.  `rref` writes the reduced basis of a `RowSpace` fed the rows of
+by term; `divided_powers_reference` builds the maps of the closed formula
+over the whole basis, a slice of alphas at a time, as the library did
+before its kernel became a pass over a block of entries, and
+`divided_power_block_reference` applies them to a block.  `rref` writes
+the reduced basis of a `RowSpace` fed the rows of
 a matrix as a dense array (`space_matrix`), `intersect_coordinate_subspace`
 intersects a row space with a coordinate subspace through it, and
 `rref_reference` row-reduces by scanning columns for pivots;
@@ -83,14 +87,14 @@ from iwacalc.groups import (
 )
 from iwacalc.control import CentralPrimeSpec, IdealSpan
 from iwacalc.moore import ZetaExperiment
-from iwacalc.linalg import RowSpace, _runs, integer_array
+from iwacalc.linalg import RowSpace, _runs, integer_array, sum_entries
 from iwacalc.operators import (
-    _operator_index, coset_idempotent, divided_power, divided_power_map,
-    divided_power_maps, operator_degrees,
+    _SLICE_TERMS, _operator_index, _slices, coset_idempotent, divided_power,
+    divided_power_map, divided_power_maps, operator_degrees,
 )
 from iwacalc.padic import (
     AtLeast, MultiIndex, PrecisionError, Val, comb_mod, format_val, ge_provable,
-    mi_range, mi_weight, multi_binom_mod_p, val_min,
+    mi_range, mi_weight, multi_binom_mod_p, signed_binomials, val_min,
 )
 from iwacalc.rng import Pcg32
 from iwacalc.series import (
@@ -438,6 +442,85 @@ def divided_power_reference(trunc: TruncationSpec, alpha: Sequence[int],
             if key in trunc.index:
                 out[key] = (out.get(key, 0) + coeff) % p
     return TruncatedSeries(trunc, out)
+
+
+def divided_powers_reference(trunc: TruncationSpec, alphas: list) -> list[SparseMap]:
+    """del^(alpha) for each alpha of `alphas` by the closed formula, in slices
+    of at most about _SLICE_TERMS entries: the leading factor of each
+    (alpha, source) pair from the Pascal table mod p, times each offset of
+    its alpha.  Each map holds views of its slice's arrays, already sorted
+    by (source, target).  The library's map builder before it became a
+    pass over a block of entries (`operators._divided_power_slices`); it
+    builds the flag rows that the truncation kept with the table then."""
+    p, size, exps = trunc.model.p, trunc.size, trunc._exponents
+    # flags[i][a, B] = C(B_i, a) is nonzero mod p
+    pascal, expansions = trunc._divided_power_tables
+    nonzero = pascal.T != 0
+    flags = [nonzero[:, col] for col in exps.T]
+    # past the largest exponent every C(B_i, alpha_i) is 0, as one past it
+    A = np.minimum(np.array(alphas, dtype=np.int64), len(pascal) - 1)
+
+    def live(lo, hi):
+        # the pairs (alpha, b^B) with C(B, alpha) nonzero mod p, as flags
+        out = flags[0][A[lo:hi, 0]]
+        for i in range(1, len(flags)):
+            out &= flags[i][A[lo:hi, i]]
+        return out
+
+    # the sources of each alpha, counted a flag budget of rows at a time
+    rows = max(1, 8 * _SLICE_TERMS // size)
+    sources = np.concatenate([live(lo, min(lo + rows, len(A))).sum(axis=1)
+                              for lo in range(0, len(A), rows)])
+    # (1 + b_i)^{alpha_i} = sum_k C(alpha_i, k) b_i^k: the offsets k with
+    # C(alpha, k) nonzero, expanded by `signed_binomials` from the nonzero
+    # entries of the Pascal table row by row, so with no signs; the slices
+    # read only their coefficients, the codes of k - alpha and where each
+    # alpha's terms start; an alpha with no source is not expanded
+    E = A * (sources > 0)[:, None]
+    owner, k, scale = signed_binomials(expansions, E, p)
+    k -= E[owner]
+    # the basis ascends by weight, then exponents, and so do the targets
+    # B - alpha + k of one source in that order of the k: each alpha's
+    # offsets in that order make its entries sorted by (source, target)
+    order = np.lexsort((k @ trunc._int_omega, owner))
+    shift, scale = k[order] @ trunc._radix, scale[order]
+    starts = np.searchsorted(owner, np.arange(len(A) + 1))
+    del owner, k, order
+    maps = []
+    # each alpha has one entry per source and offset, and also holds a row
+    # of `size` flags, counted as size / 8 terms
+    for lo, hi in _slices(sources * np.diff(starts) + size // 8 + 1):
+        at, src = np.nonzero(live(lo, hi))
+        at += lo
+        lead = np.ones(src.size, dtype=np.int64)
+        for col, a in zip(exps[src].T, A[at].T):
+            lead = lead * pascal[col, a] % p
+        # each pair times each offset of its alpha, as in SparseMap.apply_entries
+        count = starts[at + 1] - starts[at]
+        ends = np.cumsum(count)
+        n = np.arange(count.sum()) + np.repeat(starts[at] - ends + count, count)
+        src, coef = np.repeat(src, count), np.repeat(lead, count) * scale[n] % p
+        # B - alpha + k <= B componentwise, and the basis is closed under
+        # lowering exponents, so every target is a basis monomial
+        tgt = trunc._indices_of(trunc._codes[src] + shift[n])
+        # where each alpha's entries start and end
+        cuts = np.concatenate(([0], ends))[np.searchsorted(at, np.arange(lo, hi + 1))].tolist()
+        maps += [SparseMap._trusted(p, size, tgt[i:j], src[i:j], coef[i:j])
+                 for i, j in zip(cuts, cuts[1:])]
+    return maps
+
+
+def divided_power_block_reference(trunc: TruncationSpec, alphas: list, block,
+                                  n: int) -> tuple:
+    """del^(alphas[k]) of every row of a block of n rows, in row k*n + r for
+    block row r, summed: the maps of `divided_powers_reference` applied to
+    the block by `SparseMap.apply_entries`, and `sum_entries`."""
+    rows, cols, coefs = block
+    parts = [np.zeros((3, 0), dtype=np.int64)]
+    for k, m in enumerate(divided_powers_reference(trunc, list(alphas))):
+        at, tgt, coef = m.apply_entries(rows, cols, coefs)
+        parts.append(np.stack([at + k * n, tgt, coef]))
+    return sum_entries(*np.concatenate(parts, axis=1), trunc.model.p)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Config parsing, the task runner, and the command line entry point."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from iwacalc import CentralPrimeSpec, cli, operators, parse_series
 from iwacalc.cli import (
@@ -19,7 +22,7 @@ from iwacalc.cli import (
 )
 from iwacalc.rng import Pcg32
 from iwacalc.operators import divided_power_maps
-from iwacalc.series import SparseMap, TruncationSpec
+from iwacalc.series import MAX_BASIS, SparseMap, TruncationSpec
 
 from conftest import heisenberg_generators
 from oracles import (
@@ -689,6 +692,73 @@ def test_main_exit_two_when_coordinates_exceed_int64(tmp_path, capsys):
         assert main(["run", write_doc(tmp_path, "wide.json", doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, (field, err)
+
+
+@pytest.mark.parametrize("doc,message", [
+    # W passes the exponent check (largest exponent 3) but is not an int64
+    ({"p": 5, "model": {"kind": "abelian", "rank": 1}, "omega": ["1"],
+      "truncation": {"W": 2 ** 64, "M": 4, "e": 2 ** 62}},
+     "need W < 2^63"),
+    # the exponents pass the precision check, but the basis would hold
+    # about 10^12 monomials
+    ({"p": 5, "model": {"kind": "abelian", "rank": 2}, "omega": ["1", "1/3"],
+      "truncation": {"W": 2 ** 40, "M": 20, "e": 3}},
+     f"more than {MAX_BASIS} monomials"),
+])
+def test_main_exit_two_before_a_huge_basis_is_grown(tmp_path, capsys, doc, message):
+    doc = dict(doc, tasks=[{"name": "verify-valuation"}])
+    assert main(["run", write_doc(tmp_path, "huge.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+
+
+def basis_size_bounds(units, W: int) -> tuple[int, int]:
+    """(lower, upper) bounds on the number of monomials b^a with
+    sum_i a_i * units[i] < W, in Python integers: 1 and the pure powers,
+    and the box of the largest exponents."""
+    tops = [(W - 1) // u for u in units]
+    return 1 + sum(tops), math.prod(t + 1 for t in tops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_drawn_config_exits_zero_one_or_two(tmp_path_factory, data):
+    """Abelian and Heisenberg configs drawn over primes up to 4294967311,
+    precisions up to 64, denominators e up to 2^63, mixed omega and cutoffs
+    up to 2^64: `main` returns 0, 1 or 2 and raises nothing, and 1 only with
+    a failed record.  Only configs that are refused before their basis is
+    grown, or whose basis is small, are drawn, so no large array is."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 4294967311]))
+    if data.draw(st.booleans()):
+        model = {"kind": "abelian", "rank": data.draw(st.integers(1, 3))}
+        rank = model["rank"]
+    else:
+        model = {"kind": "unitriangular", "size": 3, "generators": heisenberg_generators(p)}
+        rank = 3
+    omega = data.draw(st.lists(st.sampled_from(["1", "2", "1/2", "1/3", "3/2", "5"]),
+                               min_size=rank, max_size=rank))
+    e = data.draw(st.one_of(st.integers(1, 4), st.integers(0, 63).map(lambda k: 2 ** k)))
+    M = data.draw(st.integers(1, 64))
+    W = data.draw(st.one_of(st.integers(1, 40), st.integers(0, 64).map(lambda k: 2 ** k),
+                            st.integers(2 ** 30, 2 ** 64)))
+    units = [Fraction(w) * e for w in omega]
+    if all(u.denominator == 1 for u in units):
+        lower, upper = basis_size_bounds([int(u) for u in units], W)
+        top = max((W - 1) // int(u) for u in units)
+        # refused: W past int64, exponents past the precision, or a basis
+        # past the limit; otherwise the basis must be small
+        assume(W >= 2 ** 63 or p ** M <= top or lower > MAX_BASIS or upper <= 400)
+    doc = {"p": p, "model": model, "omega": omega,
+           "truncation": {"W": W, "M": M, "e": e}, "seed": 3,
+           "tasks": [{"name": "verify-valuation", "samples": 2}]}
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = tmp / "out.jsonl"
+    rc = main(["run", write_doc(tmp, "fuzz.json", doc), "--out", str(out)])
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2)
+    if rc != 2:
+        statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
+        assert ("fail" in statuses) == (rc == 1)
 
 
 def test_main_table_format(tmp_path, capsys):

@@ -20,13 +20,14 @@ from iwacalc import (
 from iwacalc import control, operators
 from iwacalc.cli import parse_config, run_config
 from iwacalc.control import IdealSpan, _escape
+from iwacalc.linalg import residual
 from iwacalc.padic import mi_range, power
 from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec, format_series, group_embed
 
 from oracles import (
     DenseRowSpace, close_span_reference, dense, dense_closure,
-    divided_power_reference, escapes_reference,
+    divided_power_reference, divided_powers_reference, escapes_reference,
     induced_filtration_reference, intersect_coordinate_subspace, mat_pow,
     mul_reference, operator_matrix, reduce_block, rref,
 )
@@ -124,9 +125,10 @@ def test_controller_approx(trunc2):
 
 
 def test_escapes_are_shared_between_control_calls(trunc3, monkeypatch):
-    """control_witnesses and controller_approx on one span form each
-    direction's block residual once: 3 in rank 3 with a one-direction
-    mask, not 4, with the answers of spans that start with none kept."""
+    """control_witnesses and controller_approx on one span settle every
+    direction in one block residual: 1 in rank 3 with a one-direction mask,
+    not one per direction, with the answers of spans that start with none
+    kept."""
     t = trunc3
     I = ideal_span(t, [t.monomial((1, 0, 0)) + t.monomial((0, 2, 1))])
     H = subgroup_from_exponents(t.model, (1, 0, 0))
@@ -142,40 +144,48 @@ def test_escapes_are_shared_between_control_calls(trunc3, monkeypatch):
 
     monkeypatch.setattr(control, "residual", counted)
     assert (control_witnesses(I, H), controller_approx(I)) == want
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert (control_witnesses(I, H), controller_approx(I)) == want
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
-def count_divided_power_builds(monkeypatch) -> list:
-    """The alphas of every `operators._divided_powers` call from now on."""
-    build, calls = operators._divided_powers, []
+def count_divided_power_calls(monkeypatch) -> tuple[list, list]:
+    """(builds, passes) from now on: the alphas of every `_divided_powers`
+    call, which builds whole-basis maps, and of every pass of the kernel
+    `_divided_power_slices`, whatever its block."""
+    build, kernel = operators._divided_powers, operators._divided_power_slices
+    builds, passes = [], []
     monkeypatch.setattr(operators, "_divided_powers", lambda trunc, alphas:
-                        calls.append(list(alphas)) or build(trunc, alphas))
-    return calls
+                        builds.append(list(alphas)) or build(trunc, alphas))
+    monkeypatch.setattr(operators, "_divided_power_slices", lambda trunc, alphas, block=None:
+                        passes.append(list(alphas)) or kernel(trunc, alphas, block))
+    return builds, passes
 
 
-def test_control_calls_build_the_first_divided_powers_once(monkeypatch):
+def test_control_calls_apply_the_first_divided_powers_in_one_pass(monkeypatch):
     """control_witnesses for a one-direction mask, then controller_approx,
     on a fresh truncation of the ideal-closure benchmark's model (abelian
-    rank 3 at W=14) build del_1, del_2 and del_3 in one call."""
+    rank 3 at W=14) apply del_1, del_2 and del_3 to the span's rows in one
+    kernel pass, and build no map."""
     t = TruncationSpec(load_abelian(3, 3, 4, ["1", "1", "1"]), 14)
     I = ideal_span(t, [t.monomial((1, 0, 3)), t.monomial((0, 5, 0))])
-    calls = count_divided_power_builds(monkeypatch)
+    builds, passes = count_divided_power_calls(monkeypatch)
     assert control_witnesses(I, subgroup_from_exponents(t.model, (0, 0, 1))) == []
     assert controller_approx(I).exponents == (0, 0, 1)
-    assert calls == [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    assert passes == [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    assert builds == []
 
 
-def test_zalesskii_task_builds_the_first_divided_powers_once(monkeypatch):
+def test_zalesskii_task_applies_the_first_divided_powers_in_one_pass(monkeypatch):
     """The first zalesskii task of the heisenberg golden config tests two
-    directions of a faithful span with one divided-power build."""
+    directions of a faithful span with one kernel pass and no map built."""
     doc = json.loads((GOLDEN / "heisenberg.json").read_text(encoding="utf-8"))
     doc["tasks"] = doc["tasks"][:1]
-    calls = count_divided_power_builds(monkeypatch)
+    builds, passes = count_divided_power_calls(monkeypatch)
     [record] = run_config(parse_config(doc))
     assert record["metrics"]["observed"] == "controlled"
-    assert len(calls) == 1
+    assert len(passes) == 1
+    assert builds == []
 
 
 def test_maximal_ideal_is_never_controlled(trunc2):
@@ -638,6 +648,47 @@ def test_escapes_match_full_width_reference(escape_truncs, name, sided, data):
                 controller_approx(I)
         else:
             assert controller_approx(I).exponents == H.exponents
+
+
+def per_direction_escape(I: IdealSpan, i: int):
+    """`_escape` by the route of one map per direction: del_i built over the
+    whole basis (`oracles.divided_powers_reference`), applied to the rows of
+    I, and that block's residual against the span on its own."""
+    t, R = I.trunc, I.reduced
+    [d_i] = divided_powers_reference(t, [tuple(int(j == i) for j in range(t.model.rank))])
+    at, cols, coefs = residual(*d_i.apply_entries(R.src, R.tgt, R.coef), R, I.pivots)
+    if not at.size:
+        return None
+    first = at == at[0]
+    return int(at[0]), dict(zip(cols[first].tolist(), coefs[first].tolist()))
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "u4"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_escapes_match_the_per_direction_map_route(escape_truncs, name, data):
+    """Every direction's escape, settled for all directions in one kernel
+    pass and one residual, equals the per-direction map route: on ideal
+    spans of drawn generators, on spans of drawn unit rows, which mostly
+    escape, on the zero span and on the whole space."""
+    t = escape_truncs[name]
+    p, size = t.model.p, t.size
+    gens = [t.from_dict(data.draw(st.dictionaries(
+        st.sampled_from(t.basis[1:]), st.integers(1, p - 1), min_size=1, max_size=3)))
+        for _ in range(data.draw(st.integers(1, 2)))]
+    units = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=12)))
+    # the span of b_1 alone escapes in direction 1: del_1 b_1 = 1 + b_1
+    b1 = [t.index[tuple(int(j == 0) for j in range(t.model.rank))]]
+    eye = np.eye(size, dtype=np.int64)
+    spans = [ideal_span(t, gens, data.draw(st.sampled_from(["right", "two-sided"]))),
+             IdealSpan(t, eye[units], units, "right"), IdealSpan(t, eye[b1], b1, "right"),
+             IdealSpan(t, eye[:0], (), "right"), IdealSpan(t, eye, range(size), "right")]
+    for I in spans:
+        want = [per_direction_escape(I, i) for i in range(t.model.rank)]
+        assert [_escape(I, i) for i in range(t.model.rank)] == want
+    assert _escape(spans[2], 0) == (0, {0: 1})
+    # the zero span and the whole space are stable in every direction
+    assert not any(_escape(I, i) for I in spans[3:] for i in range(t.model.rank))
 
 
 @pytest.mark.parametrize("sided", ["right", "two-sided"])

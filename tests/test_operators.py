@@ -27,13 +27,16 @@ from iwacalc import operators
 from iwacalc.control import ideal_span
 from iwacalc.linalg import sum_entries
 from iwacalc.groups import load_abelian
-from iwacalc.operators import divided_power_map, divided_power_maps, operator_degrees
+from iwacalc.operators import (
+    divided_power_block, divided_power_map, divided_power_maps, operator_degrees,
+)
 from iwacalc.rng import Pcg32
 from iwacalc.series import SparseMap, TruncationSpec
 
 from oracles import (
     LocallyConstantFunction, OperatorMatrix, aut_matrix, coset_indicator, dense,
-    divided_power_matrix, divided_power_reference, function_from_callable,
+    divided_power_matrix, divided_power_reference, divided_powers_reference,
+    function_from_callable,
     lmul_matrix, mahler_coeff_aut_central, mahler_coeff_aut_reference,
     map_matrix, operator_matrix, rho_apply_reference, sample_element, sparse_of,
 )
@@ -316,6 +319,7 @@ def test_divided_powers_follow_a_grown_pascal_table(zmodel):
     assert pascal is t._pascal and len(pascal) == top + 2
     t._signed_binomials([[3 * top]])
     assert len(t._pascal) == 3 * top + 1 and "_divided_power_tables" not in vars(t)
+    assert "_divided_power_flags" not in vars(t)
     after = divided_power_maps(t, alphas[4:])
     assert t._divided_power_tables[0] is t._pascal
     for a, m in zip(alphas, before + after):
@@ -324,6 +328,51 @@ def test_divided_powers_follow_a_grown_pascal_table(zmodel):
     for m, r in zip(before + after, divided_power_maps(fresh, alphas)):
         assert all(getattr(m, k).tobytes() == getattr(r, k).tobytes()
                    for k in ("tgt", "src", "coef"))
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4", "u4"])
+def test_divided_power_maps_keep_the_bytes_of_the_map_builder(map_truncs, u4, name):
+    """`divided_power_maps`, the kernel pass on the identity block, gives
+    every map of the basis and of an index past it with the arrays, dtypes
+    and entry order of the whole-basis map builder it replaced
+    (`oracles.divided_powers_reference`), on cold truncations."""
+    t = map_truncs[name] if name != "u4" else TruncationSpec(u4, 12)
+    alphas = t.basis + [tuple(m + 1 for m in t.max_exponents)]
+    got = divided_power_maps(TruncationSpec(t.model, t.W), alphas)
+    want = divided_powers_reference(TruncationSpec(t.model, t.W), alphas)
+    for m, r in zip(got, want, strict=True):
+        assert all(getattr(m, k).dtype == getattr(r, k).dtype
+                   and getattr(m, k).tobytes() == getattr(r, k).tobytes()
+                   for k in ("tgt", "src", "coef"))
+
+
+@pytest.mark.parametrize("name", ["abelian2", "abelian3", "heis", "zeta", "e4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_divided_power_block_applies_the_maps(map_truncs, name, data):
+    """`divided_power_block` on a drawn block (empty rows, repeated columns
+    and zero coefficients included) for drawn indices (0, repeats, one past
+    the largest exponent, and sometimes the first 40 of the basis) equals
+    each map of `divided_power_maps` applied to the block, row k*n + r for
+    index k and block row r."""
+    t = map_truncs[name]
+    p = t.model.p
+    index = st.tuples(*[st.integers(0, m + 1) for m in t.max_exponents])
+    alphas = data.draw(st.lists(index, min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        alphas += t.basis[:40]
+    n = data.draw(st.integers(1, 5))
+    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, t.size - 1),
+                                           st.integers(0, p - 1)), max_size=12))
+    rows, cols, coefs = (np.array(v, dtype=np.int64) for v in zip(*entries)) if entries \
+        else (np.zeros(0, dtype=np.int64),) * 3
+    got = sum_entries(*divided_power_block(t, alphas, (rows, cols, coefs), n), p)
+    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    for k, m in enumerate(divided_power_maps(t, alphas)):
+        at, tgt, coef = m.apply_entries(rows, cols, coefs)
+        parts.append((at + k * n, tgt, coef))
+    want = sum_entries(*map(np.concatenate, zip(*parts)), p)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("name", ["abelian3", "zeta"])
