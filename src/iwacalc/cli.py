@@ -282,8 +282,8 @@ def _task_verify_operators(ctx: RunContext, params: dict, stream: int):
         lam = [multi_binom_mod_p(m, t.basis[a], p, model.precision)
                for m, a in zip(coords.tolist(), alphas.tolist())]
         vals = _embed_valuations(t, SparseMap.stack([maps[a] for a in alphas.tolist()]),
-                                 t._embed_rows(coords), np.arange(len(coords)),
-                                 np.array(lam, dtype=np.int64))
+                                 t._embed_entries(coords), len(coords),
+                                 np.arange(len(coords)), np.array(lam, dtype=np.int64))
         witnesses += [{"kind": "eigen", "alpha": list(t.basis[alphas[k]]),
                        "element": coords[k].tolist()}
                       for k in np.flatnonzero(vals < t.W - w[alphas]).tolist()]
@@ -382,7 +382,9 @@ def _task_idempotents(ctx: RunContext, params: dict, stream: int):
         coords = draws[run]
         coset = coords[:, mask] % p @ p ** np.arange(len(mask) - 1, -1, -1)
         k = np.tile(np.arange(n), len(coords))
-        vals = _embed_valuations(t, stack, t._embed_rows(coords).repeat(n, axis=0), k,
+        sample, cols, coefs = t._embed_entries(coords)
+        block = (sample[:, None] * n + np.arange(n)).ravel(), cols.repeat(n), coefs.repeat(n)
+        vals = _embed_valuations(t, stack, block, n * len(coords), k,
                                  (coset.repeat(n) == k).astype(np.int64))
         witnesses += [{"kind": "indicator", "nu": list(idems[r % n][0]),
                        "element": coords[r // n].tolist()}

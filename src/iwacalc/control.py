@@ -15,7 +15,8 @@ lead at a time; it is kept as its reduced row echelon basis R
 unitriangular one the right ideal is closed under the left maps alone, a
 frontier at a time (`ideal_span`).  Every test against a span is one
 `linalg.residual` B - B[:, pivots]·R, the kernel that also grows it:
-membership of a vector, the dagger's candidates in chunks, and
+membership of a vector, the dagger's candidates g^lam - 1, embedded a
+chunk at a time as entries (`TruncationSpec._embed_entries`), and
 del_i-stability, where B is del_1, ..., del_d applied to all of R in one
 kernel pass (`operators.divided_power_block`).
 
@@ -41,12 +42,12 @@ import numpy as np
 from .groups import ModelError, SubgroupSpec, subgroup_from_exponents
 from .linalg import RowSpace, SparseMap, integer_array, residual, sum_entries
 from .operators import _mask, divided_power_block
-from .padic import Val, gt_provable, mi_range
+from .padic import Val, gt_provable
 from .rng import Pcg32
 from .series import TruncatedSeries, TruncationSpec, format_row, format_series
 
 _SIDES = ("right", "two-sided")
-# candidates of the dagger search embedded at a time, as dense rows
+# candidates of the dagger search embedded at a time
 _DAGGER_CHUNK = 2048
 
 
@@ -257,16 +258,16 @@ def dagger_approx(I: IdealSpan, depth: int, budget: int = 4096) -> list[tuple[in
     if count > budget:
         raise ValueError(f"dagger search needs p^(depth*rank) = {count} "
                          f"membership tests, over the budget {budget}")
-    lams = list(mi_range((model.p ** depth - 1,) * model.rank))  # in sorted order
+    # the box, in sorted order
+    lams = np.indices((model.p ** depth,) * model.rank).reshape(model.rank, -1).T
     out = []
     for lo in range(0, count, _DAGGER_CHUNK):
         chunk = lams[lo:lo + _DAGGER_CHUNK]
-        rows = t._embed_rows(chunk)
-        rows[:, t.index[(0,) * model.rank]] -= 1  # g^lam - 1; C(lam, 0) = 1
-        at, cols = np.nonzero(rows)
+        at, cols, coefs = t._embed_entries(chunk)
+        keep = cols != 0  # g^lam - 1: drop C(lam, 0) = 1, at the constant 0
         kept = np.ones(len(chunk), dtype=bool)
-        kept[residual(at, cols, rows[at, cols], I.reduced, I.pivots)[0]] = False
-        out += [lam for lam, keep in zip(chunk, kept.tolist()) if keep]
+        kept[residual(at[keep], cols[keep], coefs[keep], I.reduced, I.pivots)[0]] = False
+        out += map(tuple, chunk[kept].tolist())
     return out
 
 
@@ -555,7 +556,10 @@ def zalesskii_check(trunc: TruncationSpec, generators: Sequence[TruncatedSeries]
     group element inside 1 + I at the given depth, the control question is
     not meaningful for this ideal and the check reports skipped.  Otherwise
     the span must be stable under the first divided powers of every
-    non-central direction."""
+    non-central direction.  `faithful` means only that no lam != 0 in the
+    box [0, p^depth)^d has g^lam - 1 in the span, not a proof: on the
+    Heisenberg model with omega = (1, 1, 2), (b3^2) holds g_3^5 - 1 = b3^5
+    at W = 12 and 16, yet it is reported faithful at depth 1."""
     model = trunc.model
     Z = Z if Z is not None else model.centre
     if Z is None:

@@ -334,11 +334,13 @@ class ZetaExperiment:
         self.phi = phi
         p, M, d = model.p, model.precision, model.rank
         self.log = abelian_matrix_log(phi.matrix, p, M)
-        # row i is y_i: the embedding of z(g_i), column i of log A, less 1
-        emb = trunc._embed_rows(np.array(self.log, dtype=np.int64).T)
-        emb[:, 0] -= 1
-        rows, cols = np.nonzero(emb)
-        ws = trunc.valuations((rows, cols, emb[rows, cols]), d)
+        # row i is y_i: the embedding of z(g_i), column i of log A, less its
+        # constant entry C(lam, 0) = 1; sorted, as `valuations` reads it
+        rows, cols, coefs = sum_entries(
+            *trunc._embed_entries(np.array(self.log, dtype=np.int64).T), p)
+        keep = cols != 0
+        rows, cols, coefs = rows[keep], cols[keep], coefs[keep]
+        ws = trunc.valuations((rows, cols, coefs), d)
         if ws.min() >= trunc.W:
             raise ModelError("phi is trivial at this precision; lambda unresolved")
         # the resolved values sort first, so every value after the block of
@@ -346,7 +348,7 @@ class ZetaExperiment:
         self.order = np.argsort(ws, kind="stable").tolist()
         self.lam = trunc.val(ws.min())
         self.m = int((ws == ws.min()).sum())
-        self.y = [trunc.from_vector(emb[i]) for i in self.order]
+        self.y = [trunc._series(cols[rows == i], coefs[rows == i]) for i in self.order]
         self.r_range = tuple(sorted(int(r) for r in r_range))
         if not self.r_range:
             raise ValueError("r_range is empty")

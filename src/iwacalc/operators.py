@@ -351,16 +351,16 @@ def _product_rule_failures(trunc: TruncationSpec, maps: Sequence[SparseMap],
     return _rows_hit(sum_entries(*np.concatenate(parts, axis=1), p), size)
 
 
-def _embed_valuations(trunc: TruncationSpec, stack: SparseMap, emb: np.ndarray,
+def _embed_valuations(trunc: TruncationSpec, stack: SparseMap, emb, n: int,
                       op, scalar) -> np.ndarray:
-    """w, in units of 1/e, of M(x) - scalar[r]*x for each row r of the dense
-    block `emb`, x that row and M map op[r] of the stack, in one apply."""
+    """w, in units of 1/e, of M(x) - scalar[r]*x for each of the n rows r of
+    the block of entries `emb`, in any order, x that row and M map op[r] of
+    the stack, in one apply."""
     p, size = trunc.model.p, trunc.size
-    r, c = np.nonzero(emb)
-    v = emb[r, c]
+    r, c, v = emb
     image = stack.apply_entries(r, op[r] * size + c, v)
     return trunc.valuations(sum_entries(*(np.concatenate(pair) for pair in zip(
-        image, (r, c, (p - scalar[r]) * v % p))), p), len(emb))
+        image, (r, c, (p - scalar[r]) * v % p))), p), n)
 
 
 def _rows_hit(block, size: int) -> list[int]:

@@ -10,11 +10,14 @@ Every operator that comes from a map on G is built by one kernel on entry
 arrays, `TruncationSpec._group_columns`: it expands a block of monomials
 b^a = sum_{c <= a} (-1)^{|a - c|} C(a, c) g^c (`padic.signed_binomials`),
 sends each distinct g^c through the map on integer coordinates, expands
-the images by the Mahler formula g^m = sum_b C(m, b) b^b into entries and
-sums the terms of each monomial (`linalg.sum_entries`).  By Lucas's theorem
-C(m, b) mod p depends only on m mod p^need, p^need above every exponent,
-and is 0 unless each base-p digit of b_i is at most that of m_i: an image
-expands over the nonzero binomials of one row per residue.  The
+the images by the Mahler formula g^m = sum_b C(m, b) b^b into entries
+(`TruncationSpec._embed_entries`, the one embed kernel, which
+`group_embed`, the dagger, the operator checks and the zeta directions
+call too) and sums the terms of each monomial (`linalg.sum_entries`).
+By Lucas's theorem C(m, b) mod p depends only on m mod p^need, p^need
+above every exponent, and is 0 unless each base-p digit of b_i is at most
+that of m_i: an image expands over the nonzero binomials of one row per
+residue.  The
 maps g^c -> g^c g_j give x -> x*b_j (`TruncationSpec.generator_maps`, all
 letters in one call), whose products already in normal order, all of them
 on abelian models, are one shift of exponents.  They send b^a = b^h b^t, t
@@ -96,7 +99,7 @@ class TruncationSpec:
         # that a huge W is refused before any array is grown
         self.max_exponents = tuple((W - 1) // u for u in model.omega.units)
         max_exp = max(self.max_exponents)
-        # p^need, the least power of p above every exponent (see _lucas_table)
+        # p^need, the least power of p above every exponent (see _embed_entries)
         self._lucas_modulus, need = model.p, 1
         while self._lucas_modulus <= max_exp:
             self._lucas_modulus, need = self._lucas_modulus * model.p, need + 1
@@ -243,47 +246,30 @@ class TruncationSpec:
         nonzero = self._divided_power_tables[0].T != 0
         return [nonzero[:, col] for col in self._exponents.T]
 
-    def _lucas_table(self, coords) -> tuple:
-        """(table, at): row at[k, i] of `table` is C(lam_i, n) mod p for n up
-        to the largest exponent, lam the k-th integer coordinate vector of
-        `coords`; by Lucas's theorem it depends only on lam_i mod p^need, so
-        there is one row per distinct residue (`padic.lucas_rows`)."""
+    def _embed_entries(self, coords) -> tuple:
+        """Entries (k, basis index of b, C(lam, b) mod p) of the embedding
+        g^lam = sum_b C(lam, b) b^b, lam the k-th integer coordinate vector
+        of `coords`: the nonzero ones, sorted by k only, not by column within
+        a row, so that a caller that reads a row's first entry, as
+        `valuations` does, sorts them first (`linalg.sum_entries`).  By
+        Lucas's theorem C(lam_i, n) mod p depends only on lam_i mod p^need:
+        the table has one row per distinct residue (`padic.lucas_rows`).  The
+        product of the C(lam_i, b_i) grows a coordinate at a time over the
+        nonzero entries of lam_i's row, below the cutoff as `__init__` grows
+        the basis, the heaviest omega_i first: the partial products stay few
+        until the light coordinates, which carry most of the exponents."""
+        p, width = self.model.p, max(self.max_exponents) + 1
         lams = np.asarray(coords, dtype=np.int64).reshape(-1, self.model.rank)
         residues, at = np.unique(lams % self._lucas_modulus, return_inverse=True)
-        table = lucas_rows(residues, max(self.max_exponents), self.model.p)
-        return table, at.reshape(lams.shape)
-
-    def _embed_rows(self, coords) -> np.ndarray:
-        """Row k is the embedding of g^lam, lam the k-th integer coordinate
-        vector of `coords`: C(lam, b) mod p for every basis monomial b, each
-        coordinate one gather from `_lucas_table`."""
-        p = self.model.p
-        table, at = self._lucas_table(coords)
-        # factors are residues, so reduce only when the next product could wrap
-        out, bound = np.ones((len(at), self.size), dtype=np.int64), 1
-        for i, col in enumerate(self._exponents.T):
-            if bound * (p - 1) >= INT64_LIMIT:
-                out %= p
-                bound = p - 1
-            out *= table[:, col][at[:, i]]
-            bound *= p - 1
-        out %= p
-        return out
-
-    def _embed_entries(self, coords) -> tuple:
-        """`_embed_rows` as entries (k, basis index of b, C(lam, b) mod p),
-        the nonzero ones, sorted by k: the product of the C(lam_i, b_i)
-        grows a coordinate at a time over the nonzero entries of lam_i's
-        `_lucas_table` row, below the cutoff as `__init__` grows the basis."""
-        p, width = self.model.p, max(self.max_exponents) + 1
-        table, at = self._lucas_table(coords)
+        at = at.reshape(lams.shape)
+        table = lucas_rows(residues, width - 1, p)
         r, a = np.nonzero(table)
         flat, values = r * width + a, table[r, a]
         row, code = np.arange(len(at)), np.zeros(len(at), dtype=np.int64)
         weight, coef = np.zeros_like(code), np.ones_like(code)
-        for i, w in enumerate(self.model.omega.units):
+        for i in np.argsort(-self._int_omega, kind="stable").tolist():
             # the a of lam_i's row, ascending, up to (W - 1 - weight) // w
-            key = at[row, i] * width
+            w, key = int(self._int_omega[i]), at[row, i] * width
             lo = flat.searchsorted(key)
             k, pos = _runs(lo, flat.searchsorted(key + (self.W - 1 - weight) // w,
                                                  side="right") - lo)
@@ -643,7 +629,8 @@ def group_embed(trunc: TruncationSpec, el: GroupElement) -> TruncatedSeries:
     """g as a series: g^m = sum_b C(m, b) b^b over the monomial basis."""
     if el.model is not trunc.model:
         raise ModelError("element belongs to a different model")
-    return trunc.from_vector(trunc._embed_rows([el.coords])[0])
+    _, cols, coefs = trunc._embed_entries([el.coords])
+    return trunc._series(cols, coefs)
 
 
 def aut_map(trunc: TruncationSpec, phi: Automorphism) -> SparseMap:

@@ -12,7 +12,8 @@ from iwacalc.linalg import SparseMap, sum_entries
 
 from oracles import (
     apply_entries_reference, compiled_laws_reference, deg_omega_reference,
-    divided_power_block_reference, group_columns_reference, laws_or_message,
+    divided_power_block_reference, embed_rows_reference, group_columns_reference,
+    laws_or_message,
 )
 
 
@@ -136,6 +137,35 @@ def group_columns_match_reference():
         return got
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TruncationSpec, "_group_columns", checked)
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def embed_entries_match_reference():
+    """Every `TruncationSpec._embed_entries` call of the session whose dense
+    rows hold at most 2^20 entries, those of the group kernel, the dagger,
+    the zeta directions and the golden configs run in process included,
+    gives int64 entries sorted by row that are, sorted by column within a
+    row, the nonzeros of `oracles.embed_rows_reference`.  Not checked while
+    tracemalloc traces, since the dense rows would count in the peak that
+    the memory tests bound."""
+    embed_entries = TruncationSpec._embed_entries
+
+    @functools.wraps(embed_entries)
+    def checked(t, coords):
+        got = embed_entries(t, coords)
+        if tracemalloc.is_tracing() or np.size(coords) // t.model.rank * t.size > 1 << 20:
+            return got
+        rows, cols, coefs = got
+        assert all(a.dtype == np.int64 for a in got) and (np.diff(rows) >= 0).all()
+        order = np.lexsort((cols, rows))
+        dense = embed_rows_reference(t, coords)
+        want = np.nonzero(dense)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (rows[order], cols[order], coefs[order]), (*want, dense[want]), strict=True))
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TruncationSpec, "_embed_entries", checked)
         yield
 
 

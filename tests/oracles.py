@@ -12,6 +12,8 @@ phi(g_i) - 1, and `aut_matrix` is its dense operator.  `dense` scatters a
 `SparseMap` into its matrix, and `apply_entries_reference` applies one to
 a block by two binary searches per column, without the offsets the map
 keeps.
+`embed_rows_reference` embeds group elements as dense rows of `size`
+columns, each coordinate's binomials from `math.comb`, and
 `group_columns_reference` is the group kernel on dense blocks: the
 images' embed rows and its output each have `size` columns, and each
 row is one product of its signs with their embed rows.
@@ -624,6 +626,23 @@ def apply_entries_reference(m: SparseMap, rows: np.ndarray, cols: np.ndarray,
     return rows[at], m.tgt[pos], coefs[at] * m.coef[pos] % m.p
 
 
+def embed_rows_reference(t: TruncationSpec, coords) -> np.ndarray:
+    """Row k is the embedding of g^lam, lam the k-th integer coordinate
+    vector of `coords`: C(lam, b) mod p for every basis monomial b, as one
+    dense row of `size` columns, each coordinate one gather from a table of
+    `math.comb` over its distinct values, read in [0, p^M): C(lam, n) mod p
+    is that of lam mod p^M for n < p^M."""
+    p, top, q = t.model.p, max(t.max_exponents), t.model.p ** t.model.precision
+    lams = np.asarray(coords, dtype=np.int64).reshape(-1, t.model.rank)
+    out = np.ones((len(lams), t.size), dtype=np.int64)
+    for lam, col in zip(lams.T, t._exponents.T):
+        values, at = np.unique(lam, return_inverse=True)
+        table = np.array([[math.comb(m % q, n) % p for n in range(top + 1)]
+                          for m in values.tolist()], dtype=np.int64)
+        out = out * table.reshape(-1, top + 1)[:, col][at.reshape(-1)] % p
+    return out
+
+
 def group_columns_reference(t: TruncationSpec, exps, image, start=None,
                             labels=None) -> np.ndarray:
     """Row k is the image of b^a, a the k-th row of `exps`, as
@@ -640,7 +659,7 @@ def group_columns_reference(t: TruncationSpec, exps, image, start=None,
     radix = np.cumprod(np.concatenate(([1], c.max(axis=0, initial=0) + 1)))
     _, first, at = np.unique(c @ radix[:-1] + labels * radix[-1],
                              return_index=True, return_inverse=True)
-    rows = t._embed_rows(image(labels[first], c[first]))
+    rows = embed_rows_reference(t, image(labels[first], c[first]))
     cuts = np.searchsorted(owner, np.arange(len(exps) + 1)).tolist()
     start = [0] * len(exps) if start is None else start.tolist()
     out = np.zeros((len(exps), t.size), dtype=np.int64)
@@ -707,7 +726,7 @@ def mul_reference(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
             lam = t.model.mul(el[c1], el[c2]).coords
             prod[lam] = (prod.get(lam, 0) + v1 * v2) % p
     # more products than monomials may meet here, so sum in Python ints
-    rows = t._embed_rows(list(prod)).astype(object)
+    rows = embed_rows_reference(t, list(prod)).astype(object)
     return t.from_vector(np.array(list(prod.values()), dtype=object) @ rows)
 
 

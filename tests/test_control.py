@@ -27,9 +27,9 @@ from iwacalc.series import SparseMap, TruncationSpec, format_series, group_embed
 
 from oracles import (
     DenseRowSpace, close_span_reference, dense, dense_closure,
-    divided_power_reference, divided_powers_reference, escapes_reference,
-    induced_filtration_reference, intersect_coordinate_subspace, mat_pow,
-    mul_reference, operator_matrix, reduce_block, rref,
+    divided_power_reference, divided_powers_reference, embed_rows_reference,
+    escapes_reference, induced_filtration_reference, intersect_coordinate_subspace,
+    mat_pow, mul_reference, operator_matrix, reduce_block, rref,
 )
 
 GOLDEN = Path(__file__).parent / "cli_golden"
@@ -397,6 +397,24 @@ def test_zalesskii_skips_unfaithful(trunc_heis):
     assert report["dagger"] == [[k, 0, 0] for k in range(5)]
 
 
+def test_zalesskii_ideal_of_b3_squared_holds_g3_to_the_fifth(heis):
+    """g_3^5 - 1 = b3^5 = b3^2 * b3^3, of weight 10 < W/e, lies in the
+    two-sided span of b3^2 at W = 12 and 16, so that ideal is not faithful."""
+    for W in (12, 16):
+        t = TruncationSpec(heis, W)
+        I = ideal_span(t, [t.monomial((0, 0, 2))], "two-sided")
+        witness = group_embed(t, heis.element((0, 0, 5))) - t.one()
+        assert witness == t.monomial((0, 0, 5)) and I.contains(witness)
+
+
+@pytest.mark.xfail(strict=True, reason="faithful only means that the depth-1 dagger "
+                   "box [0, p)^d holds no lam != 0; g_3^5 lies outside it")
+def test_zalesskii_ideal_of_b3_squared_is_not_faithful(heis):
+    for W in (12, 16):
+        t = TruncationSpec(heis, W)
+        assert zalesskii_check(t, [t.monomial((0, 0, 2))])["faithful"] is False
+
+
 def test_zalesskii_validation(trunc_heis, tzeta):
     with pytest.raises(ModelError):
         zalesskii_check(tzeta, [tzeta.monomial((1,))])  # no centre declared
@@ -697,17 +715,21 @@ def test_escapes_match_the_per_direction_map_route(escape_truncs, name, data):
 @given(data=st.data())
 def test_dagger_matches_block_residuals(request, fixture, sided, data):
     t = request.getfixturevalue(fixture)
-    model = t.model
-    p, rank = model.p, model.rank
+    p, rank = t.model.p, t.model.rank
     depth = data.draw(st.sampled_from([d for d in (1, 2) if p ** (d * rank) <= 4096]))
     I = ideal_span(t, draw_generators(t, data, t.basis[1:]), sided)
     # lam is kept iff g^lam - 1 has a zero residual against the dense rows
-    want = []
-    for lam in mi_range((p ** depth - 1,) * rank):
-        v = (group_embed(t, model.element(lam)) - t.one()).vector()
-        if not reduce_block(I.rows, I.pivots, v[None, :], p).any():
-            want.append(lam)
-    assert dagger_approx(I, depth) == want
+    lams = list(mi_range((p ** depth - 1,) * rank))
+    kept = ~reduce_block(I.rows, I.pivots, embed_minus_one(t, lams), p).any(axis=1)
+    assert dagger_approx(I, depth) == [lam for lam, k in zip(lams, kept) if k]
+
+
+def embed_minus_one(t, lams):
+    """The dense rows of g^lam - 1 from the oracle's embedding, which
+    shares no kernel with `dagger_approx`; C(lam, 0) = 1 at column 0."""
+    block = embed_rows_reference(t, lams)
+    block[:, 0] -= 1
+    return block
 
 
 def object_vectors(rng, p, vecs):
@@ -730,8 +752,7 @@ def test_block_residuals_match_dense_oracles(escape_truncs, name, data):
     residuals of `DenseRowSpace` and `reduce_block`, on ideal spans, the
     zero span, the whole space and dense rref spans."""
     t = escape_truncs[name]
-    model = t.model
-    p, rank = model.p, model.rank
+    p, rank = t.model.p, t.model.rank
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     kind = data.draw(st.sampled_from(["ideal", "zero", "whole", "dense"]))
     if kind == "ideal":
@@ -765,9 +786,7 @@ def test_block_residuals_match_dense_oracles(escape_truncs, name, data):
             dagger_approx(J, 1)
     else:
         lams = list(mi_range((p - 1,) * rank))
-        block = np.array([(group_embed(t, model.element(lam)) - t.one()).vector()
-                          for lam in lams])
-        kept = ~reduce_block(I.rows, I.pivots, block, p).any(axis=1)
+        kept = ~reduce_block(I.rows, I.pivots, embed_minus_one(t, lams), p).any(axis=1)
         assert dagger_approx(J, 1) == [lam for lam, k in zip(lams, kept) if k]
     assert "rows" not in vars(J)
 
@@ -779,10 +798,7 @@ def test_dagger_crosses_candidate_chunks(escape_truncs):
     p, rank = t.model.p, t.model.rank
     I = ideal_span(t, [t.monomial((1, 0, 0, 0, 0, 0))], "two-sided")
     lams = list(mi_range((p - 1,) * rank))
-    # the embedding is the one src uses; the residuals are the dense oracle's
-    block = t._embed_rows(lams)
-    block[:, t.index[(0,) * rank]] -= 1
-    kept = ~reduce_block(I.rows, I.pivots, block, p).any(axis=1)
+    kept = ~reduce_block(I.rows, I.pivots, embed_minus_one(t, lams), p).any(axis=1)
     want = [lam for lam, k in zip(lams, kept) if k]
     assert want == [(k, 0, 0, 0, 0, 0) for k in range(p)]
     assert dagger_approx(I, 1, budget=20000) == want
